@@ -58,6 +58,7 @@ from .simulate import (
     PolicyKind,
     SimConfig,
     SimEvent,
+    SimTrace,
     compare_policies,
     metrics_from_events,
     run_simulation,

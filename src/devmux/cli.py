@@ -240,7 +240,7 @@ def cmd_simulate(args) -> int:
     sim = config.sim_config(seed=args.seed, n_tasks=args.n_tasks)
     workload = workload_from_config(sim)
     policy = solve_policy(sim) if sim.policy is PolicyKind.MDP else None
-    report, events = run_simulation(workload, sim, policy)
+    report, trace = run_simulation(workload, sim, policy)
     payload = {
         "policy": sim.policy.value,
         "seed": sim.seed,
@@ -250,9 +250,9 @@ def cmd_simulate(args) -> int:
     try:
         Path(args.out).write_text(_dump_json(payload), encoding="utf-8")
         if args.events:
+            encode = json.JSONEncoder(sort_keys=True).encode
             with open(args.events, "w", encoding="utf-8") as fh:
-                for event in events:
-                    fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+                fh.writelines(encode(event.to_dict()) + "\n" for event in trace.events())
     except OSError as err:
         return _fail(f"cannot write report: {err}", EXIT_IO)
     print(_dump_json(payload), end="")
@@ -277,6 +277,16 @@ def cmd_compare(args) -> int:
         return _fail(f"cannot write comparison: {err}", EXIT_IO)
     print(_dump_json(payload), end="")
     return EXIT_OK
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,15 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one policy over a synthetic workload")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-tasks", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
+    p.add_argument("--n-tasks", type=_non_negative_int, default=None)
     p.add_argument("--out", default="report.json")
     p.add_argument("--events", default=None, help="also write the event log (JSONL)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="run every configured policy on one paired workload")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--out", default="comparison.json")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_compare)

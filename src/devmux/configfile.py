@@ -23,6 +23,7 @@ from .routing import (
     Complexity,
     CostModel,
     DEFAULT_P_DRAIN,
+    DEFAULT_TOLERANCE,
     DeviceClass,
     DeviceProfile,
     NETWORK_STATES,
@@ -233,6 +234,10 @@ class SimSettings:
     offline_timeout_ms: float = 10_000.0
     sub_second_ms: float = 1000.0
 
+    def __post_init__(self) -> None:
+        if self.n_tasks < 0 or self.seed < 0:
+            raise ValueError("n_tasks and seed must be >= 0")
+
 
 @dataclass(eq=False)
 class AppConfig:
@@ -269,6 +274,7 @@ class AppConfig:
             workload_spec=self.workload_spec,
             initial_network=self.sim.initial_network,
             p_drain=self.p_drain,
+            tolerance=self.tolerance,
             complexity_mix=self.complexity_mix,
             offline_timeout_ms=self.sim.offline_timeout_ms,
             sub_second_ms=self.sim.sub_second_ms,
@@ -308,7 +314,7 @@ def config_from_dict(data: dict) -> AppConfig:
         w_accuracy=float(router.take("w_accuracy", 10.0)),
         discount_gamma=float(router.take("discount_gamma", 0.95)),
     )
-    tolerance = float(router.take("tolerance", 1e-8))
+    tolerance = float(router.take("tolerance", DEFAULT_TOLERANCE))
     if tolerance <= 0:
         raise ConfigError("router.tolerance must be > 0")
     edge_latency = _complexity_map(

@@ -49,6 +49,7 @@ class Action(str, Enum):
     CLOUD = "cloud"
 
 
+TASK_KINDS = (TaskKind.SYNTAX_FIX, TaskKind.COMPLETION, TaskKind.REFACTOR, TaskKind.CRASH_ANALYSIS)
 COMPLEXITIES = (Complexity.LOW, Complexity.MEDIUM, Complexity.HIGH)
 DEVICE_CLASSES = (DeviceClass.CPU_ONLY, DeviceClass.GPU)
 NETWORK_STATES = (NetworkState.GOOD, NetworkState.DEGRADED, NetworkState.OFFLINE)
@@ -58,6 +59,7 @@ ACTIONS = (Action.EDGE, Action.CLOUD)
 N_STATES = len(COMPLEXITIES) * len(DEVICE_CLASSES) * len(NETWORK_STATES) * len(BATTERY_LEVELS)
 
 STOCHASTIC_TOL = 1e-9
+DEFAULT_TOLERANCE = 1e-8  # value-iteration stopping threshold
 
 
 class IllegalActionError(ValueError):
@@ -86,20 +88,26 @@ class TaskFeatures:
     complexity: Complexity
 
 
-def featurize_task(task: TaskDescriptor) -> TaskFeatures:
-    """Map a task descriptor to a complexity level by a fixed rule table.
+def complexity_indices(kind, files_touched, cross_file_deps, token_length) -> np.ndarray:
+    """Map task columns to indices into COMPLEXITIES by a fixed rule table.
 
+    `kind` holds indices into TASK_KINDS; all four arguments broadcast.
     Crash analysis is always high complexity; otherwise heavy cross-file
     coupling or wide file footprints are high, any cross-file dependency or
     a long prompt is medium, and the remainder is low.
     """
-    if task.kind is TaskKind.CRASH_ANALYSIS:
-        return TaskFeatures(Complexity.HIGH)
-    if task.cross_file_deps >= 5 or task.files_touched >= 10:
-        return TaskFeatures(Complexity.HIGH)
-    if task.cross_file_deps >= 1 or task.token_length >= 2000:
-        return TaskFeatures(Complexity.MEDIUM)
-    return TaskFeatures(Complexity.LOW)
+    kind, files, deps, tokens = map(np.asarray, (kind, files_touched, cross_file_deps, token_length))
+    high = (kind == TASK_KINDS.index(TaskKind.CRASH_ANALYSIS)) | (deps >= 5) | (files >= 10)
+    medium = (deps >= 1) | (tokens >= 2000)
+    return np.where(high, 2, np.where(medium, 1, 0))
+
+
+def featurize_task(task: TaskDescriptor) -> TaskFeatures:
+    """Complexity of one task, by the rule table of `complexity_indices`."""
+    ci = complexity_indices(
+        TASK_KINDS.index(task.kind), task.files_touched, task.cross_file_deps, task.token_length
+    )
+    return TaskFeatures(COMPLEXITIES[int(ci)])
 
 
 @dataclass(frozen=True)
@@ -281,6 +289,14 @@ def cost_breakdown(
     )
 
 
+def max_energy_units(device: DeviceProfile, network: NetworkModel) -> float:
+    """Largest per-task energy; battery drain odds scale by energy over this."""
+    return max(
+        max(device.edge_energy_units[c] for c in COMPLEXITIES),
+        max(network.cloud_energy_units[c] for c in COMPLEXITIES),
+    )
+
+
 def _default_complexity_mix() -> dict[Complexity, float]:
     return {Complexity.LOW: 0.5, Complexity.MEDIUM: 0.4, Complexity.HIGH: 0.1}
 
@@ -367,10 +383,7 @@ def build_mdp(
     transitions = np.zeros((len(ACTIONS), n, n))
     mask = np.ones((n, len(ACTIONS)), dtype=bool)
 
-    max_energy = max(
-        max(device.edge_energy_units[c] for c in COMPLEXITIES),
-        max(network.cloud_energy_units[c] for c in COMPLEXITIES),
-    )
+    max_energy = max_energy_units(device, network)
 
     for s, state in enumerate(states):
         ni = NETWORK_STATES.index(state.network)
@@ -441,7 +454,7 @@ class RoutingPolicy:
         return ACTIONS[int(self.actions[state.index])]
 
 
-def value_iteration(mdp: MdpModel, tolerance: float = 1e-8) -> RoutingPolicy:
+def value_iteration(mdp: MdpModel, tolerance: float = DEFAULT_TOLERANCE) -> RoutingPolicy:
     """Solve the MDP by synchronous Bellman backups from V = 0.
 
     Iterates until the sup-norm change drops to `tolerance`; the greedy

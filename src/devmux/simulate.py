@@ -3,9 +3,19 @@
 Each arriving task observes the current network state (a Markov chain
 stepped once per arrival), forms a routing state, and is charged the cost
 model's latency/energy/accuracy for the action its policy picks. Random
-draws are pre-generated from the seed in a fixed order, so two policies run
-against the same workload see the identical network trace and the paired
-comparison is exact.
+draws are pre-generated from the seed in a fixed order.
+
+A run is columnar. The network trace depends only on the seed, the chain
+and the initial state, never on an action, so it is drawn once: one
+inverse-CDF `searchsorted` per chain row, then one walk of the chain. Two
+policies run against the same workload therefore see the identical trace
+and the paired comparison is exact by construction. Each policy is an
+action per dense routing state, and costs come from a per-state table
+filled by `cost_breakdown`. Battery LOW is absorbing, so the battery takes
+two passes: energy is computed as if the battery stayed ok, the first drain
+is found, and every later task is recomputed as LOW. Report sums use
+`math.fsum`, so report bytes do not depend on the Python version.
+`SimEvent` objects are built only when `SimTrace.events()` is called.
 """
 
 from __future__ import annotations
@@ -18,23 +28,29 @@ from typing import Mapping
 import numpy as np
 
 from .routing import (
+    ACTIONS,
+    BATTERY_LEVELS,
+    COMPLEXITIES,
+    DEFAULT_P_DRAIN,
+    DEFAULT_TOLERANCE,
+    N_STATES,
+    NETWORK_STATES,
+    TASK_KINDS,
     Action,
     Battery,
     Complexity,
     CostModel,
-    DEFAULT_P_DRAIN,
     DeviceProfile,
-    NETWORK_STATES,
     NetworkModel,
     NetworkState,
     RoutingPolicy,
-    RoutingState,
     TaskKind,
+    all_states,
     build_mdp,
+    complexity_indices,
     cost_breakdown,
     default_network_model,
-    featurize_task,
-    route,
+    max_energy_units,
     value_iteration,
 )
 from .workload import Workload, WorkloadSpec, generate_workload
@@ -62,6 +78,7 @@ class SimConfig:
     workload_spec: WorkloadSpec = field(default_factory=WorkloadSpec)
     initial_network: NetworkState = NetworkState.GOOD
     p_drain: float = DEFAULT_P_DRAIN
+    tolerance: float = DEFAULT_TOLERANCE
     complexity_mix: dict[Complexity, float] = field(default_factory=_default_complexity_mix)
     offline_timeout_ms: float = 10_000.0
     sub_second_ms: float = 1000.0
@@ -137,120 +154,180 @@ class MetricsReport:
     )
 
 
-def metrics_from_events(events: list[SimEvent], sub_second_ms: float = 1000.0) -> MetricsReport:
-    """Aggregate an event log. Median averages the two middle samples;
-    p95 is the smallest latency covering 95% of the mass; sub-second means
-    strictly below the threshold."""
-    n = len(events)
+@dataclass(eq=False)
+class SimTrace:
+    """One run's per-task columns, in task order. The enum columns hold
+    indices into TASK_KINDS, COMPLEXITIES, NETWORK_STATES, BATTERY_LEVELS
+    and ACTIONS."""
+
+    arrival_s: np.ndarray
+    kind: np.ndarray
+    complexity: np.ndarray
+    network: np.ndarray
+    battery: np.ndarray
+    action: np.ndarray
+    latency_ms: np.ndarray
+    energy_units: np.ndarray
+    accuracy_loss: np.ndarray
+    failed: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.arrival_s)
+
+    def events(self) -> list[SimEvent]:
+        """The run as one `SimEvent` per task."""
+        columns = (
+            self.arrival_s, self.kind, self.complexity, self.network, self.battery, self.action,
+            self.latency_ms, self.energy_units, self.accuracy_loss, self.failed,
+        )
+        return [
+            SimEvent(i, arrival, TASK_KINDS[k], COMPLEXITIES[c], NETWORK_STATES[net], BATTERY_LEVELS[b],
+                     ACTIONS[a], latency, energy, loss, failed)
+            for i, (arrival, k, c, net, b, a, latency, energy, loss, failed)
+            in enumerate(zip(*(column.tolist() for column in columns)))
+        ]
+
+
+def metrics_from_events(trace: SimTrace, sub_second_ms: float = 1000.0) -> MetricsReport:
+    """Aggregate a run. Median averages the two middle samples; p95 is the
+    smallest latency covering 95% of the mass; sub-second means strictly
+    below the threshold; sums are correctly rounded (`math.fsum`)."""
+    n = len(trace)
     if n == 0:
         return MetricsReport(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
-    latencies = sorted(e.latency_ms for e in events)
+    latencies = np.sort(trace.latency_ms)
     p95_rank = max(math.ceil(0.95 * n) - 1, 0)
     return MetricsReport(
         n_tasks=n,
         median_latency_ms=float(np.median(latencies)),
-        p95_latency_ms=latencies[p95_rank],
-        sub_second_fraction=sum(1 for e in events if e.latency_ms < sub_second_ms) / n,
-        cloud_call_fraction=sum(1 for e in events if e.action is Action.CLOUD) / n,
-        total_energy_units=float(sum(e.energy_units for e in events)),
-        mean_accuracy_loss=float(sum(e.accuracy_loss for e in events) / n),
-        failed_count=sum(1 for e in events if e.failed),
+        p95_latency_ms=float(latencies[p95_rank]),
+        sub_second_fraction=int(np.count_nonzero(trace.latency_ms < sub_second_ms)) / n,
+        cloud_call_fraction=int(np.count_nonzero(trace.action == ACTIONS.index(Action.CLOUD))) / n,
+        total_energy_units=math.fsum(trace.energy_units.tolist()),
+        mean_accuracy_loss=math.fsum(trace.accuracy_loss.tolist()) / n,
+        failed_count=int(np.count_nonzero(trace.failed)),
     )
 
 
 def solve_policy(config: SimConfig) -> RoutingPolicy:
     mdp = build_mdp(config.device, config.network, config.cost, config.complexity_mix, config.p_drain)
-    return value_iteration(mdp)
+    return value_iteration(mdp, config.tolerance)
 
 
 def workload_from_config(config: SimConfig) -> Workload:
     return generate_workload(config.n_tasks, config.seed, config.workload_spec)
 
 
-def _max_energy(device: DeviceProfile, network: NetworkModel) -> float:
-    return max(
-        max(device.edge_energy_units.values()),
-        max(network.cloud_energy_units.values()),
-    )
+def _network_trace(config: SimConfig, u_network: np.ndarray) -> np.ndarray:
+    """Network state index seen by each arrival; the chain steps once per
+    arrival by inverse-CDF lookup of that arrival's uniform draw."""
+    cumulative = np.cumsum(config.network.transition_matrix, axis=1)
+    last = len(NETWORK_STATES) - 1
+    # successors[i][r]: the state after arrival i if arrival i saw state r
+    successors = zip(*(np.searchsorted(row, u_network, side="right").clip(0, last).tolist()
+                       for row in cumulative))
+    state = NETWORK_STATES.index(config.initial_network)
+    trace = []
+    for step in successors:
+        trace.append(state)
+        state = step[state]
+    return np.array(trace, dtype=np.intp)
+
+
+def _action_table(policy_kind: PolicyKind, policy: RoutingPolicy | None) -> np.ndarray:
+    """The policy's action index for every dense routing state."""
+    if policy_kind is PolicyKind.MDP:
+        return np.asarray(policy.actions, dtype=np.intp)
+    actions = []
+    for state in all_states():
+        if policy_kind is PolicyKind.ALL_EDGE:
+            action = Action.EDGE
+        elif policy_kind is PolicyKind.ALL_CLOUD:
+            action = Action.CLOUD
+        else:
+            action = (
+                Action.CLOUD
+                if state.complexity is Complexity.HIGH and state.network is not NetworkState.OFFLINE
+                else Action.EDGE
+            )
+        actions.append(ACTIONS.index(action))
+    return np.array(actions, dtype=np.intp)
+
+
+def _cost_table(config: SimConfig) -> np.ndarray:
+    """(N_STATES, n_actions, 3) latency/energy/accuracy-loss per state and
+    action. A cloud call while offline is charged the configured timeout
+    and the cloud energy, with no accuracy loss."""
+    table = np.empty((N_STATES, len(ACTIONS), 3))
+    for state in all_states():
+        for ai, action in enumerate(ACTIONS):
+            if action is Action.CLOUD and state.network is NetworkState.OFFLINE:
+                cell = (config.offline_timeout_ms, config.network.cloud_energy_units[state.complexity], 0.0)
+            else:
+                parts = cost_breakdown(config.device, config.network, state, action)
+                cell = (parts.latency_ms, parts.energy_units, parts.accuracy_loss)
+            table[state.index, ai] = cell
+    return table
 
 
 def run_simulation(
     workload: Workload,
     config: SimConfig,
     policy: RoutingPolicy | None = None,
-) -> tuple[MetricsReport, list[SimEvent]]:
+) -> tuple[MetricsReport, SimTrace]:
     """Play a workload through one routing policy.
 
     The MDP policy is solved from the config when not supplied. A cloud
     decision while offline (reachable only for the all-cloud baseline) is
     recorded as a failed task charged the configured timeout, not a crash.
     """
-    policy_kind = config.policy
-    if policy_kind is PolicyKind.MDP and policy is None:
+    if config.policy is PolicyKind.MDP and policy is None:
         policy = solve_policy(config)
 
-    n = len(workload.tasks)
+    n = len(workload)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 1])))
     u_battery = rng.random(n)
     u_network = rng.random(n)
 
-    transition_cumulative = np.cumsum(config.network.transition_matrix, axis=1)
-    network_state = config.initial_network
-    battery = config.device.battery
-    max_energy = _max_energy(config.device, config.network)
+    complexity = complexity_indices(workload.kind, workload.files, workload.deps, workload.tokens)
+    network = _network_trace(config, u_network)
+    # Dense state index by (complexity, network, battery) on this device.
+    state_of = np.array(
+        [s.index for s in all_states() if s.device_class is config.device.device_class]
+    ).reshape(len(COMPLEXITIES), len(NETWORK_STATES), len(BATTERY_LEVELS))
+    actions = _action_table(config.policy, policy)
+    costs = _cost_table(config)
 
-    events: list[SimEvent] = []
-    for i, task in enumerate(workload.tasks):
-        complexity = featurize_task(task.descriptor).complexity
-        state = RoutingState(complexity, config.device.device_class, network_state, battery)
+    def play(battery: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        state = state_of[complexity, network, battery]
+        action = actions[state]
+        return action, costs[state, action]
 
-        if policy_kind is PolicyKind.ALL_EDGE:
-            action = Action.EDGE
-        elif policy_kind is PolicyKind.ALL_CLOUD:
-            action = Action.CLOUD
-        elif policy_kind is PolicyKind.THRESHOLD:
-            action = (
-                Action.CLOUD
-                if complexity is Complexity.HIGH and network_state is not NetworkState.OFFLINE
-                else Action.EDGE
-            )
-        else:
-            action = route(policy, state)
+    battery = np.full(n, BATTERY_LEVELS.index(config.device.battery), dtype=np.intp)
+    action, cost = play(battery)
+    max_energy = max_energy_units(config.device, config.network)
+    if config.device.battery is Battery.OK and max_energy > 0:
+        # The battery drains after the first task whose draw falls under its
+        # energy-scaled odds; from the next task on it stays low.
+        drained = np.flatnonzero(u_battery < config.p_drain * (cost[:, 1] / max_energy))
+        if drained.size:
+            battery[drained[0] + 1:] = BATTERY_LEVELS.index(Battery.LOW)
+            action, cost = play(battery)
 
-        failed = action is Action.CLOUD and network_state is NetworkState.OFFLINE
-        if failed:
-            latency = config.offline_timeout_ms
-            energy = config.network.cloud_energy_units[complexity]
-            accuracy_loss = 0.0
-        else:
-            parts = cost_breakdown(config.device, config.network, state, action)
-            latency, energy, accuracy_loss = parts.latency_ms, parts.energy_units, parts.accuracy_loss
-
-        events.append(
-            SimEvent(
-                task_id=i,
-                arrival_s=task.arrival_s,
-                kind=task.descriptor.kind,
-                complexity=complexity,
-                network=network_state,
-                battery=battery,
-                action=action,
-                latency_ms=latency,
-                energy_units=energy,
-                accuracy_loss=accuracy_loss,
-                failed=failed,
-            )
-        )
-
-        if battery is Battery.OK and max_energy > 0:
-            if u_battery[i] < config.p_drain * (energy / max_energy):
-                battery = Battery.LOW
-        row = NETWORK_STATES.index(network_state)
-        network_state = NETWORK_STATES[
-            int(np.searchsorted(transition_cumulative[row], u_network[i], side="right").clip(0, 2))
-        ]
-
-    return metrics_from_events(events, config.sub_second_ms), events
+    offline = network == NETWORK_STATES.index(NetworkState.OFFLINE)
+    trace = SimTrace(
+        arrival_s=workload.arrival_s,
+        kind=workload.kind,
+        complexity=complexity,
+        network=network,
+        battery=battery,
+        action=action,
+        latency_ms=cost[:, 0],
+        energy_units=cost[:, 1],
+        accuracy_loss=cost[:, 2],
+        failed=offline & (action == ACTIONS.index(Action.CLOUD)),
+    )
+    return metrics_from_events(trace, config.sub_second_ms), trace
 
 
 @dataclass(eq=False)
@@ -278,8 +355,8 @@ class ComparisonReport:
 def compare_policies(workload: Workload, configs: Mapping[str, SimConfig]) -> ComparisonReport:
     """Run several policies against one workload and report paired deltas.
 
-    Every config must carry the workload's seed (the comparison is paired);
-    the first entry is the delta baseline.
+    Every config must carry the workload's seed, so every policy replays the
+    same network and battery draws; the first entry is the delta baseline.
     """
     if not configs:
         raise ValueError("need at least one policy config")
@@ -287,19 +364,8 @@ def compare_policies(workload: Workload, configs: Mapping[str, SimConfig]) -> Co
         if config.seed != workload.seed:
             raise ValueError(f"config {name!r} seed {config.seed} != workload seed {workload.seed}")
 
-    reports: dict[str, MetricsReport] = {}
-    task_sequences: dict[str, list[int]] = {}
-    for name, config in configs.items():
-        report, events = run_simulation(workload, config)
-        reports[name] = report
-        task_sequences[name] = [e.task_id for e in events]
-
+    reports = {name: run_simulation(workload, config)[0] for name, config in configs.items()}
     baseline_name = next(iter(configs))
-    baseline_tasks = task_sequences[baseline_name]
-    for name, sequence in task_sequences.items():
-        if sequence != baseline_tasks:
-            raise RuntimeError(f"policy {name!r} saw a different task sequence; pairing broken")
-
     baseline = reports[baseline_name].to_dict()
     deltas = {}
     for name, report in reports.items():

@@ -3,7 +3,8 @@
 Tasks arrive with exponential inter-arrival gaps; each draws a kind from
 the configured mix and then files/dependencies/tokens from per-kind ranges.
 All randomness flows from one PCG64 stream in a fixed draw order, so a
-(seed, spec) pair always regenerates the identical workload.
+(seed, spec) pair always regenerates the identical workload. A workload is
+held as per-task columns; task objects are built only on request.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .routing import TaskDescriptor, TaskKind
-
-TASK_KINDS = (TaskKind.SYNTAX_FIX, TaskKind.COMPLETION, TaskKind.REFACTOR, TaskKind.CRASH_ANALYSIS)
+from .routing import TASK_KINDS, TaskDescriptor, TaskKind
 
 
 @dataclass(frozen=True)
@@ -76,31 +75,40 @@ class WorkloadTask:
 
 @dataclass(eq=False)
 class Workload:
-    tasks: tuple[WorkloadTask, ...]
+    """Tasks in arrival order as equal-length columns; `kind` holds indices
+    into TASK_KINDS."""
+
     seed: int
     mix: dict[TaskKind, float]
+    arrival_s: np.ndarray
+    kind: np.ndarray
+    files: np.ndarray
+    deps: np.ndarray
+    tokens: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.tasks)
+        return len(self.arrival_s)
 
-
-def _scale_to_range(u: float, lo: int, hi: int) -> int:
-    return lo + int(u * (hi - lo + 1))
+    @property
+    def tasks(self) -> tuple[WorkloadTask, ...]:
+        """One object per task, built on every access."""
+        columns = (self.arrival_s, self.kind, self.files, self.deps, self.tokens)
+        return tuple(
+            WorkloadTask(arrival, TaskDescriptor(TASK_KINDS[k], files, deps, tokens))
+            for arrival, k, files, deps, tokens in zip(*(c.tolist() for c in columns))
+        )
 
 
 def generate_workload(n_tasks: int, seed: int, spec: WorkloadSpec | None = None) -> Workload:
     """Draw `n_tasks` tasks. Draw order is fixed: inter-arrival gaps, kind
-    selectors, then the three per-task field selectors."""
+    selectors, then the three per-task field selectors. A field is
+    `lo + floor(u * (hi - lo + 1))` over its kind's inclusive range."""
     spec = spec or WorkloadSpec()
     if n_tasks < 0:
         raise ValueError("n_tasks must be >= 0")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
-    if n_tasks == 0:
-        return Workload(tasks=(), seed=seed, mix=dict(spec.mix))
-
     gaps = rng.exponential(spec.inter_arrival_mean_s, size=n_tasks)
-    arrivals = np.cumsum(gaps)
     u_kind = rng.random(n_tasks)
     u_files = rng.random(n_tasks)
     u_deps = rng.random(n_tasks)
@@ -108,17 +116,18 @@ def generate_workload(n_tasks: int, seed: int, spec: WorkloadSpec | None = None)
 
     probs = np.array([spec.mix[k] for k in TASK_KINDS], dtype=np.float64)
     cumulative = np.cumsum(probs / probs.sum())
-    kind_idx = np.searchsorted(cumulative, u_kind, side="right").clip(0, len(TASK_KINDS) - 1)
+    kind = np.searchsorted(cumulative, u_kind, side="right").clip(0, len(TASK_KINDS) - 1)
 
-    tasks = []
-    for i in range(n_tasks):
-        kind = TASK_KINDS[int(kind_idx[i])]
-        r = spec.ranges[kind]
-        descriptor = TaskDescriptor(
-            kind=kind,
-            files_touched=_scale_to_range(u_files[i], *r.files),
-            cross_file_deps=_scale_to_range(u_deps[i], *r.deps),
-            token_length=_scale_to_range(u_tokens[i], *r.tokens),
-        )
-        tasks.append(WorkloadTask(arrival_s=float(arrivals[i]), descriptor=descriptor))
-    return Workload(tasks=tuple(tasks), seed=seed, mix=dict(spec.mix))
+    def scaled(u: np.ndarray, field_name: str) -> np.ndarray:
+        lo, hi = np.array([getattr(spec.ranges[k], field_name) for k in TASK_KINDS], dtype=np.int64).T
+        return lo[kind] + (u * (hi - lo + 1)[kind]).astype(np.int64)
+
+    return Workload(
+        seed=seed,
+        mix=dict(spec.mix),
+        arrival_s=np.cumsum(gaps),
+        kind=kind,
+        files=scaled(u_files, "files"),
+        deps=scaled(u_deps, "deps"),
+        tokens=scaled(u_tokens, "tokens"),
+    )

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import devmux.cli
+import devmux.simulate
 from devmux.cli import cli_main
+from devmux.routing import value_iteration
 
 GOOD_LAYOUT = """
 <Layout>
@@ -230,6 +236,47 @@ class TestSimulateAndCompare:
         code = cli_main(["simulate", "--config", str(tmp_path / "nope.yaml")])
         capsys.readouterr()
         assert code == 3
+
+
+    def test_router_tolerance_honoured_by_every_solver(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "config.yaml"
+        config.write_text("router:\n  tolerance: 1.0e-2\nsimulate:\n  n_tasks: 20\n")
+        sweeps = []
+
+        def counted(mdp, *args, **kwargs):
+            policy = value_iteration(mdp, *args, **kwargs)
+            sweeps.append(len(policy.delta_history))
+            return policy
+
+        monkeypatch.setattr(devmux.cli, "value_iteration", counted)
+        monkeypatch.setattr(devmux.simulate, "value_iteration", counted)
+        out = str(tmp_path / "out.json")
+        route = ["route", "--complexity", "low", "--device", "cpu", "--network", "good", "--battery", "ok"]
+        assert cli_main(route) == 0  # default tolerance
+        assert cli_main([*route, "--config", str(config)]) == 0
+        assert cli_main(["simulate", "--config", str(config), "--out", out]) == 0
+        assert cli_main(["compare", "--config", str(config), "--out", out]) == 0
+        capsys.readouterr()
+        default_sweeps, route_sweeps, *sim_sweeps = sweeps
+        assert route_sweeps < default_sweeps
+        assert sim_sweeps == [route_sweeps, route_sweeps]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--n-tasks", "-5"], ["simulate", "--seed", "-3"], ["compare", "--seed", "-3"]],
+    )
+    def test_negative_count_exit_two(self, argv, tmp_path, capsys):
+        assert cli_main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_negative_seed_exit_two_as_module(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "devmux", "compare", "--seed", "-3", "--out", str(tmp_path / "c.json")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
 
 def test_usage_error_exit_two(capsys):

@@ -158,6 +158,11 @@ class TestAssembly:
         with pytest.raises(ConfigError):
             config_from_dict({"simulate": {"policy": "sometimes"}})
 
+    @pytest.mark.parametrize("key", ["n_tasks", "seed"])
+    def test_negative_sim_count_rejected(self, key):
+        with pytest.raises(ConfigError, match=">= 0"):
+            config_from_dict({"simulate": {key: -3}})
+
     def test_bad_transition_matrix_rejected(self):
         matrix = {
             "good": {"good": 0.5, "degraded": 0.1, "offline": 0.0},

@@ -33,6 +33,11 @@ def never_offline_config(**kwargs):
     return config
 
 
+def run_events(config):
+    report, trace = run_simulation(workload_from_config(config), config)
+    return report, trace.events()
+
+
 def oracle_metrics(events, sub_second_ms=1000.0):
     """Independent aggregation pass over the raw event log."""
     n = len(events)
@@ -44,22 +49,22 @@ def oracle_metrics(events, sub_second_ms=1000.0):
         "p95_latency_ms": p95,
         "sub_second_fraction": len([e for e in events if e.latency_ms < sub_second_ms]) / n,
         "cloud_call_fraction": len([e for e in events if e.action is Action.CLOUD]) / n,
-        "total_energy_units": sum(e.energy_units for e in events),
-        "mean_accuracy_loss": sum(e.accuracy_loss for e in events) / n,
+        "total_energy_units": math.fsum(e.energy_units for e in events),
+        "mean_accuracy_loss": math.fsum(e.accuracy_loss for e in events) / n,
         "failed_count": len([e for e in events if e.failed]),
     }
 
 
 def test_all_edge_makes_no_cloud_calls():
     config = SimConfig(n_tasks=400, seed=5, policy=PolicyKind.ALL_EDGE)
-    report, events = run_simulation(workload_from_config(config), config)
+    report, events = run_events(config)
     assert report.cloud_call_fraction == 0.0
     assert all(e.action is Action.EDGE for e in events)
 
 
 def test_all_cloud_without_offline_is_all_cloud():
     config = never_offline_config(n_tasks=400, seed=5, policy=PolicyKind.ALL_CLOUD)
-    report, events = run_simulation(workload_from_config(config), config)
+    report, events = run_events(config)
     assert report.cloud_call_fraction == 1.0
     assert report.failed_count == 0
     assert all(e.network is not NetworkState.OFFLINE for e in events)
@@ -67,7 +72,7 @@ def test_all_cloud_without_offline_is_all_cloud():
 
 def test_all_cloud_offline_tasks_fail_with_timeout():
     config = SimConfig(n_tasks=2_000, seed=9, policy=PolicyKind.ALL_CLOUD)
-    report, events = run_simulation(workload_from_config(config), config)
+    report, events = run_events(config)
     offline_events = [e for e in events if e.network is NetworkState.OFFLINE]
     assert offline_events, "expected some offline arrivals under the default chain"
     assert all(e.failed and e.latency_ms == config.offline_timeout_ms for e in offline_events)
@@ -76,7 +81,7 @@ def test_all_cloud_offline_tasks_fail_with_timeout():
 
 def test_mdp_never_uses_cloud_while_offline():
     config = SimConfig(n_tasks=3_000, seed=13, policy=PolicyKind.MDP)
-    _, events = run_simulation(workload_from_config(config), config)
+    _, events = run_events(config)
     for event in events:
         if event.network is NetworkState.OFFLINE:
             assert event.action is Action.EDGE
@@ -85,7 +90,7 @@ def test_mdp_never_uses_cloud_while_offline():
 
 def test_metrics_match_independent_aggregation():
     config = SimConfig(n_tasks=1_500, seed=21, policy=PolicyKind.MDP)
-    report, events = run_simulation(workload_from_config(config), config)
+    report, events = run_events(config)
     expected = oracle_metrics(events, config.sub_second_ms)
     actual = report.to_dict()
     for key, value in expected.items():
@@ -95,15 +100,15 @@ def test_metrics_match_independent_aggregation():
 def test_simulation_deterministic():
     config_a = SimConfig(n_tasks=800, seed=42)
     config_b = SimConfig(n_tasks=800, seed=42)
-    report_a, events_a = run_simulation(workload_from_config(config_a), config_a)
-    report_b, events_b = run_simulation(workload_from_config(config_b), config_b)
+    report_a, events_a = run_events(config_a)
+    report_b, events_b = run_events(config_b)
     assert report_a == report_b
     assert events_a == events_b
 
 
 def test_empty_workload_report_is_zeroed():
     config = SimConfig(n_tasks=0, seed=1, policy=PolicyKind.ALL_EDGE)
-    report, events = run_simulation(workload_from_config(config), config)
+    report, events = run_events(config)
     assert events == []
     assert report == MetricsReport(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
 
