@@ -6,7 +6,7 @@ layout describer/linter, a multi-source context fusion stage, and a
 deterministic simulation harness with a unified CLI.
 """
 
-from .codegraph import CodeGraph, EdgeKind, ParseError, parse_to_graph, register_parser
+from .codegraph import CodeGraph, EdgeKind, ParseError, parse_to_graph
 from .configfile import AppConfig, ConfigError, load_config, parse_config_text
 from .embedding import VECTOR_DIM, BandConfig, cosine, graph_to_vector
 from .fusion import (
@@ -28,7 +28,6 @@ from .layoutlint import (
     describe,
     detect_inconsistencies,
     parse_layout,
-    validity_check,
 )
 from .routing import (
     Action,
@@ -43,13 +42,11 @@ from .routing import (
     RoutingPolicy,
     RoutingState,
     TaskDescriptor,
-    TaskFeatures,
     TaskKind,
     build_mdp,
+    cost_breakdown,
     default_network_model,
-    expected_cost_breakdown,
     featurize_task,
-    route,
     value_iteration,
 )
 from .simulate import (

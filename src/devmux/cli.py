@@ -20,18 +20,14 @@ from .embedding import graph_to_vector
 from .fusion import ContextItem, ContextSource, assemble_context, score_items
 from .layoutlint import LayoutParseError, check_layout_source
 from .routing import (
-    Action,
     Battery,
     Complexity,
     DeviceClass,
     NetworkState,
     RoutingState,
-    build_mdp,
-    expected_cost_breakdown,
+    cost_breakdown,
     load_policy,
-    route,
     save_policy,
-    value_iteration,
 )
 from .simulate import PolicyKind, compare_policies, run_simulation, solve_policy, workload_from_config
 from .vindex import IndexFileError, RecordMetadata, VectorIndex
@@ -80,7 +76,7 @@ def cmd_index(args) -> int:
         rel = path.relative_to(root).as_posix()
         try:
             source = path.read_text(encoding="utf-8", errors="replace")
-            graph = parse_to_graph(source, args.parser)
+            graph = parse_to_graph(source)
         except ParseError as err:
             parse_failures.append(rel)
             print(f"warning: skipping {rel}: {err}", file=sys.stderr)
@@ -141,7 +137,7 @@ def cmd_query(args) -> int:
         print("warning: index was built with a different embedding config", file=sys.stderr)
 
     try:
-        graph = parse_to_graph(args.text, "mini")
+        graph = parse_to_graph(args.text)
     except ParseError:
         graph = fallback_token_graph(args.text)
     query_vector = graph_to_vector(graph, config.bands)
@@ -201,18 +197,17 @@ def cmd_describe_layout(args) -> int:
 def cmd_route(args) -> int:
     config = _load_app_config(args.config)
     fingerprint = config.router_fingerprint()
-    mdp = build_mdp(config.device, config.network, config.cost, config.complexity_mix, config.p_drain)
     policy = None
     if args.policy and Path(args.policy).exists():
         try:
             policy, stored_hash = load_policy(args.policy)
-        except (OSError, ValueError, KeyError) as err:
+        except (OSError, ValueError) as err:
             return _fail(f"cannot load policy: {err}", EXIT_IO)
         if stored_hash != fingerprint:
             print("warning: stored policy does not match current config; re-solving", file=sys.stderr)
             policy = None
     if policy is None:
-        policy = value_iteration(mdp, config.tolerance)
+        policy = solve_policy(config.sim)
         if args.policy:
             try:
                 save_policy(policy, fingerprint, args.policy)
@@ -225,8 +220,8 @@ def cmd_route(args) -> int:
         NetworkState(args.network),
         Battery(args.battery),
     )
-    action = route(policy, state)
-    parts = expected_cost_breakdown(mdp, state, action)
+    action = policy.action_for(state)
+    parts = cost_breakdown(config.sim.device, config.sim.network, state, action)
     print(action.value)
     print(
         f"latency_ms={parts.latency_ms} energy_units={parts.energy_units} "
@@ -295,17 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="embed a source tree into a vector index")
     p.add_argument("directory")
-    p.add_argument("--max-files", type=int, default=None, help="file cap (default 500)")
+    p.add_argument("--max-files", type=_non_negative_int, default=None, help="file cap (default: index.max_files)")
     p.add_argument("--out", default="index.bin")
     p.add_argument("--config", default=None)
-    p.add_argument("--parser", default="mini")
     p.add_argument("--ext", action="append", help="file suffix to include (repeatable)")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("query", help="search the index and fuse a context bundle")
     p.add_argument("text")
-    p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--budget", type=int, default=4096)
+    p.add_argument("--top-k", type=_non_negative_int, default=10)
+    p.add_argument("--budget", type=_non_negative_int, default=4096)
     p.add_argument("--index", default="index.bin")
     p.add_argument("--config", default=None)
     p.add_argument("--source-root", default=None, help="base dir for reading hit snippets")

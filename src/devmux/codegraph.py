@@ -1,6 +1,6 @@
 """Parse a small C/Java-like language into AST-derived code graphs.
 
-The built-in "mini" grammar covers class declarations with single
+The "mini" grammar covers class declarations with single
 inheritance, method and field declarations, blocks, call expressions,
 assignments, returns, identifiers, and string/number literals. Each parsed
 unit becomes a labeled graph: containment (child) edges, ordering
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 
 class ParseError(Exception):
@@ -379,7 +378,9 @@ class _MiniParser:
             self.g.edge(node, target, EdgeKind.INHERITS)
 
 
-def parse_mini(source: str) -> CodeGraph:
+def parse_to_graph(source: str) -> CodeGraph:
+    """Parse mini-language source; raises ParseError with the offending
+    line/column."""
     tokens = tokenize(source, strict=True)
     if not tokens:
         return CodeGraph((), ())
@@ -401,20 +402,3 @@ def fallback_token_graph(text: str) -> CodeGraph:
         elif tok.kind == "number":
             g.node("number-literal", tok.text)
     return g.finish()
-
-
-_PARSERS: dict[str, Callable[[str], CodeGraph]] = {"mini": parse_mini}
-
-
-def register_parser(parser_id: str, fn: Callable[[str], CodeGraph]) -> None:
-    _PARSERS[parser_id] = fn
-
-
-def parse_to_graph(source: str, parser_id: str = "mini") -> CodeGraph:
-    """Parse source with a registered parser; raises ParseError with the
-    offending line/column, or ValueError for an unknown parser id."""
-    try:
-        parser = _PARSERS[parser_id]
-    except KeyError:
-        raise ValueError(f"unknown parser id {parser_id!r}") from None
-    return parser(source)

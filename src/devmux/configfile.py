@@ -12,21 +12,22 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .embedding import BandConfig
 from .fusion import ContextSource, FusionWeights
 from .routing import (
+    DEFAULT_CLOUD_ENERGY_RATIO,
+    DEFAULT_DEGRADED_RTT_FACTOR,
+    DEFAULT_GOOD_RTT_MS,
+    NETWORK_STATES,
     Battery,
     Complexity,
     CostModel,
-    DEFAULT_P_DRAIN,
-    DEFAULT_TOLERANCE,
     DeviceClass,
     DeviceProfile,
-    NETWORK_STATES,
     NetworkModel,
     NetworkState,
 )
@@ -224,123 +225,79 @@ def _complexity_map(raw: dict | None, defaults: dict, name: str) -> dict:
 
 
 @dataclass(eq=False)
-class SimSettings:
-    n_tasks: int = 1000
-    seed: int = 42
-    policy: PolicyKind = PolicyKind.MDP
-    device: DeviceClass = DeviceClass.CPU_ONLY
-    battery: Battery = Battery.OK
-    initial_network: NetworkState = NetworkState.GOOD
-    offline_timeout_ms: float = 10_000.0
-    sub_second_ms: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if self.n_tasks < 0 or self.seed < 0:
-            raise ValueError("n_tasks and seed must be >= 0")
-
-
-@dataclass(eq=False)
 class AppConfig:
-    device: DeviceProfile
-    network: NetworkModel
-    cost: CostModel
-    tolerance: float
-    p_drain: float
-    complexity_mix: dict[Complexity, float]
-    workload_spec: WorkloadSpec
-    bands: BandConfig
-    fusion_weights: FusionWeights
-    max_files: int
-    sim: SimSettings
-    compare_policy_names: tuple[str, ...]
+    """Every setting of every subsystem; `AppConfig()` holds the defaults."""
+
+    sim: SimConfig = field(default_factory=SimConfig)
+    bands: BandConfig = field(default_factory=BandConfig)
+    fusion_weights: FusionWeights = field(default_factory=FusionWeights)
+    max_files: int = 500
+    compare_policy_names: tuple[str, ...] = tuple(k.value for k in PolicyKind)
 
     def sim_config(self, policy: PolicyKind | None = None, seed: int | None = None,
                    n_tasks: int | None = None) -> SimConfig:
-        device = DeviceProfile(
-            device_class=self.sim.device,
-            battery=self.sim.battery,
-            edge_base_latency_ms=self.device.edge_base_latency_ms,
-            edge_energy_units=self.device.edge_energy_units,
-            edge_accuracy_loss=self.device.edge_accuracy_loss,
-            cpu_latency_multiplier=self.device.cpu_latency_multiplier,
-        )
-        return SimConfig(
-            n_tasks=self.sim.n_tasks if n_tasks is None else n_tasks,
-            seed=self.sim.seed if seed is None else seed,
-            policy=self.sim.policy if policy is None else policy,
-            device=device,
-            network=self.network,
-            cost=self.cost,
-            workload_spec=self.workload_spec,
-            initial_network=self.sim.initial_network,
-            p_drain=self.p_drain,
-            tolerance=self.tolerance,
-            complexity_mix=self.complexity_mix,
-            offline_timeout_ms=self.sim.offline_timeout_ms,
-            sub_second_ms=self.sim.sub_second_ms,
-        )
+        overrides = {"policy": policy, "seed": seed, "n_tasks": n_tasks}
+        return replace(self.sim, **{k: v for k, v in overrides.items() if v is not None})
 
     def router_fingerprint(self) -> str:
         """Hash of everything the solved policy depends on."""
+        sim, device, network = self.sim, self.sim.device, self.sim.network
         payload = {
-            "w_latency": self.cost.w_latency,
-            "w_energy": self.cost.w_energy,
-            "w_accuracy": self.cost.w_accuracy,
-            "discount_gamma": self.cost.discount_gamma,
-            "tolerance": self.tolerance,
-            "p_drain": self.p_drain,
-            "complexity_mix": {c.value: self.complexity_mix[c] for c in Complexity},
-            "edge_base_latency_ms": {c.value: self.device.edge_base_latency_ms[c] for c in Complexity},
-            "edge_energy_units": {c.value: self.device.edge_energy_units[c] for c in Complexity},
-            "edge_accuracy_loss": {c.value: self.device.edge_accuracy_loss[c] for c in Complexity},
-            "cpu_latency_multiplier": self.device.cpu_latency_multiplier,
-            "rtt_ms": {s.value: self.network.rtt_ms[s] for s in (NetworkState.GOOD, NetworkState.DEGRADED)},
-            "cloud_compute_ms": {c.value: self.network.cloud_compute_ms[c] for c in Complexity},
-            "cloud_energy_units": {c.value: self.network.cloud_energy_units[c] for c in Complexity},
-            "transition_matrix": self.network.transition_matrix.tolist(),
+            "w_latency": sim.cost.w_latency,
+            "w_energy": sim.cost.w_energy,
+            "w_accuracy": sim.cost.w_accuracy,
+            "discount_gamma": sim.cost.discount_gamma,
+            "tolerance": sim.tolerance,
+            "p_drain": sim.p_drain,
+            "complexity_mix": {c.value: sim.complexity_mix[c] for c in Complexity},
+            "edge_base_latency_ms": {c.value: device.edge_base_latency_ms[c] for c in Complexity},
+            "edge_energy_units": {c.value: device.edge_energy_units[c] for c in Complexity},
+            "edge_accuracy_loss": {c.value: device.edge_accuracy_loss[c] for c in Complexity},
+            "cpu_latency_multiplier": device.cpu_latency_multiplier,
+            "rtt_ms": {s.value: network.rtt_ms[s] for s in (NetworkState.GOOD, NetworkState.DEGRADED)},
+            "cloud_compute_ms": {c.value: network.cloud_compute_ms[c] for c in Complexity},
+            "cloud_energy_units": {c.value: network.cloud_energy_units[c] for c in Complexity},
+            "transition_matrix": network.transition_matrix.tolist(),
         }
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def config_from_dict(data: dict) -> AppConfig:
+    defaults = AppConfig()
+    base = defaults.sim
     top = _Section(data, "<top>")
 
     router = _Section(top.take_map("router"), "router")
-    base_device = DeviceProfile()
     cost = CostModel(
-        w_latency=float(router.take("w_latency", 0.001)),
-        w_energy=float(router.take("w_energy", 0.1)),
-        w_accuracy=float(router.take("w_accuracy", 10.0)),
-        discount_gamma=float(router.take("discount_gamma", 0.95)),
+        w_latency=float(router.take("w_latency", base.cost.w_latency)),
+        w_energy=float(router.take("w_energy", base.cost.w_energy)),
+        w_accuracy=float(router.take("w_accuracy", base.cost.w_accuracy)),
+        discount_gamma=float(router.take("discount_gamma", base.cost.discount_gamma)),
     )
-    tolerance = float(router.take("tolerance", DEFAULT_TOLERANCE))
+    tolerance = float(router.take("tolerance", base.tolerance))
     if tolerance <= 0:
         raise ConfigError("router.tolerance must be > 0")
     edge_latency = _complexity_map(
-        router.take_map("edge_base_latency_ms"), base_device.edge_base_latency_ms, "router.edge_base_latency_ms"
+        router.take_map("edge_base_latency_ms"), base.device.edge_base_latency_ms, "router.edge_base_latency_ms"
     )
     edge_energy = _complexity_map(
-        router.take_map("edge_energy_units"), base_device.edge_energy_units, "router.edge_energy_units"
+        router.take_map("edge_energy_units"), base.device.edge_energy_units, "router.edge_energy_units"
     )
     edge_accuracy = _complexity_map(
-        router.take_map("edge_accuracy_loss"), base_device.edge_accuracy_loss, "router.edge_accuracy_loss"
+        router.take_map("edge_accuracy_loss"), base.device.edge_accuracy_loss, "router.edge_accuracy_loss"
     )
-    cpu_multiplier = float(router.take("cpu_latency_multiplier", 2.0))
-    good_rtt = float(router.take("good_rtt_ms", 2400.0))
-    degraded_factor = float(router.take("degraded_rtt_factor", 3.0))
-    energy_ratio = float(router.take("cloud_energy_ratio", 3.8))
+    cpu_multiplier = float(router.take("cpu_latency_multiplier", base.device.cpu_latency_multiplier))
+    good_rtt = float(router.take("good_rtt_ms", DEFAULT_GOOD_RTT_MS))
+    degraded_factor = float(router.take("degraded_rtt_factor", DEFAULT_DEGRADED_RTT_FACTOR))
+    energy_ratio = float(router.take("cloud_energy_ratio", DEFAULT_CLOUD_ENERGY_RATIO))
     cloud_compute = _complexity_map(
-        router.take_map("cloud_compute_ms"),
-        {Complexity.LOW: 100.0, Complexity.MEDIUM: 250.0, Complexity.HIGH: 600.0},
-        "router.cloud_compute_ms",
+        router.take_map("cloud_compute_ms"), base.network.cloud_compute_ms, "router.cloud_compute_ms"
     )
     cloud_energy_raw = router.take_map("cloud_energy_units")
-    p_drain = float(router.take("p_drain", DEFAULT_P_DRAIN))
+    p_drain = float(router.take("p_drain", base.p_drain))
     complexity_mix = _complexity_map(
-        router.take_map("complexity_mix"),
-        {Complexity.LOW: 0.5, Complexity.MEDIUM: 0.4, Complexity.HIGH: 0.1},
-        "router.complexity_mix",
+        router.take_map("complexity_mix"), base.complexity_mix, "router.complexity_mix"
     )
     router.finish()
 
@@ -360,10 +317,10 @@ def config_from_dict(data: dict) -> AppConfig:
     )
 
     network_section = _Section(top.take_map("network"), "network")
-    initial_network = NetworkState(network_section.take("initial_state", "good"))
+    initial_network = NetworkState(network_section.take("initial_state", base.initial_network.value))
     matrix_raw = network_section.take_map("transition_matrix")
     if matrix_raw is None:
-        matrix = np.array([[0.92, 0.06, 0.02], [0.25, 0.70, 0.05], [0.30, 0.30, 0.40]])
+        matrix = base.network.transition_matrix
     else:
         matrix = np.zeros((3, 3))
         for i, src in enumerate(NETWORK_STATES):
@@ -386,7 +343,7 @@ def config_from_dict(data: dict) -> AppConfig:
     )
 
     workload_section = _Section(top.take_map("workload"), "workload")
-    default_spec = WorkloadSpec()
+    default_spec = base.workload_spec
     mix = dict(default_spec.mix)
     mix_raw = workload_section.take_map("mix")
     if mix_raw:
@@ -404,11 +361,11 @@ def config_from_dict(data: dict) -> AppConfig:
             except ValueError:
                 raise ConfigError(f"workload.ranges: unknown task kind {key!r}") from None
             sub = _Section(value, f"workload.ranges.{key}")
-            base = ranges[kind]
+            prev = ranges[kind]
             ranges[kind] = KindRanges(
-                files=(int(sub.take("files_min", base.files[0])), int(sub.take("files_max", base.files[1]))),
-                deps=(int(sub.take("deps_min", base.deps[0])), int(sub.take("deps_max", base.deps[1]))),
-                tokens=(int(sub.take("tokens_min", base.tokens[0])), int(sub.take("tokens_max", base.tokens[1]))),
+                files=(int(sub.take("files_min", prev.files[0])), int(sub.take("files_max", prev.files[1]))),
+                deps=(int(sub.take("deps_min", prev.deps[0])), int(sub.take("deps_max", prev.deps[1]))),
+                tokens=(int(sub.take("tokens_min", prev.tokens[0])), int(sub.take("tokens_max", prev.tokens[1]))),
             )
             sub.finish()
     inter_arrival = float(workload_section.take("inter_arrival_mean_s", default_spec.inter_arrival_mean_s))
@@ -418,7 +375,7 @@ def config_from_dict(data: dict) -> AppConfig:
     )
 
     embed_section = _Section(top.take_map("embed"), "embed")
-    default_bands = BandConfig()
+    default_bands = defaults.bands
     bands = _checked(
         lambda: BandConfig(
             structural_dims=int(embed_section.take("structural_dims", default_bands.structural_dims)),
@@ -433,7 +390,7 @@ def config_from_dict(data: dict) -> AppConfig:
     embed_section.finish()
 
     fusion_section = _Section(top.take_map("fusion"), "fusion")
-    default_fusion = FusionWeights()
+    default_fusion = defaults.fusion_weights
     priors = dict(default_fusion.prior)
     priors_raw = fusion_section.take_map("priors")
     if priors_raw:
@@ -456,31 +413,40 @@ def config_from_dict(data: dict) -> AppConfig:
     fusion_section.finish()
 
     index_section = _Section(top.take_map("index"), "index")
-    max_files = int(index_section.take("max_files", 500))
+    max_files = int(index_section.take("max_files", defaults.max_files))
     if max_files < 0:
         raise ConfigError("index.max_files must be >= 0")
     index_section.finish()
 
     sim_section = _Section(top.take_map("simulate"), "simulate")
-    try:
-        sim = SimSettings(
-            n_tasks=int(sim_section.take("n_tasks", 1000)),
-            seed=int(sim_section.take("seed", 42)),
-            policy=PolicyKind(sim_section.take("policy", "mdp")),
-            device=DeviceClass(sim_section.take("device", "cpu")),
-            battery=Battery(sim_section.take("battery", "ok")),
+    sim = _checked(
+        lambda: SimConfig(
+            n_tasks=int(sim_section.take("n_tasks", base.n_tasks)),
+            seed=int(sim_section.take("seed", base.seed)),
+            policy=PolicyKind(sim_section.take("policy", base.policy.value)),
+            device=replace(
+                device,
+                device_class=DeviceClass(sim_section.take("device", base.device.device_class.value)),
+                battery=Battery(sim_section.take("battery", base.device.battery.value)),
+            ),
+            network=network,
+            cost=cost,
+            workload_spec=workload_spec,
             initial_network=initial_network,
-            offline_timeout_ms=float(sim_section.take("offline_timeout_ms", 10_000.0)),
-            sub_second_ms=float(sim_section.take("sub_second_ms", 1000.0)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"simulate: {err}") from None
+            p_drain=p_drain,
+            tolerance=tolerance,
+            complexity_mix=complexity_mix,
+            offline_timeout_ms=float(sim_section.take("offline_timeout_ms", base.offline_timeout_ms)),
+            sub_second_ms=float(sim_section.take("sub_second_ms", base.sub_second_ms)),
+        ),
+        "simulate",
+    )
     sim_section.finish()
 
     compare_section = _Section(top.take_map("compare"), "compare")
     policy_names = compare_section.take("policies", None)
     if policy_names is None:
-        policy_names = [k.value for k in PolicyKind]
+        policy_names = list(defaults.compare_policy_names)
     if not isinstance(policy_names, list) or not policy_names:
         raise ConfigError("compare.policies must be a non-empty list")
     for name in policy_names:
@@ -492,23 +458,13 @@ def config_from_dict(data: dict) -> AppConfig:
 
     top.finish()
 
-    try:
-        return AppConfig(
-            device=device,
-            network=network,
-            cost=cost,
-            tolerance=tolerance,
-            p_drain=p_drain,
-            complexity_mix=complexity_mix,
-            workload_spec=workload_spec,
-            bands=bands,
-            fusion_weights=fusion_weights,
-            max_files=max_files,
-            sim=sim,
-            compare_policy_names=tuple(policy_names),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    return AppConfig(
+        sim=sim,
+        bands=bands,
+        fusion_weights=fusion_weights,
+        max_files=max_files,
+        compare_policy_names=tuple(policy_names),
+    )
 
 
 def load_config(path: str | None = None) -> AppConfig:

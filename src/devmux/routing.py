@@ -83,11 +83,6 @@ class TaskDescriptor:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class TaskFeatures:
-    complexity: Complexity
-
-
 def complexity_indices(kind, files_touched, cross_file_deps, token_length) -> np.ndarray:
     """Map task columns to indices into COMPLEXITIES by a fixed rule table.
 
@@ -102,12 +97,12 @@ def complexity_indices(kind, files_touched, cross_file_deps, token_length) -> np
     return np.where(high, 2, np.where(medium, 1, 0))
 
 
-def featurize_task(task: TaskDescriptor) -> TaskFeatures:
+def featurize_task(task: TaskDescriptor) -> Complexity:
     """Complexity of one task, by the rule table of `complexity_indices`."""
     ci = complexity_indices(
         TASK_KINDS.index(task.kind), task.files_touched, task.cross_file_deps, task.token_length
     )
-    return TaskFeatures(COMPLEXITIES[int(ci)])
+    return COMPLEXITIES[int(ci)]
 
 
 @dataclass(frozen=True)
@@ -189,10 +184,6 @@ DEFAULT_DEGRADED_RTT_FACTOR = 3.0
 DEFAULT_CLOUD_ENERGY_RATIO = 3.8  # cloud-bound work costs this multiple of on-device energy
 
 
-def _default_cloud_compute() -> dict[Complexity, float]:
-    return {Complexity.LOW: 100.0, Complexity.MEDIUM: 250.0, Complexity.HIGH: 600.0}
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
     """Markov chain over link quality plus the cloud-side cost tables."""
@@ -221,12 +212,7 @@ class NetworkModel:
                 raise ValueError("cloud cost tables must be >= 0")
 
 
-def default_network_model(
-    device: DeviceProfile | None = None,
-    good_rtt_ms: float = DEFAULT_GOOD_RTT_MS,
-    degraded_rtt_factor: float = DEFAULT_DEGRADED_RTT_FACTOR,
-    cloud_energy_ratio: float = DEFAULT_CLOUD_ENERGY_RATIO,
-) -> NetworkModel:
+def default_network_model(device: DeviceProfile | None = None) -> NetworkModel:
     """Default network: mostly good, occasionally degraded, rarely offline."""
     device = device or DeviceProfile()
     matrix = np.array(
@@ -239,11 +225,11 @@ def default_network_model(
     return NetworkModel(
         transition_matrix=matrix,
         rtt_ms={
-            NetworkState.GOOD: good_rtt_ms,
-            NetworkState.DEGRADED: good_rtt_ms * degraded_rtt_factor,
+            NetworkState.GOOD: DEFAULT_GOOD_RTT_MS,
+            NetworkState.DEGRADED: DEFAULT_GOOD_RTT_MS * DEFAULT_DEGRADED_RTT_FACTOR,
         },
-        cloud_compute_ms=_default_cloud_compute(),
-        cloud_energy_units={c: cloud_energy_ratio * device.edge_energy_units[c] for c in COMPLEXITIES},
+        cloud_compute_ms={Complexity.LOW: 100.0, Complexity.MEDIUM: 250.0, Complexity.HIGH: 600.0},
+        cloud_energy_units={c: DEFAULT_CLOUD_ENERGY_RATIO * device.edge_energy_units[c] for c in COMPLEXITIES},
     )
 
 
@@ -297,7 +283,7 @@ def max_energy_units(device: DeviceProfile, network: NetworkModel) -> float:
     )
 
 
-def _default_complexity_mix() -> dict[Complexity, float]:
+def default_complexity_mix() -> dict[Complexity, float]:
     return {Complexity.LOW: 0.5, Complexity.MEDIUM: 0.4, Complexity.HIGH: 0.1}
 
 
@@ -318,9 +304,6 @@ class MdpModel:
     transitions: np.ndarray
     action_mask: np.ndarray
     gamma: float
-    device: DeviceProfile | None = None
-    network: NetworkModel | None = None
-    cost: CostModel | None = None
 
     def __post_init__(self) -> None:
         n = len(self.states)
@@ -361,7 +344,7 @@ def build_mdp(
     proportion to the energy just spent (low is absorbing), and the device
     class stays fixed.
     """
-    mix = dict(workload_mix) if workload_mix is not None else _default_complexity_mix()
+    mix = dict(workload_mix) if workload_mix is not None else default_complexity_mix()
     if set(mix) != set(COMPLEXITIES):
         raise ValueError("workload_mix must cover low/medium/high")
     mix_values = np.array([mix[c] for c in COMPLEXITIES], dtype=np.float64)
@@ -423,22 +406,7 @@ def build_mdp(
         transitions=transitions,
         action_mask=mask,
         gamma=cost.discount_gamma,
-        device=device,
-        network=network,
-        cost=cost,
     )
-
-
-def expected_cost_breakdown(mdp: MdpModel, state: RoutingState, action: Action) -> CostBreakdown:
-    """Unweighted cost components behind `reward(state, action)`.
-
-    Raises IllegalActionError for a masked action.
-    """
-    if mdp.device is None or mdp.network is None:
-        raise ValueError("model carries no device/network profiles")
-    if not mdp.action_mask[state.index, ACTIONS.index(action)]:
-        raise IllegalActionError(f"action {action.value} is masked in state {state}")
-    return cost_breakdown(mdp.device, mdp.network, state, action)
 
 
 @dataclass(eq=False)
@@ -489,11 +457,6 @@ def value_iteration(mdp: MdpModel, tolerance: float = DEFAULT_TOLERANCE) -> Rout
     )
 
 
-def route(policy: RoutingPolicy, state: RoutingState) -> Action:
-    """O(1) lookup of the solved action for a state."""
-    return policy.action_for(state)
-
-
 def policy_to_dict(policy: RoutingPolicy, config_hash: str) -> dict:
     """Exportable form of a solved policy, one entry per dense state index."""
     entries = []
@@ -511,23 +474,50 @@ def policy_to_dict(policy: RoutingPolicy, config_hash: str) -> dict:
     return {"config_hash": config_hash, "states": entries, "residual": policy.residual}
 
 
-def policy_from_dict(doc: dict) -> tuple[RoutingPolicy, str]:
-    """Inverse of policy_to_dict. Returns the policy and its config hash."""
-    entries = doc["states"]
-    if len(entries) != N_STATES:
-        raise ValueError(f"policy document must carry {N_STATES} states")
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def policy_from_dict(doc) -> tuple[RoutingPolicy, str]:
+    """Inverse of policy_to_dict. Returns the policy and its config hash.
+
+    Raises ValueError for any document policy_to_dict cannot write: not a
+    map, a missing or mistyped key, a state missing or listed twice, or a
+    masked action (IllegalActionError).
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("policy document must be a map")
+    entries, config_hash = doc.get("states"), doc.get("config_hash")
+    if not isinstance(entries, list) or len(entries) != N_STATES:
+        raise ValueError(f"policy document must carry a list of {N_STATES} states")
+    if not isinstance(config_hash, str):
+        raise ValueError("policy document must carry a config_hash string")
+    residual = _number(doc.get("residual"), "residual")
     actions = np.zeros(N_STATES, dtype=np.int8)
     values = np.zeros(N_STATES)
+    seen: set[int] = set()
     for entry in entries:
-        state = RoutingState(
-            Complexity(entry["complexity"]),
-            DeviceClass(entry["device"]),
-            NetworkState(entry["network"]),
-            Battery(entry["battery"]),
-        )
-        actions[state.index] = ACTIONS.index(Action(entry["action"]))
-        values[state.index] = entry["value"]
-    return RoutingPolicy(actions=actions, values=values, residual=doc["residual"]), doc["config_hash"]
+        try:
+            state = RoutingState(
+                Complexity(entry["complexity"]),
+                DeviceClass(entry["device"]),
+                NetworkState(entry["network"]),
+                Battery(entry["battery"]),
+            )
+            action = Action(entry["action"])
+            value = _number(entry["value"], "value")
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"malformed policy entry {entry!r}") from None
+        if state.index in seen:
+            raise ValueError(f"policy document lists state {state} twice")
+        if action is Action.CLOUD and state.network is NetworkState.OFFLINE:
+            raise IllegalActionError(f"cloud execution is masked out in state {state}")
+        seen.add(state.index)
+        actions[state.index] = ACTIONS.index(action)
+        values[state.index] = value
+    return RoutingPolicy(actions=actions, values=values, residual=residual), config_hash
 
 
 def save_policy(policy: RoutingPolicy, config_hash: str, path) -> None:

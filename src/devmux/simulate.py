@@ -21,7 +21,7 @@ is found, and every later task is recomputed as LOW. Report sums use
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import Mapping
 
@@ -49,6 +49,7 @@ from .routing import (
     build_mdp,
     complexity_indices,
     cost_breakdown,
+    default_complexity_mix,
     default_network_model,
     max_energy_units,
     value_iteration,
@@ -63,10 +64,6 @@ class PolicyKind(str, Enum):
     MDP = "mdp"
 
 
-def _default_complexity_mix() -> dict[Complexity, float]:
-    return {Complexity.LOW: 0.5, Complexity.MEDIUM: 0.4, Complexity.HIGH: 0.1}
-
-
 @dataclass(eq=False)
 class SimConfig:
     n_tasks: int = 1000
@@ -79,15 +76,15 @@ class SimConfig:
     initial_network: NetworkState = NetworkState.GOOD
     p_drain: float = DEFAULT_P_DRAIN
     tolerance: float = DEFAULT_TOLERANCE
-    complexity_mix: dict[Complexity, float] = field(default_factory=_default_complexity_mix)
+    complexity_mix: dict[Complexity, float] = field(default_factory=default_complexity_mix)
     offline_timeout_ms: float = 10_000.0
     sub_second_ms: float = 1000.0
 
     def __post_init__(self) -> None:
         if self.network is None:
             self.network = default_network_model(self.device)
-        if self.n_tasks < 0:
-            raise ValueError("n_tasks must be >= 0")
+        if self.n_tasks < 0 or self.seed < 0:
+            raise ValueError("n_tasks and seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -132,26 +129,11 @@ class MetricsReport:
     failed_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_tasks": self.n_tasks,
-            "median_latency_ms": self.median_latency_ms,
-            "p95_latency_ms": self.p95_latency_ms,
-            "sub_second_fraction": self.sub_second_fraction,
-            "cloud_call_fraction": self.cloud_call_fraction,
-            "total_energy_units": self.total_energy_units,
-            "mean_accuracy_loss": self.mean_accuracy_loss,
-            "failed_count": self.failed_count,
-        }
+        return asdict(self)
 
-    NUMERIC_FIELDS = (
-        "median_latency_ms",
-        "p95_latency_ms",
-        "sub_second_fraction",
-        "cloud_call_fraction",
-        "total_energy_units",
-        "mean_accuracy_loss",
-        "failed_count",
-    )
+
+# Every report field but the task count, in declaration order (the CSV columns).
+MetricsReport.NUMERIC_FIELDS = tuple(f.name for f in fields(MetricsReport))[1:]
 
 
 @dataclass(eq=False)

@@ -34,7 +34,6 @@ from devmux.routing import (
     all_states,
     build_mdp,
     default_network_model,
-    route,
     value_iteration,
 )
 from devmux.simulate import PolicyKind, SimConfig, run_simulation, solve_policy
@@ -99,14 +98,14 @@ def test_criterion_2_routing_qualitative_fidelity():
     low_state = RoutingState(Complexity.LOW, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
     high_state = RoutingState(Complexity.HIGH, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
     offline_ok = all(
-        route(policy, s) is Action.EDGE for s in all_states() if s.network is NetworkState.OFFLINE
+        policy.action_for(s) is Action.EDGE for s in all_states() if s.network is NetworkState.OFFLINE
     )
     check(
         2,
         "default policy keeps low-complexity local, sends high-complexity to cloud, "
         "and never leaves the device while offline",
-        route(policy, low_state) is Action.EDGE
-        and route(policy, high_state) is Action.CLOUD
+        policy.action_for(low_state) is Action.EDGE
+        and policy.action_for(high_state) is Action.CLOUD
         and offline_ok,
     )
 

@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-import devmux.cli
 import devmux.simulate
 from devmux.cli import cli_main
 from devmux.routing import value_iteration
@@ -25,6 +24,18 @@ def write_sources(root, count, prefix="f"):
         (root / f"{prefix}{i:03d}.java").write_text(
             f"class C{i} {{ void run{i}() {{ helper{i % 7}(); }} void helper{i % 7}() {{ }} }}"
         )
+
+
+# Policy documents `route --policy` must refuse, each made from a valid export.
+MALFORMED_POLICIES = {
+    "not_a_map": lambda doc: [],
+    "states_not_a_list": lambda doc: {**doc, "states": 5},
+    "masked_action": lambda doc: {
+        **doc,
+        "states": [{**e, "action": "cloud"} if e["network"] == "offline" else e for e in doc["states"]],
+    },
+    "duplicate_state": lambda doc: {**doc, "states": [doc["states"][0], *doc["states"][:1], *doc["states"][2:]]},
+}
 
 
 class TestRoute:
@@ -69,6 +80,20 @@ class TestRoute:
         first = capsys.readouterr().out
         assert cli_main(args) == 0  # second run loads the saved policy
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_POLICIES))
+    def test_malformed_policy_file_exit_three(self, case, tmp_path, capsys):
+        policy_path = tmp_path / "policy.json"
+        args = ["route", "--complexity", "low", "--device", "cpu", "--network", "good",
+                "--battery", "ok", "--policy", str(policy_path)]
+        assert cli_main(args) == 0
+        doc = MALFORMED_POLICIES[case](json.loads(policy_path.read_text()))
+        policy_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot load policy" in captured.err
 
 
 class TestDescribeLayout:
@@ -248,7 +273,6 @@ class TestSimulateAndCompare:
             sweeps.append(len(policy.delta_history))
             return policy
 
-        monkeypatch.setattr(devmux.cli, "value_iteration", counted)
         monkeypatch.setattr(devmux.simulate, "value_iteration", counted)
         out = str(tmp_path / "out.json")
         route = ["route", "--complexity", "low", "--device", "cpu", "--network", "good", "--battery", "ok"]
@@ -262,12 +286,23 @@ class TestSimulateAndCompare:
         assert sim_sweeps == [route_sweeps, route_sweeps]
 
     @pytest.mark.parametrize(
-        "argv",
-        [["simulate", "--n-tasks", "-5"], ["simulate", "--seed", "-3"], ["compare", "--seed", "-3"]],
+        "argv, message",
+        [
+            (["simulate", "--n-tasks", "-5", "--out", "out.json"], "must be >= 0"),
+            (["simulate", "--seed", "-3", "--out", "out.json"], "must be >= 0"),
+            (["compare", "--seed", "-3", "--out", "out.json"], "must be >= 0"),
+            (["query", "text", "--top-k", "-1"], "must be >= 0"),
+            (["query", "text", "--budget", "-1"], "must be >= 0"),
+            (["index", ".", "--max-files", "-1", "--out", "index.bin"], "must be >= 0"),
+            (["index", ".", "--parser", "foo", "--out", "index.bin"], "unrecognized arguments: --parser foo"),
+        ],
+        ids=[f"argv{i}" for i in range(7)],
     )
-    def test_negative_count_exit_two(self, argv, tmp_path, capsys):
-        assert cli_main([*argv, "--out", str(tmp_path / "out.json")]) == 2
-        assert "must be >= 0" in capsys.readouterr().err
+    def test_negative_count_exit_two(self, argv, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_exit_two_as_module(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

@@ -130,11 +130,6 @@ def test_syntax_error_carries_location():
     assert err.value.col > 0
 
 
-def test_unknown_parser_id():
-    with pytest.raises(ValueError, match="unknown parser"):
-        parse_to_graph("class A { }", parser_id="nope")
-
-
 def test_fallback_token_graph():
     graph = fallback_token_graph('how does Parser handle "quotes" and 42? ')
     labels = sorted({n.label for n in graph.nodes})

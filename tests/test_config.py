@@ -1,3 +1,6 @@
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from devmux.configfile import (
@@ -8,7 +11,7 @@ from devmux.configfile import (
     parse_config_text,
 )
 from devmux.routing import Battery, Complexity, DeviceClass, NetworkState
-from devmux.simulate import PolicyKind
+from devmux.simulate import PolicyKind, SimConfig
 from devmux.workload import TaskKind
 
 SAMPLE = """
@@ -118,31 +121,31 @@ class TestParser:
 class TestAssembly:
     def test_defaults_when_no_file(self):
         config = load_config(None)
-        assert config.cost.w_latency == 0.001
-        assert config.cost.discount_gamma == 0.95
-        assert config.network.rtt_ms[NetworkState.GOOD] == 2400.0
-        assert config.network.cloud_energy_units[Complexity.HIGH] == pytest.approx(3.8 * 5.0)
-        assert config.device.edge_accuracy_loss[Complexity.HIGH] == 0.29
+        assert config.sim.cost.w_latency == 0.001
+        assert config.sim.cost.discount_gamma == 0.95
+        assert config.sim.network.rtt_ms[NetworkState.GOOD] == 2400.0
+        assert config.sim.network.cloud_energy_units[Complexity.HIGH] == pytest.approx(3.8 * 5.0)
+        assert config.sim.device.edge_accuracy_loss[Complexity.HIGH] == 0.29
         assert config.max_files == 500
         assert config.sim.policy is PolicyKind.MDP
-        assert config.workload_spec.mix[TaskKind.SYNTAX_FIX] == 0.45
+        assert config.sim.workload_spec.mix[TaskKind.SYNTAX_FIX] == 0.45
 
     def test_file_overrides(self, tmp_path):
         path = tmp_path / "config.yaml"
         path.write_text(SAMPLE)
         config = load_config(path)
-        assert config.cost.w_latency == 0.002
-        assert config.cost.discount_gamma == 0.9
+        assert config.sim.cost.w_latency == 0.002
+        assert config.sim.cost.discount_gamma == 0.9
         # untouched entries keep their defaults
-        assert config.cost.w_energy == 0.1
-        assert config.device.edge_base_latency_ms[Complexity.HIGH] == 1000
-        assert config.device.edge_base_latency_ms[Complexity.LOW] == 150.0
+        assert config.sim.cost.w_energy == 0.1
+        assert config.sim.device.edge_base_latency_ms[Complexity.HIGH] == 1000
+        assert config.sim.device.edge_base_latency_ms[Complexity.LOW] == 150.0
         assert config.sim.initial_network is NetworkState.DEGRADED
         assert config.sim.policy is PolicyKind.ALL_EDGE
-        assert config.sim.device is DeviceClass.GPU
-        assert config.sim.battery is Battery.LOW
-        assert config.workload_spec.mix[TaskKind.SYNTAX_FIX] == 0.7
-        assert config.workload_spec.inter_arrival_mean_s == 10.0
+        assert config.sim.device.device_class is DeviceClass.GPU
+        assert config.sim.device.battery is Battery.LOW
+        assert config.sim.workload_spec.mix[TaskKind.SYNTAX_FIX] == 0.7
+        assert config.sim.workload_spec.inter_arrival_mean_s == 10.0
         assert config.fusion_weights.temperature == 0.2
         assert config.compare_policy_names == ("all_cloud", "mdp")
 
@@ -191,3 +194,18 @@ class TestAssembly:
         changed = config_from_dict({"router": {"w_latency": 0.5}})
         assert base.router_fingerprint() == same.router_fingerprint()
         assert base.router_fingerprint() != changed.router_fingerprint()
+
+
+def test_documented_defaults_match_code():
+    reference = (Path(__file__).parents[1] / "docs" / "config_reference.md").read_text(encoding="utf-8")
+    block = reference.split("```yaml\n", 1)[1].split("```", 1)[0]
+    documented = config_from_dict(parse_config_text(block))
+    default = load_config(None)
+    assert documented.router_fingerprint() == default.router_fingerprint()
+    for f in fields(SimConfig):
+        if f.name != "network":  # the network is covered by the fingerprint
+            assert getattr(documented.sim, f.name) == getattr(default.sim, f.name), f.name
+    assert documented.bands.fingerprint() == default.bands.fingerprint()
+    assert documented.fusion_weights == default.fusion_weights
+    assert documented.max_files == default.max_files
+    assert documented.compare_policy_names == default.compare_policy_names

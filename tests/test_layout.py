@@ -14,7 +14,6 @@ from devmux.layoutlint import (
     describe,
     detect_inconsistencies,
     parse_layout,
-    validity_check,
 )
 
 GOLDEN = """
@@ -287,12 +286,12 @@ def synthetic_layout(n_widgets=500, n_edges=2000):
 
 class TestValidityCheck:
     def test_empty_layout(self):
-        report = validity_check(graph_of("<Layout/>"))
+        report = check_layout_source("<Layout/>")
         assert report.findings == []
         assert report.elapsed_ms >= 0.0
 
     def test_four_finding_fixture_counts(self):
-        report = validity_check(graph_of(FOUR_FINDINGS))
+        report = check_layout_source(FOUR_FINDINGS)
         assert len(report.findings) == 4
 
     def test_synthetic_layout_within_budget(self):

@@ -21,20 +21,18 @@ from devmux.routing import (
     build_mdp,
     cost_breakdown,
     default_network_model,
-    expected_cost_breakdown,
     featurize_task,
     policy_from_dict,
     policy_to_dict,
-    route,
     value_iteration,
 )
 
+DEVICE = DeviceProfile()
+NETWORK = default_network_model(DEVICE)
+
 
 def default_mdp(**cost_kwargs):
-    device = DeviceProfile()
-    network = default_network_model(device)
-    cost = CostModel(**cost_kwargs)
-    return build_mdp(device, network, cost)
+    return build_mdp(DEVICE, NETWORK, CostModel(**cost_kwargs))
 
 
 def finite_horizon_values(mdp, horizon):
@@ -79,15 +77,15 @@ def random_mdp(rng, random_mask=False):
 class TestFeaturize:
     def test_syntax_fix_is_low(self):
         task = TaskDescriptor(TaskKind.SYNTAX_FIX, files_touched=1, cross_file_deps=0, token_length=80)
-        assert featurize_task(task).complexity is Complexity.LOW
+        assert featurize_task(task) is Complexity.LOW
 
     def test_crash_analysis_is_always_high(self):
         task = TaskDescriptor(TaskKind.CRASH_ANALYSIS, files_touched=1, cross_file_deps=0, token_length=500)
-        assert featurize_task(task).complexity is Complexity.HIGH
+        assert featurize_task(task) is Complexity.HIGH
 
     def test_completion_with_deps_is_medium(self):
         task = TaskDescriptor(TaskKind.COMPLETION, files_touched=2, cross_file_deps=3, token_length=2500)
-        assert featurize_task(task).complexity is Complexity.MEDIUM
+        assert featurize_task(task) is Complexity.MEDIUM
 
     @pytest.mark.parametrize(
         "deps,files,expected",
@@ -95,11 +93,11 @@ class TestFeaturize:
     )
     def test_rule_table_thresholds(self, deps, files, expected):
         task = TaskDescriptor(TaskKind.REFACTOR, files_touched=files, cross_file_deps=deps, token_length=100)
-        assert featurize_task(task).complexity is expected
+        assert featurize_task(task) is expected
 
     def test_long_prompt_is_medium(self):
         task = TaskDescriptor(TaskKind.COMPLETION, files_touched=1, cross_file_deps=0, token_length=2000)
-        assert featurize_task(task).complexity is Complexity.MEDIUM
+        assert featurize_task(task) is Complexity.MEDIUM
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -115,38 +113,34 @@ class TestBuildMdp:
             assert mdp.action_mask[state.index, ACTIONS.index(Action.EDGE)]
 
     def test_cloud_latency_is_rtt_plus_compute(self):
-        mdp = default_mdp()
         state = RoutingState(Complexity.HIGH, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
-        parts = expected_cost_breakdown(mdp, state, Action.CLOUD)
-        assert parts.latency_ms == 2400.0 + mdp.network.cloud_compute_ms[Complexity.HIGH]
+        parts = cost_breakdown(DEVICE, NETWORK, state, Action.CLOUD)
+        assert parts.latency_ms == 2400.0 + NETWORK.cloud_compute_ms[Complexity.HIGH]
         assert parts.latency_ms == 3000.0
 
     def test_cloud_energy_ratio(self):
-        mdp = default_mdp()
         for c in COMPLEXITIES:
-            assert mdp.network.cloud_energy_units[c] == pytest.approx(3.8 * mdp.device.edge_energy_units[c])
+            assert NETWORK.cloud_energy_units[c] == pytest.approx(3.8 * DEVICE.edge_energy_units[c])
 
     def test_edge_high_accuracy_loss_default(self):
-        mdp = default_mdp()
         state = RoutingState(Complexity.HIGH, DeviceClass.GPU, NetworkState.DEGRADED, Battery.LOW)
-        assert expected_cost_breakdown(mdp, state, Action.EDGE).accuracy_loss == 0.29
+        assert cost_breakdown(DEVICE, NETWORK, state, Action.EDGE).accuracy_loss == 0.29
 
     def test_edge_latency_ignores_network(self):
-        mdp = default_mdp()
         values = set()
         for network in NetworkState:
             state = RoutingState(Complexity.MEDIUM, DeviceClass.GPU, network, Battery.OK)
-            values.add(expected_cost_breakdown(mdp, state, Action.EDGE).latency_ms)
+            values.add(cost_breakdown(DEVICE, NETWORK, state, Action.EDGE).latency_ms)
         assert values == {400.0}
 
     def test_reward_reconstructs_from_breakdown(self):
         mdp = default_mdp()
-        cost = mdp.cost
+        cost = CostModel()
         for state in all_states():
             for ai, action in enumerate(ACTIONS):
                 if not mdp.action_mask[state.index, ai]:
                     continue
-                parts = expected_cost_breakdown(mdp, state, action)
+                parts = cost_breakdown(DEVICE, NETWORK, state, action)
                 expected = -(
                     cost.w_latency * parts.latency_ms
                     + cost.w_energy * parts.energy_units
@@ -155,10 +149,9 @@ class TestBuildMdp:
                 assert mdp.rewards[state.index, ai] == expected
 
     def test_breakdown_rejects_masked_action(self):
-        mdp = default_mdp()
         state = RoutingState(Complexity.LOW, DeviceClass.GPU, NetworkState.OFFLINE, Battery.OK)
         with pytest.raises(IllegalActionError):
-            expected_cost_breakdown(mdp, state, Action.CLOUD)
+            cost_breakdown(DEVICE, NETWORK, state, Action.CLOUD)
 
     def test_rejects_bad_workload_mix(self):
         device = DeviceProfile()
@@ -268,18 +261,18 @@ class TestRoute:
 
     def test_low_cpu_good_routes_edge(self, policy):
         state = RoutingState(Complexity.LOW, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
-        assert route(policy, state) is Action.EDGE
+        assert policy.action_for(state) is Action.EDGE
 
     def test_high_cpu_good_routes_cloud(self, policy):
         state = RoutingState(Complexity.HIGH, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
-        assert route(policy, state) is Action.CLOUD
+        assert policy.action_for(state) is Action.CLOUD
 
     def test_offline_always_routes_edge(self, policy):
         for c in Complexity:
             for d in DeviceClass:
                 for b in Battery:
                     state = RoutingState(c, d, NetworkState.OFFLINE, b)
-                    assert route(policy, state) is Action.EDGE
+                    assert policy.action_for(state) is Action.EDGE
 
     def test_export_round_trip(self, policy):
         doc = policy_to_dict(policy, config_hash="abc123")

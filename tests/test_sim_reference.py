@@ -28,7 +28,6 @@ from devmux.routing import (
     cost_breakdown,
     default_network_model,
     featurize_task,
-    route,
 )
 from devmux.simulate import (
     MetricsReport,
@@ -74,7 +73,7 @@ def reference_run(workload, config, policy):
 
     events = []
     for i, task in enumerate(workload.tasks):
-        complexity = featurize_task(task.descriptor).complexity
+        complexity = featurize_task(task.descriptor)
         state = RoutingState(complexity, config.device.device_class, network_state, battery)
         if config.policy is PolicyKind.ALL_EDGE:
             action = Action.EDGE
@@ -87,7 +86,7 @@ def reference_run(workload, config, policy):
                 else Action.EDGE
             )
         else:
-            action = route(policy, state)
+            action = policy.action_for(state)
 
         failed = action is Action.CLOUD and network_state is NetworkState.OFFLINE
         if failed:

@@ -52,7 +52,7 @@ def test_fields_respect_ranges():
 def test_default_ranges_keep_non_crash_kinds_below_high():
     workload = generate_workload(5_000, seed=11)
     for task in workload.tasks:
-        complexity = featurize_task(task.descriptor).complexity
+        complexity = featurize_task(task.descriptor)
         if task.descriptor.kind is TaskKind.CRASH_ANALYSIS:
             assert complexity.value == "high"
         else:
