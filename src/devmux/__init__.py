@@ -30,6 +30,7 @@ from .layoutlint import (
     parse_layout,
 )
 from .routing import (
+    ACTION_MASK,
     Action,
     Battery,
     Complexity,
@@ -41,12 +42,12 @@ from .routing import (
     NetworkState,
     RoutingPolicy,
     RoutingState,
-    TaskDescriptor,
     TaskKind,
     build_mdp,
     cost_breakdown,
+    cost_table,
     default_network_model,
-    featurize_task,
+    drain_odds,
     value_iteration,
 )
 from .simulate import (
@@ -54,7 +55,6 @@ from .simulate import (
     MetricsReport,
     PolicyKind,
     SimConfig,
-    SimEvent,
     SimTrace,
     compare_policies,
     metrics_from_events,

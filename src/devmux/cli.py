@@ -247,7 +247,7 @@ def cmd_simulate(args) -> int:
         if args.events:
             encode = json.JSONEncoder(sort_keys=True).encode
             with open(args.events, "w", encoding="utf-8") as fh:
-                fh.writelines(encode(event.to_dict()) + "\n" for event in trace.events())
+                fh.writelines(encode(record) + "\n" for record in trace.records())
     except OSError as err:
         return _fail(f"cannot write report: {err}", EXIT_IO)
     print(_dump_json(payload), end="")

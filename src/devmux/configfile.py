@@ -30,6 +30,7 @@ from .routing import (
     DeviceProfile,
     NetworkModel,
     NetworkState,
+    check_odds,
 )
 from .simulate import PolicyKind, SimConfig
 from .workload import KindRanges, TaskKind, WorkloadSpec
@@ -213,14 +214,20 @@ class _Section:
             raise ConfigError(f"unknown keys in section {self.name!r}: {unknown}")
 
 
-def _complexity_map(raw: dict | None, defaults: dict, name: str) -> dict:
+def _number_map(section: _Section, key: str, defaults: dict, enum=Complexity, what="complexity") -> dict:
+    """`defaults` with the numbers of the map `section.key` laid over them;
+    its keys must be values of `enum`."""
     result = dict(defaults)
-    if raw:
-        for key, value in raw.items():
-            try:
-                result[Complexity(key)] = float(value)
-            except ValueError:
-                raise ConfigError(f"{name}: unknown complexity {key!r}") from None
+    name = f"{section.name}.{key}"
+    for entry, value in (section.take_map(key) or {}).items():
+        try:
+            member = enum(entry)
+        except ValueError:
+            raise ConfigError(f"{name}: unknown {what} {entry!r}") from None
+        try:
+            result[member] = float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name}.{entry} must be a number, got {value!r}") from None
     return result
 
 
@@ -278,28 +285,21 @@ def config_from_dict(data: dict) -> AppConfig:
     tolerance = float(router.take("tolerance", base.tolerance))
     if tolerance <= 0:
         raise ConfigError("router.tolerance must be > 0")
-    edge_latency = _complexity_map(
-        router.take_map("edge_base_latency_ms"), base.device.edge_base_latency_ms, "router.edge_base_latency_ms"
-    )
-    edge_energy = _complexity_map(
-        router.take_map("edge_energy_units"), base.device.edge_energy_units, "router.edge_energy_units"
-    )
-    edge_accuracy = _complexity_map(
-        router.take_map("edge_accuracy_loss"), base.device.edge_accuracy_loss, "router.edge_accuracy_loss"
-    )
+    edge_latency = _number_map(router, "edge_base_latency_ms", base.device.edge_base_latency_ms)
+    edge_energy = _number_map(router, "edge_energy_units", base.device.edge_energy_units)
+    edge_accuracy = _number_map(router, "edge_accuracy_loss", base.device.edge_accuracy_loss)
     cpu_multiplier = float(router.take("cpu_latency_multiplier", base.device.cpu_latency_multiplier))
     good_rtt = float(router.take("good_rtt_ms", DEFAULT_GOOD_RTT_MS))
     degraded_factor = float(router.take("degraded_rtt_factor", DEFAULT_DEGRADED_RTT_FACTOR))
     energy_ratio = float(router.take("cloud_energy_ratio", DEFAULT_CLOUD_ENERGY_RATIO))
-    cloud_compute = _complexity_map(
-        router.take_map("cloud_compute_ms"), base.network.cloud_compute_ms, "router.cloud_compute_ms"
+    cloud_compute = _number_map(router, "cloud_compute_ms", base.network.cloud_compute_ms)
+    cloud_energy = _number_map(
+        router, "cloud_energy_units", {c: energy_ratio * edge_energy[c] for c in Complexity}
     )
-    cloud_energy_raw = router.take_map("cloud_energy_units")
     p_drain = float(router.take("p_drain", base.p_drain))
-    complexity_mix = _complexity_map(
-        router.take_map("complexity_mix"), base.complexity_mix, "router.complexity_mix"
-    )
+    complexity_mix = _number_map(router, "complexity_mix", base.complexity_mix)
     router.finish()
+    _checked(lambda: check_odds(complexity_mix, p_drain), "router")
 
     device = _checked(
         lambda: DeviceProfile(
@@ -309,11 +309,6 @@ def config_from_dict(data: dict) -> AppConfig:
             cpu_latency_multiplier=cpu_multiplier,
         ),
         "router",
-    )
-    cloud_energy = _complexity_map(
-        cloud_energy_raw,
-        {c: energy_ratio * edge_energy[c] for c in Complexity},
-        "router.cloud_energy_units",
     )
 
     network_section = _Section(top.take_map("network"), "network")
@@ -344,14 +339,7 @@ def config_from_dict(data: dict) -> AppConfig:
 
     workload_section = _Section(top.take_map("workload"), "workload")
     default_spec = base.workload_spec
-    mix = dict(default_spec.mix)
-    mix_raw = workload_section.take_map("mix")
-    if mix_raw:
-        for key, value in mix_raw.items():
-            try:
-                mix[TaskKind(key)] = float(value)
-            except ValueError:
-                raise ConfigError(f"workload.mix: unknown task kind {key!r}") from None
+    mix = _number_map(workload_section, "mix", default_spec.mix, TaskKind, "task kind")
     ranges = dict(default_spec.ranges)
     ranges_raw = workload_section.take_map("ranges")
     if ranges_raw:
@@ -391,14 +379,7 @@ def config_from_dict(data: dict) -> AppConfig:
 
     fusion_section = _Section(top.take_map("fusion"), "fusion")
     default_fusion = defaults.fusion_weights
-    priors = dict(default_fusion.prior)
-    priors_raw = fusion_section.take_map("priors")
-    if priors_raw:
-        for key, value in priors_raw.items():
-            try:
-                priors[ContextSource(key)] = float(value)
-            except ValueError:
-                raise ConfigError(f"fusion.priors: unknown source {key!r}") from None
+    priors = _number_map(fusion_section, "priors", default_fusion.prior, ContextSource, "source")
     fusion_weights = _checked(
         lambda: FusionWeights(
             prior=priors,

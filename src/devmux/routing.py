@@ -66,23 +66,6 @@ class IllegalActionError(ValueError):
     """Raised when an action is queried for a state where it is masked out."""
 
 
-@dataclass(frozen=True)
-class TaskDescriptor:
-    """A unit of assistant work as observed at submission time."""
-
-    kind: TaskKind
-    files_touched: int
-    cross_file_deps: int
-    token_length: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, TaskKind):
-            raise ValueError(f"kind must be a TaskKind, got {self.kind!r}")
-        for name in ("files_touched", "cross_file_deps", "token_length"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-
 def complexity_indices(kind, files_touched, cross_file_deps, token_length) -> np.ndarray:
     """Map task columns to indices into COMPLEXITIES by a fixed rule table.
 
@@ -95,14 +78,6 @@ def complexity_indices(kind, files_touched, cross_file_deps, token_length) -> np
     high = (kind == TASK_KINDS.index(TaskKind.CRASH_ANALYSIS)) | (deps >= 5) | (files >= 10)
     medium = (deps >= 1) | (tokens >= 2000)
     return np.where(high, 2, np.where(medium, 1, 0))
-
-
-def featurize_task(task: TaskDescriptor) -> Complexity:
-    """Complexity of one task, by the rule table of `complexity_indices`."""
-    ci = complexity_indices(
-        TASK_KINDS.index(task.kind), task.files_touched, task.cross_file_deps, task.token_length
-    )
-    return COMPLEXITIES[int(ci)]
 
 
 @dataclass(frozen=True)
@@ -130,6 +105,13 @@ def all_states() -> tuple[RoutingState, ...]:
                 for b in BATTERY_LEVELS:
                     states.append(RoutingState(c, d, n, b))
     return tuple(states)
+
+
+# (N_STATES, n_actions) legal actions, read-only: cloud execution is masked
+# out while offline. The only statement of that rule.
+ACTION_MASK = np.array([[not (a is Action.CLOUD and s.network is NetworkState.OFFLINE) for a in ACTIONS]
+                        for s in all_states()])
+ACTION_MASK.flags.writeable = False
 
 
 def _default_edge_latency() -> dict[Complexity, float]:
@@ -260,14 +242,14 @@ def cost_breakdown(
     device: DeviceProfile, network: NetworkModel, state: RoutingState, action: Action
 ) -> CostBreakdown:
     """Unweighted cost components of executing a task in `state` via `action`."""
+    if not ACTION_MASK[state.index, ACTIONS.index(action)]:
+        raise IllegalActionError("cloud execution is masked out while offline")
     if action is Action.EDGE:
         return CostBreakdown(
             latency_ms=device.edge_latency_ms(state.complexity, state.device_class),
             energy_units=device.edge_energy_units[state.complexity],
             accuracy_loss=device.edge_accuracy_loss[state.complexity],
         )
-    if state.network is NetworkState.OFFLINE:
-        raise IllegalActionError("cloud execution is masked out while offline")
     return CostBreakdown(
         latency_ms=network.rtt_ms[state.network] + network.cloud_compute_ms[state.complexity],
         energy_units=network.cloud_energy_units[state.complexity],
@@ -275,12 +257,33 @@ def cost_breakdown(
     )
 
 
-def max_energy_units(device: DeviceProfile, network: NetworkModel) -> float:
-    """Largest per-task energy; battery drain odds scale by energy over this."""
-    return max(
-        max(device.edge_energy_units[c] for c in COMPLEXITIES),
-        max(network.cloud_energy_units[c] for c in COMPLEXITIES),
-    )
+def cost_table(device: DeviceProfile, network: NetworkModel) -> np.ndarray:
+    """(N_STATES, n_actions, 3) latency, energy and accuracy loss of every
+    state and action, by `cost_breakdown`. A masked cell holds NaN latency,
+    the cloud energy and no loss: what a cloud call that cannot run spends."""
+    table = np.empty((N_STATES, len(ACTIONS), 3))
+    for state in all_states():
+        for ai, action in enumerate(ACTIONS):
+            if ACTION_MASK[state.index, ai]:
+                parts = cost_breakdown(device, network, state, action)
+                table[state.index, ai] = (parts.latency_ms, parts.energy_units, parts.accuracy_loss)
+            else:
+                table[state.index, ai] = (np.nan, network.cloud_energy_units[state.complexity], 0.0)
+    return table
+
+
+def drain_odds(costs: np.ndarray, p_drain: float) -> np.ndarray:
+    """(N_STATES, n_actions) chance that the battery is low after each action.
+
+    From ok it is `p_drain` times the action's energy over the largest
+    energy in `costs` (0 when every energy is 0); from low it is 1, since
+    low is absorbing.
+    """
+    energy = costs[..., 1]
+    max_energy = energy.max()
+    odds = p_drain * (energy / max_energy) if max_energy > 0 else np.zeros_like(energy)
+    odds[[s.index for s in all_states() if s.battery is Battery.LOW]] = 1.0
+    return odds
 
 
 def default_complexity_mix() -> dict[Complexity, float]:
@@ -288,6 +291,21 @@ def default_complexity_mix() -> dict[Complexity, float]:
 
 
 DEFAULT_P_DRAIN = 0.05
+
+
+def check_odds(complexity_mix: dict[Complexity, float], p_drain: float) -> np.ndarray:
+    """Check the complexity mix and the drain odds `p_drain`; return the mix
+    as probabilities in COMPLEXITIES order. Raises ValueError."""
+    if set(complexity_mix) != set(COMPLEXITIES):
+        raise ValueError("complexity_mix must cover low/medium/high")
+    mix_values = np.array([complexity_mix[c] for c in COMPLEXITIES], dtype=np.float64)
+    if (mix_values < 0).any():
+        raise ValueError("complexity_mix entries must be >= 0")
+    if abs(mix_values.sum() - 1.0) > STOCHASTIC_TOL:
+        raise ValueError("complexity_mix must sum to 1")
+    if not 0.0 <= p_drain <= 1.0:
+        raise ValueError("p_drain must be in [0, 1]")
+    return mix_values / mix_values.sum()
 
 
 @dataclass(eq=False)
@@ -344,67 +362,31 @@ def build_mdp(
     proportion to the energy just spent (low is absorbing), and the device
     class stays fixed.
     """
-    mix = dict(workload_mix) if workload_mix is not None else default_complexity_mix()
-    if set(mix) != set(COMPLEXITIES):
-        raise ValueError("workload_mix must cover low/medium/high")
-    mix_values = np.array([mix[c] for c in COMPLEXITIES], dtype=np.float64)
-    if (mix_values < 0).any():
-        raise ValueError("workload_mix entries must be >= 0")
-    if abs(mix_values.sum() - 1.0) > STOCHASTIC_TOL:
-        raise ValueError("workload_mix must sum to 1")
-    mix_values = mix_values / mix_values.sum()
-    if not 0.0 <= p_drain <= 1.0:
-        raise ValueError("p_drain must be in [0, 1]")
+    mix_values = check_odds(default_complexity_mix() if workload_mix is None else workload_mix, p_drain)
+    costs = cost_table(device, network)
+    weighted = cost.w_latency * costs[..., 0] + cost.w_energy * costs[..., 1] + cost.w_accuracy * costs[..., 2]
+    to_low = drain_odds(costs, p_drain)
 
-    net_matrix = np.asarray(network.transition_matrix, dtype=np.float64)
-    if np.abs(net_matrix.sum(axis=1) - 1.0).max() > STOCHASTIC_TOL:
-        raise ValueError("network transition matrix must be row-stochastic")
-
-    states = all_states()
-    n = len(states)
-    rewards = np.zeros((n, len(ACTIONS)))
-    transitions = np.zeros((len(ACTIONS), n, n))
-    mask = np.ones((n, len(ACTIONS)), dtype=bool)
-
-    max_energy = max_energy_units(device, network)
-
-    for s, state in enumerate(states):
-        ni = NETWORK_STATES.index(state.network)
-        for ai, action in enumerate(ACTIONS):
-            if action is Action.CLOUD and state.network is NetworkState.OFFLINE:
-                mask[s, ai] = False
-                continue
-            parts = cost_breakdown(device, network, state, action)
-            rewards[s, ai] = -(
-                cost.w_latency * parts.latency_ms
-                + cost.w_energy * parts.energy_units
-                + cost.w_accuracy * parts.accuracy_loss
-            )
-            if state.battery is Battery.OK and max_energy > 0:
-                p_to_low = p_drain * (parts.energy_units / max_energy)
-            else:
-                p_to_low = 1.0 if state.battery is Battery.LOW else 0.0
-            for ci, c_next in enumerate(COMPLEXITIES):
-                for nj in range(len(NETWORK_STATES)):
-                    p_base = mix_values[ci] * net_matrix[ni, nj]
-                    if p_base == 0.0:
-                        continue
-                    for b_next, p_batt in (
-                        (Battery.LOW, p_to_low),
-                        (Battery.OK, 1.0 - p_to_low),
-                    ):
-                        if state.battery is Battery.LOW and b_next is Battery.OK:
-                            continue
-                        if p_batt == 0.0:
-                            continue
-                        nxt = RoutingState(c_next, state.device_class, NETWORK_STATES[nj], b_next)
-                        transitions[ai, s, nxt.index] += p_base * p_batt
+    # Axes (action, c, d, n, b, c', d', n', b') of state (c, d, n, b) to
+    # state (c', d', n', b'): c' from the mix, n' by the chain from n, the
+    # device kept, b' by the drain odds; a masked action has no row.
+    shape = (len(COMPLEXITIES), len(DEVICE_CLASSES), len(NETWORK_STATES), len(BATTERY_LEVELS))
+    arrival = mix_values[None, :, None] * network.transition_matrix[:, None, :]  # (n, c', n')
+    battery = np.stack([to_low, 1.0 - to_low], axis=-1)  # (state, action, b'), BATTERY_LEVELS order
+    battery = np.moveaxis(battery.reshape(*shape, len(ACTIONS), len(BATTERY_LEVELS)), 4, 0)
+    legal = ACTION_MASK.T.reshape(len(ACTIONS), *shape)
+    transitions = (
+        arrival[None, None, None, :, None, :, None, :, None]
+        * battery[:, :, :, :, :, None, None, None, :]
+        * np.eye(len(DEVICE_CLASSES))[None, None, :, None, None, None, :, None, None]
+        * legal[..., None, None, None, None]
+    )
 
     return MdpModel(
-        states=states,
-        rewards=rewards,
-        transitions=transitions,
-        action_mask=mask,
+        states=all_states(),
+        rewards=np.where(ACTION_MASK, -weighted, 0.0),
+        transitions=transitions.reshape(len(ACTIONS), N_STATES, N_STATES),
+        action_mask=ACTION_MASK,
         gamma=cost.discount_gamma,
     )
 
@@ -512,7 +494,7 @@ def policy_from_dict(doc) -> tuple[RoutingPolicy, str]:
             raise ValueError(f"malformed policy entry {entry!r}") from None
         if state.index in seen:
             raise ValueError(f"policy document lists state {state} twice")
-        if action is Action.CLOUD and state.network is NetworkState.OFFLINE:
+        if not ACTION_MASK[state.index, ACTIONS.index(action)]:
             raise IllegalActionError(f"cloud execution is masked out in state {state}")
         seen.add(state.index)
         actions[state.index] = ACTIONS.index(action)

@@ -10,12 +10,14 @@ and the initial state, never on an action, so it is drawn once: one
 inverse-CDF `searchsorted` per chain row, then one walk of the chain. Two
 policies run against the same workload therefore see the identical trace
 and the paired comparison is exact by construction. Each policy is an
-action per dense routing state, and costs come from a per-state table
-filled by `cost_breakdown`. Battery LOW is absorbing, so the battery takes
-two passes: energy is computed as if the battery stayed ok, the first drain
-is found, and every later task is recomputed as LOW. Report sums use
-`math.fsum`, so report bytes do not depend on the Python version.
-`SimEvent` objects are built only when `SimTrace.events()` is called.
+action per dense routing state. Costs, drain odds and the offline mask come
+from the same per-state tables the MDP is built from (`routing.cost_table`,
+`routing.drain_odds`, `routing.ACTION_MASK`). Battery LOW is absorbing, so
+the battery takes two passes: energy is computed as if the battery stayed
+ok, the first drain is found, and every later task is recomputed as LOW.
+Report sums use `math.fsum`, so report bytes do not depend on the Python
+version. `SimTrace.records()` streams the event log from the columns, one
+dict per task.
 """
 
 from __future__ import annotations
@@ -23,17 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .routing import (
+    ACTION_MASK,
     ACTIONS,
     BATTERY_LEVELS,
     COMPLEXITIES,
     DEFAULT_P_DRAIN,
     DEFAULT_TOLERANCE,
-    N_STATES,
     NETWORK_STATES,
     TASK_KINDS,
     Action,
@@ -44,14 +46,14 @@ from .routing import (
     NetworkModel,
     NetworkState,
     RoutingPolicy,
-    TaskKind,
     all_states,
     build_mdp,
+    check_odds,
     complexity_indices,
-    cost_breakdown,
+    cost_table,
     default_complexity_mix,
     default_network_model,
-    max_energy_units,
+    drain_odds,
     value_iteration,
 )
 from .workload import Workload, WorkloadSpec, generate_workload
@@ -85,36 +87,7 @@ class SimConfig:
             self.network = default_network_model(self.device)
         if self.n_tasks < 0 or self.seed < 0:
             raise ValueError("n_tasks and seed must be >= 0")
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    task_id: int
-    arrival_s: float
-    kind: TaskKind
-    complexity: Complexity
-    network: NetworkState
-    battery: Battery
-    action: Action
-    latency_ms: float
-    energy_units: float
-    accuracy_loss: float
-    failed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "arrival_s": self.arrival_s,
-            "kind": self.kind.value,
-            "complexity": self.complexity.value,
-            "network": self.network.value,
-            "battery": self.battery.value,
-            "action": self.action.value,
-            "latency_ms": self.latency_ms,
-            "energy_units": self.energy_units,
-            "accuracy_loss": self.accuracy_loss,
-            "failed": self.failed,
-        }
+        check_odds(self.complexity_mix, self.p_drain)
 
 
 @dataclass(frozen=True)
@@ -156,18 +129,25 @@ class SimTrace:
     def __len__(self) -> int:
         return len(self.arrival_s)
 
-    def events(self) -> list[SimEvent]:
-        """The run as one `SimEvent` per task."""
+    def records(self) -> Iterator[dict]:
+        """Yield the event log, one dict per task in task order; enum
+        columns become their values."""
+        kinds, complexities, networks, batteries, actions = (
+            [member.value for member in members]
+            for members in (TASK_KINDS, COMPLEXITIES, NETWORK_STATES, BATTERY_LEVELS, ACTIONS)
+        )
         columns = (
             self.arrival_s, self.kind, self.complexity, self.network, self.battery, self.action,
             self.latency_ms, self.energy_units, self.accuracy_loss, self.failed,
         )
-        return [
-            SimEvent(i, arrival, TASK_KINDS[k], COMPLEXITIES[c], NETWORK_STATES[net], BATTERY_LEVELS[b],
-                     ACTIONS[a], latency, energy, loss, failed)
-            for i, (arrival, k, c, net, b, a, latency, energy, loss, failed)
-            in enumerate(zip(*(column.tolist() for column in columns)))
-        ]
+        for task_id, (arrival, k, c, net, b, a, latency, energy, loss, failed) in enumerate(
+            zip(*(column.tolist() for column in columns))
+        ):
+            yield {
+                "task_id": task_id, "arrival_s": arrival, "kind": kinds[k], "complexity": complexities[c],
+                "network": networks[net], "battery": batteries[b], "action": actions[a],
+                "latency_ms": latency, "energy_units": energy, "accuracy_loss": loss, "failed": failed,
+            }
 
 
 def metrics_from_events(trace: SimTrace, sub_second_ms: float = 1000.0) -> MetricsReport:
@@ -220,36 +200,12 @@ def _action_table(policy_kind: PolicyKind, policy: RoutingPolicy | None) -> np.n
     """The policy's action index for every dense routing state."""
     if policy_kind is PolicyKind.MDP:
         return np.asarray(policy.actions, dtype=np.intp)
-    actions = []
-    for state in all_states():
-        if policy_kind is PolicyKind.ALL_EDGE:
-            action = Action.EDGE
-        elif policy_kind is PolicyKind.ALL_CLOUD:
-            action = Action.CLOUD
-        else:
-            action = (
-                Action.CLOUD
-                if state.complexity is Complexity.HIGH and state.network is not NetworkState.OFFLINE
-                else Action.EDGE
-            )
-        actions.append(ACTIONS.index(action))
-    return np.array(actions, dtype=np.intp)
-
-
-def _cost_table(config: SimConfig) -> np.ndarray:
-    """(N_STATES, n_actions, 3) latency/energy/accuracy-loss per state and
-    action. A cloud call while offline is charged the configured timeout
-    and the cloud energy, with no accuracy loss."""
-    table = np.empty((N_STATES, len(ACTIONS), 3))
-    for state in all_states():
-        for ai, action in enumerate(ACTIONS):
-            if action is Action.CLOUD and state.network is NetworkState.OFFLINE:
-                cell = (config.offline_timeout_ms, config.network.cloud_energy_units[state.complexity], 0.0)
-            else:
-                parts = cost_breakdown(config.device, config.network, state, action)
-                cell = (parts.latency_ms, parts.energy_units, parts.accuracy_loss)
-            table[state.index, ai] = cell
-    return table
+    if policy_kind is PolicyKind.THRESHOLD:  # cloud for high complexity wherever cloud is legal
+        high = np.array([s.complexity is Complexity.HIGH for s in all_states()])
+        cloud = high & ACTION_MASK[:, ACTIONS.index(Action.CLOUD)]
+    else:
+        cloud = np.full(len(ACTION_MASK), policy_kind is PolicyKind.ALL_CLOUD)
+    return np.where(cloud, ACTIONS.index(Action.CLOUD), ACTIONS.index(Action.EDGE))
 
 
 def run_simulation(
@@ -278,25 +234,25 @@ def run_simulation(
         [s.index for s in all_states() if s.device_class is config.device.device_class]
     ).reshape(len(COMPLEXITIES), len(NETWORK_STATES), len(BATTERY_LEVELS))
     actions = _action_table(config.policy, policy)
-    costs = _cost_table(config)
+    costs = cost_table(config.device, config.network)
+    costs[~ACTION_MASK, 0] = config.offline_timeout_ms
+    to_low = drain_odds(costs, config.p_drain)
 
-    def play(battery: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def play(battery: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         state = state_of[complexity, network, battery]
         action = actions[state]
-        return action, costs[state, action]
+        return state, action, costs[state, action]
 
     battery = np.full(n, BATTERY_LEVELS.index(config.device.battery), dtype=np.intp)
-    action, cost = play(battery)
-    max_energy = max_energy_units(config.device, config.network)
-    if config.device.battery is Battery.OK and max_energy > 0:
+    state, action, cost = play(battery)
+    if config.device.battery is Battery.OK:
         # The battery drains after the first task whose draw falls under its
-        # energy-scaled odds; from the next task on it stays low.
-        drained = np.flatnonzero(u_battery < config.p_drain * (cost[:, 1] / max_energy))
+        # odds; from the next task on it stays low.
+        drained = np.flatnonzero(u_battery < to_low[state, action])
         if drained.size:
             battery[drained[0] + 1:] = BATTERY_LEVELS.index(Battery.LOW)
-            action, cost = play(battery)
+            state, action, cost = play(battery)
 
-    offline = network == NETWORK_STATES.index(NetworkState.OFFLINE)
     trace = SimTrace(
         arrival_s=workload.arrival_s,
         kind=workload.kind,
@@ -307,7 +263,7 @@ def run_simulation(
         latency_ms=cost[:, 0],
         energy_units=cost[:, 1],
         accuracy_loss=cost[:, 2],
-        failed=offline & (action == ACTIONS.index(Action.CLOUD)),
+        failed=~ACTION_MASK[state, action],
     )
     return metrics_from_events(trace, config.sub_second_ms), trace
 

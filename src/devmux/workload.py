@@ -4,7 +4,7 @@ Tasks arrive with exponential inter-arrival gaps; each draws a kind from
 the configured mix and then files/dependencies/tokens from per-kind ranges.
 All randomness flows from one PCG64 stream in a fixed draw order, so a
 (seed, spec) pair always regenerates the identical workload. A workload is
-held as per-task columns; task objects are built only on request.
+held as per-task columns.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .routing import TASK_KINDS, TaskDescriptor, TaskKind
+from .routing import TASK_KINDS, TaskKind
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,6 @@ class WorkloadSpec:
             raise ValueError("inter_arrival_mean_s must be > 0")
 
 
-@dataclass(frozen=True)
-class WorkloadTask:
-    arrival_s: float
-    descriptor: TaskDescriptor
-
-
 @dataclass(eq=False)
 class Workload:
     """Tasks in arrival order as equal-length columns; `kind` holds indices
@@ -88,15 +82,6 @@ class Workload:
 
     def __len__(self) -> int:
         return len(self.arrival_s)
-
-    @property
-    def tasks(self) -> tuple[WorkloadTask, ...]:
-        """One object per task, built on every access."""
-        columns = (self.arrival_s, self.kind, self.files, self.deps, self.tokens)
-        return tuple(
-            WorkloadTask(arrival, TaskDescriptor(TASK_KINDS[k], files, deps, tokens))
-            for arrival, k, files, deps, tokens in zip(*(c.tolist() for c in columns))
-        )
 
 
 def generate_workload(n_tasks: int, seed: int, spec: WorkloadSpec | None = None) -> Workload:

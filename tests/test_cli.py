@@ -257,6 +257,47 @@ class TestSimulateAndCompare:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["route", "simulate", "compare"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("router:\n  p_drain: 3\n", "router: p_drain must be in [0, 1]"),
+            ("router:\n  p_drain: -0.5\n", "router: p_drain must be in [0, 1]"),
+            ("router:\n  complexity_mix:\n    low: 0.9\n", "router: complexity_mix must sum to 1"),
+        ],
+        ids=["p_drain_high", "p_drain_negative", "mix_sum"],
+    )
+    def test_bad_router_odds_exit_two(self, command, text, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.yaml").write_text(text)
+        argv = [command, "--config", "c.yaml"]
+        if command == "route":
+            argv += ["--complexity", "low", "--device", "cpu", "--network", "good", "--battery", "ok"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "section, key, entry, message",
+        [
+            ("router", "edge_energy_units", "huge: 1", "router.edge_energy_units: unknown complexity 'huge'"),
+            ("router", "edge_energy_units", "low: abc",
+             "router.edge_energy_units.low must be a number, got 'abc'"),
+            ("workload", "mix", "chat: 1", "workload.mix: unknown task kind 'chat'"),
+            ("workload", "mix", "refactor: abc", "workload.mix.refactor must be a number, got 'abc'"),
+            ("fusion", "priors", "web: 1", "fusion.priors: unknown source 'web'"),
+            ("fusion", "priors", "code_context: abc",
+             "fusion.priors.code_context must be a number, got 'abc'"),
+        ],
+        ids=["router_key", "router_value", "workload_key", "workload_value", "fusion_key", "fusion_value"],
+    )
+    def test_bad_number_map_exit_two(self, section, key, entry, message, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text(f"{section}:\n  {key}:\n    {entry}\n")
+        assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_missing_config_exit_three(self, tmp_path, capsys):
         code = cli_main(["simulate", "--config", str(tmp_path / "nope.yaml")])
         capsys.readouterr()

@@ -166,6 +166,19 @@ class TestAssembly:
         with pytest.raises(ConfigError, match=">= 0"):
             config_from_dict({"simulate": {key: -3}})
 
+    @pytest.mark.parametrize(
+        "router, message",
+        [
+            ({"p_drain": 3}, r"router: p_drain must be in \[0, 1\]"),
+            ({"p_drain": -0.5}, r"router: p_drain must be in \[0, 1\]"),
+            ({"complexity_mix": {"low": 0.9}}, "router: complexity_mix must sum to 1"),
+        ],
+        ids=["p_drain_high", "p_drain_negative", "mix_sum"],
+    )
+    def test_bad_router_odds_rejected(self, router, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"router": router})
+
     def test_bad_transition_matrix_rejected(self):
         matrix = {
             "good": {"good": 0.5, "degraded": 0.1, "offline": 0.0},

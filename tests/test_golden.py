@@ -1,23 +1,33 @@
-"""Stored SHA-256 goldens of the simulate and compare output bytes.
+"""Stored SHA-256 goldens of the route, simulate and compare output bytes.
 
 Event logs, simulate reports and compare reports for seeds 42-51 under four
 configs (default, GPU device, an often-offline network, a low battery) and
 all four policies must hash to the stored values: "same inputs, same bytes"
-has to hold across refactors, not only between two runs of one build.
+has to hold across refactors, not only between two runs of one build. The
+route golden pins the solved policy itself: for the default config,
+`test_config.py`'s `SAMPLE` and the often-offline network, the
+`route --policy` file (actions and values of all 36 states), the `route`
+stdout over every state and the `router_fingerprint()`.
 
-After a deliberate, documented byte change, rewrite the goldens with
+After a deliberate, documented byte change, rewrite both goldens with
 `PYTHONPATH=src python tests/test_golden.py`.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from devmux.cli import cli_main
+from devmux.configfile import load_config
+from devmux.routing import all_states
+from test_config import SAMPLE
 
 GOLDEN = Path(__file__).with_name("golden") / "sim_sha256.json"
+ROUTE_GOLDEN = GOLDEN.with_name("route_sha256.json")
 N_TASKS = 1_000
 SEEDS = range(42, 52)
 POLICIES = ("all_cloud", "all_edge", "threshold", "mdp")
@@ -69,6 +79,35 @@ def collect_hashes(directory: Path, n_tasks: int = N_TASKS) -> dict:
     return out
 
 
+# name -> config file text for the route golden
+ROUTE_CONFIGS = {"default": "", "sample": SAMPLE, "flaky": FLAKY_NETWORK}
+
+
+def collect_route_hashes(directory: Path) -> dict:
+    """Solve each route config, hash its policy file and the route lines of
+    every state, and record its router fingerprint."""
+    out = {}
+    config, policy = directory / "route.yaml", directory / "policy.json"
+    for name, text in ROUTE_CONFIGS.items():
+        config.write_text(text, encoding="utf-8")
+        policy.unlink(missing_ok=True)
+        stdout = hashlib.sha256()
+        for state in all_states():
+            argv = ["route", "--config", str(config), "--policy", str(policy),
+                    "--complexity", state.complexity.value, "--device", state.device_class.value,
+                    "--network", state.network.value, "--battery", state.battery.value]
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                assert cli_main(argv) == 0, f"{name}/{state}"
+            stdout.update(buffer.getvalue().encode("utf-8"))
+        out[name] = {
+            "fingerprint": load_config(str(config)).router_fingerprint(),
+            "policy": _sha256(policy),
+            "stdout": stdout.hexdigest(),
+        }
+    return out
+
+
 @pytest.fixture(scope="module")
 def hashes(tmp_path_factory):
     return collect_hashes(tmp_path_factory.mktemp("golden"))
@@ -87,10 +126,16 @@ def test_outputs_match_golden(hashes, golden, section):
     assert not mismatched, f"{len(mismatched)} {section} differ, first: {mismatched[:5]}"
 
 
+def test_route_matches_golden(tmp_path):
+    golden = json.loads(ROUTE_GOLDEN.read_text(encoding="utf-8"))
+    assert collect_route_hashes(tmp_path) == golden
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(json.dumps(collect_hashes(Path(tmp)), indent=1, sort_keys=True) + "\n",
-                          encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+        for path, collect in ((GOLDEN, collect_hashes), (ROUTE_GOLDEN, collect_route_hashes)):
+            path.write_text(json.dumps(collect(Path(tmp)), indent=1, sort_keys=True) + "\n",
+                            encoding="utf-8")
+            print(f"wrote {path}")

@@ -14,14 +14,14 @@ from devmux.routing import (
     IllegalActionError,
     MdpModel,
     NetworkState,
+    TASK_KINDS,
     RoutingState,
-    TaskDescriptor,
     TaskKind,
     all_states,
     build_mdp,
     cost_breakdown,
+    complexity_indices,
     default_network_model,
-    featurize_task,
     policy_from_dict,
     policy_to_dict,
     value_iteration,
@@ -74,34 +74,37 @@ def random_mdp(rng, random_mask=False):
     )
 
 
+def complexity_of(kind, files_touched, cross_file_deps, token_length):
+    """One task's complexity by the rule table of `complexity_indices`."""
+    ci = complexity_indices(TASK_KINDS.index(kind), files_touched, cross_file_deps, token_length)
+    return COMPLEXITIES[int(ci)]
+
+
 class TestFeaturize:
     def test_syntax_fix_is_low(self):
-        task = TaskDescriptor(TaskKind.SYNTAX_FIX, files_touched=1, cross_file_deps=0, token_length=80)
-        assert featurize_task(task) is Complexity.LOW
+        complexity = complexity_of(TaskKind.SYNTAX_FIX, files_touched=1, cross_file_deps=0, token_length=80)
+        assert complexity is Complexity.LOW
 
     def test_crash_analysis_is_always_high(self):
-        task = TaskDescriptor(TaskKind.CRASH_ANALYSIS, files_touched=1, cross_file_deps=0, token_length=500)
-        assert featurize_task(task) is Complexity.HIGH
+        complexity = complexity_of(TaskKind.CRASH_ANALYSIS, files_touched=1, cross_file_deps=0,
+                                   token_length=500)
+        assert complexity is Complexity.HIGH
 
     def test_completion_with_deps_is_medium(self):
-        task = TaskDescriptor(TaskKind.COMPLETION, files_touched=2, cross_file_deps=3, token_length=2500)
-        assert featurize_task(task) is Complexity.MEDIUM
+        complexity = complexity_of(TaskKind.COMPLETION, files_touched=2, cross_file_deps=3, token_length=2500)
+        assert complexity is Complexity.MEDIUM
 
     @pytest.mark.parametrize(
         "deps,files,expected",
         [(5, 1, Complexity.HIGH), (0, 10, Complexity.HIGH), (1, 1, Complexity.MEDIUM), (0, 1, Complexity.LOW)],
     )
     def test_rule_table_thresholds(self, deps, files, expected):
-        task = TaskDescriptor(TaskKind.REFACTOR, files_touched=files, cross_file_deps=deps, token_length=100)
-        assert featurize_task(task) is expected
+        complexity = complexity_of(TaskKind.REFACTOR, files_touched=files, cross_file_deps=deps, token_length=100)
+        assert complexity is expected
 
     def test_long_prompt_is_medium(self):
-        task = TaskDescriptor(TaskKind.COMPLETION, files_touched=1, cross_file_deps=0, token_length=2000)
-        assert featurize_task(task) is Complexity.MEDIUM
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            TaskDescriptor(TaskKind.COMPLETION, files_touched=-1, cross_file_deps=0, token_length=0)
+        complexity = complexity_of(TaskKind.COMPLETION, files_touched=1, cross_file_deps=0, token_length=2000)
+        assert complexity is Complexity.MEDIUM
 
 
 class TestBuildMdp:

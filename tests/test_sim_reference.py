@@ -1,8 +1,9 @@
 """The columnar simulator against the per-task loop it replaced.
 
-`reference_run` steps one task at a time: it featurizes the task, steps
-the network chain with a scalar `searchsorted`, checks the battery after
-every task and aggregates a list of events. Hypothesis drives both over
+`reference_run` steps one task at a time through the workload columns: it
+rates the task with `complexity_indices`, steps the network chain with a
+scalar `searchsorted`, checks the battery after every task and aggregates a
+list of event-log dicts. Hypothesis drives both over
 random chains (zero entries included), drain odds, batteries, device
 classes and all-zero energy tables; events and reports must be equal.
 """
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from devmux.routing import (
     COMPLEXITIES,
     NETWORK_STATES,
+    TASK_KINDS,
     Action,
     Battery,
     Complexity,
@@ -25,15 +27,14 @@ from devmux.routing import (
     NetworkModel,
     NetworkState,
     RoutingState,
+    complexity_indices,
     cost_breakdown,
     default_network_model,
-    featurize_task,
 )
 from devmux.simulate import (
     MetricsReport,
     PolicyKind,
     SimConfig,
-    SimEvent,
     run_simulation,
     solve_policy,
     workload_from_config,
@@ -44,16 +45,16 @@ def reference_metrics(events, sub_second_ms):
     n = len(events)
     if n == 0:
         return MetricsReport(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
-    latencies = sorted(e.latency_ms for e in events)
+    latencies = sorted(e["latency_ms"] for e in events)
     return MetricsReport(
         n_tasks=n,
         median_latency_ms=float(np.median(latencies)),
         p95_latency_ms=latencies[max(math.ceil(0.95 * n) - 1, 0)],
-        sub_second_fraction=sum(1 for e in events if e.latency_ms < sub_second_ms) / n,
-        cloud_call_fraction=sum(1 for e in events if e.action is Action.CLOUD) / n,
-        total_energy_units=math.fsum(e.energy_units for e in events),
-        mean_accuracy_loss=math.fsum(e.accuracy_loss for e in events) / n,
-        failed_count=sum(1 for e in events if e.failed),
+        sub_second_fraction=sum(1 for e in events if e["latency_ms"] < sub_second_ms) / n,
+        cloud_call_fraction=sum(1 for e in events if e["action"] == Action.CLOUD.value) / n,
+        total_energy_units=math.fsum(e["energy_units"] for e in events),
+        mean_accuracy_loss=math.fsum(e["accuracy_loss"] for e in events) / n,
+        failed_count=sum(1 for e in events if e["failed"]),
     )
 
 
@@ -72,8 +73,9 @@ def reference_run(workload, config, policy):
     )
 
     events = []
-    for i, task in enumerate(workload.tasks):
-        complexity = featurize_task(task.descriptor)
+    columns = (workload.arrival_s, workload.kind, workload.files, workload.deps, workload.tokens)
+    for i, (arrival_s, kind, files, deps, tokens) in enumerate(zip(*(c.tolist() for c in columns))):
+        complexity = COMPLEXITIES[int(complexity_indices(kind, files, deps, tokens))]
         state = RoutingState(complexity, config.device.device_class, network_state, battery)
         if config.policy is PolicyKind.ALL_EDGE:
             action = Action.EDGE
@@ -96,10 +98,12 @@ def reference_run(workload, config, policy):
         else:
             parts = cost_breakdown(config.device, config.network, state, action)
             latency, energy, accuracy_loss = parts.latency_ms, parts.energy_units, parts.accuracy_loss
-        events.append(
-            SimEvent(i, task.arrival_s, task.descriptor.kind, complexity, network_state, battery,
-                     action, latency, energy, accuracy_loss, failed)
-        )
+        events.append({
+            "task_id": i, "arrival_s": arrival_s, "kind": TASK_KINDS[kind].value,
+            "complexity": complexity.value, "network": network_state.value, "battery": battery.value,
+            "action": action.value, "latency_ms": latency, "energy_units": energy,
+            "accuracy_loss": accuracy_loss, "failed": failed,
+        })
 
         if battery is Battery.OK and max_energy > 0:
             if u_battery[i] < config.p_drain * (energy / max_energy):
@@ -153,5 +157,5 @@ def test_columnar_run_matches_reference(n, seed, rows, p_drain, battery, device_
     for kind, config in configs.items():
         expected_report, expected_events = reference_run(workload, config, policy)
         report, trace = run_simulation(workload, config, policy)
-        assert trace.events() == expected_events, kind
+        assert list(trace.records()) == expected_events, kind
         assert report == expected_report, kind

@@ -35,23 +35,23 @@ def never_offline_config(**kwargs):
 
 def run_events(config):
     report, trace = run_simulation(workload_from_config(config), config)
-    return report, trace.events()
+    return report, list(trace.records())
 
 
 def oracle_metrics(events, sub_second_ms=1000.0):
     """Independent aggregation pass over the raw event log."""
     n = len(events)
-    latencies = sorted(e.latency_ms for e in events)
+    latencies = sorted(e["latency_ms"] for e in events)
     p95 = latencies[max(math.ceil(0.95 * n) - 1, 0)]
     return {
         "n_tasks": n,
         "median_latency_ms": statistics.median(latencies),
         "p95_latency_ms": p95,
-        "sub_second_fraction": len([e for e in events if e.latency_ms < sub_second_ms]) / n,
-        "cloud_call_fraction": len([e for e in events if e.action is Action.CLOUD]) / n,
-        "total_energy_units": math.fsum(e.energy_units for e in events),
-        "mean_accuracy_loss": math.fsum(e.accuracy_loss for e in events) / n,
-        "failed_count": len([e for e in events if e.failed]),
+        "sub_second_fraction": len([e for e in events if e["latency_ms"] < sub_second_ms]) / n,
+        "cloud_call_fraction": len([e for e in events if e["action"] == Action.CLOUD.value]) / n,
+        "total_energy_units": math.fsum(e["energy_units"] for e in events),
+        "mean_accuracy_loss": math.fsum(e["accuracy_loss"] for e in events) / n,
+        "failed_count": len([e for e in events if e["failed"]]),
     }
 
 
@@ -59,7 +59,7 @@ def test_all_edge_makes_no_cloud_calls():
     config = SimConfig(n_tasks=400, seed=5, policy=PolicyKind.ALL_EDGE)
     report, events = run_events(config)
     assert report.cloud_call_fraction == 0.0
-    assert all(e.action is Action.EDGE for e in events)
+    assert all(e["action"] == Action.EDGE.value for e in events)
 
 
 def test_all_cloud_without_offline_is_all_cloud():
@@ -67,15 +67,15 @@ def test_all_cloud_without_offline_is_all_cloud():
     report, events = run_events(config)
     assert report.cloud_call_fraction == 1.0
     assert report.failed_count == 0
-    assert all(e.network is not NetworkState.OFFLINE for e in events)
+    assert all(e["network"] != NetworkState.OFFLINE.value for e in events)
 
 
 def test_all_cloud_offline_tasks_fail_with_timeout():
     config = SimConfig(n_tasks=2_000, seed=9, policy=PolicyKind.ALL_CLOUD)
     report, events = run_events(config)
-    offline_events = [e for e in events if e.network is NetworkState.OFFLINE]
+    offline_events = [e for e in events if e["network"] == NetworkState.OFFLINE.value]
     assert offline_events, "expected some offline arrivals under the default chain"
-    assert all(e.failed and e.latency_ms == config.offline_timeout_ms for e in offline_events)
+    assert all(e["failed"] and e["latency_ms"] == config.offline_timeout_ms for e in offline_events)
     assert report.failed_count == len(offline_events)
 
 
@@ -83,9 +83,9 @@ def test_mdp_never_uses_cloud_while_offline():
     config = SimConfig(n_tasks=3_000, seed=13, policy=PolicyKind.MDP)
     _, events = run_events(config)
     for event in events:
-        if event.network is NetworkState.OFFLINE:
-            assert event.action is Action.EDGE
-    assert not any(e.failed for e in events)
+        if event["network"] == NetworkState.OFFLINE.value:
+            assert event["action"] == Action.EDGE.value
+    assert not any(e["failed"] for e in events)
 
 
 def test_metrics_match_independent_aggregation():

@@ -1,62 +1,65 @@
 import numpy as np
 import pytest
 
-from devmux.routing import TaskKind, featurize_task
+from devmux.routing import COMPLEXITIES, TASK_KINDS, Complexity, TaskKind, complexity_indices
 from devmux.workload import KindRanges, WorkloadSpec, generate_workload
+
+
+def columns(workload):
+    return (workload.arrival_s, workload.kind, workload.files, workload.deps, workload.tokens)
+
+
+def same_tasks(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(columns(a), columns(b)))
 
 
 def test_zero_tasks():
     workload = generate_workload(0, seed=1)
-    assert workload.tasks == ()
+    assert len(workload) == 0
+    assert all(column.shape == (0,) for column in columns(workload))
     assert workload.seed == 1
 
 
 def test_same_seed_identical():
     a = generate_workload(200, seed=42)
     b = generate_workload(200, seed=42)
-    assert a.tasks == b.tasks
+    assert same_tasks(a, b)
 
 
 def test_different_seed_differs():
     a = generate_workload(200, seed=42)
     b = generate_workload(200, seed=43)
-    assert a.tasks != b.tasks
+    assert not same_tasks(a, b)
 
 
 def test_arrivals_non_decreasing():
     workload = generate_workload(500, seed=7)
-    arrivals = [t.arrival_s for t in workload.tasks]
-    assert all(a <= b for a, b in zip(arrivals, arrivals[1:]))
+    assert (np.diff(workload.arrival_s) >= 0).all()
 
 
 def test_empirical_mix_within_two_points():
     n = 10_000
     workload = generate_workload(n, seed=42)
-    counts = {kind: 0 for kind in TaskKind}
-    for task in workload.tasks:
-        counts[task.descriptor.kind] += 1
+    counts = np.bincount(workload.kind, minlength=len(TASK_KINDS))
     for kind, p in workload.mix.items():
-        assert abs(counts[kind] / n - p) <= 0.02
+        assert abs(counts[TASK_KINDS.index(kind)] / n - p) <= 0.02
 
 
 def test_fields_respect_ranges():
     spec = WorkloadSpec()
     workload = generate_workload(2_000, seed=3, spec=spec)
-    for task in workload.tasks:
-        r = spec.ranges[task.descriptor.kind]
-        assert r.files[0] <= task.descriptor.files_touched <= r.files[1]
-        assert r.deps[0] <= task.descriptor.cross_file_deps <= r.deps[1]
-        assert r.tokens[0] <= task.descriptor.token_length <= r.tokens[1]
+    for name, column in (("files", workload.files), ("deps", workload.deps), ("tokens", workload.tokens)):
+        lo, hi = np.array([getattr(spec.ranges[k], name) for k in TASK_KINDS]).T
+        assert (lo[workload.kind] <= column).all(), name
+        assert (column <= hi[workload.kind]).all(), name
 
 
 def test_default_ranges_keep_non_crash_kinds_below_high():
     workload = generate_workload(5_000, seed=11)
-    for task in workload.tasks:
-        complexity = featurize_task(task.descriptor)
-        if task.descriptor.kind is TaskKind.CRASH_ANALYSIS:
-            assert complexity.value == "high"
-        else:
-            assert complexity.value != "high"
+    complexity = complexity_indices(workload.kind, workload.files, workload.deps, workload.tokens)
+    high = complexity == COMPLEXITIES.index(Complexity.HIGH)
+    crash = workload.kind == TASK_KINDS.index(TaskKind.CRASH_ANALYSIS)
+    assert (high == crash).all()
 
 
 def test_invalid_mix_rejected():
