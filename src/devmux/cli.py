@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .codegraph import ParseError, fallback_token_graph, parse_to_graph
 from .configfile import AppConfig, ConfigError, load_config
-from .embedding import graph_to_vector
+from .embedding import VECTOR_DIM, graph_to_vector
 from .fusion import ContextItem, ContextSource, assemble_context, score_items
 from .layoutlint import LayoutParseError, check_layout_source
 from .routing import (
@@ -133,6 +133,8 @@ def cmd_query(args) -> int:
         return _fail(f"index file not found: {args.index}", EXIT_IO)
     except IndexFileError as err:
         return _fail(f"cannot load index: {err}", EXIT_IO)
+    if index.dim != VECTOR_DIM:
+        return _fail(f"cannot load index: it holds {index.dim}-dimensional vectors, not {VECTOR_DIM}", EXIT_IO)
     if index.band_config_hash != config.bands.fingerprint():
         print("warning: index was built with a different embedding config", file=sys.stderr)
 

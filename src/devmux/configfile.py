@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -202,6 +203,12 @@ class _Section:
     def take(self, key, default):
         return self.data.pop(key, default)
 
+    def number(self, key, default) -> float:
+        return _to_number(self.data.pop(key, default), f"{self.name}.{key}")
+
+    def integer(self, key, default) -> int:
+        return _to_number(self.data.pop(key, default), f"{self.name}.{key}", integer=True)
+
     def take_map(self, key) -> dict | None:
         value = self.data.pop(key, None)
         if value is not None and not isinstance(value, dict):
@@ -214,6 +221,21 @@ class _Section:
             raise ConfigError(f"unknown keys in section {self.name!r}: {unknown}")
 
 
+def _to_number(value, name: str, integer: bool = False):
+    """`value` as a finite float, or as an int when `integer`; a missing
+    value, a boolean, text or a fraction where an integer is due is a config
+    error that names `name`."""
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number) or (integer and not number.is_integer()):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if not integer:
+        return number
+    return value if isinstance(value, int) else int(number)
+
+
 def _number_map(section: _Section, key: str, defaults: dict, enum=Complexity, what="complexity") -> dict:
     """`defaults` with the numbers of the map `section.key` laid over them;
     its keys must be values of `enum`."""
@@ -224,10 +246,7 @@ def _number_map(section: _Section, key: str, defaults: dict, enum=Complexity, wh
             member = enum(entry)
         except ValueError:
             raise ConfigError(f"{name}: unknown {what} {entry!r}") from None
-        try:
-            result[member] = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name}.{entry} must be a number, got {value!r}") from None
+        result[member] = _to_number(value, f"{name}.{entry}")
     return result
 
 
@@ -277,26 +296,26 @@ def config_from_dict(data: dict) -> AppConfig:
 
     router = _Section(top.take_map("router"), "router")
     cost = CostModel(
-        w_latency=float(router.take("w_latency", base.cost.w_latency)),
-        w_energy=float(router.take("w_energy", base.cost.w_energy)),
-        w_accuracy=float(router.take("w_accuracy", base.cost.w_accuracy)),
-        discount_gamma=float(router.take("discount_gamma", base.cost.discount_gamma)),
+        w_latency=router.number("w_latency", base.cost.w_latency),
+        w_energy=router.number("w_energy", base.cost.w_energy),
+        w_accuracy=router.number("w_accuracy", base.cost.w_accuracy),
+        discount_gamma=router.number("discount_gamma", base.cost.discount_gamma),
     )
-    tolerance = float(router.take("tolerance", base.tolerance))
+    tolerance = router.number("tolerance", base.tolerance)
     if tolerance <= 0:
         raise ConfigError("router.tolerance must be > 0")
     edge_latency = _number_map(router, "edge_base_latency_ms", base.device.edge_base_latency_ms)
     edge_energy = _number_map(router, "edge_energy_units", base.device.edge_energy_units)
     edge_accuracy = _number_map(router, "edge_accuracy_loss", base.device.edge_accuracy_loss)
-    cpu_multiplier = float(router.take("cpu_latency_multiplier", base.device.cpu_latency_multiplier))
-    good_rtt = float(router.take("good_rtt_ms", DEFAULT_GOOD_RTT_MS))
-    degraded_factor = float(router.take("degraded_rtt_factor", DEFAULT_DEGRADED_RTT_FACTOR))
-    energy_ratio = float(router.take("cloud_energy_ratio", DEFAULT_CLOUD_ENERGY_RATIO))
+    cpu_multiplier = router.number("cpu_latency_multiplier", base.device.cpu_latency_multiplier)
+    good_rtt = router.number("good_rtt_ms", DEFAULT_GOOD_RTT_MS)
+    degraded_factor = router.number("degraded_rtt_factor", DEFAULT_DEGRADED_RTT_FACTOR)
+    energy_ratio = router.number("cloud_energy_ratio", DEFAULT_CLOUD_ENERGY_RATIO)
     cloud_compute = _number_map(router, "cloud_compute_ms", base.network.cloud_compute_ms)
     cloud_energy = _number_map(
         router, "cloud_energy_units", {c: energy_ratio * edge_energy[c] for c in Complexity}
     )
-    p_drain = float(router.take("p_drain", base.p_drain))
+    p_drain = router.number("p_drain", base.p_drain)
     complexity_mix = _number_map(router, "complexity_mix", base.complexity_mix)
     router.finish()
     _checked(lambda: check_odds(complexity_mix, p_drain), "router")
@@ -325,7 +344,7 @@ def config_from_dict(data: dict) -> AppConfig:
             for j, dst in enumerate(NETWORK_STATES):
                 if dst.value not in row:
                     raise ConfigError(f"network.transition_matrix.{src.value} is missing {dst.value!r}")
-                matrix[i, j] = float(row[dst.value])
+                matrix[i, j] = _to_number(row[dst.value], f"network.transition_matrix.{src.value}.{dst.value}")
     network_section.finish()
     network = _checked(
         lambda: NetworkModel(
@@ -351,12 +370,12 @@ def config_from_dict(data: dict) -> AppConfig:
             sub = _Section(value, f"workload.ranges.{key}")
             prev = ranges[kind]
             ranges[kind] = KindRanges(
-                files=(int(sub.take("files_min", prev.files[0])), int(sub.take("files_max", prev.files[1]))),
-                deps=(int(sub.take("deps_min", prev.deps[0])), int(sub.take("deps_max", prev.deps[1]))),
-                tokens=(int(sub.take("tokens_min", prev.tokens[0])), int(sub.take("tokens_max", prev.tokens[1]))),
+                files=(sub.integer("files_min", prev.files[0]), sub.integer("files_max", prev.files[1])),
+                deps=(sub.integer("deps_min", prev.deps[0]), sub.integer("deps_max", prev.deps[1])),
+                tokens=(sub.integer("tokens_min", prev.tokens[0]), sub.integer("tokens_max", prev.tokens[1])),
             )
             sub.finish()
-    inter_arrival = float(workload_section.take("inter_arrival_mean_s", default_spec.inter_arrival_mean_s))
+    inter_arrival = workload_section.number("inter_arrival_mean_s", default_spec.inter_arrival_mean_s)
     workload_section.finish()
     workload_spec = _checked(
         lambda: WorkloadSpec(mix=mix, ranges=ranges, inter_arrival_mean_s=inter_arrival), "workload"
@@ -366,12 +385,12 @@ def config_from_dict(data: dict) -> AppConfig:
     default_bands = defaults.bands
     bands = _checked(
         lambda: BandConfig(
-            structural_dims=int(embed_section.take("structural_dims", default_bands.structural_dims)),
-            identifier_dims=int(embed_section.take("identifier_dims", default_bands.identifier_dims)),
-            literal_dims=int(embed_section.take("literal_dims", default_bands.literal_dims)),
-            identifier_weight=float(embed_section.take("identifier_weight", default_bands.identifier_weight)),
-            wl_iterations=int(embed_section.take("wl_iterations", default_bands.wl_iterations)),
-            hash_seed=int(embed_section.take("hash_seed", default_bands.hash_seed)),
+            structural_dims=embed_section.integer("structural_dims", default_bands.structural_dims),
+            identifier_dims=embed_section.integer("identifier_dims", default_bands.identifier_dims),
+            literal_dims=embed_section.integer("literal_dims", default_bands.literal_dims),
+            identifier_weight=embed_section.number("identifier_weight", default_bands.identifier_weight),
+            wl_iterations=embed_section.integer("wl_iterations", default_bands.wl_iterations),
+            hash_seed=embed_section.integer("hash_seed", default_bands.hash_seed),
         ),
         "embed",
     )
@@ -383,18 +402,16 @@ def config_from_dict(data: dict) -> AppConfig:
     fusion_weights = _checked(
         lambda: FusionWeights(
             prior=priors,
-            temperature=float(fusion_section.take("temperature", default_fusion.temperature)),
-            recency_half_life_s=float(
-                fusion_section.take("recency_half_life_s", default_fusion.recency_half_life_s)
-            ),
-            breakpoint_boost=float(fusion_section.take("breakpoint_boost", default_fusion.breakpoint_boost)),
+            temperature=fusion_section.number("temperature", default_fusion.temperature),
+            recency_half_life_s=fusion_section.number("recency_half_life_s", default_fusion.recency_half_life_s),
+            breakpoint_boost=fusion_section.number("breakpoint_boost", default_fusion.breakpoint_boost),
         ),
         "fusion",
     )
     fusion_section.finish()
 
     index_section = _Section(top.take_map("index"), "index")
-    max_files = int(index_section.take("max_files", defaults.max_files))
+    max_files = index_section.integer("max_files", defaults.max_files)
     if max_files < 0:
         raise ConfigError("index.max_files must be >= 0")
     index_section.finish()
@@ -402,8 +419,8 @@ def config_from_dict(data: dict) -> AppConfig:
     sim_section = _Section(top.take_map("simulate"), "simulate")
     sim = _checked(
         lambda: SimConfig(
-            n_tasks=int(sim_section.take("n_tasks", base.n_tasks)),
-            seed=int(sim_section.take("seed", base.seed)),
+            n_tasks=sim_section.integer("n_tasks", base.n_tasks),
+            seed=sim_section.integer("seed", base.seed),
             policy=PolicyKind(sim_section.take("policy", base.policy.value)),
             device=replace(
                 device,
@@ -417,8 +434,8 @@ def config_from_dict(data: dict) -> AppConfig:
             p_drain=p_drain,
             tolerance=tolerance,
             complexity_mix=complexity_mix,
-            offline_timeout_ms=float(sim_section.take("offline_timeout_ms", base.offline_timeout_ms)),
-            sub_second_ms=float(sim_section.take("sub_second_ms", base.sub_second_ms)),
+            offline_timeout_ms=sim_section.number("offline_timeout_ms", base.offline_timeout_ms),
+            sub_second_ms=sim_section.number("sub_second_ms", base.sub_second_ms),
         ),
         "simulate",
     )

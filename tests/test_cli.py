@@ -5,9 +5,13 @@ import sys
 
 import pytest
 
+import numpy as np
+
 import devmux.simulate
 from devmux.cli import cli_main
 from devmux.routing import value_iteration
+from devmux.vindex import RecordMetadata, VectorIndex
+from test_vindex import CORRUPTIONS, write_corrupt_index, write_v1
 
 GOOD_LAYOUT = """
 <Layout>
@@ -198,6 +202,21 @@ class TestIndexAndQuery:
         capsys.readouterr()
         assert code == 3
 
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS) + ["v1_dim_4", "v2_dim_4"])
+    def test_query_on_bad_index_exit_three(self, name, tmp_path, capsys):
+        path = tmp_path / "index.bin"
+        if name.endswith("_dim_4"):
+            index = VectorIndex("h", dim=4)
+            index.insert("a.java", np.ones(4), RecordMetadata(path="a.java"))
+            (write_v1 if name.startswith("v1") else VectorIndex.save)(index, path)
+        else:
+            write_corrupt_index(path, name)
+        code = cli_main(["query", "class A { }", "--index", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("cannot load index: ")
+
 
 class TestSimulateAndCompare:
     def test_simulate_byte_identical_reports(self, tmp_path, capsys):
@@ -297,6 +316,30 @@ class TestSimulateAndCompare:
         config.write_text(f"{section}:\n  {key}:\n    {entry}\n")
         assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("router:\n  w_latency:\n", "router.w_latency must be a number, got None"),
+            ("router:\n  w_latency: abc\n", "router.w_latency must be a number, got 'abc'"),
+            ("router:\n  p_drain: true\n", "router.p_drain must be a number, got True"),
+            ("router:\n  tolerance: nan\n", "router.tolerance must be a number, got 'nan'"),
+            ("simulate:\n  n_tasks: 2.5\n", "simulate.n_tasks must be an integer, got 2.5"),
+            ("embed:\n  hash_seed: abc\n", "embed.hash_seed must be an integer, got 'abc'"),
+            ("network:\n  transition_matrix:\n    good:\n      good: x\n",
+             "network.transition_matrix.good.good must be a number, got 'x'"),
+        ],
+        ids=["empty", "text", "boolean", "nan", "fraction", "int_text", "matrix_entry"],
+    )
+    def test_bad_scalar_exit_two(self, text, message, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        argv = ["route", "--config", str(config), "--complexity", "low", "--device", "cpu",
+                "--network", "good", "--battery", "ok"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
 
     def test_missing_config_exit_three(self, tmp_path, capsys):
         code = cli_main(["simulate", "--config", str(tmp_path / "nope.yaml")])

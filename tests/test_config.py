@@ -179,6 +179,11 @@ class TestAssembly:
         with pytest.raises(ConfigError, match=message):
             config_from_dict({"router": router})
 
+    def test_integral_numbers_accepted(self):
+        config = config_from_dict({"simulate": {"n_tasks": 1000.0, "seed": "7"}, "router": {"w_latency": 1}})
+        assert (config.sim.n_tasks, config.sim.seed) == (1000, 7)
+        assert config.sim.cost.w_latency == 1.0 and type(config.sim.cost.w_latency) is float
+
     def test_bad_transition_matrix_rejected(self):
         matrix = {
             "good": {"good": 0.5, "degraded": 0.1, "offline": 0.0},

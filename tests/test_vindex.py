@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,22 @@ def build_index(rng, count):
     for i, v in enumerate(unit_vectors(rng, count)):
         index.insert(f"rec-{i:04d}", v, RecordMetadata(path=f"src/f{i}.java", span="1-10"))
     return index
+
+
+def write_v1(index, path):
+    """Write `index` in the version-1 layout: a header line, then per record
+    a JSON metadata line carrying the band hash and the float32 vector."""
+    header = {"band_config_hash": index.band_config_hash, "count": len(index),
+              "dim": index.dim, "format_version": 1}
+    hits = {h.id: h.metadata for h in index.search(np.zeros(index.dim), len(index)).hits}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        for record_id in index.ids():
+            meta = hits[record_id]
+            record = {"band_config_hash": index.band_config_hash, "id": record_id, "path": meta.path,
+                      "source_kind": meta.source_kind, "span": meta.span}
+            fh.write(json.dumps(record, sort_keys=True).encode() + b"\n")
+            fh.write(index.vector(record_id).tobytes())
 
 
 def brute_force_ids(index, query, k):
@@ -186,9 +204,220 @@ def test_record_hash_mismatch(tmp_path):
     rng = np.random.default_rng(7)
     index = build_index(rng, 2)
     path = tmp_path / "index.bin"
-    index.save(path)
+    write_v1(index, path)
     blob = path.read_bytes().replace(b'"band_config_hash": "testhash", "id": "rec-0001"',
                                      b'"band_config_hash": "othrhash", "id": "rec-0001"')
     path.write_bytes(blob)
     with pytest.raises(IndexHashMismatchError):
         VectorIndex.load(path)
+
+
+def rewrite_header(file, **changes):
+    """Replace header fields of a saved index file in place."""
+    header_line, body = file.read_bytes().split(b"\n", 1)
+    header = {**json.loads(header_line), **changes}
+    file.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+
+
+def rewrite_columns(file, **changes):
+    """Replace column arrays of a saved version-2 index file in place."""
+    header_line, columns_line, matrix = file.read_bytes().split(b"\n", 2)
+    columns = {**json.loads(columns_line), **changes}
+    file.write_bytes(header_line + b"\n" + json.dumps(columns, sort_keys=True).encode() + b"\n" + matrix)
+
+
+def test_save_writes_version_two_layout(tmp_path):
+    rng = np.random.default_rng(9)
+    index = build_index(rng, 3)
+    path = tmp_path / "index.bin"
+    index.save(path)
+    header_line, columns_line, matrix = path.read_bytes().split(b"\n", 2)
+    assert json.loads(header_line) == {"band_config_hash": "testhash", "count": 3, "dim": DIM, "format_version": 2}
+    assert json.loads(columns_line) == {
+        "id": ["rec-0000", "rec-0001", "rec-0002"],
+        "path": ["src/f0.java", "src/f1.java", "src/f2.java"],
+        "source_kind": ["file"] * 3,
+        "span": ["1-10"] * 3,
+    }
+    assert matrix == b"".join(index.vector(i).astype("<f4").tobytes() for i in index.ids())
+
+
+def test_version_one_file_loads_and_resaves_as_version_two(tmp_path):
+    rng = np.random.default_rng(10)
+    index = build_index(rng, 40)
+    v1, v2 = tmp_path / "v1.bin", tmp_path / "v2.bin"
+    write_v1(index, v1)
+    loaded = VectorIndex.load(v1)
+    assert loaded.ids() == index.ids()
+    assert all(loaded.vector(i).tobytes() == index.vector(i).tobytes() for i in index.ids())
+    query = rng.standard_normal(DIM)
+    assert loaded.search(query, 40) == index.search(query, 40)
+    loaded.save(v2)
+    index.save(tmp_path / "direct.bin")
+    assert v2.read_bytes() == (tmp_path / "direct.bin").read_bytes()
+
+
+def _replace_bytes(old, new):
+    return lambda file: file.write_bytes(file.read_bytes().replace(old, new, 1))
+
+
+def _truncate_matrix(file):
+    file.write_bytes(file.read_bytes()[:-5])
+
+
+def _list_metadata(file):
+    header_line, _, rest = file.read_bytes().split(b"\n", 2)
+    file.write_bytes(header_line + b"\n[1,2]\n" + rest)
+
+
+def _header_only_negative_count(file):
+    file.write_bytes(file.read_bytes().split(b"\n", 1)[0] + b"\n")
+    rewrite_header(file, count=-3)
+
+
+def _append_bytes(file):
+    file.write_bytes(file.read_bytes() + b"\0")
+
+
+# name -> (writer, damage applied to the written file, expected error)
+CORRUPTIONS = {
+    "v1_metadata_is_a_list": ("v1", _list_metadata, IndexCorruptError),
+    "v1_negative_count": ("v1", _header_only_negative_count, IndexCorruptError),
+    "v2_negative_count": ("v2", _header_only_negative_count, IndexCorruptError),
+    "v2_boolean_dim": ("v2", lambda p: rewrite_header(p, dim=True), IndexCorruptError),
+    "v2_missing_dim": ("v2", lambda p: rewrite_header(p, dim=None), IndexCorruptError),
+    "v2_hash_not_text": ("v2", lambda p: rewrite_header(p, band_config_hash=7), IndexCorruptError),
+    "v2_truncated_matrix": ("v2", _truncate_matrix, IndexTruncatedError),
+    "v2_count_above_records": ("v2", lambda p: rewrite_header(p, count=4), IndexCorruptError),
+    "v2_column_length_mismatch": ("v2", lambda p: rewrite_columns(p, span=["1-10"] * 2), IndexCorruptError),
+    "v2_missing_column": ("v2", _replace_bytes(b'"source_kind"', b'"kind"'), IndexCorruptError),
+    "v2_column_not_text": ("v2", lambda p: rewrite_columns(p, path=["a", 2, "c"]), IndexCorruptError),
+    "v2_duplicate_id": ("v2", lambda p: rewrite_columns(p, id=["a", "b", "a"]), IndexCorruptError),
+    "v2_trailing_bytes": ("v2", _append_bytes, IndexCorruptError),
+    "v2_columns_missing": ("v2", lambda p: p.write_bytes(p.read_bytes().split(b"\n")[0] + b"\n"),
+                           IndexTruncatedError),
+}
+
+
+def write_corrupt_index(path, name):
+    """A three-record index file in `name`'s layout with `name`'s damage."""
+    writer, damage, _ = CORRUPTIONS[name]
+    index = build_index(np.random.default_rng(11), 3)
+    (write_v1 if writer == "v1" else VectorIndex.save)(index, path)
+    damage(path)
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_file_raises_its_error_kind(tmp_path, name):
+    path = tmp_path / "index.bin"
+    write_corrupt_index(path, name)
+    with pytest.raises(CORRUPTIONS[name][2]):
+        VectorIndex.load(path)
+
+
+def test_vector_lookup_and_unknown_id():
+    index = VectorIndex("h", dim=4)
+    index.insert("a", np.arange(4.0), RecordMetadata(path="a"))
+    assert index.vector("a").tolist() == [0.0, 1.0, 2.0, 3.0]
+    with pytest.raises(KeyError):
+        index.vector("missing")
+
+
+def test_duplicates_across_block_boundaries_tie_exactly():
+    """600 rows: 150 vectors under four ids each, inserted in a shuffled
+    order so copies sit in different scoring blocks and block tails."""
+    rng = np.random.default_rng(12)
+    vectors = unit_vectors(rng, 150)
+    index = VectorIndex("h")
+    for row in rng.permutation(600):
+        index.insert(f"u{row % 150:03d}-{row // 150}", vectors[row % 150], RecordMetadata(path=""))
+    for query in rng.standard_normal((5, DIM)):
+        hits = index.search(query, 45).hits
+        assert [h.id for h in hits] == brute_force_ids(index, query, 45)
+        by_unit = {}
+        for h in hits:
+            by_unit.setdefault(h.id[:4], set()).add(h.similarity)
+        assert all(len(sims) == 1 for sims in by_unit.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    distinct=st.integers(min_value=1, max_value=12),
+    copies=st.integers(min_value=1, max_value=5),
+    zeros=st.integers(min_value=0, max_value=3),
+    k=st.integers(min_value=0, max_value=80),
+    zero_query=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_duplicates_zero_vectors_and_large_k_match_oracle(distinct, copies, zeros, k, zero_query, seed):
+    """Copies of one vector tie exactly wherever they are stored, so the k-th
+    position can fall inside a group of copies; zero vectors and a zero query
+    score 0; k may exceed the record count."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((distinct, DIM))
+    rows = [(f"u{u}-{c}", vectors[u]) for u in range(distinct) for c in range(copies)]
+    rows += [(f"zero{z}", np.zeros(DIM)) for z in range(zeros)]
+    index = VectorIndex("h")
+    for i in rng.permutation(len(rows)):
+        index.insert(rows[i][0], rows[i][1], RecordMetadata(path=rows[i][0]))
+    query = np.zeros(DIM) if zero_query else rng.standard_normal(DIM)
+    result = index.search(query, k)
+    assert result.ids() == brute_force_ids(index, query, k)
+    assert len(result.hits) == min(k, len(rows))
+    sims = {}
+    for h in result.hits:
+        sims.setdefault(h.id.split("-")[0], set()).add(h.similarity)
+    assert all(len(values) == 1 for values in sims.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    before=st.integers(min_value=0, max_value=20),
+    after=st.integers(min_value=1, max_value=40),
+    k=st.integers(min_value=0, max_value=70),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_insert_after_load_matches_oracle(before, after, k, seed):
+    """A loaded index holds exactly its records; inserting more grows it."""
+    rng = np.random.default_rng(seed)
+    index = build_index(rng, before)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.bin"
+        index.save(path)
+        loaded = VectorIndex.load(path)
+    for i, v in enumerate(unit_vectors(rng, after)):
+        loaded.insert(f"new-{i:04d}", v, RecordMetadata(path=f"n{i}"))
+        index.insert(f"new-{i:04d}", v, RecordMetadata(path=f"n{i}"))
+    assert len(loaded) == before + after
+    assert all(loaded.vector(i).tobytes() == index.vector(i).tobytes() for i in index.ids())
+    query = rng.standard_normal(DIM)
+    assert loaded.search(query, k).ids() == brute_force_ids(loaded, query, k)
+    assert loaded.search(query, k) == index.search(query, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(st.text(max_size=12), st.text(max_size=12), st.text(max_size=6), st.text(max_size=6)),
+        max_size=20,
+        unique_by=lambda r: r[0],
+    ),
+    band_hash=st.text(max_size=16),
+    dim=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_save_load_save_is_byte_identical(records, band_hash, dim, seed):
+    rng = np.random.default_rng(seed)
+    index = VectorIndex(band_hash, dim=dim)
+    for record_id, path, span, kind in records:
+        index.insert(record_id, rng.standard_normal(dim), RecordMetadata(path=path, span=span, source_kind=kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.bin", Path(tmp) / "b.bin"
+        index.save(first)
+        loaded = VectorIndex.load(first)
+        loaded.save(second)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded.band_config_hash == band_hash and loaded.dim == dim
+    assert loaded.ids() == index.ids()
+    everything = len(records)
+    assert loaded.search(np.ones(dim), everything) == index.search(np.ones(dim), everything)
