@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare routing policies on one paired workload and print a table."""
+"""Compare the configured routing policies (`compare.policies`) on one paired
+workload and print a table."""
 
 import argparse
 import json
@@ -19,8 +20,8 @@ def main():
 
     config = load_config(args.config)
     sim_configs = {
-        kind.value: config.sim_config(policy=kind, seed=args.seed, n_tasks=args.n_tasks)
-        for kind in PolicyKind
+        name: config.sim_config(policy=PolicyKind(name), seed=args.seed, n_tasks=args.n_tasks)
+        for name in config.compare_policy_names
     }
     workload = workload_from_config(next(iter(sim_configs.values())))
     report = compare_policies(workload, sim_configs)

@@ -2,7 +2,11 @@
 simulation, and policy comparison.
 
 Exit codes: 0 success, 1 findings or a degraded result, 2 usage or parse
-errors, 3 I/O errors.
+errors, 3 I/O errors. Commands raise; `cli_main` alone maps an error to its
+code and a one-line message naming the file or config key. A config or layout
+that is not UTF-8 or does not parse, or a bad config value (an unknown enum
+value, `embed.hash_seed` outside [0, 2**64)), exits 2; an unreadable or
+unwritable path, or an index file that does not load, exits 3.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .codegraph import ParseError, fallback_token_graph, parse_to_graph
-from .configfile import AppConfig, ConfigError, load_config
+from .configfile import ConfigError, load_config
 from .embedding import VECTOR_DIM, graph_to_vector
 from .fusion import ContextItem, ContextSource, assemble_context, score_items
 from .layoutlint import LayoutParseError, check_layout_source
@@ -44,22 +48,13 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _load_app_config(path: str | None) -> AppConfig:
-    try:
-        return load_config(path)
-    except FileNotFoundError as err:
-        raise SystemExit(_fail(f"config file not found: {err.filename}", EXIT_IO))
-    except ConfigError as err:
-        raise SystemExit(_fail(f"config error: {err}", EXIT_USAGE))
-
-
 def _fail(message: str, code: int) -> int:
     print(message, file=sys.stderr)
     return code
 
 
 def cmd_index(args) -> int:
-    config = _load_app_config(args.config)
+    config = load_config(args.config)
     max_files = args.max_files if args.max_files is not None else config.max_files
     root = Path(args.directory)
     if not root.is_dir():
@@ -74,15 +69,13 @@ def cmd_index(args) -> int:
     parse_failures: list[str] = []
     for path in selected:
         rel = path.relative_to(root).as_posix()
+        source = path.read_text(encoding="utf-8", errors="replace")
         try:
-            source = path.read_text(encoding="utf-8", errors="replace")
             graph = parse_to_graph(source)
         except ParseError as err:
             parse_failures.append(rel)
             print(f"warning: skipping {rel}: {err}", file=sys.stderr)
             continue
-        except OSError as err:
-            return _fail(f"cannot read {path}: {err}", EXIT_IO)
         vector = graph_to_vector(graph, config.bands)
         index.insert(
             rel,
@@ -97,10 +90,7 @@ def cmd_index(args) -> int:
             file=sys.stderr,
         )
 
-    try:
-        index.save(args.out)
-    except OSError as err:
-        return _fail(f"cannot write {args.out}: {err}", EXIT_IO)
+    index.save(args.out)
 
     print(
         _dump_json(
@@ -126,15 +116,10 @@ def _query_text_for(root_hint: Path, metadata: RecordMetadata, limit: int = 400)
 
 
 def cmd_query(args) -> int:
-    config = _load_app_config(args.config)
-    try:
-        index = VectorIndex.load(args.index)
-    except FileNotFoundError:
-        return _fail(f"index file not found: {args.index}", EXIT_IO)
-    except IndexFileError as err:
-        return _fail(f"cannot load index: {err}", EXIT_IO)
+    config = load_config(args.config)
+    index = VectorIndex.load(args.index)
     if index.dim != VECTOR_DIM:
-        return _fail(f"cannot load index: it holds {index.dim}-dimensional vectors, not {VECTOR_DIM}", EXIT_IO)
+        raise IndexFileError(f"it holds {index.dim}-dimensional vectors, not {VECTOR_DIM}")
     if index.band_config_hash != config.bands.fingerprint():
         print("warning: index was built with a different embedding config", file=sys.stderr)
 
@@ -176,14 +161,12 @@ def cmd_query(args) -> int:
 
 
 def cmd_describe_layout(args) -> int:
-    try:
-        xml_text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as err:
-        return _fail(f"cannot read {args.file}: {err}", EXIT_IO)
-    try:
-        report = check_layout_source(xml_text)
-    except LayoutParseError as err:
-        return _fail(f"layout parse error: {err}", EXIT_USAGE)
+    with open(args.file, encoding="utf-8") as fh:
+        try:
+            xml_text = fh.read()
+        except UnicodeDecodeError as err:
+            raise LayoutParseError(f"{args.file} is not UTF-8 text ({err.reason} at byte {err.start})") from None
+    report = check_layout_source(xml_text)
     payload = {
         "statements": [s.text for s in report.statements],
         "findings": [
@@ -197,13 +180,13 @@ def cmd_describe_layout(args) -> int:
 
 
 def cmd_route(args) -> int:
-    config = _load_app_config(args.config)
+    config = load_config(args.config)
     fingerprint = config.router_fingerprint()
     policy = None
     if args.policy and Path(args.policy).exists():
         try:
             policy, stored_hash = load_policy(args.policy)
-        except (OSError, ValueError) as err:
+        except ValueError as err:
             return _fail(f"cannot load policy: {err}", EXIT_IO)
         if stored_hash != fingerprint:
             print("warning: stored policy does not match current config; re-solving", file=sys.stderr)
@@ -211,10 +194,7 @@ def cmd_route(args) -> int:
     if policy is None:
         policy = solve_policy(config.sim)
         if args.policy:
-            try:
-                save_policy(policy, fingerprint, args.policy)
-            except OSError as err:
-                return _fail(f"cannot write policy: {err}", EXIT_IO)
+            save_policy(policy, fingerprint, args.policy)
 
     state = RoutingState(
         Complexity(args.complexity),
@@ -233,7 +213,7 @@ def cmd_route(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_app_config(args.config)
+    config = load_config(args.config)
     sim = config.sim_config(seed=args.seed, n_tasks=args.n_tasks)
     workload = workload_from_config(sim)
     policy = solve_policy(sim) if sim.policy is PolicyKind.MDP else None
@@ -244,20 +224,17 @@ def cmd_simulate(args) -> int:
         "n_tasks": sim.n_tasks,
         "metrics": report.to_dict(),
     }
-    try:
-        Path(args.out).write_text(_dump_json(payload), encoding="utf-8")
-        if args.events:
-            encode = json.JSONEncoder(sort_keys=True).encode
-            with open(args.events, "w", encoding="utf-8") as fh:
-                fh.writelines(encode(record) + "\n" for record in trace.records())
-    except OSError as err:
-        return _fail(f"cannot write report: {err}", EXIT_IO)
+    Path(args.out).write_text(_dump_json(payload), encoding="utf-8")
+    if args.events:
+        encode = json.JSONEncoder(sort_keys=True).encode
+        with open(args.events, "w", encoding="utf-8") as fh:
+            fh.writelines(encode(record) + "\n" for record in trace.records())
     print(_dump_json(payload), end="")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    config = _load_app_config(args.config)
+    config = load_config(args.config)
     sim_configs = {
         name: config.sim_config(policy=PolicyKind(name), seed=args.seed)
         for name in config.compare_policy_names
@@ -265,13 +242,10 @@ def cmd_compare(args) -> int:
     workload = workload_from_config(next(iter(sim_configs.values())))
     report = compare_policies(workload, sim_configs)
     payload = report.to_dict()
-    try:
-        Path(args.out).write_text(_dump_json(payload), encoding="utf-8")
-        if args.csv:
-            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(report.csv_rows())
-    except OSError as err:
-        return _fail(f"cannot write comparison: {err}", EXIT_IO)
+    Path(args.out).write_text(_dump_json(payload), encoding="utf-8")
+    if args.csv:
+        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(report.csv_rows())
     print(_dump_json(payload), end="")
     return EXIT_OK
 
@@ -345,8 +319,14 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except SystemExit as err:
-        return err.code if isinstance(err.code, int) else EXIT_USAGE
+    except ConfigError as err:
+        return _fail(f"config error: {err}", EXIT_USAGE)
+    except LayoutParseError as err:
+        return _fail(f"layout parse error: {err}", EXIT_USAGE)
+    except IndexFileError as err:
+        return _fail(f"cannot load index: {err}", EXIT_IO)
+    except OSError as err:
+        return _fail(f"i/o error: {err}", EXIT_IO)
 
 
 def main() -> None:

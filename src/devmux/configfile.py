@@ -24,10 +24,8 @@ from .routing import (
     DEFAULT_DEGRADED_RTT_FACTOR,
     DEFAULT_GOOD_RTT_MS,
     NETWORK_STATES,
-    Battery,
     Complexity,
     CostModel,
-    DeviceClass,
     DeviceProfile,
     NetworkModel,
     NetworkState,
@@ -209,6 +207,12 @@ class _Section:
     def integer(self, key, default) -> int:
         return _to_number(self.data.pop(key, default), f"{self.name}.{key}", integer=True)
 
+    def member(self, key, default):
+        """The member of `default`'s enum that `key` names."""
+        value, enum = self.data.pop(key, default.value), type(default)
+        choices = ", ".join(m.value for m in enum)
+        return _to_member(enum, value, f"{self.name}.{key} must be one of {choices}, got {value!r}")
+
     def take_map(self, key) -> dict | None:
         value = self.data.pop(key, None)
         if value is not None and not isinstance(value, dict):
@@ -236,16 +240,21 @@ def _to_number(value, name: str, integer: bool = False):
     return value if isinstance(value, int) else int(number)
 
 
+def _to_member(enum, value, error: str):
+    """`enum(value)`, or a config error with the message `error`."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ConfigError(error) from None
+
+
 def _number_map(section: _Section, key: str, defaults: dict, enum=Complexity, what="complexity") -> dict:
     """`defaults` with the numbers of the map `section.key` laid over them;
     its keys must be values of `enum`."""
     result = dict(defaults)
     name = f"{section.name}.{key}"
     for entry, value in (section.take_map(key) or {}).items():
-        try:
-            member = enum(entry)
-        except ValueError:
-            raise ConfigError(f"{name}: unknown {what} {entry!r}") from None
+        member = _to_member(enum, entry, f"{name}: unknown {what} {entry!r}")
         result[member] = _to_number(value, f"{name}.{entry}")
     return result
 
@@ -295,11 +304,14 @@ def config_from_dict(data: dict) -> AppConfig:
     top = _Section(data, "<top>")
 
     router = _Section(top.take_map("router"), "router")
-    cost = CostModel(
-        w_latency=router.number("w_latency", base.cost.w_latency),
-        w_energy=router.number("w_energy", base.cost.w_energy),
-        w_accuracy=router.number("w_accuracy", base.cost.w_accuracy),
-        discount_gamma=router.number("discount_gamma", base.cost.discount_gamma),
+    cost = _checked(
+        lambda: CostModel(
+            w_latency=router.number("w_latency", base.cost.w_latency),
+            w_energy=router.number("w_energy", base.cost.w_energy),
+            w_accuracy=router.number("w_accuracy", base.cost.w_accuracy),
+            discount_gamma=router.number("discount_gamma", base.cost.discount_gamma),
+        ),
+        "router",
     )
     tolerance = router.number("tolerance", base.tolerance)
     if tolerance <= 0:
@@ -331,7 +343,7 @@ def config_from_dict(data: dict) -> AppConfig:
     )
 
     network_section = _Section(top.take_map("network"), "network")
-    initial_network = NetworkState(network_section.take("initial_state", base.initial_network.value))
+    initial_network = network_section.member("initial_state", base.initial_network)
     matrix_raw = network_section.take_map("transition_matrix")
     if matrix_raw is None:
         matrix = base.network.transition_matrix
@@ -360,21 +372,19 @@ def config_from_dict(data: dict) -> AppConfig:
     default_spec = base.workload_spec
     mix = _number_map(workload_section, "mix", default_spec.mix, TaskKind, "task kind")
     ranges = dict(default_spec.ranges)
-    ranges_raw = workload_section.take_map("ranges")
-    if ranges_raw:
-        for key, value in ranges_raw.items():
-            try:
-                kind = TaskKind(key)
-            except ValueError:
-                raise ConfigError(f"workload.ranges: unknown task kind {key!r}") from None
-            sub = _Section(value, f"workload.ranges.{key}")
-            prev = ranges[kind]
-            ranges[kind] = KindRanges(
+    for key, value in (workload_section.take_map("ranges") or {}).items():
+        kind = _to_member(TaskKind, key, f"workload.ranges: unknown task kind {key!r}")
+        sub = _Section(value, f"workload.ranges.{key}")
+        prev = ranges[kind]
+        ranges[kind] = _checked(
+            lambda: KindRanges(
                 files=(sub.integer("files_min", prev.files[0]), sub.integer("files_max", prev.files[1])),
                 deps=(sub.integer("deps_min", prev.deps[0]), sub.integer("deps_max", prev.deps[1])),
                 tokens=(sub.integer("tokens_min", prev.tokens[0]), sub.integer("tokens_max", prev.tokens[1])),
-            )
-            sub.finish()
+            ),
+            sub.name,
+        )
+        sub.finish()
     inter_arrival = workload_section.number("inter_arrival_mean_s", default_spec.inter_arrival_mean_s)
     workload_section.finish()
     workload_spec = _checked(
@@ -421,11 +431,11 @@ def config_from_dict(data: dict) -> AppConfig:
         lambda: SimConfig(
             n_tasks=sim_section.integer("n_tasks", base.n_tasks),
             seed=sim_section.integer("seed", base.seed),
-            policy=PolicyKind(sim_section.take("policy", base.policy.value)),
+            policy=sim_section.member("policy", base.policy),
             device=replace(
                 device,
-                device_class=DeviceClass(sim_section.take("device", base.device.device_class.value)),
-                battery=Battery(sim_section.take("battery", base.device.battery.value)),
+                device_class=sim_section.member("device", base.device.device_class),
+                battery=sim_section.member("battery", base.device.battery),
             ),
             network=network,
             cost=cost,
@@ -448,10 +458,7 @@ def config_from_dict(data: dict) -> AppConfig:
     if not isinstance(policy_names, list) or not policy_names:
         raise ConfigError("compare.policies must be a non-empty list")
     for name in policy_names:
-        try:
-            PolicyKind(name)
-        except ValueError:
-            raise ConfigError(f"compare.policies: unknown policy {name!r}") from None
+        _to_member(PolicyKind, name, f"compare.policies: unknown policy {name!r}")
     compare_section.finish()
 
     top.finish()
@@ -470,8 +477,8 @@ def load_config(path: str | None = None) -> AppConfig:
     if path is None:
         return config_from_dict({})
     with open(path, encoding="utf-8") as fh:
-        data = parse_config_text(fh.read())
-    try:
-        return config_from_dict(data)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path} is not UTF-8 text ({err.reason} at byte {err.start})") from None
+    return config_from_dict(parse_config_text(text))

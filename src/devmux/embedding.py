@@ -42,6 +42,8 @@ class BandConfig:
             raise ValueError("identifier_weight must be >= 0")
         if self.wl_iterations < 0:
             raise ValueError("wl_iterations must be >= 0")
+        if not 0 <= self.hash_seed < 2**64:
+            raise ValueError(f"hash_seed must be in [0, 2**64), got {self.hash_seed}")
 
     def fingerprint(self) -> str:
         blob = json.dumps(

@@ -410,8 +410,8 @@ def value_iteration(mdp: MdpModel, tolerance: float = DEFAULT_TOLERANCE) -> Rout
     Iterates until the sup-norm change drops to `tolerance`; the greedy
     action ties break toward edge execution (the privacy-preserving side).
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be > 0")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance}")
     rewards = mdp.rewards
     mask = mdp.action_mask
     gamma = mdp.gamma

@@ -1,14 +1,18 @@
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
 import devmux.simulate
-from devmux.cli import cli_main
+from devmux.cli import build_parser, cli_main
 from devmux.routing import value_iteration
 from devmux.vindex import RecordMetadata, VectorIndex
 from test_vindex import CORRUPTIONS, write_corrupt_index, write_v1
@@ -328,8 +332,21 @@ class TestSimulateAndCompare:
             ("embed:\n  hash_seed: abc\n", "embed.hash_seed must be an integer, got 'abc'"),
             ("network:\n  transition_matrix:\n    good:\n      good: x\n",
              "network.transition_matrix.good.good must be a number, got 'x'"),
+            ("embed:\n  hash_seed: -1\n", "embed: hash_seed must be in [0, 2**64), got -1"),
+            ("embed:\n  hash_seed: 18446744073709551616\n",
+             "embed: hash_seed must be in [0, 2**64), got 18446744073709551616"),
+            ("network:\n  initial_state: bogus\n",
+             "network.initial_state must be one of good, degraded, offline, got 'bogus'"),
+            ("simulate:\n  policy: best\n",
+             "simulate.policy must be one of all_cloud, all_edge, threshold, mdp, got 'best'"),
+            ("simulate:\n  device: tpu\n", "simulate.device must be one of cpu, gpu, got 'tpu'"),
+            ("simulate:\n  battery: 3\n", "simulate.battery must be one of low, ok, got 3"),
+            ("workload:\n  ranges:\n    refactor:\n      files_min: 5\n      files_max: 1\n",
+             "workload.ranges.refactor: ranges must satisfy 0 <= lo <= hi"),
+            ("router:\n  discount_gamma: 1.5\n", "router: discount_gamma must be in [0, 1)"),
         ],
-        ids=["empty", "text", "boolean", "nan", "fraction", "int_text", "matrix_entry"],
+        ids=["empty", "text", "boolean", "nan", "fraction", "int_text", "matrix_entry", "seed_negative",
+             "seed_2_64", "initial_state", "policy", "device", "battery", "kind_ranges", "discount_gamma"],
     )
     def test_bad_scalar_exit_two(self, text, message, tmp_path, capsys):
         config = tmp_path / "config.yaml"
@@ -406,3 +423,101 @@ def test_usage_error_exit_two(capsys):
 def test_unknown_command_exit_two(capsys):
     assert cli_main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+class TestErrorBoundary:
+    """Inputs that once escaped `cli_main` as a traceback with exit 1."""
+
+    @pytest.fixture(autouse=True)
+    def _workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "somedir").mkdir()
+        write_sources(tmp_path / "somedir", 2)
+        (tmp_path / "latin1.yaml").write_bytes(b"simulate:\n  policy: caf\xe9\n")
+        (tmp_path / "latin1.xml").write_bytes(b'<Layout><TextView id="caf\xe9"/></Layout>')
+        (tmp_path / "seed.yaml").write_text("embed:\n  hash_seed: -1\n")
+
+    ROUTE = ["--complexity", "low", "--device", "cpu", "--network", "good", "--battery", "ok"]
+
+    @pytest.mark.parametrize(
+        "argv, code, named",
+        [
+            (["query", "x", "--index", "somedir"], 3, "somedir"),
+            (["route", "--config", "somedir", *ROUTE], 3, "somedir"),
+            (["route", "--config", "latin1.yaml", *ROUTE], 2, "latin1.yaml"),
+            (["describe-layout", "latin1.xml"], 2, "latin1.xml"),
+            (["index", "somedir", "--config", "seed.yaml", "--out", "i.bin"], 2, "embed: hash_seed"),
+        ],
+        ids=["index_is_dir", "config_is_dir", "config_not_utf8", "layout_not_utf8", "hash_seed_negative"],
+    )
+    def test_exit_code_and_message(self, argv, code, named, capsys):
+        assert cli_main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+
+# Exit codes the README lists for each command.
+DOCUMENTED_EXITS = {
+    "index": {0, 1, 2, 3},
+    "query": {0, 1, 2, 3},
+    "describe-layout": {0, 1, 2, 3},
+    "route": {0, 2, 3},
+    "simulate": {0, 2, 3},
+    "compare": {0, 2, 3},
+}
+
+# Argument values: small counts, bad numbers, and one path of each kind
+# (file, directory, missing, not UTF-8). No count drawn here is large.
+VALUE_POOL = ["0", "2", "50", "-1", "abc", "1.5", "ok.yaml", "layout.xml", "dir", "missing.txt", "latin1.txt"]
+
+
+def _write_workdir(work, index_bytes):
+    shutil.rmtree(work, ignore_errors=True)
+    (work / "dir").mkdir(parents=True)
+    write_sources(work / "dir", 2)
+    (work / "ok.yaml").write_text("simulate:\n  n_tasks: 20\n")
+    (work / "layout.xml").write_text(BAD_LAYOUT)
+    (work / "latin1.txt").write_bytes(b"caf\xe9\n")
+    (work / "index.bin").write_bytes(index_bytes)
+
+
+def _argv_strategy(command):
+    """argv for `command` built from its own parser options: positionals and
+    required options always, up to three optional ones, values from the pool."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in subparsers.choices[command]._actions if not isinstance(a, argparse._HelpAction)]
+
+    def value(action):
+        pool = st.sampled_from(VALUE_POOL)
+        return st.one_of(st.sampled_from(action.choices), pool) if action.choices else pool
+
+    def option(action):
+        return st.tuples(st.just(action.option_strings[0]), value(action))
+
+    positional = st.tuples(*(value(a) for a in actions if not a.option_strings))
+    required = st.tuples(*(option(a) for a in actions if a.option_strings and a.required))
+    optional = [option(a) for a in actions if a.option_strings and not a.required]
+    optional = st.lists(st.one_of(*optional), max_size=3) if optional else st.just([])
+    return st.tuples(positional, required, optional).map(
+        lambda parts: [command, *parts[0], *(x for pair in (*parts[1], *parts[2]) for x in pair)]
+    )
+
+
+@pytest.mark.parametrize("command", sorted(DOCUMENTED_EXITS))
+def test_any_argv_exits_with_a_documented_code(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_sources(tmp_path, 2)
+    assert cli_main(["index", ".", "--out", "index.bin"]) == 0
+    index_bytes = (tmp_path / "index.bin").read_bytes()
+    work = tmp_path / "work"
+
+    @settings(max_examples=20, deadline=None)
+    @given(argv=_argv_strategy(command))
+    def run(argv):
+        _write_workdir(work, index_bytes)
+        os.chdir(work)
+        assert cli_main(argv) in DOCUMENTED_EXITS[command], argv
+
+    run()

@@ -26,6 +26,7 @@ from devmux.routing import (
     policy_to_dict,
     value_iteration,
 )
+from devmux.simulate import SimConfig, solve_policy
 
 DEVICE = DeviceProfile()
 NETWORK = default_network_model(DEVICE)
@@ -247,6 +248,13 @@ class TestValueIteration:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             value_iteration(default_mdp(), tolerance=0.0)
+
+    def test_rejects_nan_tolerance(self):
+        # `delta <= nan` never holds, so a NaN tolerance would sweep forever.
+        with pytest.raises(ValueError, match="tolerance must be > 0"):
+            value_iteration(default_mdp(), float("nan"))
+        with pytest.raises(ValueError, match="tolerance must be > 0"):
+            solve_policy(SimConfig(tolerance=float("nan")))
 
     def test_policy_legal_everywhere(self):
         mdp = default_mdp()

@@ -34,3 +34,16 @@ def test_script_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].rstrip() == header
+
+
+def test_run_comparison_honours_compare_policies(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text("compare:\n  policies:\n    - mdp\n    - all_edge\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_comparison.py"), "--config", str(config), "--n-tasks", "200"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["mdp", "all_edge"]
