@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .codegraph import ParseError, fallback_token_graph, parse_to_graph
 from .configfile import ConfigError, load_config
-from .embedding import VECTOR_DIM, graph_to_vector
+from .embedding import VECTOR_DIM, WLLabels, graph_to_vector
 from .fusion import ContextItem, ContextSource, assemble_context, score_items
 from .layoutlint import LayoutParseError, check_layout_source
 from .routing import (
@@ -67,6 +67,7 @@ def cmd_index(args) -> int:
 
     index = VectorIndex(band_config_hash=config.bands.fingerprint())
     parse_failures: list[str] = []
+    wl = WLLabels()
     for path in selected:
         rel = path.relative_to(root).as_posix()
         source = path.read_text(encoding="utf-8", errors="replace")
@@ -76,7 +77,7 @@ def cmd_index(args) -> int:
             parse_failures.append(rel)
             print(f"warning: skipping {rel}: {err}", file=sys.stderr)
             continue
-        vector = graph_to_vector(graph, config.bands)
+        vector = graph_to_vector(graph, config.bands, wl)
         index.insert(
             rel,
             vector,
@@ -119,7 +120,7 @@ def cmd_query(args) -> int:
     config = load_config(args.config)
     index = VectorIndex.load(args.index)
     if index.dim != VECTOR_DIM:
-        raise IndexFileError(f"it holds {index.dim}-dimensional vectors, not {VECTOR_DIM}")
+        raise IndexFileError(f"{args.index}: it holds {index.dim}-dimensional vectors, not {VECTOR_DIM}")
     if index.band_config_hash != config.bands.fingerprint():
         print("warning: index was built with a different embedding config", file=sys.stderr)
 

@@ -452,9 +452,7 @@ def config_from_dict(data: dict) -> AppConfig:
     sim_section.finish()
 
     compare_section = _Section(top.take_map("compare"), "compare")
-    policy_names = compare_section.take("policies", None)
-    if policy_names is None:
-        policy_names = list(defaults.compare_policy_names)
+    policy_names = compare_section.take("policies", list(defaults.compare_policy_names))
     if not isinstance(policy_names, list) or not policy_names:
         raise ConfigError("compare.policies must be a non-empty list")
     for name in policy_names:

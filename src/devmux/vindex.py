@@ -193,27 +193,34 @@ class VectorIndex:
     def load(cls, path) -> "VectorIndex":
         """Read an index file; a failure raises before any partial index
         escapes. Version, truncation, hash, and decode problems surface as
-        distinct error kinds."""
+        distinct error kinds, their messages prefixed with `path`."""
         with open(path, "rb") as fh:
-            header = _read_json_line(fh, "header")
-            if not isinstance(header, dict) or "format_version" not in header:
-                raise IndexCorruptError("header is missing format_version")
-            version = header["format_version"]
-            if type(version) is not int or version not in (1, FORMAT_VERSION):
-                raise IndexVersionError(
-                    f"format version {version} unsupported (expected 1 or {FORMAT_VERSION})"
-                )
-            band_hash = header.get("band_config_hash")
-            if not isinstance(band_hash, str):
-                raise IndexCorruptError("malformed header: band_config_hash must be a string")
-            index = cls(band_config_hash=band_hash, dim=_header_int(header, "dim", 1))
-            count = _header_int(header, "count", 0)
-            if version == 1:
-                index._read_v1_records(fh, count)
-            else:
-                index._read_v2_body(fh, count)
-            if fh.read(1):
-                raise IndexCorruptError("trailing bytes after final record")
+            try:
+                return cls._read(fh)
+            except IndexFileError as err:
+                raise type(err)(f"{path}: {err}") from None
+
+    @classmethod
+    def _read(cls, fh) -> "VectorIndex":
+        header = _read_json_line(fh, "header")
+        if not isinstance(header, dict) or "format_version" not in header:
+            raise IndexCorruptError("header is missing format_version")
+        version = header["format_version"]
+        if type(version) is not int or version not in (1, FORMAT_VERSION):
+            raise IndexVersionError(
+                f"format version {version} unsupported (expected 1 or {FORMAT_VERSION})"
+            )
+        band_hash = header.get("band_config_hash")
+        if not isinstance(band_hash, str):
+            raise IndexCorruptError("malformed header: band_config_hash must be a string")
+        index = cls(band_config_hash=band_hash, dim=_header_int(header, "dim", 1))
+        count = _header_int(header, "count", 0)
+        if version == 1:
+            index._read_v1_records(fh, count)
+        else:
+            index._read_v2_body(fh, count)
+        if fh.read(1):
+            raise IndexCorruptError("trailing bytes after final record")
         return index
 
     def _read_v1_records(self, fh, count: int) -> None:

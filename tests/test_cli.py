@@ -219,7 +219,7 @@ class TestIndexAndQuery:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err.startswith("cannot load index: ")
+        assert captured.err.startswith(f"cannot load index: {path}: ")
 
 
 class TestSimulateAndCompare:
@@ -344,9 +344,11 @@ class TestSimulateAndCompare:
             ("workload:\n  ranges:\n    refactor:\n      files_min: 5\n      files_max: 1\n",
              "workload.ranges.refactor: ranges must satisfy 0 <= lo <= hi"),
             ("router:\n  discount_gamma: 1.5\n", "router: discount_gamma must be in [0, 1)"),
+            ("compare:\n  policies:\n", "compare.policies must be a non-empty list"),
         ],
         ids=["empty", "text", "boolean", "nan", "fraction", "int_text", "matrix_entry", "seed_negative",
-             "seed_2_64", "initial_state", "policy", "device", "battery", "kind_ranges", "discount_gamma"],
+             "seed_2_64", "initial_state", "policy", "device", "battery", "kind_ranges", "discount_gamma",
+             "policies_empty"],
     )
     def test_bad_scalar_exit_two(self, text, message, tmp_path, capsys):
         config = tmp_path / "config.yaml"

@@ -1,10 +1,14 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devmux import embedding
 from devmux.codegraph import CodeGraph, Edge, EdgeKind, Node, parse_to_graph
-from devmux.embedding import VECTOR_DIM, BandConfig, cosine, graph_to_vector
+from devmux.embedding import VECTOR_DIM, BandConfig, WLLabels, _wl_label_counts, cosine, graph_to_vector
 
 RENAME_A = """
 class Account extends Base {
@@ -147,3 +151,75 @@ def test_norm_invariant_on_random_graphs(graph):
     v = graph_to_vector(graph)
     assert v.shape == (VECTOR_DIM,)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
+
+
+def reference_wl_label_counts(graph: CodeGraph, rounds: int) -> Counter:
+    """Counts of (round, label) pairs, building and hashing every node's
+    signature string in every round: the relabelling `WLLabels` compresses."""
+    kinds = (EdgeKind.CHILD, EdgeKind.NEXT_SIBLING, EdgeKind.INVOKES, EdgeKind.INHERITS)
+    n = len(graph.nodes)
+    out_nbrs = {k: [[] for _ in range(n)] for k in kinds}
+    in_nbrs = {k: [[] for _ in range(n)] for k in kinds}
+    for edge in graph.edges:
+        out_nbrs[edge.kind][edge.src].append(edge.dst)
+        in_nbrs[edge.kind][edge.dst].append(edge.src)
+
+    labels = [node.label for node in graph.nodes]
+    counts: Counter = Counter()
+    for r in range(rounds + 1):
+        for label in labels:
+            counts[(r, label)] += 1
+        if r == rounds:
+            break
+        new_labels = []
+        for v in range(n):
+            parts = [labels[v]]
+            for kind in kinds:
+                outs = ",".join(sorted(labels[u] for u in out_nbrs[kind][v]))
+                ins = ",".join(sorted(labels[u] for u in in_nbrs[kind][v]))
+                parts.append(f"{kind.value}>{outs}<{ins}")
+            signature = "|".join(parts)
+            new_labels.append(hashlib.blake2b(signature.encode("utf-8"), digest_size=8).hexdigest())
+        labels = new_labels
+    return counts
+
+
+def counts_by_label(counts: Counter, wl: WLLabels) -> Counter:
+    out: Counter = Counter()
+    for (r, i), count in counts.items():
+        out[(r, wl.label(i))] += count
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_graphs(), min_size=1, max_size=5), st.integers(min_value=0, max_value=4))
+def test_wl_counts_match_per_node_reference(graphs, rounds):
+    wl = WLLabels()
+    for graph in graphs:
+        assert counts_by_label(_wl_label_counts(graph, rounds, wl), wl) == reference_wl_label_counts(graph, rounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_graphs(), min_size=1, max_size=8))
+def test_shared_labels_give_fresh_vectors(graphs):
+    wl = WLLabels()
+    for graph in graphs:
+        assert graph_to_vector(graph, None, wl).tobytes() == graph_to_vector(graph).tobytes()
+
+
+def test_labels_reset_past_cap_keep_vectors(monkeypatch):
+    monkeypatch.setattr(embedding, "_MAX_WL_ENTRIES", 8)
+    clear = WLLabels.clear
+    clears = []
+
+    def counted_clear(self):
+        clears.append(len(self))
+        clear(self)
+
+    monkeypatch.setattr(WLLabels, "clear", counted_clear)
+    sources = [RENAME_A, RESTRUCTURED, RENAME_B, "class A { void f() { g(1); } }", RENAME_A]
+    wl = WLLabels()
+    for source in sources:
+        graph = parse_to_graph(source)
+        assert graph_to_vector(graph, None, wl).tobytes() == graph_to_vector(graph).tobytes()
+    assert len(clears) == len(sources) - 1
