@@ -12,29 +12,12 @@ unwritable path, or an index file that does not load, exits 3.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from pathlib import Path
 
-from .codegraph import ParseError, fallback_token_graph, parse_to_graph
-from .configfile import ConfigError, load_config
-from .embedding import VECTOR_DIM, WLLabels, graph_to_vector
-from .fusion import ContextItem, ContextSource, assemble_context, score_items
-from .layoutlint import LayoutParseError, check_layout_source
-from .routing import (
-    Battery,
-    Complexity,
-    DeviceClass,
-    NetworkState,
-    RoutingState,
-    cost_breakdown,
-    load_policy,
-    save_policy,
-)
-from .simulate import PolicyKind, compare_policies, run_simulation, solve_policy, workload_from_config
-from .vindex import IndexFileError, RecordMetadata, VectorIndex
+from .base import Battery, Complexity, ConfigError, DeviceClass, IndexFileError, LayoutParseError, NetworkState
 
 EXIT_OK = 0
 EXIT_DEGRADED = 1
@@ -54,6 +37,11 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_index(args) -> int:
+    from .codegraph import ParseError, parse_to_graph
+    from .configfile import load_config
+    from .embedding import WLLabels, graph_to_vector
+    from .vindex import RecordMetadata, VectorIndex
+
     config = load_config(args.config)
     max_files = args.max_files if args.max_files is not None else config.max_files
     root = Path(args.directory)
@@ -107,7 +95,7 @@ def cmd_index(args) -> int:
     return EXIT_DEGRADED if skipped_cap or parse_failures else EXIT_OK
 
 
-def _query_text_for(root_hint: Path, metadata: RecordMetadata, limit: int = 400) -> str:
+def _query_text_for(root_hint: Path, metadata, limit: int = 400) -> str:
     path = root_hint / metadata.path
     try:
         head = path.read_text(encoding="utf-8", errors="replace")[:limit]
@@ -117,6 +105,12 @@ def _query_text_for(root_hint: Path, metadata: RecordMetadata, limit: int = 400)
 
 
 def cmd_query(args) -> int:
+    from .codegraph import ParseError, fallback_token_graph, parse_to_graph
+    from .configfile import load_config
+    from .embedding import VECTOR_DIM, graph_to_vector
+    from .fusion import ContextItem, ContextSource, assemble_context, score_items
+    from .vindex import VectorIndex
+
     config = load_config(args.config)
     index = VectorIndex.load(args.index)
     if index.dim != VECTOR_DIM:
@@ -162,6 +156,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_describe_layout(args) -> int:
+    from .layoutlint import check_layout_source
+
     with open(args.file, encoding="utf-8") as fh:
         try:
             xml_text = fh.read()
@@ -181,6 +177,10 @@ def cmd_describe_layout(args) -> int:
 
 
 def cmd_route(args) -> int:
+    from .configfile import load_config
+    from .routing import RoutingState, cost_breakdown, load_policy, save_policy
+    from .simulate import solve_policy
+
     config = load_config(args.config)
     fingerprint = config.router_fingerprint()
     policy = None
@@ -214,6 +214,9 @@ def cmd_route(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .configfile import load_config
+    from .simulate import PolicyKind, run_simulation, solve_policy, workload_from_config
+
     config = load_config(args.config)
     sim = config.sim_config(seed=args.seed, n_tasks=args.n_tasks)
     workload = workload_from_config(sim)
@@ -235,6 +238,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    import csv
+
+    from .configfile import load_config
+    from .simulate import PolicyKind, compare_policies, workload_from_config
+
     config = load_config(args.config)
     sim_configs = {
         name: config.sim_config(policy=PolicyKind(name), seed=args.seed)
@@ -262,6 +270,11 @@ def _non_negative_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `devmux` argument parser; its description is this module's docstring.
+
+    The `route` choices come from the enums in the stdlib-only `base`, so
+    building the parser imports no subsystem.
+    """
     parser = argparse.ArgumentParser(prog="devmux", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -313,6 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Each `cmd_*` imports the modules it runs inside its body, on every call,
+    so a command loads only those (`describe-layout` loads neither numpy nor
+    the config loader) and a call sees any attribute patched on them since.
+    The error classes mapped here live in `base`, which imports no subsystem.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .base import ConfigError
 from .embedding import BandConfig
 from .fusion import ContextSource, FusionWeights
 from .routing import (
@@ -33,10 +34,6 @@ from .routing import (
 )
 from .simulate import PolicyKind, SimConfig
 from .workload import KindRanges, TaskKind, WorkloadSpec
-
-
-class ConfigError(Exception):
-    pass
 
 
 class ConfigParseError(ConfigError):

@@ -14,13 +14,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
 
-
-class LayoutParseError(Exception):
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        location = f" at line {line}, column {col}" if line is not None else ""
-        super().__init__(f"{message}{location}")
-        self.line = line
-        self.col = col
+from .base import LayoutParseError
 
 
 class Visibility(str, Enum):

@@ -10,44 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
-
-class TaskKind(str, Enum):
-    SYNTAX_FIX = "syntax_fix"
-    COMPLETION = "completion"
-    REFACTOR = "refactor"
-    CRASH_ANALYSIS = "crash_analysis"
-
-
-class Complexity(str, Enum):
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
-
-
-class DeviceClass(str, Enum):
-    CPU_ONLY = "cpu"
-    GPU = "gpu"
-
-
-class Battery(str, Enum):
-    LOW = "low"
-    OK = "ok"
-
-
-class NetworkState(str, Enum):
-    GOOD = "good"
-    DEGRADED = "degraded"
-    OFFLINE = "offline"
-
-
-class Action(str, Enum):
-    EDGE = "edge"
-    CLOUD = "cloud"
-
+from .base import Action, Battery, Complexity, DeviceClass, NetworkState, TaskKind
 
 TASK_KINDS = (TaskKind.SYNTAX_FIX, TaskKind.COMPLETION, TaskKind.REFACTOR, TaskKind.CRASH_ANALYSIS)
 COMPLEXITIES = (Complexity.LOW, Complexity.MEDIUM, Complexity.HIGH)

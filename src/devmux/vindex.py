@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import IndexFileError
+
 FORMAT_VERSION = 2
 DEFAULT_DIM = 768
 # Rows widened to float64 and scored per matrix-vector product.
@@ -38,10 +40,6 @@ _BLOCK_ROWS = 128
 # identical vectors tie exactly.
 _ROW_GROUP = 8
 _COLUMNS = ("id", "path", "source_kind", "span")
-
-
-class IndexFileError(Exception):
-    """Base class for persistence failures."""
 
 
 class IndexVersionError(IndexFileError):

@@ -13,7 +13,7 @@ import numpy as np
 
 import devmux.simulate
 from devmux.cli import build_parser, cli_main
-from devmux.routing import value_iteration
+from devmux.routing import Complexity, value_iteration
 from devmux.vindex import RecordMetadata, VectorIndex
 from test_vindex import CORRUPTIONS, write_corrupt_index, write_v1
 
@@ -425,6 +425,20 @@ def test_usage_error_exit_two(capsys):
 def test_unknown_command_exit_two(capsys):
     assert cli_main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_bad_choice_lists_the_enum_values(capsys):
+    argv = ["route", "--complexity", "bogus", "--device", "cpu", "--network", "good", "--battery", "ok"]
+    assert cli_main(argv) == 2
+    choices = ", ".join(repr(c.value) for c in Complexity)
+    assert f"invalid choice: 'bogus' (choose from {choices})" in capsys.readouterr().err
+
+
+def test_help_as_module_exit_zero():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-m", "devmux", "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: devmux")
 
 
 class TestErrorBoundary:
