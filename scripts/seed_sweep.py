@@ -3,16 +3,24 @@
 
 import argparse
 
+from devmux.cli import _non_negative_int
 from devmux.configfile import load_config
 from devmux.simulate import PolicyKind, run_simulation, solve_policy, workload_from_config
+
+
+def _positive_int(text: str) -> int:
+    value = _non_negative_int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be >= 1, got 0")
+    return value
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=None)
-    ap.add_argument("--first-seed", type=int, default=42)
-    ap.add_argument("--seeds", type=int, default=10)
-    ap.add_argument("--n-tasks", type=int, default=10_000)
+    ap.add_argument("--first-seed", type=_non_negative_int, default=42)
+    ap.add_argument("--seeds", type=_positive_int, default=10)
+    ap.add_argument("--n-tasks", type=_non_negative_int, default=10_000)
     args = ap.parse_args()
 
     config = load_config(args.config)

@@ -230,9 +230,8 @@ def cmd_simulate(args) -> int:
     }
     Path(args.out).write_text(_dump_json(payload), encoding="utf-8")
     if args.events:
-        encode = json.JSONEncoder(sort_keys=True).encode
         with open(args.events, "w", encoding="utf-8") as fh:
-            fh.writelines(encode(record) + "\n" for record in trace.records())
+            fh.writelines(trace.event_log())
     print(_dump_json(payload), end="")
     return EXIT_OK
 

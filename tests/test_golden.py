@@ -3,7 +3,10 @@
 Event logs, simulate reports and compare reports for seeds 42-51 under four
 configs (default, GPU device, an often-offline network, a low battery) and
 all four policies must hash to the stored values: "same inputs, same bytes"
-has to hold across refactors, not only between two runs of one build. The
+has to hold across refactors, not only between two runs of one build. Event
+logs of 10k tasks (seeds 42 and 43, the `mdp` and `all_cloud` policies, the
+same four configs) are pinned too, because the event-log writer works in row
+blocks and a 1,000-task log fits in one. The
 route golden pins the solved policy itself: for the default config,
 `test_config.py`'s `SAMPLE` and the often-offline network, the
 `route --policy` file (actions and values of all 36 states), the `route`
@@ -42,6 +45,10 @@ V1_FIXTURE = GOLDEN.with_name("index_v1.bin")
 N_TASKS = 1_000
 SEEDS = range(42, 52)
 POLICIES = ("all_cloud", "all_edge", "threshold", "mdp")
+# Event logs long enough to cross several of the writer's row blocks.
+LONG_N_TASKS = 10_000
+LONG_SEEDS = (42, 43)
+LONG_POLICIES = ("mdp", "all_cloud")
 FLAKY_NETWORK = (
     "network:\n  transition_matrix:\n"
     "    good:\n      good: 0.55\n      degraded: 0.15\n      offline: 0.30\n"
@@ -69,19 +76,27 @@ def _write_config(path: Path, name: str, **sim) -> None:
 
 def collect_hashes(directory: Path, n_tasks: int = N_TASKS) -> dict:
     """Run the CLI over the whole matrix and hash every output file."""
-    out = {"n_tasks": n_tasks, "events": {}, "reports": {}, "compare": {}}
+    out = {"n_tasks": n_tasks, "events": {}, "reports": {}, "compare": {}, "events_10k": {}}
     config, report, events = directory / "c.yaml", directory / "report.json", directory / "events.jsonl"
+
+    def simulate(key: str, seed: int, tasks: int) -> None:
+        code = cli_main(["simulate", "--config", str(config), "--seed", str(seed),
+                         "--n-tasks", str(tasks), "--out", str(report), "--events", str(events)])
+        assert code == 0, key
+
     for name in CONFIGS:
         for policy in POLICIES:
             _write_config(config, name, policy=policy)
             for seed in SEEDS:
                 key = f"{name}/{policy}/{seed}"
-                code = cli_main(["simulate", "--config", str(config), "--seed", str(seed),
-                                 "--n-tasks", str(n_tasks), "--out", str(report),
-                                 "--events", str(events)])
-                assert code == 0, key
+                simulate(key, seed, n_tasks)
                 out["events"][key] = _sha256(events)
                 out["reports"][key] = _sha256(report)
+            if policy in LONG_POLICIES:
+                for seed in LONG_SEEDS:
+                    key = f"{name}/{policy}/{seed}"
+                    simulate(key, seed, LONG_N_TASKS)
+                    out["events_10k"][key] = _sha256(events)
         _write_config(config, name, n_tasks=n_tasks)
         for seed in SEEDS:
             code = cli_main(["compare", "--config", str(config), "--seed", str(seed), "--out", str(report)])
@@ -231,7 +246,7 @@ def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("section", ["events", "reports", "compare"])
+@pytest.mark.parametrize("section", ["events", "reports", "compare", "events_10k"])
 def test_outputs_match_golden(hashes, golden, section):
     assert hashes["n_tasks"] == golden["n_tasks"]
     mismatched = sorted(k for k in golden[section] if hashes[section].get(k) != golden[section][k])

@@ -25,25 +25,41 @@ RUNS = {
 }
 
 
+def run_script(script, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 @pytest.mark.parametrize("script", sorted(RUNS))
 def test_script_runs(script):
     args, header = RUNS[script]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].rstrip() == header
+
+
+@pytest.mark.parametrize(("script", "args", "message"), [
+    ("seed_sweep.py", ["--n-tasks", "-5"], "argument --n-tasks: must be >= 0, got -5"),
+    ("seed_sweep.py", ["--first-seed", "-1"], "argument --first-seed: must be >= 0, got -1"),
+    ("seed_sweep.py", ["--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+    ("seed_sweep.py", ["--seeds", "two"], "argument --seeds: not an integer: 'two'"),
+    ("run_comparison.py", ["--n-tasks", "-5"], "argument --n-tasks: must be >= 0, got -5"),
+    ("run_comparison.py", ["--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+])
+def test_script_rejects_bad_count(script, args, message):
+    proc = run_script(script, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_comparison_honours_compare_policies(tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text("compare:\n  policies:\n    - mdp\n    - all_edge\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_comparison.py"), "--config", str(config), "--n-tasks", "200"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_script("run_comparison.py", "--config", str(config), "--n-tasks", "200")
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["mdp", "all_edge"]

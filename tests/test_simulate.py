@@ -1,15 +1,28 @@
+import json
 import math
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
-from devmux.routing import Action, NetworkState
+from devmux.routing import (
+    ACTIONS,
+    BATTERY_LEVELS,
+    COMPLEXITIES,
+    NETWORK_STATES,
+    TASK_KINDS,
+    Action,
+    NetworkState,
+)
 from devmux.simulate import (
+    EVENT_BLOCK_ROWS,
     ComparisonReport,
     MetricsReport,
     PolicyKind,
     SimConfig,
+    SimTrace,
     compare_policies,
     metrics_from_events,
     run_simulation,
@@ -33,9 +46,14 @@ def never_offline_config(**kwargs):
     return config
 
 
+def read_event_log(trace):
+    """The writer's event log parsed back into one dict per task."""
+    return [json.loads(line) for line in "".join(trace.event_log()).splitlines()]
+
+
 def run_events(config):
     report, trace = run_simulation(workload_from_config(config), config)
-    return report, list(trace.records())
+    return report, read_event_log(trace)
 
 
 def oracle_metrics(events, sub_second_ms=1000.0):
@@ -163,6 +181,77 @@ class TestCompare:
         rows = report.csv_rows()
         assert rows[0][0] == "policy"
         assert [r[0] for r in rows[1:]] == ["all_cloud", "all_edge", "threshold", "mdp"]
+
+
+def reference_event_log(trace):
+    """The event log as one dict per task through `json.JSONEncoder`, the
+    writer `SimTrace.event_log` replaced; its bytes are the oracle."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    kinds, complexities, networks, batteries, actions = (
+        [member.value for member in members]
+        for members in (TASK_KINDS, COMPLEXITIES, NETWORK_STATES, BATTERY_LEVELS, ACTIONS)
+    )
+    columns = (
+        trace.arrival_s, trace.kind, trace.complexity, trace.network, trace.battery, trace.action,
+        trace.latency_ms, trace.energy_units, trace.accuracy_loss, trace.failed,
+    )
+    return "".join(
+        encode({
+            "task_id": task_id, "arrival_s": arrival, "kind": kinds[k], "complexity": complexities[c],
+            "network": networks[net], "battery": batteries[b], "action": actions[a],
+            "latency_ms": latency, "energy_units": energy, "accuracy_loss": loss, "failed": failed,
+        }) + "\n"
+        for task_id, (arrival, k, c, net, b, a, latency, energy, loss, failed) in enumerate(
+            zip(*(column.tolist() for column in columns))
+        )
+    )
+
+
+# -0.0 and 0.0, two subnormals, values that float repr writes in exponent
+# notation (1e16, 1e-7), non-finite values and a NaN with the sign bit set;
+# Hypothesis adds arbitrary floats.
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e-310, 1e16, 1e-7, 0.1, math.inf, -math.inf, math.nan, -math.nan)
+float_palettes = st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=1, max_size=6)
+
+
+# An example holds up to thousands of rows, so shrinking one takes minutes; a
+# failure is reported as drawn.
+@settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    n=st.sampled_from([0, 1, EVENT_BLOCK_ROWS - 1, EVENT_BLOCK_ROWS, EVENT_BLOCK_ROWS + 1,
+                       2 * EVENT_BLOCK_ROWS + 3]),
+    seed=st.integers(0, 2**32 - 1),
+    arrival_palette=st.one_of(st.none(), float_palettes),
+    cost_palettes=st.lists(float_palettes, min_size=3, max_size=3),
+    p_failed=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@example(n=2 * EVENT_BLOCK_ROWS + 3, seed=1, arrival_palette=list(SPECIAL_FLOATS),
+         cost_palettes=[list(SPECIAL_FLOATS)] * 3, p_failed=0.3)
+def test_event_log_matches_json_encoder(n, seed, arrival_palette, cost_palettes, p_failed):
+    """Hand-built columns, each float column drawn from a small palette so
+    blocks repeat values; with no palette the arrivals are increasing, as a
+    workload's are. The writer's bytes equal the encoder's."""
+    rng = np.random.default_rng(seed)
+
+    def column(palette):
+        return np.array(palette, dtype=np.float64)[rng.integers(0, len(palette), n)]
+
+    if arrival_palette is None:
+        arrival = np.cumsum(rng.exponential(0.5, n))
+    else:
+        arrival = column(arrival_palette)
+    costs = np.stack([column(palette) for palette in cost_palettes], axis=1)
+    trace = SimTrace(
+        arrival_s=arrival,
+        **{name: rng.integers(0, len(members), n) for name, members in (
+            ("kind", TASK_KINDS), ("complexity", COMPLEXITIES), ("network", NETWORK_STATES),
+            ("battery", BATTERY_LEVELS), ("action", ACTIONS))},
+        latency_ms=costs[:, 0],
+        energy_units=costs[:, 1],
+        accuracy_loss=costs[:, 2],
+        failed=rng.random(n) < p_failed,
+    )
+    assert "".join(trace.event_log()) == reference_event_log(trace)
 
 
 def test_solved_policy_reused():
