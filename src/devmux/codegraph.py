@@ -7,12 +7,19 @@ unit becomes a labeled graph: containment (child) edges, ordering
 (next-sibling) edges, call (invokes) edges resolved within the unit, and
 inheritance edges. Callees and superclasses that do not resolve locally
 get placeholder nodes labeled "external-call" / "external-class".
+
+A `CodeGraph` is stored as columns, not as one object per node and edge:
+node `i` is `labels[i]` with `names[i]`, and edge `e` runs from `src[e]` to
+`dst[e]` with kind `EDGE_KINDS[kinds[e]]`. Its `nodes` and `edges` views
+build `Node`/`Edge` records on demand for callers that want them. Tokens
+are plain `(kind, text, line, col)` tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from enum import Enum
+from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -29,44 +36,96 @@ class EdgeKind(str, Enum):
     INHERITS = "inherits"
 
 
-@dataclass(frozen=True)
-class Node:
+# The edge kinds in column order: `CodeGraph.kinds` holds indexes into this.
+EDGE_KINDS = tuple(EdgeKind)
+_CHILD, _NEXT_SIBLING, _INVOKES, _INHERITS = map(
+    EDGE_KINDS.index, (EdgeKind.CHILD, EdgeKind.NEXT_SIBLING, EdgeKind.INVOKES, EdgeKind.INHERITS)
+)
+
+
+class Node(NamedTuple):
     id: int
     label: str
     name: str | None = None
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: int
     dst: int
     kind: EdgeKind
 
 
-@dataclass(frozen=True)
-class CodeGraph:
-    nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
+class _Records(Sequence):
+    """A read-only sequence of `n` records, record `i` built by `record(i)`
+    when it is read."""
+
+    __slots__ = ("_n", "_record")
+
+    def __init__(self, n: int, record) -> None:
+        self._n = n
+        self._record = record
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self._n
+
+    def __getitem__(self, i: int):
+        return self._record(range(self._n)[i])
+
+
+class CodeGraph:
+    """A code graph as five columns: `labels` and `names` per node, and
+    `src`, `dst` and `kinds` (indexes into `EDGE_KINDS`) per edge."""
+
+    __slots__ = ("labels", "names", "src", "dst", "kinds")
+
+    def __init__(
+        self,
+        labels: list[str],
+        names: list[str | None],
+        src: list[int],
+        dst: list[int],
+        kinds: list[int],
+    ) -> None:
+        self.labels = labels
+        self.names = names
+        self.src = src
+        self.dst = dst
+        self.kinds = kinds
+
+    def _columns(self) -> tuple[list, ...]:
+        return (self.labels, self.names, self.src, self.dst, self.kinds)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CodeGraph):
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    def __repr__(self) -> str:
+        return "CodeGraph(labels={!r}, names={!r}, src={!r}, dst={!r}, kinds={!r})".format(*self._columns())
+
+    @property
+    def nodes(self) -> Sequence[Node]:
+        return _Records(len(self.labels), lambda i: Node(i, self.labels[i], self.names[i]))
+
+    @property
+    def edges(self) -> Sequence[Edge]:
+        return _Records(len(self.src), lambda e: Edge(self.src[e], self.dst[e], EDGE_KINDS[self.kinds[e]]))
 
 
 KEYWORDS = {"class", "extends", "return"}
 _PUNCT = set("{}();,=.")
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | number | string | punct | keyword
-    text: str
-    line: int
-    col: int
+# (kind, text, line, col); kind is ident | number | string | punct | keyword
+Token = tuple[str, str, int, int]
 
 
 def tokenize(source: str, strict: bool = True) -> list[Token]:
-    """Lex mini-language source. With strict=False, unknown bytes are skipped
-    (used for plain-text token fallback)."""
+    """Lex mini-language source into `(kind, text, line, col)` tuples. With
+    strict=False, unknown bytes are skipped (used for plain-text token
+    fallback)."""
     tokens: list[Token] = []
     i, line, col = 0, 1, 1
     n = len(source)
@@ -99,7 +158,7 @@ def tokenize(source: str, strict: bool = True) -> list[Token]:
                 i += 1
             text = source[start:i]
             kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
+            tokens.append((kind, text, line, col))
             col += i - start
             continue
         if ch.isdigit():
@@ -110,7 +169,7 @@ def tokenize(source: str, strict: bool = True) -> list[Token]:
                 i += 1
                 while i < n and source[i].isdigit():
                     i += 1
-            tokens.append(Token("number", source[start:i], line, col))
+            tokens.append(("number", source[start:i], line, col))
             col += i - start
             continue
         if ch == '"':
@@ -127,14 +186,14 @@ def tokenize(source: str, strict: bool = True) -> list[Token]:
             if i >= n or source[i] != '"':
                 if strict:
                     raise ParseError("unterminated string literal", line, col)
-                tokens.append(Token("string", source[start + 1 :], line, col))
+                tokens.append(("string", source[start + 1 :], line, col))
                 break
-            tokens.append(Token("string", source[start + 1 : i], line, col))
+            tokens.append(("string", source[start + 1 : i], line, col))
             i += 1
             col += i - start
             continue
         if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, col))
+            tokens.append(("punct", ch, line, col))
             i, col = i + 1, col + 1
             continue
         if strict:
@@ -145,25 +204,35 @@ def tokenize(source: str, strict: bool = True) -> list[Token]:
 
 class _GraphBuilder:
     def __init__(self):
-        self.nodes: list[Node] = []
-        self.edges: list[Edge] = []
+        self.labels: list[str] = []
+        self.names: list[str | None] = []
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.kinds: list[int] = []
 
     def node(self, label: str, name: str | None = None) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(Node(nid, label, name))
-        return nid
+        self.labels.append(label)
+        self.names.append(name)
+        return len(self.labels) - 1
 
-    def edge(self, src: int, dst: int, kind: EdgeKind) -> None:
-        self.edges.append(Edge(src, dst, kind))
+    def edge(self, src: int, dst: int, kind: int) -> None:
+        self.src.append(src)
+        self.dst.append(dst)
+        self.kinds.append(kind)
 
     def attach_children(self, parent: int, children: list[int]) -> None:
-        for child in children:
-            self.edge(parent, child, EdgeKind.CHILD)
-        for a, b in zip(children, children[1:]):
-            self.edge(a, b, EdgeKind.NEXT_SIBLING)
+        """A child edge to each of `children`, then a next-sibling edge
+        between each adjacent pair."""
+        n = len(children)
+        self.src += [parent] * n
+        self.src += children[:-1]
+        self.dst += children
+        self.dst += children[1:]
+        self.kinds += [_CHILD] * n
+        self.kinds += [_NEXT_SIBLING] * (n - 1)
 
     def finish(self) -> CodeGraph:
-        return CodeGraph(tuple(self.nodes), tuple(self.edges))
+        return CodeGraph(self.labels, self.names, self.src, self.dst, self.kinds)
 
 
 class _MiniParser:
@@ -186,21 +255,21 @@ class _MiniParser:
     def advance(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("punct", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col + len(last.text))
+            _, text, line, col = self.tokens[-1]
+            raise ParseError("unexpected end of input", line, col + len(text))
         self.pos += 1
         return tok
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.advance()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.col)
+            raise ParseError(f"expected {want!r}, found {tok[1]!r}", tok[2], tok[3])
         return tok
 
     def at(self, kind: str, text: str | None = None, offset: int = 0) -> bool:
         tok = self.peek(offset)
-        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
+        return tok is not None and tok[0] == kind and (text is None or tok[1] == text)
 
     def parse_unit(self) -> CodeGraph:
         while self.peek() is not None:
@@ -213,11 +282,11 @@ class _MiniParser:
 
     def parse_class(self) -> None:
         self.expect("keyword", "class")
-        name = self.expect("ident").text
+        name = self.expect("ident")[1]
         superclass = None
         if self.at("keyword", "extends"):
             self.advance()
-            superclass = self.expect("ident").text
+            superclass = self.expect("ident")[1]
         node = self.g.node("class-decl", name)
         self.classes.append((name, node, superclass))
         self.expect("punct", "{")
@@ -229,10 +298,10 @@ class _MiniParser:
 
     def parse_method_or_field(self, in_class: bool) -> int:
         self.expect("ident")  # declared type; not represented structurally
-        name_tok = self.expect("ident")
+        name = self.expect("ident")[1]
         if self.at("punct", "("):
-            return self.parse_method_rest(name_tok.text)
-        node = self.g.node("field-decl", name_tok.text)
+            return self.parse_method_rest(name)
+        node = self.g.node("field-decl", name)
         children: list[int] = []
         if self.at("punct", "="):
             self.advance()
@@ -248,7 +317,7 @@ class _MiniParser:
         children: list[int] = []
         while not self.at("punct", ")"):
             self.expect("ident")  # parameter type
-            pname = self.expect("ident").text
+            pname = self.expect("ident")[1]
             children.append(self.g.node("param", pname))
             if self.at("punct", ","):
                 self.advance()
@@ -285,7 +354,7 @@ class _MiniParser:
         # Two adjacent identifiers open a local declaration: "Foo bar = ...;"
         if self.at("ident") and self.at("ident", offset=1):
             self.advance()
-            name = self.advance().text
+            name = self.advance()[1]
             node = self.g.node("var-decl", name)
             children = []
             if self.at("punct", "="):
@@ -309,18 +378,17 @@ class _MiniParser:
         return left
 
     def parse_primary(self) -> int:
-        tok = self.advance()
-        if tok.kind == "string":
-            return self.g.node("string-literal", tok.text)
-        if tok.kind == "number":
-            return self.g.node("number-literal", tok.text)
-        if tok.kind != "ident":
-            raise ParseError(f"expected expression, found {tok.text!r}", tok.line, tok.col)
-        name = tok.text
+        kind, name, line, col = self.advance()
+        if kind == "string":
+            return self.g.node("string-literal", name)
+        if kind == "number":
+            return self.g.node("number-literal", name)
+        if kind != "ident":
+            raise ParseError(f"expected expression, found {name!r}", line, col)
         dotted = False
         while self.at("punct", "."):
             self.advance()
-            name += "." + self.expect("ident").text
+            name += "." + self.expect("ident")[1]
             dotted = True
         if self.at("punct", "("):
             self.advance()
@@ -367,7 +435,7 @@ class _MiniParser:
                 target = external_node("external-call", callee)
             if (caller, target) not in seen_invokes:
                 seen_invokes.add((caller, target))
-                self.g.edge(caller, target, EdgeKind.INVOKES)
+                self.g.edge(caller, target, _INVOKES)
 
         for _, node, superclass in self.classes:
             if superclass is None:
@@ -375,7 +443,7 @@ class _MiniParser:
             target = class_by_name.get(superclass)
             if target is None:
                 target = external_node("external-class", superclass)
-            self.g.edge(node, target, EdgeKind.INHERITS)
+            self.g.edge(node, target, _INHERITS)
 
 
 def parse_to_graph(source: str) -> CodeGraph:
@@ -383,7 +451,7 @@ def parse_to_graph(source: str) -> CodeGraph:
     line/column."""
     tokens = tokenize(source, strict=True)
     if not tokens:
-        return CodeGraph((), ())
+        return _GraphBuilder().finish()
     return _MiniParser(tokens).parse_unit()
 
 
@@ -394,11 +462,11 @@ def fallback_token_graph(text: str) -> CodeGraph:
     embedding so retrieval still works on name overlap.
     """
     g = _GraphBuilder()
-    for tok in tokenize(text, strict=False):
-        if tok.kind in ("ident", "keyword"):
-            g.node("identifier", tok.text)
-        elif tok.kind == "string":
-            g.node("string-literal", tok.text)
-        elif tok.kind == "number":
-            g.node("number-literal", tok.text)
+    for kind, word, _, _ in tokenize(text, strict=False):
+        if kind in ("ident", "keyword"):
+            g.node("identifier", word)
+        elif kind == "string":
+            g.node("string-literal", word)
+        elif kind == "number":
+            g.node("number-literal", word)
     return g.finish()

@@ -1,12 +1,19 @@
+import string
+from dataclasses import astuple, dataclass
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devmux.codegraph import (
+    KEYWORDS,
     CodeGraph,
     Edge,
     EdgeKind,
     ParseError,
     fallback_token_graph,
     parse_to_graph,
+    tokenize,
 )
 
 
@@ -137,3 +144,110 @@ def test_fallback_token_graph():
     assert len(graph.edges) == 0
     names = {n.name for n in graph.nodes if n.label == "identifier"}
     assert {"how", "does", "Parser", "handle", "and"} == names
+
+
+@dataclass(frozen=True)
+class RefToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def reference_tokenize(source: str, strict: bool = True) -> list[RefToken]:
+    """The tokenizer as it was with one frozen dataclass per token: the
+    oracle for the tuple tokens of `tokenize`."""
+    tokens: list[RefToken] = []
+    i, line, col = 0, 1, 1
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if source.startswith("/*", i):
+            end = source.find("*/", i + 2)
+            if end < 0:
+                if strict:
+                    raise ParseError("unterminated block comment", line, col)
+                break
+            skipped = source[i : end + 2]
+            line += skipped.count("\n")
+            col = len(skipped) - skipped.rfind("\n") if "\n" in skipped else col + len(skipped)
+            i = end + 2
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                i += 1
+            text = source[start:i]
+            kind = "keyword" if text in KEYWORDS else "ident"
+            tokens.append(RefToken(kind, text, line, col))
+            col += i - start
+            continue
+        if ch.isdigit():
+            start = i
+            while i < n and source[i].isdigit():
+                i += 1
+            if i < n - 1 and source[i] == "." and source[i + 1].isdigit():
+                i += 1
+                while i < n and source[i].isdigit():
+                    i += 1
+            tokens.append(RefToken("number", source[start:i], line, col))
+            col += i - start
+            continue
+        if ch == '"':
+            start = i
+            i += 1
+            while i < n and source[i] != '"':
+                if source[i] == "\\" and i + 1 < n:
+                    i += 1
+                if source[i] == "\n":
+                    if strict:
+                        raise ParseError("unterminated string literal", line, col)
+                    break
+                i += 1
+            if i >= n or source[i] != '"':
+                if strict:
+                    raise ParseError("unterminated string literal", line, col)
+                tokens.append(RefToken("string", source[start + 1 :], line, col))
+                break
+            tokens.append(RefToken("string", source[start + 1 : i], line, col))
+            i += 1
+            col += i - start
+            continue
+        if ch in "{}();,=.":
+            tokens.append(RefToken("punct", ch, line, col))
+            i, col = i + 1, col + 1
+            continue
+        if strict:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        i, col = i + 1, col + 1
+    return tokens
+
+
+def lex(lexer, source: str, strict: bool, record=tuple):
+    """`(kind, text, line, col)` of every token, or the `ParseError` message."""
+    try:
+        return [record(tok) for tok in lexer(source, strict)]
+    except ParseError as err:
+        return str(err)
+
+
+# Characters every branch of the lexer turns on, non-ASCII letters and
+# digits (`\u00b2` and `\u0663` are digits to `str.isdigit` but not to an
+# ASCII class; `\u216b` is alphanumeric but not alphabetic) and newlines.
+LEXER_ALPHABET = list(' "\\/*{}();,=._@\n\n\t\u00e9\u00b2\u0663\u216b') + list(string.digits + string.ascii_lowercase)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(st.sampled_from(LEXER_ALPHABET))), st.booleans())
+def test_tokenize_matches_reference(source, strict):
+    assert lex(tokenize, source, strict) == lex(reference_tokenize, source, strict, astuple)

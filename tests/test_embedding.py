@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devmux import embedding
-from devmux.codegraph import CodeGraph, Edge, EdgeKind, Node, parse_to_graph
-from devmux.embedding import VECTOR_DIM, BandConfig, WLLabels, _wl_label_counts, cosine, graph_to_vector
+from devmux.codegraph import EDGE_KINDS, CodeGraph, EdgeKind, parse_to_graph
+from devmux.embedding import VECTOR_DIM, BandConfig, WLLabels, _bucket, _wl_rounds, cosine, graph_to_vector
 
 RENAME_A = """
 class Account extends Base {
@@ -87,9 +88,13 @@ def test_renaming_beats_restructuring_at_default_weight():
 
 def test_added_inherits_edge_changes_structural_band():
     plain = parse_to_graph("class A { void f() { } }")
-    nodes = plain.nodes + (Node(len(plain.nodes), "external-class", "B"),)
-    edges = plain.edges + (Edge(0, len(plain.nodes), EdgeKind.INHERITS),)
-    extended = CodeGraph(nodes, edges)
+    extended = CodeGraph(
+        plain.labels + ["external-class"],
+        plain.names + ["B"],
+        plain.src + [0],
+        plain.dst + [len(plain)],
+        plain.kinds + [EDGE_KINDS.index(EdgeKind.INHERITS)],
+    )
     bands = BandConfig(identifier_weight=0.0)
     assert cosine(graph_to_vector(plain, bands), graph_to_vector(extended, bands)) < 1.0 - 1e-9
 
@@ -128,21 +133,16 @@ def test_cosine_dimension_mismatch():
 def small_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=12))
     labels = ["class-decl", "method-decl", "block", "call-expr", "identifier", "string-literal"]
-    nodes = tuple(
-        Node(i, draw(st.sampled_from(labels)), draw(st.one_of(st.none(), st.text("abc", min_size=1, max_size=3))))
-        for i in range(n)
-    )
+    names = st.one_of(st.none(), st.text("abc", min_size=1, max_size=3))
     n_edges = draw(st.integers(min_value=0, max_value=2 * n))
-    kinds = list(EdgeKind)
-    edges = tuple(
-        Edge(
-            draw(st.integers(min_value=0, max_value=n - 1)),
-            draw(st.integers(min_value=0, max_value=n - 1)),
-            draw(st.sampled_from(kinds)),
-        )
-        for _ in range(n_edges)
+    ends = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n_edges, max_size=n_edges)
+    return CodeGraph(
+        draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)),
+        draw(st.lists(names, min_size=n, max_size=n)),
+        draw(ends),
+        draw(ends),
+        draw(st.lists(st.integers(min_value=0, max_value=len(EDGE_KINDS) - 1), min_size=n_edges, max_size=n_edges)),
     )
-    return CodeGraph(nodes, edges)
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,11 +184,8 @@ def reference_wl_label_counts(graph: CodeGraph, rounds: int) -> Counter:
     return counts
 
 
-def counts_by_label(counts: Counter, wl: WLLabels) -> Counter:
-    out: Counter = Counter()
-    for (r, i), count in counts.items():
-        out[(r, wl.label(i))] += count
-    return out
+def counts_by_label(per_round: list[np.ndarray], wl: WLLabels) -> Counter:
+    return Counter((r, wl.label(i)) for r, ids in enumerate(per_round) for i in ids.tolist())
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,7 +193,59 @@ def counts_by_label(counts: Counter, wl: WLLabels) -> Counter:
 def test_wl_counts_match_per_node_reference(graphs, rounds):
     wl = WLLabels()
     for graph in graphs:
-        assert counts_by_label(_wl_label_counts(graph, rounds, wl), wl) == reference_wl_label_counts(graph, rounds)
+        assert counts_by_label(_wl_rounds(graph, rounds, wl), wl) == reference_wl_label_counts(graph, rounds)
+
+
+def reference_graph_to_vector(graph: CodeGraph, bands: BandConfig) -> np.ndarray:
+    """The vector with one `_bucket` per (round, label) of
+    `reference_wl_label_counts` and one per named node: the formula that
+    `WLLabels` memoises per id."""
+    keyed = hashlib.blake2b(digest_size=8, key=bands.hash_seed.to_bytes(8, "little"))
+    structural = np.zeros(bands.structural_dims, dtype=np.int64)
+    identifiers = np.zeros(bands.identifier_dims, dtype=np.int64)
+    literals = np.zeros(bands.literal_dims, dtype=np.int64)
+    for (r, label), count in reference_wl_label_counts(graph, bands.wl_iterations).items():
+        structural[_bucket(f"wl|{r}|{label}", bands.structural_dims, keyed)] += count
+    for node in graph.nodes:
+        if node.name is None:
+            continue
+        if node.label in ("string-literal", "number-literal"):
+            literals[_bucket(f"lit|{node.label}|{node.name}", bands.literal_dims, keyed)] += 1
+        else:
+            identifiers[_bucket(f"id|{node.name}", bands.identifier_dims, keyed)] += 1
+    vector = np.concatenate(
+        [
+            structural.astype(np.float64),
+            bands.identifier_weight * identifiers.astype(np.float64),
+            literals.astype(np.float64),
+        ]
+    )
+    norm = np.linalg.norm(vector)
+    return vector if norm == 0.0 else vector / norm
+
+
+@st.composite
+def band_configs(draw):
+    """Few distinct dims and seeds, so a run often returns to bands it had
+    left."""
+    structural = draw(st.sampled_from([512, 100, 7]))
+    return BandConfig(
+        structural_dims=structural,
+        identifier_dims=VECTOR_DIM - 64 - structural,
+        wl_iterations=draw(st.integers(min_value=0, max_value=4)),
+        hash_seed=draw(st.sampled_from([0x5EEDC0DE, 0, 2**64 - 1])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(small_graphs(), band_configs()), min_size=1, max_size=10), st.sampled_from([4, 24, 1 << 16]))
+def test_shared_labels_match_reference_vectors(calls, cap):
+    """One `WLLabels` across calls that change dims, seed and rounds, and
+    across clears at a small entry cap, gives the reference's bytes."""
+    wl = WLLabels()
+    with mock.patch.object(embedding, "_MAX_WL_ENTRIES", cap):
+        for graph, bands in calls:
+            assert graph_to_vector(graph, bands, wl).tobytes() == reference_graph_to_vector(graph, bands).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,7 +14,10 @@ stdout over every state and the `router_fingerprint()`. The query golden
 pins `index` and `query` stdout and exit codes and the `index.bin` bytes
 over a seeded corpus that stores every unit under three ids, so the k-th
 score is often tied, and the search results of `index_v1.bin`, an index
-file in the version-1 layout.
+file in the version-1 layout. Its `index_tree` entry pins `index` over a
+seeded tree with one broken file per parse error and a unit with non-ASCII
+names: exit code, stdout, the stderr warnings with their line and column,
+and the `index.bin` bytes.
 
 After a deliberate, documented byte change, rewrite the goldens with
 `PYTHONPATH=src python tests/test_golden.py`. `index_v1.bin` is not
@@ -173,11 +176,48 @@ def query_cases(units: list[str]) -> dict[str, list[str]]:
     return cases
 
 
-def _run_cli(argv: list[str]) -> tuple[int, str]:
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
+INDEX_TREE_SEED = 4243
+NON_ASCII_UNIT = (
+    "class Straße extends Größe {\n"
+    "  int maß = \u0663\u0664;\n"
+    "  void zähle(int n\u00b2) { grüße(\"héllo wörld\", n\u00b2); é = 7; return é; }\n"
+    "  void grüße(String s, int k) { return s; }\n"
+    "}\n"
+)
+
+
+def _break_line(rng: random.Random, text: str, edit) -> str:
+    """`text` with `edit` applied to one seeded line past the first."""
+    lines = text.split("\n")
+    k = rng.randrange(1, len(lines) - 2)
+    lines[k] = edit(lines[k])
+    return "\n".join(lines)
+
+
+def index_tree(seed: int = INDEX_TREE_SEED) -> dict[str, str]:
+    """Relative path -> text: seeded `query_corpus` units in three folders,
+    one unit with non-ASCII names and literals, and four units broken in a
+    seeded place, one for each way a parse fails."""
+    rng = random.Random(seed)
+    breakers = (
+        lambda text: _break_line(rng, text, lambda line: line + " \u216b"),  # unexpected character
+        lambda text: _break_line(rng, text, lambda line: line + " \"open"),  # unterminated string
+        lambda text: text.rstrip().rstrip("}"),  # unexpected end of input
+        lambda text: _break_line(rng, text, lambda line: "  /* open " + line),  # unterminated block comment
+    )
+    units = query_corpus(seed, n_units=16)
+    broken = dict(zip(rng.sample(range(len(units)), len(breakers)), breakers))
+    files = {f"pkg{i % 3}/unit{i:02d}.mini": broken[i](text) if i in broken else text
+             for i, text in enumerate(units)}
+    files["pkg1/unicode.mini"] = NON_ASCII_UNIT
+    return files
+
+
+def _run_cli(argv: list[str]) -> tuple[int, str, str]:
+    buffer, errors = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(errors):
         code = cli_main(argv)
-    return code, buffer.getvalue()
+    return code, buffer.getvalue(), errors.getvalue()
 
 
 def v1_fixture_index() -> VectorIndex:
@@ -223,12 +263,19 @@ def collect_query_hashes(directory: Path) -> dict:
     previous = os.getcwd()
     os.chdir(directory)
     try:
-        code, stdout = _run_cli(["index", "corpus", "--out", "index.bin"])
+        code, stdout, _ = _run_cli(["index", "corpus", "--out", "index.bin"])
         out["index"] = {"code": code, "file": _sha256(Path("index.bin")),
                         "stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest()}
         for name, tail in query_cases(units).items():
-            code, stdout = _run_cli(["query", *tail, "--index", "index.bin", "--source-root", "corpus"])
+            code, stdout, _ = _run_cli(["query", *tail, "--index", "index.bin", "--source-root", "corpus"])
             out["query"][name] = {"code": code, "stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest()}
+        for rel, text in index_tree().items():
+            path = Path("tree", rel)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        code, stdout, stderr = _run_cli(["index", "tree", "--out", "tree.bin"])
+        out["index_tree"] = {"code": code, "file": _sha256(Path("tree.bin")), "stdout": stdout,
+                             "stderr": stderr.splitlines()}
     finally:
         os.chdir(previous)
     fixture = VectorIndex.load(V1_FIXTURE)
