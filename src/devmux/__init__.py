@@ -13,33 +13,36 @@ config loader, and a CLI command loads only the modules it runs.
 
 __version__ = "0.1.0"
 
-# Home module of each public name. The routing enums and the error classes
-# live in the stdlib-only `base`; `routing`, `configfile` and `layoutlint`
-# re-export them, so both paths give the same object.
+# Home module of each public name. The enums and the error classes live in
+# the stdlib-only `base`, and the setting records in `configfile`, which
+# imports only `base`; the subsystems re-export the names they used to
+# define, so both paths give the same object.
 _EXPORTS = {
     "base": (
-        "Action", "Battery", "Complexity", "DeviceClass", "NetworkState", "TaskKind",
-        "ConfigError", "LayoutParseError",
+        "Action", "Battery", "Complexity", "ContextSource", "DeviceClass", "NetworkState", "PolicyKind",
+        "TaskKind", "ConfigError", "LayoutParseError",
     ),
     "codegraph": ("CodeGraph", "EdgeKind", "ParseError", "parse_to_graph"),
-    "configfile": ("AppConfig", "load_config", "parse_config_text"),
-    "embedding": ("VECTOR_DIM", "BandConfig", "cosine", "graph_to_vector"),
-    "fusion": ("ContextItem", "ContextSource", "FusedContext", "FusionWeights", "assemble_context", "score_items"),
+    "configfile": (
+        "VECTOR_DIM", "AppConfig", "BandConfig", "CostModel", "DeviceProfile", "FusionWeights", "KindRanges",
+        "NetworkModel", "SimConfig", "WorkloadSpec", "default_network_model", "load_config", "parse_config_text",
+    ),
+    "embedding": ("cosine", "graph_to_vector"),
+    "fusion": ("ContextItem", "FusedContext", "assemble_context", "score_items"),
     "layoutlint": (
         "ConstraintGraph", "FindingKind", "Inconsistency", "LayoutStatement", "build_constraint_graph",
         "check_layout_source", "describe", "detect_inconsistencies", "parse_layout",
     ),
     "routing": (
-        "ACTION_MASK", "CostModel", "DeviceProfile", "MdpModel", "NetworkModel", "RoutingPolicy",
-        "RoutingState", "build_mdp", "cost_breakdown", "cost_table", "default_network_model",
+        "ACTION_MASK", "MdpModel", "RoutingPolicy", "RoutingState", "build_mdp", "cost_breakdown", "cost_table",
         "drain_odds", "value_iteration",
     ),
     "simulate": (
-        "ComparisonReport", "MetricsReport", "PolicyKind", "SimConfig", "SimTrace", "compare_policies",
-        "metrics_from_events", "run_simulation",
+        "ComparisonReport", "MetricsReport", "SimTrace", "compare_policies", "metrics_from_events",
+        "run_simulation",
     ),
     "vindex": ("QueryResult", "RecordMetadata", "VectorIndex"),
-    "workload": ("KindRanges", "Workload", "WorkloadSpec", "generate_workload"),
+    "workload": ("Workload", "generate_workload"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,10 +1,12 @@
 """Names the CLI needs before it runs a command, in one stdlib-only module.
 
 The parser reads its `route` choices from the routing enums, and `cli_main`
-maps the error classes below to exit codes. Keeping them here, away from
-numpy and the subsystems, lets a command import only the modules it runs.
-`routing`, `configfile`, `vindex` and `layoutlint` import these names back,
-so `devmux.routing.Complexity is devmux.base.Complexity` and so on.
+maps the error classes below to exit codes. Every enum a setting takes lives
+here too, so the config loader (`configfile`) needs nothing but this module
+and the stdlib. Keeping them here, away from numpy, `dataclasses` and the
+subsystems, lets a command import only the modules it runs. `routing`,
+`simulate`, `fusion`, `configfile`, `vindex` and `layoutlint` import these
+names back, so `devmux.routing.Complexity is devmux.base.Complexity` and so on.
 """
 
 from __future__ import annotations
@@ -44,6 +46,19 @@ class NetworkState(str, Enum):
 class Action(str, Enum):
     EDGE = "edge"
     CLOUD = "cloud"
+
+
+class PolicyKind(str, Enum):
+    ALL_CLOUD = "all_cloud"
+    ALL_EDGE = "all_edge"
+    THRESHOLD = "threshold"
+    MDP = "mdp"
+
+
+class ContextSource(str, Enum):
+    IDE_INTERACTION = "ide_interaction"
+    CODE_CONTEXT = "code_context"
+    RUNTIME_LOG = "runtime_log"
 
 
 class ConfigError(Exception):

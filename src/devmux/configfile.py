@@ -1,4 +1,15 @@
-"""Central configuration file: a restricted YAML subset, plus typed assembly.
+"""Every setting of every subsystem: its record, default and range checks,
+and the restricted YAML file that overrides them.
+
+The setting records (`CostModel`, `DeviceProfile`, `NetworkModel`,
+`SimConfig`, `KindRanges`, `WorkloadSpec`, `BandConfig`, `FusionWeights`)
+check their own ranges on construction and raise ValueError; each default
+and each check is written here once. This module imports only `base` and the
+stdlib, so reading a config loads neither numpy nor a subsystem. `routing`,
+`simulate`, `workload`, `embedding` and `fusion` import these names back, so
+`devmux.routing.CostModel is devmux.configfile.CostModel` and so on. The
+network's transition matrix is a tuple of row tuples; the code that needs an
+array calls `np.asarray` on it.
 
 The accepted grammar is scalars, nested maps, and lists of scalars,
 selected by indentation, with `#` comments. YAML anchors, aliases, tags,
@@ -14,26 +25,285 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
-import numpy as np
+from .base import Battery, Complexity, ConfigError, ContextSource, DeviceClass, NetworkState, PolicyKind, TaskKind
 
-from .base import ConfigError
-from .embedding import BandConfig
-from .fusion import ContextSource, FusionWeights
-from .routing import (
-    DEFAULT_CLOUD_ENERGY_RATIO,
-    DEFAULT_DEGRADED_RTT_FACTOR,
-    DEFAULT_GOOD_RTT_MS,
-    NETWORK_STATES,
-    Complexity,
-    CostModel,
-    DeviceProfile,
-    NetworkModel,
-    NetworkState,
-    check_odds,
-)
-from .simulate import PolicyKind, SimConfig
-from .workload import KindRanges, TaskKind, WorkloadSpec
+VECTOR_DIM = 768
+STOCHASTIC_TOL = 1e-9
+DEFAULT_TOLERANCE = 1e-8  # value-iteration stopping threshold
+DEFAULT_P_DRAIN = 0.05
+DEFAULT_GOOD_RTT_MS = 2400.0  # median round trip observed for cloud-hosted assistants
+DEFAULT_DEGRADED_RTT_FACTOR = 3.0
+DEFAULT_CLOUD_ENERGY_RATIO = 3.8  # cloud-bound work costs this multiple of on-device energy
+# Rows and columns in `NetworkState` order: mostly good, occasionally degraded, rarely offline.
+DEFAULT_TRANSITIONS = ((0.92, 0.06, 0.02), (0.25, 0.70, 0.05), (0.30, 0.30, 0.40))
+DEFAULT_PRIORS: dict[ContextSource, float] = {
+    ContextSource.IDE_INTERACTION: 0.63,
+    ContextSource.CODE_CONTEXT: 0.27,
+    ContextSource.RUNTIME_LOG: 0.10,
+}
+
+
+def _per_complexity(low: float, medium: float, high: float) -> dict[Complexity, float]:
+    return {Complexity.LOW: low, Complexity.MEDIUM: medium, Complexity.HIGH: high}
+
+
+def default_complexity_mix() -> dict[Complexity, float]:
+    return _per_complexity(0.5, 0.4, 0.1)
+
+
+def check_positive(**values: float) -> None:
+    """Raise ValueError naming the first of `values` that is not > 0 (NaN is not)."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+
+
+def check_shares(name: str, shares: Mapping, members) -> None:
+    """Raise ValueError unless `shares` maps exactly the enum `members` to
+    numbers >= 0 whose correctly rounded sum is 1 within STOCHASTIC_TOL."""
+    if set(shares) != set(members):
+        raise ValueError(f"{name} must cover {'/'.join(m.value for m in members)}")
+    if not min(shares.values()) >= 0:
+        raise ValueError(f"{name} entries must be >= 0")
+    if not abs(math.fsum(shares.values()) - 1.0) <= STOCHASTIC_TOL:
+        raise ValueError(f"{name} must sum to 1")
+
+
+def check_odds(complexity_mix: Mapping[Complexity, float], p_drain: float) -> None:
+    """Check the complexity mix and the drain odds `p_drain`. Raises ValueError."""
+    check_shares("complexity_mix", complexity_mix, Complexity)
+    if not 0.0 <= p_drain <= 1.0:
+        raise ValueError("p_drain must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class CostModel:
+    """Linear weights turning (latency, energy, accuracy loss) into scalar cost."""
+
+    w_latency: float = 0.001
+    w_energy: float = 0.1
+    w_accuracy: float = 10.0
+    discount_gamma: float = 0.95
+
+    def __post_init__(self) -> None:
+        if min(self.w_latency, self.w_energy, self.w_accuracy) < 0:
+            raise ValueError("cost weights must be >= 0")
+        if not 0.0 <= self.discount_gamma < 1.0:
+            raise ValueError("discount_gamma must be in [0, 1)")
+
+
+@dataclass(frozen=True)
+class DeviceProfile:
+    """Local execution characteristics of the developer's machine.
+
+    Latency entries are the GPU baseline; CPU-only devices pay
+    ``cpu_latency_multiplier`` on top. High-complexity accuracy loss mirrors
+    the accuracy sacrifice observed for on-device handling of complex mobile
+    tasks.
+    """
+
+    device_class: DeviceClass = DeviceClass.CPU_ONLY
+    battery: Battery = Battery.OK
+    edge_base_latency_ms: dict[Complexity, float] = field(
+        default_factory=lambda: _per_complexity(150.0, 400.0, 1200.0)
+    )
+    edge_energy_units: dict[Complexity, float] = field(default_factory=lambda: _per_complexity(1.0, 2.0, 5.0))
+    edge_accuracy_loss: dict[Complexity, float] = field(default_factory=lambda: _per_complexity(0.0, 0.05, 0.29))
+    cpu_latency_multiplier: float = 2.0
+
+    def __post_init__(self) -> None:
+        for c in Complexity:
+            if self.edge_base_latency_ms[c] <= 0:
+                raise ValueError("edge latencies must be > 0")
+            if not 0.0 <= self.edge_accuracy_loss[c] <= 1.0:
+                raise ValueError("accuracy loss must be in [0, 1]")
+            if self.edge_energy_units[c] < 0:
+                raise ValueError("edge energy must be >= 0")
+        check_positive(cpu_latency_multiplier=self.cpu_latency_multiplier)
+
+    def edge_latency_ms(self, complexity: Complexity, device_class: DeviceClass) -> float:
+        base = self.edge_base_latency_ms[complexity]
+        if device_class is DeviceClass.CPU_ONLY:
+            return base * self.cpu_latency_multiplier
+        return base
+
+
+@dataclass(frozen=True)
+class NetworkModel:
+    """Markov chain over link quality plus the cloud-side cost tables.
+
+    `transition_matrix` is stored as a tuple of row tuples of floats, rows
+    and columns in `NetworkState` order; any 3x3 nested sequence is accepted.
+    """
+
+    transition_matrix: tuple[tuple[float, ...], ...]
+    rtt_ms: dict[NetworkState, float]
+    cloud_compute_ms: dict[Complexity, float]
+    cloud_energy_units: dict[Complexity, float]
+
+    def __post_init__(self) -> None:
+        matrix = tuple(tuple(map(float, row)) for row in self.transition_matrix)
+        if [len(row) for row in matrix] != [len(NetworkState)] * len(NetworkState):
+            raise ValueError("transition_matrix must be 3x3")
+        for src, row in zip(NetworkState, matrix):
+            check_shares(f"transition_matrix.{src.value}", dict(zip(NetworkState, row)), NetworkState)
+        object.__setattr__(self, "transition_matrix", matrix)
+        if NetworkState.OFFLINE in self.rtt_ms:
+            raise ValueError("offline state has no round-trip time")
+        if min(self.rtt_ms[NetworkState.GOOD], self.rtt_ms[NetworkState.DEGRADED]) <= 0:
+            raise ValueError("rtt_ms must be > 0")
+        for c in Complexity:
+            if self.cloud_compute_ms[c] < 0 or self.cloud_energy_units[c] < 0:
+                raise ValueError("cloud cost tables must be >= 0")
+
+
+def default_network_model(
+    device: DeviceProfile | None = None,
+    good_rtt_ms: float = DEFAULT_GOOD_RTT_MS,
+    degraded_rtt_factor: float = DEFAULT_DEGRADED_RTT_FACTOR,
+    cloud_energy_ratio: float = DEFAULT_CLOUD_ENERGY_RATIO,
+    transition_matrix=DEFAULT_TRANSITIONS,
+    cloud_compute_ms: Mapping[Complexity, float] | None = None,
+    cloud_energy_units: Mapping[Complexity, float] | None = None,
+) -> NetworkModel:
+    """The network model for `device` (default `DeviceProfile()`). The
+    degraded RTT is `degraded_rtt_factor` times `good_rtt_ms`, and the cloud
+    spends `cloud_energy_ratio` times the device's edge energy; the entries
+    of `cloud_compute_ms` and `cloud_energy_units` replace the defaults."""
+    device = device or DeviceProfile()
+    return NetworkModel(
+        transition_matrix=transition_matrix,
+        rtt_ms={NetworkState.GOOD: good_rtt_ms, NetworkState.DEGRADED: good_rtt_ms * degraded_rtt_factor},
+        cloud_compute_ms={**_per_complexity(100.0, 250.0, 600.0), **(cloud_compute_ms or {})},
+        cloud_energy_units={
+            **{c: cloud_energy_ratio * device.edge_energy_units[c] for c in Complexity},
+            **(cloud_energy_units or {}),
+        },
+    )
+
+
+@dataclass(frozen=True)
+class KindRanges:
+    """Inclusive sampling ranges for one task kind."""
+
+    files: tuple[int, int]
+    deps: tuple[int, int]
+    tokens: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        for lo, hi in (self.files, self.deps, self.tokens):
+            if lo < 0 or hi < lo:
+                raise ValueError("ranges must satisfy 0 <= lo <= hi")
+
+
+def _default_mix() -> dict[TaskKind, float]:
+    return {
+        TaskKind.SYNTAX_FIX: 0.45,
+        TaskKind.COMPLETION: 0.30,
+        TaskKind.REFACTOR: 0.15,
+        TaskKind.CRASH_ANALYSIS: 0.10,
+    }
+
+
+def _default_ranges() -> dict[TaskKind, KindRanges]:
+    return {
+        TaskKind.SYNTAX_FIX: KindRanges(files=(1, 1), deps=(0, 0), tokens=(40, 400)),
+        TaskKind.COMPLETION: KindRanges(files=(1, 2), deps=(0, 2), tokens=(200, 3000)),
+        TaskKind.REFACTOR: KindRanges(files=(2, 8), deps=(1, 4), tokens=(500, 4000)),
+        TaskKind.CRASH_ANALYSIS: KindRanges(files=(1, 3), deps=(0, 3), tokens=(1000, 6000)),
+    }
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    mix: dict[TaskKind, float] = field(default_factory=_default_mix)
+    ranges: dict[TaskKind, KindRanges] = field(default_factory=_default_ranges)
+    inter_arrival_mean_s: float = 30.0
+
+    def __post_init__(self) -> None:
+        check_shares("mix", self.mix, TaskKind)
+        if set(self.ranges) != set(TaskKind):
+            raise ValueError("ranges must cover every task kind")
+        check_positive(inter_arrival_mean_s=self.inter_arrival_mean_s)
+
+
+@dataclass(eq=False)
+class SimConfig:
+    n_tasks: int = 1000
+    seed: int = 42
+    policy: PolicyKind = PolicyKind.MDP
+    device: DeviceProfile = field(default_factory=DeviceProfile)
+    network: NetworkModel | None = None
+    cost: CostModel = field(default_factory=CostModel)
+    workload_spec: WorkloadSpec = field(default_factory=WorkloadSpec)
+    initial_network: NetworkState = NetworkState.GOOD
+    p_drain: float = DEFAULT_P_DRAIN
+    tolerance: float = DEFAULT_TOLERANCE
+    complexity_mix: dict[Complexity, float] = field(default_factory=default_complexity_mix)
+    offline_timeout_ms: float = 10_000.0
+    sub_second_ms: float = 1000.0
+
+    def __post_init__(self) -> None:
+        if self.network is None:
+            self.network = default_network_model(self.device)
+        if self.n_tasks < 0 or self.seed < 0:
+            raise ValueError("n_tasks and seed must be >= 0")
+        check_odds(self.complexity_mix, self.p_drain)
+        check_positive(
+            tolerance=self.tolerance, offline_timeout_ms=self.offline_timeout_ms, sub_second_ms=self.sub_second_ms
+        )
+
+
+@dataclass(frozen=True)
+class BandConfig:
+    structural_dims: int = 512
+    identifier_dims: int = 192
+    literal_dims: int = 64
+    identifier_weight: float = 0.5
+    wl_iterations: int = 3
+    hash_seed: int = 0x5EEDC0DE
+
+    def __post_init__(self) -> None:
+        if self.structural_dims + self.identifier_dims + self.literal_dims != VECTOR_DIM:
+            raise ValueError(f"band dims must sum to {VECTOR_DIM}")
+        if min(self.structural_dims, self.identifier_dims, self.literal_dims) <= 0:
+            raise ValueError("band dims must be > 0")
+        if self.identifier_weight < 0:
+            raise ValueError("identifier_weight must be >= 0")
+        if self.wl_iterations < 0:
+            raise ValueError("wl_iterations must be >= 0")
+        if not 0 <= self.hash_seed < 2**64:
+            raise ValueError(f"hash_seed must be in [0, 2**64), got {self.hash_seed}")
+
+    def fingerprint(self) -> str:
+        blob = json.dumps(
+            {
+                "structural_dims": self.structural_dims,
+                "identifier_dims": self.identifier_dims,
+                "literal_dims": self.literal_dims,
+                "identifier_weight": self.identifier_weight,
+                "wl_iterations": self.wl_iterations,
+                "hash_seed": self.hash_seed,
+            },
+            sort_keys=True,
+        )
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+@dataclass(frozen=True)
+class FusionWeights:
+    prior: Mapping[ContextSource, float] = field(default_factory=lambda: dict(DEFAULT_PRIORS))
+    temperature: float = 0.1
+    recency_half_life_s: float = 300.0
+    breakpoint_boost: float = 2.0
+
+    def __post_init__(self) -> None:
+        check_shares("prior", self.prior, ContextSource)
+        check_positive(temperature=self.temperature, recency_half_life_s=self.recency_half_life_s)
+        if self.breakpoint_boost < 1:
+            raise ValueError("breakpoint_boost must be >= 1")
 
 
 class ConfigParseError(ConfigError):
@@ -289,7 +559,7 @@ class AppConfig:
             "rtt_ms": {s.value: network.rtt_ms[s] for s in (NetworkState.GOOD, NetworkState.DEGRADED)},
             "cloud_compute_ms": {c.value: network.cloud_compute_ms[c] for c in Complexity},
             "cloud_energy_units": {c.value: network.cloud_energy_units[c] for c in Complexity},
-            "transition_matrix": network.transition_matrix.tolist(),
+            "transition_matrix": network.transition_matrix,
         }
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -301,67 +571,55 @@ def config_from_dict(data: dict) -> AppConfig:
     top = _Section(data, "<top>")
 
     router = _Section(top.take_map("router"), "router")
-    cost = _checked(
-        lambda: CostModel(
-            w_latency=router.number("w_latency", base.cost.w_latency),
-            w_energy=router.number("w_energy", base.cost.w_energy),
-            w_accuracy=router.number("w_accuracy", base.cost.w_accuracy),
-            discount_gamma=router.number("discount_gamma", base.cost.discount_gamma),
+    # The router section's settings, checked under its name; the simulate
+    # section's keys are laid over them below.
+    router_sim = _checked(
+        lambda: SimConfig(
+            cost=CostModel(
+                w_latency=router.number("w_latency", base.cost.w_latency),
+                w_energy=router.number("w_energy", base.cost.w_energy),
+                w_accuracy=router.number("w_accuracy", base.cost.w_accuracy),
+                discount_gamma=router.number("discount_gamma", base.cost.discount_gamma),
+            ),
+            tolerance=router.number("tolerance", base.tolerance),
+            device=DeviceProfile(
+                edge_base_latency_ms=_number_map(router, "edge_base_latency_ms", base.device.edge_base_latency_ms),
+                edge_energy_units=_number_map(router, "edge_energy_units", base.device.edge_energy_units),
+                edge_accuracy_loss=_number_map(router, "edge_accuracy_loss", base.device.edge_accuracy_loss),
+                cpu_latency_multiplier=router.number("cpu_latency_multiplier", base.device.cpu_latency_multiplier),
+            ),
+            p_drain=router.number("p_drain", base.p_drain),
+            complexity_mix=_number_map(router, "complexity_mix", base.complexity_mix),
         ),
         "router",
     )
-    tolerance = router.number("tolerance", base.tolerance)
-    if tolerance <= 0:
-        raise ConfigError("router.tolerance must be > 0")
-    edge_latency = _number_map(router, "edge_base_latency_ms", base.device.edge_base_latency_ms)
-    edge_energy = _number_map(router, "edge_energy_units", base.device.edge_energy_units)
-    edge_accuracy = _number_map(router, "edge_accuracy_loss", base.device.edge_accuracy_loss)
-    cpu_multiplier = router.number("cpu_latency_multiplier", base.device.cpu_latency_multiplier)
-    good_rtt = router.number("good_rtt_ms", DEFAULT_GOOD_RTT_MS)
-    degraded_factor = router.number("degraded_rtt_factor", DEFAULT_DEGRADED_RTT_FACTOR)
-    energy_ratio = router.number("cloud_energy_ratio", DEFAULT_CLOUD_ENERGY_RATIO)
-    cloud_compute = _number_map(router, "cloud_compute_ms", base.network.cloud_compute_ms)
-    cloud_energy = _number_map(
-        router, "cloud_energy_units", {c: energy_ratio * edge_energy[c] for c in Complexity}
+    network_args = (  # what `default_network_model` derives the RTTs and cloud energy from
+        router.number("good_rtt_ms", DEFAULT_GOOD_RTT_MS),
+        router.number("degraded_rtt_factor", DEFAULT_DEGRADED_RTT_FACTOR),
+        router.number("cloud_energy_ratio", DEFAULT_CLOUD_ENERGY_RATIO),
     )
-    p_drain = router.number("p_drain", base.p_drain)
-    complexity_mix = _number_map(router, "complexity_mix", base.complexity_mix)
+    cloud_compute = _number_map(router, "cloud_compute_ms", {})
+    cloud_energy = _number_map(router, "cloud_energy_units", {})
     router.finish()
-    _checked(lambda: check_odds(complexity_mix, p_drain), "router")
-
-    device = _checked(
-        lambda: DeviceProfile(
-            edge_base_latency_ms=edge_latency,
-            edge_energy_units=edge_energy,
-            edge_accuracy_loss=edge_accuracy,
-            cpu_latency_multiplier=cpu_multiplier,
-        ),
-        "router",
-    )
 
     network_section = _Section(top.take_map("network"), "network")
     initial_network = network_section.member("initial_state", base.initial_network)
     matrix_raw = network_section.take_map("transition_matrix")
     if matrix_raw is None:
-        matrix = base.network.transition_matrix
+        matrix = DEFAULT_TRANSITIONS
     else:
-        matrix = np.zeros((3, 3))
-        for i, src in enumerate(NETWORK_STATES):
+        matrix = [[0.0] * len(NetworkState) for _ in NetworkState]
+        for i, src in enumerate(NetworkState):
             row = matrix_raw.get(src.value)
             if not isinstance(row, dict):
                 raise ConfigError(f"network.transition_matrix.{src.value} must be a map")
-            for j, dst in enumerate(NETWORK_STATES):
+            for j, dst in enumerate(NetworkState):
                 if dst.value not in row:
                     raise ConfigError(f"network.transition_matrix.{src.value} is missing {dst.value!r}")
-                matrix[i, j] = _to_number(row[dst.value], f"network.transition_matrix.{src.value}.{dst.value}")
+                matrix[i][j] = _to_number(row[dst.value], f"network.transition_matrix.{src.value}.{dst.value}")
     network_section.finish()
     network = _checked(
-        lambda: NetworkModel(
-            transition_matrix=matrix,
-            rtt_ms={NetworkState.GOOD: good_rtt, NetworkState.DEGRADED: good_rtt * degraded_factor},
-            cloud_compute_ms=cloud_compute,
-            cloud_energy_units=cloud_energy,
-        ),
+        lambda: default_network_model(router_sim.device, *network_args, matrix, cloud_compute, cloud_energy),
         "network",
     )
 
@@ -425,22 +683,19 @@ def config_from_dict(data: dict) -> AppConfig:
 
     sim_section = _Section(top.take_map("simulate"), "simulate")
     sim = _checked(
-        lambda: SimConfig(
+        lambda: replace(
+            router_sim,
             n_tasks=sim_section.integer("n_tasks", base.n_tasks),
             seed=sim_section.integer("seed", base.seed),
             policy=sim_section.member("policy", base.policy),
             device=replace(
-                device,
+                router_sim.device,
                 device_class=sim_section.member("device", base.device.device_class),
                 battery=sim_section.member("battery", base.device.battery),
             ),
             network=network,
-            cost=cost,
             workload_spec=workload_spec,
             initial_network=initial_network,
-            p_drain=p_drain,
-            tolerance=tolerance,
-            complexity_mix=complexity_mix,
             offline_timeout_ms=sim_section.number("offline_timeout_ms", base.offline_timeout_ms),
             sub_second_ms=sim_section.number("sub_second_ms", base.sub_second_ms),
         ),

@@ -20,15 +20,12 @@ way.
 from __future__ import annotations
 
 import hashlib
-import json
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
 from .codegraph import EDGE_KINDS, CodeGraph
-
-VECTOR_DIM = 768
+from .configfile import VECTOR_DIM, BandConfig  # VECTOR_DIM is re-exported
 _LITERAL_LABELS = ("string-literal", "number-literal")
 _EDGE_VALUES = tuple(kind.value for kind in EDGE_KINDS)
 # Slot of a node's own entry in its WL key; an edge of kind k has slot 2k at
@@ -37,42 +34,6 @@ _OWN_SLOT = 2 * len(EDGE_KINDS)
 # A `WLLabels` holding more entries (about 160 bytes each) than this is
 # cleared before the next graph; a 150-file tree interns about 7,200.
 _MAX_WL_ENTRIES = 1 << 16
-
-
-@dataclass(frozen=True)
-class BandConfig:
-    structural_dims: int = 512
-    identifier_dims: int = 192
-    literal_dims: int = 64
-    identifier_weight: float = 0.5
-    wl_iterations: int = 3
-    hash_seed: int = 0x5EEDC0DE
-
-    def __post_init__(self) -> None:
-        if self.structural_dims + self.identifier_dims + self.literal_dims != VECTOR_DIM:
-            raise ValueError(f"band dims must sum to {VECTOR_DIM}")
-        if min(self.structural_dims, self.identifier_dims, self.literal_dims) <= 0:
-            raise ValueError("band dims must be > 0")
-        if self.identifier_weight < 0:
-            raise ValueError("identifier_weight must be >= 0")
-        if self.wl_iterations < 0:
-            raise ValueError("wl_iterations must be >= 0")
-        if not 0 <= self.hash_seed < 2**64:
-            raise ValueError(f"hash_seed must be in [0, 2**64), got {self.hash_seed}")
-
-    def fingerprint(self) -> str:
-        blob = json.dumps(
-            {
-                "structural_dims": self.structural_dims,
-                "identifier_dims": self.identifier_dims,
-                "literal_dims": self.literal_dims,
-                "identifier_weight": self.identifier_weight,
-                "wl_iterations": self.wl_iterations,
-                "hash_seed": self.hash_seed,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def _keyed(hash_seed: int):

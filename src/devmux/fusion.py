@@ -9,26 +9,14 @@ assembly packs items greedily in weight order under a token budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .embedding import VECTOR_DIM, cosine
-
-
-class ContextSource(str, Enum):
-    IDE_INTERACTION = "ide_interaction"
-    CODE_CONTEXT = "code_context"
-    RUNTIME_LOG = "runtime_log"
-
-
-DEFAULT_PRIORS: dict[ContextSource, float] = {
-    ContextSource.IDE_INTERACTION: 0.63,
-    ContextSource.CODE_CONTEXT: 0.27,
-    ContextSource.RUNTIME_LOG: 0.10,
-}
+from .base import ContextSource
+from .configfile import DEFAULT_PRIORS, VECTOR_DIM, FusionWeights  # DEFAULT_PRIORS is re-exported
+from .embedding import cosine
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,28 +39,6 @@ class ContextItem:
             raise ValueError("timestamp_s must be >= 0")
         if self.near_breakpoint and self.source is not ContextSource.RUNTIME_LOG:
             raise ValueError("near_breakpoint applies to runtime logs only")
-
-
-@dataclass(frozen=True)
-class FusionWeights:
-    prior: Mapping[ContextSource, float] = field(default_factory=lambda: dict(DEFAULT_PRIORS))
-    temperature: float = 0.1
-    recency_half_life_s: float = 300.0
-    breakpoint_boost: float = 2.0
-
-    def __post_init__(self) -> None:
-        if set(self.prior) != set(ContextSource):
-            raise ValueError("prior must cover all context sources")
-        if min(self.prior.values()) < 0:
-            raise ValueError("priors must be >= 0")
-        if abs(sum(self.prior.values()) - 1.0) > 1e-9:
-            raise ValueError("priors must sum to 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        if self.recency_half_life_s <= 0:
-            raise ValueError("recency_half_life_s must be > 0")
-        if self.breakpoint_boost < 1:
-            raise ValueError("breakpoint_boost must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,15 +4,16 @@ The schema is deliberately namespace-free: the element name is the widget
 kind, and positional relations are plain attributes (layout_below,
 layout_above, layout_toLeftOf, layout_toRightOf, layout_centeredBelow,
 layout_centeredAbove, layout_centerInParent). The root element is the
-container and is not itself a widget.
+container and is not itself a widget. The records are `NamedTuple`s, so
+`describe-layout` does not import `dataclasses`.
 """
 
 from __future__ import annotations
 
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .base import LayoutParseError
 
@@ -54,8 +55,7 @@ INTERACTIVE_KINDS = {"Button", "ImageButton"}
 PARENT = "parent"  # edge target sentinel for center-in-parent constraints
 
 
-@dataclass
-class Widget:
+class Widget(NamedTuple):
     ref_id: str  # declared id, or "<Kind>@<order>" when the element has none
     kind: str
     attributes: dict[str, str]
@@ -63,13 +63,11 @@ class Widget:
     document_order: int
 
 
-@dataclass
-class LayoutTree:
+class LayoutTree(NamedTuple):
     widgets: list[Widget]
 
 
-@dataclass
-class GraphNode:
+class GraphNode(NamedTuple):
     ref_id: str
     kind: str
     visibility: Visibility
@@ -78,37 +76,32 @@ class GraphNode:
     document_order: int
 
 
-@dataclass(frozen=True)
-class ConstraintEdge:
+class ConstraintEdge(NamedTuple):
     src: str
     relation: Relation
     target: str  # widget ref id or PARENT
 
 
-@dataclass(frozen=True)
-class Inconsistency:
+class Inconsistency(NamedTuple):
     kind: FindingKind
     widgets: tuple[str, ...]
     message: str
 
 
-@dataclass
-class ConstraintGraph:
+class ConstraintGraph(NamedTuple):
     nodes: dict[str, GraphNode]
     edges: list[ConstraintEdge]
     dangling: tuple[Inconsistency, ...] = ()
 
 
-@dataclass(frozen=True)
-class LayoutStatement:
+class LayoutStatement(NamedTuple):
     text: str
     subject_id: str
     relation: Relation
     object_id: str
 
 
-@dataclass
-class ValidityReport:
+class ValidityReport(NamedTuple):
     statements: list[LayoutStatement]
     findings: list[Inconsistency]
     elapsed_ms: float

@@ -9,11 +9,28 @@ dense lookup policy that the simulator and the CLI consult per task.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .base import Action, Battery, Complexity, DeviceClass, NetworkState, TaskKind
+# The setting records and defaults live in `configfile`; the names not used
+# below are re-exported from their old home.
+from .configfile import (
+    DEFAULT_CLOUD_ENERGY_RATIO,
+    DEFAULT_DEGRADED_RTT_FACTOR,
+    DEFAULT_GOOD_RTT_MS,
+    DEFAULT_P_DRAIN,
+    DEFAULT_TOLERANCE,
+    STOCHASTIC_TOL,
+    CostModel,
+    DeviceProfile,
+    NetworkModel,
+    check_odds,
+    check_positive,
+    default_complexity_mix,
+    default_network_model,
+)
 
 TASK_KINDS = (TaskKind.SYNTAX_FIX, TaskKind.COMPLETION, TaskKind.REFACTOR, TaskKind.CRASH_ANALYSIS)
 COMPLEXITIES = (Complexity.LOW, Complexity.MEDIUM, Complexity.HIGH)
@@ -23,9 +40,6 @@ BATTERY_LEVELS = (Battery.LOW, Battery.OK)
 ACTIONS = (Action.EDGE, Action.CLOUD)
 
 N_STATES = len(COMPLEXITIES) * len(DEVICE_CLASSES) * len(NETWORK_STATES) * len(BATTERY_LEVELS)
-
-STOCHASTIC_TOL = 1e-9
-DEFAULT_TOLERANCE = 1e-8  # value-iteration stopping threshold
 
 
 class IllegalActionError(ValueError):
@@ -78,123 +92,6 @@ def all_states() -> tuple[RoutingState, ...]:
 ACTION_MASK = np.array([[not (a is Action.CLOUD and s.network is NetworkState.OFFLINE) for a in ACTIONS]
                         for s in all_states()])
 ACTION_MASK.flags.writeable = False
-
-
-def _default_edge_latency() -> dict[Complexity, float]:
-    return {Complexity.LOW: 150.0, Complexity.MEDIUM: 400.0, Complexity.HIGH: 1200.0}
-
-
-def _default_edge_energy() -> dict[Complexity, float]:
-    return {Complexity.LOW: 1.0, Complexity.MEDIUM: 2.0, Complexity.HIGH: 5.0}
-
-
-def _default_edge_accuracy_loss() -> dict[Complexity, float]:
-    # High-complexity loss mirrors the accuracy sacrifice observed for
-    # on-device handling of complex mobile tasks.
-    return {Complexity.LOW: 0.0, Complexity.MEDIUM: 0.05, Complexity.HIGH: 0.29}
-
-
-@dataclass(frozen=True)
-class DeviceProfile:
-    """Local execution characteristics of the developer's machine.
-
-    Latency entries are the GPU baseline; CPU-only devices pay
-    ``cpu_latency_multiplier`` on top.
-    """
-
-    device_class: DeviceClass = DeviceClass.CPU_ONLY
-    battery: Battery = Battery.OK
-    edge_base_latency_ms: dict[Complexity, float] = field(default_factory=_default_edge_latency)
-    edge_energy_units: dict[Complexity, float] = field(default_factory=_default_edge_energy)
-    edge_accuracy_loss: dict[Complexity, float] = field(default_factory=_default_edge_accuracy_loss)
-    cpu_latency_multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        for c in COMPLEXITIES:
-            if self.edge_base_latency_ms[c] <= 0:
-                raise ValueError("edge latencies must be > 0")
-            if not 0.0 <= self.edge_accuracy_loss[c] <= 1.0:
-                raise ValueError("accuracy loss must be in [0, 1]")
-            if self.edge_energy_units[c] < 0:
-                raise ValueError("edge energy must be >= 0")
-        if self.cpu_latency_multiplier <= 0:
-            raise ValueError("cpu_latency_multiplier must be > 0")
-
-    def edge_latency_ms(self, complexity: Complexity, device_class: DeviceClass) -> float:
-        base = self.edge_base_latency_ms[complexity]
-        if device_class is DeviceClass.CPU_ONLY:
-            return base * self.cpu_latency_multiplier
-        return base
-
-
-DEFAULT_GOOD_RTT_MS = 2400.0  # median round trip observed for cloud-hosted assistants
-DEFAULT_DEGRADED_RTT_FACTOR = 3.0
-DEFAULT_CLOUD_ENERGY_RATIO = 3.8  # cloud-bound work costs this multiple of on-device energy
-
-
-@dataclass(frozen=True, eq=False)
-class NetworkModel:
-    """Markov chain over link quality plus the cloud-side cost tables."""
-
-    transition_matrix: np.ndarray
-    rtt_ms: dict[NetworkState, float]
-    cloud_compute_ms: dict[Complexity, float]
-    cloud_energy_units: dict[Complexity, float]
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.transition_matrix, dtype=np.float64)
-        if m.shape != (len(NETWORK_STATES), len(NETWORK_STATES)):
-            raise ValueError("transition_matrix must be 3x3")
-        if (m < 0).any():
-            raise ValueError("transition probabilities must be >= 0")
-        if np.abs(m.sum(axis=1) - 1.0).max() > STOCHASTIC_TOL:
-            raise ValueError("transition_matrix rows must each sum to 1")
-        object.__setattr__(self, "transition_matrix", m)
-        if NetworkState.OFFLINE in self.rtt_ms:
-            raise ValueError("offline state has no round-trip time")
-        for state in (NetworkState.GOOD, NetworkState.DEGRADED):
-            if self.rtt_ms[state] <= 0:
-                raise ValueError("rtt_ms must be > 0")
-        for c in COMPLEXITIES:
-            if self.cloud_compute_ms[c] < 0 or self.cloud_energy_units[c] < 0:
-                raise ValueError("cloud cost tables must be >= 0")
-
-
-def default_network_model(device: DeviceProfile | None = None) -> NetworkModel:
-    """Default network: mostly good, occasionally degraded, rarely offline."""
-    device = device or DeviceProfile()
-    matrix = np.array(
-        [
-            [0.92, 0.06, 0.02],
-            [0.25, 0.70, 0.05],
-            [0.30, 0.30, 0.40],
-        ]
-    )
-    return NetworkModel(
-        transition_matrix=matrix,
-        rtt_ms={
-            NetworkState.GOOD: DEFAULT_GOOD_RTT_MS,
-            NetworkState.DEGRADED: DEFAULT_GOOD_RTT_MS * DEFAULT_DEGRADED_RTT_FACTOR,
-        },
-        cloud_compute_ms={Complexity.LOW: 100.0, Complexity.MEDIUM: 250.0, Complexity.HIGH: 600.0},
-        cloud_energy_units={c: DEFAULT_CLOUD_ENERGY_RATIO * device.edge_energy_units[c] for c in COMPLEXITIES},
-    )
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Linear weights turning (latency, energy, accuracy loss) into scalar cost."""
-
-    w_latency: float = 0.001
-    w_energy: float = 0.1
-    w_accuracy: float = 10.0
-    discount_gamma: float = 0.95
-
-    def __post_init__(self) -> None:
-        if min(self.w_latency, self.w_energy, self.w_accuracy) < 0:
-            raise ValueError("cost weights must be >= 0")
-        if not 0.0 <= self.discount_gamma < 1.0:
-            raise ValueError("discount_gamma must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -252,28 +149,6 @@ def drain_odds(costs: np.ndarray, p_drain: float) -> np.ndarray:
     return odds
 
 
-def default_complexity_mix() -> dict[Complexity, float]:
-    return {Complexity.LOW: 0.5, Complexity.MEDIUM: 0.4, Complexity.HIGH: 0.1}
-
-
-DEFAULT_P_DRAIN = 0.05
-
-
-def check_odds(complexity_mix: dict[Complexity, float], p_drain: float) -> np.ndarray:
-    """Check the complexity mix and the drain odds `p_drain`; return the mix
-    as probabilities in COMPLEXITIES order. Raises ValueError."""
-    if set(complexity_mix) != set(COMPLEXITIES):
-        raise ValueError("complexity_mix must cover low/medium/high")
-    mix_values = np.array([complexity_mix[c] for c in COMPLEXITIES], dtype=np.float64)
-    if (mix_values < 0).any():
-        raise ValueError("complexity_mix entries must be >= 0")
-    if abs(mix_values.sum() - 1.0) > STOCHASTIC_TOL:
-        raise ValueError("complexity_mix must sum to 1")
-    if not 0.0 <= p_drain <= 1.0:
-        raise ValueError("p_drain must be in [0, 1]")
-    return mix_values / mix_values.sum()
-
-
 @dataclass(eq=False)
 class MdpModel:
     """Dense tabular MDP over the 36 routing states and two actions.
@@ -328,7 +203,10 @@ def build_mdp(
     proportion to the energy just spent (low is absorbing), and the device
     class stays fixed.
     """
-    mix_values = check_odds(default_complexity_mix() if workload_mix is None else workload_mix, p_drain)
+    workload_mix = default_complexity_mix() if workload_mix is None else workload_mix
+    check_odds(workload_mix, p_drain)
+    mix_values = np.array([workload_mix[c] for c in COMPLEXITIES], dtype=np.float64)
+    mix_values /= mix_values.sum()
     costs = cost_table(device, network)
     weighted = cost.w_latency * costs[..., 0] + cost.w_energy * costs[..., 1] + cost.w_accuracy * costs[..., 2]
     to_low = drain_odds(costs, p_drain)
@@ -337,7 +215,7 @@ def build_mdp(
     # state (c', d', n', b'): c' from the mix, n' by the chain from n, the
     # device kept, b' by the drain odds; a masked action has no row.
     shape = (len(COMPLEXITIES), len(DEVICE_CLASSES), len(NETWORK_STATES), len(BATTERY_LEVELS))
-    arrival = mix_values[None, :, None] * network.transition_matrix[:, None, :]  # (n, c', n')
+    arrival = mix_values[None, :, None] * np.asarray(network.transition_matrix)[:, None, :]  # (n, c', n')
     battery = np.stack([to_low, 1.0 - to_low], axis=-1)  # (state, action, b'), BATTERY_LEVELS order
     battery = np.moveaxis(battery.reshape(*shape, len(ACTIONS), len(BATTERY_LEVELS)), 4, 0)
     legal = ACTION_MASK.T.reshape(len(ACTIONS), *shape)
@@ -376,8 +254,7 @@ def value_iteration(mdp: MdpModel, tolerance: float = DEFAULT_TOLERANCE) -> Rout
     Iterates until the sup-norm change drops to `tolerance`; the greedy
     action ties break toward edge execution (the privacy-preserving side).
     """
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+    check_positive(tolerance=tolerance)
     rewards = mdp.rewards
     mask = mdp.action_mask
     gamma = mdp.gamma

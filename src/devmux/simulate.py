@@ -27,71 +27,32 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
-from enum import Enum
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Mapping
 
 import numpy as np
 
+from .base import PolicyKind
+from .configfile import SimConfig
 from .routing import (
     ACTION_MASK,
     ACTIONS,
     BATTERY_LEVELS,
     COMPLEXITIES,
-    DEFAULT_P_DRAIN,
-    DEFAULT_TOLERANCE,
     NETWORK_STATES,
     TASK_KINDS,
     Action,
     Battery,
     Complexity,
-    CostModel,
-    DeviceProfile,
-    NetworkModel,
-    NetworkState,
     RoutingPolicy,
     all_states,
     build_mdp,
-    check_odds,
     complexity_indices,
     cost_table,
-    default_complexity_mix,
-    default_network_model,
     drain_odds,
     value_iteration,
 )
-from .workload import Workload, WorkloadSpec, generate_workload
-
-
-class PolicyKind(str, Enum):
-    ALL_CLOUD = "all_cloud"
-    ALL_EDGE = "all_edge"
-    THRESHOLD = "threshold"
-    MDP = "mdp"
-
-
-@dataclass(eq=False)
-class SimConfig:
-    n_tasks: int = 1000
-    seed: int = 42
-    policy: PolicyKind = PolicyKind.MDP
-    device: DeviceProfile = field(default_factory=DeviceProfile)
-    network: NetworkModel | None = None
-    cost: CostModel = field(default_factory=CostModel)
-    workload_spec: WorkloadSpec = field(default_factory=WorkloadSpec)
-    initial_network: NetworkState = NetworkState.GOOD
-    p_drain: float = DEFAULT_P_DRAIN
-    tolerance: float = DEFAULT_TOLERANCE
-    complexity_mix: dict[Complexity, float] = field(default_factory=default_complexity_mix)
-    offline_timeout_ms: float = 10_000.0
-    sub_second_ms: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if self.network is None:
-            self.network = default_network_model(self.device)
-        if self.n_tasks < 0 or self.seed < 0:
-            raise ValueError("n_tasks and seed must be >= 0")
-        check_odds(self.complexity_mix, self.p_drain)
+from .workload import Workload, generate_workload
 
 
 @dataclass(frozen=True)
@@ -133,9 +94,14 @@ _BOOLS = np.array(["false", "true"], dtype=object)
 
 def _encode_distinct(values: np.ndarray) -> list[str]:
     """Encode a float64 block once per distinct bit pattern, so -0.0 and 0.0
-    (and NaN payloads) are never merged."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    table = np.array([_encode(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    (and NaN payloads) are never merged. The patterns are the run starts of
+    the sorted int64 view; `np.unique` would import `numpy.ma` to find them."""
+    order = np.argsort(values.view(np.int64), kind="stable")
+    bits = values.view(np.int64)[order]
+    starts = np.concatenate(([True], bits[1:] != bits[:-1]))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    table = np.array([_encode(v) for v in bits[starts].view(np.float64).tolist()], dtype=object)
     return table[inverse].tolist()
 
 
@@ -185,7 +151,7 @@ class SimTrace:
             )))
 
 
-def metrics_from_events(trace: SimTrace, sub_second_ms: float = 1000.0) -> MetricsReport:
+def metrics_from_events(trace: SimTrace, sub_second_ms: float = SimConfig.sub_second_ms) -> MetricsReport:
     """Aggregate a run. Median averages the two middle samples; p95 is the
     smallest latency covering 95% of the mass; sub-second means strictly
     below the threshold; sums are correctly rounded (`math.fsum`)."""
@@ -194,9 +160,11 @@ def metrics_from_events(trace: SimTrace, sub_second_ms: float = 1000.0) -> Metri
         return MetricsReport(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
     latencies = np.sort(trace.latency_ms)
     p95_rank = max(math.ceil(0.95 * n) - 1, 0)
+    # What `np.median` gives (NaN sorts last), without its `numpy.ma` import.
+    median = latencies[-1] if np.isnan(latencies[-1]) else latencies[(n - 1) // 2:n // 2 + 1].mean()
     return MetricsReport(
         n_tasks=n,
-        median_latency_ms=float(np.median(latencies)),
+        median_latency_ms=float(median),
         p95_latency_ms=float(latencies[p95_rank]),
         sub_second_fraction=int(np.count_nonzero(trace.latency_ms < sub_second_ms)) / n,
         cloud_call_fraction=int(np.count_nonzero(trace.action == ACTIONS.index(Action.CLOUD))) / n,
@@ -218,7 +186,7 @@ def workload_from_config(config: SimConfig) -> Workload:
 def _network_trace(config: SimConfig, u_network: np.ndarray) -> np.ndarray:
     """Network state index seen by each arrival; the chain steps once per
     arrival by inverse-CDF lookup of that arrival's uniform draw."""
-    cumulative = np.cumsum(config.network.transition_matrix, axis=1)
+    cumulative = np.cumsum(np.asarray(config.network.transition_matrix), axis=1)
     last = len(NETWORK_STATES) - 1
     # successors[i][r]: the state after arrival i if arrival i saw state r
     successors = zip(*(np.searchsorted(row, u_network, side="right").clip(0, last).tolist()

@@ -9,62 +9,12 @@ held as per-task columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .configfile import KindRanges, WorkloadSpec  # KindRanges is re-exported
 from .routing import TASK_KINDS, TaskKind
-
-
-@dataclass(frozen=True)
-class KindRanges:
-    """Inclusive sampling ranges for one task kind."""
-
-    files: tuple[int, int]
-    deps: tuple[int, int]
-    tokens: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        for lo, hi in (self.files, self.deps, self.tokens):
-            if lo < 0 or hi < lo:
-                raise ValueError("ranges must satisfy 0 <= lo <= hi")
-
-
-def _default_mix() -> dict[TaskKind, float]:
-    return {
-        TaskKind.SYNTAX_FIX: 0.45,
-        TaskKind.COMPLETION: 0.30,
-        TaskKind.REFACTOR: 0.15,
-        TaskKind.CRASH_ANALYSIS: 0.10,
-    }
-
-
-def _default_ranges() -> dict[TaskKind, KindRanges]:
-    return {
-        TaskKind.SYNTAX_FIX: KindRanges(files=(1, 1), deps=(0, 0), tokens=(40, 400)),
-        TaskKind.COMPLETION: KindRanges(files=(1, 2), deps=(0, 2), tokens=(200, 3000)),
-        TaskKind.REFACTOR: KindRanges(files=(2, 8), deps=(1, 4), tokens=(500, 4000)),
-        TaskKind.CRASH_ANALYSIS: KindRanges(files=(1, 3), deps=(0, 3), tokens=(1000, 6000)),
-    }
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    mix: dict[TaskKind, float] = field(default_factory=_default_mix)
-    ranges: dict[TaskKind, KindRanges] = field(default_factory=_default_ranges)
-    inter_arrival_mean_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if set(self.mix) != set(TASK_KINDS):
-            raise ValueError("mix must cover every task kind")
-        if min(self.mix.values()) < 0:
-            raise ValueError("mix entries must be >= 0")
-        if abs(sum(self.mix.values()) - 1.0) > 1e-9:
-            raise ValueError("mix must sum to 1")
-        if set(self.ranges) != set(TASK_KINDS):
-            raise ValueError("ranges must cover every task kind")
-        if self.inter_arrival_mean_s <= 0:
-            raise ValueError("inter_arrival_mean_s must be > 0")
 
 
 @dataclass(eq=False)

@@ -34,6 +34,29 @@ def write_sources(root, count, prefix="f"):
         )
 
 
+# The argv of each subcommand that takes `--config`, without it. Every one
+# reads its config before any other path, so a bad config writes nothing.
+CONFIG_COMMANDS = {
+    "index": ["index", ".", "--out", "index.bin"],
+    "query": ["query", "text", "--index", "index.bin"],
+    "route": ["route", "--complexity", "low", "--device", "cpu", "--network", "good", "--battery", "ok"],
+    "simulate": ["simulate", "--out", "report.json"],
+    "compare": ["compare", "--out", "comparison.json"],
+}
+
+
+def assert_config_error_exit_two(text, message, commands, tmp_path, capsys, monkeypatch):
+    """Each of `commands` run with the config `text` exits 2, prints nothing
+    on stdout and `message` on stderr, and writes no file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.yaml").write_text(text)
+    for command in commands:
+        assert cli_main([*CONFIG_COMMANDS[command], "--config", "c.yaml"]) == 2, command
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: {message}\n"), command
+    assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
+
+
 # Policy documents `route --policy` must refuse, each made from a valid export.
 MALFORMED_POLICIES = {
     "not_a_map": lambda doc: [],
@@ -280,7 +303,7 @@ class TestSimulateAndCompare:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["route", "simulate", "compare"])
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -291,15 +314,7 @@ class TestSimulateAndCompare:
         ids=["p_drain_high", "p_drain_negative", "mix_sum"],
     )
     def test_bad_router_odds_exit_two(self, command, text, message, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "c.yaml").write_text(text)
-        argv = [command, "--config", "c.yaml"]
-        if command == "route":
-            argv += ["--complexity", "low", "--device", "cpu", "--network", "good", "--battery", "ok"]
-        assert cli_main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"config error: {message}\n"
+        assert_config_error_exit_two(text, message, [command], tmp_path, capsys, monkeypatch)
 
     @pytest.mark.parametrize(
         "section, key, entry, message",
@@ -315,11 +330,9 @@ class TestSimulateAndCompare:
         ],
         ids=["router_key", "router_value", "workload_key", "workload_value", "fusion_key", "fusion_value"],
     )
-    def test_bad_number_map_exit_two(self, section, key, entry, message, tmp_path, capsys):
-        config = tmp_path / "config.yaml"
-        config.write_text(f"{section}:\n  {key}:\n    {entry}\n")
-        assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
+    def test_bad_number_map_exit_two(self, section, key, entry, message, tmp_path, capsys, monkeypatch):
+        text = f"{section}:\n  {key}:\n    {entry}\n"
+        assert_config_error_exit_two(text, message, CONFIG_COMMANDS, tmp_path, capsys, monkeypatch)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -345,20 +358,16 @@ class TestSimulateAndCompare:
              "workload.ranges.refactor: ranges must satisfy 0 <= lo <= hi"),
             ("router:\n  discount_gamma: 1.5\n", "router: discount_gamma must be in [0, 1)"),
             ("compare:\n  policies:\n", "compare.policies must be a non-empty list"),
+            ("router:\n  tolerance: 0\n", "router: tolerance must be > 0, got 0.0"),
+            ("simulate:\n  offline_timeout_ms: -5000\n", "simulate: offline_timeout_ms must be > 0, got -5000.0"),
+            ("simulate:\n  sub_second_ms: 0\n", "simulate: sub_second_ms must be > 0, got 0.0"),
         ],
         ids=["empty", "text", "boolean", "nan", "fraction", "int_text", "matrix_entry", "seed_negative",
              "seed_2_64", "initial_state", "policy", "device", "battery", "kind_ranges", "discount_gamma",
-             "policies_empty"],
+             "policies_empty", "tolerance_zero", "offline_timeout", "sub_second"],
     )
-    def test_bad_scalar_exit_two(self, text, message, tmp_path, capsys):
-        config = tmp_path / "config.yaml"
-        config.write_text(text)
-        argv = ["route", "--config", str(config), "--complexity", "low", "--device", "cpu",
-                "--network", "good", "--battery", "ok"]
-        assert cli_main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"config error: {message}\n"
+    def test_bad_scalar_exit_two(self, text, message, tmp_path, capsys, monkeypatch):
+        assert_config_error_exit_two(text, message, CONFIG_COMMANDS, tmp_path, capsys, monkeypatch)
 
     def test_missing_config_exit_three(self, tmp_path, capsys):
         code = cli_main(["simulate", "--config", str(tmp_path / "nope.yaml")])

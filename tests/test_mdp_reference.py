@@ -61,7 +61,7 @@ def reference_mdp(device, network, cost, mix, p_drain):
                 p_to_low = 1.0 if state.battery is Battery.LOW else 0.0
             for ci, c_next in enumerate(COMPLEXITIES):
                 for nj in range(len(NETWORK_STATES)):
-                    p_base = mix_values[ci] * network.transition_matrix[ni, nj]
+                    p_base = mix_values[ci] * network.transition_matrix[ni][nj]
                     if p_base == 0.0:
                         continue
                     for b_next, p_batt in ((Battery.LOW, p_to_low), (Battery.OK, 1.0 - p_to_low)):

@@ -40,9 +40,27 @@ MOVED = [
     ("vindex", "IndexFileError"),
     ("layoutlint", "LayoutParseError"),
     *[("routing", name) for name in ("Action", "Battery", "Complexity", "DeviceClass", "NetworkState", "TaskKind")],
+    ("simulate", "PolicyKind"),
+    ("fusion", "ContextSource"),
 ]
 
-HEAVY = ("numpy", "devmux.configfile", "devmux.routing")
+# Setting records, defaults and checks that moved to `configfile`, and where they used to live.
+MOVED_SETTINGS = [
+    *[("routing", name) for name in (
+        "CostModel", "DeviceProfile", "NetworkModel", "default_network_model", "default_complexity_mix",
+        "check_odds", "STOCHASTIC_TOL", "DEFAULT_TOLERANCE", "DEFAULT_P_DRAIN", "DEFAULT_GOOD_RTT_MS",
+        "DEFAULT_DEGRADED_RTT_FACTOR", "DEFAULT_CLOUD_ENERGY_RATIO",
+    )],
+    ("simulate", "SimConfig"),
+    ("workload", "KindRanges"),
+    ("workload", "WorkloadSpec"),
+    ("embedding", "BandConfig"),
+    ("embedding", "VECTOR_DIM"),
+    ("fusion", "FusionWeights"),
+    ("fusion", "DEFAULT_PRIORS"),
+]
+
+HEAVY = ("numpy", "devmux.configfile", "devmux.routing", "dataclasses")
 
 
 def test_all_lists_the_exported_names():
@@ -61,6 +79,12 @@ def test_moved_name_is_the_base_object(module, name):
     assert getattr(importlib.import_module(f"devmux.{module}"), name) is getattr(base, name)
 
 
+@pytest.mark.parametrize("module, name", MOVED_SETTINGS, ids=[name for _, name in MOVED_SETTINGS])
+def test_moved_setting_is_the_configfile_object(module, name):
+    configfile = importlib.import_module("devmux.configfile")
+    assert getattr(importlib.import_module(f"devmux.{module}"), name) is getattr(configfile, name)
+
+
 def test_dir_lists_every_public_name():
     assert set(devmux.__all__) <= set(dir(devmux))
 
@@ -72,20 +96,58 @@ def test_unknown_name_raises_attribute_error():
         from devmux import no_such_name  # noqa: F401
 
 
+def _loaded_in_fresh_interpreter(code, modules, cwd):
+    """Run `code` in a new interpreter in `cwd`; return the list of those of
+    `modules` it loaded, as printed."""
+    script = f"import sys\n{code}\nprint([m for m in {modules!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 @pytest.mark.parametrize(
     "code",
     [
         "import devmux",
         "import devmux.layoutlint",
-        "from devmux.cli import cli_main; cli_main(['describe-layout', LAYOUT])",
+        "from devmux.cli import cli_main; cli_main(['describe-layout', 'layout.xml'])",
     ],
     ids=["import-devmux", "import-layoutlint", "describe-layout"],
 )
 def test_fresh_interpreter_loads_no_numpy(code, tmp_path):
     layout = tmp_path / "layout.xml"
     layout.write_text('<Layout><TextView id="B"/><Button id="A" layout_below="B" onClick="go"/></Layout>')
-    script = f"import sys\nLAYOUT = {str(layout)!r}\n{code}\nprint([m for m in {HEAVY!r} if m in sys.modules])"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert _loaded_in_fresh_interpreter(code, HEAVY, tmp_path) == "[]"
+
+
+SIM_SIDE = ("devmux.routing", "devmux.simulate", "devmux.workload")
+INDEX_SIDE = ("devmux.codegraph", "devmux.embedding", "devmux.fusion", "devmux.vindex")
+ROUTE = "'route', '--complexity', 'low', '--device', 'cpu', '--network', 'good', '--battery', 'ok'"
+
+
+@pytest.mark.parametrize(
+    "code, absent",
+    [
+        ("import devmux.configfile", ("numpy", *SIM_SIDE, *INDEX_SIDE)),
+        ("assert cli_main(['index', 'tree', '--out', 'fresh.bin']) == 0", SIM_SIDE),
+        ("assert cli_main(['query', 'class', '--index', 'index.bin', '--config', 'c.yaml']) == 0", SIM_SIDE),
+        (f"assert cli_main([{ROUTE}, '--config', 'c.yaml']) == 0", INDEX_SIDE),
+        ("assert cli_main(['simulate', '--n-tasks', '50', '--out', 'r.json', '--events', 'e.jsonl']) == 0",
+         (*INDEX_SIDE, "numpy.ma")),
+        ("assert cli_main(['compare', '--seed', '1', '--out', 'c.json']) == 0", INDEX_SIDE),
+    ],
+    ids=["import-configfile", "index", "query", "route", "simulate-events", "compare"],
+)
+def test_fresh_command_loads_only_what_it_runs(code, absent, tmp_path, capsys):
+    from devmux.cli import cli_main
+
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "a.java").write_text("class A { void run() { helper(); } void helper() { } }")
+    (tmp_path / "c.yaml").write_text("router:\n  w_latency: 0.002\n")
+    assert cli_main(["index", str(tree), "--out", str(tmp_path / "index.bin")]) == 0
+    capsys.readouterr()
+    # `devmux.cli` imports no subsystem, so it does not mask what `code` loads.
+    assert _loaded_in_fresh_interpreter(f"from devmux.cli import cli_main\n{code}", absent, tmp_path) == "[]"
