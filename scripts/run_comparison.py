@@ -8,7 +8,7 @@ from pathlib import Path
 
 from devmux.cli import _non_negative_int
 from devmux.configfile import load_config
-from devmux.simulate import PolicyKind, compare_policies, workload_from_config
+from devmux.simulate import compare_policies
 
 
 def main():
@@ -20,12 +20,7 @@ def main():
     args = ap.parse_args()
 
     config = load_config(args.config)
-    sim_configs = {
-        name: config.sim_config(policy=PolicyKind(name), seed=args.seed, n_tasks=args.n_tasks)
-        for name in config.compare_policy_names
-    }
-    workload = workload_from_config(next(iter(sim_configs.values())))
-    report = compare_policies(workload, sim_configs)
+    report = compare_policies(config.sim_config(seed=args.seed, n_tasks=args.n_tasks), config.compare_policy_names)
 
     columns = [
         ("policy", 10),

@@ -5,7 +5,7 @@ import argparse
 
 from devmux.cli import _non_negative_int
 from devmux.configfile import load_config
-from devmux.simulate import PolicyKind, run_simulation, solve_policy, workload_from_config
+from devmux.simulate import PolicyKind, compare_policies
 
 
 def _positive_int(text: str) -> int:
@@ -24,17 +24,12 @@ def main():
     args = ap.parse_args()
 
     config = load_config(args.config)
-    policy = solve_policy(config.sim_config(policy=PolicyKind.MDP))
-
     print("seed    mdp_cloud  allcloud   ratio    sub_second")
     reduction_hits = 0
     sub_second_hits = 0
     for seed in range(args.first_seed, args.first_seed + args.seeds):
-        mdp_cfg = config.sim_config(policy=PolicyKind.MDP, seed=seed, n_tasks=args.n_tasks)
-        cloud_cfg = config.sim_config(policy=PolicyKind.ALL_CLOUD, seed=seed, n_tasks=args.n_tasks)
-        workload = workload_from_config(mdp_cfg)
-        mdp_report, _ = run_simulation(workload, mdp_cfg, policy)
-        cloud_report, _ = run_simulation(workload, cloud_cfg)
+        sim = config.sim_config(seed=seed, n_tasks=args.n_tasks)
+        mdp_report, cloud_report = compare_policies(sim, [PolicyKind.MDP, PolicyKind.ALL_CLOUD]).reports.values()
         ratio = mdp_report.cloud_call_fraction / max(cloud_report.cloud_call_fraction, 1e-12)
         reduction_hits += ratio <= 0.5
         sub_second_hits += mdp_report.sub_second_fraction >= 0.85

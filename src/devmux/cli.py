@@ -215,13 +215,11 @@ def cmd_route(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .configfile import load_config
-    from .simulate import PolicyKind, run_simulation, solve_policy, workload_from_config
+    from .simulate import run_simulation, workload_from_config
 
     config = load_config(args.config)
     sim = config.sim_config(seed=args.seed, n_tasks=args.n_tasks)
-    workload = workload_from_config(sim)
-    policy = solve_policy(sim) if sim.policy is PolicyKind.MDP else None
-    report, trace = run_simulation(workload, sim, policy)
+    report, trace = run_simulation(workload_from_config(sim), sim)
     payload = {
         "policy": sim.policy.value,
         "seed": sim.seed,
@@ -240,15 +238,10 @@ def cmd_compare(args) -> int:
     import csv
 
     from .configfile import load_config
-    from .simulate import PolicyKind, compare_policies, workload_from_config
+    from .simulate import compare_policies
 
     config = load_config(args.config)
-    sim_configs = {
-        name: config.sim_config(policy=PolicyKind(name), seed=args.seed)
-        for name in config.compare_policy_names
-    }
-    workload = workload_from_config(next(iter(sim_configs.values())))
-    report = compare_policies(workload, sim_configs)
+    report = compare_policies(config.sim_config(seed=args.seed), config.compare_policy_names)
     payload = report.to_dict()
     Path(args.out).write_text(_dump_json(payload), encoding="utf-8")
     if args.csv:

@@ -536,9 +536,8 @@ class AppConfig:
     max_files: int = 500
     compare_policy_names: tuple[str, ...] = tuple(k.value for k in PolicyKind)
 
-    def sim_config(self, policy: PolicyKind | None = None, seed: int | None = None,
-                   n_tasks: int | None = None) -> SimConfig:
-        overrides = {"policy": policy, "seed": seed, "n_tasks": n_tasks}
+    def sim_config(self, seed: int | None = None, n_tasks: int | None = None) -> SimConfig:
+        overrides = {"seed": seed, "n_tasks": n_tasks}
         return replace(self.sim, **{k: v for k, v in overrides.items() if v is not None})
 
     def router_fingerprint(self) -> str:
@@ -608,15 +607,16 @@ def config_from_dict(data: dict) -> AppConfig:
     if matrix_raw is None:
         matrix = DEFAULT_TRANSITIONS
     else:
+        rows = _Section(matrix_raw, "network.transition_matrix")
         matrix = [[0.0] * len(NetworkState) for _ in NetworkState]
         for i, src in enumerate(NetworkState):
-            row = matrix_raw.get(src.value)
-            if not isinstance(row, dict):
-                raise ConfigError(f"network.transition_matrix.{src.value} must be a map")
+            row = _Section(rows.take_map(src.value), f"{rows.name}.{src.value}")
             for j, dst in enumerate(NetworkState):
-                if dst.value not in row:
-                    raise ConfigError(f"network.transition_matrix.{src.value} is missing {dst.value!r}")
-                matrix[i][j] = _to_number(row[dst.value], f"network.transition_matrix.{src.value}.{dst.value}")
+                if dst.value not in row.data:
+                    raise ConfigError(f"{row.name} is missing {dst.value!r}")
+                matrix[i][j] = row.number(dst.value, None)
+            row.finish()
+        rows.finish()
     network_section.finish()
     network = _checked(
         lambda: default_network_model(router_sim.device, *network_args, matrix, cloud_compute, cloud_energy),
@@ -707,8 +707,10 @@ def config_from_dict(data: dict) -> AppConfig:
     policy_names = compare_section.take("policies", list(defaults.compare_policy_names))
     if not isinstance(policy_names, list) or not policy_names:
         raise ConfigError("compare.policies must be a non-empty list")
-    for name in policy_names:
+    for i, name in enumerate(policy_names):
         _to_member(PolicyKind, name, f"compare.policies: unknown policy {name!r}")
+        if name in policy_names[:i]:
+            raise ConfigError(f"compare.policies: duplicate policy {name!r}")
     compare_section.finish()
 
     top.finish()

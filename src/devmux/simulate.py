@@ -5,16 +5,18 @@ stepped once per arrival), forms a routing state, and is charged the cost
 model's latency/energy/accuracy for the action its policy picks. Random
 draws are pre-generated from the seed in a fixed order.
 
-A run is columnar. The network trace depends only on the seed, the chain
-and the initial state, never on an action, so it is drawn once: one
-inverse-CDF `searchsorted` per chain row, then one walk of the chain. Two
-policies run against the same workload therefore see the identical trace
-and the paired comparison is exact by construction. Each policy is an
-action per dense routing state. Costs, drain odds and the offline mask come
-from the same per-state tables the MDP is built from (`routing.cost_table`,
-`routing.drain_odds`, `routing.ACTION_MASK`). Battery LOW is absorbing, so
-the battery takes two passes: energy is computed as if the battery stayed
-ok, the first drain is found, and every later task is recomputed as LOW.
+A run is columnar and takes two steps. The replay computes everything that
+depends on the workload and config alone, never on an action: the seeded
+draws, task complexities, the network trace (one inverse-CDF `searchsorted`
+per chain row, then one walk of the chain), the state lookup, the cost table
+with the offline timeout and the drain odds (`routing.cost_table`,
+`routing.drain_odds`, `routing.ACTION_MASK`, the tables the MDP is built
+from). The play step runs one policy, an action per dense routing state,
+through it. `compare_policies` replays the workload once and plays each of
+its distinct policies through that replay, so the paired comparison shares
+its random numbers by construction. Battery LOW is absorbing, so the
+battery takes two passes: energy is computed as if the battery stayed ok,
+the first drain is found, and every later task is recomputed as LOW.
 Report sums use `math.fsum`, so report bytes do not depend on the Python
 version. `SimTrace.event_log()` writes the event log from the columns in
 fixed row blocks: each column of a block is encoded once (enum columns and
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -211,6 +213,57 @@ def _action_table(policy_kind: PolicyKind, policy: RoutingPolicy | None) -> np.n
     return np.where(cloud, ACTIONS.index(Action.CLOUD), ACTIONS.index(Action.EDGE))
 
 
+def _replay(workload: Workload, config: SimConfig) -> Callable[[np.ndarray], tuple[MetricsReport, SimTrace]]:
+    """Compute what a run takes from the workload and config alone; return
+    `play`, which runs one action table through it (see the module docstring)."""
+    n = len(workload)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 1])))
+    u_battery = rng.random(n)
+    u_network = rng.random(n)
+
+    complexity = complexity_indices(workload.kind, workload.files, workload.deps, workload.tokens)
+    network = _network_trace(config, u_network)
+    # Dense state index by (complexity, network, battery) on this device.
+    state_of = np.array(
+        [s.index for s in all_states() if s.device_class is config.device.device_class]
+    ).reshape(len(COMPLEXITIES), len(NETWORK_STATES), len(BATTERY_LEVELS))
+    costs = cost_table(config.device, config.network)
+    costs[~ACTION_MASK, 0] = config.offline_timeout_ms
+    to_low = drain_odds(costs, config.p_drain)
+
+    def play(actions: np.ndarray) -> tuple[MetricsReport, SimTrace]:
+        def look_up(battery: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            state = state_of[complexity, network, battery]
+            action = actions[state]
+            return state, action, costs[state, action]
+
+        battery = np.full(n, BATTERY_LEVELS.index(config.device.battery), dtype=np.intp)
+        state, action, cost = look_up(battery)
+        if config.device.battery is Battery.OK:
+            # The battery drains after the first task whose draw falls under
+            # its odds; from the next task on it stays low.
+            drained = np.flatnonzero(u_battery < to_low[state, action])
+            if drained.size:
+                battery[drained[0] + 1:] = BATTERY_LEVELS.index(Battery.LOW)
+                state, action, cost = look_up(battery)
+
+        trace = SimTrace(
+            arrival_s=workload.arrival_s,
+            kind=workload.kind,
+            complexity=complexity,
+            network=network,
+            battery=battery,
+            action=action,
+            latency_ms=cost[:, 0],
+            energy_units=cost[:, 1],
+            accuracy_loss=cost[:, 2],
+            failed=~ACTION_MASK[state, action],
+        )
+        return metrics_from_events(trace, config.sub_second_ms), trace
+
+    return play
+
+
 def run_simulation(
     workload: Workload,
     config: SimConfig,
@@ -224,51 +277,7 @@ def run_simulation(
     """
     if config.policy is PolicyKind.MDP and policy is None:
         policy = solve_policy(config)
-
-    n = len(workload)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 1])))
-    u_battery = rng.random(n)
-    u_network = rng.random(n)
-
-    complexity = complexity_indices(workload.kind, workload.files, workload.deps, workload.tokens)
-    network = _network_trace(config, u_network)
-    # Dense state index by (complexity, network, battery) on this device.
-    state_of = np.array(
-        [s.index for s in all_states() if s.device_class is config.device.device_class]
-    ).reshape(len(COMPLEXITIES), len(NETWORK_STATES), len(BATTERY_LEVELS))
-    actions = _action_table(config.policy, policy)
-    costs = cost_table(config.device, config.network)
-    costs[~ACTION_MASK, 0] = config.offline_timeout_ms
-    to_low = drain_odds(costs, config.p_drain)
-
-    def play(battery: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        state = state_of[complexity, network, battery]
-        action = actions[state]
-        return state, action, costs[state, action]
-
-    battery = np.full(n, BATTERY_LEVELS.index(config.device.battery), dtype=np.intp)
-    state, action, cost = play(battery)
-    if config.device.battery is Battery.OK:
-        # The battery drains after the first task whose draw falls under its
-        # odds; from the next task on it stays low.
-        drained = np.flatnonzero(u_battery < to_low[state, action])
-        if drained.size:
-            battery[drained[0] + 1:] = BATTERY_LEVELS.index(Battery.LOW)
-            state, action, cost = play(battery)
-
-    trace = SimTrace(
-        arrival_s=workload.arrival_s,
-        kind=workload.kind,
-        complexity=complexity,
-        network=network,
-        battery=battery,
-        action=action,
-        latency_ms=cost[:, 0],
-        energy_units=cost[:, 1],
-        accuracy_loss=cost[:, 2],
-        failed=~ACTION_MASK[state, action],
-    )
-    return metrics_from_events(trace, config.sub_second_ms), trace
+    return _replay(workload, config)(_action_table(config.policy, policy))
 
 
 @dataclass(eq=False)
@@ -293,23 +302,25 @@ class ComparisonReport:
         return rows
 
 
-def compare_policies(workload: Workload, configs: Mapping[str, SimConfig]) -> ComparisonReport:
-    """Run several policies against one workload and report paired deltas.
+def compare_policies(config: SimConfig, policies: Sequence[str]) -> ComparisonReport:
+    """Play several policies through one replay of the config's workload and
+    report paired deltas; `config.policy` is ignored.
 
-    Every config must carry the workload's seed, so every policy replays the
-    same network and battery draws; the first entry is the delta baseline.
+    Every policy sees the same draws, network trace and costs, so the deltas
+    come from the policies alone. Report keys are the policy values and the
+    first policy is the delta baseline.
     """
-    if not configs:
-        raise ValueError("need at least one policy config")
-    for name, config in configs.items():
-        if config.seed != workload.seed:
-            raise ValueError(f"config {name!r} seed {config.seed} != workload seed {workload.seed}")
+    kinds = [PolicyKind(p) for p in policies]
+    if not kinds:
+        raise ValueError("need at least one policy")
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ValueError(f"duplicate policy {kind.value!r}")
 
-    reports = {name: run_simulation(workload, config)[0] for name, config in configs.items()}
-    baseline_name = next(iter(configs))
-    baseline = reports[baseline_name].to_dict()
-    deltas = {}
-    for name, report in reports.items():
-        d = report.to_dict()
-        deltas[name] = {f: d[f] - baseline[f] for f in MetricsReport.NUMERIC_FIELDS}
-    return ComparisonReport(baseline=baseline_name, reports=reports, deltas=deltas)
+    play = _replay(workload_from_config(config), config)
+    mdp = solve_policy(config) if PolicyKind.MDP in kinds else None
+    reports = {kind.value: play(_action_table(kind, mdp))[0] for kind in kinds}
+    baseline = reports[kinds[0].value]
+    deltas = {name: {f: getattr(report, f) - getattr(baseline, f) for f in MetricsReport.NUMERIC_FIELDS}
+              for name, report in reports.items()}
+    return ComparisonReport(baseline=kinds[0].value, reports=reports, deltas=deltas)

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import IndexFileError
+from .configfile import VECTOR_DIM
 
 FORMAT_VERSION = 2
-DEFAULT_DIM = 768
 # Rows widened to float64 and scored per matrix-vector product.
 _BLOCK_ROWS = 128
 # A BLAS matrix-vector product may compute the last rows of a block that is
@@ -83,7 +83,7 @@ class QueryResult:
 class VectorIndex:
     """In-memory store of (id, vector, metadata) with exhaustive search."""
 
-    def __init__(self, band_config_hash: str, dim: int = DEFAULT_DIM):
+    def __init__(self, band_config_hash: str, dim: int = VECTOR_DIM):
         self.band_config_hash = band_config_hash
         self.dim = dim
         self._rows: dict[str, int] = {}

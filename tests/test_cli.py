@@ -44,6 +44,12 @@ CONFIG_COMMANDS = {
     "compare": ["compare", "--out", "comparison.json"],
 }
 
+# The rows of a valid `network.transition_matrix`, indented under it.
+MATRIX_ROWS = "".join(
+    f"    {src}:\n" + "".join(f"      {dst}: {p}\n" for dst, p in zip(("good", "degraded", "offline"), row))
+    for src, row in zip(("good", "degraded", "offline"), ((0.9, 0.1, 0.0), (0.5, 0.5, 0.0), (0.5, 0.3, 0.2)))
+)
+
 
 def assert_config_error_exit_two(text, message, commands, tmp_path, capsys, monkeypatch):
     """Each of `commands` run with the config `text` exits 2, prints nothing
@@ -358,13 +364,20 @@ class TestSimulateAndCompare:
              "workload.ranges.refactor: ranges must satisfy 0 <= lo <= hi"),
             ("router:\n  discount_gamma: 1.5\n", "router: discount_gamma must be in [0, 1)"),
             ("compare:\n  policies:\n", "compare.policies must be a non-empty list"),
+            ("compare:\n  policies:\n    - mdp\n    - mdp\n    - all_edge\n",
+             "compare.policies: duplicate policy 'mdp'"),
+            ("network:\n  transition_matrix:\n" + MATRIX_ROWS + "    sideways: 3\n",
+             "unknown keys in section 'network.transition_matrix': sideways"),
+            ("network:\n  transition_matrix:\n" + MATRIX_ROWS.replace("offline: 0.0\n", "offline: 0.0\n      bogus: 7\n", 1),
+             "unknown keys in section 'network.transition_matrix.good': bogus"),
             ("router:\n  tolerance: 0\n", "router: tolerance must be > 0, got 0.0"),
             ("simulate:\n  offline_timeout_ms: -5000\n", "simulate: offline_timeout_ms must be > 0, got -5000.0"),
             ("simulate:\n  sub_second_ms: 0\n", "simulate: sub_second_ms must be > 0, got 0.0"),
         ],
         ids=["empty", "text", "boolean", "nan", "fraction", "int_text", "matrix_entry", "seed_negative",
              "seed_2_64", "initial_state", "policy", "device", "battery", "kind_ranges", "discount_gamma",
-             "policies_empty", "tolerance_zero", "offline_timeout", "sub_second"],
+             "policies_empty", "policies_duplicate", "matrix_row", "matrix_row_entry", "tolerance_zero",
+             "offline_timeout", "sub_second"],
     )
     def test_bad_scalar_exit_two(self, text, message, tmp_path, capsys, monkeypatch):
         assert_config_error_exit_two(text, message, CONFIG_COMMANDS, tmp_path, capsys, monkeypatch)

@@ -202,9 +202,9 @@ class TestAssembly:
         assert sim.seed == 7
         assert sim.device.device_class is DeviceClass.GPU
         assert sim.device.battery is Battery.LOW
-        sim_override = config.sim_config(policy=PolicyKind.MDP, seed=99)
-        assert sim_override.policy is PolicyKind.MDP
-        assert sim_override.seed == 99
+        sim_override = config.sim_config(seed=99, n_tasks=10)
+        assert (sim_override.seed, sim_override.n_tasks) == (99, 10)
+        assert sim_override.device == sim.device
 
     def test_router_fingerprint_tracks_settings(self):
         base = config_from_dict({})

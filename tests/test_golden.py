@@ -30,6 +30,7 @@ import io
 import json
 import os
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ import pytest
 from devmux.cli import cli_main
 from devmux.configfile import load_config
 from devmux.routing import all_states
+from devmux.simulate import PolicyKind, compare_policies, run_simulation, workload_from_config
 from devmux.vindex import RecordMetadata, VectorIndex
 from test_config import SAMPLE
 
@@ -299,6 +301,19 @@ def test_outputs_match_golden(hashes, golden, section):
     mismatched = sorted(k for k in golden[section] if hashes[section].get(k) != golden[section][k])
     assert set(hashes[section]) == set(golden[section])
     assert not mismatched, f"{len(mismatched)} {section} differ, first: {mismatched[:5]}"
+
+
+@pytest.mark.parametrize("seed", (42, 43, 44))
+@pytest.mark.parametrize("name", CONFIGS)
+def test_compare_reports_match_single_runs(name, seed, tmp_path):
+    """Each policy's report from the shared replay of `compare_policies` is
+    the report of its own `run_simulation`."""
+    _write_config(tmp_path / "c.yaml", name, n_tasks=N_TASKS)
+    config = load_config(tmp_path / "c.yaml").sim_config(seed=seed)
+    reports = compare_policies(config, list(PolicyKind)).reports
+    workload = workload_from_config(config)
+    for kind in PolicyKind:
+        assert reports[kind.value] == run_simulation(workload, replace(config, policy=kind))[0], kind
 
 
 def test_route_matches_golden(tmp_path):

@@ -24,6 +24,26 @@ RUNS = {
     ),
 }
 
+# The full stdout of the two simulation scripts at these sizes, pinned.
+PINNED_STDOUT = {
+    "run_comparison.py": (
+        ["--n-tasks", "200"],
+        "policy    median_ms p95_ms    sub_second cloud_frac energy      acc_loss failed \n"
+        "all_cloud 2650      7800      0.000      1.000      1341        0.0000   7      \n"
+        "all_edge  300       2400      0.900      0.000      353         0.0472   0      \n"
+        "threshold 300       3000      0.900      0.095      619         0.0197   0      \n"
+        "mdp       300       3000      0.900      0.055      507         0.0313   0      \n",
+    ),
+    "seed_sweep.py": (
+        ["--seeds", "2", "--n-tasks", "200"],
+        "seed    mdp_cloud  allcloud   ratio    sub_second\n"
+        "42      0.0550     1.0000     0.0550   0.9000\n"
+        "43      0.0800     1.0000     0.0800   0.9000\n"
+        "\n"
+        "2/2 seeds at <=50% of all-cloud calls, 2/2 seeds at >=85% sub-second\n",
+    ),
+}
+
 
 def run_script(script, *args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -38,6 +58,14 @@ def test_script_runs(script):
     proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].rstrip() == header
+
+
+@pytest.mark.parametrize("script", sorted(PINNED_STDOUT))
+def test_script_stdout_pinned(script):
+    args, stdout = PINNED_STDOUT[script]
+    proc = run_script(script, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == stdout
 
 
 @pytest.mark.parametrize(("script", "args", "message"), [

@@ -142,42 +142,36 @@ def test_mdp_seed42_beats_targets():
 
 
 class TestCompare:
-    def configs(self, seed=42, n=500):
-        return {
-            kind.value: SimConfig(n_tasks=n, seed=seed, policy=kind)
-            for kind in (PolicyKind.ALL_CLOUD, PolicyKind.ALL_EDGE, PolicyKind.THRESHOLD, PolicyKind.MDP)
-        }
+    POLICIES = [PolicyKind.ALL_CLOUD, PolicyKind.ALL_EDGE, PolicyKind.THRESHOLD, PolicyKind.MDP]
 
     def test_self_comparison_zero_deltas(self):
-        config = SimConfig(n_tasks=300, seed=8, policy=PolicyKind.MDP)
-        workload = workload_from_config(config)
-        report = compare_policies(workload, {"a": config, "b": SimConfig(n_tasks=300, seed=8)})
-        assert all(v == 0.0 for v in report.deltas["b"].values())
+        report = compare_policies(SimConfig(n_tasks=300, seed=8), [PolicyKind.MDP, PolicyKind.ALL_EDGE])
+        assert report.baseline == "mdp"
+        assert all(v == 0.0 for v in report.deltas["mdp"].values())
 
     def test_accuracy_loss_split(self):
-        workload = generate_workload(500, seed=42)
-        report = compare_policies(workload, self.configs())
+        report = compare_policies(SimConfig(n_tasks=500, seed=42), self.POLICIES)
         assert report.reports["all_cloud"].mean_accuracy_loss == 0.0
         assert report.reports["all_edge"].mean_accuracy_loss > 0.0
 
     def test_mdp_reduces_cloud_calls(self):
-        workload = generate_workload(500, seed=42)
-        report = compare_policies(workload, self.configs())
+        report = compare_policies(SimConfig(n_tasks=500, seed=42), self.POLICIES)
         assert (
             report.reports["mdp"].cloud_call_fraction
             < report.reports["all_cloud"].cloud_call_fraction
         )
         assert report.deltas["mdp"]["cloud_call_fraction"] < 0.0  # baseline is all_cloud
 
-    def test_mismatched_seed_rejected(self):
-        workload = generate_workload(100, seed=42)
-        configs = {"mdp": SimConfig(n_tasks=100, seed=43, policy=PolicyKind.MDP)}
-        with pytest.raises(ValueError, match="seed"):
-            compare_policies(workload, configs)
+    @pytest.mark.parametrize("policies, message", [
+        ([], "need at least one policy"),
+        (["mdp", "all_edge", "mdp"], "duplicate policy 'mdp'"),
+    ], ids=["empty", "duplicate"])
+    def test_bad_policy_list_rejected(self, policies, message):
+        with pytest.raises(ValueError, match=message):
+            compare_policies(SimConfig(n_tasks=100, seed=42), policies)
 
     def test_csv_rows_one_per_policy(self):
-        workload = generate_workload(120, seed=42)
-        report = compare_policies(workload, self.configs(n=120))
+        report = compare_policies(SimConfig(n_tasks=120, seed=42), self.POLICIES)
         rows = report.csv_rows()
         assert rows[0][0] == "policy"
         assert [r[0] for r in rows[1:]] == ["all_cloud", "all_edge", "threshold", "mdp"]
