@@ -178,11 +178,10 @@ def cmd_describe_layout(args) -> int:
 
 def cmd_route(args) -> int:
     from .configfile import load_config
-    from .routing import RoutingState, cost_breakdown, load_policy, save_policy
-    from .simulate import solve_policy
+    from .routing import RoutingState, cost_breakdown, load_policy, policy_fingerprint, save_policy, solve_policy
 
     config = load_config(args.config)
-    fingerprint = config.router_fingerprint()
+    fingerprint = policy_fingerprint(config.sim)
     policy = None
     if args.policy and Path(args.policy).exists():
         try:

@@ -32,6 +32,7 @@ from .base import Battery, Complexity, ConfigError, ContextSource, DeviceClass, 
 VECTOR_DIM = 768
 STOCHASTIC_TOL = 1e-9
 DEFAULT_TOLERANCE = 1e-8  # value-iteration stopping threshold
+MAX_SWEEPS = 1_000_000  # value-iteration sweeps a config may need, by the contraction bound
 DEFAULT_P_DRAIN = 0.05
 DEFAULT_GOOD_RTT_MS = 2400.0  # median round trip observed for cloud-hosted assistants
 DEFAULT_DEGRADED_RTT_FACTOR = 3.0
@@ -58,6 +59,13 @@ def check_positive(**values: float) -> None:
     for name, value in values.items():
         if not value > 0:
             raise ValueError(f"{name} must be > 0, got {value}")
+
+
+def check_non_negative(**values: float) -> None:
+    """Raise ValueError naming the first of `values` that is not >= 0."""
+    for name, value in values.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def check_shares(name: str, shares: Mapping, members) -> None:
@@ -157,6 +165,26 @@ class NetworkModel:
         for c in Complexity:
             if self.cloud_compute_ms[c] < 0 or self.cloud_energy_units[c] < 0:
                 raise ValueError("cloud cost tables must be >= 0")
+
+
+def check_solvable(cost: CostModel, device: DeviceProfile, network: NetworkModel, tolerance: float) -> None:
+    """Raise ValueError unless value iteration over these settings stays
+    finite and ends within MAX_SWEEPS sweeps. `worst`, from the largest
+    latency (edge on either device class, or cloud), energy and accuracy
+    loss, bounds every weighted cost, so no value exceeds
+    worst / (1 - discount_gamma) and sweep k changes one by at most
+    discount_gamma**(k-1) * worst."""
+    latency = max(max(device.edge_base_latency_ms.values()) * max(device.cpu_latency_multiplier, 1.0),
+                  max(network.rtt_ms.values()) + max(network.cloud_compute_ms.values()))
+    energy = max(*device.edge_energy_units.values(), *network.cloud_energy_units.values())
+    loss = max(device.edge_accuracy_loss.values())
+    worst = cost.w_latency * latency + cost.w_energy * energy + cost.w_accuracy * loss
+    gamma = cost.discount_gamma
+    if not math.isfinite(worst / (1.0 - gamma)):
+        raise ValueError(f"worst weighted cost / (1 - discount_gamma) must be finite, got {worst / (1.0 - gamma)}")
+    if gamma > 0 and worst > tolerance and math.log(tolerance / worst) < MAX_SWEEPS * math.log(gamma):
+        raise ValueError(f"discount_gamma {gamma} may need more than {MAX_SWEEPS} value-iteration sweeps "
+                         f"to reach tolerance {tolerance}")
 
 
 def default_network_model(
@@ -278,17 +306,7 @@ class BandConfig:
             raise ValueError(f"hash_seed must be in [0, 2**64), got {self.hash_seed}")
 
     def fingerprint(self) -> str:
-        blob = json.dumps(
-            {
-                "structural_dims": self.structural_dims,
-                "identifier_dims": self.identifier_dims,
-                "literal_dims": self.literal_dims,
-                "identifier_weight": self.identifier_weight,
-                "wl_iterations": self.wl_iterations,
-                "hash_seed": self.hash_seed,
-            },
-            sort_keys=True,
-        )
+        blob = json.dumps(vars(self), sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -540,66 +558,58 @@ class AppConfig:
         overrides = {"seed": seed, "n_tasks": n_tasks}
         return replace(self.sim, **{k: v for k, v in overrides.items() if v is not None})
 
-    def router_fingerprint(self) -> str:
-        """Hash of everything the solved policy depends on."""
-        sim, device, network = self.sim, self.sim.device, self.sim.network
-        payload = {
-            "w_latency": sim.cost.w_latency,
-            "w_energy": sim.cost.w_energy,
-            "w_accuracy": sim.cost.w_accuracy,
-            "discount_gamma": sim.cost.discount_gamma,
-            "tolerance": sim.tolerance,
-            "p_drain": sim.p_drain,
-            "complexity_mix": {c.value: sim.complexity_mix[c] for c in Complexity},
-            "edge_base_latency_ms": {c.value: device.edge_base_latency_ms[c] for c in Complexity},
-            "edge_energy_units": {c.value: device.edge_energy_units[c] for c in Complexity},
-            "edge_accuracy_loss": {c.value: device.edge_accuracy_loss[c] for c in Complexity},
-            "cpu_latency_multiplier": device.cpu_latency_multiplier,
-            "rtt_ms": {s.value: network.rtt_ms[s] for s in (NetworkState.GOOD, NetworkState.DEGRADED)},
-            "cloud_compute_ms": {c.value: network.cloud_compute_ms[c] for c in Complexity},
-            "cloud_energy_units": {c.value: network.cloud_energy_units[c] for c in Complexity},
-            "transition_matrix": network.transition_matrix,
-        }
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
 
 def config_from_dict(data: dict) -> AppConfig:
     defaults = AppConfig()
     base = defaults.sim
     top = _Section(data, "<top>")
 
+    sim_section = _Section(top.take_map("simulate"), "simulate")
+    device_class = sim_section.member("device", base.device.device_class)
+    battery = sim_section.member("battery", base.device.battery)
+
     router = _Section(top.take_map("router"), "router")
-    # The router section's settings, checked under its name; the simulate
-    # section's keys are laid over them below.
-    router_sim = _checked(
-        lambda: SimConfig(
-            cost=CostModel(
-                w_latency=router.number("w_latency", base.cost.w_latency),
-                w_energy=router.number("w_energy", base.cost.w_energy),
-                w_accuracy=router.number("w_accuracy", base.cost.w_accuracy),
-                discount_gamma=router.number("discount_gamma", base.cost.discount_gamma),
-            ),
-            tolerance=router.number("tolerance", base.tolerance),
-            device=DeviceProfile(
-                edge_base_latency_ms=_number_map(router, "edge_base_latency_ms", base.device.edge_base_latency_ms),
-                edge_energy_units=_number_map(router, "edge_energy_units", base.device.edge_energy_units),
-                edge_accuracy_loss=_number_map(router, "edge_accuracy_loss", base.device.edge_accuracy_loss),
-                cpu_latency_multiplier=router.number("cpu_latency_multiplier", base.device.cpu_latency_multiplier),
-            ),
-            p_drain=router.number("p_drain", base.p_drain),
-            complexity_mix=_number_map(router, "complexity_mix", base.complexity_mix),
+    cost = _checked(
+        lambda: CostModel(
+            w_latency=router.number("w_latency", base.cost.w_latency),
+            w_energy=router.number("w_energy", base.cost.w_energy),
+            w_accuracy=router.number("w_accuracy", base.cost.w_accuracy),
+            discount_gamma=router.number("discount_gamma", base.cost.discount_gamma),
         ),
         "router",
     )
-    network_args = (  # what `default_network_model` derives the RTTs and cloud energy from
-        router.number("good_rtt_ms", DEFAULT_GOOD_RTT_MS),
-        router.number("degraded_rtt_factor", DEFAULT_DEGRADED_RTT_FACTOR),
-        router.number("cloud_energy_ratio", DEFAULT_CLOUD_ENERGY_RATIO),
+    tolerance = router.number("tolerance", base.tolerance)
+    device = _checked(
+        lambda: DeviceProfile(
+            device_class=device_class,
+            battery=battery,
+            edge_base_latency_ms=_number_map(router, "edge_base_latency_ms", base.device.edge_base_latency_ms),
+            edge_energy_units=_number_map(router, "edge_energy_units", base.device.edge_energy_units),
+            edge_accuracy_loss=_number_map(router, "edge_accuracy_loss", base.device.edge_accuracy_loss),
+            cpu_latency_multiplier=router.number("cpu_latency_multiplier", base.device.cpu_latency_multiplier),
+        ),
+        "router",
     )
+    p_drain = router.number("p_drain", base.p_drain)
+    complexity_mix = _number_map(router, "complexity_mix", base.complexity_mix)
+    # What `default_network_model` derives the RTTs and cloud energy from.
+    good_rtt_ms = router.number("good_rtt_ms", DEFAULT_GOOD_RTT_MS)
+    degraded_rtt_factor = router.number("degraded_rtt_factor", DEFAULT_DEGRADED_RTT_FACTOR)
+    cloud_energy_ratio = router.number("cloud_energy_ratio", DEFAULT_CLOUD_ENERGY_RATIO)
     cloud_compute = _number_map(router, "cloud_compute_ms", {})
     cloud_energy = _number_map(router, "cloud_energy_units", {})
     router.finish()
+
+    def check_router() -> None:
+        check_odds(complexity_mix, p_drain)
+        check_positive(tolerance=tolerance, good_rtt_ms=good_rtt_ms, degraded_rtt_factor=degraded_rtt_factor)
+        check_non_negative(
+            cloud_energy_ratio=cloud_energy_ratio,
+            **{f"cloud_compute_ms.{c.value}": ms for c, ms in cloud_compute.items()},
+            **{f"cloud_energy_units.{c.value}": units for c, units in cloud_energy.items()},
+        )
+
+    _checked(check_router, "router")
 
     network_section = _Section(top.take_map("network"), "network")
     initial_network = network_section.member("initial_state", base.initial_network)
@@ -619,9 +629,12 @@ def config_from_dict(data: dict) -> AppConfig:
         rows.finish()
     network_section.finish()
     network = _checked(
-        lambda: default_network_model(router_sim.device, *network_args, matrix, cloud_compute, cloud_energy),
+        lambda: default_network_model(
+            device, good_rtt_ms, degraded_rtt_factor, cloud_energy_ratio, matrix, cloud_compute, cloud_energy
+        ),
         "network",
     )
+    _checked(lambda: check_solvable(cost, device, network, tolerance), "router")
 
     workload_section = _Section(top.take_map("workload"), "workload")
     default_spec = base.workload_spec
@@ -681,21 +694,19 @@ def config_from_dict(data: dict) -> AppConfig:
         raise ConfigError("index.max_files must be >= 0")
     index_section.finish()
 
-    sim_section = _Section(top.take_map("simulate"), "simulate")
     sim = _checked(
-        lambda: replace(
-            router_sim,
+        lambda: SimConfig(
             n_tasks=sim_section.integer("n_tasks", base.n_tasks),
             seed=sim_section.integer("seed", base.seed),
             policy=sim_section.member("policy", base.policy),
-            device=replace(
-                router_sim.device,
-                device_class=sim_section.member("device", base.device.device_class),
-                battery=sim_section.member("battery", base.device.battery),
-            ),
+            device=device,
             network=network,
+            cost=cost,
             workload_spec=workload_spec,
             initial_network=initial_network,
+            p_drain=p_drain,
+            tolerance=tolerance,
+            complexity_mix=complexity_mix,
             offline_timeout_ms=sim_section.number("offline_timeout_ms", base.offline_timeout_ms),
             sub_second_ms=sim_section.number("sub_second_ms", base.sub_second_ms),
         ),

@@ -8,6 +8,8 @@ dense lookup policy that the simulator and the CLI consult per task.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -26,6 +28,7 @@ from .configfile import (
     CostModel,
     DeviceProfile,
     NetworkModel,
+    SimConfig,
     check_odds,
     check_positive,
     default_complexity_mix,
@@ -60,6 +63,12 @@ def complexity_indices(kind, files_touched, cross_file_deps, token_length) -> np
     return np.where(high, 2, np.where(medium, 1, 0))
 
 
+def state_index(c, d, n, b):
+    """Dense state index of the indices into COMPLEXITIES, DEVICE_CLASSES,
+    NETWORK_STATES and BATTERY_LEVELS; ints or index arrays that broadcast."""
+    return ((c * len(DEVICE_CLASSES) + d) * len(NETWORK_STATES) + n) * len(BATTERY_LEVELS) + b
+
+
 @dataclass(frozen=True)
 class RoutingState:
     complexity: Complexity
@@ -69,22 +78,15 @@ class RoutingState:
 
     @property
     def index(self) -> int:
-        ci = COMPLEXITIES.index(self.complexity)
-        di = DEVICE_CLASSES.index(self.device_class)
-        ni = NETWORK_STATES.index(self.network)
-        bi = BATTERY_LEVELS.index(self.battery)
-        return ((ci * len(DEVICE_CLASSES) + di) * len(NETWORK_STATES) + ni) * len(BATTERY_LEVELS) + bi
+        return state_index(COMPLEXITIES.index(self.complexity), DEVICE_CLASSES.index(self.device_class),
+                           NETWORK_STATES.index(self.network), BATTERY_LEVELS.index(self.battery))
 
 
 def all_states() -> tuple[RoutingState, ...]:
     """All routing states in dense index order."""
-    states = []
-    for c in COMPLEXITIES:
-        for d in DEVICE_CLASSES:
-            for n in NETWORK_STATES:
-                for b in BATTERY_LEVELS:
-                    states.append(RoutingState(c, d, n, b))
-    return tuple(states)
+    return tuple(itertools.starmap(
+        RoutingState, itertools.product(COMPLEXITIES, DEVICE_CLASSES, NETWORK_STATES, BATTERY_LEVELS)
+    ))
 
 
 # (N_STATES, n_actions) legal actions, read-only: cloud execution is masked
@@ -280,6 +282,25 @@ def value_iteration(mdp: MdpModel, tolerance: float = DEFAULT_TOLERANCE) -> Rout
     return RoutingPolicy(
         actions=actions, values=values, residual=deltas[-1], delta_history=tuple(deltas)
     )
+
+
+def solve_policy(config: SimConfig) -> RoutingPolicy:
+    """The routing policy of `config`'s cost, device, network and odds."""
+    mdp = build_mdp(config.device, config.network, config.cost, config.complexity_mix, config.p_drain)
+    return value_iteration(mdp, config.tolerance)
+
+
+def policy_fingerprint(config: SimConfig) -> str:
+    """Hash of everything `solve_policy(config)` depends on: every field of
+    the cost and network records, the device's but its class and battery
+    (the policy ranges over those), and the tolerance and odds. Enum keys
+    are written as their values."""
+    settings = {**vars(config.cost), **vars(config.device), **vars(config.network),
+                "tolerance": config.tolerance, "p_drain": config.p_drain, "complexity_mix": config.complexity_mix}
+    del settings["device_class"], settings["battery"]
+    payload = {k: {e.value: x for e, x in v.items()} if isinstance(v, dict) else v for k, v in settings.items()}
+    blob = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def policy_to_dict(policy: RoutingPolicy, config_hash: str) -> dict:

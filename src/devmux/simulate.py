@@ -8,13 +8,15 @@ draws are pre-generated from the seed in a fixed order.
 A run is columnar and takes two steps. The replay computes everything that
 depends on the workload and config alone, never on an action: the seeded
 draws, task complexities, the network trace (one inverse-CDF `searchsorted`
-per chain row, then one walk of the chain), the state lookup, the cost table
-with the offline timeout and the drain odds (`routing.cost_table`,
-`routing.drain_odds`, `routing.ACTION_MASK`, the tables the MDP is built
-from). The play step runs one policy, an action per dense routing state,
-through it. `compare_policies` replays the workload once and plays each of
-its distinct policies through that replay, so the paired comparison shares
-its random numbers by construction. Battery LOW is absorbing, so the
+per chain row, then one walk of the chain), the cost table with the offline
+timeout and the drain odds. The play step runs one policy, an action per
+dense routing state, through it. The routing tables come from `routing`, the
+module the MDP is built and solved in: the dense state layout
+(`routing.state_index`), `routing.cost_table`, `routing.drain_odds`,
+`routing.ACTION_MASK` and the solve itself (`routing.solve_policy`).
+`compare_policies` replays the workload once and plays each of its distinct
+policies through that replay, so the paired comparison shares its random
+numbers by construction. Battery LOW is absorbing, so the
 battery takes two passes: energy is computed as if the battery stayed ok,
 the first drain is found, and every later task is recomputed as LOW.
 Report sums use `math.fsum`, so report bytes do not depend on the Python
@@ -41,6 +43,7 @@ from .routing import (
     ACTIONS,
     BATTERY_LEVELS,
     COMPLEXITIES,
+    DEVICE_CLASSES,
     NETWORK_STATES,
     TASK_KINDS,
     Action,
@@ -48,11 +51,11 @@ from .routing import (
     Complexity,
     RoutingPolicy,
     all_states,
-    build_mdp,
     complexity_indices,
     cost_table,
     drain_odds,
-    value_iteration,
+    solve_policy,
+    state_index,
 )
 from .workload import Workload, generate_workload
 
@@ -176,11 +179,6 @@ def metrics_from_events(trace: SimTrace, sub_second_ms: float = SimConfig.sub_se
     )
 
 
-def solve_policy(config: SimConfig) -> RoutingPolicy:
-    mdp = build_mdp(config.device, config.network, config.cost, config.complexity_mix, config.p_drain)
-    return value_iteration(mdp, config.tolerance)
-
-
 def workload_from_config(config: SimConfig) -> Workload:
     return generate_workload(config.n_tasks, config.seed, config.workload_spec)
 
@@ -223,17 +221,14 @@ def _replay(workload: Workload, config: SimConfig) -> Callable[[np.ndarray], tup
 
     complexity = complexity_indices(workload.kind, workload.files, workload.deps, workload.tokens)
     network = _network_trace(config, u_network)
-    # Dense state index by (complexity, network, battery) on this device.
-    state_of = np.array(
-        [s.index for s in all_states() if s.device_class is config.device.device_class]
-    ).reshape(len(COMPLEXITIES), len(NETWORK_STATES), len(BATTERY_LEVELS))
+    device = DEVICE_CLASSES.index(config.device.device_class)
     costs = cost_table(config.device, config.network)
     costs[~ACTION_MASK, 0] = config.offline_timeout_ms
     to_low = drain_odds(costs, config.p_drain)
 
     def play(actions: np.ndarray) -> tuple[MetricsReport, SimTrace]:
         def look_up(battery: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            state = state_of[complexity, network, battery]
+            state = state_index(complexity, device, network, battery)
             action = actions[state]
             return state, action, costs[state, action]
 

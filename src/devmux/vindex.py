@@ -129,8 +129,10 @@ class VectorIndex:
 
     def _similarities(self, query: np.ndarray) -> np.ndarray:
         """Float64 cosine of every record against `query`; 0 for a zero
-        record or a zero query. Each row gets the arithmetic of
-        `np.linalg.norm(row)` and of one matrix-vector product."""
+        record or a zero query. Each row's norm is bitwise that of
+        `np.linalg.norm(matrix, axis=1)`, a pairwise `add.reduce` along the
+        row (per-row `np.linalg.norm(row)` can differ in the last bit), and
+        its dot product comes from one matrix-vector product."""
         count = len(self._ids)
         sims = np.zeros(count)
         qnorm = np.linalg.norm(query)

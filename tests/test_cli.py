@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-import devmux.simulate
+import devmux.routing
 from devmux.cli import build_parser, cli_main
 from devmux.routing import Complexity, value_iteration
 from devmux.vindex import RecordMetadata, VectorIndex
@@ -373,11 +373,30 @@ class TestSimulateAndCompare:
             ("router:\n  tolerance: 0\n", "router: tolerance must be > 0, got 0.0"),
             ("simulate:\n  offline_timeout_ms: -5000\n", "simulate: offline_timeout_ms must be > 0, got -5000.0"),
             ("simulate:\n  sub_second_ms: 0\n", "simulate: sub_second_ms must be > 0, got 0.0"),
+            ("router:\n  w_latency: 1.0e308\n",
+             "router: worst weighted cost / (1 - discount_gamma) must be finite, got inf"),
+            ("router:\n  w_latency: 1.0e304\n",
+             "router: worst weighted cost / (1 - discount_gamma) must be finite, got inf"),
+            ("router:\n  good_rtt_ms: 1.0e308\n",
+             "router: worst weighted cost / (1 - discount_gamma) must be finite, got inf"),
+            ("router:\n  edge_base_latency_ms:\n    high: 1.0e308\n",
+             "router: worst weighted cost / (1 - discount_gamma) must be finite, got inf"),
+            ("router:\n  discount_gamma: 0.999999999\n",
+             "router: discount_gamma 0.999999999 may need more than 1000000 value-iteration sweeps to reach "
+             "tolerance 1e-08"),
+            ("router:\n  good_rtt_ms: -5\n", "router: good_rtt_ms must be > 0, got -5.0"),
+            ("router:\n  degraded_rtt_factor: 0\n", "router: degraded_rtt_factor must be > 0, got 0.0"),
+            ("router:\n  cloud_compute_ms:\n    low: -1\n", "router: cloud_compute_ms.low must be >= 0, got -1.0"),
+            ("router:\n  cloud_energy_ratio: -1\n", "router: cloud_energy_ratio must be >= 0, got -1.0"),
+            ("router:\n  cloud_energy_units:\n    high: -1\n",
+             "router: cloud_energy_units.high must be >= 0, got -1.0"),
         ],
         ids=["empty", "text", "boolean", "nan", "fraction", "int_text", "matrix_entry", "seed_negative",
              "seed_2_64", "initial_state", "policy", "device", "battery", "kind_ranges", "discount_gamma",
              "policies_empty", "policies_duplicate", "matrix_row", "matrix_row_entry", "tolerance_zero",
-             "offline_timeout", "sub_second"],
+             "offline_timeout", "sub_second", "w_latency_overflow", "discounted_overflow", "rtt_overflow",
+             "edge_latency_overflow", "gamma_sweeps", "good_rtt", "rtt_factor", "cloud_compute", "cloud_energy_ratio",
+             "cloud_energy_units"],
     )
     def test_bad_scalar_exit_two(self, text, message, tmp_path, capsys, monkeypatch):
         assert_config_error_exit_two(text, message, CONFIG_COMMANDS, tmp_path, capsys, monkeypatch)
@@ -398,7 +417,7 @@ class TestSimulateAndCompare:
             sweeps.append(len(policy.delta_history))
             return policy
 
-        monkeypatch.setattr(devmux.simulate, "value_iteration", counted)
+        monkeypatch.setattr(devmux.routing, "value_iteration", counted)
         out = str(tmp_path / "out.json")
         route = ["route", "--complexity", "low", "--device", "cpu", "--network", "good", "--battery", "ok"]
         assert cli_main(route) == 0  # default tolerance

@@ -10,7 +10,7 @@ from devmux.configfile import (
     load_config,
     parse_config_text,
 )
-from devmux.routing import Battery, Complexity, DeviceClass, NetworkState
+from devmux.routing import Battery, Complexity, DeviceClass, NetworkState, policy_fingerprint
 from devmux.simulate import PolicyKind, SimConfig
 from devmux.workload import TaskKind
 
@@ -56,6 +56,32 @@ compare:
     - all_cloud
     - mdp
 """
+
+
+# One valid change to each setting the solved policy depends on.
+POLICY_SETTING_CHANGES = {
+    ("router", "w_latency"): 0.5,
+    ("router", "w_energy"): 0.2,
+    ("router", "w_accuracy"): 5.0,
+    ("router", "discount_gamma"): 0.9,
+    ("router", "tolerance"): 1e-6,
+    ("router", "edge_base_latency_ms"): {"high": 1000.0},
+    ("router", "cpu_latency_multiplier"): 3.0,
+    ("router", "edge_energy_units"): {"low": 2.0},
+    ("router", "edge_accuracy_loss"): {"medium": 0.1},
+    ("router", "good_rtt_ms"): 1000.0,
+    ("router", "degraded_rtt_factor"): 2.0,
+    ("router", "cloud_compute_ms"): {"low": 50.0},
+    ("router", "cloud_energy_ratio"): 2.0,
+    ("router", "cloud_energy_units"): {"high": 10.0},
+    ("router", "p_drain"): 0.1,
+    ("router", "complexity_mix"): {"low": 0.4, "medium": 0.5},
+    ("network", "transition_matrix"): {
+        "good": {"good": 0.9, "degraded": 0.1, "offline": 0.0},
+        "degraded": {"good": 0.5, "degraded": 0.5, "offline": 0.0},
+        "offline": {"good": 0.5, "degraded": 0.3, "offline": 0.2},
+    },
+}
 
 
 class TestParser:
@@ -206,12 +232,28 @@ class TestAssembly:
         assert (sim_override.seed, sim_override.n_tasks) == (99, 10)
         assert sim_override.device == sim.device
 
-    def test_router_fingerprint_tracks_settings(self):
-        base = config_from_dict({})
-        same = config_from_dict({})
-        changed = config_from_dict({"router": {"w_latency": 0.5}})
-        assert base.router_fingerprint() == same.router_fingerprint()
-        assert base.router_fingerprint() != changed.router_fingerprint()
+    @pytest.mark.parametrize("section, key", POLICY_SETTING_CHANGES)
+    def test_router_fingerprint_tracks_settings(self, section, key):
+        base = policy_fingerprint(config_from_dict({}).sim)
+        assert policy_fingerprint(config_from_dict({}).sim) == base
+        changed = config_from_dict({section: {key: POLICY_SETTING_CHANGES[section, key]}})
+        assert policy_fingerprint(changed.sim) != base
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("simulate", "device", "gpu"), ("simulate", "battery", "low"), ("simulate", "seed", 7),
+         ("network", "initial_state", "offline")],
+    )
+    def test_router_fingerprint_ignores_run_settings(self, section, key, value):
+        assert policy_fingerprint(config_from_dict({section: {key: value}}).sim) == policy_fingerprint(
+            config_from_dict({}).sim
+        )
+
+    def test_router_fingerprint_cases_cover_every_router_key(self):
+        reference = (Path(__file__).parents[1] / "docs" / "config_reference.md").read_text(encoding="utf-8")
+        block = reference.split("```yaml\n", 1)[1].split("```", 1)[0]
+        documented = set(parse_config_text(block)["router"]) | {"cloud_energy_units"}  # commented out there
+        assert {key for section, key in POLICY_SETTING_CHANGES if section == "router"} == documented
 
 
 def test_documented_defaults_match_code():
@@ -219,7 +261,7 @@ def test_documented_defaults_match_code():
     block = reference.split("```yaml\n", 1)[1].split("```", 1)[0]
     documented = config_from_dict(parse_config_text(block))
     default = load_config(None)
-    assert documented.router_fingerprint() == default.router_fingerprint()
+    assert policy_fingerprint(documented.sim) == policy_fingerprint(default.sim)
     for f in fields(SimConfig):
         if f.name != "network":  # the network is covered by the fingerprint
             assert getattr(documented.sim, f.name) == getattr(default.sim, f.name), f.name

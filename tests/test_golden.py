@@ -10,7 +10,7 @@ blocks and a 1,000-task log fits in one. The
 route golden pins the solved policy itself: for the default config,
 `test_config.py`'s `SAMPLE` and the often-offline network, the
 `route --policy` file (actions and values of all 36 states), the `route`
-stdout over every state and the `router_fingerprint()`. The query golden
+stdout over every state and the `policy_fingerprint`. The query golden
 pins `index` and `query` stdout and exit codes and the `index.bin` bytes
 over a seeded corpus that stores every unit under three ids, so the k-th
 score is often tied, and the search results of `index_v1.bin`, an index
@@ -38,7 +38,7 @@ import pytest
 
 from devmux.cli import cli_main
 from devmux.configfile import load_config
-from devmux.routing import all_states
+from devmux.routing import all_states, policy_fingerprint
 from devmux.simulate import PolicyKind, compare_policies, run_simulation, workload_from_config
 from devmux.vindex import RecordMetadata, VectorIndex
 from test_config import SAMPLE
@@ -132,7 +132,7 @@ def collect_route_hashes(directory: Path) -> dict:
                 assert cli_main(argv) == 0, f"{name}/{state}"
             stdout.update(buffer.getvalue().encode("utf-8"))
         out[name] = {
-            "fingerprint": load_config(str(config)).router_fingerprint(),
+            "fingerprint": policy_fingerprint(load_config(str(config)).sim),
             "policy": _sha256(policy),
             "stdout": stdout.hexdigest(),
         }

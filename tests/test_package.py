@@ -134,11 +134,13 @@ ROUTE = "'route', '--complexity', 'low', '--device', 'cpu', '--network', 'good',
         ("assert cli_main(['index', 'tree', '--out', 'fresh.bin']) == 0", SIM_SIDE),
         ("assert cli_main(['query', 'class', '--index', 'index.bin', '--config', 'c.yaml']) == 0", SIM_SIDE),
         (f"assert cli_main([{ROUTE}, '--config', 'c.yaml']) == 0", INDEX_SIDE),
+        (f"assert cli_main([{ROUTE}, '--config', 'c.yaml']) == 0",
+         ("devmux.simulate", "devmux.workload", *INDEX_SIDE)),
         ("assert cli_main(['simulate', '--n-tasks', '50', '--out', 'r.json', '--events', 'e.jsonl']) == 0",
          (*INDEX_SIDE, "numpy.ma")),
         ("assert cli_main(['compare', '--seed', '1', '--out', 'c.json']) == 0", INDEX_SIDE),
     ],
-    ids=["import-configfile", "index", "query", "route", "simulate-events", "compare"],
+    ids=["import-configfile", "index", "query", "route", "route-no-simulator", "simulate-events", "compare"],
 )
 def test_fresh_command_loads_only_what_it_runs(code, absent, tmp_path, capsys):
     from devmux.cli import cli_main

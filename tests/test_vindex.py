@@ -116,6 +116,32 @@ def test_similarities_non_increasing_and_tiebreak_by_id():
     assert sims == sorted(sims, reverse=True)
 
 
+@pytest.mark.parametrize("count", [1, 5, 127, 128, 129, 300])
+def test_similarity_norms_are_rowwise_linalg_norm(count, monkeypatch):
+    """The row norms `_similarities` divides by are bitwise
+    `np.linalg.norm(matrix, axis=1)` in float64, a pairwise `add.reduce`
+    along each row; a per-row `np.linalg.norm(row)` differs from it in the
+    last bit for some rows."""
+    rng = np.random.default_rng(count)
+    vectors = rng.standard_normal((count, DIM)) * rng.uniform(0.01, 100.0, (count, 1))
+    vectors[1::4] = vectors[::4][: len(vectors[1::4])]  # duplicate rows
+    vectors[2::7] = 0.0
+    index = VectorIndex("h")
+    for i, vector in enumerate(vectors):
+        index.insert(f"r{i}", vector, RecordMetadata(path="p"))
+    sqrt, divided_by = np.sqrt, []
+
+    def recording_sqrt(x):
+        divided_by.append(sqrt(x))
+        return divided_by[-1]
+
+    monkeypatch.setattr(np, "sqrt", recording_sqrt)
+    index._similarities(rng.standard_normal(DIM))
+    monkeypatch.undo()
+    expected = np.linalg.norm(vectors.astype(np.float32).astype(np.float64), axis=1)
+    assert np.concatenate(divided_by).tobytes() == expected.tobytes()
+
+
 def test_search_matches_brute_force_oracle():
     rng = np.random.default_rng(3)
     index = build_index(rng, 300)
