@@ -25,7 +25,8 @@ _EXPORTS = {
     "codegraph": ("CodeGraph", "EdgeKind", "ParseError", "parse_to_graph"),
     "configfile": (
         "VECTOR_DIM", "AppConfig", "BandConfig", "CostModel", "DeviceProfile", "FusionWeights", "KindRanges",
-        "NetworkModel", "SimConfig", "WorkloadSpec", "default_network_model", "load_config", "parse_config_text",
+        "NetworkModel", "RouterConfig", "SimConfig", "WorkloadSpec", "default_network_model", "load_config",
+        "parse_config_text",
     ),
     "embedding": ("cosine", "graph_to_vector"),
     "fusion": ("ContextItem", "FusedContext", "assemble_context", "score_items"),

@@ -112,6 +112,8 @@ def cmd_query(args) -> int:
     from .vindex import VectorIndex
 
     config = load_config(args.config)
+    if not config.fusion_weights.prior[ContextSource.CODE_CONTEXT] > 0:
+        raise ConfigError("fusion.priors.code_context must be > 0 for query, which scores only code context")
     index = VectorIndex.load(args.index)
     if index.dim != VECTOR_DIM:
         raise IndexFileError(f"{args.index}: it holds {index.dim}-dimensional vectors, not {VECTOR_DIM}")
@@ -180,8 +182,8 @@ def cmd_route(args) -> int:
     from .configfile import load_config
     from .routing import RoutingState, cost_breakdown, load_policy, policy_fingerprint, save_policy, solve_policy
 
-    config = load_config(args.config)
-    fingerprint = policy_fingerprint(config.sim)
+    router = load_config(args.config).sim.router
+    fingerprint = policy_fingerprint(router)
     policy = None
     if args.policy and Path(args.policy).exists():
         try:
@@ -192,7 +194,7 @@ def cmd_route(args) -> int:
             print("warning: stored policy does not match current config; re-solving", file=sys.stderr)
             policy = None
     if policy is None:
-        policy = solve_policy(config.sim)
+        policy = solve_policy(router)
         if args.policy:
             save_policy(policy, fingerprint, args.policy)
 
@@ -203,7 +205,7 @@ def cmd_route(args) -> int:
         Battery(args.battery),
     )
     action = policy.action_for(state)
-    parts = cost_breakdown(config.sim.device, config.sim.network, state, action)
+    parts = cost_breakdown(router.device, router.network, state, action)
     print(action.value)
     print(
         f"latency_ms={parts.latency_ms} energy_units={parts.energy_units} "

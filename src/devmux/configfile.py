@@ -2,14 +2,17 @@
 and the restricted YAML file that overrides them.
 
 The setting records (`CostModel`, `DeviceProfile`, `NetworkModel`,
-`SimConfig`, `KindRanges`, `WorkloadSpec`, `BandConfig`, `FusionWeights`)
-check their own ranges on construction and raise ValueError; each default
-and each check is written here once. This module imports only `base` and the
-stdlib, so reading a config loads neither numpy nor a subsystem. `routing`,
-`simulate`, `workload`, `embedding` and `fusion` import these names back, so
-`devmux.routing.CostModel is devmux.configfile.CostModel` and so on. The
-network's transition matrix is a tuple of row tuples; the code that needs an
-array calls `np.asarray` on it.
+`RouterConfig`, `SimConfig`, `KindRanges`, `WorkloadSpec`, `BandConfig`,
+`FusionWeights`) check their own ranges on construction and raise
+ValueError; each default and each check is written here once. A
+`RouterConfig` holds what the routing policy is solved from, a `SimConfig`
+one run: its router and the state the run starts in (device class, battery,
+network), which the policy ranges over. This module imports only `base` and
+the stdlib, so reading a config loads neither numpy nor a subsystem.
+`routing`, `simulate`, `workload`, `embedding` and `fusion` import these
+names back, so `devmux.routing.CostModel is devmux.configfile.CostModel` and
+so on. The network's transition matrix is a tuple of row tuples; the code
+that needs an array calls `np.asarray` on it.
 
 The accepted grammar is scalars, nested maps, and lists of scalars,
 selected by indentation, with `#` comments. YAML anchors, aliases, tags,
@@ -112,8 +115,6 @@ class DeviceProfile:
     tasks.
     """
 
-    device_class: DeviceClass = DeviceClass.CPU_ONLY
-    battery: Battery = Battery.OK
     edge_base_latency_ms: dict[Complexity, float] = field(
         default_factory=lambda: _per_complexity(150.0, 400.0, 1200.0)
     )
@@ -165,26 +166,6 @@ class NetworkModel:
         for c in Complexity:
             if self.cloud_compute_ms[c] < 0 or self.cloud_energy_units[c] < 0:
                 raise ValueError("cloud cost tables must be >= 0")
-
-
-def check_solvable(cost: CostModel, device: DeviceProfile, network: NetworkModel, tolerance: float) -> None:
-    """Raise ValueError unless value iteration over these settings stays
-    finite and ends within MAX_SWEEPS sweeps. `worst`, from the largest
-    latency (edge on either device class, or cloud), energy and accuracy
-    loss, bounds every weighted cost, so no value exceeds
-    worst / (1 - discount_gamma) and sweep k changes one by at most
-    discount_gamma**(k-1) * worst."""
-    latency = max(max(device.edge_base_latency_ms.values()) * max(device.cpu_latency_multiplier, 1.0),
-                  max(network.rtt_ms.values()) + max(network.cloud_compute_ms.values()))
-    energy = max(*device.edge_energy_units.values(), *network.cloud_energy_units.values())
-    loss = max(device.edge_accuracy_loss.values())
-    worst = cost.w_latency * latency + cost.w_energy * energy + cost.w_accuracy * loss
-    gamma = cost.discount_gamma
-    if not math.isfinite(worst / (1.0 - gamma)):
-        raise ValueError(f"worst weighted cost / (1 - discount_gamma) must be finite, got {worst / (1.0 - gamma)}")
-    if gamma > 0 and worst > tolerance and math.log(tolerance / worst) < MAX_SWEEPS * math.log(gamma):
-        raise ValueError(f"discount_gamma {gamma} may need more than {MAX_SWEEPS} value-iteration sweeps "
-                         f"to reach tolerance {tolerance}")
 
 
 def default_network_model(
@@ -257,31 +238,57 @@ class WorkloadSpec:
         check_positive(inter_arrival_mean_s=self.inter_arrival_mean_s)
 
 
+@dataclass(frozen=True)
+class RouterConfig:
+    """What the routing policy is solved from; the network defaults from the
+    device. Construction refuses settings value iteration cannot solve. With
+    `worst` from the largest latency (edge on either device class, or cloud),
+    energy and accuracy loss, worst / (1 - discount_gamma) bounds every value
+    and must be finite, and discount_gamma**(k-1) * worst bounds sweep k's
+    change and must reach the tolerance within MAX_SWEEPS sweeps."""
+
+    cost: CostModel = field(default_factory=CostModel)
+    device: DeviceProfile = field(default_factory=DeviceProfile)
+    network: NetworkModel | None = None
+    complexity_mix: dict[Complexity, float] = field(default_factory=default_complexity_mix)
+    p_drain: float = DEFAULT_P_DRAIN
+    tolerance: float = DEFAULT_TOLERANCE
+
+    def __post_init__(self) -> None:
+        if self.network is None:
+            object.__setattr__(self, "network", default_network_model(self.device))
+        check_odds(self.complexity_mix, self.p_drain)
+        check_positive(tolerance=self.tolerance)
+        latency = max(max(self.device.edge_base_latency_ms.values()) * max(self.device.cpu_latency_multiplier, 1.0),
+                      max(self.network.rtt_ms.values()) + max(self.network.cloud_compute_ms.values()))
+        energy = max(*self.device.edge_energy_units.values(), *self.network.cloud_energy_units.values())
+        loss = max(self.device.edge_accuracy_loss.values())
+        worst = self.cost.w_latency * latency + self.cost.w_energy * energy + self.cost.w_accuracy * loss
+        gamma = self.cost.discount_gamma
+        if not math.isfinite(worst / (1.0 - gamma)):
+            raise ValueError(f"worst weighted cost / (1 - discount_gamma) must be finite, got {worst / (1.0 - gamma)}")
+        if gamma > 0 and worst > self.tolerance and math.log(self.tolerance / worst) < MAX_SWEEPS * math.log(gamma):
+            raise ValueError(f"discount_gamma {gamma} may need more than {MAX_SWEEPS} value-iteration sweeps "
+                             f"to reach tolerance {self.tolerance}")
+
+
 @dataclass(eq=False)
 class SimConfig:
     n_tasks: int = 1000
     seed: int = 42
     policy: PolicyKind = PolicyKind.MDP
-    device: DeviceProfile = field(default_factory=DeviceProfile)
-    network: NetworkModel | None = None
-    cost: CostModel = field(default_factory=CostModel)
-    workload_spec: WorkloadSpec = field(default_factory=WorkloadSpec)
+    router: RouterConfig = field(default_factory=RouterConfig)
+    device_class: DeviceClass = DeviceClass.CPU_ONLY
+    battery: Battery = Battery.OK
     initial_network: NetworkState = NetworkState.GOOD
-    p_drain: float = DEFAULT_P_DRAIN
-    tolerance: float = DEFAULT_TOLERANCE
-    complexity_mix: dict[Complexity, float] = field(default_factory=default_complexity_mix)
+    workload_spec: WorkloadSpec = field(default_factory=WorkloadSpec)
     offline_timeout_ms: float = 10_000.0
     sub_second_ms: float = 1000.0
 
     def __post_init__(self) -> None:
-        if self.network is None:
-            self.network = default_network_model(self.device)
         if self.n_tasks < 0 or self.seed < 0:
             raise ValueError("n_tasks and seed must be >= 0")
-        check_odds(self.complexity_mix, self.p_drain)
-        check_positive(
-            tolerance=self.tolerance, offline_timeout_ms=self.offline_timeout_ms, sub_second_ms=self.sub_second_ms
-        )
+        check_positive(offline_timeout_ms=self.offline_timeout_ms, sub_second_ms=self.sub_second_ms)
 
 
 @dataclass(frozen=True)
@@ -564,34 +571,28 @@ def config_from_dict(data: dict) -> AppConfig:
     base = defaults.sim
     top = _Section(data, "<top>")
 
-    sim_section = _Section(top.take_map("simulate"), "simulate")
-    device_class = sim_section.member("device", base.device.device_class)
-    battery = sim_section.member("battery", base.device.battery)
-
     router = _Section(top.take_map("router"), "router")
     cost = _checked(
         lambda: CostModel(
-            w_latency=router.number("w_latency", base.cost.w_latency),
-            w_energy=router.number("w_energy", base.cost.w_energy),
-            w_accuracy=router.number("w_accuracy", base.cost.w_accuracy),
-            discount_gamma=router.number("discount_gamma", base.cost.discount_gamma),
+            w_latency=router.number("w_latency", base.router.cost.w_latency),
+            w_energy=router.number("w_energy", base.router.cost.w_energy),
+            w_accuracy=router.number("w_accuracy", base.router.cost.w_accuracy),
+            discount_gamma=router.number("discount_gamma", base.router.cost.discount_gamma),
         ),
         "router",
     )
-    tolerance = router.number("tolerance", base.tolerance)
+    tolerance = router.number("tolerance", base.router.tolerance)
     device = _checked(
         lambda: DeviceProfile(
-            device_class=device_class,
-            battery=battery,
-            edge_base_latency_ms=_number_map(router, "edge_base_latency_ms", base.device.edge_base_latency_ms),
-            edge_energy_units=_number_map(router, "edge_energy_units", base.device.edge_energy_units),
-            edge_accuracy_loss=_number_map(router, "edge_accuracy_loss", base.device.edge_accuracy_loss),
-            cpu_latency_multiplier=router.number("cpu_latency_multiplier", base.device.cpu_latency_multiplier),
+            edge_base_latency_ms=_number_map(router, "edge_base_latency_ms", base.router.device.edge_base_latency_ms),
+            edge_energy_units=_number_map(router, "edge_energy_units", base.router.device.edge_energy_units),
+            edge_accuracy_loss=_number_map(router, "edge_accuracy_loss", base.router.device.edge_accuracy_loss),
+            cpu_latency_multiplier=router.number("cpu_latency_multiplier", base.router.device.cpu_latency_multiplier),
         ),
         "router",
     )
-    p_drain = router.number("p_drain", base.p_drain)
-    complexity_mix = _number_map(router, "complexity_mix", base.complexity_mix)
+    p_drain = router.number("p_drain", base.router.p_drain)
+    complexity_mix = _number_map(router, "complexity_mix", base.router.complexity_mix)
     # What `default_network_model` derives the RTTs and cloud energy from.
     good_rtt_ms = router.number("good_rtt_ms", DEFAULT_GOOD_RTT_MS)
     degraded_rtt_factor = router.number("degraded_rtt_factor", DEFAULT_DEGRADED_RTT_FACTOR)
@@ -601,8 +602,7 @@ def config_from_dict(data: dict) -> AppConfig:
     router.finish()
 
     def check_router() -> None:
-        check_odds(complexity_mix, p_drain)
-        check_positive(tolerance=tolerance, good_rtt_ms=good_rtt_ms, degraded_rtt_factor=degraded_rtt_factor)
+        check_positive(good_rtt_ms=good_rtt_ms, degraded_rtt_factor=degraded_rtt_factor)
         check_non_negative(
             cloud_energy_ratio=cloud_energy_ratio,
             **{f"cloud_compute_ms.{c.value}": ms for c, ms in cloud_compute.items()},
@@ -634,7 +634,8 @@ def config_from_dict(data: dict) -> AppConfig:
         ),
         "network",
     )
-    _checked(lambda: check_solvable(cost, device, network, tolerance), "router")
+    router_config = _checked(lambda: RouterConfig(cost, device, network, complexity_mix=complexity_mix,
+                                                  p_drain=p_drain, tolerance=tolerance), "router")
 
     workload_section = _Section(top.take_map("workload"), "workload")
     default_spec = base.workload_spec
@@ -694,19 +695,17 @@ def config_from_dict(data: dict) -> AppConfig:
         raise ConfigError("index.max_files must be >= 0")
     index_section.finish()
 
+    sim_section = _Section(top.take_map("simulate"), "simulate")
     sim = _checked(
         lambda: SimConfig(
             n_tasks=sim_section.integer("n_tasks", base.n_tasks),
             seed=sim_section.integer("seed", base.seed),
             policy=sim_section.member("policy", base.policy),
-            device=device,
-            network=network,
-            cost=cost,
-            workload_spec=workload_spec,
+            router=router_config,
+            device_class=sim_section.member("device", base.device_class),
+            battery=sim_section.member("battery", base.battery),
             initial_network=initial_network,
-            p_drain=p_drain,
-            tolerance=tolerance,
-            complexity_mix=complexity_mix,
+            workload_spec=workload_spec,
             offline_timeout_ms=sim_section.number("offline_timeout_ms", base.offline_timeout_ms),
             sub_second_ms=sim_section.number("sub_second_ms", base.sub_second_ms),
         ),

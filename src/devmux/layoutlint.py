@@ -110,9 +110,10 @@ class ValidityReport(NamedTuple):
 def parse_layout(xml_text: str) -> LayoutTree:
     """Parse layout XML into widgets in document order.
 
-    Malformed XML raises LayoutParseError with the offending location;
-    duplicate explicit ids are rejected. Unknown attributes are preserved
-    on the widget but otherwise ignored.
+    Malformed XML raises LayoutParseError with the offending location. A
+    widget without an id is referred to as `<Kind>@<position>`; a ref that
+    repeats another widget's, declared or generated, is rejected. Unknown
+    attributes are preserved on the widget but otherwise ignored.
     """
     try:
         root = ET.fromstring(xml_text)
@@ -121,19 +122,19 @@ def parse_layout(xml_text: str) -> LayoutTree:
         raise LayoutParseError(err.msg.split(":")[0], line, col) from None
 
     widgets: list[Widget] = []
-    seen_ids: set[str] = set()
+    refs: set[str] = set()
     order = 0
     for element in root.iter():
         if element is root:
             continue
         declared = element.attrib.get("id")
-        if declared is not None:
-            if declared in seen_ids:
-                raise LayoutParseError(f"duplicate widget id {declared!r}")
-            seen_ids.add(declared)
+        ref_id = declared if declared is not None else f"{element.tag}@{order}"
+        if ref_id in refs:
+            raise LayoutParseError(f"duplicate widget id {ref_id!r}")
+        refs.add(ref_id)
         widgets.append(
             Widget(
-                ref_id=declared if declared is not None else f"{element.tag}@{order}",
+                ref_id=ref_id,
                 kind=element.tag,
                 attributes=dict(element.attrib),
                 declared_id=declared,

@@ -28,7 +28,7 @@ from .configfile import (
     CostModel,
     DeviceProfile,
     NetworkModel,
-    SimConfig,
+    RouterConfig,
     check_odds,
     check_positive,
     default_complexity_mix,
@@ -284,20 +284,19 @@ def value_iteration(mdp: MdpModel, tolerance: float = DEFAULT_TOLERANCE) -> Rout
     )
 
 
-def solve_policy(config: SimConfig) -> RoutingPolicy:
-    """The routing policy of `config`'s cost, device, network and odds."""
-    mdp = build_mdp(config.device, config.network, config.cost, config.complexity_mix, config.p_drain)
-    return value_iteration(mdp, config.tolerance)
+def solve_policy(router: RouterConfig) -> RoutingPolicy:
+    """The routing policy `router` describes."""
+    mdp = build_mdp(router.device, router.network, router.cost, router.complexity_mix, router.p_drain)
+    return value_iteration(mdp, router.tolerance)
 
 
-def policy_fingerprint(config: SimConfig) -> str:
-    """Hash of everything `solve_policy(config)` depends on: every field of
-    the cost and network records, the device's but its class and battery
-    (the policy ranges over those), and the tolerance and odds. Enum keys
-    are written as their values."""
-    settings = {**vars(config.cost), **vars(config.device), **vars(config.network),
-                "tolerance": config.tolerance, "p_drain": config.p_drain, "complexity_mix": config.complexity_mix}
-    del settings["device_class"], settings["battery"]
+def policy_fingerprint(router: RouterConfig) -> str:
+    """Hash of every field of `router`, what `solve_policy(router)` depends
+    on; the cost, device and network records' fields stand in their place.
+    Enum keys are written as their values."""
+    settings = {}
+    for name, value in vars(router).items():
+        settings.update(vars(value) if isinstance(value, (CostModel, DeviceProfile, NetworkModel)) else {name: value})
     payload = {k: {e.value: x for e, x in v.items()} if isinstance(v, dict) else v for k, v in settings.items()}
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .base import PolicyKind
+from .base import ConfigError, PolicyKind
 from .configfile import SimConfig
 from .routing import (
     ACTION_MASK,
@@ -159,10 +159,16 @@ class SimTrace:
 def metrics_from_events(trace: SimTrace, sub_second_ms: float = SimConfig.sub_second_ms) -> MetricsReport:
     """Aggregate a run. Median averages the two middle samples; p95 is the
     smallest latency covering 95% of the mass; sub-second means strictly
-    below the threshold; sums are correctly rounded (`math.fsum`)."""
+    below the threshold; sums are correctly rounded (`math.fsum`). A total
+    energy past the float range is a ConfigError."""
     n = len(trace)
     if n == 0:
         return MetricsReport(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    try:
+        total_energy = math.fsum(trace.energy_units.tolist())
+    except OverflowError:
+        raise ConfigError(f"the total energy of {n} tasks overflows a float; lower simulate.n_tasks or the router "
+                          "energy settings (edge_energy_units, cloud_energy_units, cloud_energy_ratio)") from None
     latencies = np.sort(trace.latency_ms)
     p95_rank = max(math.ceil(0.95 * n) - 1, 0)
     # What `np.median` gives (NaN sorts last), without its `numpy.ma` import.
@@ -173,7 +179,7 @@ def metrics_from_events(trace: SimTrace, sub_second_ms: float = SimConfig.sub_se
         p95_latency_ms=float(latencies[p95_rank]),
         sub_second_fraction=int(np.count_nonzero(trace.latency_ms < sub_second_ms)) / n,
         cloud_call_fraction=int(np.count_nonzero(trace.action == ACTIONS.index(Action.CLOUD))) / n,
-        total_energy_units=math.fsum(trace.energy_units.tolist()),
+        total_energy_units=total_energy,
         mean_accuracy_loss=math.fsum(trace.accuracy_loss.tolist()) / n,
         failed_count=int(np.count_nonzero(trace.failed)),
     )
@@ -186,7 +192,7 @@ def workload_from_config(config: SimConfig) -> Workload:
 def _network_trace(config: SimConfig, u_network: np.ndarray) -> np.ndarray:
     """Network state index seen by each arrival; the chain steps once per
     arrival by inverse-CDF lookup of that arrival's uniform draw."""
-    cumulative = np.cumsum(np.asarray(config.network.transition_matrix), axis=1)
+    cumulative = np.cumsum(np.asarray(config.router.network.transition_matrix), axis=1)
     last = len(NETWORK_STATES) - 1
     # successors[i][r]: the state after arrival i if arrival i saw state r
     successors = zip(*(np.searchsorted(row, u_network, side="right").clip(0, last).tolist()
@@ -221,10 +227,10 @@ def _replay(workload: Workload, config: SimConfig) -> Callable[[np.ndarray], tup
 
     complexity = complexity_indices(workload.kind, workload.files, workload.deps, workload.tokens)
     network = _network_trace(config, u_network)
-    device = DEVICE_CLASSES.index(config.device.device_class)
-    costs = cost_table(config.device, config.network)
+    device = DEVICE_CLASSES.index(config.device_class)
+    costs = cost_table(config.router.device, config.router.network)
     costs[~ACTION_MASK, 0] = config.offline_timeout_ms
-    to_low = drain_odds(costs, config.p_drain)
+    to_low = drain_odds(costs, config.router.p_drain)
 
     def play(actions: np.ndarray) -> tuple[MetricsReport, SimTrace]:
         def look_up(battery: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,9 +238,9 @@ def _replay(workload: Workload, config: SimConfig) -> Callable[[np.ndarray], tup
             action = actions[state]
             return state, action, costs[state, action]
 
-        battery = np.full(n, BATTERY_LEVELS.index(config.device.battery), dtype=np.intp)
+        battery = np.full(n, BATTERY_LEVELS.index(config.battery), dtype=np.intp)
         state, action, cost = look_up(battery)
-        if config.device.battery is Battery.OK:
+        if config.battery is Battery.OK:
             # The battery drains after the first task whose draw falls under
             # its odds; from the next task on it stays low.
             drained = np.flatnonzero(u_battery < to_low[state, action])
@@ -271,7 +277,7 @@ def run_simulation(
     recorded as a failed task charged the configured timeout, not a crash.
     """
     if config.policy is PolicyKind.MDP and policy is None:
-        policy = solve_policy(config)
+        policy = solve_policy(config.router)
     return _replay(workload, config)(_action_table(config.policy, policy))
 
 
@@ -313,7 +319,7 @@ def compare_policies(config: SimConfig, policies: Sequence[str]) -> ComparisonRe
             raise ValueError(f"duplicate policy {kind.value!r}")
 
     play = _replay(workload_from_config(config), config)
-    mdp = solve_policy(config) if PolicyKind.MDP in kinds else None
+    mdp = solve_policy(config.router) if PolicyKind.MDP in kinds else None
     reports = {kind.value: play(_action_table(kind, mdp))[0] for kind in kinds}
     baseline = reports[kinds[0].value]
     deltas = {name: {f: getattr(report, f) - getattr(baseline, f) for f in MetricsReport.NUMERIC_FIELDS}

@@ -36,6 +36,7 @@ from devmux.routing import (
     default_network_model,
     value_iteration,
 )
+from devmux.configfile import RouterConfig
 from devmux.simulate import PolicyKind, SimConfig, run_simulation, solve_policy
 from devmux.vindex import RecordMetadata, VectorIndex
 from devmux.workload import generate_workload
@@ -115,7 +116,7 @@ def seed_sweep():
     """10k-task runs for every documented seed, mdp vs all-cloud, paired."""
     start = time.perf_counter()
     results = {}
-    policy = solve_policy(SimConfig())  # router config identical across seeds
+    policy = solve_policy(RouterConfig())  # router config identical across seeds
     for seed in ACCEPTANCE_SEEDS:
         workload = generate_workload(SWEEP_TASKS, seed)
         mdp_cfg = SimConfig(n_tasks=SWEEP_TASKS, seed=seed, policy=PolicyKind.MDP)

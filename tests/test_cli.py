@@ -401,6 +401,23 @@ class TestSimulateAndCompare:
     def test_bad_scalar_exit_two(self, text, message, tmp_path, capsys, monkeypatch):
         assert_config_error_exit_two(text, message, CONFIG_COMMANDS, tmp_path, capsys, monkeypatch)
 
+    def test_energy_overflow_exit_two(self, tmp_path, capsys, monkeypatch):
+        run = "simulate:\n  n_tasks: 100\n  policy: all_edge\n"
+        tiny_weight = "router:\n  w_energy: 1.0e-300\n  edge_energy_units:\n"
+        huge = tiny_weight + "    low: 1.0e307\n    medium: 1.0e307\n    high: 1.0e307\n"
+        message = ("the total energy of 100 tasks overflows a float; lower simulate.n_tasks or the router energy "
+                   "settings (edge_energy_units, cloud_energy_units, cloud_energy_ratio)")
+        assert_config_error_exit_two(huge + run, message, ("simulate", "compare"), tmp_path, capsys, monkeypatch)
+        # The check is the sum itself, not a bound: a total just inside the float range is reported.
+        (tmp_path / "c.yaml").write_text(tiny_weight + "    low: 1.0e306\n" + run)
+        assert cli_main(["simulate", "--config", "c.yaml", "--out", "r.json"]) == 0
+        assert json.loads(capsys.readouterr().out)["metrics"]["total_energy_units"] == 4.9e307
+
+    def test_zero_code_context_prior_exit_two(self, tmp_path, capsys, monkeypatch):
+        text = "fusion:\n  priors:\n    code_context: 0\n    ide_interaction: 0.9\n    runtime_log: 0.1\n"
+        message = "fusion.priors.code_context must be > 0 for query, which scores only code context"
+        assert_config_error_exit_two(text, message, ("query",), tmp_path, capsys, monkeypatch)
+
     def test_missing_config_exit_three(self, tmp_path, capsys):
         code = cli_main(["simulate", "--config", str(tmp_path / "nope.yaml")])
         capsys.readouterr()

@@ -147,11 +147,11 @@ class TestParser:
 class TestAssembly:
     def test_defaults_when_no_file(self):
         config = load_config(None)
-        assert config.sim.cost.w_latency == 0.001
-        assert config.sim.cost.discount_gamma == 0.95
-        assert config.sim.network.rtt_ms[NetworkState.GOOD] == 2400.0
-        assert config.sim.network.cloud_energy_units[Complexity.HIGH] == pytest.approx(3.8 * 5.0)
-        assert config.sim.device.edge_accuracy_loss[Complexity.HIGH] == 0.29
+        assert config.sim.router.cost.w_latency == 0.001
+        assert config.sim.router.cost.discount_gamma == 0.95
+        assert config.sim.router.network.rtt_ms[NetworkState.GOOD] == 2400.0
+        assert config.sim.router.network.cloud_energy_units[Complexity.HIGH] == pytest.approx(3.8 * 5.0)
+        assert config.sim.router.device.edge_accuracy_loss[Complexity.HIGH] == 0.29
         assert config.max_files == 500
         assert config.sim.policy is PolicyKind.MDP
         assert config.sim.workload_spec.mix[TaskKind.SYNTAX_FIX] == 0.45
@@ -160,16 +160,16 @@ class TestAssembly:
         path = tmp_path / "config.yaml"
         path.write_text(SAMPLE)
         config = load_config(path)
-        assert config.sim.cost.w_latency == 0.002
-        assert config.sim.cost.discount_gamma == 0.9
+        assert config.sim.router.cost.w_latency == 0.002
+        assert config.sim.router.cost.discount_gamma == 0.9
         # untouched entries keep their defaults
-        assert config.sim.cost.w_energy == 0.1
-        assert config.sim.device.edge_base_latency_ms[Complexity.HIGH] == 1000
-        assert config.sim.device.edge_base_latency_ms[Complexity.LOW] == 150.0
+        assert config.sim.router.cost.w_energy == 0.1
+        assert config.sim.router.device.edge_base_latency_ms[Complexity.HIGH] == 1000
+        assert config.sim.router.device.edge_base_latency_ms[Complexity.LOW] == 150.0
         assert config.sim.initial_network is NetworkState.DEGRADED
         assert config.sim.policy is PolicyKind.ALL_EDGE
-        assert config.sim.device.device_class is DeviceClass.GPU
-        assert config.sim.device.battery is Battery.LOW
+        assert config.sim.device_class is DeviceClass.GPU
+        assert config.sim.battery is Battery.LOW
         assert config.sim.workload_spec.mix[TaskKind.SYNTAX_FIX] == 0.7
         assert config.sim.workload_spec.inter_arrival_mean_s == 10.0
         assert config.fusion_weights.temperature == 0.2
@@ -208,7 +208,7 @@ class TestAssembly:
     def test_integral_numbers_accepted(self):
         config = config_from_dict({"simulate": {"n_tasks": 1000.0, "seed": "7"}, "router": {"w_latency": 1}})
         assert (config.sim.n_tasks, config.sim.seed) == (1000, 7)
-        assert config.sim.cost.w_latency == 1.0 and type(config.sim.cost.w_latency) is float
+        assert config.sim.router.cost.w_latency == 1.0 and type(config.sim.router.cost.w_latency) is float
 
     def test_bad_transition_matrix_rejected(self):
         matrix = {
@@ -226,18 +226,18 @@ class TestAssembly:
         sim = config.sim_config()
         assert sim.n_tasks == 50
         assert sim.seed == 7
-        assert sim.device.device_class is DeviceClass.GPU
-        assert sim.device.battery is Battery.LOW
+        assert sim.device_class is DeviceClass.GPU
+        assert sim.battery is Battery.LOW
         sim_override = config.sim_config(seed=99, n_tasks=10)
         assert (sim_override.seed, sim_override.n_tasks) == (99, 10)
-        assert sim_override.device == sim.device
+        assert sim_override.router is sim.router
 
     @pytest.mark.parametrize("section, key", POLICY_SETTING_CHANGES)
     def test_router_fingerprint_tracks_settings(self, section, key):
-        base = policy_fingerprint(config_from_dict({}).sim)
-        assert policy_fingerprint(config_from_dict({}).sim) == base
+        base = policy_fingerprint(config_from_dict({}).sim.router)
+        assert policy_fingerprint(config_from_dict({}).sim.router) == base
         changed = config_from_dict({section: {key: POLICY_SETTING_CHANGES[section, key]}})
-        assert policy_fingerprint(changed.sim) != base
+        assert policy_fingerprint(changed.sim.router) != base
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -245,8 +245,8 @@ class TestAssembly:
          ("network", "initial_state", "offline")],
     )
     def test_router_fingerprint_ignores_run_settings(self, section, key, value):
-        assert policy_fingerprint(config_from_dict({section: {key: value}}).sim) == policy_fingerprint(
-            config_from_dict({}).sim
+        assert policy_fingerprint(config_from_dict({section: {key: value}}).sim.router) == policy_fingerprint(
+            config_from_dict({}).sim.router
         )
 
     def test_router_fingerprint_cases_cover_every_router_key(self):
@@ -261,9 +261,9 @@ def test_documented_defaults_match_code():
     block = reference.split("```yaml\n", 1)[1].split("```", 1)[0]
     documented = config_from_dict(parse_config_text(block))
     default = load_config(None)
-    assert policy_fingerprint(documented.sim) == policy_fingerprint(default.sim)
+    assert policy_fingerprint(documented.sim.router) == policy_fingerprint(default.sim.router)
     for f in fields(SimConfig):
-        if f.name != "network":  # the network is covered by the fingerprint
+        if f.name != "router":  # the router is covered by the fingerprint
             assert getattr(documented.sim, f.name) == getattr(default.sim, f.name), f.name
     assert documented.bands.fingerprint() == default.bands.fingerprint()
     assert documented.fusion_weights == default.fusion_weights

@@ -132,7 +132,7 @@ def collect_route_hashes(directory: Path) -> dict:
                 assert cli_main(argv) == 0, f"{name}/{state}"
             stdout.update(buffer.getvalue().encode("utf-8"))
         out[name] = {
-            "fingerprint": policy_fingerprint(load_config(str(config)).sim),
+            "fingerprint": policy_fingerprint(load_config(str(config)).sim.router),
             "policy": _sha256(policy),
             "stdout": stdout.hexdigest(),
         }

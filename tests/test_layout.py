@@ -55,8 +55,14 @@ class TestParse:
         assert [w.kind for w in tree.widgets] == ["Group", "Button"]
 
     def test_duplicate_id_is_error(self):
-        with pytest.raises(LayoutParseError, match="duplicate"):
-            parse_layout('<Layout><Button id="A"/><Button id="A"/></Layout>')
+        # A generated `<Kind>@<position>` ref collides with a declared id in either order.
+        for xml_text in (
+            '<Layout><Button id="A"/><Button id="A"/></Layout>',
+            '<Layout><TextView layout_below="B"/><TextView id="B"/><Button id="TextView@0" onClick="go"/></Layout>',
+            '<Layout><TextView id="Button@1" layout_below="B"/><Button/><TextView id="B"/></Layout>',
+        ):
+            with pytest.raises(LayoutParseError, match="duplicate"):
+                parse_layout(xml_text)
 
     def test_malformed_xml_carries_location(self):
         with pytest.raises(LayoutParseError) as err:

@@ -5,8 +5,8 @@
 by the largest energy of either side, and adds one transition term per
 next complexity, network and battery, skipping terms that are zero.
 Hypothesis draws device, network and cost tables (zeros included), chains
-and mixes with zero entries, drain odds and both device classes; the legal
-rewards, the transitions and the mask must be the same bits.
+and mixes with zero entries, and drain odds; the legal rewards, the
+transitions and the mask must be the same bits, over both device classes.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from devmux.routing import (
     Action,
     Battery,
     CostModel,
-    DeviceClass,
     DeviceProfile,
     NetworkModel,
     NetworkState,
@@ -91,7 +90,6 @@ def table(low, high, zeros=True):
     edge_energy=table(0.0, 50.0),
     edge_loss=table(0.0, 1.0),
     cpu_multiplier=st.floats(0.5, 4.0),
-    device_class=st.sampled_from(DeviceClass),
     rtt=st.lists(st.floats(1.0, 9000.0), min_size=2, max_size=2),
     cloud_compute=table(0.0, 2000.0),
     cloud_energy=table(0.0, 50.0),
@@ -101,12 +99,11 @@ def table(low, high, zeros=True):
     gamma=st.floats(0.0, 0.99),
     p_drain=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)),
 )
-def test_build_mdp_matches_reference(edge_latency, edge_energy, edge_loss, cpu_multiplier, device_class,
-                                     rtt, cloud_compute, cloud_energy, rows, mix, cost_weights, gamma,
+def test_build_mdp_matches_reference(edge_latency, edge_energy, edge_loss, cpu_multiplier, rtt,
+                                     cloud_compute, cloud_energy, rows, mix, cost_weights, gamma,
                                      p_drain):
-    device = DeviceProfile(device_class=device_class, edge_base_latency_ms=edge_latency,
-                           edge_energy_units=edge_energy, edge_accuracy_loss=edge_loss,
-                           cpu_latency_multiplier=cpu_multiplier)
+    device = DeviceProfile(edge_base_latency_ms=edge_latency, edge_energy_units=edge_energy,
+                           edge_accuracy_loss=edge_loss, cpu_latency_multiplier=cpu_multiplier)
     matrix = np.array(rows, dtype=np.float64)
     network = NetworkModel(
         transition_matrix=matrix / matrix.sum(axis=1, keepdims=True),

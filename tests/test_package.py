@@ -13,7 +13,7 @@ import devmux
 # became lazy; every one of these import paths must still work.
 EXPORTS = {
     "codegraph": ("CodeGraph", "EdgeKind", "ParseError", "parse_to_graph"),
-    "configfile": ("AppConfig", "ConfigError", "load_config", "parse_config_text"),
+    "configfile": ("AppConfig", "ConfigError", "RouterConfig", "load_config", "parse_config_text"),
     "embedding": ("VECTOR_DIM", "BandConfig", "cosine", "graph_to_vector"),
     "fusion": ("ContextItem", "ContextSource", "FusedContext", "FusionWeights", "assemble_context", "score_items"),
     "layoutlint": (
@@ -65,7 +65,7 @@ HEAVY = ("numpy", "devmux.configfile", "devmux.routing", "dataclasses")
 
 def test_all_lists_the_exported_names():
     assert sorted(devmux.__all__) == sorted(name for _, name in PAIRS)
-    assert len(devmux.__all__) == 62
+    assert len(devmux.__all__) == 63
 
 
 @pytest.mark.parametrize("module, name", PAIRS, ids=[name for _, name in PAIRS])

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devmux.routing import (
+    ACTION_MASK,
     ACTIONS,
     COMPLEXITIES,
     N_STATES,
@@ -13,6 +18,7 @@ from devmux.routing import (
     DeviceProfile,
     IllegalActionError,
     MdpModel,
+    NetworkModel,
     NetworkState,
     TASK_KINDS,
     RoutingState,
@@ -20,13 +26,15 @@ from devmux.routing import (
     all_states,
     build_mdp,
     cost_breakdown,
+    cost_table,
     complexity_indices,
     default_network_model,
     policy_from_dict,
     policy_to_dict,
     value_iteration,
 )
-from devmux.simulate import SimConfig, solve_policy
+from devmux.configfile import RouterConfig
+from devmux.simulate import solve_policy
 
 DEVICE = DeviceProfile()
 NETWORK = default_network_model(DEVICE)
@@ -254,13 +262,74 @@ class TestValueIteration:
         with pytest.raises(ValueError, match="tolerance must be > 0"):
             value_iteration(default_mdp(), float("nan"))
         with pytest.raises(ValueError, match="tolerance must be > 0"):
-            solve_policy(SimConfig(tolerance=float("nan")))
+            RouterConfig(tolerance=float("nan"))
 
     def test_policy_legal_everywhere(self):
         mdp = default_mdp()
         policy = value_iteration(mdp)
         for state in all_states():
             assert mdp.action_mask[state.index, policy.actions[state.index]]
+
+
+def per_complexity(low, high, zeros=True):
+    value = st.floats(low, high)
+    if zeros:
+        value = st.one_of(st.just(0.0), value)
+    return st.lists(value, min_size=3, max_size=3).map(lambda v: dict(zip(COMPLEXITIES, v)))
+
+
+class TestRouterConfigBound:
+    """`RouterConfig` refuses settings whose solve is unbounded; what it lets
+    through must solve within the bound it rests on. `worst`, the documented
+    bound on any weighted cost, must cover every legal cell of the cost
+    table; no value may exceed worst / (1 - gamma); and since sweep k changes
+    a value by at most gamma**(k-1) * worst, the solve ends by the first
+    sweep where that reaches the tolerance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 20.0)), min_size=3, max_size=3),
+        gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.99), st.just(0.99)),
+        edge_latency=per_complexity(1.0, 5000.0, zeros=False),
+        edge_energy=per_complexity(0.0, 50.0),
+        edge_loss=per_complexity(0.0, 1.0),
+        cpu_multiplier=st.floats(0.5, 4.0),
+        rtt=st.lists(st.floats(1.0, 9000.0), min_size=2, max_size=2),
+        cloud_compute=per_complexity(0.0, 2000.0),
+        cloud_energy=per_complexity(0.0, 50.0),
+    )
+    def test_solve_stays_within_the_bound(self, weights, gamma, edge_latency, edge_energy, edge_loss,
+                                          cpu_multiplier, rtt, cloud_compute, cloud_energy):
+        device = DeviceProfile(edge_base_latency_ms=edge_latency, edge_energy_units=edge_energy,
+                               edge_accuracy_loss=edge_loss, cpu_latency_multiplier=cpu_multiplier)
+        network = NetworkModel(NETWORK.transition_matrix, {NetworkState.GOOD: rtt[0], NetworkState.DEGRADED: rtt[1]},
+                               cloud_compute, cloud_energy)
+        try:
+            router = RouterConfig(cost=CostModel(*weights, discount_gamma=gamma), device=device, network=network)
+        except ValueError:
+            return
+        latency = max(max(edge_latency.values()) * max(cpu_multiplier, 1.0), max(rtt) + max(cloud_compute.values()))
+        energy = max(*edge_energy.values(), *cloud_energy.values())
+        worst = weights[0] * latency + weights[1] * energy + weights[2] * max(edge_loss.values())
+        costs = cost_table(device, network)[ACTION_MASK]
+        assert (costs @ np.array(weights)).max() <= worst * (1 + 1e-12)
+
+        policy = solve_policy(router)
+        if worst <= router.tolerance:
+            contractions = 0
+        elif gamma == 0:
+            contractions = 1
+        else:
+            contractions = math.ceil(math.log(router.tolerance / worst) / math.log(gamma))
+        assert len(policy.delta_history) <= 1 + contractions
+        assert np.isfinite(policy.values).all()
+        # Up to rounding: the sweeps' partial sums approach the bound from below.
+        assert np.abs(policy.values).max() <= worst / (1 - gamma) * (1 + 1e-12)
+
+    def test_unsolvable_gamma_refused_on_construction(self):
+        # Refused by the bound, before any sweep: this gamma would need about 2e10 of them.
+        with pytest.raises(ValueError, match="value-iteration sweeps"):
+            RouterConfig(cost=CostModel(discount_gamma=0.999999999))
 
 
 @pytest.fixture(scope="module")

@@ -27,6 +27,7 @@ from devmux.routing import (
     DeviceProfile,
     NetworkModel,
     NetworkState,
+    RouterConfig,
     RoutingState,
     complexity_indices,
     cost_breakdown,
@@ -66,19 +67,20 @@ def reference_run(workload, config, policy):
     u_battery = rng.random(n)
     u_network = rng.random(n)
 
-    transition_cumulative = np.cumsum(config.network.transition_matrix, axis=1)
+    router = config.router
+    transition_cumulative = np.cumsum(router.network.transition_matrix, axis=1)
     network_state = config.initial_network
-    battery = config.device.battery
+    battery = config.battery
     max_energy = max(
-        max(config.device.edge_energy_units.values()),
-        max(config.network.cloud_energy_units.values()),
+        max(router.device.edge_energy_units.values()),
+        max(router.network.cloud_energy_units.values()),
     )
 
     events = []
     columns = (workload.arrival_s, workload.kind, workload.files, workload.deps, workload.tokens)
     for i, (arrival_s, kind, files, deps, tokens) in enumerate(zip(*(c.tolist() for c in columns))):
         complexity = COMPLEXITIES[int(complexity_indices(kind, files, deps, tokens))]
-        state = RoutingState(complexity, config.device.device_class, network_state, battery)
+        state = RoutingState(complexity, config.device_class, network_state, battery)
         if config.policy is PolicyKind.ALL_EDGE:
             action = Action.EDGE
         elif config.policy is PolicyKind.ALL_CLOUD:
@@ -95,10 +97,10 @@ def reference_run(workload, config, policy):
         failed = action is Action.CLOUD and network_state is NetworkState.OFFLINE
         if failed:
             latency = config.offline_timeout_ms
-            energy = config.network.cloud_energy_units[complexity]
+            energy = router.network.cloud_energy_units[complexity]
             accuracy_loss = 0.0
         else:
-            parts = cost_breakdown(config.device, config.network, state, action)
+            parts = cost_breakdown(router.device, router.network, state, action)
             latency, energy, accuracy_loss = parts.latency_ms, parts.energy_units, parts.accuracy_loss
         events.append({
             "task_id": i, "arrival_s": arrival_s, "kind": TASK_KINDS[kind].value,
@@ -108,7 +110,7 @@ def reference_run(workload, config, policy):
         })
 
         if battery is Battery.OK and max_energy > 0:
-            if u_battery[i] < config.p_drain * (energy / max_energy):
+            if u_battery[i] < router.p_drain * (energy / max_energy):
                 battery = Battery.LOW
         row = NETWORK_STATES.index(network_state)
         network_state = NETWORK_STATES[
@@ -138,7 +140,7 @@ chain_rows = st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any)
 def test_columnar_run_matches_reference(n, seed, rows, p_drain, battery, device_class, initial,
                                         zero_energy):
     zeros = {c: 0.0 for c in COMPLEXITIES}
-    device = DeviceProfile(device_class=device_class, battery=battery)
+    device = DeviceProfile()
     if zero_energy:
         device = replace(device, edge_energy_units=zeros)
     base = default_network_model(device)
@@ -149,12 +151,13 @@ def test_columnar_run_matches_reference(n, seed, rows, p_drain, battery, device_
         cloud_compute_ms=base.cloud_compute_ms,
         cloud_energy_units=zeros if zero_energy else base.cloud_energy_units,
     )
+    router = RouterConfig(device=device, network=network, p_drain=p_drain)
     configs = {
-        kind: SimConfig(n_tasks=n, seed=seed, policy=kind, device=device, network=network,
-                        initial_network=initial, p_drain=p_drain)
+        kind: SimConfig(n_tasks=n, seed=seed, policy=kind, router=router, device_class=device_class,
+                        battery=battery, initial_network=initial)
         for kind in PolicyKind
     }
-    policy = solve_policy(configs[PolicyKind.MDP])
+    policy = solve_policy(router)
     workload = workload_from_config(configs[PolicyKind.MDP])
     for kind, config in configs.items():
         expected_report, expected_events = reference_run(workload, config, policy)

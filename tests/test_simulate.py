@@ -33,17 +33,11 @@ from devmux.workload import generate_workload
 
 
 def never_offline_config(**kwargs):
-    config = SimConfig(**kwargs)
     matrix = np.array([[0.95, 0.05, 0.0], [0.50, 0.50, 0.0], [0.50, 0.50, 0.0]])
-    from devmux.routing import NetworkModel
+    from devmux.configfile import RouterConfig, default_network_model
 
-    config.network = NetworkModel(
-        transition_matrix=matrix,
-        rtt_ms=config.network.rtt_ms,
-        cloud_compute_ms=config.network.cloud_compute_ms,
-        cloud_energy_units=config.network.cloud_energy_units,
-    )
-    return config
+    network = default_network_model(transition_matrix=matrix)
+    return SimConfig(router=RouterConfig(network=network), **kwargs)
 
 
 def read_event_log(trace):
@@ -251,7 +245,7 @@ def test_event_log_matches_json_encoder(n, seed, arrival_palette, cost_palettes,
 def test_solved_policy_reused():
     config = SimConfig(n_tasks=200, seed=3, policy=PolicyKind.MDP)
     workload = workload_from_config(config)
-    policy = solve_policy(config)
+    policy = solve_policy(config.router)
     report_a, _ = run_simulation(workload, config, policy=policy)
     report_b, _ = run_simulation(workload, config)
     assert report_a == report_b
