@@ -3,25 +3,33 @@
 Vectors are kept as rows of one C-contiguous little-endian float32 matrix
 (the on-disk width), so a save/load round trip is bit-identical; ids, paths,
 spans and source kinds are column lists beside it, and an id -> row map
-makes lookups O(1). Inserted vectors wait in a list and join the matrix in
-one copy when a search or lookup next needs it, so building an index costs
-no copy per growth step. Search widens a block of rows at a time to double
-precision and scores it with one matrix-vector product, finds the k-th
-score with `np.partition`, and sorts only the records that reach it, so ties
+makes lookups O(1). Each row's float64 norm is kept beside the matrix, so a
+search does not recompute it. Inserted vectors wait in a list and join the
+matrix, with their norms, in one copy when a search or lookup next needs
+it, so building an index costs no copy per growth step. Search widens a
+block of rows at a time to double precision and scores it with one
+matrix-vector product, divides by the stored norms, finds the k-th score
+with `np.partition`, and sorts only the records that reach it, so ties
 break by ascending record id (the flat exact search of FAISS `IndexFlatIP`).
 
-The file (format version 2) is three parts: a JSON header line
-`{"band_config_hash", "count", "dim", "format_version": 2}`, one JSON line of
-the column arrays `{"id", "path", "source_kind", "span"}`, and the
-`count * dim` vector matrix as raw little-endian float32 bytes, read with a
-single `readinto`. The band hash lives in the header only. Files in the
-version-1 layout (per record, a JSON metadata line carrying the band hash and
-then the vector bytes) still load; `save` always writes version 2.
+The file (format version 3) is four parts: a JSON header line
+`{"band_config_hash", "count", "dim", "format_version": 3}`, one JSON line of
+the column arrays `{"id", "path", "source_kind", "span"}`, the
+`count * dim` vector matrix as raw little-endian float32 bytes, and the
+`count` row norms as raw little-endian float64 bytes. Load maps the file
+read-only and views the matrix and the norms in place, so vectors of a
+loaded index are read-only. `save` writes a new file beside the target and
+renames it over the target, so an index mapped from the old file keeps its
+bytes. The band hash lives in the header only. Files in the version-1 layout
+(per record, a JSON metadata line carrying the band hash and then the vector
+bytes) and the version-2 layout (version 3 without the norms) still load,
+their norms computed on first read; `save` always writes version 3.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -30,8 +38,8 @@ import numpy as np
 from .base import IndexFileError
 from .configfile import VECTOR_DIM
 
-FORMAT_VERSION = 2
-# Rows widened to float64 and scored per matrix-vector product.
+FORMAT_VERSION = 3
+# Rows widened to float64 per norm pass and per matrix-vector product.
 _BLOCK_ROWS = 128
 # A BLAS matrix-vector product may compute the last rows of a block that is
 # not a whole number of row groups through another kernel, so one vector can
@@ -80,6 +88,20 @@ class QueryResult:
         return [h.id for h in self.hits]
 
 
+def _row_norms(matrix) -> np.ndarray:
+    """Float64 norm of each row of `matrix` (a float32 matrix or a list of
+    float32 vectors), bitwise that of `np.linalg.norm(matrix.astype(np.float64),
+    axis=1)`: a pairwise `add.reduce` along the row (per-row
+    `np.linalg.norm(row)` can differ in the last bit), a block of rows at a
+    time."""
+    norms = np.empty(len(matrix), dtype="<f8")
+    for start in range(0, len(matrix), _BLOCK_ROWS):
+        block = np.array(matrix[start:start + _BLOCK_ROWS], dtype=np.float64)
+        np.multiply(block, block, out=block)
+        norms[start:start + len(block)] = np.sqrt(np.add.reduce(block, axis=1))
+    return norms
+
+
 class VectorIndex:
     """In-memory store of (id, vector, metadata) with exhaustive search."""
 
@@ -92,6 +114,9 @@ class VectorIndex:
         self._spans: list[str] = []
         self._kinds: list[str] = []
         self._matrix = np.empty((0, dim), dtype="<f4")
+        # Norms of the first records; later ones (pending inserts, rows of a
+        # version-2 file) get theirs when a read next needs them.
+        self._norms = np.empty(0, dtype="<f8")
         # Vectors inserted since the matrix was last grown; they join it in
         # one copy when a read needs it.
         self._pending: list[np.ndarray] = []
@@ -105,8 +130,18 @@ class VectorIndex:
     def vector(self, record_id: str) -> np.ndarray:
         return self._vectors()[self._rows[record_id]]
 
+    def _all_norms(self) -> np.ndarray:
+        """The norm of every record: the known ones, then those of matrix
+        rows and pending inserts that joined without one."""
+        known = self._norms
+        if len(known) == len(self._ids):
+            return known
+        return np.concatenate([known, _row_norms(self._matrix[len(known):]), _row_norms(self._pending)])
+
     def _vectors(self) -> np.ndarray:
-        """The matrix of all records, grown by any pending inserts."""
+        """The matrix of all records, grown by any pending inserts, with a
+        norm known for every row."""
+        self._norms = self._all_norms()
         if self._pending:
             self._matrix = np.vstack([self._matrix, *self._pending])
             self._pending = []
@@ -129,28 +164,25 @@ class VectorIndex:
 
     def _similarities(self, query: np.ndarray) -> np.ndarray:
         """Float64 cosine of every record against `query`; 0 for a zero
-        record or a zero query. Each row's norm is bitwise that of
-        `np.linalg.norm(matrix, axis=1)`, a pairwise `add.reduce` along the
-        row (per-row `np.linalg.norm(row)` can differ in the last bit), and
-        its dot product comes from one matrix-vector product."""
+        record or a zero query. Each row's dot product comes from one
+        matrix-vector product over its zero-padded block, and is divided by
+        the row's stored norm (see `_row_norms`) times the query's."""
         count = len(self._ids)
         sims = np.zeros(count)
         qnorm = np.linalg.norm(query)
         if qnorm == 0.0:
             return sims
         matrix = self._vectors()
+        dots = np.empty(count)
         block = np.empty((min(_BLOCK_ROWS, count + (-count) % _ROW_GROUP), self.dim))
-        squares = np.empty_like(block)
         for start in range(0, count, _BLOCK_ROWS):
             rows = matrix[start:start + _BLOCK_ROWS]
             scored = block[: len(rows) + (-len(rows)) % _ROW_GROUP]
             scored[: len(rows)] = rows
             scored[len(rows):] = 0.0
-            np.multiply(scored, scored, out=squares[: len(scored)])
-            norms = np.sqrt(np.add.reduce(squares[: len(rows)], axis=1))
-            dots = scored @ query
-            nonzero = np.flatnonzero(norms > 0.0)
-            sims[start + nonzero] = dots[nonzero] / (norms[nonzero] * qnorm)
+            dots[start:start + len(rows)] = (scored @ query)[: len(rows)]
+        nonzero = np.flatnonzero(self._norms > 0.0)
+        sims[nonzero] = dots[nonzero] / (self._norms[nonzero] * qnorm)
         return sims
 
     def search(self, query: np.ndarray, k: int) -> QueryResult:
@@ -174,6 +206,10 @@ class VectorIndex:
         ))
 
     def save(self, path) -> None:
+        """Write the index to a new file beside `path`, then rename it onto
+        `path`: a reader never sees a partial file, and an index loaded from
+        the old file keeps reading the old bytes. On failure the new file is
+        removed and `path` is left as it was."""
         header = {
             "format_version": FORMAT_VERSION,
             "dim": self.dim,
@@ -181,13 +217,23 @@ class VectorIndex:
             "band_config_hash": self.band_config_hash,
         }
         columns = {"id": self._ids, "path": self._paths, "source_kind": self._kinds, "span": self._spans}
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            fh.write(json.dumps(columns, sort_keys=True).encode("utf-8") + b"\n")
-            # Pending rows are written as they are, so saving a freshly built
-            # index needs no second copy of its vectors.
-            fh.write(self._matrix.data)
-            fh.writelines(vector.data for vector in self._pending)
+        norms = self._all_norms()
+        path = os.fspath(path)
+        temp = f"{path}.{os.urandom(6).hex()}.tmp"
+        fh = open(temp, "xb")
+        try:
+            with fh:
+                fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+                fh.write(json.dumps(columns, sort_keys=True).encode("utf-8") + b"\n")
+                # Pending rows are written as they are, so saving a freshly
+                # built index needs no second copy of its vectors.
+                fh.write(self._matrix.data)
+                fh.writelines(vector.data for vector in self._pending)
+                fh.write(norms.data)
+            os.replace(temp, path)
+        except BaseException:
+            os.unlink(temp)
+            raise
 
     @classmethod
     def load(cls, path) -> "VectorIndex":
@@ -206,9 +252,9 @@ class VectorIndex:
         if not isinstance(header, dict) or "format_version" not in header:
             raise IndexCorruptError("header is missing format_version")
         version = header["format_version"]
-        if type(version) is not int or version not in (1, FORMAT_VERSION):
+        if type(version) is not int or version not in (1, 2, FORMAT_VERSION):
             raise IndexVersionError(
-                f"format version {version} unsupported (expected 1 or {FORMAT_VERSION})"
+                f"format version {version} unsupported (expected 1, 2 or {FORMAT_VERSION})"
             )
         band_hash = header.get("band_config_hash")
         if not isinstance(band_hash, str):
@@ -217,10 +263,10 @@ class VectorIndex:
         count = _header_int(header, "count", 0)
         if version == 1:
             index._read_v1_records(fh, count)
+            if fh.read(1):
+                raise IndexCorruptError("trailing bytes after final record")
         else:
-            index._read_v2_body(fh, count)
-        if fh.read(1):
-            raise IndexCorruptError("trailing bytes after final record")
+            index._read_columns_and_blocks(fh, count, with_norms=version == FORMAT_VERSION)
         return index
 
     def _read_v1_records(self, fh, count: int) -> None:
@@ -249,8 +295,10 @@ class VectorIndex:
             except (KeyError, ValueError) as err:
                 raise IndexCorruptError(f"record {i}: {err}") from None
 
-    def _read_v2_body(self, fh, count: int) -> None:
-        """Version 2: one JSON line of column arrays, then the whole matrix."""
+    def _read_columns_and_blocks(self, fh, count: int, with_norms: bool) -> None:
+        """Versions 2 and 3: one JSON line of column arrays, then the whole
+        matrix and, in version 3, the row norms, both viewed in place in a
+        read-only mapping of the file."""
         columns = _read_json_line(fh, "column arrays")
         if not isinstance(columns, dict) or sorted(columns) != list(_COLUMNS):
             raise IndexCorruptError(f"column arrays must be exactly {', '.join(_COLUMNS)}")
@@ -263,16 +311,27 @@ class VectorIndex:
         rows = dict(zip(columns["id"], range(count)))
         if len(rows) != count:
             raise IndexCorruptError("duplicate record id in column id")
+        start = fh.tell()
         matrix_bytes = count * self.dim * 4
-        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        norm_bytes = count * 8 if with_norms else 0
+        remaining = os.fstat(fh.fileno()).st_size - start
         if remaining < matrix_bytes:
             raise IndexTruncatedError(f"vector block cut short: {remaining} of {matrix_bytes} bytes")
-        if remaining > matrix_bytes:
+        if remaining < matrix_bytes + norm_bytes:
+            raise IndexTruncatedError(
+                f"norm block cut short: {remaining - matrix_bytes} of {norm_bytes} bytes")
+        if remaining > matrix_bytes + norm_bytes:
             raise IndexCorruptError("trailing bytes after final record")
-        matrix = np.empty((count, self.dim), dtype="<f4")
-        if fh.readinto(matrix.reshape(-1).view(np.uint8)) != matrix_bytes:
-            raise IndexTruncatedError("vector block cut short")
-        self._matrix, self._rows, self._ids = matrix, rows, columns["id"]
+        if count:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            self._matrix = np.frombuffer(mapped, dtype="<f4", count=count * self.dim,
+                                         offset=start).reshape(count, self.dim)
+            if with_norms:
+                norms = np.frombuffer(mapped, dtype="<f8", count=count, offset=start + matrix_bytes)
+                if not np.all(np.isfinite(norms) & (norms >= 0.0)):
+                    raise IndexCorruptError("norm block holds a value that is not finite and >= 0")
+                self._norms = norms
+        self._rows, self._ids = rows, columns["id"]
         self._paths, self._spans, self._kinds = columns["path"], columns["span"], columns["source_kind"]
 
 
@@ -291,4 +350,3 @@ def _header_int(header: dict, key: str, minimum: int) -> int:
     if type(value) is not int or value < minimum:
         raise IndexCorruptError(f"malformed header: {key} must be an integer >= {minimum}, got {value!r}")
     return value
-

@@ -15,7 +15,7 @@ import devmux.routing
 from devmux.cli import build_parser, cli_main
 from devmux.routing import Complexity, value_iteration
 from devmux.vindex import RecordMetadata, VectorIndex
-from test_vindex import CORRUPTIONS, write_corrupt_index, write_v1
+from test_vindex import CORRUPTIONS, WRITERS, write_corrupt_index
 
 GOOD_LAYOUT = """
 <Layout>
@@ -235,13 +235,13 @@ class TestIndexAndQuery:
         capsys.readouterr()
         assert code == 3
 
-    @pytest.mark.parametrize("name", sorted(CORRUPTIONS) + ["v1_dim_4", "v2_dim_4"])
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS) + ["v1_dim_4", "v2_dim_4", "v3_dim_4"])
     def test_query_on_bad_index_exit_three(self, name, tmp_path, capsys):
         path = tmp_path / "index.bin"
         if name.endswith("_dim_4"):
             index = VectorIndex("h", dim=4)
             index.insert("a.java", np.ones(4), RecordMetadata(path="a.java"))
-            (write_v1 if name.startswith("v1") else VectorIndex.save)(index, path)
+            WRITERS[name[:2]](index, path)
         else:
             write_corrupt_index(path, name)
         code = cli_main(["query", "class A { }", "--index", str(path)])
@@ -249,6 +249,19 @@ class TestIndexAndQuery:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith(f"cannot load index: {path}: ")
+
+    def test_index_out_a_directory_exit_three_and_leaves_no_file(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        write_sources(src, 3)
+        sources = sorted(src.iterdir())
+        code = cli_main(["index", str(src), "--out", str(src)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
+        assert sorted(src.iterdir()) == sources
 
 
 class TestSimulateAndCompare:

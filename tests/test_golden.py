@@ -47,6 +47,7 @@ GOLDEN = Path(__file__).with_name("golden") / "sim_sha256.json"
 ROUTE_GOLDEN = GOLDEN.with_name("route_sha256.json")
 QUERY_GOLDEN = GOLDEN.with_name("query_sha256.json")
 V1_FIXTURE = GOLDEN.with_name("index_v1.bin")
+V2_FIXTURE = GOLDEN.with_name("index_v2.bin")
 N_TASKS = 1_000
 SEEDS = range(42, 52)
 POLICIES = ("all_cloud", "all_edge", "threshold", "mdp")
@@ -223,9 +224,9 @@ def _run_cli(argv: list[str]) -> tuple[int, str, str]:
 
 
 def v1_fixture_index() -> VectorIndex:
-    """The records stored in `index_v1.bin`: eight-wide vectors, each of
-    four directions under two or three ids, a zero vector, a scaled copy and
-    varied metadata."""
+    """The records stored in `index_v1.bin` and `index_v2.bin`: eight-wide
+    vectors, each of four directions under two or three ids, a zero vector,
+    a scaled copy and varied metadata."""
     rng = np.random.default_rng(5150)
     directions = rng.standard_normal((4, 8)).astype("<f4")
     index = VectorIndex(band_config_hash="fixturehash", dim=8)
@@ -326,11 +327,13 @@ def test_query_matches_golden(tmp_path):
     assert collect_query_hashes(tmp_path) == golden
 
 
-def test_v1_fixture_loads_bit_identically_and_resaves_as_v2(tmp_path):
-    """`index_v1.bin` was written by the version-1 writer; it must load the
-    same vectors, metadata and search results as building its records in
-    memory, and save as version 2 exactly as that index does."""
-    loaded, built = VectorIndex.load(V1_FIXTURE), v1_fixture_index()
+@pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_FIXTURE], ids=["v1", "v2"])
+def test_fixture_loads_bit_identically_and_resaves_as_v3(fixture, tmp_path):
+    """`index_v1.bin` and `index_v2.bin` were written by the version-1 and
+    version-2 writers from the same records; each must load the same
+    vectors, metadata and search results as building those records in
+    memory, and save as version 3 exactly as that index does."""
+    loaded, built = VectorIndex.load(fixture), v1_fixture_index()
     assert (loaded.ids(), loaded.dim, loaded.band_config_hash) == (built.ids(), built.dim, built.band_config_hash)
     assert all(loaded.vector(i).tobytes() == built.vector(i).tobytes() for i in built.ids())
     for query, k in [*v1_fixture_queries().values(), (np.zeros(8), len(built))]:
@@ -339,8 +342,20 @@ def test_v1_fixture_loads_bit_identically_and_resaves_as_v2(tmp_path):
     loaded.save(resaved)
     built.save(direct)
     assert resaved.read_bytes() == direct.read_bytes()
-    assert json.loads(resaved.read_bytes().split(b"\n", 1)[0])["format_version"] == 2
+    assert json.loads(resaved.read_bytes().split(b"\n", 1)[0])["format_version"] == 3
     assert VectorIndex.load(resaved).ids() == built.ids()
+
+
+def test_v3_file_is_the_v2_file_with_its_norms_appended(tmp_path):
+    """Saving the v2 fixture's records changes only the version number and
+    appends one float64 norm per record."""
+    index, v2 = v1_fixture_index(), V2_FIXTURE.read_bytes()
+    index.save(tmp_path / "v3.bin")
+    v3 = (tmp_path / "v3.bin").read_bytes()
+    assert v3[: len(v2)] == v2.replace(b'"format_version": 2}', b'"format_version": 3}', 1)
+    stored = np.frombuffer(v3[len(v2):], dtype="<f8")
+    matrix = np.stack([index.vector(i) for i in index.ids()])
+    assert stored.tobytes() == np.linalg.norm(matrix.astype(np.float64), axis=1).tobytes()
 
 
 if __name__ == "__main__":

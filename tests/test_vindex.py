@@ -47,6 +47,21 @@ def write_v1(index, path):
             fh.write(index.vector(record_id).tobytes())
 
 
+def write_v2(index, path):
+    """Write `index` in the version-2 layout: the version-3 file without its
+    norm block."""
+    header = {"band_config_hash": index.band_config_hash, "count": len(index),
+              "dim": index.dim, "format_version": 2}
+    hits = {h.id: h.metadata for h in index.search(np.zeros(index.dim), len(index)).hits}
+    columns = {"id": list(index.ids()), "path": [hits[i].path for i in index.ids()],
+               "source_kind": [hits[i].source_kind for i in index.ids()],
+               "span": [hits[i].span for i in index.ids()]}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        fh.write(json.dumps(columns, sort_keys=True).encode() + b"\n")
+        fh.writelines(index.vector(record_id).tobytes() for record_id in index.ids())
+
+
 def brute_force_ids(index, query, k):
     """Oracle: naive double-precision cosine over every record."""
     query = np.asarray(query, dtype=np.float64)
@@ -252,43 +267,145 @@ def rewrite_columns(file, **changes):
     file.write_bytes(header_line + b"\n" + json.dumps(columns, sort_keys=True).encode() + b"\n" + matrix)
 
 
-def test_save_writes_version_two_layout(tmp_path):
+def test_save_writes_version_three_layout(tmp_path):
     rng = np.random.default_rng(9)
     index = build_index(rng, 3)
     path = tmp_path / "index.bin"
     index.save(path)
-    header_line, columns_line, matrix = path.read_bytes().split(b"\n", 2)
-    assert json.loads(header_line) == {"band_config_hash": "testhash", "count": 3, "dim": DIM, "format_version": 2}
+    header_line, columns_line, blocks = path.read_bytes().split(b"\n", 2)
+    assert json.loads(header_line) == {"band_config_hash": "testhash", "count": 3, "dim": DIM, "format_version": 3}
     assert json.loads(columns_line) == {
         "id": ["rec-0000", "rec-0001", "rec-0002"],
         "path": ["src/f0.java", "src/f1.java", "src/f2.java"],
         "source_kind": ["file"] * 3,
         "span": ["1-10"] * 3,
     }
-    assert matrix == b"".join(index.vector(i).astype("<f4").tobytes() for i in index.ids())
+    matrix = np.stack([index.vector(i) for i in index.ids()]).astype("<f4")
+    norms = np.linalg.norm(matrix.astype(np.float64), axis=1).astype("<f8")
+    assert blocks == matrix.tobytes() + norms.tobytes()
 
 
-def test_version_one_file_loads_and_resaves_as_version_two(tmp_path):
+def test_version_one_file_loads_and_resaves_as_version_three(tmp_path):
     rng = np.random.default_rng(10)
     index = build_index(rng, 40)
-    v1, v2 = tmp_path / "v1.bin", tmp_path / "v2.bin"
+    v1, v3 = tmp_path / "v1.bin", tmp_path / "v3.bin"
     write_v1(index, v1)
     loaded = VectorIndex.load(v1)
     assert loaded.ids() == index.ids()
     assert all(loaded.vector(i).tobytes() == index.vector(i).tobytes() for i in index.ids())
     query = rng.standard_normal(DIM)
     assert loaded.search(query, 40) == index.search(query, 40)
-    loaded.save(v2)
+    loaded.save(v3)
     index.save(tmp_path / "direct.bin")
-    assert v2.read_bytes() == (tmp_path / "direct.bin").read_bytes()
+    assert v3.read_bytes() == (tmp_path / "direct.bin").read_bytes()
+
+
+def test_load_then_save_to_the_same_path_is_byte_identical(tmp_path):
+    """The loaded index reads its vectors from a mapping of the file it
+    overwrites; the save replaces the file instead of truncating it."""
+    path = tmp_path / "index.bin"
+    build_index(np.random.default_rng(14), 50).save(path)
+    before = path.read_bytes()
+    VectorIndex.load(path).save(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["index.bin"]
+
+
+def test_index_loaded_before_a_resave_searches_its_old_bytes(tmp_path):
+    rng = np.random.default_rng(15)
+    old, new = build_index(rng, 30), build_index(rng, 30)
+    path = tmp_path / "index.bin"
+    old.save(path)
+    loaded = VectorIndex.load(path)
+    new.save(path)
+    query = rng.standard_normal(DIM)
+    assert loaded.search(query, 30) == old.search(query, 30)
+    assert all(loaded.vector(i).tobytes() == old.vector(i).tobytes() for i in old.ids())
+    assert VectorIndex.load(path).search(query, 30) == new.search(query, 30)
+
+
+def test_failed_save_leaves_the_target_and_no_stray_file(tmp_path, monkeypatch):
+    index = build_index(np.random.default_rng(16), 5)
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(IsADirectoryError):
+        index.save(tmp_path / "dir")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+    path = tmp_path / "index.bin"
+    path.write_bytes(b"previous")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        index.save(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "index.bin"]
+    assert path.read_bytes() == b"previous"
+
+
+def test_loaded_vectors_are_read_only_views(tmp_path):
+    index = build_index(np.random.default_rng(17), 4)
+    path = tmp_path / "index.bin"
+    index.save(path)
+    loaded = VectorIndex.load(path)
+    vector = loaded.vector("rec-0002")
+    assert not vector.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        vector[0] = 1.0
+    copy = vector.astype(float)
+    copy[0] = 1.0
+    assert loaded.vector("rec-0002").tobytes() == index.vector("rec-0002").tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    distinct=st.integers(min_value=1, max_value=300),
+    copies=st.integers(min_value=0, max_value=40),
+    zeros=st.integers(min_value=0, max_value=5),
+    k=st.integers(min_value=1, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stored_norms_and_search_match_in_memory_and_version_two(distinct, copies, zeros, k, seed):
+    """Record counts from 1 to a few hundred, whole multiples of 8 and 128
+    or not, with duplicate and all-zero rows: the norms `save` writes are
+    bitwise `np.linalg.norm` of the float64 rows, and the version-3 file,
+    the in-memory index and the same records read from version 2 give the
+    same hits and similarity bytes."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((distinct, DIM)) * rng.uniform(0.01, 100.0, (distinct, 1))
+    vectors = np.concatenate([vectors, vectors[rng.integers(0, distinct, copies)], np.zeros((zeros, DIM))])
+    index = VectorIndex("h")
+    for i in rng.permutation(len(vectors)):
+        index.insert(f"r{i:04d}", vectors[i], RecordMetadata(path=f"p{i}"))
+    with tempfile.TemporaryDirectory() as tmp:
+        v2, v3 = Path(tmp) / "v2.bin", Path(tmp) / "v3.bin"
+        write_v2(index, v2)
+        index.save(v3)
+        from_v2, from_v3 = VectorIndex.load(v2), VectorIndex.load(v3)
+        stored = np.frombuffer(v3.read_bytes()[-8 * len(index):], dtype="<f8")
+    matrix = np.stack([index.vector(i) for i in index.ids()])
+    assert stored.tobytes() == np.linalg.norm(matrix.astype(np.float64), axis=1).tobytes()
+    for query in (rng.standard_normal(DIM), vectors[rng.integers(0, distinct)]):
+        want = [(h.id, float.hex(h.similarity)) for h in index.search(query, k).hits]
+        for loaded in (from_v3, from_v2):
+            assert [(h.id, float.hex(h.similarity)) for h in loaded.search(query, k).hits] == want
 
 
 def _replace_bytes(old, new):
     return lambda file: file.write_bytes(file.read_bytes().replace(old, new, 1))
 
 
-def _truncate_matrix(file):
-    file.write_bytes(file.read_bytes()[:-5])
+def _cut_tail(size):
+    return lambda file: file.write_bytes(file.read_bytes()[:-size])
+
+
+def _set_norm(value):
+    """Overwrite the second of the three stored norms with `value`."""
+    def damage(file):
+        blob = bytearray(file.read_bytes())
+        blob[-16:-8] = np.array([value], dtype="<f8").tobytes()
+        file.write_bytes(bytes(blob))
+    return damage
 
 
 def _list_metadata(file):
@@ -313,7 +430,7 @@ CORRUPTIONS = {
     "v2_boolean_dim": ("v2", lambda p: rewrite_header(p, dim=True), IndexCorruptError),
     "v2_missing_dim": ("v2", lambda p: rewrite_header(p, dim=None), IndexCorruptError),
     "v2_hash_not_text": ("v2", lambda p: rewrite_header(p, band_config_hash=7), IndexCorruptError),
-    "v2_truncated_matrix": ("v2", _truncate_matrix, IndexTruncatedError),
+    "v2_truncated_matrix": ("v2", _cut_tail(5), IndexTruncatedError),
     "v2_count_above_records": ("v2", lambda p: rewrite_header(p, count=4), IndexCorruptError),
     "v2_column_length_mismatch": ("v2", lambda p: rewrite_columns(p, span=["1-10"] * 2), IndexCorruptError),
     "v2_missing_column": ("v2", _replace_bytes(b'"source_kind"', b'"kind"'), IndexCorruptError),
@@ -322,14 +439,23 @@ CORRUPTIONS = {
     "v2_trailing_bytes": ("v2", _append_bytes, IndexCorruptError),
     "v2_columns_missing": ("v2", lambda p: p.write_bytes(p.read_bytes().split(b"\n")[0] + b"\n"),
                            IndexTruncatedError),
+    "v3_truncated_norms": ("v3", _cut_tail(5), IndexTruncatedError),
+    "v3_truncated_matrix": ("v3", _cut_tail(3 * 8 + 5), IndexTruncatedError),
+    "v3_trailing_bytes": ("v3", _append_bytes, IndexCorruptError),
+    "v3_nan_norm": ("v3", _set_norm(np.nan), IndexCorruptError),
+    "v3_infinite_norm": ("v3", _set_norm(np.inf), IndexCorruptError),
+    "v3_minus_infinite_norm": ("v3", _set_norm(-np.inf), IndexCorruptError),
+    "v3_negative_norm": ("v3", _set_norm(-1.0), IndexCorruptError),
+    "v3_count_above_records": ("v3", lambda p: rewrite_header(p, count=4), IndexCorruptError),
 }
+
+WRITERS = {"v1": write_v1, "v2": write_v2, "v3": VectorIndex.save}
 
 
 def write_corrupt_index(path, name):
     """A three-record index file in `name`'s layout with `name`'s damage."""
     writer, damage, _ = CORRUPTIONS[name]
-    index = build_index(np.random.default_rng(11), 3)
-    (write_v1 if writer == "v1" else VectorIndex.save)(index, path)
+    WRITERS[writer](build_index(np.random.default_rng(11), 3), path)
     damage(path)
 
 
