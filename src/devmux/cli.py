@@ -12,6 +12,7 @@ unwritable path, or an index file that does not load, exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -96,7 +97,13 @@ def cmd_index(args) -> int:
 
 
 def _query_text_for(root_hint: Path, metadata, limit: int = 400) -> str:
-    path = root_hint / metadata.path
+    """`<path>: <head of the file>` for a hit, or the bare path when the file
+    cannot be read or is not below `root_hint`: an absolute path or one with
+    a `..` part, which only a crafted index holds, is never opened."""
+    relative = Path(metadata.path)
+    if relative.anchor or ".." in relative.parts:
+        return metadata.path
+    path = root_hint / relative
     try:
         head = path.read_text(encoding="utf-8", errors="replace")[:limit]
         return f"{metadata.path}: {head}"
@@ -262,9 +269,12 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `devmux` argument parser; its description is this module's docstring.
 
+    It is built once per process and shared by every call, since
+    `parse_args` keeps no state between calls.
     The `route` choices come from the enums in the stdlib-only `base`, so
     building the parser imports no subsystem.
     """

@@ -20,10 +20,9 @@ the column arrays `{"id", "path", "source_kind", "span"}`, the
 read-only and views the matrix and the norms in place, so vectors of a
 loaded index are read-only. `save` writes a new file beside the target and
 renames it over the target, so an index mapped from the old file keeps its
-bytes. The band hash lives in the header only. Files in the version-1 layout
-(per record, a JSON metadata line carrying the band hash and then the vector
-bytes) and the version-2 layout (version 3 without the norms) still load,
-their norms computed on first read; `save` always writes version 3.
+bytes. The band hash lives in the header only. `load` reads only the version
+`save` writes: an index file of any other version raises
+`IndexVersionError` (`query` exits 3) until `devmux index` rebuilds it.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ class IndexVersionError(IndexFileError):
 
 
 class IndexTruncatedError(IndexFileError):
-    pass
-
-
-class IndexHashMismatchError(IndexFileError):
     pass
 
 
@@ -114,8 +109,7 @@ class VectorIndex:
         self._spans: list[str] = []
         self._kinds: list[str] = []
         self._matrix = np.empty((0, dim), dtype="<f4")
-        # Norms of the first records; later ones (pending inserts, rows of a
-        # version-2 file) get theirs when a read next needs them.
+        # Norm of each matrix row; pending inserts get theirs when they join.
         self._norms = np.empty(0, dtype="<f8")
         # Vectors inserted since the matrix was last grown; they join it in
         # one copy when a read needs it.
@@ -131,12 +125,11 @@ class VectorIndex:
         return self._vectors()[self._rows[record_id]]
 
     def _all_norms(self) -> np.ndarray:
-        """The norm of every record: the known ones, then those of matrix
-        rows and pending inserts that joined without one."""
-        known = self._norms
-        if len(known) == len(self._ids):
-            return known
-        return np.concatenate([known, _row_norms(self._matrix[len(known):]), _row_norms(self._pending)])
+        """The norm of every record: the matrix rows' stored ones, then those
+        of pending inserts."""
+        if not self._pending:
+            return self._norms
+        return np.concatenate([self._norms, _row_norms(self._pending)])
 
     def _vectors(self) -> np.ndarray:
         """The matrix of all records, grown by any pending inserts, with a
@@ -238,7 +231,7 @@ class VectorIndex:
     @classmethod
     def load(cls, path) -> "VectorIndex":
         """Read an index file; a failure raises before any partial index
-        escapes. Version, truncation, hash, and decode problems surface as
+        escapes. Version, truncation and decode problems surface as
         distinct error kinds, their messages prefixed with `path`."""
         with open(path, "rb") as fh:
             try:
@@ -248,57 +241,23 @@ class VectorIndex:
 
     @classmethod
     def _read(cls, fh) -> "VectorIndex":
+        """The header line, one JSON line of column arrays, then the whole
+        matrix and the row norms, both viewed in place in a read-only
+        mapping of the file."""
         header = _read_json_line(fh, "header")
         if not isinstance(header, dict) or "format_version" not in header:
             raise IndexCorruptError("header is missing format_version")
         version = header["format_version"]
-        if type(version) is not int or version not in (1, 2, FORMAT_VERSION):
+        if type(version) is not int or version != FORMAT_VERSION:
             raise IndexVersionError(
-                f"format version {version} unsupported (expected 1, 2 or {FORMAT_VERSION})"
+                f"format version {version!r} unsupported (expected {FORMAT_VERSION}); "
+                "rebuild the index with `devmux index`"
             )
         band_hash = header.get("band_config_hash")
         if not isinstance(band_hash, str):
             raise IndexCorruptError("malformed header: band_config_hash must be a string")
         index = cls(band_config_hash=band_hash, dim=_header_int(header, "dim", 1))
         count = _header_int(header, "count", 0)
-        if version == 1:
-            index._read_v1_records(fh, count)
-            if fh.read(1):
-                raise IndexCorruptError("trailing bytes after final record")
-        else:
-            index._read_columns_and_blocks(fh, count, with_norms=version == FORMAT_VERSION)
-        return index
-
-    def _read_v1_records(self, fh, count: int) -> None:
-        """Version 1: per record, a JSON metadata line with the band hash,
-        then the vector bytes."""
-        record_bytes = self.dim * 4
-        for i in range(count):
-            record = _read_json_line(fh, f"record {i} metadata")
-            if not isinstance(record, dict):
-                raise IndexCorruptError(f"record {i}: metadata is not a JSON object")
-            if record.get("band_config_hash") != self.band_config_hash:
-                raise IndexHashMismatchError(f"record {i}: band config hash does not match file header")
-            blob = fh.read(record_bytes)
-            if len(blob) != record_bytes:
-                raise IndexTruncatedError(f"record {i}: vector data cut short")
-            try:
-                self.insert(
-                    str(record["id"]),
-                    np.frombuffer(blob, dtype="<f4"),
-                    RecordMetadata(
-                        path=str(record.get("path", "")),
-                        span=str(record.get("span", "")),
-                        source_kind=str(record.get("source_kind", "file")),
-                    ),
-                )
-            except (KeyError, ValueError) as err:
-                raise IndexCorruptError(f"record {i}: {err}") from None
-
-    def _read_columns_and_blocks(self, fh, count: int, with_norms: bool) -> None:
-        """Versions 2 and 3: one JSON line of column arrays, then the whole
-        matrix and, in version 3, the row norms, both viewed in place in a
-        read-only mapping of the file."""
         columns = _read_json_line(fh, "column arrays")
         if not isinstance(columns, dict) or sorted(columns) != list(_COLUMNS):
             raise IndexCorruptError(f"column arrays must be exactly {', '.join(_COLUMNS)}")
@@ -312,8 +271,8 @@ class VectorIndex:
         if len(rows) != count:
             raise IndexCorruptError("duplicate record id in column id")
         start = fh.tell()
-        matrix_bytes = count * self.dim * 4
-        norm_bytes = count * 8 if with_norms else 0
+        matrix_bytes = count * index.dim * 4
+        norm_bytes = count * 8
         remaining = os.fstat(fh.fileno()).st_size - start
         if remaining < matrix_bytes:
             raise IndexTruncatedError(f"vector block cut short: {remaining} of {matrix_bytes} bytes")
@@ -324,15 +283,15 @@ class VectorIndex:
             raise IndexCorruptError("trailing bytes after final record")
         if count:
             mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            self._matrix = np.frombuffer(mapped, dtype="<f4", count=count * self.dim,
-                                         offset=start).reshape(count, self.dim)
-            if with_norms:
-                norms = np.frombuffer(mapped, dtype="<f8", count=count, offset=start + matrix_bytes)
-                if not np.all(np.isfinite(norms) & (norms >= 0.0)):
-                    raise IndexCorruptError("norm block holds a value that is not finite and >= 0")
-                self._norms = norms
-        self._rows, self._ids = rows, columns["id"]
-        self._paths, self._spans, self._kinds = columns["path"], columns["span"], columns["source_kind"]
+            index._matrix = np.frombuffer(mapped, dtype="<f4", count=count * index.dim,
+                                          offset=start).reshape(count, index.dim)
+            norms = np.frombuffer(mapped, dtype="<f8", count=count, offset=start + matrix_bytes)
+            if not np.all(np.isfinite(norms) & (norms >= 0.0)):
+                raise IndexCorruptError("norm block holds a value that is not finite and >= 0")
+            index._norms = norms
+        index._rows, index._ids = rows, columns["id"]
+        index._paths, index._spans, index._kinds = columns["path"], columns["span"], columns["source_kind"]
+        return index
 
 
 def _read_json_line(fh, what: str):

@@ -13,9 +13,10 @@ import numpy as np
 
 import devmux.routing
 from devmux.cli import build_parser, cli_main
+from devmux.configfile import load_config
 from devmux.routing import Complexity, value_iteration
 from devmux.vindex import RecordMetadata, VectorIndex
-from test_vindex import CORRUPTIONS, WRITERS, write_corrupt_index
+from test_vindex import CORRUPTIONS, relabel_as_older, write_corrupt_index
 
 GOOD_LAYOUT = """
 <Layout>
@@ -241,7 +242,9 @@ class TestIndexAndQuery:
         if name.endswith("_dim_4"):
             index = VectorIndex("h", dim=4)
             index.insert("a.java", np.ones(4), RecordMetadata(path="a.java"))
-            WRITERS[name[:2]](index, path)
+            index.save(path)
+            if name != "v3_dim_4":
+                relabel_as_older(path, int(name[1]))
         else:
             write_corrupt_index(path, name)
         code = cli_main(["query", "class A { }", "--index", str(path)])
@@ -249,6 +252,27 @@ class TestIndexAndQuery:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith(f"cannot load index: {path}: ")
+
+    def test_query_never_reads_a_path_outside_the_source_root(self, tmp_path, capsys):
+        """A crafted index whose paths are absolute or climb out with `..`
+        gets the bare path in the bundle; an indexed path below the root
+        still gets the file's text."""
+        root = tmp_path / "root"
+        root.mkdir()
+        (root / "inside.java").write_text("inside text")
+        secret = tmp_path / "secret.txt"
+        secret.write_text("secret text")
+        paths = ["inside.java", str(secret), "../secret.txt", "sub/../../secret.txt"]
+        index = VectorIndex(load_config(None).bands.fingerprint())
+        for i, path in enumerate(paths):
+            index.insert(f"r{i}", np.ones(768), RecordMetadata(path=path))
+        index.save(tmp_path / "index.bin")
+        code = cli_main(["query", "class A { }", "--index", str(tmp_path / "index.bin"),
+                         "--source-root", str(root)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        texts = sorted(e["text"] for e in json.loads(captured.out)["entries"])
+        assert texts == sorted(["inside.java: inside text", *paths[1:]])
 
     def test_index_out_a_directory_exit_three_and_leaves_no_file(self, tmp_path, capsys):
         src = tmp_path / "src"
@@ -503,6 +527,21 @@ def test_bad_choice_lists_the_enum_values(capsys):
     assert cli_main(argv) == 2
     choices = ", ".join(repr(c.value) for c in Complexity)
     assert f"invalid choice: 'bogus' (choose from {choices})" in capsys.readouterr().err
+
+
+def test_help_and_usage_errors_repeat_byte_for_byte(capsys):
+    """The parser is built once per process and reused; a second call prints
+    the same help and the same usage error as the first."""
+    outputs = []
+    for _ in range(3):
+        assert cli_main(["--help"]) == 0
+        assert cli_main(["query", "--help"]) == 0
+        assert cli_main(["route", "--complexity", "bogus"]) == 2
+        assert cli_main(["simulate", "--seed", "-1"]) == 2
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out.startswith("usage: devmux") and "invalid choice: 'bogus'" in outputs[0].err
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert build_parser() is build_parser()
 
 
 def test_help_as_module_exit_zero():

@@ -13,15 +13,21 @@ route golden pins the solved policy itself: for the default config,
 stdout over every state and the `policy_fingerprint`. The query golden
 pins `index` and `query` stdout and exit codes and the `index.bin` bytes
 over a seeded corpus that stores every unit under three ids, so the k-th
-score is often tied, and the search results of `index_v1.bin`, an index
-file in the version-1 layout. Its `index_tree` entry pins `index` over a
-seeded tree with one broken file per parse error and a unit with non-ASCII
-names: exit code, stdout, the stderr warnings with their line and column,
-and the `index.bin` bytes.
+score is often tied, and the search results of the records of `index_v1.bin`
+(its `v1_fixture` entry, searched in memory). Its `index_tree` entry pins
+`index` over a seeded tree with one broken file per parse error and a unit
+with non-ASCII names: exit code, stdout, the stderr warnings with their line
+and column, and the `index.bin` bytes.
+
+`index_v1.bin` and `index_v2.bin` are index files in the version-1 and
+version-2 layouts. Only version 3 loads, so both must fail to load and make
+`query` exit 3 until the index is rebuilt; the version-2 file also pins the
+version-3 layout, which is the version-2 file plus one norm per record.
 
 After a deliberate, documented byte change, rewrite the goldens with
-`PYTHONPATH=src python tests/test_golden.py`. `index_v1.bin` is not
-rewritten: `save` no longer writes that layout.
+`PYTHONPATH=src python tests/test_golden.py`; it prints one `wrote` line per
+golden file. The two index fixtures are not rewritten: `save` no longer
+writes their layouts.
 """
 
 import contextlib
@@ -40,7 +46,7 @@ from devmux.cli import cli_main
 from devmux.configfile import load_config
 from devmux.routing import all_states, policy_fingerprint
 from devmux.simulate import PolicyKind, compare_policies, run_simulation, workload_from_config
-from devmux.vindex import RecordMetadata, VectorIndex
+from devmux.vindex import IndexVersionError, RecordMetadata, VectorIndex
 from test_config import SAMPLE
 
 GOLDEN = Path(__file__).with_name("golden") / "sim_sha256.json"
@@ -86,8 +92,8 @@ def collect_hashes(directory: Path, n_tasks: int = N_TASKS) -> dict:
     config, report, events = directory / "c.yaml", directory / "report.json", directory / "events.jsonl"
 
     def simulate(key: str, seed: int, tasks: int) -> None:
-        code = cli_main(["simulate", "--config", str(config), "--seed", str(seed),
-                         "--n-tasks", str(tasks), "--out", str(report), "--events", str(events)])
+        code, _, _ = _run_cli(["simulate", "--config", str(config), "--seed", str(seed),
+                               "--n-tasks", str(tasks), "--out", str(report), "--events", str(events)])
         assert code == 0, key
 
     for name in CONFIGS:
@@ -105,7 +111,7 @@ def collect_hashes(directory: Path, n_tasks: int = N_TASKS) -> dict:
                     out["events_10k"][key] = _sha256(events)
         _write_config(config, name, n_tasks=n_tasks)
         for seed in SEEDS:
-            code = cli_main(["compare", "--config", str(config), "--seed", str(seed), "--out", str(report)])
+            code, _, _ = _run_cli(["compare", "--config", str(config), "--seed", str(seed), "--out", str(report)])
             assert code == 0, f"{name}/{seed}"
             out["compare"][f"{name}/{seed}"] = _sha256(report)
     return out
@@ -128,10 +134,9 @@ def collect_route_hashes(directory: Path) -> dict:
             argv = ["route", "--config", str(config), "--policy", str(policy),
                     "--complexity", state.complexity.value, "--device", state.device_class.value,
                     "--network", state.network.value, "--battery", state.battery.value]
-            buffer = io.StringIO()
-            with contextlib.redirect_stdout(buffer):
-                assert cli_main(argv) == 0, f"{name}/{state}"
-            stdout.update(buffer.getvalue().encode("utf-8"))
+            code, lines, _ = _run_cli(argv)
+            assert code == 0, f"{name}/{state}"
+            stdout.update(lines.encode("utf-8"))
         out[name] = {
             "fingerprint": policy_fingerprint(load_config(str(config)).sim.router),
             "policy": _sha256(policy),
@@ -255,7 +260,7 @@ def search_rows(index: VectorIndex, query: np.ndarray, k: int) -> list[list[str]
 
 def collect_query_hashes(directory: Path) -> dict:
     """Index the seeded corpus under three ids per unit, hash `index` and
-    every `query` stdout with its exit code, and search the v1 fixture."""
+    every `query` stdout with its exit code, and search the fixture records."""
     units = query_corpus()
     for unit_no, text in enumerate(units):
         for copy in COPIES:
@@ -281,7 +286,7 @@ def collect_query_hashes(directory: Path) -> dict:
                              "stderr": stderr.splitlines()}
     finally:
         os.chdir(previous)
-    fixture = VectorIndex.load(V1_FIXTURE)
+    fixture = v1_fixture_index()
     out["v1_fixture"] = {name: search_rows(fixture, q, k) for name, (q, k) in v1_fixture_queries().items()}
     return out
 
@@ -327,23 +332,17 @@ def test_query_matches_golden(tmp_path):
     assert collect_query_hashes(tmp_path) == golden
 
 
-@pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_FIXTURE], ids=["v1", "v2"])
-def test_fixture_loads_bit_identically_and_resaves_as_v3(fixture, tmp_path):
-    """`index_v1.bin` and `index_v2.bin` were written by the version-1 and
-    version-2 writers from the same records; each must load the same
-    vectors, metadata and search results as building those records in
-    memory, and save as version 3 exactly as that index does."""
-    loaded, built = VectorIndex.load(fixture), v1_fixture_index()
-    assert (loaded.ids(), loaded.dim, loaded.band_config_hash) == (built.ids(), built.dim, built.band_config_hash)
-    assert all(loaded.vector(i).tobytes() == built.vector(i).tobytes() for i in built.ids())
-    for query, k in [*v1_fixture_queries().values(), (np.zeros(8), len(built))]:
-        assert search_rows(loaded, query, k) == search_rows(built, query, k)
-    resaved, direct = tmp_path / "resaved.bin", tmp_path / "direct.bin"
-    loaded.save(resaved)
-    built.save(direct)
-    assert resaved.read_bytes() == direct.read_bytes()
-    assert json.loads(resaved.read_bytes().split(b"\n", 1)[0])["format_version"] == 3
-    assert VectorIndex.load(resaved).ids() == built.ids()
+@pytest.mark.parametrize("fixture, version", [(V1_FIXTURE, 1), (V2_FIXTURE, 2)], ids=["v1", "v2"])
+def test_older_format_fixture_does_not_load_and_query_exits_three(fixture, version):
+    """`index_v1.bin` and `index_v2.bin` hold the records of
+    `v1_fixture_index` in the version-1 and version-2 layouts; neither
+    loads, and `query` on either exits 3 with one line naming the version."""
+    with pytest.raises(IndexVersionError, match=f"format version {version} unsupported"):
+        VectorIndex.load(fixture)
+    code, stdout, stderr = _run_cli(["query", "class A { }", "--index", str(fixture)])
+    assert (code, stdout) == (3, "")
+    assert stderr == (f"cannot load index: {fixture}: format version {version} unsupported (expected 3); "
+                      "rebuild the index with `devmux index`\n")
 
 
 def test_v3_file_is_the_v2_file_with_its_norms_appended(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from devmux.vindex import (
     IndexCorruptError,
-    IndexHashMismatchError,
     IndexTruncatedError,
     IndexVersionError,
     RecordMetadata,
@@ -29,37 +28,6 @@ def build_index(rng, count):
     for i, v in enumerate(unit_vectors(rng, count)):
         index.insert(f"rec-{i:04d}", v, RecordMetadata(path=f"src/f{i}.java", span="1-10"))
     return index
-
-
-def write_v1(index, path):
-    """Write `index` in the version-1 layout: a header line, then per record
-    a JSON metadata line carrying the band hash and the float32 vector."""
-    header = {"band_config_hash": index.band_config_hash, "count": len(index),
-              "dim": index.dim, "format_version": 1}
-    hits = {h.id: h.metadata for h in index.search(np.zeros(index.dim), len(index)).hits}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for record_id in index.ids():
-            meta = hits[record_id]
-            record = {"band_config_hash": index.band_config_hash, "id": record_id, "path": meta.path,
-                      "source_kind": meta.source_kind, "span": meta.span}
-            fh.write(json.dumps(record, sort_keys=True).encode() + b"\n")
-            fh.write(index.vector(record_id).tobytes())
-
-
-def write_v2(index, path):
-    """Write `index` in the version-2 layout: the version-3 file without its
-    norm block."""
-    header = {"band_config_hash": index.band_config_hash, "count": len(index),
-              "dim": index.dim, "format_version": 2}
-    hits = {h.id: h.metadata for h in index.search(np.zeros(index.dim), len(index)).hits}
-    columns = {"id": list(index.ids()), "path": [hits[i].path for i in index.ids()],
-               "source_kind": [hits[i].source_kind for i in index.ids()],
-               "span": [hits[i].span for i in index.ids()]}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(json.dumps(columns, sort_keys=True).encode() + b"\n")
-        fh.writelines(index.vector(record_id).tobytes() for record_id in index.ids())
 
 
 def brute_force_ids(index, query, k):
@@ -241,18 +209,6 @@ def test_truncated_file(tmp_path):
         VectorIndex.load(path)
 
 
-def test_record_hash_mismatch(tmp_path):
-    rng = np.random.default_rng(7)
-    index = build_index(rng, 2)
-    path = tmp_path / "index.bin"
-    write_v1(index, path)
-    blob = path.read_bytes().replace(b'"band_config_hash": "testhash", "id": "rec-0001"',
-                                     b'"band_config_hash": "othrhash", "id": "rec-0001"')
-    path.write_bytes(blob)
-    with pytest.raises(IndexHashMismatchError):
-        VectorIndex.load(path)
-
-
 def rewrite_header(file, **changes):
     """Replace header fields of a saved index file in place."""
     header_line, body = file.read_bytes().split(b"\n", 1)
@@ -261,10 +217,10 @@ def rewrite_header(file, **changes):
 
 
 def rewrite_columns(file, **changes):
-    """Replace column arrays of a saved version-2 index file in place."""
-    header_line, columns_line, matrix = file.read_bytes().split(b"\n", 2)
+    """Replace column arrays of a saved index file in place."""
+    header_line, columns_line, blocks = file.read_bytes().split(b"\n", 2)
     columns = {**json.loads(columns_line), **changes}
-    file.write_bytes(header_line + b"\n" + json.dumps(columns, sort_keys=True).encode() + b"\n" + matrix)
+    file.write_bytes(header_line + b"\n" + json.dumps(columns, sort_keys=True).encode() + b"\n" + blocks)
 
 
 def test_save_writes_version_three_layout(tmp_path):
@@ -283,21 +239,6 @@ def test_save_writes_version_three_layout(tmp_path):
     matrix = np.stack([index.vector(i) for i in index.ids()]).astype("<f4")
     norms = np.linalg.norm(matrix.astype(np.float64), axis=1).astype("<f8")
     assert blocks == matrix.tobytes() + norms.tobytes()
-
-
-def test_version_one_file_loads_and_resaves_as_version_three(tmp_path):
-    rng = np.random.default_rng(10)
-    index = build_index(rng, 40)
-    v1, v3 = tmp_path / "v1.bin", tmp_path / "v3.bin"
-    write_v1(index, v1)
-    loaded = VectorIndex.load(v1)
-    assert loaded.ids() == index.ids()
-    assert all(loaded.vector(i).tobytes() == index.vector(i).tobytes() for i in index.ids())
-    query = rng.standard_normal(DIM)
-    assert loaded.search(query, 40) == index.search(query, 40)
-    loaded.save(v3)
-    index.save(tmp_path / "direct.bin")
-    assert v3.read_bytes() == (tmp_path / "direct.bin").read_bytes()
 
 
 def test_load_then_save_to_the_same_path_is_byte_identical(tmp_path):
@@ -365,12 +306,11 @@ def test_loaded_vectors_are_read_only_views(tmp_path):
     k=st.integers(min_value=1, max_value=60),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_stored_norms_and_search_match_in_memory_and_version_two(distinct, copies, zeros, k, seed):
+def test_stored_norms_and_search_match_in_memory(distinct, copies, zeros, k, seed):
     """Record counts from 1 to a few hundred, whole multiples of 8 and 128
     or not, with duplicate and all-zero rows: the norms `save` writes are
-    bitwise `np.linalg.norm` of the float64 rows, and the version-3 file,
-    the in-memory index and the same records read from version 2 give the
-    same hits and similarity bytes."""
+    bitwise `np.linalg.norm` of the float64 rows, and the saved file and the
+    in-memory index give the same hits and similarity bytes."""
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((distinct, DIM)) * rng.uniform(0.01, 100.0, (distinct, 1))
     vectors = np.concatenate([vectors, vectors[rng.integers(0, distinct, copies)], np.zeros((zeros, DIM))])
@@ -378,17 +318,15 @@ def test_stored_norms_and_search_match_in_memory_and_version_two(distinct, copie
     for i in rng.permutation(len(vectors)):
         index.insert(f"r{i:04d}", vectors[i], RecordMetadata(path=f"p{i}"))
     with tempfile.TemporaryDirectory() as tmp:
-        v2, v3 = Path(tmp) / "v2.bin", Path(tmp) / "v3.bin"
-        write_v2(index, v2)
-        index.save(v3)
-        from_v2, from_v3 = VectorIndex.load(v2), VectorIndex.load(v3)
-        stored = np.frombuffer(v3.read_bytes()[-8 * len(index):], dtype="<f8")
+        path = Path(tmp) / "index.bin"
+        index.save(path)
+        loaded = VectorIndex.load(path)
+        stored = np.frombuffer(path.read_bytes()[-8 * len(index):], dtype="<f8")
     matrix = np.stack([index.vector(i) for i in index.ids()])
     assert stored.tobytes() == np.linalg.norm(matrix.astype(np.float64), axis=1).tobytes()
     for query in (rng.standard_normal(DIM), vectors[rng.integers(0, distinct)]):
         want = [(h.id, float.hex(h.similarity)) for h in index.search(query, k).hits]
-        for loaded in (from_v3, from_v2):
-            assert [(h.id, float.hex(h.similarity)) for h in loaded.search(query, k).hits] == want
+        assert [(h.id, float.hex(h.similarity)) for h in loaded.search(query, k).hits] == want
 
 
 def _replace_bytes(old, new):
@@ -408,11 +346,6 @@ def _set_norm(value):
     return damage
 
 
-def _list_metadata(file):
-    header_line, _, rest = file.read_bytes().split(b"\n", 2)
-    file.write_bytes(header_line + b"\n[1,2]\n" + rest)
-
-
 def _header_only_negative_count(file):
     file.write_bytes(file.read_bytes().split(b"\n", 1)[0] + b"\n")
     rewrite_header(file, count=-3)
@@ -422,48 +355,63 @@ def _append_bytes(file):
     file.write_bytes(file.read_bytes() + b"\0")
 
 
-# name -> (writer, damage applied to the written file, expected error)
-CORRUPTIONS = {
-    "v1_metadata_is_a_list": ("v1", _list_metadata, IndexCorruptError),
-    "v1_negative_count": ("v1", _header_only_negative_count, IndexCorruptError),
-    "v2_negative_count": ("v2", _header_only_negative_count, IndexCorruptError),
-    "v2_boolean_dim": ("v2", lambda p: rewrite_header(p, dim=True), IndexCorruptError),
-    "v2_missing_dim": ("v2", lambda p: rewrite_header(p, dim=None), IndexCorruptError),
-    "v2_hash_not_text": ("v2", lambda p: rewrite_header(p, band_config_hash=7), IndexCorruptError),
-    "v2_truncated_matrix": ("v2", _cut_tail(5), IndexTruncatedError),
-    "v2_count_above_records": ("v2", lambda p: rewrite_header(p, count=4), IndexCorruptError),
-    "v2_column_length_mismatch": ("v2", lambda p: rewrite_columns(p, span=["1-10"] * 2), IndexCorruptError),
-    "v2_missing_column": ("v2", _replace_bytes(b'"source_kind"', b'"kind"'), IndexCorruptError),
-    "v2_column_not_text": ("v2", lambda p: rewrite_columns(p, path=["a", 2, "c"]), IndexCorruptError),
-    "v2_duplicate_id": ("v2", lambda p: rewrite_columns(p, id=["a", "b", "a"]), IndexCorruptError),
-    "v2_trailing_bytes": ("v2", _append_bytes, IndexCorruptError),
-    "v2_columns_missing": ("v2", lambda p: p.write_bytes(p.read_bytes().split(b"\n")[0] + b"\n"),
-                           IndexTruncatedError),
-    "v3_truncated_norms": ("v3", _cut_tail(5), IndexTruncatedError),
-    "v3_truncated_matrix": ("v3", _cut_tail(3 * 8 + 5), IndexTruncatedError),
-    "v3_trailing_bytes": ("v3", _append_bytes, IndexCorruptError),
-    "v3_nan_norm": ("v3", _set_norm(np.nan), IndexCorruptError),
-    "v3_infinite_norm": ("v3", _set_norm(np.inf), IndexCorruptError),
-    "v3_minus_infinite_norm": ("v3", _set_norm(-np.inf), IndexCorruptError),
-    "v3_negative_norm": ("v3", _set_norm(-1.0), IndexCorruptError),
-    "v3_count_above_records": ("v3", lambda p: rewrite_header(p, count=4), IndexCorruptError),
-}
+def relabel_as_older(file, version):
+    """Give a saved file the header of format `version`; a version-2 file also
+    had no norm block. A version-1 body (per-record lines) is not rebuilt:
+    `load` refuses an older file at its header and reads no further."""
+    header_line = file.read_bytes().split(b"\n", 1)[0]
+    if version == 2:
+        norm_bytes = 8 * json.loads(header_line)["count"]
+        file.write_bytes(file.read_bytes()[: -norm_bytes or None])
+    rewrite_header(file, format_version=version)
 
-WRITERS = {"v1": write_v1, "v2": write_v2, "v3": VectorIndex.save}
+
+def _older(version, damage):
+    """`damage` on a file of format `version`: the version check fires first."""
+    def relabel_and_damage(file):
+        relabel_as_older(file, version)
+        damage(file)
+    return relabel_and_damage
+
+
+# name -> (damage applied to a saved three-record file, expected error)
+CORRUPTIONS = {
+    "v3_negative_count": (_header_only_negative_count, IndexCorruptError),
+    "v3_boolean_dim": (lambda p: rewrite_header(p, dim=True), IndexCorruptError),
+    "v3_missing_dim": (lambda p: rewrite_header(p, dim=None), IndexCorruptError),
+    "v3_hash_not_text": (lambda p: rewrite_header(p, band_config_hash=7), IndexCorruptError),
+    "v3_column_length_mismatch": (lambda p: rewrite_columns(p, span=["1-10"] * 2), IndexCorruptError),
+    "v3_missing_column": (_replace_bytes(b'"source_kind"', b'"kind"'), IndexCorruptError),
+    "v3_column_not_text": (lambda p: rewrite_columns(p, path=["a", 2, "c"]), IndexCorruptError),
+    "v3_duplicate_id": (lambda p: rewrite_columns(p, id=["a", "b", "a"]), IndexCorruptError),
+    "v3_columns_missing": (lambda p: p.write_bytes(p.read_bytes().split(b"\n")[0] + b"\n"), IndexTruncatedError),
+    "v3_truncated_norms": (_cut_tail(5), IndexTruncatedError),
+    "v3_truncated_matrix": (_cut_tail(3 * 8 + 5), IndexTruncatedError),
+    "v3_trailing_bytes": (_append_bytes, IndexCorruptError),
+    "v3_nan_norm": (_set_norm(np.nan), IndexCorruptError),
+    "v3_infinite_norm": (_set_norm(np.inf), IndexCorruptError),
+    "v3_minus_infinite_norm": (_set_norm(-np.inf), IndexCorruptError),
+    "v3_negative_norm": (_set_norm(-1.0), IndexCorruptError),
+    "v3_count_above_records": (lambda p: rewrite_header(p, count=4), IndexCorruptError),
+    "v1_negative_count": (_older(1, _header_only_negative_count), IndexVersionError),
+    "v2_negative_count": (_older(2, _header_only_negative_count), IndexVersionError),
+    "v2_truncated_matrix": (_older(2, _cut_tail(5)), IndexVersionError),
+    "v2_trailing_bytes": (_older(2, _append_bytes), IndexVersionError),
+    "v2_count_above_records": (_older(2, lambda p: rewrite_header(p, count=4)), IndexVersionError),
+}
 
 
 def write_corrupt_index(path, name):
-    """A three-record index file in `name`'s layout with `name`'s damage."""
-    writer, damage, _ = CORRUPTIONS[name]
-    WRITERS[writer](build_index(np.random.default_rng(11), 3), path)
-    damage(path)
+    """A saved three-record index file with `name`'s damage."""
+    build_index(np.random.default_rng(11), 3).save(path)
+    CORRUPTIONS[name][0](path)
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_corrupt_file_raises_its_error_kind(tmp_path, name):
     path = tmp_path / "index.bin"
     write_corrupt_index(path, name)
-    with pytest.raises(CORRUPTIONS[name][2]):
+    with pytest.raises(CORRUPTIONS[name][1]):
         VectorIndex.load(path)
 
 
