@@ -19,6 +19,11 @@ selected by indentation, with `#` comments. YAML anchors, aliases, tags,
 flow collections, directives, and multi-document markers are rejected so
 that a config file means the same thing everywhere. Every setting has a
 default; a file only overrides what it names. Unknown keys are errors.
+
+The records declare the keys: a field is read from its section under its
+name, as its default's type (`_read_fields`), except that `simulate.device`,
+`fusion.priors` and `network.initial_state` name `SimConfig.device_class`,
+`FusionWeights.prior` and `SimConfig.initial_network`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from typing import Mapping
 
 from .base import Battery, Complexity, ConfigError, ContextSource, DeviceClass, NetworkState, PolicyKind, TaskKind
@@ -540,15 +546,51 @@ def _to_member(enum, value, error: str):
         raise ConfigError(error) from None
 
 
-def _number_map(section: _Section, key: str, defaults: dict, enum=Complexity, what="complexity") -> dict:
+# The word a config error uses for a key of each enum that keys a number map.
+_NOUNS = {Complexity: "complexity", TaskKind: "task kind", ContextSource: "source"}
+
+
+def _number_map(section: _Section, key: str, defaults: dict, enum=Complexity) -> dict:
     """`defaults` with the numbers of the map `section.key` laid over them;
     its keys must be values of `enum`."""
     result = dict(defaults)
     name = f"{section.name}.{key}"
     for entry, value in (section.take_map(key) or {}).items():
-        member = _to_member(enum, entry, f"{name}: unknown {what} {entry!r}")
+        member = _to_member(enum, entry, f"{name}: unknown {_NOUNS[enum]} {entry!r}")
         result[member] = _to_number(value, f"{name}.{entry}")
     return result
+
+
+def _config_key(record_field, keys: Mapping[str, str | None]) -> str | None:
+    """A record field's config key: its name unless `keys` renames it; None
+    for a nested record or a field `keys` maps to None (read elsewhere)."""
+    if record_field.default is None or is_dataclass(record_field.default_factory):
+        return None
+    return keys.get(record_field.name, record_field.name)
+
+
+def _read_fields(section: _Section, record, keys: Mapping[str, str | None] = {}) -> dict:
+    """The fields of the setting record class `record` that `section` sets,
+    as keywords for its constructor, each read as its default's type: an
+    int, a number, a member of its enum, or a map over an enum laid over the
+    default map. A field the section does not name is left out, so the
+    record's own default applies; a key of no field stays in the section
+    for `_Section.finish` to report."""
+    values = {}
+    for f in fields(record):
+        key = _config_key(f, keys)
+        if key is None or key not in section.data:
+            continue
+        default = f.default if f.default is not MISSING else f.default_factory()
+        if isinstance(default, Enum):
+            values[f.name] = section.member(key, default)
+        elif isinstance(default, dict):
+            values[f.name] = _number_map(section, key, default, type(next(iter(default))))
+        elif isinstance(default, int):
+            values[f.name] = section.integer(key, None)
+        elif isinstance(default, float):
+            values[f.name] = section.number(key, None)
+    return values
 
 
 @dataclass(eq=False)
@@ -567,32 +609,12 @@ class AppConfig:
 
 
 def config_from_dict(data: dict) -> AppConfig:
-    defaults = AppConfig()
-    base = defaults.sim
     top = _Section(data, "<top>")
 
     router = _Section(top.take_map("router"), "router")
-    cost = _checked(
-        lambda: CostModel(
-            w_latency=router.number("w_latency", base.router.cost.w_latency),
-            w_energy=router.number("w_energy", base.router.cost.w_energy),
-            w_accuracy=router.number("w_accuracy", base.router.cost.w_accuracy),
-            discount_gamma=router.number("discount_gamma", base.router.cost.discount_gamma),
-        ),
-        "router",
-    )
-    tolerance = router.number("tolerance", base.router.tolerance)
-    device = _checked(
-        lambda: DeviceProfile(
-            edge_base_latency_ms=_number_map(router, "edge_base_latency_ms", base.router.device.edge_base_latency_ms),
-            edge_energy_units=_number_map(router, "edge_energy_units", base.router.device.edge_energy_units),
-            edge_accuracy_loss=_number_map(router, "edge_accuracy_loss", base.router.device.edge_accuracy_loss),
-            cpu_latency_multiplier=router.number("cpu_latency_multiplier", base.router.device.cpu_latency_multiplier),
-        ),
-        "router",
-    )
-    p_drain = router.number("p_drain", base.router.p_drain)
-    complexity_mix = _number_map(router, "complexity_mix", base.router.complexity_mix)
+    cost = _checked(lambda: CostModel(**_read_fields(router, CostModel)), "router")
+    device = _checked(lambda: DeviceProfile(**_read_fields(router, DeviceProfile)), "router")
+    odds = _read_fields(router, RouterConfig)
     # What `default_network_model` derives the RTTs and cloud energy from.
     good_rtt_ms = router.number("good_rtt_ms", DEFAULT_GOOD_RTT_MS)
     degraded_rtt_factor = router.number("degraded_rtt_factor", DEFAULT_DEGRADED_RTT_FACTOR)
@@ -612,7 +634,7 @@ def config_from_dict(data: dict) -> AppConfig:
     _checked(check_router, "router")
 
     network_section = _Section(top.take_map("network"), "network")
-    initial_network = network_section.member("initial_state", base.initial_network)
+    initial_network = network_section.member("initial_state", SimConfig.initial_network)
     matrix_raw = network_section.take_map("transition_matrix")
     if matrix_raw is None:
         matrix = DEFAULT_TRANSITIONS
@@ -634,13 +656,11 @@ def config_from_dict(data: dict) -> AppConfig:
         ),
         "network",
     )
-    router_config = _checked(lambda: RouterConfig(cost, device, network, complexity_mix=complexity_mix,
-                                                  p_drain=p_drain, tolerance=tolerance), "router")
+    router_config = _checked(lambda: RouterConfig(cost, device, network, **odds), "router")
 
     workload_section = _Section(top.take_map("workload"), "workload")
-    default_spec = base.workload_spec
-    mix = _number_map(workload_section, "mix", default_spec.mix, TaskKind, "task kind")
-    ranges = dict(default_spec.ranges)
+    workload = _read_fields(workload_section, WorkloadSpec, {"ranges": None})
+    ranges = _default_ranges()
     for key, value in (workload_section.take_map("ranges") or {}).items():
         kind = _to_member(TaskKind, key, f"workload.ranges: unknown task kind {key!r}")
         sub = _Section(value, f"workload.ranges.{key}")
@@ -654,67 +674,39 @@ def config_from_dict(data: dict) -> AppConfig:
             sub.name,
         )
         sub.finish()
-    inter_arrival = workload_section.number("inter_arrival_mean_s", default_spec.inter_arrival_mean_s)
     workload_section.finish()
-    workload_spec = _checked(
-        lambda: WorkloadSpec(mix=mix, ranges=ranges, inter_arrival_mean_s=inter_arrival), "workload"
-    )
+    workload_spec = _checked(lambda: WorkloadSpec(ranges=ranges, **workload), "workload")
 
     embed_section = _Section(top.take_map("embed"), "embed")
-    default_bands = defaults.bands
-    bands = _checked(
-        lambda: BandConfig(
-            structural_dims=embed_section.integer("structural_dims", default_bands.structural_dims),
-            identifier_dims=embed_section.integer("identifier_dims", default_bands.identifier_dims),
-            literal_dims=embed_section.integer("literal_dims", default_bands.literal_dims),
-            identifier_weight=embed_section.number("identifier_weight", default_bands.identifier_weight),
-            wl_iterations=embed_section.integer("wl_iterations", default_bands.wl_iterations),
-            hash_seed=embed_section.integer("hash_seed", default_bands.hash_seed),
-        ),
-        "embed",
-    )
+    bands = _checked(lambda: BandConfig(**_read_fields(embed_section, BandConfig)), "embed")
     embed_section.finish()
 
     fusion_section = _Section(top.take_map("fusion"), "fusion")
-    default_fusion = defaults.fusion_weights
-    priors = _number_map(fusion_section, "priors", default_fusion.prior, ContextSource, "source")
     fusion_weights = _checked(
-        lambda: FusionWeights(
-            prior=priors,
-            temperature=fusion_section.number("temperature", default_fusion.temperature),
-            recency_half_life_s=fusion_section.number("recency_half_life_s", default_fusion.recency_half_life_s),
-            breakpoint_boost=fusion_section.number("breakpoint_boost", default_fusion.breakpoint_boost),
-        ),
-        "fusion",
+        lambda: FusionWeights(**_read_fields(fusion_section, FusionWeights, {"prior": "priors"})), "fusion"
     )
     fusion_section.finish()
 
     index_section = _Section(top.take_map("index"), "index")
-    max_files = index_section.integer("max_files", defaults.max_files)
-    if max_files < 0:
+    index = _read_fields(index_section, AppConfig, {"compare_policy_names": None})
+    if index.get("max_files", 0) < 0:
         raise ConfigError("index.max_files must be >= 0")
     index_section.finish()
 
     sim_section = _Section(top.take_map("simulate"), "simulate")
     sim = _checked(
         lambda: SimConfig(
-            n_tasks=sim_section.integer("n_tasks", base.n_tasks),
-            seed=sim_section.integer("seed", base.seed),
-            policy=sim_section.member("policy", base.policy),
             router=router_config,
-            device_class=sim_section.member("device", base.device_class),
-            battery=sim_section.member("battery", base.battery),
             initial_network=initial_network,
             workload_spec=workload_spec,
-            offline_timeout_ms=sim_section.number("offline_timeout_ms", base.offline_timeout_ms),
-            sub_second_ms=sim_section.number("sub_second_ms", base.sub_second_ms),
+            **_read_fields(sim_section, SimConfig, {"device_class": "device", "initial_network": None}),
         ),
         "simulate",
     )
     sim_section.finish()
 
     compare_section = _Section(top.take_map("compare"), "compare")
-    policy_names = compare_section.take("policies", list(defaults.compare_policy_names))
+    policy_names = compare_section.take("policies", list(AppConfig.compare_policy_names))
     if not isinstance(policy_names, list) or not policy_names:
         raise ConfigError("compare.policies must be a non-empty list")
     for i, name in enumerate(policy_names):
@@ -729,8 +721,8 @@ def config_from_dict(data: dict) -> AppConfig:
         sim=sim,
         bands=bands,
         fusion_weights=fusion_weights,
-        max_files=max_files,
         compare_policy_names=tuple(policy_names),
+        **index,
     )
 
 

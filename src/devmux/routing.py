@@ -190,28 +190,22 @@ class MdpModel:
                 raise ValueError("legal transition rows must each sum to 1")
 
 
-def build_mdp(
-    device: DeviceProfile,
-    network: NetworkModel,
-    cost: CostModel,
-    workload_mix: dict[Complexity, float] | None = None,
-    p_drain: float = DEFAULT_P_DRAIN,
-) -> MdpModel:
-    """Assemble the routing MDP.
+def build_mdp(router: RouterConfig) -> MdpModel:
+    """Assemble the routing MDP that `router` describes; the record has
+    checked its odds and its solvability on construction.
 
     Rewards are negated weighted costs. Between decisions the network
     evolves by its Markov chain, the next task's complexity is redrawn
-    i.i.d. from `workload_mix`, the battery may drop from ok to low in
-    proportion to the energy just spent (low is absorbing), and the device
-    class stays fixed.
+    i.i.d. from `router.complexity_mix`, the battery may drop from ok to low
+    in proportion to the energy just spent (by `drain_odds` at
+    `router.p_drain`; low is absorbing), and the device class stays fixed.
     """
-    workload_mix = default_complexity_mix() if workload_mix is None else workload_mix
-    check_odds(workload_mix, p_drain)
-    mix_values = np.array([workload_mix[c] for c in COMPLEXITIES], dtype=np.float64)
+    cost, network = router.cost, router.network
+    mix_values = np.array([router.complexity_mix[c] for c in COMPLEXITIES], dtype=np.float64)
     mix_values /= mix_values.sum()
-    costs = cost_table(device, network)
+    costs = cost_table(router.device, network)
     weighted = cost.w_latency * costs[..., 0] + cost.w_energy * costs[..., 1] + cost.w_accuracy * costs[..., 2]
-    to_low = drain_odds(costs, p_drain)
+    to_low = drain_odds(costs, router.p_drain)
 
     # Axes (action, c, d, n, b, c', d', n', b') of state (c, d, n, b) to
     # state (c', d', n', b'): c' from the mix, n' by the chain from n, the
@@ -286,8 +280,7 @@ def value_iteration(mdp: MdpModel, tolerance: float = DEFAULT_TOLERANCE) -> Rout
 
 def solve_policy(router: RouterConfig) -> RoutingPolicy:
     """The routing policy `router` describes."""
-    mdp = build_mdp(router.device, router.network, router.cost, router.complexity_mix, router.p_drain)
-    return value_iteration(mdp, router.tolerance)
+    return value_iteration(build_mdp(router), router.tolerance)
 
 
 def policy_fingerprint(router: RouterConfig) -> str:

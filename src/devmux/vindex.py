@@ -142,13 +142,19 @@ class VectorIndex:
 
     def insert(self, record_id: str, vector: np.ndarray, metadata: RecordMetadata) -> None:
         """Store one record. Vectors are quantized to float32, the stored
-        width. Duplicate ids and dimension mismatches are rejected."""
+        width. Duplicate ids, dimension mismatches and vectors with an entry
+        that is not finite in float32 (NaN, infinite, or beyond its range)
+        are rejected, since `load` refuses the norm such a row gets."""
         if record_id in self._rows:
             raise ValueError(f"duplicate record id {record_id!r}")
         vector = np.asarray(vector)
         if vector.shape != (self.dim,):
             raise ValueError(f"vector must have shape ({self.dim},), got {vector.shape}")
-        self._pending.append(vector.astype("<f4"))
+        with np.errstate(over="ignore"):
+            stored = vector.astype("<f4")
+        if not np.isfinite(stored).all():
+            raise ValueError(f"vector for {record_id!r} has an entry that is not finite in float32")
+        self._pending.append(stored)
         self._rows[record_id] = len(self._ids)
         self._ids.append(record_id)
         self._paths.append(metadata.path)

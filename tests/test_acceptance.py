@@ -24,16 +24,13 @@ from devmux.routing import (
     Action,
     Battery,
     Complexity,
-    CostModel,
     DeviceClass,
-    DeviceProfile,
     MdpModel,
     N_STATES,
     NetworkState,
     RoutingState,
     all_states,
     build_mdp,
-    default_network_model,
     value_iteration,
 )
 from devmux.configfile import RouterConfig
@@ -93,8 +90,7 @@ def test_criterion_1_mdp_solver_matches_oracle():
 
 
 def test_criterion_2_routing_qualitative_fidelity():
-    device = DeviceProfile()
-    mdp = build_mdp(device, default_network_model(device), CostModel())
+    mdp = build_mdp(RouterConfig())
     policy = value_iteration(mdp)
     low_state = RoutingState(Complexity.LOW, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
     high_state = RoutingState(Complexity.HIGH, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)

@@ -1,8 +1,12 @@
+import copy
+import functools
 from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 import pytest
 
+from devmux import base, configfile
 from devmux.configfile import (
     ConfigError,
     ConfigParseError,
@@ -82,6 +86,12 @@ POLICY_SETTING_CHANGES = {
         "offline": {"good": 0.5, "degraded": 0.3, "offline": 0.2},
     },
 }
+
+
+def documented_config() -> dict:
+    """The YAML block of the config reference, parsed."""
+    reference = (Path(__file__).parents[1] / "docs" / "config_reference.md").read_text(encoding="utf-8")
+    return parse_config_text(reference.split("```yaml\n", 1)[1].split("```", 1)[0])
 
 
 class TestParser:
@@ -250,16 +260,12 @@ class TestAssembly:
         )
 
     def test_router_fingerprint_cases_cover_every_router_key(self):
-        reference = (Path(__file__).parents[1] / "docs" / "config_reference.md").read_text(encoding="utf-8")
-        block = reference.split("```yaml\n", 1)[1].split("```", 1)[0]
-        documented = set(parse_config_text(block)["router"]) | {"cloud_energy_units"}  # commented out there
+        documented = set(documented_config()["router"]) | {"cloud_energy_units"}  # commented out there
         assert {key for section, key in POLICY_SETTING_CHANGES if section == "router"} == documented
 
 
 def test_documented_defaults_match_code():
-    reference = (Path(__file__).parents[1] / "docs" / "config_reference.md").read_text(encoding="utf-8")
-    block = reference.split("```yaml\n", 1)[1].split("```", 1)[0]
-    documented = config_from_dict(parse_config_text(block))
+    documented = config_from_dict(documented_config())
     default = load_config(None)
     assert policy_fingerprint(documented.sim.router) == policy_fingerprint(default.sim.router)
     for f in fields(SimConfig):
@@ -269,3 +275,83 @@ def test_documented_defaults_match_code():
     assert documented.fusion_weights == default.fusion_weights
     assert documented.max_files == default.max_files
     assert documented.compare_policy_names == default.compare_policy_names
+
+
+def leaves(tree: dict, path=()):
+    """The path of every leaf of a parsed config."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaves(value, (*path, key))
+        else:
+            yield (*path, key)
+
+
+def other_values(parent: dict, key: str, value):
+    """Changes to the leaf `parent[key]` as (key, value) lists. A number moves
+    by about half, alone or with one sibling moving the other way or the
+    same way, so that a map that must sum to a total or keep min <= max has
+    a valid change too. A list loses its last item; an enum value becomes
+    each other member of its enum."""
+    if isinstance(value, list):
+        yield [(key, value[:-1])]
+    elif isinstance(value, str):
+        for enum in vars(base).values():
+            if isinstance(enum, type) and issubclass(enum, Enum) and value in {m.value for m in enum}:
+                yield from ([(key, m.value)] for m in enum if m.value != value)
+    else:
+        step = (value // 2 or 1) if isinstance(value, int) else (value / 2 or 0.5)
+        for moved in (value - step, value + step):
+            yield [(key, moved)]
+            for sibling, other in parent.items():
+                if sibling != key and isinstance(other, (int, float)):
+                    yield [(key, moved), (sibling, other + step)]
+                    yield [(key, moved), (sibling, other - step)]
+
+
+@pytest.mark.parametrize("path", leaves(documented_config()), ids=".".join)
+def test_each_documented_key_is_read(path):
+    """Another valid value of each documented key changes the loaded config."""
+    data = documented_config()
+    default = repr(config_from_dict(data))
+    *sections, key = path
+    parent = functools.reduce(dict.__getitem__, sections, data)
+    tried = []
+    for change in other_values(parent, key, parent[key]):
+        changed = copy.deepcopy(data)
+        functools.reduce(dict.__getitem__, sections, changed).update(change)
+        try:
+            loaded = config_from_dict(changed)
+        except ConfigError as err:
+            tried.append(f"{change}: {err}")
+            continue
+        assert repr(loaded) != default, f"{'.'.join(path)} -> {change} loads but changes nothing"
+        return
+    pytest.fail(f"no valid change of {'.'.join(path)}: {tried}")
+
+
+def test_each_record_field_the_reader_reads_is_documented(monkeypatch):
+    read = []
+    original = configfile._read_fields
+
+    def spy(section, record, keys={}):
+        read.append((section.name, record, keys))
+        return original(section, record, keys)
+
+    monkeypatch.setattr(configfile, "_read_fields", spy)
+    config_from_dict({})
+    documented = documented_config()
+    assert {name for name, _, _ in read} == {"router", "workload", "embed", "fusion", "index", "simulate"}
+    for name, record, keys in read:
+        for f in fields(record):
+            key = configfile._config_key(f, keys)
+            assert key is None or key in documented[name], f"{record.__name__}.{f.name} is not {name}.{key}"
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("network", "n_tasks", 5), ("simulate", "initial_state", "good"), ("simulate", "initial_network", "good"),
+     ("router", "network", 1), ("index", "sim", 1)],
+)
+def test_a_field_key_in_another_section_is_unknown(section, key, value):
+    with pytest.raises(ConfigError, match=f"^unknown keys in section '{section}': {key}$"):
+        config_from_dict({section: {key: value}})

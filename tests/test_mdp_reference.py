@@ -28,6 +28,7 @@ from devmux.routing import (
     build_mdp,
     cost_breakdown,
 )
+from devmux.configfile import RouterConfig
 
 
 def reference_mdp(device, network, cost, mix, p_drain):
@@ -115,7 +116,7 @@ def test_build_mdp_matches_reference(edge_latency, edge_energy, edge_loss, cpu_m
     mix = dict(zip(COMPLEXITIES, np.array(mix) / sum(mix)))
 
     rewards, transitions, mask = reference_mdp(device, network, cost, mix, p_drain)
-    mdp = build_mdp(device, network, cost, mix, p_drain)
+    mdp = build_mdp(RouterConfig(cost, device, network, complexity_mix=mix, p_drain=p_drain))
     assert mdp.action_mask.tobytes() == mask.tobytes()
     assert mdp.rewards[mask].tobytes() == rewards[mask].tobytes()
     assert mdp.transitions.tobytes() == transitions.tobytes()

@@ -41,7 +41,7 @@ NETWORK = default_network_model(DEVICE)
 
 
 def default_mdp(**cost_kwargs):
-    return build_mdp(DEVICE, NETWORK, CostModel(**cost_kwargs))
+    return build_mdp(RouterConfig(CostModel(**cost_kwargs), DEVICE, NETWORK))
 
 
 def finite_horizon_values(mdp, horizon):
@@ -166,10 +166,8 @@ class TestBuildMdp:
             cost_breakdown(DEVICE, NETWORK, state, Action.CLOUD)
 
     def test_rejects_bad_workload_mix(self):
-        device = DeviceProfile()
-        network = default_network_model(device)
         with pytest.raises(ValueError):
-            build_mdp(device, network, CostModel(), workload_mix={c: 0.5 for c in COMPLEXITIES})
+            RouterConfig(complexity_mix={c: 0.5 for c in COMPLEXITIES})
 
     def test_rejects_non_stochastic_matrix(self):
         device = DeviceProfile()

@@ -59,6 +59,26 @@ def test_duplicate_id_rejected_and_index_unchanged():
     assert index.ids() == ("a",)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "beyond_float32"])
+def test_non_finite_vector_rejected_and_index_unchanged(entry, tmp_path):
+    index = VectorIndex("h")
+    index.insert("a", np.ones(DIM), RecordMetadata(path="a.java"))
+    vector = np.ones(DIM)
+    vector[DIM // 2] = entry
+    with pytest.raises(ValueError, match="not finite"):
+        index.insert("b", vector, RecordMetadata(path="b.java"))
+    with pytest.raises(ValueError, match="not finite"):
+        index.insert("c", np.full(DIM, entry), RecordMetadata(path="c.java"))
+    assert index.ids() == ("a",)
+    index.insert("b", np.zeros(DIM), RecordMetadata(path="b.java"))
+    path = tmp_path / "index.bin"
+    index.save(path)
+    loaded = VectorIndex.load(path)
+    assert loaded.ids() == ("a", "b")
+    assert loaded.vector("a").tobytes() == index.vector("a").tobytes()
+    assert loaded.search(np.ones(DIM), 2).ids() == ["a", "b"]
+
+
 def test_dimension_mismatch_rejected():
     index = VectorIndex("h")
     with pytest.raises(ValueError, match="shape"):
