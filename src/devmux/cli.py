@@ -26,6 +26,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 DEFAULT_EXTENSIONS = (".java", ".mini")
+# About how many graph nodes `index` embeds in one call (about 8 files of the
+# benchmark tree): larger groups were no faster and raised the allocation peak.
+INDEX_GROUP_NODES = 1000
 
 
 def _dump_json(payload: dict) -> str:
@@ -40,7 +43,7 @@ def _fail(message: str, code: int) -> int:
 def cmd_index(args) -> int:
     from .codegraph import ParseError, parse_to_graph
     from .configfile import load_config
-    from .embedding import WLLabels, graph_to_vector
+    from .embedding import WLLabels, graphs_to_vectors
     from .vindex import RecordMetadata, VectorIndex
 
     config = load_config(args.config)
@@ -57,6 +60,16 @@ def cmd_index(args) -> int:
     index = VectorIndex(band_config_hash=config.bands.fingerprint())
     parse_failures: list[str] = []
     wl = WLLabels()
+    # Parsed files wait as (id, graph, metadata) and are embedded together
+    # once the next file would take the group past INDEX_GROUP_NODES nodes.
+    group: list[tuple] = []
+
+    def embed_group() -> None:
+        vectors = graphs_to_vectors([graph for _, graph, _ in group], config.bands, wl)
+        for (rel, _, metadata), vector in zip(group, vectors):
+            index.insert(rel, vector, metadata)
+        group.clear()
+
     for path in selected:
         rel = path.relative_to(root).as_posix()
         source = path.read_text(encoding="utf-8", errors="replace")
@@ -66,12 +79,12 @@ def cmd_index(args) -> int:
             parse_failures.append(rel)
             print(f"warning: skipping {rel}: {err}", file=sys.stderr)
             continue
-        vector = graph_to_vector(graph, config.bands, wl)
-        index.insert(
-            rel,
-            vector,
-            RecordMetadata(path=rel, span=f"1-{source.count(chr(10)) + 1}", source_kind="file"),
-        )
+        if group and sum(len(g) for _, g, _ in group) + len(graph) > INDEX_GROUP_NODES:
+            embed_group()
+        span = f"1-{source.count(chr(10)) + 1}"
+        group.append((rel, graph, RecordMetadata(path=rel, span=span, source_kind="file")))
+    if group:
+        embed_group()
 
     if skipped_cap:
         names = ", ".join(p.relative_to(root).as_posix() for p in skipped_cap)
@@ -226,7 +239,10 @@ def cmd_simulate(args) -> int:
     from .simulate import run_simulation, workload_from_config
 
     config = load_config(args.config)
-    sim = config.sim_config(seed=args.seed, n_tasks=args.n_tasks)
+    try:
+        sim = config.sim_config(seed=args.seed, n_tasks=args.n_tasks)
+    except ValueError as err:  # the record's bound on n_tasks; argparse checked the rest
+        return _fail(f"argument --n-tasks: {err}", EXIT_USAGE)
     report, trace = run_simulation(workload_from_config(sim), sim)
     payload = {
         "policy": sim.policy.value,
@@ -269,6 +285,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _suffix(text: str) -> str:
+    """An `index --ext` value: a file suffix as `Path.suffix` gives it."""
+    if not text.startswith(".") or text == ".":
+        raise argparse.ArgumentTypeError(f"must be a suffix starting with '.', such as '.mini', got {text!r}")
+    return text
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `devmux` argument parser; its description is this module's docstring.
@@ -286,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-files", type=_non_negative_int, default=None, help="file cap (default: index.max_files)")
     p.add_argument("--out", default="index.bin")
     p.add_argument("--config", default=None)
-    p.add_argument("--ext", action="append", help="file suffix to include (repeatable)")
+    p.add_argument("--ext", action="append", type=_suffix, help="file suffix to include, such as .mini (repeatable)")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("query", help="search the index and fuse a context bundle")

@@ -235,9 +235,19 @@ class _GraphBuilder:
         return CodeGraph(self.labels, self.names, self.src, self.dst, self.kinds)
 
 
+# Kind of the token that closes a parser's token list; no lexed token has it.
+_END = "end"
+
+
 class _MiniParser:
+    """A recursive-descent parser over a token list closed by an `_END`
+    token, so every rule reads `tokens[pos]` with no bounds check. The
+    sentinel sits just past the last real token, where a rule that runs
+    into it reports "unexpected end of input"."""
+
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        _, text, line, col = tokens[-1]
+        self.tokens = [*tokens, (_END, "", line, col + len(text))]
         self.pos = 0
         self.g = _GraphBuilder()
         # (class_name, class_node, superclass_name or None)
@@ -248,35 +258,31 @@ class _MiniParser:
         self.calls: list[tuple[str, int | None, bool]] = []
         self.current_method: int | None = None
 
-    def peek(self, offset: int = 0) -> Token | None:
-        idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    @staticmethod
+    def error(tok: Token, message: str) -> ParseError:
+        """`message` at `tok`, or "unexpected end of input" at the sentinel."""
+        if tok[0] == _END:
+            message = "unexpected end of input"
+        return ParseError(message, tok[2], tok[3])
 
-    def advance(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            _, text, line, col = self.tokens[-1]
-            raise ParseError("unexpected end of input", line, col + len(text))
+    def expect(self, kind: str, text: str | None = None) -> Token:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            want = text if text is not None else kind
+            raise self.error(tok, f"expected {want!r}, found {tok[1]!r}")
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.advance()
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok[1]!r}", tok[2], tok[3])
-        return tok
-
-    def at(self, kind: str, text: str | None = None, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok is not None and tok[0] == kind and (text is None or tok[1] == text)
+    def at(self, kind: str, text: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok[1] == text and tok[0] == kind
 
     def parse_unit(self) -> CodeGraph:
-        while self.peek() is not None:
+        while self.tokens[self.pos][0] != _END:
             if self.at("keyword", "class"):
                 self.parse_class()
             else:
-                self.parse_method_or_field(in_class=False)
+                self.parse_method_or_field()
         self.resolve()
         return self.g.finish()
 
@@ -285,18 +291,18 @@ class _MiniParser:
         name = self.expect("ident")[1]
         superclass = None
         if self.at("keyword", "extends"):
-            self.advance()
+            self.pos += 1
             superclass = self.expect("ident")[1]
         node = self.g.node("class-decl", name)
         self.classes.append((name, node, superclass))
         self.expect("punct", "{")
         members: list[int] = []
         while not self.at("punct", "}"):
-            members.append(self.parse_method_or_field(in_class=True))
+            members.append(self.parse_method_or_field())
         self.expect("punct", "}")
         self.g.attach_children(node, members)
 
-    def parse_method_or_field(self, in_class: bool) -> int:
+    def parse_method_or_field(self) -> int:
         self.expect("ident")  # declared type; not represented structurally
         name = self.expect("ident")[1]
         if self.at("punct", "("):
@@ -304,7 +310,7 @@ class _MiniParser:
         node = self.g.node("field-decl", name)
         children: list[int] = []
         if self.at("punct", "="):
-            self.advance()
+            self.pos += 1
             children.append(self.parse_expr())
         self.expect("punct", ";")
         self.g.attach_children(node, children)
@@ -320,7 +326,7 @@ class _MiniParser:
             pname = self.expect("ident")[1]
             children.append(self.g.node("param", pname))
             if self.at("punct", ","):
-                self.advance()
+                self.pos += 1
         self.expect("punct", ")")
         outer = self.current_method
         self.current_method = node
@@ -329,36 +335,47 @@ class _MiniParser:
         self.g.attach_children(node, children)
         return node
 
+    # The rules below run once per statement or expression, so they read the
+    # token list by index rather than through `at` and `expect`.
+
     def parse_block(self) -> int:
         self.expect("punct", "{")
         node = self.g.node("block")
         children: list[int] = []
-        while not self.at("punct", "}"):
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok[1] == "}" and tok[0] == "punct":
+                break
             children.append(self.parse_stmt())
-        self.expect("punct", "}")
+        self.pos += 1
         self.g.attach_children(node, children)
         return node
 
     def parse_stmt(self) -> int:
-        if self.at("punct", "{"):
+        tokens = self.tokens
+        pos = self.pos
+        kind, text = tokens[pos][:2]
+        if kind == "punct" and text == "{":
             return self.parse_block()
-        if self.at("keyword", "return"):
-            self.advance()
+        if kind == "keyword" and text == "return":
+            self.pos = pos + 1
             node = self.g.node("return")
             children: list[int] = []
-            if not self.at("punct", ";"):
+            tok = tokens[pos + 1]
+            if not (tok[1] == ";" and tok[0] == "punct"):
                 children.append(self.parse_expr())
             self.expect("punct", ";")
             self.g.attach_children(node, children)
             return node
         # Two adjacent identifiers open a local declaration: "Foo bar = ...;"
-        if self.at("ident") and self.at("ident", offset=1):
-            self.advance()
-            name = self.advance()[1]
-            node = self.g.node("var-decl", name)
+        if kind == "ident" and tokens[pos + 1][0] == "ident":
+            self.pos = pos + 2
+            node = self.g.node("var-decl", tokens[pos + 1][1])
             children = []
-            if self.at("punct", "="):
-                self.advance()
+            tok = tokens[pos + 2]
+            if tok[1] == "=" and tok[0] == "punct":
+                self.pos = pos + 3
                 children.append(self.parse_expr())
             self.expect("punct", ";")
             self.g.attach_children(node, children)
@@ -369,8 +386,9 @@ class _MiniParser:
 
     def parse_expr(self) -> int:
         left = self.parse_primary()
-        if self.at("punct", "="):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok[1] == "=" and tok[0] == "punct":
+            self.pos += 1
             right = self.parse_expr()
             node = self.g.node("assign")
             self.g.attach_children(node, [left, right])
@@ -378,27 +396,38 @@ class _MiniParser:
         return left
 
     def parse_primary(self) -> int:
-        kind, name, line, col = self.advance()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind, name = tok[:2]
         if kind == "string":
+            self.pos += 1
             return self.g.node("string-literal", name)
         if kind == "number":
+            self.pos += 1
             return self.g.node("number-literal", name)
         if kind != "ident":
-            raise ParseError(f"expected expression, found {name!r}", line, col)
+            raise self.error(tok, f"expected expression, found {name!r}")
+        self.pos += 1
         dotted = False
-        while self.at("punct", "."):
-            self.advance()
+        tok = tokens[self.pos]
+        while tok[1] == "." and tok[0] == "punct":
+            self.pos += 1
             name += "." + self.expect("ident")[1]
             dotted = True
-        if self.at("punct", "("):
-            self.advance()
+            tok = tokens[self.pos]
+        if tok[1] == "(" and tok[0] == "punct":
+            self.pos += 1
             node = self.g.node("call-expr", name)
             args: list[int] = []
-            while not self.at("punct", ")"):
+            while True:
+                tok = tokens[self.pos]
+                if tok[1] == ")" and tok[0] == "punct":
+                    break
                 args.append(self.parse_expr())
-                if self.at("punct", ","):
-                    self.advance()
-            self.expect("punct", ")")
+                tok = tokens[self.pos]
+                if tok[1] == "," and tok[0] == "punct":
+                    self.pos += 1
+            self.pos += 1
             self.g.attach_children(node, args)
             self.calls.append((name, self.current_method, dotted))
             return node

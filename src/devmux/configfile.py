@@ -42,6 +42,7 @@ VECTOR_DIM = 768
 STOCHASTIC_TOL = 1e-9
 DEFAULT_TOLERANCE = 1e-8  # value-iteration stopping threshold
 MAX_SWEEPS = 1_000_000  # value-iteration sweeps a config may need, by the contraction bound
+MAX_TASKS = 10_000_000  # simulate.n_tasks bound: 1,000 times the 10k-task protocol size
 DEFAULT_P_DRAIN = 0.05
 DEFAULT_GOOD_RTT_MS = 2400.0  # median round trip observed for cloud-hosted assistants
 DEFAULT_DEGRADED_RTT_FACTOR = 3.0
@@ -294,6 +295,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_tasks < 0 or self.seed < 0:
             raise ValueError("n_tasks and seed must be >= 0")
+        if self.n_tasks > MAX_TASKS:
+            raise ValueError(f"n_tasks must be <= {MAX_TASKS}")
         check_positive(offline_timeout_ms=self.offline_timeout_ms, sub_second_ms=self.sub_second_ms)
 
 

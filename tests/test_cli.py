@@ -427,13 +427,15 @@ class TestSimulateAndCompare:
             ("router:\n  cloud_energy_ratio: -1\n", "router: cloud_energy_ratio must be >= 0, got -1.0"),
             ("router:\n  cloud_energy_units:\n    high: -1\n",
              "router: cloud_energy_units.high must be >= 0, got -1.0"),
+            ("simulate:\n  n_tasks: 10000001\n", "simulate: n_tasks must be <= 10000000"),
+            ("simulate:\n  n_tasks: 1e300\n", "simulate: n_tasks must be <= 10000000"),
         ],
         ids=["empty", "text", "boolean", "nan", "fraction", "int_text", "matrix_entry", "seed_negative",
              "seed_2_64", "initial_state", "policy", "device", "battery", "kind_ranges", "discount_gamma",
              "policies_empty", "policies_duplicate", "matrix_row", "matrix_row_entry", "tolerance_zero",
              "offline_timeout", "sub_second", "w_latency_overflow", "discounted_overflow", "rtt_overflow",
              "edge_latency_overflow", "gamma_sweeps", "good_rtt", "rtt_factor", "cloud_compute", "cloud_energy_ratio",
-             "cloud_energy_units"],
+             "cloud_energy_units", "n_tasks_over_bound", "n_tasks_1e300"],
     )
     def test_bad_scalar_exit_two(self, text, message, tmp_path, capsys, monkeypatch):
         assert_config_error_exit_two(text, message, CONFIG_COMMANDS, tmp_path, capsys, monkeypatch)
@@ -493,8 +495,13 @@ class TestSimulateAndCompare:
             (["query", "text", "--budget", "-1"], "must be >= 0"),
             (["index", ".", "--max-files", "-1", "--out", "index.bin"], "must be >= 0"),
             (["index", ".", "--parser", "foo", "--out", "index.bin"], "unrecognized arguments: --parser foo"),
+            (["simulate", "--n-tasks", "10000001", "--out", "out.json"],
+             "argument --n-tasks: n_tasks must be <= 10000000"),
+            (["simulate", "--n-tasks", "100000000000000000000", "--out", "out.json"], "argument --n-tasks"),
+            (["index", ".", "--ext", "mini", "--out", "index.bin"], "argument --ext: must be a suffix starting with"),
+            (["index", ".", "--ext", ".", "--out", "index.bin"], "argument --ext: must be a suffix starting with"),
         ],
-        ids=[f"argv{i}" for i in range(7)],
+        ids=[f"argv{i}" for i in range(11)],
     )
     def test_negative_count_exit_two(self, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -2,10 +2,11 @@ import string
 from dataclasses import astuple, dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devmux.codegraph import (
+    EDGE_KINDS,
     KEYWORDS,
     CodeGraph,
     Edge,
@@ -251,3 +252,348 @@ LEXER_ALPHABET = list(' "\\/*{}();,=._@\n\n\t\u00e9\u00b2\u0663\u216b') + list(s
 @given(st.one_of(st.text(), st.text(st.sampled_from(LEXER_ALPHABET))), st.booleans())
 def test_tokenize_matches_reference(source, strict):
     assert lex(tokenize, source, strict) == lex(reference_tokenize, source, strict, astuple)
+
+
+class RefGraphBuilder:
+    def __init__(self):
+        self.labels: list[str] = []
+        self.names: list[str | None] = []
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.kinds: list[int] = []
+
+    def node(self, label: str, name: str | None = None) -> int:
+        self.labels.append(label)
+        self.names.append(name)
+        return len(self.labels) - 1
+
+    def edge(self, src: int, dst: int, kind: int) -> None:
+        self.src.append(src)
+        self.dst.append(dst)
+        self.kinds.append(kind)
+
+    def attach_children(self, parent: int, children: list[int]) -> None:
+        """A child edge to each of `children`, then a next-sibling edge
+        between each adjacent pair."""
+        n = len(children)
+        self.src += [parent] * n
+        self.src += children[:-1]
+        self.dst += children
+        self.dst += children[1:]
+        self.kinds += [EDGE_KINDS.index(EdgeKind.CHILD)] * n
+        self.kinds += [EDGE_KINDS.index(EdgeKind.NEXT_SIBLING)] * (n - 1)
+
+    def finish(self) -> CodeGraph:
+        return CodeGraph(self.labels, self.names, self.src, self.dst, self.kinds)
+
+
+class RefParser:
+    def __init__(self, tokens: list[tuple]):
+        self.tokens = tokens
+        self.pos = 0
+        self.g = RefGraphBuilder()
+        # (class_name, class_node, superclass_name or None)
+        self.classes: list[tuple[str, int, str | None]] = []
+        # (method_name, method_node)
+        self.methods: list[tuple[str, int]] = []
+        # (callee_name, enclosing_method_node, dotted)
+        self.calls: list[tuple[str, int | None, bool]] = []
+        self.current_method: int | None = None
+
+    def peek(self, offset: int = 0) -> tuple | None:
+        idx = self.pos + offset
+        return self.tokens[idx] if idx < len(self.tokens) else None
+
+    def advance(self) -> tuple:
+        tok = self.peek()
+        if tok is None:
+            _, text, line, col = self.tokens[-1]
+            raise ParseError("unexpected end of input", line, col + len(text))
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, text: str | None = None) -> tuple:
+        tok = self.advance()
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            want = text if text is not None else kind
+            raise ParseError(f"expected {want!r}, found {tok[1]!r}", tok[2], tok[3])
+        return tok
+
+    def at(self, kind: str, text: str | None = None, offset: int = 0) -> bool:
+        tok = self.peek(offset)
+        return tok is not None and tok[0] == kind and (text is None or tok[1] == text)
+
+    def parse_unit(self) -> CodeGraph:
+        while self.peek() is not None:
+            if self.at("keyword", "class"):
+                self.parse_class()
+            else:
+                self.parse_method_or_field(in_class=False)
+        self.resolve()
+        return self.g.finish()
+
+    def parse_class(self) -> None:
+        self.expect("keyword", "class")
+        name = self.expect("ident")[1]
+        superclass = None
+        if self.at("keyword", "extends"):
+            self.advance()
+            superclass = self.expect("ident")[1]
+        node = self.g.node("class-decl", name)
+        self.classes.append((name, node, superclass))
+        self.expect("punct", "{")
+        members: list[int] = []
+        while not self.at("punct", "}"):
+            members.append(self.parse_method_or_field(in_class=True))
+        self.expect("punct", "}")
+        self.g.attach_children(node, members)
+
+    def parse_method_or_field(self, in_class: bool) -> int:
+        self.expect("ident")  # declared type; not represented structurally
+        name = self.expect("ident")[1]
+        if self.at("punct", "("):
+            return self.parse_method_rest(name)
+        node = self.g.node("field-decl", name)
+        children: list[int] = []
+        if self.at("punct", "="):
+            self.advance()
+            children.append(self.parse_expr())
+        self.expect("punct", ";")
+        self.g.attach_children(node, children)
+        return node
+
+    def parse_method_rest(self, name: str) -> int:
+        node = self.g.node("method-decl", name)
+        self.methods.append((name, node))
+        self.expect("punct", "(")
+        children: list[int] = []
+        while not self.at("punct", ")"):
+            self.expect("ident")  # parameter type
+            pname = self.expect("ident")[1]
+            children.append(self.g.node("param", pname))
+            if self.at("punct", ","):
+                self.advance()
+        self.expect("punct", ")")
+        outer = self.current_method
+        self.current_method = node
+        children.append(self.parse_block())
+        self.current_method = outer
+        self.g.attach_children(node, children)
+        return node
+
+    def parse_block(self) -> int:
+        self.expect("punct", "{")
+        node = self.g.node("block")
+        children: list[int] = []
+        while not self.at("punct", "}"):
+            children.append(self.parse_stmt())
+        self.expect("punct", "}")
+        self.g.attach_children(node, children)
+        return node
+
+    def parse_stmt(self) -> int:
+        if self.at("punct", "{"):
+            return self.parse_block()
+        if self.at("keyword", "return"):
+            self.advance()
+            node = self.g.node("return")
+            children: list[int] = []
+            if not self.at("punct", ";"):
+                children.append(self.parse_expr())
+            self.expect("punct", ";")
+            self.g.attach_children(node, children)
+            return node
+        # Two adjacent identifiers open a local declaration: "Foo bar = ...;"
+        if self.at("ident") and self.at("ident", offset=1):
+            self.advance()
+            name = self.advance()[1]
+            node = self.g.node("var-decl", name)
+            children = []
+            if self.at("punct", "="):
+                self.advance()
+                children.append(self.parse_expr())
+            self.expect("punct", ";")
+            self.g.attach_children(node, children)
+            return node
+        node = self.parse_expr()
+        self.expect("punct", ";")
+        return node
+
+    def parse_expr(self) -> int:
+        left = self.parse_primary()
+        if self.at("punct", "="):
+            self.advance()
+            right = self.parse_expr()
+            node = self.g.node("assign")
+            self.g.attach_children(node, [left, right])
+            return node
+        return left
+
+    def parse_primary(self) -> int:
+        kind, name, line, col = self.advance()
+        if kind == "string":
+            return self.g.node("string-literal", name)
+        if kind == "number":
+            return self.g.node("number-literal", name)
+        if kind != "ident":
+            raise ParseError(f"expected expression, found {name!r}", line, col)
+        dotted = False
+        while self.at("punct", "."):
+            self.advance()
+            name += "." + self.expect("ident")[1]
+            dotted = True
+        if self.at("punct", "("):
+            self.advance()
+            node = self.g.node("call-expr", name)
+            args: list[int] = []
+            while not self.at("punct", ")"):
+                args.append(self.parse_expr())
+                if self.at("punct", ","):
+                    self.advance()
+            self.expect("punct", ")")
+            self.g.attach_children(node, args)
+            self.calls.append((name, self.current_method, dotted))
+            return node
+        return self.g.node("identifier", name)
+
+    def resolve(self) -> None:
+        """Second pass: invokes and inherits edges, with external placeholders.
+
+        Call names resolve against method declarations in the same unit
+        (first declaration wins); dotted callees are always external. One
+        placeholder node is shared per distinct external name, and repeated
+        caller/callee pairs collapse to a single edge.
+        """
+        method_by_name: dict[str, int] = {}
+        for name, node in self.methods:
+            method_by_name.setdefault(name, node)
+        class_by_name = {name: node for name, node, _ in self.classes}
+
+        external: dict[tuple[str, str], int] = {}
+
+        def external_node(label: str, name: str) -> int:
+            key = (label, name)
+            if key not in external:
+                external[key] = self.g.node(label, name)
+            return external[key]
+
+        seen_invokes: set[tuple[int, int]] = set()
+        for callee, caller, dotted in self.calls:
+            if caller is None:
+                continue
+            if not dotted and callee in method_by_name:
+                target = method_by_name[callee]
+            else:
+                target = external_node("external-call", callee)
+            if (caller, target) not in seen_invokes:
+                seen_invokes.add((caller, target))
+                self.g.edge(caller, target, EDGE_KINDS.index(EdgeKind.INVOKES))
+
+        for _, node, superclass in self.classes:
+            if superclass is None:
+                continue
+            target = class_by_name.get(superclass)
+            if target is None:
+                target = external_node("external-class", superclass)
+            self.g.edge(node, target, EDGE_KINDS.index(EdgeKind.INHERITS))
+
+
+def reference_parse(source: str) -> CodeGraph:
+    """`parse_to_graph` as it was when the parser read tokens through
+    `peek`/`at` calls: the oracle for the index-reading parser."""
+    tokens = tokenize(source, strict=True)
+    if not tokens:
+        return RefGraphBuilder().finish()
+    return RefParser(tokens).parse_unit()
+
+
+def parse_result(parse, source: str):
+    """The columns of the graph `parse` builds from `source`, or the
+    `ParseError` message."""
+    try:
+        return parse(source)._columns()
+    except ParseError as err:
+        return str(err)
+
+
+# Mini units as token lists, from the grammar: classes with an optional
+# superclass, fields with an optional initialiser, methods with parameters,
+# and blocks of nested blocks, returns, local declarations and expression
+# statements over literals, dotted names, calls and assignments.
+NAMES = st.sampled_from(["a", "b", "run", "Foo", "x1", "_t", "été"])
+# String literals whose text is punctuation the parser looks for.
+LITERALS = st.sampled_from(['"s"', '""', '"}"', '")"', '","', '";"', '"="', '"."', "42", "3.5"])
+
+
+def _call(parts):
+    """A call of a dotted name; the grammar lets a comma between two
+    arguments be left out."""
+    path, args = parts
+    tokens = [*path[:1]]
+    for name in path[1:]:
+        tokens += [".", name]
+    tokens.append("(")
+    for i, (arg, comma) in enumerate(args):
+        tokens += [","] * (i > 0 and comma) + arg
+    return tokens + [")"]
+
+
+EXPRS = st.recursive(
+    NAMES.map(lambda name: [name]) | LITERALS.map(lambda text: [text]),
+    lambda inner: st.one_of(
+        st.tuples(st.lists(NAMES, min_size=1, max_size=3), st.lists(st.tuples(inner, st.booleans()), max_size=3)).map(
+            _call
+        ),
+        st.tuples(NAMES, inner).map(lambda t: [t[0], "=", *t[1]]),
+    ),
+    max_leaves=6,
+)
+OPTIONAL_INIT = st.none() | EXPRS
+STMTS = st.recursive(
+    st.one_of(
+        EXPRS.map(lambda e: [*e, ";"]),
+        st.tuples(NAMES, NAMES, OPTIONAL_INIT).map(lambda t: [t[0], t[1], *(["=", *t[2]] if t[2] else []), ";"]),
+        OPTIONAL_INIT.map(lambda e: ["return", *(e or []), ";"]),
+    ),
+    lambda inner: st.lists(inner, max_size=3).map(lambda stmts: ["{", *(tok for s in stmts for tok in s), "}"]),
+    max_leaves=6,
+)
+BLOCKS = st.lists(STMTS, max_size=3).map(lambda stmts: ["{", *(tok for s in stmts for tok in s), "}"])
+FIELDS = st.tuples(NAMES, NAMES, OPTIONAL_INIT).map(lambda t: [t[0], t[1], *(["=", *t[2]] if t[2] else []), ";"])
+METHODS = st.tuples(NAMES, NAMES, st.lists(st.tuples(NAMES, NAMES), max_size=3), BLOCKS).map(
+    lambda t: [t[0], t[1], "(", *(tok for i, p in enumerate(t[2]) for tok in [","] * (i > 0) + list(p)), ")", *t[3]]
+)
+MEMBERS = FIELDS | METHODS
+CLASSES = st.tuples(NAMES, st.none() | NAMES, st.lists(MEMBERS, max_size=3)).map(
+    lambda t: ["class", t[0], *(["extends", t[1]] if t[1] else []), "{", *(tok for m in t[2] for tok in m), "}"]
+)
+UNITS = st.lists(CLASSES | MEMBERS, max_size=4).map(lambda parts: [tok for part in parts for tok in part])
+
+
+@st.composite
+def mini_sources(draw):
+    """A generated mini unit, whole or broken: cut after a random token,
+    without one random token, or with a stray `Ⅻ`, an unterminated string or
+    an unterminated comment inserted at a random place."""
+    tokens = draw(UNITS)
+    cut = draw(st.sampled_from([None, "end", "token"]))
+    if cut is not None and tokens:
+        at = draw(st.integers(0, len(tokens) - 1))
+        tokens = tokens[:at] if cut == "end" else tokens[:at] + tokens[at + 1 :]
+    source = "".join(tok + draw(st.sampled_from([" ", "\n", "", "  // c\n", " /* c */ "])) for tok in tokens)
+    insert = draw(st.sampled_from([None, "Ⅻ", '"open', "/* open"]))
+    if insert is not None:
+        at = draw(st.integers(0, len(source)))
+        source = source[:at] + insert + source[at:]
+    return source
+
+
+@settings(max_examples=300, deadline=None)
+@given(mini_sources())
+# String literals where the parser looks for the punctuation they spell.
+@example('void f() { { return ";"; "}"; } g(a "," b ")"); }')
+@example('void f() { x "=" y; }')
+@example('void f() { Foo bar "=" y; }')
+@example('void f() { a "." b; }')
+def test_parse_matches_reference(source):
+    assert parse_result(parse_to_graph, source) == parse_result(reference_parse, source)

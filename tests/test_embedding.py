@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 
 from devmux import embedding
 from devmux.codegraph import EDGE_KINDS, CodeGraph, EdgeKind, parse_to_graph
-from devmux.embedding import VECTOR_DIM, BandConfig, WLLabels, _bucket, _wl_rounds, cosine, graph_to_vector
+from devmux.embedding import (
+    VECTOR_DIM,
+    BandConfig,
+    WLLabels,
+    _bucket,
+    _wl_rounds,
+    cosine,
+    graph_to_vector,
+    graphs_to_vectors,
+)
 
 RENAME_A = """
 class Account extends Base {
@@ -246,6 +255,28 @@ def test_shared_labels_match_reference_vectors(calls, cap):
     with mock.patch.object(embedding, "_MAX_WL_ENTRIES", cap):
         for graph, bands in calls:
             assert graph_to_vector(graph, bands, wl).tobytes() == reference_graph_to_vector(graph, bands).tobytes()
+
+
+EMPTY_GRAPH = CodeGraph([], [], [], [], [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.lists(small_graphs() | st.just(EMPTY_GRAPH), max_size=6), band_configs()), max_size=6),
+    st.sampled_from([4, 24, 1 << 16]),
+)
+def test_grouped_vectors_match_reference_vectors(groups, cap):
+    """Every row of `graphs_to_vectors` over groups of graphs (empty groups,
+    empty graphs and graphs without edges among them), with one `WLLabels`
+    across groups and clears between them at a small entry cap, is the
+    reference vector of its graph, byte for byte."""
+    wl = WLLabels()
+    with mock.patch.object(embedding, "_MAX_WL_ENTRIES", cap):
+        for graphs, bands in groups:
+            vectors = graphs_to_vectors(graphs, bands, wl)
+            assert vectors.shape == (len(graphs), VECTOR_DIM) and vectors.dtype == np.float64
+            for graph, row in zip(graphs, vectors):
+                assert row.tobytes() == reference_graph_to_vector(graph, bands).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

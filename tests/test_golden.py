@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from devmux import cli
 from devmux.cli import cli_main
 from devmux.configfile import load_config
 from devmux.routing import all_states, policy_fingerprint
@@ -330,6 +331,21 @@ def test_route_matches_golden(tmp_path):
 def test_query_matches_golden(tmp_path):
     golden = json.loads(QUERY_GOLDEN.read_text(encoding="utf-8"))
     assert collect_query_hashes(tmp_path) == golden
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 40], ids=["one_file_per_group", "one_group"])
+def test_index_tree_bytes_do_not_depend_on_the_group_size(budget, tmp_path, monkeypatch):
+    """`index` embeds its files in groups of about `INDEX_GROUP_NODES`
+    nodes; one file per group and the whole tree in one group write the
+    golden tree's `index.bin` bytes."""
+    monkeypatch.setattr(cli, "INDEX_GROUP_NODES", budget)
+    for rel, text in index_tree().items():
+        path = tmp_path / "tree" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    code, _, _ = _run_cli(["index", str(tmp_path / "tree"), "--out", str(tmp_path / "tree.bin")])
+    golden = json.loads(QUERY_GOLDEN.read_text(encoding="utf-8"))["index_tree"]
+    assert (code, _sha256(tmp_path / "tree.bin")) == (golden["code"], golden["file"])
 
 
 @pytest.mark.parametrize("fixture, version", [(V1_FIXTURE, 1), (V2_FIXTURE, 2)], ids=["v1", "v2"])
