@@ -6,7 +6,7 @@ import argparse
 import json
 from pathlib import Path
 
-from devmux.cli import _non_negative_int
+from devmux.cli import _non_negative_int, _task_count
 from devmux.configfile import load_config
 from devmux.simulate import compare_policies
 
@@ -15,7 +15,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=None, help="central config file")
     ap.add_argument("--seed", type=_non_negative_int, default=42)
-    ap.add_argument("--n-tasks", type=_non_negative_int, default=10_000)
+    ap.add_argument("--n-tasks", type=_task_count, default=10_000)
     ap.add_argument("--out", default=None, help="also write the full report as JSON")
     args = ap.parse_args()
 

@@ -3,7 +3,7 @@
 
 import argparse
 
-from devmux.cli import _non_negative_int
+from devmux.cli import _non_negative_int, _task_count
 from devmux.configfile import load_config
 from devmux.simulate import PolicyKind, compare_policies
 
@@ -20,7 +20,7 @@ def main():
     ap.add_argument("--config", default=None)
     ap.add_argument("--first-seed", type=_non_negative_int, default=42)
     ap.add_argument("--seeds", type=_positive_int, default=10)
-    ap.add_argument("--n-tasks", type=_non_negative_int, default=10_000)
+    ap.add_argument("--n-tasks", type=_task_count, default=10_000)
     args = ap.parse_args()
 
     config = load_config(args.config)

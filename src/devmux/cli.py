@@ -6,7 +6,8 @@ errors, 3 I/O errors. Commands raise; `cli_main` alone maps an error to its
 code and a one-line message naming the file or config key. A config or layout
 that is not UTF-8 or does not parse, or a bad config value (an unknown enum
 value, `embed.hash_seed` outside [0, 2**64)), exits 2; an unreadable or
-unwritable path, or an index file that does not load, exits 3.
+unwritable path, or an index file that does not load or holds a row that is
+not UTF-8, exits 3.
 """
 
 from __future__ import annotations
@@ -239,10 +240,7 @@ def cmd_simulate(args) -> int:
     from .simulate import run_simulation, workload_from_config
 
     config = load_config(args.config)
-    try:
-        sim = config.sim_config(seed=args.seed, n_tasks=args.n_tasks)
-    except ValueError as err:  # the record's bound on n_tasks; argparse checked the rest
-        return _fail(f"argument --n-tasks: {err}", EXIT_USAGE)
+    sim = config.sim_config(seed=args.seed, n_tasks=args.n_tasks)
     report, trace = run_simulation(workload_from_config(sim), sim)
     payload = {
         "policy": sim.policy.value,
@@ -282,6 +280,16 @@ def _non_negative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _task_count(text: str) -> int:
+    """A `--n-tasks` value: an integer from 0 to `configfile.MAX_TASKS`."""
+    from .configfile import MAX_TASKS
+
+    value = _non_negative_int(text)
+    if value > MAX_TASKS:
+        raise argparse.ArgumentTypeError(f"n_tasks must be <= {MAX_TASKS}")
     return value
 
 
@@ -337,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one policy over a synthetic workload")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=_non_negative_int, default=None)
-    p.add_argument("--n-tasks", type=_non_negative_int, default=None)
+    p.add_argument("--n-tasks", type=_task_count, default=None)
     p.add_argument("--out", default="report.json")
     p.add_argument("--events", default=None, help="also write the event log (JSONL)")
     p.set_defaults(func=cmd_simulate)

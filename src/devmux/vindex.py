@@ -2,31 +2,44 @@
 
 Vectors are kept as rows of one C-contiguous little-endian float32 matrix
 (the on-disk width), so a save/load round trip is bit-identical; ids, paths,
-spans and source kinds are column lists beside it, and an id -> row map
-makes lookups O(1). Each row's float64 norm is kept beside the matrix, so a
-search does not recompute it. Inserted vectors wait in a list and join the
-matrix, with their norms, in one copy when a search or lookup next needs
-it, so building an index costs no copy per growth step. Search widens a
-block of rows at a time to double precision and scores it with one
-matrix-vector product, divides by the stored norms, finds the k-th score
-with `np.partition`, and sorts only the records that reach it, so ties
-break by ascending record id (the flat exact search of FAISS `IndexFlatIP`).
+spans and source kinds are columns beside it. Each row's float64 norm is
+kept beside the matrix, so a search does not recompute it. Inserted vectors
+wait in a list and join the matrix, with their norms, in one copy when a
+search or lookup next needs it, so building an index costs no copy per
+growth step. Search widens a block of rows at a time to double precision
+and scores it with one matrix-vector product, divides by the stored norms,
+finds the k-th score with `np.partition`, and sorts only the records that
+reach it, so ties break by ascending record id (the flat exact search of
+FAISS `IndexFlatIP`).
 
-The file (format version 3) is four parts: a JSON header line
-`{"band_config_hash", "count", "dim", "format_version": 3}`, one JSON line of
-the column arrays `{"id", "path", "source_kind", "span"}`, the
-`count * dim` vector matrix as raw little-endian float32 bytes, and the
-`count` row norms as raw little-endian float64 bytes. Load maps the file
-read-only and views the matrix and the norms in place, so vectors of a
-loaded index are read-only. `save` writes a new file beside the target and
+The file (format version 4) starts with one JSON header line,
+`{"band_config_hash", "blocks", "count", "dim", "format_version": 4}`,
+padded with spaces to a multiple of 64 bytes. `blocks` gives the
+`[offset, length]` of every block, in file order: for each string column
+(`id`, `path`, `source_kind`, `span`) its `count + 1` row offsets as
+little-endian uint64 (`<name>.offsets`) and its rows' UTF-8 bytes one after
+another (`<name>.data`), as in Apache Arrow's variable-size binary layout;
+then the `count * dim` float32 matrix (`vectors`) and the `count` float64
+row norms (`norms`). Every block starts at the first 64-byte boundary after
+the header or the block before it, and the file ends with the last block.
+Rows are stored in ascending id order.
+
+Load maps the file read-only and views every block in place, so vectors of
+a loaded index are read-only; it checks the layout, every column's offsets,
+that ids strictly ascend and that every norm is finite and >= 0, and
+decodes a string only when its row is read. A loaded index finds an id's
+row by bisecting the sorted id column; an index built by `insert` keeps its
+columns in lists with an id -> row map, and a loaded index moves to that
+form on its first insert. `save` writes a new file beside the target and
 renames it over the target, so an index mapped from the old file keeps its
-bytes. The band hash lives in the header only. `load` reads only the version
-`save` writes: an index file of any other version raises
-`IndexVersionError` (`query` exits 3) until `devmux index` rebuilds it.
+bytes. `load` reads only the version `save` writes: an index file of any
+other version raises `IndexVersionError` (`query` exits 3) until
+`devmux index` rebuilds it.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import mmap
 import os
@@ -37,7 +50,7 @@ import numpy as np
 from .base import IndexFileError
 from .configfile import VECTOR_DIM
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # Rows widened to float64 per norm pass and per matrix-vector product.
 _BLOCK_ROWS = 128
 # A BLAS matrix-vector product may compute the last rows of a block that is
@@ -47,6 +60,14 @@ _BLOCK_ROWS = 128
 # identical vectors tie exactly.
 _ROW_GROUP = 8
 _COLUMNS = ("id", "path", "source_kind", "span")
+# The file's blocks in file order, each starting on a multiple of _ALIGN.
+_BLOCKS = (*(f"{name}.{part}" for name in _COLUMNS for part in ("offsets", "data")), "vectors", "norms")
+_ALIGN = 64
+# Column text is UTF-8; `surrogatepass` keeps a lone surrogate (a file name
+# that is not UTF-8, as `os.fsdecode` gives it) and its code point order.
+_TEXT = ("utf-8", "surrogatepass")
+# _PREFIX[r] keeps the first r bytes of a big-endian 8-byte word.
+_PREFIX = np.array([((1 << 8 * r) - 1) << (64 - 8 * r) for r in range(9)], dtype=np.uint64)
 
 
 class IndexVersionError(IndexFileError):
@@ -97,17 +118,37 @@ def _row_norms(matrix) -> np.ndarray:
     return norms
 
 
+class _TextColumn:
+    """A string column of a loaded index, viewed in place: row `i` is the
+    UTF-8 bytes `data[offsets[i]:offsets[i + 1]]`, decoded when it is read.
+    Rows are read by non-negative number only."""
+
+    def __init__(self, name: str, offsets: np.ndarray, data: memoryview, source: str):
+        self._name, self._offsets, self._data, self._source = name, offsets, data, source
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, row: int) -> str:
+        try:
+            return str(self._data[self._offsets[row]:self._offsets[row + 1]], *_TEXT)
+        except UnicodeDecodeError as err:
+            raise IndexCorruptError(
+                f"{self._source}: row {row} of column {self._name} is not UTF-8 ({err.reason})") from None
+
+
 class VectorIndex:
     """In-memory store of (id, vector, metadata) with exhaustive search."""
 
     def __init__(self, band_config_hash: str, dim: int = VECTOR_DIM):
         self.band_config_hash = band_config_hash
         self.dim = dim
-        self._rows: dict[str, int] = {}
-        self._ids: list[str] = []
-        self._paths: list[str] = []
-        self._spans: list[str] = []
-        self._kinds: list[str] = []
+        # id -> row; None for a loaded index, whose ids are sorted.
+        self._rows: dict[str, int] | None = {}
+        self._ids: list[str] | _TextColumn = []
+        self._paths: list[str] | _TextColumn = []
+        self._spans: list[str] | _TextColumn = []
+        self._kinds: list[str] | _TextColumn = []
         self._matrix = np.empty((0, dim), dtype="<f4")
         # Norm of each matrix row; pending inserts get theirs when they join.
         self._norms = np.empty(0, dtype="<f8")
@@ -122,7 +163,15 @@ class VectorIndex:
         return tuple(self._ids)
 
     def vector(self, record_id: str) -> np.ndarray:
-        return self._vectors()[self._rows[record_id]]
+        return self._vectors()[self._row(record_id)]
+
+    def _row(self, record_id: str) -> int:
+        if self._rows is not None:
+            return self._rows[record_id]
+        row = bisect.bisect_left(self._ids, record_id)
+        if row == len(self._ids) or self._ids[row] != record_id:
+            raise KeyError(record_id)
+        return row
 
     def _all_norms(self) -> np.ndarray:
         """The norm of every record: the matrix rows' stored ones, then those
@@ -145,6 +194,10 @@ class VectorIndex:
         width. Duplicate ids, dimension mismatches and vectors with an entry
         that is not finite in float32 (NaN, infinite, or beyond its range)
         are rejected, since `load` refuses the norm such a row gets."""
+        if self._rows is None:  # a loaded index: its columns become lists once
+            self._ids, self._paths, self._spans, self._kinds = (
+                list(column) for column in (self._ids, self._paths, self._spans, self._kinds))
+            self._rows = dict(zip(self._ids, range(len(self._ids))))
         if record_id in self._rows:
             raise ValueError(f"duplicate record id {record_id!r}")
         vector = np.asarray(vector)
@@ -205,30 +258,52 @@ class VectorIndex:
         ))
 
     def save(self, path) -> None:
-        """Write the index to a new file beside `path`, then rename it onto
-        `path`: a reader never sees a partial file, and an index loaded from
-        the old file keeps reading the old bytes. On failure the new file is
-        removed and `path` is left as it was."""
+        """Write the index, rows in ascending id order, to a new file beside
+        `path`, then rename it onto `path`: a reader never sees a partial
+        file, and an index loaded from the old file keeps reading the old
+        bytes. On failure the new file is removed and `path` is left as it
+        was."""
+        count = len(self._ids)
+        order = sorted(range(count), key=self._ids.__getitem__)
+        chunks: dict[str, list] = {}
+        lengths: dict[str, int] = {}
+        for name, column in zip(_COLUMNS, (self._ids, self._paths, self._kinds, self._spans)):
+            encoded = [column[row].encode(*_TEXT) for row in order]
+            offsets = np.zeros(count + 1, dtype="<u8")
+            np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=count), out=offsets[1:])
+            chunks[f"{name}.offsets"], chunks[f"{name}.data"] = [offsets], encoded
+            lengths[f"{name}.offsets"], lengths[f"{name}.data"] = offsets.nbytes, int(offsets[-1])
+        # Rows are written one by one from where they are, so saving a
+        # freshly built index needs no second copy of its vectors.
+        rows = [*self._matrix, *self._pending]
+        chunks["vectors"], lengths["vectors"] = [rows[row] for row in order], count * self.dim * 4
+        chunks["norms"], lengths["norms"] = [self._all_norms()[order]], count * 8
         header = {
             "format_version": FORMAT_VERSION,
             "dim": self.dim,
-            "count": len(self._ids),
+            "count": count,
             "band_config_hash": self.band_config_hash,
         }
-        columns = {"id": self._ids, "path": self._paths, "source_kind": self._kinds, "span": self._spans}
-        norms = self._all_norms()
+        # The header's size moves the blocks, and their offsets its size.
+        size = 0
+        while True:
+            header["blocks"] = _layout(size, lengths)
+            line = json.dumps(header, sort_keys=True).encode("utf-8")
+            if len(line) < size:
+                break
+            size = _aligned(len(line) + 1)
         path = os.fspath(path)
         temp = f"{path}.{os.urandom(6).hex()}.tmp"
         fh = open(temp, "xb")
         try:
             with fh:
-                fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-                fh.write(json.dumps(columns, sort_keys=True).encode("utf-8") + b"\n")
-                # Pending rows are written as they are, so saving a freshly
-                # built index needs no second copy of its vectors.
-                fh.write(self._matrix.data)
-                fh.writelines(vector.data for vector in self._pending)
-                fh.write(norms.data)
+                fh.write(line.ljust(size - 1) + b"\n")
+                end = size
+                for name in _BLOCKS:
+                    start = header["blocks"][name][0]
+                    fh.write(bytes(start - end))
+                    fh.writelines(chunks[name])
+                    end = start + lengths[name]
             os.replace(temp, path)
         except BaseException:
             os.unlink(temp)
@@ -241,14 +316,13 @@ class VectorIndex:
         distinct error kinds, their messages prefixed with `path`."""
         with open(path, "rb") as fh:
             try:
-                return cls._read(fh)
+                return cls._read(fh, f"{path}")
             except IndexFileError as err:
                 raise type(err)(f"{path}: {err}") from None
 
     @classmethod
-    def _read(cls, fh) -> "VectorIndex":
-        """The header line, one JSON line of column arrays, then the whole
-        matrix and the row norms, both viewed in place in a read-only
+    def _read(cls, fh, source: str) -> "VectorIndex":
+        """The header line, then every block viewed in place in a read-only
         mapping of the file."""
         header = _read_json_line(fh, "header")
         if not isinstance(header, dict) or "format_version" not in header:
@@ -264,40 +338,100 @@ class VectorIndex:
             raise IndexCorruptError("malformed header: band_config_hash must be a string")
         index = cls(band_config_hash=band_hash, dim=_header_int(header, "dim", 1))
         count = _header_int(header, "count", 0)
-        columns = _read_json_line(fh, "column arrays")
-        if not isinstance(columns, dict) or sorted(columns) != list(_COLUMNS):
-            raise IndexCorruptError(f"column arrays must be exactly {', '.join(_COLUMNS)}")
+        blocks = _check_layout(header.get("blocks"), fh.tell(), os.fstat(fh.fileno()).st_size)
+        sizes = {"vectors": count * index.dim * 4, "norms": count * 8,
+                 **{f"{name}.offsets": (count + 1) * 8 for name in _COLUMNS}}
+        for name, size in sizes.items():
+            if blocks[name][1] != size:
+                raise IndexCorruptError(f"block {name} holds {blocks[name][1]} bytes, expected {size}")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+        def view(name, dtype, items):
+            return np.frombuffer(mapped, dtype=dtype, count=items, offset=blocks[name][0])
+
+        columns = []
         for name in _COLUMNS:
-            column = columns[name]
-            if not isinstance(column, list) or len(column) != count:
-                raise IndexCorruptError(f"column {name} must be a list of {count} entries")
-            if not set(map(type, column)) <= {str}:
-                raise IndexCorruptError(f"column {name} holds a value that is not a string")
-        rows = dict(zip(columns["id"], range(count)))
-        if len(rows) != count:
-            raise IndexCorruptError("duplicate record id in column id")
-        start = fh.tell()
-        matrix_bytes = count * index.dim * 4
-        norm_bytes = count * 8
-        remaining = os.fstat(fh.fileno()).st_size - start
-        if remaining < matrix_bytes:
-            raise IndexTruncatedError(f"vector block cut short: {remaining} of {matrix_bytes} bytes")
-        if remaining < matrix_bytes + norm_bytes:
-            raise IndexTruncatedError(
-                f"norm block cut short: {remaining - matrix_bytes} of {norm_bytes} bytes")
-        if remaining > matrix_bytes + norm_bytes:
-            raise IndexCorruptError("trailing bytes after final record")
-        if count:
-            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            index._matrix = np.frombuffer(mapped, dtype="<f4", count=count * index.dim,
-                                          offset=start).reshape(count, index.dim)
-            norms = np.frombuffer(mapped, dtype="<f8", count=count, offset=start + matrix_bytes)
-            if not np.all(np.isfinite(norms) & (norms >= 0.0)):
-                raise IndexCorruptError("norm block holds a value that is not finite and >= 0")
-            index._norms = norms
-        index._rows, index._ids = rows, columns["id"]
-        index._paths, index._spans, index._kinds = columns["path"], columns["span"], columns["source_kind"]
+            offsets = view(f"{name}.offsets", "<u8", count + 1)
+            start, size = blocks[f"{name}.data"]
+            if offsets[0] != 0 or offsets[-1] != size or np.any(offsets[1:] < offsets[:-1]):
+                raise IndexCorruptError(f"offsets of column {name} must rise from 0 to its data size {size}")
+            data = view(f"{name}.data", np.uint8, size)
+            if np.any(data[offsets[offsets < size]] & 0xC0 == 0x80):
+                raise IndexCorruptError(f"an offset of column {name} falls inside a UTF-8 character")
+            if name == "id" and not _strictly_ascending(data, offsets):
+                raise IndexCorruptError("column id must hold strictly ascending ids")
+            columns.append(_TextColumn(name, offsets, memoryview(mapped)[start:start + size], source))
+        norms = view("norms", "<f8", count)
+        if not np.all(np.isfinite(norms) & (norms >= 0.0)):
+            raise IndexCorruptError("norm block holds a value that is not finite and >= 0")
+        index._matrix = view("vectors", "<f4", count * index.dim).reshape(count, index.dim)
+        index._norms = norms
+        index._ids, index._paths, index._kinds, index._spans = columns
+        index._rows = None
         return index
+
+
+def _aligned(offset: int) -> int:
+    return offset + (-offset) % _ALIGN
+
+
+def _layout(header_size: int, lengths: dict[str, int]) -> dict[str, list[int]]:
+    """Block name -> [offset, length]: each block at the first aligned
+    offset after the header or the block before it."""
+    layout, end = {}, header_size
+    for name in _BLOCKS:
+        layout[name] = [_aligned(end), lengths[name]]
+        end = _aligned(end) + lengths[name]
+    return layout
+
+
+def _check_layout(blocks, header_size: int, file_size: int) -> dict[str, list[int]]:
+    """The header's `blocks` if they are where `save` puts blocks of their
+    lengths and the file ends with the last one."""
+    if not isinstance(blocks, dict) or sorted(blocks) != sorted(_BLOCKS):
+        raise IndexCorruptError(f"blocks must be exactly {', '.join(_BLOCKS)}")
+    if not all(isinstance(entry, list) and len(entry) == 2 and all(type(v) is int and v >= 0 for v in entry)
+               for entry in blocks.values()):
+        raise IndexCorruptError("every block must be [offset, length], two integers >= 0")
+    expected = _layout(header_size, {name: length for name, (_, length) in blocks.items()})
+    for name in _BLOCKS:
+        start, length = blocks[name]
+        if start != expected[name][0]:
+            raise IndexCorruptError(f"block {name} starts at byte {start}, not at {expected[name][0]}, "
+                                    f"the first {_ALIGN}-byte boundary after what comes before it")
+        if start + length > file_size:
+            raise IndexTruncatedError(f"block {name} cut short: {max(file_size - start, 0)} of {length} bytes")
+    if file_size > start + length:  # the end of the last block
+        raise IndexCorruptError("trailing bytes after the last block")
+    return blocks
+
+
+def _strictly_ascending(data: np.ndarray, offsets: np.ndarray) -> bool:
+    """Whether the byte strings `data[offsets[i]:offsets[i + 1]]` strictly
+    ascend. Neighbours are compared eight bytes at a time, as big-endian
+    words, and only the pairs still equal go on to the next eight. Byte
+    order is code point order for UTF-8, so this is the order of the
+    decoded ids."""
+    padded = np.zeros(len(data) + 8, dtype=np.uint8)
+    padded[: len(data)] = data
+    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))  # one at every byte
+    starts = offsets.astype(np.int64)
+    lengths = np.diff(starts)
+    # Pair i is rows i and i + 1: where each is read next, and what is left of it.
+    left, right, left_len, right_len = starts[:-2], starts[1:-1], lengths[:-1], lengths[1:]
+    while left.size:
+        a, b = words[left].byteswap(), words[right].byteswap()
+        # Where the shorter string of a pair ends within these eight bytes,
+        # both are cut there and zero-padded; if they are then equal, the
+        # shorter one must come first.
+        ends = np.minimum(left_len, right_len) <= 8
+        a[ends] &= _PREFIX[np.minimum(left_len[ends], 8)]
+        b[ends] &= _PREFIX[np.minimum(right_len[ends], 8)]
+        if np.any(a > b) or np.any((a == b) & ends & (left_len >= right_len)):
+            return False
+        go = (a == b) & ~ends
+        left, right, left_len, right_len = left[go] + 8, right[go] + 8, left_len[go] - 8, right_len[go] - 8
+    return True
 
 
 def _read_json_line(fh, what: str):

@@ -19,14 +19,14 @@ score is often tied, and the search results of the records of `index_v1.bin`
 with non-ASCII names: exit code, stdout, the stderr warnings with their line
 and column, and the `index.bin` bytes.
 
-`index_v1.bin` and `index_v2.bin` are index files in the version-1 and
-version-2 layouts. Only version 3 loads, so both must fail to load and make
-`query` exit 3 until the index is rebuilt; the version-2 file also pins the
-version-3 layout, which is the version-2 file plus one norm per record.
+`index_v1.bin`, `index_v2.bin` and `index_v3.bin` are index files in the
+version-1, version-2 and version-3 layouts. Only version 4 loads, so each
+must fail to load and make `query` exit 3 until the index is rebuilt. The
+version-3 file is the version-2 file plus one norm per record.
 
 After a deliberate, documented byte change, rewrite the goldens with
 `PYTHONPATH=src python tests/test_golden.py`; it prints one `wrote` line per
-golden file. The two index fixtures are not rewritten: `save` no longer
+golden file. The three index fixtures are not rewritten: `save` no longer
 writes their layouts.
 """
 
@@ -49,12 +49,14 @@ from devmux.routing import all_states, policy_fingerprint
 from devmux.simulate import PolicyKind, compare_policies, run_simulation, workload_from_config
 from devmux.vindex import IndexVersionError, RecordMetadata, VectorIndex
 from test_config import SAMPLE
+from test_vindex import write_v3
 
 GOLDEN = Path(__file__).with_name("golden") / "sim_sha256.json"
 ROUTE_GOLDEN = GOLDEN.with_name("route_sha256.json")
 QUERY_GOLDEN = GOLDEN.with_name("query_sha256.json")
 V1_FIXTURE = GOLDEN.with_name("index_v1.bin")
 V2_FIXTURE = GOLDEN.with_name("index_v2.bin")
+V3_FIXTURE = GOLDEN.with_name("index_v3.bin")
 N_TASKS = 1_000
 SEEDS = range(42, 52)
 POLICIES = ("all_cloud", "all_edge", "threshold", "mdp")
@@ -230,7 +232,7 @@ def _run_cli(argv: list[str]) -> tuple[int, str, str]:
 
 
 def v1_fixture_index() -> VectorIndex:
-    """The records stored in `index_v1.bin` and `index_v2.bin`: eight-wide
+    """The records stored in the three index fixtures: eight-wide
     vectors, each of four directions under two or three ids, a zero vector,
     a scaled copy and varied metadata."""
     rng = np.random.default_rng(5150)
@@ -348,29 +350,32 @@ def test_index_tree_bytes_do_not_depend_on_the_group_size(budget, tmp_path, monk
     assert (code, _sha256(tmp_path / "tree.bin")) == (golden["code"], golden["file"])
 
 
-@pytest.mark.parametrize("fixture, version", [(V1_FIXTURE, 1), (V2_FIXTURE, 2)], ids=["v1", "v2"])
+@pytest.mark.parametrize("fixture, version", [(V1_FIXTURE, 1), (V2_FIXTURE, 2), (V3_FIXTURE, 3)],
+                         ids=["v1", "v2", "v3"])
 def test_older_format_fixture_does_not_load_and_query_exits_three(fixture, version):
-    """`index_v1.bin` and `index_v2.bin` hold the records of
-    `v1_fixture_index` in the version-1 and version-2 layouts; neither
-    loads, and `query` on either exits 3 with one line naming the version."""
+    """The index fixtures hold the records of `v1_fixture_index` in the
+    version-1, version-2 and version-3 layouts; none loads, and `query` on
+    any exits 3 with one line naming the version."""
     with pytest.raises(IndexVersionError, match=f"format version {version} unsupported"):
         VectorIndex.load(fixture)
     code, stdout, stderr = _run_cli(["query", "class A { }", "--index", str(fixture)])
     assert (code, stdout) == (3, "")
-    assert stderr == (f"cannot load index: {fixture}: format version {version} unsupported (expected 3); "
+    assert stderr == (f"cannot load index: {fixture}: format version {version} unsupported (expected 4); "
                       "rebuild the index with `devmux index`\n")
 
 
 def test_v3_file_is_the_v2_file_with_its_norms_appended(tmp_path):
-    """Saving the v2 fixture's records changes only the version number and
-    appends one float64 norm per record."""
-    index, v2 = v1_fixture_index(), V2_FIXTURE.read_bytes()
-    index.save(tmp_path / "v3.bin")
-    v3 = (tmp_path / "v3.bin").read_bytes()
+    """The version-3 fixture changes only the version number of the
+    version-2 one and appends one float64 norm per record; the tests'
+    version-3 writer gives its bytes."""
+    v2, v3 = V2_FIXTURE.read_bytes(), V3_FIXTURE.read_bytes()
     assert v3[: len(v2)] == v2.replace(b'"format_version": 2}', b'"format_version": 3}', 1)
+    index = v1_fixture_index()
     stored = np.frombuffer(v3[len(v2):], dtype="<f8")
     matrix = np.stack([index.vector(i) for i in index.ids()])
     assert stored.tobytes() == np.linalg.norm(matrix.astype(np.float64), axis=1).tobytes()
+    write_v3(index, tmp_path / "v3.bin")
+    assert (tmp_path / "v3.bin").read_bytes() == v3
 
 
 if __name__ == "__main__":

@@ -75,6 +75,8 @@ def test_script_stdout_pinned(script):
     ("seed_sweep.py", ["--seeds", "two"], "argument --seeds: not an integer: 'two'"),
     ("run_comparison.py", ["--n-tasks", "-5"], "argument --n-tasks: must be >= 0, got -5"),
     ("run_comparison.py", ["--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    ("run_comparison.py", ["--n-tasks", "100000000000000000000"], "argument --n-tasks: n_tasks must be <= 10000000"),
+    ("seed_sweep.py", ["--n-tasks", "10000001"], "argument --n-tasks: n_tasks must be <= 10000000"),
 ])
 def test_script_rejects_bad_count(script, args, message):
     proc = run_script(script, *args)

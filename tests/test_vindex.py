@@ -230,10 +230,28 @@ def test_truncated_file(tmp_path):
 
 
 def rewrite_header(file, **changes):
-    """Replace header fields of a saved index file in place."""
+    """Replace header fields of a saved index file in place. A new header
+    that fits is padded with spaces to the old one's length, so the blocks
+    stay where the header says they are."""
     header_line, body = file.read_bytes().split(b"\n", 1)
     header = {**json.loads(header_line), **changes}
-    file.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    file.write_bytes(json.dumps(header, sort_keys=True).encode().ljust(len(header_line)) + b"\n" + body)
+
+
+def block(file, name):
+    """The [offset, length] of block `name` of a saved index file."""
+    return json.loads(file.read_bytes().split(b"\n", 1)[0])["blocks"][name]
+
+
+def rewrite_block(file, name, entry):
+    """Set the [offset, length] of block `name` in a saved file's header, or
+    drop the block for None."""
+    blocks = json.loads(file.read_bytes().split(b"\n", 1)[0])["blocks"]
+    if entry is None:
+        del blocks[name]
+    else:
+        blocks[name] = entry
+    rewrite_header(file, blocks=blocks)
 
 
 def rewrite_columns(file, **changes):
@@ -243,22 +261,41 @@ def rewrite_columns(file, **changes):
     file.write_bytes(header_line + b"\n" + json.dumps(columns, sort_keys=True).encode() + b"\n" + blocks)
 
 
-def test_save_writes_version_three_layout(tmp_path):
-    rng = np.random.default_rng(9)
-    index = build_index(rng, 3)
+def test_save_writes_version_four_layout(tmp_path):
+    """Rows in ascending id order, each string column as uint64 offsets and
+    UTF-8 bytes, then the matrix and the norms; a header line padded with
+    spaces to a multiple of 64 bytes, and every block zero-padded to the
+    next 64-byte boundary."""
+    index = VectorIndex("testhash", dim=4)
+    records = {
+        "b": ([1.0, 2.0, 3.0, 4.0], RecordMetadata(path="src/b.java", span="1-9")),
+        "a/x": ([0.5, 0.0, -1.0, 2.0], RecordMetadata(path="src/\u00e9t\u00e9.java", span="", source_kind="doc")),
+        "a-x": ([0.0, 0.0, 0.0, 0.0], RecordMetadata(path="a-x", span="3-4", source_kind="snippet")),
+    }
+    for record_id, (vector, metadata) in records.items():
+        index.insert(record_id, np.array(vector), metadata)
     path = tmp_path / "index.bin"
     index.save(path)
-    header_line, columns_line, blocks = path.read_bytes().split(b"\n", 2)
-    assert json.loads(header_line) == {"band_config_hash": "testhash", "count": 3, "dim": DIM, "format_version": 3}
-    assert json.loads(columns_line) == {
-        "id": ["rec-0000", "rec-0001", "rec-0002"],
-        "path": ["src/f0.java", "src/f1.java", "src/f2.java"],
-        "source_kind": ["file"] * 3,
-        "span": ["1-10"] * 3,
-    }
-    matrix = np.stack([index.vector(i) for i in index.ids()]).astype("<f4")
-    norms = np.linalg.norm(matrix.astype(np.float64), axis=1).astype("<f8")
-    assert blocks == matrix.tobytes() + norms.tobytes()
+    blob = path.read_bytes()
+    header_size = blob.index(b"\n") + 1
+    order = ["a-x", "a/x", "b"]
+    parts = {}
+    for name, field in (("id", None), ("path", "path"), ("source_kind", "source_kind"), ("span", "span")):
+        texts = [(rid if field is None else getattr(records[rid][1], field)).encode() for rid in order]
+        parts[f"{name}.offsets"] = np.cumsum([0] + [len(t) for t in texts]).astype("<u8").tobytes()
+        parts[f"{name}.data"] = b"".join(texts)
+    matrix = np.array([records[rid][0] for rid in order], dtype="<f4")
+    parts["vectors"] = matrix.tobytes()
+    parts["norms"] = np.linalg.norm(matrix.astype(np.float64), axis=1).astype("<f8").tobytes()
+    blocks, body = {}, b""
+    for name, data in parts.items():
+        body += bytes(-(header_size + len(body)) % 64)
+        blocks[name] = [header_size + len(body), len(data)]
+        body += data
+    header = json.dumps({"band_config_hash": "testhash", "blocks": blocks, "count": 3, "dim": 4,
+                         "format_version": 4}, sort_keys=True).encode()
+    assert header_size % 64 == 0 and header_size - 64 <= len(header) < header_size
+    assert blob == header.ljust(header_size - 1) + b"\n" + body
 
 
 def test_load_then_save_to_the_same_path_is_byte_identical(tmp_path):
@@ -324,29 +361,73 @@ def test_loaded_vectors_are_read_only_views(tmp_path):
     copies=st.integers(min_value=0, max_value=40),
     zeros=st.integers(min_value=0, max_value=5),
     k=st.integers(min_value=1, max_value=60),
+    stems=st.lists(st.sampled_from(["r", "a/", "a-", "a.", "\u00e9/", "\u00e9t\u00e9-", "\U0001f600", "a\u00a0"]),
+                   min_size=1, max_size=4),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_stored_norms_and_search_match_in_memory(distinct, copies, zeros, k, seed):
-    """Record counts from 1 to a few hundred, whole multiples of 8 and 128
-    or not, with duplicate and all-zero rows: the norms `save` writes are
-    bitwise `np.linalg.norm` of the float64 rows, and the saved file and the
-    in-memory index give the same hits and similarity bytes."""
+def test_stored_norms_and_search_match_in_memory(distinct, copies, zeros, k, stems, seed):
+    """Record counts from 1 to 345, whole multiples of 8 and 128 or not,
+    with duplicate and all-zero rows, and ids that are not ASCII or whose
+    `Path` order differs from their string order (`a/1` before `a-1` as
+    paths, after it as strings): the saved-then-loaded index has the same
+    ids, in string order, the same vector bytes per id and the same hits and
+    similarity bytes as the in-memory one, and its stored norms are bitwise
+    `np.linalg.norm` of the float64 rows."""
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((distinct, DIM)) * rng.uniform(0.01, 100.0, (distinct, 1))
     vectors = np.concatenate([vectors, vectors[rng.integers(0, distinct, copies)], np.zeros((zeros, DIM))])
     index = VectorIndex("h")
     for i in rng.permutation(len(vectors)):
-        index.insert(f"r{i:04d}", vectors[i], RecordMetadata(path=f"p{i}"))
+        index.insert(f"{stems[i % len(stems)]}{i}", vectors[i], RecordMetadata(path=f"p{i}/\u00e9", span=f"{i}"))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "index.bin"
         index.save(path)
         loaded = VectorIndex.load(path)
         stored = np.frombuffer(path.read_bytes()[-8 * len(index):], dtype="<f8")
-    matrix = np.stack([index.vector(i) for i in index.ids()])
+    assert loaded.ids() == tuple(sorted(index.ids()))
+    assert all(loaded.vector(i).tobytes() == index.vector(i).tobytes() for i in index.ids())
+    matrix = np.stack([index.vector(i) for i in loaded.ids()])
     assert stored.tobytes() == np.linalg.norm(matrix.astype(np.float64), axis=1).tobytes()
     for query in (rng.standard_normal(DIM), vectors[rng.integers(0, distinct)]):
-        want = [(h.id, float.hex(h.similarity)) for h in index.search(query, k).hits]
-        assert [(h.id, float.hex(h.similarity)) for h in loaded.search(query, k).hits] == want
+        want = [(h.id, float.hex(h.similarity), h.metadata) for h in index.search(query, k).hits]
+        assert [(h.id, float.hex(h.similarity), h.metadata) for h in loaded.search(query, k).hits] == want
+
+
+def test_load_insert_save_load(tmp_path):
+    """A loaded index rejects a duplicate id and stays as it was, takes a new
+    id, and saves the file the same records built in memory save."""
+    rng = np.random.default_rng(18)
+    built = build_index(rng, 20)
+    built.save(tmp_path / "index.bin")
+    loaded = VectorIndex.load(tmp_path / "index.bin")
+    with pytest.raises(ValueError, match="duplicate"):
+        loaded.insert("rec-0007", np.ones(DIM), RecordMetadata(path="x"))
+    assert loaded.ids() == built.ids() and len(loaded) == 20
+    new = unit_vectors(rng, 1)[0]
+    for index in (loaded, built):
+        index.insert("rec-0010a", new, RecordMetadata(path="new.java", span="1-2", source_kind="doc"))
+    loaded.save(tmp_path / "loaded.bin")
+    built.save(tmp_path / "built.bin")
+    assert (tmp_path / "loaded.bin").read_bytes() == (tmp_path / "built.bin").read_bytes()
+    reloaded = VectorIndex.load(tmp_path / "loaded.bin")
+    assert reloaded.ids() == tuple(sorted(built.ids()))
+    assert reloaded.vector("rec-0010a").tobytes() == new.astype("<f4").tobytes()
+    query = rng.standard_normal(DIM)
+    assert reloaded.search(query, 21) == built.search(query, 21)
+
+
+def test_lone_surrogate_ids_round_trip(tmp_path):
+    """A file name that is not UTF-8 reaches `index` as a string with lone
+    surrogates (`os.fsdecode`); such ids and paths are stored, sorted in
+    code point order and read back."""
+    index = VectorIndex("h", dim=2)
+    for i, record_id in enumerate(["\ue000", "a\udcff", "\ud7ff", "a"]):
+        index.insert(record_id, np.array([1.0, i]), RecordMetadata(path=f"src/{record_id}"))
+    index.save(tmp_path / "index.bin")
+    loaded = VectorIndex.load(tmp_path / "index.bin")
+    assert loaded.ids() == ("a", "a\udcff", "\ud7ff", "\ue000")
+    assert loaded.search(np.array([1.0, 0.0]), 4) == index.search(np.array([1.0, 0.0]), 4)
+    assert loaded.vector("a\udcff").tolist() == [1.0, 1.0]
 
 
 def _replace_bytes(old, new):
@@ -366,6 +447,16 @@ def _set_norm(value):
     return damage
 
 
+def _set_offset(column, row, value):
+    """Overwrite offset `row` of a string column."""
+    def damage(file):
+        start = block(file, f"{column}.offsets")[0] + 8 * row
+        blob = bytearray(file.read_bytes())
+        blob[start:start + 8] = np.array([value], dtype="<u8").tobytes()
+        file.write_bytes(bytes(blob))
+    return damage
+
+
 def _header_only_negative_count(file):
     file.write_bytes(file.read_bytes().split(b"\n", 1)[0] + b"\n")
     rewrite_header(file, count=-3)
@@ -375,13 +466,29 @@ def _append_bytes(file):
     file.write_bytes(file.read_bytes() + b"\0")
 
 
+def write_v3(index, file):
+    """Write `index`, ids in `index.ids()` order, in the version-3 layout: a
+    JSON header line, one JSON line of the column arrays, the float32 matrix
+    and the float64 row norms."""
+    ids = list(index.ids())
+    metadata = {h.id: h.metadata for h in index.search(np.ones(index.dim), len(ids)).hits}
+    header = {"band_config_hash": index.band_config_hash, "count": len(ids), "dim": index.dim, "format_version": 3}
+    columns = {"id": ids, "path": [metadata[i].path for i in ids],
+               "source_kind": [metadata[i].source_kind for i in ids], "span": [metadata[i].span for i in ids]}
+    matrix = np.array([index.vector(i) for i in ids], dtype="<f4").reshape(len(ids), index.dim)
+    norms = np.linalg.norm(matrix.astype(np.float64), axis=1).astype("<f8")
+    file.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                     + json.dumps(columns, sort_keys=True).encode() + b"\n" + matrix.tobytes() + norms.tobytes())
+
+
 def relabel_as_older(file, version):
-    """Give a saved file the header of format `version`; a version-2 file also
-    had no norm block. A version-1 body (per-record lines) is not rebuilt:
-    `load` refuses an older file at its header and reads no further."""
-    header_line = file.read_bytes().split(b"\n", 1)[0]
+    """Rewrite a saved file in the layout of format `version`. A version-2
+    file is a version-3 one without the norm block. A version-1 body
+    (per-record lines) is not rebuilt: `load` refuses an older file at its
+    header and reads no further."""
+    write_v3(VectorIndex.load(file), file)
     if version == 2:
-        norm_bytes = 8 * json.loads(header_line)["count"]
+        norm_bytes = 8 * json.loads(file.read_bytes().split(b"\n", 1)[0])["count"]
         file.write_bytes(file.read_bytes()[: -norm_bytes or None])
     rewrite_header(file, format_version=version)
 
@@ -394,25 +501,61 @@ def _older(version, damage):
     return relabel_and_damage
 
 
-# name -> (damage applied to a saved three-record file, expected error)
+# Damage to a version-3 file, which `load` refuses at its header whatever
+# the damage (every index built before version 4 is such a file).
+_V3_DAMAGE = {
+    "negative_count": _header_only_negative_count,
+    "boolean_dim": lambda p: rewrite_header(p, dim=True),
+    "missing_dim": lambda p: rewrite_header(p, dim=None),
+    "hash_not_text": lambda p: rewrite_header(p, band_config_hash=7),
+    "column_length_mismatch": lambda p: rewrite_columns(p, span=["1-10"] * 2),
+    "missing_column": _replace_bytes(b'"source_kind"', b'"kind"'),
+    "column_not_text": lambda p: rewrite_columns(p, path=["a", 2, "c"]),
+    "duplicate_id": lambda p: rewrite_columns(p, id=["a", "b", "a"]),
+    "columns_missing": lambda p: p.write_bytes(p.read_bytes().split(b"\n")[0] + b"\n"),
+    "truncated_norms": _cut_tail(5),
+    "truncated_matrix": _cut_tail(3 * 8 + 5),
+    "trailing_bytes": _append_bytes,
+    "nan_norm": _set_norm(np.nan),
+    "infinite_norm": _set_norm(np.inf),
+    "minus_infinite_norm": _set_norm(-np.inf),
+    "negative_norm": _set_norm(-1.0),
+    "count_above_records": lambda p: rewrite_header(p, count=4),
+}
+
+# name -> (damage applied to a saved three-record file, expected error). The
+# file's ids are rec-0000 to rec-0002 and its paths src/f0.java to src/f2.java.
 CORRUPTIONS = {
-    "v3_negative_count": (_header_only_negative_count, IndexCorruptError),
-    "v3_boolean_dim": (lambda p: rewrite_header(p, dim=True), IndexCorruptError),
-    "v3_missing_dim": (lambda p: rewrite_header(p, dim=None), IndexCorruptError),
-    "v3_hash_not_text": (lambda p: rewrite_header(p, band_config_hash=7), IndexCorruptError),
-    "v3_column_length_mismatch": (lambda p: rewrite_columns(p, span=["1-10"] * 2), IndexCorruptError),
-    "v3_missing_column": (_replace_bytes(b'"source_kind"', b'"kind"'), IndexCorruptError),
-    "v3_column_not_text": (lambda p: rewrite_columns(p, path=["a", 2, "c"]), IndexCorruptError),
-    "v3_duplicate_id": (lambda p: rewrite_columns(p, id=["a", "b", "a"]), IndexCorruptError),
-    "v3_columns_missing": (lambda p: p.write_bytes(p.read_bytes().split(b"\n")[0] + b"\n"), IndexTruncatedError),
-    "v3_truncated_norms": (_cut_tail(5), IndexTruncatedError),
-    "v3_truncated_matrix": (_cut_tail(3 * 8 + 5), IndexTruncatedError),
-    "v3_trailing_bytes": (_append_bytes, IndexCorruptError),
-    "v3_nan_norm": (_set_norm(np.nan), IndexCorruptError),
-    "v3_infinite_norm": (_set_norm(np.inf), IndexCorruptError),
-    "v3_minus_infinite_norm": (_set_norm(-np.inf), IndexCorruptError),
-    "v3_negative_norm": (_set_norm(-1.0), IndexCorruptError),
-    "v3_count_above_records": (lambda p: rewrite_header(p, count=4), IndexCorruptError),
+    "v4_negative_count": (_header_only_negative_count, IndexCorruptError),
+    "v4_boolean_dim": (lambda p: rewrite_header(p, dim=True), IndexCorruptError),
+    "v4_missing_dim": (lambda p: rewrite_header(p, dim=None), IndexCorruptError),
+    "v4_hash_not_text": (lambda p: rewrite_header(p, band_config_hash=7), IndexCorruptError),
+    "v4_count_above_records": (lambda p: rewrite_header(p, count=4), IndexCorruptError),
+    "v4_header_only": (lambda p: p.write_bytes(p.read_bytes().split(b"\n")[0] + b"\n"), IndexTruncatedError),
+    "v4_truncated_norms": (_cut_tail(5), IndexTruncatedError),
+    "v4_truncated_matrix": (_cut_tail(3 * 8 + 5), IndexTruncatedError),
+    "v4_trailing_bytes": (_append_bytes, IndexCorruptError),
+    "v4_nan_norm": (_set_norm(np.nan), IndexCorruptError),
+    "v4_infinite_norm": (_set_norm(np.inf), IndexCorruptError),
+    "v4_minus_infinite_norm": (_set_norm(-np.inf), IndexCorruptError),
+    "v4_negative_norm": (_set_norm(-1.0), IndexCorruptError),
+    "v4_missing_block": (lambda p: rewrite_block(p, "span.data", None), IndexCorruptError),
+    "v4_block_not_a_pair": (lambda p: rewrite_block(p, "norms", block(p, "norms")[:1]), IndexCorruptError),
+    "v4_misaligned_block": (lambda p: rewrite_block(p, "path.offsets", [block(p, "path.offsets")[0] + 8, 32]),
+                            IndexCorruptError),
+    # The kind and span offsets hold the same numbers, so only the layout check sees the overlap.
+    "v4_overlapping_block": (lambda p: rewrite_block(p, "span.offsets", block(p, "source_kind.offsets")),
+                             IndexCorruptError),
+    "v4_block_beyond_file": (lambda p: rewrite_block(p, "norms", [block(p, "norms")[0], 32]), IndexTruncatedError),
+    "v4_first_offset_not_zero": (_set_offset("span", 0, 1), IndexCorruptError),
+    "v4_offset_out_of_range": (_set_offset("path", 1, 2**63), IndexCorruptError),
+    "v4_decreasing_offset": (_set_offset("path", 2, 1), IndexCorruptError),
+    "v4_last_offset_not_data_size": (_set_offset("id", 3, 23), IndexCorruptError),
+    "v4_offset_splits_character": (_replace_bytes(b"javasrc/f1", b"jav\xc3\xa9rc/f1"), IndexCorruptError),
+    "v4_row_not_utf8": (_replace_bytes(b"src/f1.java", b"src/\xff1.java"), IndexCorruptError),
+    "v4_unsorted_ids": (_replace_bytes(b"rec-0000rec-0001", b"rec-0001rec-0000"), IndexCorruptError),
+    "v4_repeated_id": (_replace_bytes(b"rec-0001rec-0002", b"rec-0001rec-0001"), IndexCorruptError),
+    **{f"v3_{name}": (_older(3, damage), IndexVersionError) for name, damage in _V3_DAMAGE.items()},
     "v1_negative_count": (_older(1, _header_only_negative_count), IndexVersionError),
     "v2_negative_count": (_older(2, _header_only_negative_count), IndexVersionError),
     "v2_truncated_matrix": (_older(2, _cut_tail(5)), IndexVersionError),
@@ -429,18 +572,37 @@ def write_corrupt_index(path, name):
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_corrupt_file_raises_its_error_kind(tmp_path, name):
+    """Every damage makes `load` raise its error kind, except a row that is
+    not UTF-8, which raises when a search reads it."""
     path = tmp_path / "index.bin"
     write_corrupt_index(path, name)
     with pytest.raises(CORRUPTIONS[name][1]):
-        VectorIndex.load(path)
+        index = VectorIndex.load(path)
+        if name == "v4_row_not_utf8":
+            index.search(np.ones(DIM), 3)
 
 
-def test_vector_lookup_and_unknown_id():
+def test_rows_are_decoded_only_when_read(tmp_path):
+    path = tmp_path / "index.bin"
+    write_corrupt_index(path, "v4_row_not_utf8")
+    index = VectorIndex.load(path)
+    assert index.vector("rec-0001").tobytes() == build_index(np.random.default_rng(11), 3).vector("rec-0001").tobytes()
+    with pytest.raises(IndexCorruptError, match=f"^{path}: row 1 of column path is not UTF-8"):
+        index.search(np.ones(DIM), 3)
+
+
+def test_vector_lookup_and_unknown_id(tmp_path):
+    """In memory through the id map; loaded by bisecting the sorted ids."""
     index = VectorIndex("h", dim=4)
-    index.insert("a", np.arange(4.0), RecordMetadata(path="a"))
-    assert index.vector("a").tolist() == [0.0, 1.0, 2.0, 3.0]
-    with pytest.raises(KeyError):
-        index.vector("missing")
+    index.insert("m", np.arange(4.0), RecordMetadata(path="m"))
+    index.insert("c", np.ones(4), RecordMetadata(path="c"))
+    index.save(tmp_path / "index.bin")
+    for lookup in (index, VectorIndex.load(tmp_path / "index.bin")):
+        assert lookup.vector("m").tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert lookup.vector("c").tolist() == [1.0] * 4
+        for missing in ("a", "d", "z", "", "m\0"):
+            with pytest.raises(KeyError):
+                lookup.vector(missing)
 
 
 def test_duplicates_across_block_boundaries_tie_exactly():
@@ -538,6 +700,6 @@ def test_save_load_save_is_byte_identical(records, band_hash, dim, seed):
         loaded.save(second)
         assert first.read_bytes() == second.read_bytes()
     assert loaded.band_config_hash == band_hash and loaded.dim == dim
-    assert loaded.ids() == index.ids()
+    assert loaded.ids() == tuple(sorted(index.ids()))
     everything = len(records)
     assert loaded.search(np.ones(dim), everything) == index.search(np.ones(dim), everything)
