@@ -21,10 +21,13 @@ battery takes two passes: energy is computed as if the battery stayed ok,
 the first drain is found, and every later task is recomputed as LOW.
 Report sums use `math.fsum`, so report bytes do not depend on the Python
 version. `SimTrace.event_log()` writes the event log from the columns in
-fixed row blocks: each column of a block is encoded once (enum columns and
-repeated costs through tables of pre-encoded values) and the rows fill one
-sorted-key template, so the bytes are those of `json.JSONEncoder(sort_keys=True)`
-over one dict per task without building the dicts.
+fixed row blocks. In sorted-key order a row is a head fragment, its arrival
+time, a middle fragment and its task id; the fragments hold every other
+field, so the writer gives each row of a block a shape code (its enum
+columns and the bit patterns of its costs), fills the two fragments once
+per distinct shape of the block and joins the rows from them. The bytes are
+those of `json.JSONEncoder(sort_keys=True)` over one dict per task without
+building the dicts.
 """
 
 from __future__ import annotations
@@ -83,12 +86,12 @@ MetricsReport.NUMERIC_FIELDS = tuple(f.name for f in fields(MetricsReport))[1:]
 # calls, and its strings are all held at once: at 2,048 rows a 10k-task
 # `simulate --events` peaked about 1.5 MB higher than at 1,024.
 EVENT_BLOCK_ROWS = 1024
-# One event as `json.JSONEncoder(sort_keys=True)` writes it, keys sorted.
-_EVENT_ROW = (
-    '{"accuracy_loss": %s, "action": %s, "arrival_s": %s, "battery": %s, "complexity": %s, '
-    '"energy_units": %s, "failed": %s, "kind": %s, "latency_ms": %s, "network": %s, '
-    '"task_id": %s}\n'
-)
+# One event as `json.JSONEncoder(sort_keys=True)` writes it, keys sorted, is
+# `head + arrival_s + middle + task_id + "}\n"`: every field but the two
+# per-task ones is in a fragment filled once per row shape.
+_EVENT_HEAD = '{"accuracy_loss": %s, "action": %s, "arrival_s": '
+_EVENT_MIDDLE = (', "battery": %s, "complexity": %s, "energy_units": %s, "failed": %s, "kind": %s, '
+                 '"latency_ms": %s, "network": %s, "task_id": ')
 _encode = json.JSONEncoder().encode
 _KINDS, _COMPLEXITIES, _NETWORKS, _BATTERIES, _ACTIONS = (
     np.array([_encode(member.value) for member in members], dtype=object)
@@ -97,17 +100,20 @@ _KINDS, _COMPLEXITIES, _NETWORKS, _BATTERIES, _ACTIONS = (
 _BOOLS = np.array(["false", "true"], dtype=object)
 
 
-def _encode_distinct(values: np.ndarray) -> list[str]:
-    """Encode a float64 block once per distinct bit pattern, so -0.0 and 0.0
-    (and NaN payloads) are never merged. The patterns are the run starts of
-    the sorted int64 view; `np.unique` would import `numpy.ma` to find them."""
-    order = np.argsort(values.view(np.int64), kind="stable")
-    bits = values.view(np.int64)[order]
-    starts = np.concatenate(([True], bits[1:] != bits[:-1]))
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
-    table = np.array([_encode(v) for v in bits[starts].view(np.float64).tolist()], dtype=object)
-    return table[inverse].tolist()
+def _float_text(values: np.ndarray) -> Iterator[str]:
+    """A float64 block as json writes it: `float.__repr__` when every value
+    is finite, else the encoder (NaN, Infinity)."""
+    return map(float.__repr__ if np.isfinite(values).all() else _encode, values.tolist())
+
+
+def _classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number an int64 block by distinct value: each row's class id (the
+    rank of its value) and the distinct values, ascending. They are the run
+    starts of the sorted block; `np.unique` would import `numpy.ma` to find
+    them."""
+    ordered = np.sort(values)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return np.searchsorted(distinct, values), distinct
 
 
 @dataclass(eq=False)
@@ -139,21 +145,42 @@ class SimTrace:
         for start in range(0, len(self), EVENT_BLOCK_ROWS):
             rows = slice(start, start + EVENT_BLOCK_ROWS)
             arrival = self.arrival_s[rows]
-            # `float.__repr__` is what json writes for a finite float.
-            arrival_text = map(float.__repr__ if np.isfinite(arrival).all() else _encode, arrival.tolist())
-            yield "".join(map(_EVENT_ROW.__mod__, zip(
-                _encode_distinct(self.accuracy_loss[rows]),
-                _ACTIONS[self.action[rows]].tolist(),
-                arrival_text,
-                _BATTERIES[self.battery[rows]].tolist(),
-                _COMPLEXITIES[self.complexity[rows]].tolist(),
-                _encode_distinct(self.energy_units[rows]),
-                _BOOLS[self.failed[rows].astype(np.intp)].tolist(),
-                _KINDS[self.kind[rows]].tolist(),
-                _encode_distinct(self.latency_ms[rows]),
-                _NETWORKS[self.network[rows]].tolist(),
-                map(str, range(start, start + len(arrival))),
-            )))
+            kind, complexity, network, battery, action, failed, latency, energy, loss = (
+                column[rows] for column in (self.kind, self.complexity, self.network, self.battery, self.action,
+                                            self.failed, self.latency_ms, self.energy_units, self.accuracy_loss))
+            # A row's shape: the enum columns, `failed` and the bit-pattern
+            # class of each cost, so -0.0/0.0 and NaN payloads stay apart.
+            # Coded per block: enums < 288 and ids < 1,024 keep a code < 288 * 1024**3; a whole-run one can overflow.
+            code = kind.astype(np.int64)
+            for column, size in ((complexity, len(COMPLEXITIES)), (network, len(NETWORK_STATES)),
+                                 (battery, len(BATTERY_LEVELS)), (action, len(ACTIONS)), (failed, 2)):
+                code = code * size + column
+            for cost in (latency, energy, loss):
+                ids, distinct = _classes(cost.view(np.int64))
+                code = code * len(distinct) + ids
+            shape, distinct = _classes(code)
+            # A row of each shape; any will do, as its fields are the shape's.
+            samples = np.empty(len(distinct), dtype=np.intp)
+            samples[shape] = np.arange(len(shape))
+            heads = np.array(list(map(_EVENT_HEAD.__mod__, zip(
+                _float_text(loss[samples]),
+                _ACTIONS[action[samples]].tolist(),
+            ))), dtype=object)
+            middles = np.array(list(map(_EVENT_MIDDLE.__mod__, zip(
+                _BATTERIES[battery[samples]].tolist(),
+                _COMPLEXITIES[complexity[samples]].tolist(),
+                _float_text(energy[samples]),
+                _BOOLS[failed[samples].astype(np.intp)].tolist(),
+                _KINDS[kind[samples]].tolist(),
+                _float_text(latency[samples]),
+                _NETWORKS[network[samples]].tolist(),
+            ))), dtype=object)
+            out = ["}\n"] * (5 * len(arrival))
+            out[0::5] = heads[shape].tolist()
+            out[1::5] = _float_text(arrival)
+            out[2::5] = middles[shape].tolist()
+            out[3::5] = map(str, range(start, start + len(arrival)))
+            yield "".join(out)
 
 
 def metrics_from_events(trace: SimTrace, sub_second_ms: float = SimConfig.sub_second_ms) -> MetricsReport:

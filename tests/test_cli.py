@@ -317,6 +317,14 @@ class TestSimulateAndCompare:
         assert len(lines) == 50
         assert json.loads(lines[0])["task_id"] == 0
 
+    def test_simulate_zero_tasks_writes_empty_event_log(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        code = cli_main(["simulate", "--n-tasks", "0", "--out", str(tmp_path / "report.json"),
+                         "--events", str(events)])
+        capsys.readouterr()
+        assert code == 0
+        assert events.read_bytes() == b""
+
     def test_compare_writes_json_and_csv(self, tmp_path, capsys):
         out = tmp_path / "comparison.json"
         csv_path = tmp_path / "comparison.csv"

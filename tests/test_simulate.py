@@ -202,34 +202,52 @@ SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e-310, 1e16, 1e-7, 0.1, math.inf, -math.in
 float_palettes = st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=1, max_size=6)
 
 
-# An example holds up to thousands of rows, so shrinking one takes minutes; a
-# failure is reported as drawn.
-@settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(
-    n=st.sampled_from([0, 1, EVENT_BLOCK_ROWS - 1, EVENT_BLOCK_ROWS, EVENT_BLOCK_ROWS + 1,
-                       2 * EVENT_BLOCK_ROWS + 3]),
-    seed=st.integers(0, 2**32 - 1),
-    arrival_palette=st.one_of(st.none(), float_palettes),
-    cost_palettes=st.lists(float_palettes, min_size=3, max_size=3),
-    p_failed=st.sampled_from([0.0, 0.3, 1.0]),
-)
-@example(n=2 * EVENT_BLOCK_ROWS + 3, seed=1, arrival_palette=list(SPECIAL_FLOATS),
-         cost_palettes=[list(SPECIAL_FLOATS)] * 3, p_failed=0.3)
-def test_event_log_matches_json_encoder(n, seed, arrival_palette, cost_palettes, p_failed):
-    """Hand-built columns, each float column drawn from a small palette so
+def event_log_cases(test):
+    """The hand-built traces the event-log tests draw (see `hand_built_trace`).
+
+    The explicit examples: every float palette special; every cost
+    continuous, so every row of a block is its own shape; and increasing
+    arrivals with one NaN, so only the second block holds a non-finite one.
+    An example holds up to thousands of rows, so shrinking one takes minutes;
+    a failure is reported as drawn."""
+    test = example(n=2 * EVENT_BLOCK_ROWS + 3, seed=1, arrival_palette=list(SPECIAL_FLOATS),
+                   cost_palettes=[list(SPECIAL_FLOATS)] * 3, p_failed=0.3, nan_arrival_row=None)(test)
+    test = example(n=2 * EVENT_BLOCK_ROWS + 3, seed=2, arrival_palette=None,
+                   cost_palettes=[None] * 3, p_failed=0.3, nan_arrival_row=None)(test)
+    test = example(n=2 * EVENT_BLOCK_ROWS + 3, seed=3, arrival_palette=None,
+                   cost_palettes=[[1.5, 2.5]] * 3, p_failed=0.3, nan_arrival_row=EVENT_BLOCK_ROWS + 7)(test)
+    test = given(
+        n=st.sampled_from([0, 1, EVENT_BLOCK_ROWS - 1, EVENT_BLOCK_ROWS, EVENT_BLOCK_ROWS + 1,
+                           2 * EVENT_BLOCK_ROWS + 3]),
+        seed=st.integers(0, 2**32 - 1),
+        arrival_palette=st.one_of(st.none(), float_palettes),
+        cost_palettes=st.lists(st.one_of(float_palettes, st.none()), min_size=3, max_size=3),
+        p_failed=st.sampled_from([0.0, 0.3, 1.0]),
+        nan_arrival_row=st.one_of(st.none(), st.integers(0, 2 * EVENT_BLOCK_ROWS + 2)),
+    )(test)
+    return settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])(test)
+
+
+def hand_built_trace(n, seed, arrival_palette, cost_palettes, p_failed, nan_arrival_row):
+    """Hand-built columns. A float column with a palette is drawn from it, so
     blocks repeat values; with no palette the arrivals are increasing, as a
-    workload's are. The writer's bytes equal the encoder's."""
+    workload's are, and a cost is continuous. `nan_arrival_row`, when inside
+    the trace, makes that row's arrival NaN."""
     rng = np.random.default_rng(seed)
 
     def column(palette):
+        if palette is None:
+            return rng.random(n) * 1e4
         return np.array(palette, dtype=np.float64)[rng.integers(0, len(palette), n)]
 
     if arrival_palette is None:
         arrival = np.cumsum(rng.exponential(0.5, n))
     else:
         arrival = column(arrival_palette)
+    if nan_arrival_row is not None and nan_arrival_row < n:
+        arrival[nan_arrival_row] = math.nan
     costs = np.stack([column(palette) for palette in cost_palettes], axis=1)
-    trace = SimTrace(
+    return SimTrace(
         arrival_s=arrival,
         **{name: rng.integers(0, len(members), n) for name, members in (
             ("kind", TASK_KINDS), ("complexity", COMPLEXITIES), ("network", NETWORK_STATES),
@@ -239,7 +257,25 @@ def test_event_log_matches_json_encoder(n, seed, arrival_palette, cost_palettes,
         accuracy_loss=costs[:, 2],
         failed=rng.random(n) < p_failed,
     )
+
+
+@event_log_cases
+def test_event_log_matches_json_encoder(n, seed, arrival_palette, cost_palettes, p_failed, nan_arrival_row):
+    """The writer's bytes equal the encoder's."""
+    trace = hand_built_trace(n, seed, arrival_palette, cost_palettes, p_failed, nan_arrival_row)
     assert "".join(trace.event_log()) == reference_event_log(trace)
+
+
+@event_log_cases
+def test_event_log_yields_whole_lines_per_block(n, seed, arrival_palette, cost_palettes, p_failed,
+                                                nan_arrival_row):
+    """One chunk per block of `EVENT_BLOCK_ROWS` tasks, each of whole lines;
+    an empty trace yields nothing."""
+    trace = hand_built_trace(n, seed, arrival_palette, cost_palettes, p_failed, nan_arrival_row)
+    chunks = list(trace.event_log())
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert [chunk.count("\n") for chunk in chunks] == [
+        min(EVENT_BLOCK_ROWS, n - start) for start in range(0, n, EVENT_BLOCK_ROWS)]
 
 
 def test_solved_policy_reused():
