@@ -2,8 +2,10 @@
 
 Where a task runs (on the local device or on a remote model endpoint) is
 posed as a finite Markov decision process over task complexity, device
-class, network quality, and battery level. Value iteration produces a
-dense lookup policy that the simulator and the CLI consult per task.
+class, network quality, and battery level. Policy iteration solves it
+exactly, without BLAS, into a dense lookup policy that the simulator and the
+CLI consult per task; `value_iteration` is the iterative solver it is
+checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .configfile import (
     DEFAULT_DEGRADED_RTT_FACTOR,
     DEFAULT_GOOD_RTT_MS,
     DEFAULT_P_DRAIN,
-    DEFAULT_TOLERANCE,
     STOCHASTIC_TOL,
     CostModel,
     DeviceProfile,
@@ -244,6 +245,9 @@ class RoutingPolicy:
         return ACTIONS[int(self.actions[state.index])]
 
 
+DEFAULT_TOLERANCE = 1e-8  # value-iteration stopping threshold
+
+
 def value_iteration(mdp: MdpModel, tolerance: float = DEFAULT_TOLERANCE) -> RoutingPolicy:
     """Solve the MDP by synchronous Bellman backups from V = 0.
 
@@ -278,9 +282,57 @@ def value_iteration(mdp: MdpModel, tolerance: float = DEFAULT_TOLERANCE) -> Rout
     )
 
 
+def _solve_dominant(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with `matrix` x = `rhs`, by Gauss-Jordan elimination without
+    pivoting: every pivot is nonzero when `matrix` is strictly diagonally
+    dominant by rows, as elimination keeps it."""
+    n = len(rhs)
+    m = np.concatenate([matrix, rhs[:, None]], axis=1)
+    for k in range(n):
+        pivot = m[k] / m[k, k]
+        m -= m[:, k, None] * pivot
+        m[k] = pivot
+    return m[:, n]
+
+
+def policy_iteration(mdp: MdpModel) -> RoutingPolicy:
+    """Solve the MDP exactly by Howard's policy iteration.
+
+    Starts from edge wherever edge is legal, evaluates each policy by
+    solving (I - gamma P) v = r (strictly diagonally dominant, with margin
+    1 - gamma), and moves every state to its greedy action, ties breaking
+    toward edge execution (the privacy-preserving side), until the policy
+    stops changing. The actions returned are greedy on the values returned;
+    `residual` is their sup-norm Bellman residual, max |max_a q - v|. Only
+    elementwise ufuncs and `np.add.reduce` compute, not BLAS or LAPACK, whose
+    summation order depends on the CPU kernel, so the bytes are the same on
+    every machine.
+    """
+    edge_i, cloud_i = ACTIONS.index(Action.EDGE), ACTIONS.index(Action.CLOUD)
+    n = len(mdp.states)
+    rows = np.arange(n)
+    actions = np.where(mdp.action_mask[:, edge_i], edge_i, cloud_i).astype(np.int8)
+    total = -np.inf
+    while True:
+        system = np.eye(n) - mdp.gamma * mdp.transitions[actions, rows]
+        values = _solve_dominant(system, mdp.rewards[rows, actions])
+        expected = np.add.reduce(mdp.transitions * values, axis=2)  # (n_actions, n_states)
+        q = np.where(mdp.action_mask, mdp.rewards + mdp.gamma * expected.T, -np.inf)
+        greedy = (q[:, cloud_i] > q[:, edge_i]).astype(np.int8)
+        # An improving policy raises the sum of the values. One that does
+        # not only switched actions that tie up to rounding, and such
+        # switches can cycle, so the solve stops there too.
+        previous, total = total, float(np.add.reduce(values))
+        if np.array_equal(greedy, actions) or total <= previous:
+            break
+        actions = greedy
+    residual = float(np.max(np.abs(q.max(axis=1) - values)))
+    return RoutingPolicy(actions=greedy, values=values, residual=residual)
+
+
 def solve_policy(router: RouterConfig) -> RoutingPolicy:
     """The routing policy `router` describes."""
-    return value_iteration(build_mdp(router), router.tolerance)
+    return policy_iteration(build_mdp(router))
 
 
 def policy_fingerprint(router: RouterConfig) -> str:

@@ -30,7 +30,7 @@ from devmux.routing import (
     NetworkState,
     RoutingState,
     all_states,
-    build_mdp,
+    policy_iteration,
     value_iteration,
 )
 from devmux.configfile import RouterConfig
@@ -76,22 +76,21 @@ def test_criterion_1_mdp_solver_matches_oracle():
     worst = 0.0
     for _ in range(50):
         mdp = random_mdp(rng)
-        policy = value_iteration(mdp, tolerance=1e-8)
         horizon = int(np.ceil(np.log(1e-7 * (1 - mdp.gamma) / 10.0) / np.log(mdp.gamma)))
         oracle = finite_horizon_oracle(mdp, horizon)
-        worst = max(worst, float(np.max(np.abs(policy.values - oracle))))
+        for policy in (policy_iteration(mdp), value_iteration(mdp, tolerance=1e-8)):
+            worst = max(worst, float(np.max(np.abs(policy.values - oracle))))
     elapsed = time.perf_counter() - start
     check(
         1,
-        f"value iteration matches expectimax oracle on 50 random MDPs "
+        f"policy and value iteration match expectimax oracle on 50 random MDPs "
         f"(worst sup-norm gap {worst:.2e}, {elapsed:.2f}s)",
         worst < 1e-6 and elapsed < 1.0,
     )
 
 
 def test_criterion_2_routing_qualitative_fidelity():
-    mdp = build_mdp(RouterConfig())
-    policy = value_iteration(mdp)
+    policy = solve_policy(RouterConfig())
     low_state = RoutingState(Complexity.LOW, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
     high_state = RoutingState(Complexity.HIGH, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
     offline_ok = all(

@@ -68,7 +68,6 @@ POLICY_SETTING_CHANGES = {
     ("router", "w_energy"): 0.2,
     ("router", "w_accuracy"): 5.0,
     ("router", "discount_gamma"): 0.9,
-    ("router", "tolerance"): 1e-6,
     ("router", "edge_base_latency_ms"): {"high": 1000.0},
     ("router", "cpu_latency_multiplier"): 3.0,
     ("router", "edge_energy_units"): {"low": 2.0},

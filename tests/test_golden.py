@@ -36,11 +36,14 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from devmux import cli
 from devmux.cli import cli_main
@@ -328,6 +331,29 @@ def test_compare_reports_match_single_runs(name, seed, tmp_path):
 def test_route_matches_golden(tmp_path):
     golden = json.loads(ROUTE_GOLDEN.read_text(encoding="utf-8"))
     assert collect_route_hashes(tmp_path) == golden
+
+
+# OpenBLAS kernels, oldest first, with the CPU feature (as numpy names it) each needs.
+BLAS_KERNELS = {"Prescott": "SSE3", "Sandybridge": "AVX", "Haswell": "AVX2", "SkylakeX": "AVX512_SKX"}
+
+
+@pytest.mark.parametrize("kernel", BLAS_KERNELS)
+def test_route_matches_golden_on_every_blas_kernel(kernel, tmp_path):
+    """The route golden holds whichever OpenBLAS kernel numpy runs on: the
+    policy solve computes no number through BLAS, whose summation order
+    differs by kernel."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS ({blas.get('name')}) is not a DYNAMIC_ARCH OpenBLAS, so it has one kernel")
+    if not __cpu_features__.get(BLAS_KERNELS[kernel]):
+        pytest.skip(f"this CPU lacks {BLAS_KERNELS[kernel]}, which the {kernel} kernel needs")
+    script = ("import json, sys\nfrom pathlib import Path\nfrom test_golden import collect_route_hashes\n"
+              "print(json.dumps(collect_route_hashes(Path(sys.argv[1]))))")
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env,
+                          cwd=Path(__file__).parent, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(ROUTE_GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_query_matches_golden(tmp_path):

@@ -1,9 +1,11 @@
 """The package's public names and what importing it loads."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,7 +50,7 @@ MOVED = [
 MOVED_SETTINGS = [
     *[("routing", name) for name in (
         "CostModel", "DeviceProfile", "NetworkModel", "default_network_model", "default_complexity_mix",
-        "check_odds", "STOCHASTIC_TOL", "DEFAULT_TOLERANCE", "DEFAULT_P_DRAIN", "DEFAULT_GOOD_RTT_MS",
+        "check_odds", "STOCHASTIC_TOL", "DEFAULT_P_DRAIN", "DEFAULT_GOOD_RTT_MS",
         "DEFAULT_DEGRADED_RTT_FACTOR", "DEFAULT_CLOUD_ENERGY_RATIO",
     )],
     ("simulate", "SimConfig"),
@@ -153,3 +155,42 @@ def test_fresh_command_loads_only_what_it_runs(code, absent, tmp_path, capsys):
     capsys.readouterr()
     # `devmux.cli` imports no subsystem, so it does not mask what `code` loads.
     assert _loaded_in_fresh_interpreter(f"from devmux.cli import cli_main\n{code}", absent, tmp_path) == "[]"
+
+
+def _load_tracer():
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _devmux_attributes():
+    """Every attribute of every loaded devmux module and of the classes they define."""
+    owners = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "devmux"]
+    owners += [value for mod in owners for value in vars(mod).values()
+               if isinstance(value, type) and value.__module__.startswith("devmux.")]
+    return {(owner, attr): value for owner in owners for attr, value in vars(owner).items()}
+
+
+def test_benchmark_tracer_patches_and_restores_every_target():
+    """The benchmark's `--trace 1` runs patch each function its `TARGETS`
+    table names, where it is defined and wherever devmux imported it; a
+    renamed or deleted one would break every traced run."""
+    tracer_module = _load_tracer()
+    targets = set()
+    for module_name, attr, _, _ in tracer_module.TARGETS:
+        owner = importlib.import_module(f"devmux.{module_name}")
+        *cls, name = attr.split(".")
+        targets.add((getattr(owner, cls[0]) if cls else owner, name))
+    before = _devmux_attributes()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        patched = {key for key, value in _devmux_attributes().items() if before.get(key) is not value}
+        assert targets <= patched
+    finally:
+        tracer.uninstall()
+    after = _devmux_attributes()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from devmux.routing import (
     ACTION_MASK,
     ACTIONS,
     COMPLEXITIES,
+    DEFAULT_TOLERANCE,
     N_STATES,
     Action,
     Battery,
@@ -30,9 +32,11 @@ from devmux.routing import (
     complexity_indices,
     default_network_model,
     policy_from_dict,
+    policy_iteration,
     policy_to_dict,
     value_iteration,
 )
+from devmux.cli import cli_main
 from devmux.configfile import RouterConfig
 from devmux.simulate import solve_policy
 
@@ -259,14 +263,115 @@ class TestValueIteration:
         # `delta <= nan` never holds, so a NaN tolerance would sweep forever.
         with pytest.raises(ValueError, match="tolerance must be > 0"):
             value_iteration(default_mdp(), float("nan"))
-        with pytest.raises(ValueError, match="tolerance must be > 0"):
-            RouterConfig(tolerance=float("nan"))
 
     def test_policy_legal_everywhere(self):
         mdp = default_mdp()
         policy = value_iteration(mdp)
         for state in all_states():
             assert mdp.action_mask[state.index, policy.actions[state.index]]
+
+
+def greedy_actions(mdp, values):
+    """The greedy action of each state on `values`, ties to edge, by the
+    same BLAS-free lookahead as the solver."""
+    expected = (mdp.transitions * values).sum(axis=2)
+    q = np.where(mdp.action_mask, mdp.rewards + mdp.gamma * expected.T, -np.inf)
+    return (q[:, ACTIONS.index(Action.CLOUD)] > q[:, ACTIONS.index(Action.EDGE)]).astype(np.int8), q
+
+
+class TestPolicyIteration:
+    def test_matches_finite_horizon_oracle_on_default(self):
+        mdp = default_mdp()
+        policy = policy_iteration(mdp)
+        h = oracle_horizon(mdp.gamma, float(np.abs(mdp.rewards[mdp.action_mask]).max()))
+        oracle = finite_horizon_values(mdp, h)
+        assert np.max(np.abs(policy.values - oracle)) < 1e-6
+
+    def test_matches_oracle_on_random_mdps(self):
+        rng = np.random.default_rng(7)
+        for trial in range(10):
+            mdp = random_mdp(rng, random_mask=(trial % 2 == 1))
+            policy = policy_iteration(mdp)
+            oracle = finite_horizon_values(mdp, oracle_horizon(mdp.gamma, 10.0))
+            assert np.max(np.abs(policy.values - oracle)) < 1e-6
+            assert np.array_equal(policy.actions, value_iteration(mdp, tolerance=1e-8).actions)
+
+    def test_gamma_zero_is_greedy(self):
+        mdp = default_mdp(discount_gamma=0.0)
+        policy = policy_iteration(mdp)
+        q = np.where(mdp.action_mask, mdp.rewards, -np.inf)
+        assert np.array_equal(policy.values, q.max(axis=1))
+        greedy_cloud = q[:, 1] > q[:, 0]
+        assert np.array_equal(policy.actions.astype(bool), greedy_cloud)
+        assert policy.residual == 0.0
+
+    def test_equal_rewards_tie_break_to_edge(self):
+        n = N_STATES
+        transitions = np.tile(np.full((n, n), 1.0 / n), (len(ACTIONS), 1, 1))
+        rewards = np.full((n, len(ACTIONS)), -1.0)
+        mdp = MdpModel(
+            states=all_states(),
+            rewards=rewards,
+            transitions=transitions,
+            action_mask=np.ones((n, len(ACTIONS)), dtype=bool),
+            gamma=0.9,
+        )
+        policy = policy_iteration(mdp)
+        assert (policy.actions == ACTIONS.index(Action.EDGE)).all()
+
+    def test_cloud_that_comes_to_tie_goes_back_to_edge(self):
+        # State 0 goes to state 1 by edge and to state 2 by cloud at equal
+        # cost. Under all-edge, state 1 is worse than state 2, so state 0
+        # takes cloud; once state 1 takes cloud into state 2, the two are
+        # worth the same and state 0 ties, so it ends on edge.
+        states = all_states()[:3]
+        transitions = np.zeros((len(ACTIONS), 3, 3))
+        transitions[:, 0] = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        transitions[:, 1] = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        transitions[ACTIONS.index(Action.EDGE), 2, 2] = 1.0
+        rewards = np.array([[-1.0, -1.0], [-2.0, -1.0], [-1.0, 0.0]])
+        mask = np.array([[True, True], [True, True], [True, False]])
+        mdp = MdpModel(states=states, rewards=rewards, transitions=transitions, action_mask=mask, gamma=0.5)
+        policy = policy_iteration(mdp)
+        assert policy.actions.tolist() == [ACTIONS.index(Action.EDGE), ACTIONS.index(Action.CLOUD),
+                                           ACTIONS.index(Action.EDGE)]
+        assert policy.values.tolist() == [-2.0, -2.0, -2.0]
+        assert policy.residual == 0.0
+
+    def test_ties_up_to_rounding_do_not_cycle(self):
+        # Only the accuracy loss is weighted and the battery changes no
+        # reward, so some states tie exactly; on rounding, switching their
+        # actions changes the values by an ulp and flips them back.
+        per = lambda *v: dict(zip(COMPLEXITIES, v))
+        device = DeviceProfile(edge_base_latency_ms=per(1.0, 1.0, 1.0), edge_energy_units=per(0.0, 0.0, 0.0),
+                               edge_accuracy_loss=per(0.0, 1.0, 0.0), cpu_latency_multiplier=1.0)
+        network = NetworkModel(NETWORK.transition_matrix, {NetworkState.GOOD: 1.0, NetworkState.DEGRADED: 1.0},
+                               per(0.0, 0.0, 0.0), per(0.0, 0.0, 1.0))
+        mdp = build_mdp(RouterConfig(CostModel(0.0, 0.0, 6.5, discount_gamma=0.5), device, network))
+        policy = policy_iteration(mdp)
+        assert np.array_equal(policy.actions, greedy_actions(mdp, policy.values)[0])
+        assert policy.residual < 1e-14
+
+    def test_policy_legal_everywhere(self):
+        rng = np.random.default_rng(11)
+        for mdp in (default_mdp(), *(random_mdp(rng, random_mask=True) for _ in range(5))):
+            policy = policy_iteration(mdp)
+            assert mdp.action_mask[np.arange(N_STATES), policy.actions].all()
+
+    def test_deterministic_bit_identical(self):
+        a = policy_iteration(default_mdp())
+        b = policy_iteration(default_mdp())
+        assert a.actions.tobytes() == b.actions.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.residual == b.residual
+
+    def test_values_are_the_fixed_point(self):
+        mdp = default_mdp()
+        policy = policy_iteration(mdp)
+        actions, q = greedy_actions(mdp, policy.values)
+        assert np.array_equal(policy.actions, actions)
+        assert policy.residual == np.max(np.abs(q.max(axis=1) - policy.values)) < 1e-12
+        assert policy.delta_history == ()
 
 
 def per_complexity(low, high, zeros=True):
@@ -277,12 +382,13 @@ def per_complexity(low, high, zeros=True):
 
 
 class TestRouterConfigBound:
-    """`RouterConfig` refuses settings whose solve is unbounded; what it lets
-    through must solve within the bound it rests on. `worst`, the documented
-    bound on any weighted cost, must cover every legal cell of the cost
-    table; no value may exceed worst / (1 - gamma); and since sweep k changes
-    a value by at most gamma**(k-1) * worst, the solve ends by the first
-    sweep where that reaches the tolerance."""
+    """`RouterConfig` refuses settings whose values are unbounded; what it
+    lets through must solve within the bound it rests on. `worst`, the
+    documented bound on any weighted cost, must cover every legal cell of
+    the cost table; no value may exceed worst / (1 - gamma); the solved
+    actions are greedy on the solved values; and since sweep k of value
+    iteration changes a value by at most gamma**(k-1) * worst, value
+    iteration ends by the first sweep where that reaches its tolerance."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -313,21 +419,38 @@ class TestRouterConfigBound:
         assert (costs @ np.array(weights)).max() <= worst * (1 + 1e-12)
 
         policy = solve_policy(router)
-        if worst <= router.tolerance:
+        mdp = build_mdp(router)
+        assert np.array_equal(policy.actions, greedy_actions(mdp, policy.values)[0])
+        assert np.isfinite(policy.values).all()
+        assert np.abs(policy.values).max() <= worst / (1 - gamma) * (1 + 1e-12)
+
+        swept = value_iteration(mdp, DEFAULT_TOLERANCE)
+        if worst <= DEFAULT_TOLERANCE:
             contractions = 0
         elif gamma == 0:
             contractions = 1
         else:
-            contractions = math.ceil(math.log(router.tolerance / worst) / math.log(gamma))
-        assert len(policy.delta_history) <= 1 + contractions
-        assert np.isfinite(policy.values).all()
+            contractions = math.ceil(math.log(DEFAULT_TOLERANCE / worst) / math.log(gamma))
+        assert len(swept.delta_history) <= 1 + contractions
         # Up to rounding: the sweeps' partial sums approach the bound from below.
-        assert np.abs(policy.values).max() <= worst / (1 - gamma) * (1 + 1e-12)
+        assert np.abs(swept.values).max() <= worst / (1 - gamma) * (1 + 1e-12)
 
-    def test_unsolvable_gamma_refused_on_construction(self):
-        # Refused by the bound, before any sweep: this gamma would need about 2e10 of them.
-        with pytest.raises(ValueError, match="value-iteration sweeps"):
-            RouterConfig(cost=CostModel(discount_gamma=0.999999999))
+    def test_near_one_gamma_is_solved(self, tmp_path, capsys):
+        # Value iteration would need about 2e10 sweeps here; the exact solve needs none.
+        router = RouterConfig(cost=CostModel(discount_gamma=0.999999999))
+        policy = solve_policy(router)
+        assert np.isfinite(policy.values).all()
+        worst = 0.001 * 7800.0 + 0.1 * 19.0 + 10.0 * 0.29  # the defaults' worst weighted cost
+        assert np.abs(policy.values).max() <= worst / (1 - 0.999999999)
+        config, out = tmp_path / "c.yaml", tmp_path / "policy.json"
+        config.write_text("router:\n  discount_gamma: 0.999999999\n")
+        route = ["route", "--config", str(config), "--policy", str(out), "--complexity", "high",
+                 "--device", "cpu", "--network", "good", "--battery", "ok"]
+        assert cli_main(route) == 0
+        assert capsys.readouterr().out.startswith("cloud\n")
+        doc = json.loads(out.read_text())
+        assert all(math.isfinite(entry["value"]) for entry in doc["states"])
+        assert math.isfinite(doc["residual"])
 
 
 @pytest.fixture(scope="module")
