@@ -242,17 +242,17 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     sim = config.sim_config(seed=args.seed, n_tasks=args.n_tasks)
     report, trace = run_simulation(workload_from_config(sim), sim)
-    payload = {
+    text = _dump_json({
         "policy": sim.policy.value,
         "seed": sim.seed,
         "n_tasks": sim.n_tasks,
         "metrics": report.to_dict(),
-    }
-    Path(args.out).write_text(_dump_json(payload), encoding="utf-8")
+    })
+    Path(args.out).write_text(text, encoding="utf-8")
     if args.events:
         with open(args.events, "w", encoding="utf-8") as fh:
             fh.writelines(trace.event_log())
-    print(_dump_json(payload), end="")
+    print(text, end="")
     return EXIT_OK
 
 
@@ -264,12 +264,12 @@ def cmd_compare(args) -> int:
 
     config = load_config(args.config)
     report = compare_policies(config.sim_config(seed=args.seed), config.compare_policy_names)
-    payload = report.to_dict()
-    Path(args.out).write_text(_dump_json(payload), encoding="utf-8")
+    text = _dump_json(report.to_dict())
+    Path(args.out).write_text(text, encoding="utf-8")
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(report.csv_rows())
-    print(_dump_json(payload), end="")
+    print(text, end="")
     return EXIT_OK
 
 

@@ -5,29 +5,39 @@ stepped once per arrival), forms a routing state, and is charged the cost
 model's latency/energy/accuracy for the action its policy picks. Random
 draws are pre-generated from the seed in a fixed order.
 
-A run is columnar and takes two steps. The replay computes everything that
-depends on the workload and config alone, never on an action: the seeded
-draws, task complexities, the network trace (one inverse-CDF `searchsorted`
-per chain row, then one walk of the chain), the cost table with the offline
-timeout and the drain odds. The play step runs one policy, an action per
-dense routing state, through it. The routing tables come from `routing`, the
-module the MDP is built and solved in: the dense state layout
-(`routing.state_index`), `routing.cost_table`, `routing.drain_odds`,
-`routing.ACTION_MASK` and the solve itself (`routing.solve_policy`).
-`compare_policies` replays the workload once and plays each of its distinct
-policies through that replay, so the paired comparison shares its random
-numbers by construction. Battery LOW is absorbing, so the
-battery takes two passes: energy is computed as if the battery stayed ok,
-the first drain is found, and every later task is recomputed as LOW.
-Report sums use `math.fsum`, so report bytes do not depend on the Python
-version. `SimTrace.event_log()` writes the event log from the columns in
-fixed row blocks. In sorted-key order a row is a head fragment, its arrival
-time, a middle fragment and its task id; the fragments hold every other
-field, so the writer gives each row of a block a shape code (its enum
-columns and the bit patterns of its costs), fills the two fragments once
-per distinct shape of the block and joins the rows from them. The bytes are
-those of `json.JSONEncoder(sort_keys=True)` over one dict per task without
-building the dicts.
+A run is columnar, with no Python loop over tasks, and takes two steps. The
+replay computes everything that depends on the workload and config alone,
+never on an action: the seeded draws, task complexities, the network trace,
+each task's dense routing state at the starting battery, the cost table
+with the offline timeout and the drain odds. For the network trace, each
+arrival's inverse-CDF lookups in the chain's rows code its successor map
+(one of 27 for 3 states); a Hillis-Steele scan composes the maps into
+prefixes in log2(n) rounds of lookups in a composition table, and arrival i
+sees the initial state moved by the maps of the arrivals before it. The
+play step runs one policy, an action per dense routing state, through it:
+each task gets one flat `state * n_actions + action` cell, and its drain
+odds, costs and `failed` flag are one `take` each from the raveled tables.
+The routing tables come from `routing`, the module the MDP is built and
+solved in: the dense state layout (`routing.state_index`),
+`routing.cost_table`, `routing.drain_odds`, `routing.ACTION_MASK` and the
+solve itself (`routing.solve_policy`). `compare_policies` replays the
+workload once and plays each of its distinct policies through that replay,
+so the paired comparison shares its random numbers by construction. Battery
+LOW is absorbing, so the battery takes two passes: the drain odds are read
+as if the battery stayed ok, the first drain is found, and every later task
+moves to its low state (its ok state minus one, as battery is the innermost
+digit of the dense state) and takes its action and cell again. The report
+sums energy and accuracy loss exactly from their distinct values and counts
+and rounds once, so the sums are bitwise `math.fsum`'s and do not depend on
+the Python version.
+`SimTrace.event_log()` writes the event log from the columns in fixed row
+blocks. In sorted-key order a row is a head fragment, its arrival time, a
+middle fragment and its task id; the fragments hold every other field, so
+the writer gives each row of a block a shape code (its enum columns and the
+bit patterns of its costs), fills the two fragments once per distinct shape
+of the block and joins the rows from them. The bytes are those of
+`json.JSONEncoder(sort_keys=True)` over one dict per task without building
+the dicts.
 """
 
 from __future__ import annotations
@@ -98,6 +108,14 @@ _KINDS, _COMPLEXITIES, _NETWORKS, _BATTERIES, _ACTIONS = (
     for members in (TASK_KINDS, COMPLEXITIES, NETWORK_STATES, BATTERY_LEVELS, ACTIONS)
 )
 _BOOLS = np.array(["false", "true"], dtype=object)
+
+# A successor map of the network chain (the state after an arrival, for each
+# state it saw) is coded as the base-3 number whose digit r is the image of
+# state r, so 3 states have 27 maps. _MAP_IMAGE[code, r] is that digit and
+# _MAP_THEN[a * 27 + b] the code of map a followed by map b.
+_MAP_WEIGHTS = len(NETWORK_STATES) ** np.arange(len(NETWORK_STATES))
+_MAP_IMAGE = np.arange(len(NETWORK_STATES) ** len(NETWORK_STATES))[:, None] // _MAP_WEIGHTS % len(NETWORK_STATES)
+_MAP_THEN = (_MAP_IMAGE[np.arange(len(_MAP_IMAGE))[:, None], _MAP_IMAGE[:, None, :]] @ _MAP_WEIGHTS).ravel()
 
 
 def _float_text(values: np.ndarray) -> Iterator[str]:
@@ -183,16 +201,38 @@ class SimTrace:
             yield "".join(out)
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """`math.fsum(values.tolist())`, bitwise, from the distinct values and
+    their counts: the exact sum over their common power-of-two denominator,
+    rounded once by int division. A column with a non-finite value or with
+    values of both signs, or whose sum reaches 2**1023 in size, goes through
+    `math.fsum` itself: there its overflow, inf and NaN handling depend on the
+    order of the values. No run gives such a column short of overflowing."""
+    ordered = np.sort(values)
+    low, high = ordered[0], ordered[-1]
+    if np.isfinite(low) and np.isfinite(high) and (low >= 0 or high <= 0):
+        # The runs of equal values: run k is ordered[bounds[k]:bounds[k + 1]].
+        bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(ordered)]
+        ratios = [value.as_integer_ratio() for value in ordered[bounds[:-1]].tolist()]
+        scale = max(denominator for _, denominator in ratios)
+        total = sum((end - start) * numerator * (scale // denominator)
+                    for start, end, (numerator, denominator) in zip(bounds, bounds[1:], ratios))
+        if abs(total) < scale << 1023:
+            return total / scale
+    return math.fsum(values.tolist())
+
+
 def metrics_from_events(trace: SimTrace, sub_second_ms: float = SimConfig.sub_second_ms) -> MetricsReport:
     """Aggregate a run. Median averages the two middle samples; p95 is the
     smallest latency covering 95% of the mass; sub-second means strictly
-    below the threshold; sums are correctly rounded (`math.fsum`). A total
-    energy past the float range is a ConfigError."""
+    below the threshold. Energy and accuracy loss are summed exactly from
+    their distinct values and counts and rounded once, bitwise what
+    `math.fsum` gives. A total energy past the float range is a ConfigError."""
     n = len(trace)
     if n == 0:
         return MetricsReport(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
     try:
-        total_energy = math.fsum(trace.energy_units.tolist())
+        total_energy = _exact_sum(trace.energy_units)
     except OverflowError:
         raise ConfigError(f"the total energy of {n} tasks overflows a float; lower simulate.n_tasks or the router "
                           "energy settings (edge_energy_units, cloud_energy_units, cloud_energy_ratio)") from None
@@ -207,7 +247,7 @@ def metrics_from_events(trace: SimTrace, sub_second_ms: float = SimConfig.sub_se
         sub_second_fraction=int(np.count_nonzero(trace.latency_ms < sub_second_ms)) / n,
         cloud_call_fraction=int(np.count_nonzero(trace.action == ACTIONS.index(Action.CLOUD))) / n,
         total_energy_units=total_energy,
-        mean_accuracy_loss=math.fsum(trace.accuracy_loss.tolist()) / n,
+        mean_accuracy_loss=_exact_sum(trace.accuracy_loss) / n,
         failed_count=int(np.count_nonzero(trace.failed)),
     )
 
@@ -218,18 +258,28 @@ def workload_from_config(config: SimConfig) -> Workload:
 
 def _network_trace(config: SimConfig, u_network: np.ndarray) -> np.ndarray:
     """Network state index seen by each arrival; the chain steps once per
-    arrival by inverse-CDF lookup of that arrival's uniform draw."""
+    arrival by inverse-CDF lookup of that arrival's uniform draw.
+
+    Each arrival's lookups in every row code its successor map; a
+    Hillis-Steele scan composes the maps into prefixes in log2(n) rounds,
+    and arrival i sees the state that the maps of arrivals 0 to i-1 take
+    the initial state to."""
     cumulative = np.cumsum(np.asarray(config.router.network.transition_matrix), axis=1)
-    last = len(NETWORK_STATES) - 1
-    # successors[i][r]: the state after arrival i if arrival i saw state r
-    successors = zip(*(np.searchsorted(row, u_network, side="right").clip(0, last).tolist()
-                       for row in cumulative))
-    state = NETWORK_STATES.index(config.initial_network)
-    trace = []
-    for step in successors:
-        trace.append(state)
-        state = step[state]
-    return np.array(trace, dtype=np.intp)
+    # Digit r of maps[i] is `searchsorted(cumulative[r], u, side="right")`
+    # clipped to the last state: how many of the row's cumulative entries but
+    # the last are at or below the draw (a row's cumsum never falls).
+    maps = np.zeros(len(u_network), dtype=np.intp)
+    for weight, row in zip(_MAP_WEIGHTS.tolist(), cumulative):
+        for step in row[:-1]:
+            maps += (u_network >= step) * weight
+    shift = 1
+    while shift < len(maps):  # maps[i] becomes the maps of arrivals max(i - 2 * shift + 1, 0) to i composed
+        maps[shift:] = _MAP_THEN.take(maps[:-shift] * len(_MAP_IMAGE) + maps[shift:])
+        shift *= 2
+    start = NETWORK_STATES.index(config.initial_network)
+    trace = np.full(len(maps), start, dtype=np.intp)
+    trace[1:] = _MAP_IMAGE[:, start].take(maps[:-1])
+    return trace
 
 
 def _action_table(policy_kind: PolicyKind, policy: RoutingPolicy | None) -> np.ndarray:
@@ -254,26 +304,31 @@ def _replay(workload: Workload, config: SimConfig) -> Callable[[np.ndarray], tup
 
     complexity = complexity_indices(workload.kind, workload.files, workload.deps, workload.tokens)
     network = _network_trace(config, u_network)
-    device = DEVICE_CLASSES.index(config.device_class)
+    state = state_index(complexity, DEVICE_CLASSES.index(config.device_class), network,
+                        BATTERY_LEVELS.index(config.battery))
     costs = cost_table(config.router.device, config.router.network)
     costs[~ACTION_MASK, 0] = config.offline_timeout_ms
-    to_low = drain_odds(costs, config.router.p_drain)
+    # Flat tables over the cells `state * n_actions + action`.
+    to_low = drain_odds(costs, config.router.p_drain).ravel()
+    latency_ms, energy_units, accuracy_loss = costs.reshape(-1, 3).T.copy()
+    illegal = ~ACTION_MASK.ravel()
+    # A drained task's state is its ok state minus this (battery is the innermost digit of the dense state).
+    low_offset = BATTERY_LEVELS.index(Battery.OK) - BATTERY_LEVELS.index(Battery.LOW)
 
     def play(actions: np.ndarray) -> tuple[MetricsReport, SimTrace]:
-        def look_up(battery: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            state = state_index(complexity, device, network, battery)
-            action = actions[state]
-            return state, action, costs[state, action]
-
+        action = actions.take(state)
+        cell = state * len(ACTIONS) + action
         battery = np.full(n, BATTERY_LEVELS.index(config.battery), dtype=np.intp)
-        state, action, cost = look_up(battery)
         if config.battery is Battery.OK:
             # The battery drains after the first task whose draw falls under
             # its odds; from the next task on it stays low.
-            drained = np.flatnonzero(u_battery < to_low[state, action])
+            drained = np.flatnonzero(u_battery < to_low.take(cell))
             if drained.size:
-                battery[drained[0] + 1:] = BATTERY_LEVELS.index(Battery.LOW)
-                state, action, cost = look_up(battery)
+                tail = slice(drained[0] + 1, None)
+                low = state[tail] - low_offset
+                action[tail] = actions.take(low)
+                cell[tail] = low * len(ACTIONS) + action[tail]
+                battery[tail] = BATTERY_LEVELS.index(Battery.LOW)
 
         trace = SimTrace(
             arrival_s=workload.arrival_s,
@@ -282,10 +337,10 @@ def _replay(workload: Workload, config: SimConfig) -> Callable[[np.ndarray], tup
             network=network,
             battery=battery,
             action=action,
-            latency_ms=cost[:, 0],
-            energy_units=cost[:, 1],
-            accuracy_loss=cost[:, 2],
-            failed=~ACTION_MASK[state, action],
+            latency_ms=latency_ms.take(cell),
+            energy_units=energy_units.take(cell),
+            accuracy_loss=accuracy_loss.take(cell),
+            failed=illegal.take(cell),
         )
         return metrics_from_events(trace, config.sub_second_ms), trace
 

@@ -1,12 +1,17 @@
 import json
 import math
+import re
 import statistics
+import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from devmux.base import ConfigError
+from devmux.configfile import RouterConfig, default_network_model
 from devmux.routing import (
     ACTIONS,
     BATTERY_LEVELS,
@@ -23,6 +28,7 @@ from devmux.simulate import (
     PolicyKind,
     SimConfig,
     SimTrace,
+    _network_trace,
     compare_policies,
     metrics_from_events,
     run_simulation,
@@ -34,8 +40,6 @@ from devmux.workload import generate_workload
 
 def never_offline_config(**kwargs):
     matrix = np.array([[0.95, 0.05, 0.0], [0.50, 0.50, 0.0], [0.50, 0.50, 0.0]])
-    from devmux.configfile import RouterConfig, default_network_model
-
     network = default_network_model(transition_matrix=matrix)
     return SimConfig(router=RouterConfig(network=network), **kwargs)
 
@@ -285,3 +289,122 @@ def test_solved_policy_reused():
     report_a, _ = run_simulation(workload, config, policy=policy)
     report_b, _ = run_simulation(workload, config)
     assert report_a == report_b
+
+
+def walked_network_trace(config, u_network):
+    """The chain walked one arrival at a time, as `_network_trace` did before
+    its scan: the oracle for the scan."""
+    cumulative = np.cumsum(np.asarray(config.router.network.transition_matrix), axis=1)
+    last = len(NETWORK_STATES) - 1
+    successors = zip(*(np.searchsorted(row, u_network, side="right").clip(0, last).tolist()
+                       for row in cumulative))
+    state = NETWORK_STATES.index(config.initial_network)
+    trace = []
+    for step in successors:
+        trace.append(state)
+        state = step[state]
+    return np.array(trace, dtype=np.intp)
+
+
+# Around every power of two to 2**14 (the scan's rounds), the smallest
+# traces and the benchmark's size.
+SCAN_LENGTHS = sorted({0, 1, 2, 3, 10_000} | {2**k + d for k in range(1, 15) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("matrix", [
+    ((0.7, 0.2, 0.1), (0.3, 0.5, 0.2), (0.2, 0.3, 0.5)),
+    ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+    ((0.0, 0.0, 1.0), (0.1, 0.2, 0.7), (0.0, 1.0, 0.0)),
+], ids=["mixing", "absorbing", "deterministic_cycle", "zero_one_rows"])
+@pytest.mark.parametrize("on_steps", [False, True], ids=["uniform", "on_steps"])
+def test_network_scan_matches_walk(matrix, on_steps):
+    """The scan gives the walk's states for every length, initial state and
+    chain, including draws that fall exactly on a cumulative step, which
+    `searchsorted(side="right")` counts as past it."""
+    rng = np.random.default_rng(22)
+    u_network = rng.random(SCAN_LENGTHS[-1])
+    if on_steps:
+        steps = np.unique(np.concatenate(([0.0], np.cumsum(matrix, axis=1).ravel())))
+        u_network = np.where(rng.random(len(u_network)) < 0.5, rng.choice(steps, len(u_network)), u_network)
+    router = RouterConfig(network=default_network_model(transition_matrix=matrix))
+    for initial in NETWORK_STATES:
+        config = SimConfig(router=router, initial_network=initial)
+        for n in SCAN_LENGTHS:
+            expected = walked_network_trace(config, u_network[:n])
+            actual = _network_trace(config, u_network[:n])
+            assert actual.dtype == expected.dtype and np.array_equal(actual, expected), (initial, n)
+
+
+def float_bits(value):
+    return struct.pack("<d", value)
+
+
+# Signed zeros, subnormals, the smallest normal, values near the top of the
+# float range (2**1023, the largest float and the one below it), infinities
+# and NaN; Hypothesis adds arbitrary floats and arbitrary non-negative ones.
+SUM_FLOATS = (-0.0, 0.0, 5e-324, 1e-310, sys.float_info.min, 0.1, 1.0, 1e308, 2.0**1023, sys.float_info.max,
+              math.nextafter(sys.float_info.max, 0.0), -1e308, math.inf, -math.inf, math.nan)
+sum_palettes = st.lists(st.one_of(st.sampled_from(SUM_FLOATS), st.floats(min_value=0.0), st.floats()),
+                        min_size=1, max_size=6)
+
+
+def fsum_outcome(values):
+    """`math.fsum` of a column, or the type of the error it raises."""
+    try:
+        return math.fsum(values.tolist())
+    except (OverflowError, ValueError) as err:
+        return type(err)
+
+
+def assert_sums_match_fsum(trace):
+    """The report's energy total and mean accuracy loss are bitwise what
+    `math.fsum` over the columns gives; where fsum overflows on the energy
+    the report is the overflow ConfigError, and where it fails otherwise
+    the report fails with the same error."""
+    n = len(trace)
+    energy = fsum_outcome(trace.energy_units)
+    loss = fsum_outcome(trace.accuracy_loss)
+    if energy is OverflowError:
+        message = (f"the total energy of {n} tasks overflows a float; lower simulate.n_tasks or the router energy "
+                   "settings (edge_energy_units, cloud_energy_units, cloud_energy_ratio)")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            metrics_from_events(trace)
+    elif isinstance(energy, type) or isinstance(loss, type):
+        with pytest.raises(energy if isinstance(energy, type) else loss):
+            metrics_from_events(trace)
+    else:
+        report = metrics_from_events(trace)
+        assert float_bits(report.total_energy_units) == float_bits(energy)
+        assert float_bits(report.mean_accuracy_loss) == float_bits(loss / n)
+
+
+@settings(max_examples=200, deadline=None)
+@example(n=10_000, seed=1, energy_palette=[1e308, 0.0], loss_palette=[0.5])
+@example(n=10_000, seed=2, energy_palette=[5e-324, 1e-310, -0.0], loss_palette=[-0.0])
+@example(n=10_000, seed=3, energy_palette=[-1e-310, -0.5, -3.0], loss_palette=[0.1, 0.2, 0.3])
+@example(n=10_000, seed=4, energy_palette=[1.0, math.inf, math.nan], loss_palette=[math.inf, -math.inf])
+@given(
+    n=st.one_of(st.sampled_from([1, 2, 10_000]), st.integers(1, 10_000)),
+    seed=st.integers(0, 2**32 - 1),
+    energy_palette=sum_palettes,
+    loss_palette=sum_palettes,
+)
+def test_report_sums_are_fsum_bitwise(n, seed, energy_palette, loss_palette):
+    """Columns of up to 10k values drawn from a palette of at most six."""
+    assert_sums_match_fsum(hand_built_trace(n, seed, None, [None, energy_palette, loss_palette], 0.3, None))
+
+
+@pytest.mark.parametrize("energy", [
+    (sys.float_info.max, 2.0**969, math.nextafter(2.0**969, 0.0)),
+    (1e308, 1e308, -1e308, -1e308),
+    (1e308, math.inf, 1e308),
+    (1e308, 1e308, math.inf),
+], ids=["rounds_to_max", "mixed_signs", "inf_between", "inf_after"])
+def test_report_sums_keep_fsum_overflow(energy):
+    """Columns where fsum's overflow depends on the order of the values:
+    its running sum overflows although the exact sum rounds to the largest
+    float or to 0, and an infinity restarts its running sum."""
+    trace = hand_built_trace(len(energy), 5, None, [None, None, [0.25]], 0.0, None)
+    trace.energy_units = np.array(energy)
+    assert_sums_match_fsum(trace)
