@@ -35,8 +35,7 @@ _EXPORTS = {
         "check_layout_source", "describe", "detect_inconsistencies", "parse_layout",
     ),
     "routing": (
-        "ACTION_MASK", "MdpModel", "RoutingPolicy", "RoutingState", "build_mdp", "cost_breakdown", "cost_table",
-        "drain_odds", "value_iteration",
+        "ACTION_MASK", "MdpModel", "RoutingPolicy", "build_mdp", "cost_table", "drain_odds", "value_iteration",
     ),
     "simulate": (
         "ComparisonReport", "MetricsReport", "SimTrace", "compare_policies", "metrics_from_events",

@@ -201,7 +201,10 @@ def cmd_describe_layout(args) -> int:
 
 def cmd_route(args) -> int:
     from .configfile import load_config
-    from .routing import RoutingState, cost_breakdown, load_policy, policy_fingerprint, save_policy, solve_policy
+    from .routing import (
+        ACTIONS, BATTERY_LEVELS, COMPLEXITIES, DEVICE_CLASSES, NETWORK_STATES, cost_table, load_policy,
+        policy_fingerprint, save_policy, solve_policy, state_index,
+    )
 
     router = load_config(args.config).sim.router
     fingerprint = policy_fingerprint(router)
@@ -219,19 +222,14 @@ def cmd_route(args) -> int:
         if args.policy:
             save_policy(policy, fingerprint, args.policy)
 
-    state = RoutingState(
-        Complexity(args.complexity),
-        DeviceClass(args.device),
-        NetworkState(args.network),
-        Battery(args.battery),
-    )
-    action = policy.action_for(state)
-    parts = cost_breakdown(router.device, router.network, state, action)
-    print(action.value)
-    print(
-        f"latency_ms={parts.latency_ms} energy_units={parts.energy_units} "
-        f"accuracy_loss={parts.accuracy_loss}"
-    )
+    state = state_index(COMPLEXITIES.index(Complexity(args.complexity)),
+                        DEVICE_CLASSES.index(DeviceClass(args.device)),
+                        NETWORK_STATES.index(NetworkState(args.network)),
+                        BATTERY_LEVELS.index(Battery(args.battery)))
+    action = int(policy.actions[state])
+    latency_ms, energy_units, accuracy_loss = cost_table(router.device, router.network)[state, action].tolist()
+    print(ACTIONS[action].value)
+    print(f"latency_ms={latency_ms} energy_units={energy_units} accuracy_loss={accuracy_loss}")
     return EXIT_OK
 
 

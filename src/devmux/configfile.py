@@ -137,12 +137,6 @@ class DeviceProfile:
                 raise ValueError("edge energy must be >= 0")
         check_positive(cpu_latency_multiplier=self.cpu_latency_multiplier)
 
-    def edge_latency_ms(self, complexity: Complexity, device_class: DeviceClass) -> float:
-        base = self.edge_base_latency_ms[complexity]
-        if device_class is DeviceClass.CPU_ONLY:
-            return base * self.cpu_latency_multiplier
-        return base
-
 
 @dataclass(frozen=True)
 class NetworkModel:

@@ -2,16 +2,18 @@
 
 Where a task runs (on the local device or on a remote model endpoint) is
 posed as a finite Markov decision process over task complexity, device
-class, network quality, and battery level. Policy iteration solves it
-exactly, without BLAS, into a dense lookup policy that the simulator and the
-CLI consult per task; `value_iteration` is the iterative solver it is
+class, network quality, and battery level. The dense layout is stated once,
+as `STATE_GRID`, the four enum indices of every state in dense order
+(`state_index` is its inverse); the action mask, the cost table and the
+drain odds are broadcast from its columns. Policy iteration solves the MDP
+exactly, without BLAS, into a dense lookup policy that the simulator and
+the CLI consult per task; `value_iteration` is the iterative solver it is
 checked against.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -43,11 +45,12 @@ NETWORK_STATES = (NetworkState.GOOD, NetworkState.DEGRADED, NetworkState.OFFLINE
 BATTERY_LEVELS = (Battery.LOW, Battery.OK)
 ACTIONS = (Action.EDGE, Action.CLOUD)
 
-N_STATES = len(COMPLEXITIES) * len(DEVICE_CLASSES) * len(NETWORK_STATES) * len(BATTERY_LEVELS)
+STATE_SHAPE = (len(COMPLEXITIES), len(DEVICE_CLASSES), len(NETWORK_STATES), len(BATTERY_LEVELS))
+N_STATES = int(np.prod(STATE_SHAPE))
 
 
 class IllegalActionError(ValueError):
-    """Raised when an action is queried for a state where it is masked out."""
+    """Raised when a policy document picks an action masked out in its state."""
 
 
 def complexity_indices(kind, files_touched, cross_file_deps, token_length) -> np.ndarray:
@@ -70,71 +73,49 @@ def state_index(c, d, n, b):
     return ((c * len(DEVICE_CLASSES) + d) * len(NETWORK_STATES) + n) * len(BATTERY_LEVELS) + b
 
 
-@dataclass(frozen=True)
-class RoutingState:
-    complexity: Complexity
-    device_class: DeviceClass
-    network: NetworkState
-    battery: Battery
-
-    @property
-    def index(self) -> int:
-        return state_index(COMPLEXITIES.index(self.complexity), DEVICE_CLASSES.index(self.device_class),
-                           NETWORK_STATES.index(self.network), BATTERY_LEVELS.index(self.battery))
-
-
-def all_states() -> tuple[RoutingState, ...]:
-    """All routing states in dense index order."""
-    return tuple(itertools.starmap(
-        RoutingState, itertools.product(COMPLEXITIES, DEVICE_CLASSES, NETWORK_STATES, BATTERY_LEVELS)
-    ))
-
+# (4, N_STATES) read-only: the indices into COMPLEXITIES, DEVICE_CLASSES,
+# NETWORK_STATES and BATTERY_LEVELS of every dense state, in dense order.
+STATE_GRID = np.indices(STATE_SHAPE).reshape(len(STATE_SHAPE), N_STATES)
+STATE_GRID.flags.writeable = False
 
 # (N_STATES, n_actions) legal actions, read-only: cloud execution is masked
 # out while offline. The only statement of that rule.
-ACTION_MASK = np.array([[not (a is Action.CLOUD and s.network is NetworkState.OFFLINE) for a in ACTIONS]
-                        for s in all_states()])
+ACTION_MASK = ((STATE_GRID[2, :, None] != NETWORK_STATES.index(NetworkState.OFFLINE))
+               | (np.arange(len(ACTIONS)) != ACTIONS.index(Action.CLOUD)))
 ACTION_MASK.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    latency_ms: float
-    energy_units: float
-    accuracy_loss: float
-
-
-def cost_breakdown(
-    device: DeviceProfile, network: NetworkModel, state: RoutingState, action: Action
-) -> CostBreakdown:
-    """Unweighted cost components of executing a task in `state` via `action`."""
-    if not ACTION_MASK[state.index, ACTIONS.index(action)]:
-        raise IllegalActionError("cloud execution is masked out while offline")
-    if action is Action.EDGE:
-        return CostBreakdown(
-            latency_ms=device.edge_latency_ms(state.complexity, state.device_class),
-            energy_units=device.edge_energy_units[state.complexity],
-            accuracy_loss=device.edge_accuracy_loss[state.complexity],
-        )
-    return CostBreakdown(
-        latency_ms=network.rtt_ms[state.network] + network.cloud_compute_ms[state.complexity],
-        energy_units=network.cloud_energy_units[state.complexity],
-        accuracy_loss=0.0,
-    )
 
 
 def cost_table(device: DeviceProfile, network: NetworkModel) -> np.ndarray:
     """(N_STATES, n_actions, 3) latency, energy and accuracy loss of every
-    state and action, by `cost_breakdown`. A masked cell holds NaN latency,
-    the cloud energy and no loss: what a cloud call that cannot run spends."""
+    state and action.
+
+    Edge runs at the device's base latency for the complexity, times
+    `cpu_latency_multiplier` on a CPU-only device, with the device's energy
+    and accuracy loss. Cloud takes the network's round trip plus the cloud
+    compute time and the cloud energy, and loses no accuracy. A masked cell
+    holds NaN latency, the cloud energy and no loss: what a cloud call that
+    cannot run spends. Offline, the one network state where cloud is masked,
+    has no round-trip time, so its NaN gives the masked cells theirs.
+    """
+    c, d, n, _ = STATE_GRID
+
+    def column(table: dict, keys: tuple, index: np.ndarray) -> np.ndarray:
+        """`table`'s value for each state's key, NaN where it has none."""
+        return np.array([table.get(key, np.nan) for key in keys], dtype=np.float64)[index]
+
+    base = column(device.edge_base_latency_ms, COMPLEXITIES, c)
+    cpu = d == DEVICE_CLASSES.index(DeviceClass.CPU_ONLY)
     table = np.empty((N_STATES, len(ACTIONS), 3))
-    for state in all_states():
-        for ai, action in enumerate(ACTIONS):
-            if ACTION_MASK[state.index, ai]:
-                parts = cost_breakdown(device, network, state, action)
-                table[state.index, ai] = (parts.latency_ms, parts.energy_units, parts.accuracy_loss)
-            else:
-                table[state.index, ai] = (np.nan, network.cloud_energy_units[state.complexity], 0.0)
+    table[:, ACTIONS.index(Action.EDGE)] = np.column_stack([
+        np.where(cpu, base * device.cpu_latency_multiplier, base),
+        column(device.edge_energy_units, COMPLEXITIES, c),
+        column(device.edge_accuracy_loss, COMPLEXITIES, c),
+    ])
+    table[:, ACTIONS.index(Action.CLOUD)] = np.column_stack([
+        column(network.rtt_ms, NETWORK_STATES, n) + column(network.cloud_compute_ms, COMPLEXITIES, c),
+        column(network.cloud_energy_units, COMPLEXITIES, c),
+        np.zeros(N_STATES),
+    ])
     return table
 
 
@@ -148,32 +129,32 @@ def drain_odds(costs: np.ndarray, p_drain: float) -> np.ndarray:
     energy = costs[..., 1]
     max_energy = energy.max()
     odds = p_drain * (energy / max_energy) if max_energy > 0 else np.zeros_like(energy)
-    odds[[s.index for s in all_states() if s.battery is Battery.LOW]] = 1.0
+    odds[STATE_GRID[3] == BATTERY_LEVELS.index(Battery.LOW)] = 1.0
     return odds
 
 
 @dataclass(eq=False)
 class MdpModel:
-    """Dense tabular MDP over the 36 routing states and two actions.
+    """Dense tabular MDP over n states and the two routing actions; the
+    routing MDP of `build_mdp` has the 36 dense states.
 
     `rewards` is (n_states, n_actions), `transitions` is
     (n_actions, n_states, n_states), `action_mask` is (n_states, n_actions)
     bool. Immutable by convention after construction.
     """
 
-    states: tuple[RoutingState, ...]
     rewards: np.ndarray
     transitions: np.ndarray
     action_mask: np.ndarray
     gamma: float
 
     def __post_init__(self) -> None:
-        n = len(self.states)
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
         self.action_mask = np.asarray(self.action_mask, dtype=bool)
-        if self.rewards.shape != (n, len(ACTIONS)):
+        if self.rewards.ndim != 2 or self.rewards.shape[1] != len(ACTIONS):
             raise ValueError("rewards must be (n_states, n_actions)")
+        n = len(self.rewards)
         if self.transitions.shape != (len(ACTIONS), n, n):
             raise ValueError("transitions must be (n_actions, n_states, n_states)")
         if self.action_mask.shape != (n, len(ACTIONS)):
@@ -211,11 +192,10 @@ def build_mdp(router: RouterConfig) -> MdpModel:
     # Axes (action, c, d, n, b, c', d', n', b') of state (c, d, n, b) to
     # state (c', d', n', b'): c' from the mix, n' by the chain from n, the
     # device kept, b' by the drain odds; a masked action has no row.
-    shape = (len(COMPLEXITIES), len(DEVICE_CLASSES), len(NETWORK_STATES), len(BATTERY_LEVELS))
     arrival = mix_values[None, :, None] * np.asarray(network.transition_matrix)[:, None, :]  # (n, c', n')
     battery = np.stack([to_low, 1.0 - to_low], axis=-1)  # (state, action, b'), BATTERY_LEVELS order
-    battery = np.moveaxis(battery.reshape(*shape, len(ACTIONS), len(BATTERY_LEVELS)), 4, 0)
-    legal = ACTION_MASK.T.reshape(len(ACTIONS), *shape)
+    battery = np.moveaxis(battery.reshape(*STATE_SHAPE, len(ACTIONS), len(BATTERY_LEVELS)), 4, 0)
+    legal = ACTION_MASK.T.reshape(len(ACTIONS), *STATE_SHAPE)
     transitions = (
         arrival[None, None, None, :, None, :, None, :, None]
         * battery[:, :, :, :, :, None, None, None, :]
@@ -224,7 +204,6 @@ def build_mdp(router: RouterConfig) -> MdpModel:
     )
 
     return MdpModel(
-        states=all_states(),
         rewards=np.where(ACTION_MASK, -weighted, 0.0),
         transitions=transitions.reshape(len(ACTIONS), N_STATES, N_STATES),
         action_mask=ACTION_MASK,
@@ -240,9 +219,6 @@ class RoutingPolicy:
     values: np.ndarray
     residual: float
     delta_history: tuple[float, ...] = ()
-
-    def action_for(self, state: RoutingState) -> Action:
-        return ACTIONS[int(self.actions[state.index])]
 
 
 DEFAULT_TOLERANCE = 1e-8  # value-iteration stopping threshold
@@ -309,7 +285,7 @@ def policy_iteration(mdp: MdpModel) -> RoutingPolicy:
     every machine.
     """
     edge_i, cloud_i = ACTIONS.index(Action.EDGE), ACTIONS.index(Action.CLOUD)
-    n = len(mdp.states)
+    n = len(mdp.rewards)
     rows = np.arange(n)
     actions = np.where(mdp.action_mask[:, edge_i], edge_i, cloud_i).astype(np.int8)
     total = -np.inf
@@ -349,18 +325,11 @@ def policy_fingerprint(router: RouterConfig) -> str:
 
 def policy_to_dict(policy: RoutingPolicy, config_hash: str) -> dict:
     """Exportable form of a solved policy, one entry per dense state index."""
-    entries = []
-    for state in all_states():
-        entries.append(
-            {
-                "complexity": state.complexity.value,
-                "device": state.device_class.value,
-                "network": state.network.value,
-                "battery": state.battery.value,
-                "action": policy.action_for(state).value,
-                "value": float(policy.values[state.index]),
-            }
-        )
+    entries = [
+        {"complexity": COMPLEXITIES[c].value, "device": DEVICE_CLASSES[d].value, "network": NETWORK_STATES[n].value,
+         "battery": BATTERY_LEVELS[b].value, "action": ACTIONS[a].value, "value": value}
+        for c, d, n, b, a, value in zip(*STATE_GRID.tolist(), policy.actions.tolist(), policy.values.tolist())
+    ]
     return {"config_hash": config_hash, "states": entries, "residual": policy.residual}
 
 
@@ -390,23 +359,22 @@ def policy_from_dict(doc) -> tuple[RoutingPolicy, str]:
     seen: set[int] = set()
     for entry in entries:
         try:
-            state = RoutingState(
-                Complexity(entry["complexity"]),
-                DeviceClass(entry["device"]),
-                NetworkState(entry["network"]),
-                Battery(entry["battery"]),
-            )
-            action = Action(entry["action"])
+            state = state_index(COMPLEXITIES.index(Complexity(entry["complexity"])),
+                                DEVICE_CLASSES.index(DeviceClass(entry["device"])),
+                                NETWORK_STATES.index(NetworkState(entry["network"])),
+                                BATTERY_LEVELS.index(Battery(entry["battery"])))
+            action = ACTIONS.index(Action(entry["action"]))
             value = _number(entry["value"], "value")
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"malformed policy entry {entry!r}") from None
-        if state.index in seen:
-            raise ValueError(f"policy document lists state {state} twice")
-        if not ACTION_MASK[state.index, ACTIONS.index(action)]:
-            raise IllegalActionError(f"cloud execution is masked out in state {state}")
-        seen.add(state.index)
-        actions[state.index] = ACTIONS.index(action)
-        values[state.index] = value
+        where = "/".join(entry[key] for key in ("complexity", "device", "network", "battery"))
+        if state in seen:
+            raise ValueError(f"policy document lists state {where} twice")
+        if not ACTION_MASK[state, action]:
+            raise IllegalActionError(f"cloud execution is masked out in state {where}")
+        seen.add(state)
+        actions[state] = action
+        values[state] = value
     return RoutingPolicy(actions=actions, values=values, residual=residual), config_hash
 
 

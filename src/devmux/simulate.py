@@ -18,15 +18,16 @@ play step runs one policy, an action per dense routing state, through it:
 each task gets one flat `state * n_actions + action` cell, and its drain
 odds, costs and `failed` flag are one `take` each from the raveled tables.
 The routing tables come from `routing`, the module the MDP is built and
-solved in: the dense state layout (`routing.state_index`),
-`routing.cost_table`, `routing.drain_odds`, `routing.ACTION_MASK` and the
-solve itself (`routing.solve_policy`). `compare_policies` replays the
-workload once and plays each of its distinct policies through that replay,
-so the paired comparison shares its random numbers by construction. Battery
-LOW is absorbing, so the battery takes two passes: the drain odds are read
-as if the battery stayed ok, the first drain is found, and every later task
-moves to its low state (its ok state minus one, as battery is the innermost
-digit of the dense state) and takes its action and cell again. The report
+solved in: the dense state layout (`routing.STATE_GRID` and its inverse
+`routing.state_index`), `routing.cost_table`, `routing.drain_odds`,
+`routing.ACTION_MASK` and the solve itself (`routing.solve_policy`).
+`compare_policies` replays the workload once and plays each of its distinct
+policies through that replay, so the paired comparison shares its random
+numbers by construction. Battery LOW is absorbing, so the battery takes two
+passes: the drain odds are read as if the battery stayed ok, the first drain
+is found, and every later task moves to its low state (its ok state minus
+one, as battery is the innermost digit of the dense state) and takes its
+action and cell again. The report
 sums energy and accuracy loss exactly from their distinct values and counts
 and rounds once, so the sums are bitwise `math.fsum`'s and do not depend on
 the Python version.
@@ -58,12 +59,12 @@ from .routing import (
     COMPLEXITIES,
     DEVICE_CLASSES,
     NETWORK_STATES,
+    STATE_GRID,
     TASK_KINDS,
     Action,
     Battery,
     Complexity,
     RoutingPolicy,
-    all_states,
     complexity_indices,
     cost_table,
     drain_odds,
@@ -287,7 +288,7 @@ def _action_table(policy_kind: PolicyKind, policy: RoutingPolicy | None) -> np.n
     if policy_kind is PolicyKind.MDP:
         return np.asarray(policy.actions, dtype=np.intp)
     if policy_kind is PolicyKind.THRESHOLD:  # cloud for high complexity wherever cloud is legal
-        high = np.array([s.complexity is Complexity.HIGH for s in all_states()])
+        high = STATE_GRID[0] == COMPLEXITIES.index(Complexity.HIGH)
         cloud = high & ACTION_MASK[:, ACTIONS.index(Action.CLOUD)]
     else:
         cloud = np.full(len(ACTION_MASK), policy_kind is PolicyKind.ALL_CLOUD)

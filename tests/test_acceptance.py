@@ -21,6 +21,11 @@ from devmux.fusion import (
 from devmux.layoutlint import FindingKind, check_layout_source
 from devmux.routing import (
     ACTIONS,
+    BATTERY_LEVELS,
+    COMPLEXITIES,
+    DEVICE_CLASSES,
+    NETWORK_STATES,
+    STATE_GRID,
     Action,
     Battery,
     Complexity,
@@ -28,9 +33,8 @@ from devmux.routing import (
     MdpModel,
     N_STATES,
     NetworkState,
-    RoutingState,
-    all_states,
     policy_iteration,
+    state_index,
     value_iteration,
 )
 from devmux.configfile import RouterConfig
@@ -55,11 +59,11 @@ def random_mdp(rng):
     rewards = -10.0 * rng.random((n, 2))
     mask = np.ones((n, 2), dtype=bool)
     gamma = float(rng.uniform(0.80, 0.95))
-    return MdpModel(all_states(), rewards, transitions, mask, gamma)
+    return MdpModel(rewards, transitions, mask, gamma)
 
 
 def finite_horizon_oracle(mdp, horizon):
-    v = np.zeros(len(mdp.states))
+    v = np.zeros(len(mdp.rewards))
     for _ in range(horizon):
         q = np.stack(
             [mdp.rewards[:, ai] + mdp.gamma * mdp.transitions[ai].dot(v) for ai in range(2)],
@@ -91,18 +95,19 @@ def test_criterion_1_mdp_solver_matches_oracle():
 
 def test_criterion_2_routing_qualitative_fidelity():
     policy = solve_policy(RouterConfig())
-    low_state = RoutingState(Complexity.LOW, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
-    high_state = RoutingState(Complexity.HIGH, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
-    offline_ok = all(
-        policy.action_for(s) is Action.EDGE for s in all_states() if s.network is NetworkState.OFFLINE
-    )
+    cpu_good_ok = (DEVICE_CLASSES.index(DeviceClass.CPU_ONLY), NETWORK_STATES.index(NetworkState.GOOD),
+                   BATTERY_LEVELS.index(Battery.OK))
+    low_state = state_index(COMPLEXITIES.index(Complexity.LOW), *cpu_good_ok)
+    high_state = state_index(COMPLEXITIES.index(Complexity.HIGH), *cpu_good_ok)
+    edge, cloud = ACTIONS.index(Action.EDGE), ACTIONS.index(Action.CLOUD)
+    offline = STATE_GRID[2] == NETWORK_STATES.index(NetworkState.OFFLINE)
     check(
         2,
         "default policy keeps low-complexity local, sends high-complexity to cloud, "
         "and never leaves the device while offline",
-        policy.action_for(low_state) is Action.EDGE
-        and policy.action_for(high_state) is Action.CLOUD
-        and offline_ok,
+        policy.actions[low_state] == edge
+        and policy.actions[high_state] == cloud
+        and (policy.actions[offline] == edge).all(),
     )
 
 

@@ -33,6 +33,7 @@ writes their layouts.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -48,7 +49,8 @@ from numpy._core._multiarray_umath import __cpu_features__
 from devmux import cli
 from devmux.cli import cli_main
 from devmux.configfile import load_config
-from devmux.routing import all_states, policy_fingerprint
+from devmux.base import Battery, Complexity, DeviceClass, NetworkState
+from devmux.routing import policy_fingerprint
 from devmux.simulate import PolicyKind, compare_policies, run_simulation, workload_from_config
 from devmux.vindex import IndexVersionError, RecordMetadata, VectorIndex
 from test_config import SAMPLE
@@ -136,12 +138,12 @@ def collect_route_hashes(directory: Path) -> dict:
         config.write_text(text, encoding="utf-8")
         policy.unlink(missing_ok=True)
         stdout = hashlib.sha256()
-        for state in all_states():
+        # Every state in dense order: each enum in declaration order, battery innermost.
+        for c, d, n, b in itertools.product(Complexity, DeviceClass, NetworkState, Battery):
             argv = ["route", "--config", str(config), "--policy", str(policy),
-                    "--complexity", state.complexity.value, "--device", state.device_class.value,
-                    "--network", state.network.value, "--battery", state.battery.value]
+                    "--complexity", c.value, "--device", d.value, "--network", n.value, "--battery", b.value]
             code, lines, _ = _run_cli(argv)
-            assert code == 0, f"{name}/{state}"
+            assert code == 0, f"{name}/{c.value}/{d.value}/{n.value}/{b.value}"
             stdout.update(lines.encode("utf-8"))
         out[name] = {
             "fingerprint": policy_fingerprint(load_config(str(config)).sim.router),

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -9,9 +10,13 @@ from hypothesis import strategies as st
 from devmux.routing import (
     ACTION_MASK,
     ACTIONS,
+    BATTERY_LEVELS,
     COMPLEXITIES,
     DEFAULT_TOLERANCE,
+    DEVICE_CLASSES,
     N_STATES,
+    NETWORK_STATES,
+    STATE_GRID,
     Action,
     Battery,
     Complexity,
@@ -23,17 +28,15 @@ from devmux.routing import (
     NetworkModel,
     NetworkState,
     TASK_KINDS,
-    RoutingState,
     TaskKind,
-    all_states,
     build_mdp,
-    cost_breakdown,
     cost_table,
     complexity_indices,
     default_network_model,
     policy_from_dict,
     policy_iteration,
     policy_to_dict,
+    state_index,
     value_iteration,
 )
 from devmux.cli import cli_main
@@ -42,6 +45,17 @@ from devmux.simulate import solve_policy
 
 DEVICE = DeviceProfile()
 NETWORK = default_network_model(DEVICE)
+COSTS = cost_table(DEVICE, NETWORK)
+EDGE, CLOUD = ACTIONS.index(Action.EDGE), ACTIONS.index(Action.CLOUD)
+LATENCY, LOSS = 0, 2  # along the last axis of `cost_table`
+# Every (complexity, device, network, battery) in dense state order.
+STATES = tuple(itertools.product(COMPLEXITIES, DEVICE_CLASSES, NETWORK_STATES, BATTERY_LEVELS))
+
+
+def index_of(complexity, device_class, network, battery):
+    """Dense state index of the four enum members."""
+    return state_index(COMPLEXITIES.index(complexity), DEVICE_CLASSES.index(device_class),
+                       NETWORK_STATES.index(network), BATTERY_LEVELS.index(battery))
 
 
 def default_mdp(**cost_kwargs):
@@ -50,8 +64,7 @@ def default_mdp(**cost_kwargs):
 
 def finite_horizon_values(mdp, horizon):
     """Oracle: exact finite-horizon expectimax by explicit backward recursion."""
-    n = len(mdp.states)
-    v = np.zeros(n)
+    v = np.zeros(len(mdp.rewards))
     for _ in range(horizon):
         q_columns = []
         for ai in range(len(ACTIONS)):
@@ -79,7 +92,6 @@ def random_mdp(rng, random_mask=False):
         mask = np.ones((n, len(ACTIONS)), dtype=bool)
     gamma = float(rng.uniform(0.80, 0.95))
     return MdpModel(
-        states=all_states(),
         rewards=rewards,
         transitions=transitions,
         action_mask=mask,
@@ -123,69 +135,68 @@ class TestFeaturize:
 class TestBuildMdp:
     def test_offline_masks_cloud(self):
         mdp = default_mdp()
-        for state in all_states():
-            cloud_legal = mdp.action_mask[state.index, ACTIONS.index(Action.CLOUD)]
-            assert cloud_legal == (state.network is not NetworkState.OFFLINE)
-            assert mdp.action_mask[state.index, ACTIONS.index(Action.EDGE)]
+        for state in STATES:
+            cloud_legal = mdp.action_mask[index_of(*state), CLOUD]
+            assert cloud_legal == (state[2] is not NetworkState.OFFLINE)
+            assert mdp.action_mask[index_of(*state), EDGE]
 
     def test_cloud_latency_is_rtt_plus_compute(self):
-        state = RoutingState(Complexity.HIGH, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
-        parts = cost_breakdown(DEVICE, NETWORK, state, Action.CLOUD)
-        assert parts.latency_ms == 2400.0 + NETWORK.cloud_compute_ms[Complexity.HIGH]
-        assert parts.latency_ms == 3000.0
+        state = index_of(Complexity.HIGH, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
+        latency = COSTS[state, CLOUD, LATENCY]
+        assert latency == 2400.0 + NETWORK.cloud_compute_ms[Complexity.HIGH]
+        assert latency == 3000.0
 
     def test_cloud_energy_ratio(self):
         for c in COMPLEXITIES:
             assert NETWORK.cloud_energy_units[c] == pytest.approx(3.8 * DEVICE.edge_energy_units[c])
 
     def test_edge_high_accuracy_loss_default(self):
-        state = RoutingState(Complexity.HIGH, DeviceClass.GPU, NetworkState.DEGRADED, Battery.LOW)
-        assert cost_breakdown(DEVICE, NETWORK, state, Action.EDGE).accuracy_loss == 0.29
+        state = index_of(Complexity.HIGH, DeviceClass.GPU, NetworkState.DEGRADED, Battery.LOW)
+        assert COSTS[state, EDGE, LOSS] == 0.29
 
     def test_edge_latency_ignores_network(self):
-        values = set()
-        for network in NetworkState:
-            state = RoutingState(Complexity.MEDIUM, DeviceClass.GPU, network, Battery.OK)
-            values.add(cost_breakdown(DEVICE, NETWORK, state, Action.EDGE).latency_ms)
+        values = {COSTS[index_of(Complexity.MEDIUM, DeviceClass.GPU, network, Battery.OK), EDGE, LATENCY]
+                  for network in NetworkState}
         assert values == {400.0}
 
     def test_reward_reconstructs_from_breakdown(self):
         mdp = default_mdp()
         cost = CostModel()
-        for state in all_states():
-            for ai, action in enumerate(ACTIONS):
-                if not mdp.action_mask[state.index, ai]:
+        for s in range(N_STATES):
+            for ai in range(len(ACTIONS)):
+                if not mdp.action_mask[s, ai]:
                     continue
-                parts = cost_breakdown(DEVICE, NETWORK, state, action)
-                expected = -(
-                    cost.w_latency * parts.latency_ms
-                    + cost.w_energy * parts.energy_units
-                    + cost.w_accuracy * parts.accuracy_loss
-                )
-                assert mdp.rewards[state.index, ai] == expected
+                latency, energy, loss = COSTS[s, ai].tolist()
+                expected = -(cost.w_latency * latency + cost.w_energy * energy + cost.w_accuracy * loss)
+                assert mdp.rewards[s, ai] == expected
 
-    def test_breakdown_rejects_masked_action(self):
-        state = RoutingState(Complexity.LOW, DeviceClass.GPU, NetworkState.OFFLINE, Battery.OK)
-        with pytest.raises(IllegalActionError):
-            cost_breakdown(DEVICE, NETWORK, state, Action.CLOUD)
+    def test_masked_cell_is_a_cloud_call_that_cannot_run(self):
+        state = index_of(Complexity.HIGH, DeviceClass.GPU, NetworkState.OFFLINE, Battery.OK)
+        latency, energy, loss = COSTS[state, CLOUD].tolist()
+        assert math.isnan(latency)
+        assert energy == NETWORK.cloud_energy_units[Complexity.HIGH]
+        assert loss == 0.0
+
+    def test_policy_document_rejects_masked_action(self):
+        doc = policy_to_dict(solve_policy(RouterConfig()), config_hash="abc123")
+        offline = next(entry for entry in doc["states"] if entry["network"] == NetworkState.OFFLINE.value)
+        offline["action"] = Action.CLOUD.value
+        with pytest.raises(IllegalActionError, match="masked out in state low/cpu/offline/low"):
+            policy_from_dict(doc)
 
     def test_rejects_bad_workload_mix(self):
         with pytest.raises(ValueError):
             RouterConfig(complexity_mix={c: 0.5 for c in COMPLEXITIES})
 
     def test_rejects_non_stochastic_matrix(self):
-        device = DeviceProfile()
-        with pytest.raises(ValueError):
-            NetworkModelBad = default_network_model(device)
-            bad = np.array(NetworkModelBad.transition_matrix)
-            bad[0, 0] += 0.5
-            from devmux.routing import NetworkModel
-
+        bad = np.array(NETWORK.transition_matrix)
+        bad[0, 0] += 0.5
+        with pytest.raises(ValueError, match="transition_matrix.good must sum to 1"):
             NetworkModel(
                 transition_matrix=bad,
-                rtt_ms=NetworkModelBad.rtt_ms,
-                cloud_compute_ms=NetworkModelBad.cloud_compute_ms,
-                cloud_energy_units=NetworkModelBad.cloud_energy_units,
+                rtt_ms=NETWORK.rtt_ms,
+                cloud_compute_ms=NETWORK.cloud_compute_ms,
+                cloud_energy_units=NETWORK.cloud_energy_units,
             )
 
     def test_legal_transition_rows_sum_to_one(self):
@@ -225,7 +236,6 @@ class TestValueIteration:
         transitions = np.tile(np.full((n, n), 1.0 / n), (len(ACTIONS), 1, 1))
         rewards = np.full((n, len(ACTIONS)), -1.0)
         mdp = MdpModel(
-            states=all_states(),
             rewards=rewards,
             transitions=transitions,
             action_mask=np.ones((n, len(ACTIONS)), dtype=bool),
@@ -267,8 +277,7 @@ class TestValueIteration:
     def test_policy_legal_everywhere(self):
         mdp = default_mdp()
         policy = value_iteration(mdp)
-        for state in all_states():
-            assert mdp.action_mask[state.index, policy.actions[state.index]]
+        assert mdp.action_mask[np.arange(N_STATES), policy.actions].all()
 
 
 def greedy_actions(mdp, values):
@@ -310,7 +319,6 @@ class TestPolicyIteration:
         transitions = np.tile(np.full((n, n), 1.0 / n), (len(ACTIONS), 1, 1))
         rewards = np.full((n, len(ACTIONS)), -1.0)
         mdp = MdpModel(
-            states=all_states(),
             rewards=rewards,
             transitions=transitions,
             action_mask=np.ones((n, len(ACTIONS)), dtype=bool),
@@ -324,14 +332,13 @@ class TestPolicyIteration:
         # cost. Under all-edge, state 1 is worse than state 2, so state 0
         # takes cloud; once state 1 takes cloud into state 2, the two are
         # worth the same and state 0 ties, so it ends on edge.
-        states = all_states()[:3]
         transitions = np.zeros((len(ACTIONS), 3, 3))
         transitions[:, 0] = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         transitions[:, 1] = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         transitions[ACTIONS.index(Action.EDGE), 2, 2] = 1.0
         rewards = np.array([[-1.0, -1.0], [-2.0, -1.0], [-1.0, 0.0]])
         mask = np.array([[True, True], [True, True], [True, False]])
-        mdp = MdpModel(states=states, rewards=rewards, transitions=transitions, action_mask=mask, gamma=0.5)
+        mdp = MdpModel(rewards=rewards, transitions=transitions, action_mask=mask, gamma=0.5)
         policy = policy_iteration(mdp)
         assert policy.actions.tolist() == [ACTIONS.index(Action.EDGE), ACTIONS.index(Action.CLOUD),
                                            ACTIONS.index(Action.EDGE)]
@@ -455,25 +462,22 @@ class TestRouterConfigBound:
 
 @pytest.fixture(scope="module")
 def policy():
-    return value_iteration(default_mdp())
+    return solve_policy(RouterConfig(CostModel(), DEVICE, NETWORK))
 
 
 class TestRoute:
 
     def test_low_cpu_good_routes_edge(self, policy):
-        state = RoutingState(Complexity.LOW, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
-        assert policy.action_for(state) is Action.EDGE
+        state = index_of(Complexity.LOW, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
+        assert policy.actions[state] == EDGE
 
     def test_high_cpu_good_routes_cloud(self, policy):
-        state = RoutingState(Complexity.HIGH, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
-        assert policy.action_for(state) is Action.CLOUD
+        state = index_of(Complexity.HIGH, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
+        assert policy.actions[state] == CLOUD
 
     def test_offline_always_routes_edge(self, policy):
-        for c in Complexity:
-            for d in DeviceClass:
-                for b in Battery:
-                    state = RoutingState(c, d, NetworkState.OFFLINE, b)
-                    assert policy.action_for(state) is Action.EDGE
+        for c, d, b in itertools.product(Complexity, DeviceClass, Battery):
+            assert policy.actions[index_of(c, d, NetworkState.OFFLINE, b)] == EDGE
 
     def test_export_round_trip(self, policy):
         doc = policy_to_dict(policy, config_hash="abc123")
@@ -486,15 +490,21 @@ class TestRoute:
 
 class TestStateIndexing:
     def test_indices_dense_and_unique(self):
-        states = all_states()
-        assert len(states) == N_STATES == 36
-        assert sorted(s.index for s in states) == list(range(N_STATES))
+        assert len(STATES) == N_STATES == 36
+        assert [index_of(*state) for state in STATES] == list(range(N_STATES))
+
+    def test_grid_columns_invert_state_index(self):
+        assert STATE_GRID.shape == (4, N_STATES)
+        assert state_index(*STATE_GRID).tolist() == list(range(N_STATES))
+        levels = (COMPLEXITIES, DEVICE_CLASSES, NETWORK_STATES, BATTERY_LEVELS)
+        assert [tuple(map(tuple.index, levels, state)) for state in STATES] == list(zip(*STATE_GRID.tolist()))
+        assert not STATE_GRID.flags.writeable
 
     def test_breakdown_reconstruction_without_model(self):
         device = DeviceProfile()
         network = default_network_model(device)
-        state = RoutingState(Complexity.LOW, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
-        parts = cost_breakdown(device, network, state, Action.EDGE)
-        assert parts.latency_ms == 300.0  # 150 ms base doubled on cpu-only
-        assert parts.energy_units == 1.0
-        assert parts.accuracy_loss == 0.0
+        state = index_of(Complexity.LOW, DeviceClass.CPU_ONLY, NetworkState.GOOD, Battery.OK)
+        latency, energy, loss = cost_table(device, network)[state, EDGE].tolist()
+        assert latency == 300.0  # 150 ms base doubled on cpu-only
+        assert energy == 1.0
+        assert loss == 0.0

@@ -7,6 +7,7 @@ list of event-log dicts. Hypothesis drives both over
 random chains (zero entries included), drain odds, batteries, device
 classes and all-zero energy tables; the reports must be equal, and so must
 the events, read back from the event-log writer's lines with `json.loads`.
+Tasks are priced by `test_mdp_reference.reference_cost`.
 """
 
 import math
@@ -17,7 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devmux.routing import (
+    ACTIONS,
+    BATTERY_LEVELS,
     COMPLEXITIES,
+    DEVICE_CLASSES,
     NETWORK_STATES,
     TASK_KINDS,
     Action,
@@ -28,10 +32,9 @@ from devmux.routing import (
     NetworkModel,
     NetworkState,
     RouterConfig,
-    RoutingState,
     complexity_indices,
-    cost_breakdown,
     default_network_model,
+    state_index,
 )
 from devmux.simulate import (
     MetricsReport,
@@ -41,6 +44,7 @@ from devmux.simulate import (
     solve_policy,
     workload_from_config,
 )
+from test_mdp_reference import reference_cost
 from test_simulate import read_event_log
 
 
@@ -80,7 +84,6 @@ def reference_run(workload, config, policy):
     columns = (workload.arrival_s, workload.kind, workload.files, workload.deps, workload.tokens)
     for i, (arrival_s, kind, files, deps, tokens) in enumerate(zip(*(c.tolist() for c in columns))):
         complexity = COMPLEXITIES[int(complexity_indices(kind, files, deps, tokens))]
-        state = RoutingState(complexity, config.device_class, network_state, battery)
         if config.policy is PolicyKind.ALL_EDGE:
             action = Action.EDGE
         elif config.policy is PolicyKind.ALL_CLOUD:
@@ -92,16 +95,15 @@ def reference_run(workload, config, policy):
                 else Action.EDGE
             )
         else:
-            action = policy.action_for(state)
+            state = state_index(COMPLEXITIES.index(complexity), DEVICE_CLASSES.index(config.device_class),
+                                NETWORK_STATES.index(network_state), BATTERY_LEVELS.index(battery))
+            action = ACTIONS[policy.actions[state]]
 
+        latency, energy, accuracy_loss = reference_cost(router.device, router.network, complexity,
+                                                        config.device_class, network_state, action)
         failed = action is Action.CLOUD and network_state is NetworkState.OFFLINE
         if failed:
             latency = config.offline_timeout_ms
-            energy = router.network.cloud_energy_units[complexity]
-            accuracy_loss = 0.0
-        else:
-            parts = cost_breakdown(router.device, router.network, state, action)
-            latency, energy, accuracy_loss = parts.latency_ms, parts.energy_units, parts.accuracy_loss
         events.append({
             "task_id": i, "arrival_s": arrival_s, "kind": TASK_KINDS[kind].value,
             "complexity": complexity.value, "network": network_state.value, "battery": battery.value,
