@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 # Home module of each public name. The enums and the error classes live in
 # the stdlib-only `base`, and the setting records in `configfile`, which
-# imports only `base`; the subsystems re-export the names they used to
-# define, so both paths give the same object.
+# imports only `base`; a subsystem that imports one of them holds the same
+# object.
 _EXPORTS = {
     "base": (
         "Action", "Battery", "Complexity", "ContextSource", "DeviceClass", "NetworkState", "PolicyKind",

@@ -159,7 +159,7 @@ def cmd_query(args) -> int:
         items.append(
             ContextItem(
                 source=ContextSource.CODE_CONTEXT,
-                vector=index.vector(hit.id).astype(float),
+                vector=index.vector(hit.id),
                 text=text,
                 timestamp_s=0.0,
                 token_cost=max(1, math.ceil(len(text) / 4)),
@@ -202,25 +202,14 @@ def cmd_describe_layout(args) -> int:
 def cmd_route(args) -> int:
     from .configfile import load_config
     from .routing import (
-        ACTIONS, BATTERY_LEVELS, COMPLEXITIES, DEVICE_CLASSES, NETWORK_STATES, cost_table, load_policy,
-        policy_fingerprint, save_policy, solve_policy, state_index,
+        ACTIONS, BATTERY_LEVELS, COMPLEXITIES, DEVICE_CLASSES, NETWORK_STATES, cost_table, policy_fingerprint,
+        save_policy, solve_policy, state_index,
     )
 
     router = load_config(args.config).sim.router
-    fingerprint = policy_fingerprint(router)
-    policy = None
-    if args.policy and Path(args.policy).exists():
-        try:
-            policy, stored_hash = load_policy(args.policy)
-        except ValueError as err:
-            return _fail(f"cannot load policy: {err}", EXIT_IO)
-        if stored_hash != fingerprint:
-            print("warning: stored policy does not match current config; re-solving", file=sys.stderr)
-            policy = None
-    if policy is None:
-        policy = solve_policy(router)
-        if args.policy:
-            save_policy(policy, fingerprint, args.policy)
+    policy = solve_policy(router)
+    if args.policy:
+        save_policy(policy, policy_fingerprint(router), args.policy)
 
     state = state_index(COMPLEXITIES.index(Complexity(args.complexity)),
                         DEVICE_CLASSES.index(DeviceClass(args.device)),
@@ -337,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True, choices=[n.value for n in NetworkState])
     p.add_argument("--battery", required=True, choices=[b.value for b in Battery])
     p.add_argument("--config", default=None)
-    p.add_argument("--policy", default=None, help="policy JSON to load when fresh, else (re)write")
+    p.add_argument("--policy", default=None, help="also write the solved policy (JSON)")
     p.set_defaults(func=cmd_route)
 
     p = sub.add_parser("simulate", help="run one policy over a synthetic workload")

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .base import ContextSource
-from .configfile import DEFAULT_PRIORS, VECTOR_DIM, FusionWeights  # DEFAULT_PRIORS is re-exported
+from .configfile import VECTOR_DIM, FusionWeights
 from .embedding import cosine
 
 

@@ -63,10 +63,6 @@ class Widget(NamedTuple):
     document_order: int
 
 
-class LayoutTree(NamedTuple):
-    widgets: list[Widget]
-
-
 class GraphNode(NamedTuple):
     ref_id: str
     kind: str
@@ -107,7 +103,7 @@ class ValidityReport(NamedTuple):
     elapsed_ms: float
 
 
-def parse_layout(xml_text: str) -> LayoutTree:
+def parse_layout(xml_text: str) -> list[Widget]:
     """Parse layout XML into widgets in document order.
 
     Malformed XML raises LayoutParseError with the offending location. A
@@ -142,10 +138,10 @@ def parse_layout(xml_text: str) -> LayoutTree:
             )
         )
         order += 1
-    return LayoutTree(widgets)
+    return widgets
 
 
-def build_constraint_graph(tree: LayoutTree) -> tuple[ConstraintGraph, list[Inconsistency]]:
+def build_constraint_graph(widgets: list[Widget]) -> tuple[ConstraintGraph, list[Inconsistency]]:
     """Turn constraint attributes into typed edges.
 
     References to ids that do not exist become dangling-reference findings
@@ -153,7 +149,7 @@ def build_constraint_graph(tree: LayoutTree) -> tuple[ConstraintGraph, list[Inco
     that no finding ever names an unknown id.
     """
     nodes: dict[str, GraphNode] = {}
-    for widget in tree.widgets:
+    for widget in widgets:
         visibility_raw = widget.attributes.get("visibility", "visible")
         try:
             visibility = Visibility(visibility_raw)
@@ -169,10 +165,10 @@ def build_constraint_graph(tree: LayoutTree) -> tuple[ConstraintGraph, list[Inco
             document_order=widget.document_order,
         )
 
-    known = {w.ref_id for w in tree.widgets if w.declared_id is not None}
+    known = {w.ref_id for w in widgets if w.declared_id is not None}
     edges: list[ConstraintEdge] = []
     dangling: list[Inconsistency] = []
-    for widget in tree.widgets:
+    for widget in widgets:
         for attr, relation in CONSTRAINT_ATTRS:
             target = widget.attributes.get(attr)
             if target is None:
@@ -340,8 +336,7 @@ def check_layout_source(xml_text: str) -> ValidityReport:
     parse included. The elapsed time is expected to stay at or under 200 ms
     for layouts up to 500 widgets and 2,000 edges on desktop hardware."""
     start = time.perf_counter()
-    tree = parse_layout(xml_text)
-    graph, _ = build_constraint_graph(tree)
+    graph, _ = build_constraint_graph(parse_layout(xml_text))
     statements = describe(graph)
     findings = detect_inconsistencies(graph)
     elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -20,23 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import Action, Battery, Complexity, DeviceClass, NetworkState, TaskKind
-# The setting records and defaults live in `configfile`; the names not used
-# below are re-exported from their old home.
-from .configfile import (
-    DEFAULT_CLOUD_ENERGY_RATIO,
-    DEFAULT_DEGRADED_RTT_FACTOR,
-    DEFAULT_GOOD_RTT_MS,
-    DEFAULT_P_DRAIN,
-    STOCHASTIC_TOL,
-    CostModel,
-    DeviceProfile,
-    NetworkModel,
-    RouterConfig,
-    check_odds,
-    check_positive,
-    default_complexity_mix,
-    default_network_model,
-)
+from .configfile import STOCHASTIC_TOL, CostModel, DeviceProfile, NetworkModel, RouterConfig, check_positive
 
 TASK_KINDS = (TaskKind.SYNTAX_FIX, TaskKind.COMPLETION, TaskKind.REFACTOR, TaskKind.CRASH_ANALYSIS)
 COMPLEXITIES = (Complexity.LOW, Complexity.MEDIUM, Complexity.HIGH)
@@ -47,10 +31,6 @@ ACTIONS = (Action.EDGE, Action.CLOUD)
 
 STATE_SHAPE = (len(COMPLEXITIES), len(DEVICE_CLASSES), len(NETWORK_STATES), len(BATTERY_LEVELS))
 N_STATES = int(np.prod(STATE_SHAPE))
-
-
-class IllegalActionError(ValueError):
-    """Raised when a policy document picks an action masked out in its state."""
 
 
 def complexity_indices(kind, files_touched, cross_file_deps, token_length) -> np.ndarray:
@@ -64,7 +44,8 @@ def complexity_indices(kind, files_touched, cross_file_deps, token_length) -> np
     kind, files, deps, tokens = map(np.asarray, (kind, files_touched, cross_file_deps, token_length))
     high = (kind == TASK_KINDS.index(TaskKind.CRASH_ANALYSIS)) | (deps >= 5) | (files >= 10)
     medium = (deps >= 1) | (tokens >= 2000)
-    return np.where(high, 2, np.where(medium, 1, 0))
+    return np.where(high, COMPLEXITIES.index(Complexity.HIGH),
+                    np.where(medium, COMPLEXITIES.index(Complexity.MEDIUM), COMPLEXITIES.index(Complexity.LOW)))
 
 
 def state_index(c, d, n, b):
@@ -333,57 +314,8 @@ def policy_to_dict(policy: RoutingPolicy, config_hash: str) -> dict:
     return {"config_hash": config_hash, "states": entries, "residual": policy.residual}
 
 
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def policy_from_dict(doc) -> tuple[RoutingPolicy, str]:
-    """Inverse of policy_to_dict. Returns the policy and its config hash.
-
-    Raises ValueError for any document policy_to_dict cannot write: not a
-    map, a missing or mistyped key, a state missing or listed twice, or a
-    masked action (IllegalActionError).
-    """
-    if not isinstance(doc, dict):
-        raise ValueError("policy document must be a map")
-    entries, config_hash = doc.get("states"), doc.get("config_hash")
-    if not isinstance(entries, list) or len(entries) != N_STATES:
-        raise ValueError(f"policy document must carry a list of {N_STATES} states")
-    if not isinstance(config_hash, str):
-        raise ValueError("policy document must carry a config_hash string")
-    residual = _number(doc.get("residual"), "residual")
-    actions = np.zeros(N_STATES, dtype=np.int8)
-    values = np.zeros(N_STATES)
-    seen: set[int] = set()
-    for entry in entries:
-        try:
-            state = state_index(COMPLEXITIES.index(Complexity(entry["complexity"])),
-                                DEVICE_CLASSES.index(DeviceClass(entry["device"])),
-                                NETWORK_STATES.index(NetworkState(entry["network"])),
-                                BATTERY_LEVELS.index(Battery(entry["battery"])))
-            action = ACTIONS.index(Action(entry["action"]))
-            value = _number(entry["value"], "value")
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"malformed policy entry {entry!r}") from None
-        where = "/".join(entry[key] for key in ("complexity", "device", "network", "battery"))
-        if state in seen:
-            raise ValueError(f"policy document lists state {where} twice")
-        if not ACTION_MASK[state, action]:
-            raise IllegalActionError(f"cloud execution is masked out in state {where}")
-        seen.add(state)
-        actions[state] = action
-        values[state] = value
-    return RoutingPolicy(actions=actions, values=values, residual=residual), config_hash
-
-
 def save_policy(policy: RoutingPolicy, config_hash: str, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(policy_to_dict(policy, config_hash), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-
-def load_policy(path) -> tuple[RoutingPolicy, str]:
-    with open(path, encoding="utf-8") as fh:
-        return policy_from_dict(json.load(fh))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configfile import KindRanges, WorkloadSpec  # KindRanges is re-exported
+from .configfile import WorkloadSpec
 from .routing import TASK_KINDS, TaskKind
 
 

@@ -11,13 +11,8 @@ import pytest
 from devmux.cli import cli_main
 from devmux.embedding import BandConfig, cosine, graph_to_vector
 from devmux.codegraph import parse_to_graph
-from devmux.fusion import (
-    DEFAULT_PRIORS,
-    ContextItem,
-    ContextSource,
-    assemble_context,
-    score_items,
-)
+from devmux.configfile import DEFAULT_PRIORS
+from devmux.fusion import ContextItem, ContextSource, assemble_context, score_items
 from devmux.layoutlint import FindingKind, check_layout_source
 from devmux.routing import (
     ACTIONS,

@@ -63,8 +63,10 @@ def assert_config_error_exit_two(text, message, commands, tmp_path, capsys, monk
     assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
 
 
-# Policy documents `route --policy` must refuse, each made from a valid export.
+# Files that `route --policy` overwrites unread, each made from a valid
+# export: malformed ones, and a well-formed one with a tampered action.
 MALFORMED_POLICIES = {
+    "not_json": lambda doc: "{not json",
     "not_a_map": lambda doc: [],
     "states_not_a_list": lambda doc: {**doc, "states": 5},
     "masked_action": lambda doc: {
@@ -72,6 +74,11 @@ MALFORMED_POLICIES = {
         "states": [{**e, "action": "cloud"} if e["network"] == "offline" else e for e in doc["states"]],
     },
     "duplicate_state": lambda doc: {**doc, "states": [doc["states"][0], *doc["states"][:1], *doc["states"][2:]]},
+    "tampered_action": lambda doc: {
+        **doc,
+        "states": [{**e, "action": "cloud"} if (e["complexity"], e["device"], e["network"], e["battery"])
+                   == ("low", "cpu", "good", "ok") else e for e in doc["states"]],
+    },
 }
 
 
@@ -113,24 +120,25 @@ class TestRoute:
         args = ["route", "--complexity", "low", "--device", "cpu", "--network", "good",
                 "--battery", "ok", "--policy", str(policy_path)]
         assert cli_main(args) == 0
-        assert policy_path.exists()
-        first = capsys.readouterr().out
-        assert cli_main(args) == 0  # second run loads the saved policy
+        first, written = capsys.readouterr().out, policy_path.read_bytes()
+        assert cli_main(args) == 0  # second run solves again and rewrites the file
         assert capsys.readouterr().out == first
+        assert policy_path.read_bytes() == written
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_POLICIES))
-    def test_malformed_policy_file_exit_three(self, case, tmp_path, capsys):
+    def test_existing_policy_file_is_overwritten(self, case, tmp_path, capsys):
+        route = ["route", "--complexity", "low", "--device", "cpu", "--network", "good", "--battery", "ok"]
         policy_path = tmp_path / "policy.json"
-        args = ["route", "--complexity", "low", "--device", "cpu", "--network", "good",
-                "--battery", "ok", "--policy", str(policy_path)]
-        assert cli_main(args) == 0
-        doc = MALFORMED_POLICIES[case](json.loads(policy_path.read_text()))
-        policy_path.write_text(json.dumps(doc))
+        assert cli_main([*route, "--policy", str(policy_path)]) == 0
+        fresh = policy_path.read_bytes()
+        doc = MALFORMED_POLICIES[case](json.loads(fresh))
+        policy_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         capsys.readouterr()
-        assert cli_main(args) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "cannot load policy" in captured.err
+        assert cli_main(route) == 0
+        solved = capsys.readouterr().out
+        assert cli_main([*route, "--policy", str(policy_path)]) == 0
+        assert capsys.readouterr() == (solved, "")
+        assert policy_path.read_bytes() == fresh
 
 
 class TestDescribeLayout:

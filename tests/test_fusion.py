@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devmux.configfile import DEFAULT_PRIORS
 from devmux.embedding import VECTOR_DIM
 from devmux.fusion import (
-    DEFAULT_PRIORS,
     ContextItem,
     ContextSource,
     FusionWeights,

@@ -136,7 +136,6 @@ def collect_route_hashes(directory: Path) -> dict:
     config, policy = directory / "route.yaml", directory / "policy.json"
     for name, text in ROUTE_CONFIGS.items():
         config.write_text(text, encoding="utf-8")
-        policy.unlink(missing_ok=True)
         stdout = hashlib.sha256()
         # Every state in dense order: each enum in declaration order, battery innermost.
         for c, d, n, b in itertools.product(Complexity, DeviceClass, NetworkState, Battery):

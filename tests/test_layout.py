@@ -41,18 +41,18 @@ def graph_of(xml):
 
 class TestParse:
     def test_empty_layout(self):
-        assert parse_layout("<Layout/>").widgets == []
+        assert parse_layout("<Layout/>") == []
 
     def test_two_widgets_in_document_order(self):
-        tree = parse_layout('<Layout><Button id="A"/><TextView id="B"/></Layout>')
-        assert [(w.kind, w.declared_id, w.document_order) for w in tree.widgets] == [
+        widgets = parse_layout('<Layout><Button id="A"/><TextView id="B"/></Layout>')
+        assert [(w.kind, w.declared_id, w.document_order) for w in widgets] == [
             ("Button", "A", 0),
             ("TextView", "B", 1),
         ]
 
     def test_nested_widgets_counted(self):
-        tree = parse_layout('<Layout><Group id="g"><Button id="A"/></Group></Layout>')
-        assert [w.kind for w in tree.widgets] == ["Group", "Button"]
+        widgets = parse_layout('<Layout><Group id="g"><Button id="A"/></Group></Layout>')
+        assert [w.kind for w in widgets] == ["Group", "Button"]
 
     def test_duplicate_id_is_error(self):
         # A generated `<Kind>@<position>` ref collides with a declared id in either order.
@@ -70,8 +70,8 @@ class TestParse:
         assert err.value.line is not None
 
     def test_unknown_attributes_preserved(self):
-        tree = parse_layout('<Layout><Button id="A" theme="dark"/></Layout>')
-        assert tree.widgets[0].attributes["theme"] == "dark"
+        widgets = parse_layout('<Layout><Button id="A" theme="dark"/></Layout>')
+        assert widgets[0].attributes["theme"] == "dark"
 
 
 class TestConstraintGraph:
@@ -217,8 +217,7 @@ def test_cycle_groups_match_networkx_oracle(n, data):
         )
     )
     body = "".join(f'<TextView id="w{i}"/>' for i in range(n))
-    tree = parse_layout(f"<Layout>{body}</Layout>")
-    graph, _ = build_constraint_graph(tree)
+    graph, _ = build_constraint_graph(parse_layout(f"<Layout>{body}</Layout>"))
     seen = set()
     for src, dst in pairs:
         if (src, dst) in seen:

@@ -13,9 +13,13 @@ import devmux
 
 # The public names and the submodules that exported them before the package
 # became lazy; every one of these import paths must still work.
+# `KindRanges` and `default_network_model` resolve only in `configfile`.
 EXPORTS = {
     "codegraph": ("CodeGraph", "EdgeKind", "ParseError", "parse_to_graph"),
-    "configfile": ("AppConfig", "ConfigError", "RouterConfig", "load_config", "parse_config_text"),
+    "configfile": (
+        "AppConfig", "ConfigError", "KindRanges", "RouterConfig", "default_network_model", "load_config",
+        "parse_config_text",
+    ),
     "embedding": ("VECTOR_DIM", "BandConfig", "cosine", "graph_to_vector"),
     "fusion": ("ContextItem", "ContextSource", "FusedContext", "FusionWeights", "assemble_context", "score_items"),
     "layoutlint": (
@@ -25,14 +29,14 @@ EXPORTS = {
     "routing": (
         "ACTION_MASK", "Action", "Battery", "Complexity", "CostModel", "DeviceClass", "DeviceProfile",
         "MdpModel", "NetworkModel", "NetworkState", "RoutingPolicy", "TaskKind", "build_mdp", "cost_table",
-        "default_network_model", "drain_odds", "value_iteration",
+        "drain_odds", "value_iteration",
     ),
     "simulate": (
         "ComparisonReport", "MetricsReport", "PolicyKind", "SimConfig", "SimTrace", "compare_policies",
         "metrics_from_events", "run_simulation",
     ),
     "vindex": ("QueryResult", "RecordMetadata", "VectorIndex"),
-    "workload": ("KindRanges", "Workload", "WorkloadSpec", "generate_workload"),
+    "workload": ("Workload", "WorkloadSpec", "generate_workload"),
 }
 PAIRS = [(module, name) for module, names in EXPORTS.items() for name in names]
 
@@ -46,21 +50,24 @@ MOVED = [
     ("fusion", "ContextSource"),
 ]
 
-# Setting records, defaults and checks that moved to `configfile`, and where they used to live.
-MOVED_SETTINGS = [
-    *[("routing", name) for name in (
-        "CostModel", "DeviceProfile", "NetworkModel", "default_network_model", "default_complexity_mix",
-        "check_odds", "STOCHASTIC_TOL", "DEFAULT_P_DRAIN", "DEFAULT_GOOD_RTT_MS",
-        "DEFAULT_DEGRADED_RTT_FACTOR", "DEFAULT_CLOUD_ENERGY_RATIO",
-    )],
-    ("simulate", "SimConfig"),
-    ("workload", "KindRanges"),
-    ("workload", "WorkloadSpec"),
-    ("embedding", "BandConfig"),
-    ("embedding", "VECTOR_DIM"),
-    ("fusion", "FusionWeights"),
-    ("fusion", "DEFAULT_PRIORS"),
-]
+# Setting records, defaults and checks that moved to `configfile`, each with
+# the subsystems that import it for their own use; no other subsystem holds
+# the name.
+MOVED_SETTINGS = {
+    **dict.fromkeys(("CostModel", "DeviceProfile", "NetworkModel", "STOCHASTIC_TOL"), ("routing",)),
+    "SimConfig": ("simulate",),
+    "WorkloadSpec": ("workload",),
+    "BandConfig": ("embedding",),
+    "VECTOR_DIM": ("embedding", "fusion", "vindex"),
+    "FusionWeights": ("fusion",),
+    **dict.fromkeys((
+        "default_network_model", "default_complexity_mix", "check_odds", "DEFAULT_P_DRAIN", "DEFAULT_GOOD_RTT_MS",
+        "DEFAULT_DEGRADED_RTT_FACTOR", "DEFAULT_CLOUD_ENERGY_RATIO", "KindRanges", "DEFAULT_PRIORS",
+    ), ()),
+}
+SUBSYSTEMS = (
+    "base", "cli", "codegraph", "embedding", "fusion", "layoutlint", "routing", "simulate", "vindex", "workload",
+)
 
 HEAVY = ("numpy", "devmux.configfile", "devmux.routing", "dataclasses")
 
@@ -81,10 +88,13 @@ def test_moved_name_is_the_base_object(module, name):
     assert getattr(importlib.import_module(f"devmux.{module}"), name) is getattr(base, name)
 
 
-@pytest.mark.parametrize("module, name", MOVED_SETTINGS, ids=[name for _, name in MOVED_SETTINGS])
-def test_moved_setting_is_the_configfile_object(module, name):
+@pytest.mark.parametrize("name", sorted(MOVED_SETTINGS))
+def test_moved_setting_is_the_configfile_object(name):
     configfile = importlib.import_module("devmux.configfile")
-    assert getattr(importlib.import_module(f"devmux.{module}"), name) is getattr(configfile, name)
+    holders = [module for module in SUBSYSTEMS if hasattr(importlib.import_module(f"devmux.{module}"), name)]
+    assert holders == list(MOVED_SETTINGS[name])
+    for module in holders:
+        assert getattr(importlib.import_module(f"devmux.{module}"), name) is getattr(configfile, name)
 
 
 def test_dir_lists_every_public_name():

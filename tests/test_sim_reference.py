@@ -33,9 +33,9 @@ from devmux.routing import (
     NetworkState,
     RouterConfig,
     complexity_indices,
-    default_network_model,
     state_index,
 )
+from devmux.configfile import default_network_model
 from devmux.simulate import (
     MetricsReport,
     PolicyKind,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from devmux.routing import COMPLEXITIES, TASK_KINDS, Complexity, TaskKind, complexity_indices
-from devmux.workload import KindRanges, WorkloadSpec, generate_workload
+from devmux.configfile import KindRanges
+from devmux.workload import WorkloadSpec, generate_workload
 
 
 def columns(workload):
