@@ -127,8 +127,8 @@ def _query_text_for(root_hint: Path, metadata, limit: int = 400) -> str:
 
 def cmd_query(args) -> int:
     from .codegraph import ParseError, fallback_token_graph, parse_to_graph
-    from .configfile import load_config
-    from .embedding import VECTOR_DIM, graph_to_vector
+    from .configfile import VECTOR_DIM, load_config
+    from .embedding import graph_to_vector
     from .fusion import ContextItem, ContextSource, assemble_context, score_items
     from .vindex import VectorIndex
 

@@ -10,14 +10,13 @@ get placeholder nodes labeled "external-call" / "external-class".
 
 A `CodeGraph` is stored as columns, not as one object per node and edge:
 node `i` is `labels[i]` with `names[i]`, and edge `e` runs from `src[e]` to
-`dst[e]` with kind `EDGE_KINDS[kinds[e]]`. Its `nodes` and `edges` views
-build `Node`/`Edge` records on demand for callers that want them. Tokens
-are plain `(kind, text, line, col)` tuples.
+`dst[e]` with kind `EDGE_KINDS[kinds[e]]`. Its `nodes` and `edges`
+properties build lists of `Node`/`Edge` records for callers that want them.
+Tokens are plain `(kind, text, line, col)` tuples.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from enum import Enum
 from typing import NamedTuple
 
@@ -55,23 +54,6 @@ class Edge(NamedTuple):
     kind: EdgeKind
 
 
-class _Records(Sequence):
-    """A read-only sequence of `n` records, record `i` built by `record(i)`
-    when it is read."""
-
-    __slots__ = ("_n", "_record")
-
-    def __init__(self, n: int, record) -> None:
-        self._n = n
-        self._record = record
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i: int):
-        return self._record(range(self._n)[i])
-
-
 class CodeGraph:
     """A code graph as five columns: `labels` and `names` per node, and
     `src`, `dst` and `kinds` (indexes into `EDGE_KINDS`) per edge."""
@@ -107,12 +89,12 @@ class CodeGraph:
         return "CodeGraph(labels={!r}, names={!r}, src={!r}, dst={!r}, kinds={!r})".format(*self._columns())
 
     @property
-    def nodes(self) -> Sequence[Node]:
-        return _Records(len(self.labels), lambda i: Node(i, self.labels[i], self.names[i]))
+    def nodes(self) -> list[Node]:
+        return list(map(Node, range(len(self.labels)), self.labels, self.names))
 
     @property
-    def edges(self) -> Sequence[Edge]:
-        return _Records(len(self.src), lambda e: Edge(self.src[e], self.dst[e], EDGE_KINDS[self.kinds[e]]))
+    def edges(self) -> list[Edge]:
+        return list(map(Edge, self.src, self.dst, map(EDGE_KINDS.__getitem__, self.kinds)))
 
 
 KEYWORDS = {"class", "extends", "return"}

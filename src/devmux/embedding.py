@@ -35,7 +35,7 @@ from itertools import chain, filterfalse
 import numpy as np
 
 from .codegraph import EDGE_KINDS, CodeGraph
-from .configfile import VECTOR_DIM, BandConfig  # VECTOR_DIM is re-exported
+from .configfile import BandConfig
 _LITERAL_LABELS = ("string-literal", "number-literal")
 # Slot of a node's own entry in its WL key; an edge of kind k has slot 2k at
 # its source end and 2k + 1 at its destination end.

@@ -1,16 +1,18 @@
 """Exact top-k cosine retrieval over stored embedding vectors.
 
-Vectors are kept as rows of one C-contiguous little-endian float32 matrix
-(the on-disk width), so a save/load round trip is bit-identical; ids, paths,
-spans and source kinds are columns beside it. Each row's float64 norm is
-kept beside the matrix, so a search does not recompute it. Inserted vectors
-wait in a list and join the matrix, with their norms, in one copy when a
-search or lookup next needs it, so building an index costs no copy per
-growth step. Search widens a block of rows at a time to double precision
-and scores it with one matrix-vector product, divides by the stored norms,
-finds the k-th score with `np.partition`, and sorts only the records that
-reach it, so ties break by ascending record id (the flat exact search of
-FAISS `IndexFlatIP`).
+A built index and a loaded one hold their records in the same form: rows in
+ascending id order, with ids, paths, source kinds and spans as string
+columns in the file's layout, a sequence of little-endian float32 vectors
+(the on-disk width, so a save/load round trip is bit-identical) and each
+row's float64 norm, so a search does not recompute it. `insert` checks a
+record and holds it aside; the next read (`search`, `vector`, `ids` or
+`save`) merges the held records into the rows in one sort by id, moving the
+vectors rather than copying them, as a log-structured merge tree folds its
+buffer into a sorted run. Search widens a block of rows at a time to double
+precision and scores it with one matrix-vector product, divides by the
+stored norms, finds the k-th score with `np.partition`, and stably sorts
+only the rows that reach it, so ties break by row, which is ascending
+record id (the flat exact search of FAISS `IndexFlatIP`).
 
 The file (format version 4) starts with one JSON header line,
 `{"band_config_hash", "blocks", "count", "dim", "format_version": 4}`,
@@ -22,17 +24,14 @@ another (`<name>.data`), as in Apache Arrow's variable-size binary layout;
 then the `count * dim` float32 matrix (`vectors`) and the `count` float64
 row norms (`norms`). Every block starts at the first 64-byte boundary after
 the header or the block before it, and the file ends with the last block.
-Rows are stored in ascending id order.
 
-Load maps the file read-only and views every block in place, so vectors of
-a loaded index are read-only; it checks the layout, every column's offsets,
-that ids strictly ascend and that every norm is finite and >= 0, and
-decodes a string only when its row is read. A loaded index finds an id's
-row by bisecting the sorted id column; an index built by `insert` keeps its
-columns in lists with an id -> row map, and a loaded index moves to that
-form on its first insert. `save` writes a new file beside the target and
-renames it over the target, so an index mapped from the old file keeps its
-bytes. `load` reads only the version `save` writes: an index file of any
+Load maps the file read-only and views every block in place; it checks the
+layout, every column's offsets, that ids strictly ascend and that every norm
+is finite and >= 0, and decodes a string only when its row is read. An id's
+row is found by bisecting the id column. Vectors are read-only in both
+forms. `save` writes the blocks as they are to a new file beside the target
+and renames it over the target, so an index mapped from the old file keeps
+its bytes. `load` reads only the version `save` writes: an index file of any
 other version raises `IndexVersionError` (`query` exits 3) until
 `devmux index` rebuilds it.
 """
@@ -119,9 +118,9 @@ def _row_norms(matrix) -> np.ndarray:
 
 
 class _TextColumn:
-    """A string column of a loaded index, viewed in place: row `i` is the
-    UTF-8 bytes `data[offsets[i]:offsets[i + 1]]`, decoded when it is read.
-    Rows are read by non-negative number only."""
+    """A string column in the file's layout: row `i` is the UTF-8 bytes
+    `data[offsets[i]:offsets[i + 1]]`, decoded when it is read. Rows are
+    read by non-negative number only."""
 
     def __init__(self, name: str, offsets: np.ndarray, data: memoryview, source: str):
         self._name, self._offsets, self._data, self._source = name, offsets, data, source
@@ -137,68 +136,72 @@ class _TextColumn:
                 f"{self._source}: row {row} of column {self._name} is not UTF-8 ({err.reason})") from None
 
 
+def _text_column(name: str, values: list[str]) -> _TextColumn:
+    """`values` encoded as a column of the file."""
+    encoded = [value.encode(*_TEXT) for value in values]
+    offsets = np.zeros(len(encoded) + 1, dtype="<u8")
+    np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)), out=offsets[1:])
+    return _TextColumn(name, offsets, memoryview(b"".join(encoded)), "memory")
+
+
 class VectorIndex:
     """In-memory store of (id, vector, metadata) with exhaustive search."""
 
     def __init__(self, band_config_hash: str, dim: int = VECTOR_DIM):
         self.band_config_hash = band_config_hash
         self.dim = dim
-        # id -> row; None for a loaded index, whose ids are sorted.
-        self._rows: dict[str, int] | None = {}
-        self._ids: list[str] | _TextColumn = []
-        self._paths: list[str] | _TextColumn = []
-        self._spans: list[str] | _TextColumn = []
-        self._kinds: list[str] | _TextColumn = []
-        self._matrix = np.empty((0, dim), dtype="<f4")
-        # Norm of each matrix row; pending inserts get theirs when they join.
+        # The merged rows, in ascending id order: one column per _COLUMNS
+        # entry, a sequence of float32 vectors and their norms.
+        self._columns = tuple(_text_column(name, []) for name in _COLUMNS)
+        self._matrix: list[np.ndarray] | np.ndarray = []
         self._norms = np.empty(0, dtype="<f8")
-        # Vectors inserted since the matrix was last grown; they join it in
-        # one copy when a read needs it.
-        self._pending: list[np.ndarray] = []
+        # id -> (path, source_kind, span, vector) inserted since the last merge.
+        self._pending: dict[str, tuple[str, str, str, np.ndarray]] = {}
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._columns[0]) + len(self._pending)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(self._ids)
+        self._merge()
+        return tuple(self._columns[0])
 
     def vector(self, record_id: str) -> np.ndarray:
-        return self._vectors()[self._row(record_id)]
-
-    def _row(self, record_id: str) -> int:
-        if self._rows is not None:
-            return self._rows[record_id]
-        row = bisect.bisect_left(self._ids, record_id)
-        if row == len(self._ids) or self._ids[row] != record_id:
+        self._merge()
+        row = self._row(record_id)
+        if row is None:
             raise KeyError(record_id)
-        return row
+        return self._matrix[row]
 
-    def _all_norms(self) -> np.ndarray:
-        """The norm of every record: the matrix rows' stored ones, then those
-        of pending inserts."""
+    def _row(self, record_id: str) -> int | None:
+        """The merged row that holds `record_id`, found by bisecting the ids."""
+        ids = self._columns[0]
+        row = bisect.bisect_left(ids, record_id)
+        return row if row < len(ids) and ids[row] == record_id else None
+
+    def _merge(self) -> None:
+        """Fold the pending inserts into the merged rows in one sort by id.
+        Vectors are moved, never copied, so the matrix becomes a list of
+        row arrays and a merge holds no second copy of them."""
         if not self._pending:
-            return self._norms
-        return np.concatenate([self._norms, _row_norms(self._pending)])
-
-    def _vectors(self) -> np.ndarray:
-        """The matrix of all records, grown by any pending inserts, with a
-        norm known for every row."""
-        self._norms = self._all_norms()
-        if self._pending:
-            self._matrix = np.vstack([self._matrix, *self._pending])
-            self._pending = []
-        return self._matrix
+            return
+        pending = [(record_id, *record) for record_id, record in self._pending.items()]
+        columns = [[*column, *(record[c] for record in pending)] for c, column in enumerate(self._columns)]
+        rows = [*self._matrix, *(record[-1] for record in pending)]
+        norms = np.concatenate([self._norms, _row_norms(rows[len(self._matrix):])])
+        order = sorted(range(len(rows)), key=columns[0].__getitem__)
+        self._columns = tuple(_text_column(name, [values[row] for row in order])
+                              for name, values in zip(_COLUMNS, columns))
+        self._matrix = [rows[row] for row in order]
+        self._norms = norms[order]
+        self._pending = {}
 
     def insert(self, record_id: str, vector: np.ndarray, metadata: RecordMetadata) -> None:
-        """Store one record. Vectors are quantized to float32, the stored
-        width. Duplicate ids, dimension mismatches and vectors with an entry
-        that is not finite in float32 (NaN, infinite, or beyond its range)
-        are rejected, since `load` refuses the norm such a row gets."""
-        if self._rows is None:  # a loaded index: its columns become lists once
-            self._ids, self._paths, self._spans, self._kinds = (
-                list(column) for column in (self._ids, self._paths, self._spans, self._kinds))
-            self._rows = dict(zip(self._ids, range(len(self._ids))))
-        if record_id in self._rows:
+        """Store one record; it joins the merged rows at the next read.
+        Vectors are quantized to float32, the stored width, and read-only.
+        Duplicate ids, dimension mismatches and vectors with an entry that
+        is not finite in float32 (NaN, infinite, or beyond its range) are
+        rejected, since `load` refuses the norm such a row gets."""
+        if record_id in self._pending or self._row(record_id) is not None:
             raise ValueError(f"duplicate record id {record_id!r}")
         vector = np.asarray(vector)
         if vector.shape != (self.dim,):
@@ -207,28 +210,24 @@ class VectorIndex:
             stored = vector.astype("<f4")
         if not np.isfinite(stored).all():
             raise ValueError(f"vector for {record_id!r} has an entry that is not finite in float32")
-        self._pending.append(stored)
-        self._rows[record_id] = len(self._ids)
-        self._ids.append(record_id)
-        self._paths.append(metadata.path)
-        self._spans.append(metadata.span)
-        self._kinds.append(metadata.source_kind)
+        stored.flags.writeable = False
+        self._pending[record_id] = (metadata.path, metadata.source_kind, metadata.span, stored)
 
     def _similarities(self, query: np.ndarray) -> np.ndarray:
         """Float64 cosine of every record against `query`; 0 for a zero
         record or a zero query. Each row's dot product comes from one
         matrix-vector product over its zero-padded block, and is divided by
         the row's stored norm (see `_row_norms`) times the query's."""
-        count = len(self._ids)
+        self._merge()
+        count = len(self._matrix)
         sims = np.zeros(count)
         qnorm = np.linalg.norm(query)
         if qnorm == 0.0:
             return sims
-        matrix = self._vectors()
         dots = np.empty(count)
         block = np.empty((min(_BLOCK_ROWS, count + (-count) % _ROW_GROUP), self.dim))
         for start in range(0, count, _BLOCK_ROWS):
-            rows = matrix[start:start + _BLOCK_ROWS]
+            rows = self._matrix[start:start + _BLOCK_ROWS]
             scored = block[: len(rows) + (-len(rows)) % _ROW_GROUP]
             scored[: len(rows)] = rows
             scored[len(rows):] = 0.0
@@ -244,46 +243,37 @@ class VectorIndex:
         query = np.asarray(query, dtype=np.float64)
         if query.shape != (self.dim,):
             raise ValueError(f"query must have shape ({self.dim},), got {query.shape}")
-        if k == 0 or not self._ids:
+        if k == 0 or not len(self):
             return QueryResult(())
         sims = self._similarities(query)
         k = min(k, len(sims))
         kth = -np.partition(-sims, k - 1)[k - 1]
-        candidates = np.flatnonzero(sims >= kth).tolist()
-        order = sorted(candidates, key=lambda i: (-sims[i], self._ids[i]))[:k]
+        # Rows ascend by id, so a stable sort of the candidates breaks ties by id.
+        candidates = np.flatnonzero(sims >= kth)
+        order = candidates[np.argsort(-sims[candidates], kind="stable")][:k].tolist()
+        ids, paths, kinds, spans = self._columns
         return QueryResult(tuple(
-            Hit(self._ids[i], float(sims[i]),
-                RecordMetadata(path=self._paths[i], span=self._spans[i], source_kind=self._kinds[i]))
+            Hit(ids[i], float(sims[i]), RecordMetadata(path=paths[i], span=spans[i], source_kind=kinds[i]))
             for i in order
         ))
 
     def save(self, path) -> None:
-        """Write the index, rows in ascending id order, to a new file beside
+        """Write the merged rows' blocks as they are to a new file beside
         `path`, then rename it onto `path`: a reader never sees a partial
         file, and an index loaded from the old file keeps reading the old
         bytes. On failure the new file is removed and `path` is left as it
         was."""
-        count = len(self._ids)
-        order = sorted(range(count), key=self._ids.__getitem__)
-        chunks: dict[str, list] = {}
-        lengths: dict[str, int] = {}
-        for name, column in zip(_COLUMNS, (self._ids, self._paths, self._kinds, self._spans)):
-            encoded = [column[row].encode(*_TEXT) for row in order]
-            offsets = np.zeros(count + 1, dtype="<u8")
-            np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=count), out=offsets[1:])
-            chunks[f"{name}.offsets"], chunks[f"{name}.data"] = [offsets], encoded
-            lengths[f"{name}.offsets"], lengths[f"{name}.data"] = offsets.nbytes, int(offsets[-1])
-        # Rows are written one by one from where they are, so saving a
-        # freshly built index needs no second copy of its vectors.
-        rows = [*self._matrix, *self._pending]
-        chunks["vectors"], lengths["vectors"] = [rows[row] for row in order], count * self.dim * 4
-        chunks["norms"], lengths["norms"] = [self._all_norms()[order]], count * 8
-        header = {
-            "format_version": FORMAT_VERSION,
-            "dim": self.dim,
-            "count": count,
-            "band_config_hash": self.band_config_hash,
-        }
+        self._merge()
+        count = len(self)
+        chunks: dict[str, list] = {"norms": [self._norms]}
+        for name, column in zip(_COLUMNS, self._columns):
+            chunks[f"{name}.offsets"], chunks[f"{name}.data"] = [column._offsets], [column._data]
+        lengths = {name: parts[0].nbytes for name, parts in chunks.items()}
+        # Rows are written one by one from where they are, so saving needs
+        # no second copy of the vectors.
+        chunks["vectors"], lengths["vectors"] = self._matrix, count * self.dim * 4
+        header = {"format_version": FORMAT_VERSION, "dim": self.dim, "count": count,
+                  "band_config_hash": self.band_config_hash}
         # The header's size moves the blocks, and their offsets its size.
         size = 0
         while True:
@@ -364,10 +354,9 @@ class VectorIndex:
         norms = view("norms", "<f8", count)
         if not np.all(np.isfinite(norms) & (norms >= 0.0)):
             raise IndexCorruptError("norm block holds a value that is not finite and >= 0")
+        index._columns = tuple(columns)
         index._matrix = view("vectors", "<f4", count * index.dim).reshape(count, index.dim)
         index._norms = norms
-        index._ids, index._paths, index._kinds, index._spans = columns
-        index._rows = None
         return index
 
 

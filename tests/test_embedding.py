@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from devmux import embedding
 from devmux.codegraph import EDGE_KINDS, CodeGraph, EdgeKind, parse_to_graph
+from devmux.configfile import VECTOR_DIM
 from devmux.embedding import (
-    VECTOR_DIM,
     BandConfig,
     WLLabels,
     _bucket,

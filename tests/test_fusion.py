@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devmux.configfile import DEFAULT_PRIORS
-from devmux.embedding import VECTOR_DIM
+from devmux.configfile import DEFAULT_PRIORS, VECTOR_DIM
 from devmux.fusion import (
     ContextItem,
     ContextSource,

@@ -394,14 +394,17 @@ def test_older_format_fixture_does_not_load_and_query_exits_three(fixture, versi
 def test_v3_file_is_the_v2_file_with_its_norms_appended(tmp_path):
     """The version-3 fixture changes only the version number of the
     version-2 one and appends one float64 norm per record; the tests'
-    version-3 writer gives its bytes."""
+    version-3 writer gives its bytes. The fixtures store the records in the
+    order `v1_fixture_index` inserts them."""
     v2, v3 = V2_FIXTURE.read_bytes(), V3_FIXTURE.read_bytes()
     assert v3[: len(v2)] == v2.replace(b'"format_version": 2}', b'"format_version": 3}', 1)
     index = v1_fixture_index()
+    ids = ["d0-x", "d0-y", "d1-x", "d1-y", "d1-z", "d2-x", "d2-y", "d3-x", "d3-y", "d3-z", "zero", "scaled"]
+    assert sorted(ids) == list(index.ids())
     stored = np.frombuffer(v3[len(v2):], dtype="<f8")
-    matrix = np.stack([index.vector(i) for i in index.ids()])
+    matrix = np.stack([index.vector(i) for i in ids])
     assert stored.tobytes() == np.linalg.norm(matrix.astype(np.float64), axis=1).tobytes()
-    write_v3(index, tmp_path / "v3.bin")
+    write_v3(index, tmp_path / "v3.bin", ids)
     assert (tmp_path / "v3.bin").read_bytes() == v3
 
 

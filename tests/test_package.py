@@ -17,10 +17,10 @@ import devmux
 EXPORTS = {
     "codegraph": ("CodeGraph", "EdgeKind", "ParseError", "parse_to_graph"),
     "configfile": (
-        "AppConfig", "ConfigError", "KindRanges", "RouterConfig", "default_network_model", "load_config",
-        "parse_config_text",
+        "VECTOR_DIM", "AppConfig", "ConfigError", "KindRanges", "RouterConfig", "default_network_model",
+        "load_config", "parse_config_text",
     ),
-    "embedding": ("VECTOR_DIM", "BandConfig", "cosine", "graph_to_vector"),
+    "embedding": ("BandConfig", "cosine", "graph_to_vector"),
     "fusion": ("ContextItem", "ContextSource", "FusedContext", "FusionWeights", "assemble_context", "score_items"),
     "layoutlint": (
         "ConstraintGraph", "FindingKind", "Inconsistency", "LayoutParseError", "LayoutStatement",
@@ -58,7 +58,7 @@ MOVED_SETTINGS = {
     "SimConfig": ("simulate",),
     "WorkloadSpec": ("workload",),
     "BandConfig": ("embedding",),
-    "VECTOR_DIM": ("embedding", "fusion", "vindex"),
+    "VECTOR_DIM": ("fusion", "vindex"),
     "FusionWeights": ("fusion",),
     **dict.fromkeys((
         "default_network_model", "default_complexity_mix", "check_odds", "DEFAULT_P_DRAIN", "DEFAULT_GOOD_RTT_MS",

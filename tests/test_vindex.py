@@ -342,17 +342,24 @@ def test_failed_save_leaves_the_target_and_no_stray_file(tmp_path, monkeypatch):
 
 
 def test_loaded_vectors_are_read_only_views(tmp_path):
-    index = build_index(np.random.default_rng(17), 4)
+    """Vectors are read-only in a loaded index and in a built one, and the
+    caller's array stays writable."""
+    vectors = unit_vectors(np.random.default_rng(17), 4)
+    index = VectorIndex("h")
+    for i, v in enumerate(vectors):
+        index.insert(f"rec-{i:04d}", v, RecordMetadata(path=f"src/f{i}.java"))
     path = tmp_path / "index.bin"
     index.save(path)
     loaded = VectorIndex.load(path)
-    vector = loaded.vector("rec-0002")
-    assert not vector.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        vector[0] = 1.0
-    copy = vector.astype(float)
-    copy[0] = 1.0
+    for lookup in (loaded, index):
+        vector = lookup.vector("rec-0002")
+        assert not vector.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 1.0
+        copy = vector.astype(float)
+        copy[0] = 1.0
     assert loaded.vector("rec-0002").tobytes() == index.vector("rec-0002").tobytes()
+    assert vectors.flags.writeable and index.vector("rec-0002").tobytes() == vectors[2].astype("<f4").tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -466,11 +473,11 @@ def _append_bytes(file):
     file.write_bytes(file.read_bytes() + b"\0")
 
 
-def write_v3(index, file):
-    """Write `index`, ids in `index.ids()` order, in the version-3 layout: a
-    JSON header line, one JSON line of the column arrays, the float32 matrix
-    and the float64 row norms."""
-    ids = list(index.ids())
+def write_v3(index, file, ids):
+    """Write the records `ids` of `index`, in that order, in the version-3
+    layout: a JSON header line, one JSON line of the column arrays, the
+    float32 matrix and the float64 row norms."""
+    ids = list(ids)
     metadata = {h.id: h.metadata for h in index.search(np.ones(index.dim), len(ids)).hits}
     header = {"band_config_hash": index.band_config_hash, "count": len(ids), "dim": index.dim, "format_version": 3}
     columns = {"id": ids, "path": [metadata[i].path for i in ids],
@@ -486,7 +493,8 @@ def relabel_as_older(file, version):
     file is a version-3 one without the norm block. A version-1 body
     (per-record lines) is not rebuilt: `load` refuses an older file at its
     header and reads no further."""
-    write_v3(VectorIndex.load(file), file)
+    index = VectorIndex.load(file)
+    write_v3(index, file, index.ids())
     if version == 2:
         norm_bytes = 8 * json.loads(file.read_bytes().split(b"\n", 1)[0])["count"]
         file.write_bytes(file.read_bytes()[: -norm_bytes or None])
@@ -592,7 +600,7 @@ def test_rows_are_decoded_only_when_read(tmp_path):
 
 
 def test_vector_lookup_and_unknown_id(tmp_path):
-    """In memory through the id map; loaded by bisecting the sorted ids."""
+    """Built and loaded alike, by bisecting the ascending ids."""
     index = VectorIndex("h", dim=4)
     index.insert("m", np.arange(4.0), RecordMetadata(path="m"))
     index.insert("c", np.ones(4), RecordMetadata(path="c"))
@@ -703,3 +711,61 @@ def test_save_load_save_is_byte_identical(records, band_hash, dim, seed):
     assert loaded.ids() == tuple(sorted(index.ids()))
     everything = len(records)
     assert loaded.search(np.ones(dim), everything) == index.search(np.ones(dim), everything)
+
+
+def build_at_once(records, dim):
+    """One build of `records`, (id, vector, metadata) triples."""
+    index = VectorIndex("h", dim=dim)
+    for record_id, vector, metadata in records:
+        index.insert(record_id, vector, metadata)
+    return index
+
+
+def hit_rows(result):
+    return [(h.id, float.hex(h.similarity), h.metadata) for h in result.hits]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(st.one_of(st.integers(min_value=1, max_value=20),
+                             st.sampled_from(["search", "vector", "ids", "reload"])), max_size=10),
+    stems=st.lists(st.sampled_from(["r", "a/", "a-", "\u00e9", "\U0001f600"]), min_size=1, max_size=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_inserts_reads_and_reloads_in_any_order_match_one_build(steps, stems, seed):
+    """Batches of inserts (an integer step inserts that many records), reads
+    (`search`, `vector`, `ids`) and save->load round trips, in any order:
+    every read, and the index at the end, give the same ids, vector bytes,
+    hits and similarity bytes as one build of the records inserted so far,
+    and the hits are the oracle's. Vectors are small integers, so ties and
+    zero rows are common, and ids arrive out of order."""
+    rng = np.random.default_rng(seed)
+    dim, records = 6, []
+    index = VectorIndex("h", dim=dim)
+    with tempfile.TemporaryDirectory() as tmp:
+        for step in [*steps, "search", "vector", "ids"]:
+            if isinstance(step, int):
+                for n in rng.permutation(step) + len(records):
+                    record = (f"{stems[n % len(stems)]}{n}", rng.integers(-2, 3, dim).astype(float),
+                              RecordMetadata(path=f"p{n}", span=f"{n}-{n}", source_kind=str(n % 3)))
+                    index.insert(*record)
+                    records.append(record)
+                with pytest.raises(ValueError, match="duplicate"):
+                    index.insert(records[0][0], np.zeros(dim), RecordMetadata(path="x"))
+                continue
+            built = build_at_once(records, dim)
+            if step == "search":
+                query = rng.integers(-2, 3, dim).astype(float)
+                result = index.search(query, len(records))
+                assert hit_rows(result) == hit_rows(built.search(query, len(records)))
+                assert result.ids() == brute_force_ids(built, query, len(records))
+            elif step == "vector":
+                assert all(index.vector(i).tobytes() == built.vector(i).tobytes() for i, _, _ in records)
+                with pytest.raises(KeyError):
+                    index.vector("missing")
+            elif step == "ids":
+                assert index.ids() == built.ids() == tuple(sorted(i for i, _, _ in records))
+            else:
+                index.save(Path(tmp) / "index.bin")
+                index = VectorIndex.load(Path(tmp) / "index.bin")
+            assert len(index) == len(records)
