@@ -41,6 +41,11 @@ from .base import Battery, Complexity, ConfigError, ContextSource, DeviceClass, 
 VECTOR_DIM = 768
 STOCHASTIC_TOL = 1e-9
 MAX_TASKS = 10_000_000  # simulate.n_tasks bound: 1,000 times the 10k-task protocol size
+# embed.wl_iterations bound: the top of the range WL kernels search (Shervashidze et al., JMLR 2011).
+MAX_WL_ITERATIONS = 10
+# Names how `embedding` turns a band config into vector bytes; a change of scheme
+# changes `BandConfig.fingerprint()`, so `query` warns on an index built by another.
+WL_SCHEME = "wl-packed-keys"
 DEFAULT_P_DRAIN = 0.05
 DEFAULT_GOOD_RTT_MS = 2400.0  # median round trip observed for cloud-hosted assistants
 DEFAULT_DEGRADED_RTT_FACTOR = 3.0
@@ -302,13 +307,13 @@ class BandConfig:
             raise ValueError("band dims must be > 0")
         if self.identifier_weight < 0:
             raise ValueError("identifier_weight must be >= 0")
-        if self.wl_iterations < 0:
-            raise ValueError("wl_iterations must be >= 0")
+        if not 0 <= self.wl_iterations <= MAX_WL_ITERATIONS:
+            raise ValueError(f"wl_iterations must be in [0, {MAX_WL_ITERATIONS}], got {self.wl_iterations}")
         if not 0 <= self.hash_seed < 2**64:
             raise ValueError(f"hash_seed must be in [0, 2**64), got {self.hash_seed}")
 
     def fingerprint(self) -> str:
-        blob = json.dumps(vars(self), sort_keys=True)
+        blob = json.dumps([WL_SCHEME, vars(self)], sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 

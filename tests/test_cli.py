@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from devmux.cli import build_parser, cli_main
-from devmux.configfile import load_config
+from devmux.configfile import BandConfig, load_config
 from devmux.routing import Complexity
 from devmux.vindex import RecordMetadata, VectorIndex
 from test_vindex import CORRUPTIONS, relabel_as_older, write_corrupt_index
@@ -265,6 +266,22 @@ class TestIndexAndQuery:
         assert warnings == (["warning: index was built with a different embedding config"]
                             if name == "v4_row_not_utf8" else [])
 
+    def test_query_warns_on_an_index_hashed_without_the_wl_scheme(self, tmp_path, capsys):
+        """The default bands' hash without the WL scheme tag, as indexes
+        labelled from signature strings hold it, names another embedding:
+        `query` answers and warns. Today's hash gets no warning."""
+        old_hash = hashlib.sha256(json.dumps(vars(BandConfig()), sort_keys=True).encode("utf-8")).hexdigest()[:16]
+        for band_config_hash, err in [(old_hash, "warning: index was built with a different embedding config\n"),
+                                      (BandConfig().fingerprint(), "")]:
+            index = VectorIndex(band_config_hash)
+            index.insert("r0", np.ones(768), RecordMetadata(path="a.java"))
+            index.save(tmp_path / "index.bin")
+            assert VectorIndex.load(tmp_path / "index.bin").band_config_hash == band_config_hash
+            code = cli_main(["query", "class A { }", "--index", str(tmp_path / "index.bin")])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, err)
+            assert [e["text"] for e in json.loads(captured.out)["entries"]] == ["a.java"]
+
     def test_query_never_reads_a_path_outside_the_source_root(self, tmp_path, capsys):
         """A crafted index whose paths are absolute or climb out with `..`
         gets the bare path in the bundle; an indexed path below the root
@@ -446,13 +463,16 @@ class TestSimulateAndCompare:
              "router: cloud_energy_units.high must be >= 0, got -1.0"),
             ("simulate:\n  n_tasks: 10000001\n", "simulate: n_tasks must be <= 10000000"),
             ("simulate:\n  n_tasks: 1e300\n", "simulate: n_tasks must be <= 10000000"),
+            ("embed:\n  wl_iterations: 11\n", "embed: wl_iterations must be in [0, 10], got 11"),
+            ("embed:\n  wl_iterations: 1e15\n", "embed: wl_iterations must be in [0, 10], got 1000000000000000"),
         ],
         ids=["empty", "text", "boolean", "nan", "fraction", "int_text", "matrix_entry", "seed_negative",
              "seed_2_64", "initial_state", "policy", "device", "battery", "kind_ranges", "discount_gamma",
              "policies_empty", "policies_duplicate", "matrix_row", "matrix_row_entry", "tolerance_key",
              "offline_timeout", "sub_second", "w_latency_overflow", "discounted_overflow", "rtt_overflow",
              "edge_latency_overflow", "good_rtt", "rtt_factor", "cloud_compute", "cloud_energy_ratio",
-             "cloud_energy_units", "n_tasks_over_bound", "n_tasks_1e300"],
+             "cloud_energy_units", "n_tasks_over_bound", "n_tasks_1e300", "wl_iterations_11",
+             "wl_iterations_1e15"],
     )
     def test_bad_scalar_exit_two(self, text, message, tmp_path, capsys, monkeypatch):
         assert_config_error_exit_two(text, message, CONFIG_COMMANDS, tmp_path, capsys, monkeypatch)

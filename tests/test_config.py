@@ -201,6 +201,12 @@ class TestAssembly:
         with pytest.raises(ConfigError, match=">= 0"):
             config_from_dict({"simulate": {key: -3}})
 
+    @pytest.mark.parametrize("value, shown", [(11, "11"), (1e15, "1000000000000000")], ids=["11", "1e15"])
+    def test_wl_iterations_over_bound_rejected(self, value, shown):
+        with pytest.raises(ConfigError, match=rf"^embed: wl_iterations must be in \[0, 10\], got {shown}$"):
+            config_from_dict({"embed": {"wl_iterations": value}})
+        assert config_from_dict({"embed": {"wl_iterations": 10}}).bands.wl_iterations == 10
+
     @pytest.mark.parametrize(
         "router, message",
         [

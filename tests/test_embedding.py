@@ -163,17 +163,20 @@ def test_norm_invariant_on_random_graphs(graph):
 
 
 def reference_wl_label_counts(graph: CodeGraph, rounds: int) -> Counter:
-    """Counts of (round, label) pairs, building and hashing every node's
-    signature string in every round: the relabelling `WLLabels` compresses."""
-    kinds = (EdgeKind.CHILD, EdgeKind.NEXT_SIBLING, EdgeKind.INVOKES, EdgeKind.INHERITS)
-    n = len(graph.nodes)
-    out_nbrs = {k: [[] for _ in range(n)] for k in kinds}
-    in_nbrs = {k: [[] for _ in range(n)] for k in kinds}
+    """Counts of (round, label) pairs, hashing every node's key in every
+    round: the relabelling `WLLabels` compresses. A round-0 label is the
+    digest of the kind label; a node's next one is the digest of its sorted
+    (slot, label digest) pairs, its own at slot 8 and one per edge end at
+    slot 2k (source) or 2k + 1 (destination), each as two little-endian
+    8-byte ints."""
+    own_slot = 2 * len(EDGE_KINDS)
+    ends = [[] for _ in range(len(graph))]
     for edge in graph.edges:
-        out_nbrs[edge.kind][edge.src].append(edge.dst)
-        in_nbrs[edge.kind][edge.dst].append(edge.src)
+        k = EDGE_KINDS.index(edge.kind)
+        ends[edge.src].append((2 * k, edge.dst))
+        ends[edge.dst].append((2 * k + 1, edge.src))
 
-    labels = [node.label for node in graph.nodes]
+    labels = [hashlib.blake2b(node.label.encode("utf-8"), digest_size=8).hexdigest() for node in graph.nodes]
     counts: Counter = Counter()
     for r in range(rounds + 1):
         for label in labels:
@@ -181,14 +184,10 @@ def reference_wl_label_counts(graph: CodeGraph, rounds: int) -> Counter:
         if r == rounds:
             break
         new_labels = []
-        for v in range(n):
-            parts = [labels[v]]
-            for kind in kinds:
-                outs = ",".join(sorted(labels[u] for u in out_nbrs[kind][v]))
-                ins = ",".join(sorted(labels[u] for u in in_nbrs[kind][v]))
-                parts.append(f"{kind.value}>{outs}<{ins}")
-            signature = "|".join(parts)
-            new_labels.append(hashlib.blake2b(signature.encode("utf-8"), digest_size=8).hexdigest())
+        for v, node_ends in enumerate(ends):
+            pairs = sorted([(own_slot, int(labels[v], 16))] + [(slot, int(labels[u], 16)) for slot, u in node_ends])
+            key = b"".join(slot.to_bytes(8, "little") + digest.to_bytes(8, "little") for slot, digest in pairs)
+            new_labels.append(hashlib.blake2b(key, digest_size=8).hexdigest())
         labels = new_labels
     return counts
 
@@ -229,7 +228,7 @@ def reference_graph_to_vector(graph: CodeGraph, bands: BandConfig) -> np.ndarray
             literals.astype(np.float64),
         ]
     )
-    norm = np.linalg.norm(vector)
+    norm = np.sqrt(np.add.reduce(vector * vector))
     return vector if norm == 0.0 else vector / norm
 
 

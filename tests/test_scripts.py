@@ -18,10 +18,6 @@ RUNS = {
         ["--seeds", "2", "--n-tasks", "200"],
         "seed    mdp_cloud  allcloud   ratio    sub_second",
     ),
-    "layout_bench.py": (
-        ["--runs", "1"],
-        "widgets  edges   median_ms  p_max_ms  statements  findings",
-    ),
 }
 
 # The full stdout of the two simulation scripts at these sizes, pinned.
