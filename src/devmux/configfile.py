@@ -41,6 +41,8 @@ from .base import Battery, Complexity, ConfigError, ContextSource, DeviceClass, 
 VECTOR_DIM = 768
 STOCHASTIC_TOL = 1e-9
 MAX_TASKS = 10_000_000  # simulate.n_tasks bound: 1,000 times the 10k-task protocol size
+# workload.ranges bound on every files, deps and tokens end: MAX_TASKS draws sum within an int64.
+MAX_RANGE_END = (2**63 - 1) // MAX_TASKS
 # embed.wl_iterations bound: the top of the range WL kernels search (Shervashidze et al., JMLR 2011).
 MAX_WL_ITERATIONS = 10
 # Names how `embedding` turns a band config into vector bytes; a change of scheme
@@ -199,16 +201,19 @@ def default_network_model(
 
 @dataclass(frozen=True)
 class KindRanges:
-    """Inclusive sampling ranges for one task kind."""
+    """Inclusive sampling ranges for one task kind, each within
+    [0, `MAX_RANGE_END`]."""
 
     files: tuple[int, int]
     deps: tuple[int, int]
     tokens: tuple[int, int]
 
     def __post_init__(self) -> None:
-        for lo, hi in (self.files, self.deps, self.tokens):
+        for name, (lo, hi) in (("files", self.files), ("deps", self.deps), ("tokens", self.tokens)):
             if lo < 0 or hi < lo:
                 raise ValueError("ranges must satisfy 0 <= lo <= hi")
+            if hi > MAX_RANGE_END:
+                raise ValueError(f"{name}_max must be <= {MAX_RANGE_END}")
 
 
 def _default_mix() -> dict[TaskKind, float]:

@@ -8,11 +8,29 @@ row's float64 norm, so a search does not recompute it. `insert` checks a
 record and holds it aside; the next read (`search`, `vector`, `ids` or
 `save`) merges the held records into the rows in one sort by id, moving the
 vectors rather than copying them, as a log-structured merge tree folds its
-buffer into a sorted run. Search widens a block of rows at a time to double
-precision and scores it with one matrix-vector product, divides by the
-stored norms, finds the k-th score with `np.partition`, and stably sorts
-only the rows that reach it, so ties break by row, which is ascending
-record id (the flat exact search of FAISS `IndexFlatIP`).
+buffer into a sorted run.
+
+Search is exact and runs in two passes, a cheap filter and an exact
+re-scoring of a short list (Jegou et al., "Searching in one billion
+vectors: re-rank with source coding", ICASSP 2011). The bound pass scales
+the query to unit norm, casts it to float32 and takes one float32
+matrix-vector product over the stored rows where they are (a built index
+joins one block of rows at a time), then divides by the stored norms. Each
+row's product s lies within `_bound_width(dim)` of its exact score (the
+proof is in that function's docstring), so a row gets the interval
+[s - width, s + width]; a zero row gets [0, 0], and a row whose norm is
+below `_NORM_FLOOR` or whose s is not finite gets (-inf, +inf). With L the
+k-th largest lower end, at least k rows score >= L exactly, so every row
+that reaches the exact k-th score, ties included, has an upper end >= L:
+those rows are the candidates. The exact pass widens only the candidates
+to double precision, a block at a time, scores each block with one
+matrix-vector product, divides by the stored norms and the query's norm,
+finds the k-th score with `np.partition`, and stably sorts only the rows
+that reach it, so ties break by row, which is ascending record id (the
+flat exact search of FAISS `IndexFlatIP`). The float32 pass never decides
+a returned number: hits and similarity bits are those of scoring every
+row. A query whose norm is zero, below `_QUERY_FLOOR` or not finite, or
+k of at least the record count, makes every row a candidate.
 
 The file (format version 4) starts with one JSON header line,
 `{"band_config_hash", "blocks", "count", "dim", "format_version": 4}`,
@@ -40,6 +58,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import mmap
 import os
 from dataclasses import dataclass
@@ -50,8 +69,14 @@ from .base import IndexFileError
 from .configfile import VECTOR_DIM
 
 FORMAT_VERSION = 4
-# Rows widened to float64 per norm pass and per matrix-vector product.
+# Rows widened to float64 per norm pass and per matrix-vector product, and
+# joined per float32 product when a built index is bounded.
 _BLOCK_ROWS = 128
+# Rows with a smaller (nonzero) norm, and queries with a norm outside
+# [_QUERY_FLOOR, inf), are candidates without a bound: below these floors
+# underflow, not rounding, may decide a float32 product or the query norm.
+_NORM_FLOOR = 2.0**-100
+_QUERY_FLOOR = 2.0**-500
 # A BLAS matrix-vector product may compute the last rows of a block that is
 # not a whole number of row groups through another kernel, so one vector can
 # score a different last bit there. Blocks are zero-padded to a multiple of
@@ -213,28 +238,67 @@ class VectorIndex:
         stored.flags.writeable = False
         self._pending[record_id] = (metadata.path, metadata.source_kind, metadata.span, stored)
 
-    def _similarities(self, query: np.ndarray) -> np.ndarray:
-        """Float64 cosine of every record against `query`; 0 for a zero
-        record or a zero query. Each row's dot product comes from one
-        matrix-vector product over its zero-padded block, and is divided by
-        the row's stored norm (see `_row_norms`) times the query's."""
+    def _similarities(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Float64 cosine against `query` of each of `rows` (ascending row
+        numbers); 0 for a zero record or a zero query. Each row's dot
+        product comes from one matrix-vector product over its zero-padded
+        block of rows, and is divided by the row's stored norm (see
+        `_row_norms`) times the query's. A row scores the same bits in any
+        block, so each score is the one every row would get."""
         self._merge()
-        count = len(self._matrix)
-        sims = np.zeros(count)
+        sims = np.zeros(len(rows))
         qnorm = np.linalg.norm(query)
         if qnorm == 0.0:
             return sims
-        dots = np.empty(count)
-        block = np.empty((min(_BLOCK_ROWS, count + (-count) % _ROW_GROUP), self.dim))
-        for start in range(0, count, _BLOCK_ROWS):
-            rows = self._matrix[start:start + _BLOCK_ROWS]
-            scored = block[: len(rows) + (-len(rows)) % _ROW_GROUP]
-            scored[: len(rows)] = rows
-            scored[len(rows):] = 0.0
-            dots[start:start + len(rows)] = (scored @ query)[: len(rows)]
-        nonzero = np.flatnonzero(self._norms > 0.0)
-        sims[nonzero] = dots[nonzero] / (self._norms[nonzero] * qnorm)
+        dots = np.empty(len(rows))
+        block = np.empty((min(_BLOCK_ROWS, len(rows) + (-len(rows)) % _ROW_GROUP), self.dim))
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            chunk = rows[start:start + _BLOCK_ROWS]
+            scored = block[: len(chunk) + (-len(chunk)) % _ROW_GROUP]
+            scored[: len(chunk)] = self._stack(chunk)
+            scored[len(chunk):] = 0.0
+            dots[start:start + len(chunk)] = (scored @ query)[: len(chunk)]
+        norms = self._norms[rows]
+        nonzero = np.flatnonzero(norms > 0.0)
+        sims[nonzero] = dots[nonzero] / (norms[nonzero] * qnorm)
         return sims
+
+    def _stack(self, rows: slice | np.ndarray) -> np.ndarray:
+        """The float32 vectors of `rows` (a slice or ascending row numbers)
+        as one matrix; a run of consecutive rows is sliced, not gathered."""
+        if not isinstance(rows, slice) and len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        if isinstance(self._matrix, np.ndarray):
+            return self._matrix[rows]
+        picked = self._matrix[rows] if isinstance(rows, slice) else [self._matrix[row] for row in rows]
+        return np.frombuffer(b"".join(picked), dtype="<f4").reshape(len(picked), self.dim)
+
+    def _candidates(self, query: np.ndarray, k: int) -> np.ndarray:
+        """Ascending row numbers of a superset of the rows whose exact score
+        reaches the k-th largest, ties included (the bound pass, see the
+        module docstring); every row for k >= count or a query norm outside
+        [`_QUERY_FLOOR`, inf), zero included."""
+        count = len(self._matrix)
+        qnorm = np.linalg.norm(query)
+        if k >= count or not _QUERY_FLOOR <= qnorm < np.inf:
+            return np.arange(count)
+        unit = (query / qnorm).astype(np.float32)
+        width = _bound_width(self.dim)
+        dots = np.empty(count, dtype=np.float32)
+        # A built index's rows are separate arrays, joined a block at a time.
+        step = _BLOCK_ROWS if isinstance(self._matrix, list) else count
+        with np.errstate(all="ignore"):  # overflow and 0/0 give loose rows below
+            for start in range(0, count, step):
+                block = self._stack(slice(start, start + step))
+                np.matmul(block, unit, out=dots[start:start + len(block)])
+            sims = dots / self._norms
+            lower, upper = sims - width, sims + width
+        loose = ~np.isfinite(sims) | (self._norms < _NORM_FLOOR)
+        lower[loose], upper[loose] = -np.inf, np.inf
+        zero = self._norms == 0.0
+        lower[zero] = upper[zero] = 0.0
+        kth = np.partition(lower, count - k)[count - k]
+        return np.flatnonzero(upper >= kth)
 
     def search(self, query: np.ndarray, k: int) -> QueryResult:
         """Exact top-k by cosine over all records; ties by ascending id."""
@@ -245,16 +309,18 @@ class VectorIndex:
             raise ValueError(f"query must have shape ({self.dim},), got {query.shape}")
         if k == 0 or not len(self):
             return QueryResult(())
-        sims = self._similarities(query)
+        self._merge()
+        rows = self._candidates(query, k)
+        sims = self._similarities(query, rows)
         k = min(k, len(sims))
         kth = -np.partition(-sims, k - 1)[k - 1]
         # Rows ascend by id, so a stable sort of the candidates breaks ties by id.
-        candidates = np.flatnonzero(sims >= kth)
-        order = candidates[np.argsort(-sims[candidates], kind="stable")][:k].tolist()
+        reaching = np.flatnonzero(sims >= kth)
+        order = reaching[np.argsort(-sims[reaching], kind="stable")][:k]
         ids, paths, kinds, spans = self._columns
         return QueryResult(tuple(
-            Hit(ids[i], float(sims[i]), RecordMetadata(path=paths[i], span=spans[i], source_kind=kinds[i]))
-            for i in order
+            Hit(ids[row], sim, RecordMetadata(path=paths[row], span=spans[row], source_kind=kinds[row]))
+            for row, sim in zip(rows[order].tolist(), sims[order].tolist())
         ))
 
     def save(self, path) -> None:
@@ -358,6 +424,43 @@ class VectorIndex:
         index._matrix = view("vectors", "<f4", count * index.dim).reshape(count, index.dim)
         index._norms = norms
         return index
+
+
+def _bound_width(dim: int) -> float:
+    """Half the width of the bound pass's intervals: for a stored row x of
+    norm N >= `_NORM_FLOOR` and a query q of computed norm Q in
+    [`_QUERY_FLOOR`, inf), the float32 bound s = fl(fl32(x . p) / N), with
+    p = fl32(q / Q), is within this of f = fl(fl64(x . q) / (N * Q)), the
+    float64 score of the exact pass, on any BLAS kernel.
+
+    Proof, with n = dim, u = 2**-24, v = 2**-53, gamma(n, w) = n w / (1 - n w)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.1):
+    - p_i = (q_i / Q)(1 + t_i) with |t_i| <= u + v + uv (a float64 quotient,
+      then the float32 cast), so |x . p - (x . q) / Q| <= (u + v + uv) S1,
+      with S1 = sum |x_i q_i| / Q;
+    - a dot product of length n summed in any order, with or without fused
+      multiply-adds, errs by at most gamma(n, w) times the sum of its terms'
+      magnitudes: |fl32(x . p) - x . p| <= gamma(n, u)(1 + u + v + uv) S1 and
+      |fl64(x . q) - x . q| / Q <= gamma(n, v) S1;
+    - S1 <= |x| |q| / Q by Cauchy-Schwarz, and N and Q, rounded sums of
+      squares and a square root, are within gamma(n, v) + v of |x| and |q|.
+    So |s - f| <= (gamma(n, u) + u + gamma(n, v)) (1 + e), where e covers the
+    products of small terms, the ratios |x| / N and |q| / Q, the quotients'
+    and s +- width's roundings in float64, and underflow: below 2**-126 a
+    float32 product or entry of p may lose up to 2**-150 absolutely, at most
+    n 2**-149 / N <= n 2**-49 of a score with N >= 2**-100; float64
+    underflow is smaller still with Q >= 2**-500. Each of these is below
+    2**-13 of the first-order sum for every n, so the factor 1 + 2**-10
+    bounds 1 + e. A float32 sum that overflows is not finite, and its row is
+    unbounded. The proof takes each norm to be the row's, as `save` writes
+    it. For n >= 2**23 gamma(n, u) is not defined and the width is inf."""
+    if dim * 2.0**-24 >= 0.5:
+        return math.inf
+
+    def gamma(n: int, unit: float) -> float:
+        return n * unit / (1 - n * unit)
+
+    return (gamma(dim, 2.0**-24) + 2.0**-24 + gamma(dim, 2.0**-53)) * (1 + 2.0**-10)
 
 
 def _aligned(offset: int) -> int:

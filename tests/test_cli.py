@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from devmux.cli import build_parser, cli_main
-from devmux.configfile import BandConfig, load_config
+from devmux.configfile import MAX_RANGE_END, BandConfig, load_config
 from devmux.routing import Complexity
 from devmux.vindex import RecordMetadata, VectorIndex
 from test_vindex import CORRUPTIONS, relabel_as_older, write_corrupt_index
@@ -465,6 +465,14 @@ class TestSimulateAndCompare:
             ("simulate:\n  n_tasks: 1e300\n", "simulate: n_tasks must be <= 10000000"),
             ("embed:\n  wl_iterations: 11\n", "embed: wl_iterations must be in [0, 10], got 11"),
             ("embed:\n  wl_iterations: 1e15\n", "embed: wl_iterations must be in [0, 10], got 1000000000000000"),
+            ("workload:\n  ranges:\n    refactor:\n      tokens_max: 1e300\n",
+             "workload.ranges.refactor: tokens_max must be <= 922337203685"),
+            ("workload:\n  ranges:\n    completion:\n      tokens_max: 1.7976931348623157e308\n",
+             "workload.ranges.completion: tokens_max must be <= 922337203685"),
+            ("workload:\n  ranges:\n    syntax_fix:\n      files_max: 922337203686\n",
+             "workload.ranges.syntax_fix: files_max must be <= 922337203685"),
+            ("workload:\n  ranges:\n    crash_analysis:\n      deps_max: 1e19\n",
+             "workload.ranges.crash_analysis: deps_max must be <= 922337203685"),
         ],
         ids=["empty", "text", "boolean", "nan", "fraction", "int_text", "matrix_entry", "seed_negative",
              "seed_2_64", "initial_state", "policy", "device", "battery", "kind_ranges", "discount_gamma",
@@ -472,10 +480,24 @@ class TestSimulateAndCompare:
              "offline_timeout", "sub_second", "w_latency_overflow", "discounted_overflow", "rtt_overflow",
              "edge_latency_overflow", "good_rtt", "rtt_factor", "cloud_compute", "cloud_energy_ratio",
              "cloud_energy_units", "n_tasks_over_bound", "n_tasks_1e300", "wl_iterations_11",
-             "wl_iterations_1e15"],
+             "wl_iterations_1e15", "tokens_max_1e300", "tokens_max_largest_float", "files_max_over_bound",
+             "deps_max_1e19"],
     )
     def test_bad_scalar_exit_two(self, text, message, tmp_path, capsys, monkeypatch):
         assert_config_error_exit_two(text, message, CONFIG_COMMANDS, tmp_path, capsys, monkeypatch)
+
+    def test_range_ends_at_their_bound_run(self, tmp_path, capsys, monkeypatch):
+        """Every files, deps and tokens range end at `MAX_RANGE_END` loads,
+        and `simulate` and `compare` run on it to a finite report."""
+        monkeypatch.chdir(tmp_path)
+        ends = "".join(f"      {key}_max: {MAX_RANGE_END}\n" for key in ("files", "deps", "tokens"))
+        kinds = ("syntax_fix", "completion", "refactor", "crash_analysis")
+        text = "workload:\n  ranges:\n" + "".join(f"    {kind}:\n{ends}" for kind in kinds)
+        (tmp_path / "c.yaml").write_text(text + "simulate:\n  n_tasks: 500\n")
+        for command in ("simulate", "compare"):
+            assert cli_main([*CONFIG_COMMANDS[command], "--config", "c.yaml"]) == 0, command
+            out = capsys.readouterr().out
+            assert json.loads(out) and "NaN" not in out and "Infinity" not in out, command
 
     def test_energy_overflow_exit_two(self, tmp_path, capsys, monkeypatch):
         run = "simulate:\n  n_tasks: 100\n  policy: all_edge\n"

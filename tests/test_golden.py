@@ -48,13 +48,15 @@ from numpy._core._multiarray_umath import __cpu_features__
 
 from devmux import cli
 from devmux.cli import cli_main
+from devmux.codegraph import ParseError, fallback_token_graph, parse_to_graph
 from devmux.configfile import load_config
+from devmux.embedding import graph_to_vector
 from devmux.base import Battery, Complexity, DeviceClass, NetworkState
 from devmux.routing import policy_fingerprint
 from devmux.simulate import PolicyKind, compare_policies, run_simulation, workload_from_config
 from devmux.vindex import IndexVersionError, RecordMetadata, VectorIndex
 from test_config import SAMPLE
-from test_vindex import write_v3
+from test_vindex import exhaustive_hits, hit_triples, write_v3
 
 GOLDEN = Path(__file__).with_name("golden") / "sim_sha256.json"
 ROUTE_GOLDEN = GOLDEN.with_name("route_sha256.json")
@@ -338,23 +340,87 @@ def test_route_matches_golden(tmp_path):
 BLAS_KERNELS = {"Prescott": "SSE3", "Sandybridge": "AVX", "Haswell": "AVX2", "SkylakeX": "AVX512_SKX"}
 
 
-@pytest.mark.parametrize("kernel", BLAS_KERNELS)
-def test_route_matches_golden_on_every_blas_kernel(kernel, tmp_path):
-    """The route golden holds whichever OpenBLAS kernel numpy runs on: the
-    policy solve computes no number through BLAS, whose summation order
-    differs by kernel."""
+def _run_under_kernel(kernel: str, script: str, *args: str) -> str:
+    """Standard output of `script`, run from this directory in a fresh
+    interpreter whose OpenBLAS uses `kernel`; skips where the kernel cannot
+    be chosen or the CPU lacks what it needs."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
         pytest.skip(f"numpy's BLAS ({blas.get('name')}) is not a DYNAMIC_ARCH OpenBLAS, so it has one kernel")
     if not __cpu_features__.get(BLAS_KERNELS[kernel]):
         pytest.skip(f"this CPU lacks {BLAS_KERNELS[kernel]}, which the {kernel} kernel needs")
-    script = ("import json, sys\nfrom pathlib import Path\nfrom test_golden import collect_route_hashes\n"
-              "print(json.dumps(collect_route_hashes(Path(sys.argv[1]))))")
     env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env,
                           cwd=Path(__file__).parent, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == json.loads(ROUTE_GOLDEN.read_text(encoding="utf-8"))
+    return proc.stdout
+
+
+@pytest.mark.parametrize("kernel", BLAS_KERNELS)
+def test_route_matches_golden_on_every_blas_kernel(kernel, tmp_path):
+    """The route golden holds whichever OpenBLAS kernel numpy runs on: the
+    policy solve computes no number through BLAS, whose summation order
+    differs by kernel."""
+    script = ("import json, sys\nfrom pathlib import Path\nfrom test_golden import collect_route_hashes\n"
+              "print(json.dumps(collect_route_hashes(Path(sys.argv[1]))))")
+    assert json.loads(_run_under_kernel(kernel, script, str(tmp_path))) == json.loads(
+        ROUTE_GOLDEN.read_text(encoding="utf-8"))
+
+
+def search_mismatches(directory: Path) -> list[str]:
+    """The searches whose hits (id, similarity bits, metadata) differ from
+    scoring every row with `VectorIndex._similarities`: over a seeded random
+    index with copies, near ties and zero rows, and over the query golden's
+    corpus as `index` writes it, each loaded and built; the corpus is
+    searched with every `query_cases` text and the random index with random
+    queries, copies of its rows and the zero query."""
+    rng = np.random.default_rng(QUERY_SEED)
+    vectors = rng.standard_normal((300, 768))
+    vectors = np.concatenate([vectors, vectors[rng.integers(0, 300, 200)], np.zeros((4, 768)),
+                              vectors[:40] * (1.0 + rng.standard_normal((40, 768)) * 2.0**-24)])
+    random_index = VectorIndex("h")
+    for i in rng.permutation(len(vectors)):
+        random_index.insert(f"r{i:03d}", vectors[i], RecordMetadata(path=f"p{i}"))
+    random_queries = [*rng.standard_normal((8, 768)), *vectors[rng.integers(0, 300, 8)], np.zeros(768)]
+    for unit_no, text in enumerate(query_corpus()):
+        for copy in COPIES:
+            path = directory / "corpus" / copy / f"unit{unit_no:02d}.mini"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+    code, _, _ = _run_cli(["index", str(directory / "corpus"), "--out", str(directory / "index.bin")])
+    assert code == 0
+    corpus = VectorIndex.load(directory / "index.bin")
+    texts = {tail[0] for tail in query_cases(query_corpus()).values()}
+    corpus_queries = [graph_to_vector(_query_graph(text)) for text in sorted(texts)]
+    mismatches = []
+    for name, index, queries in (("random", random_index, random_queries), ("corpus", corpus, corpus_queries)):
+        built = VectorIndex("h")
+        for record_id in index.ids():
+            built.insert(record_id, index.vector(record_id), RecordMetadata(path=""))
+        for form, searched in (("", index), ("built ", built)):
+            for q, query in enumerate(queries):
+                for k in (1, 3, 10, 50, len(index)):
+                    if hit_triples(searched.search(query, k)) != exhaustive_hits(searched, query, k):
+                        mismatches.append(f"{form}{name} query {q} k {k}")
+    return mismatches
+
+
+def _query_graph(text: str):
+    """The graph `query` embeds for `text`."""
+    try:
+        return parse_to_graph(text)
+    except ParseError:
+        return fallback_token_graph(text)
+
+
+@pytest.mark.parametrize("kernel", BLAS_KERNELS)
+def test_search_equals_scoring_every_row_on_every_blas_kernel(kernel, tmp_path):
+    """The bound pass keeps every hit of scoring every row whichever
+    OpenBLAS kernel numpy runs on; the query golden itself still moves
+    between kernels, through the float64 scoring both share."""
+    script = ("import json, sys\nfrom pathlib import Path\nfrom test_golden import search_mismatches\n"
+              "print(json.dumps(search_mismatches(Path(sys.argv[1]))))")
+    assert json.loads(_run_under_kernel(kernel, script, str(tmp_path))) == []
 
 
 def test_query_matches_golden(tmp_path):

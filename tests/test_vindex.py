@@ -139,7 +139,7 @@ def test_similarity_norms_are_rowwise_linalg_norm(count, monkeypatch):
         return divided_by[-1]
 
     monkeypatch.setattr(np, "sqrt", recording_sqrt)
-    index._similarities(rng.standard_normal(DIM))
+    index._similarities(rng.standard_normal(DIM), np.arange(count))
     monkeypatch.undo()
     expected = np.linalg.norm(vectors.astype(np.float32).astype(np.float64), axis=1)
     assert np.concatenate(divided_by).tobytes() == expected.tobytes()
@@ -659,6 +659,110 @@ def test_duplicates_zero_vectors_and_large_k_match_oracle(distinct, copies, zero
         sims.setdefault(h.id.split("-")[0], set()).add(h.similarity)
     assert all(len(values) == 1 for values in sims.values())
 
+
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+# Row kinds of the two-pass property; each draw adds one row.
+ROW_KINDS = ("random", "duplicate", "ulp", "zero", "subnormal", "tiny", "huge", "signed", "tie")
+QUERY_KINDS = ("random", "zero", "row", "tie", "ones", "tiny")
+
+
+def adversarial_row(kind: str, rows: list[np.ndarray], tie: np.ndarray, rng) -> np.ndarray:
+    """A float32 row of `kind`, given the rows drawn so far and the shared
+    direction of the near-tie cluster."""
+    if kind in ("duplicate", "ulp") and rows:
+        row = rows[rng.integers(len(rows))].copy()
+        if kind == "ulp":
+            j = rng.integers(DIM)
+            row[j] = np.nextafter(row[j], np.float32(np.inf))
+        return row
+    if kind == "zero":
+        return np.zeros(DIM, dtype=np.float32)
+    if kind == "subnormal":  # a few float32 ulps of 0: products with a unit query underflow to 0
+        return (rng.standard_normal(DIM) * 1e-44).astype(np.float32)
+    if kind == "tiny":  # norm from a quarter to four times the 2**-100 floor
+        return (rng.standard_normal(DIM) * 2.0**-100 / np.sqrt(DIM) * 4.0 ** rng.uniform(-1, 1)).astype(np.float32)
+    if kind == "huge":  # one sign near float32's largest value: a float32 dot overflows
+        return (rng.uniform(0.5, 1.0, DIM) * FLOAT32_MAX).astype(np.float32)
+    if kind == "signed":  # alternating signs: lanes of one sign overflow, and their sum is NaN
+        return (np.where(np.arange(DIM) % 2, -1.0, 1.0) * rng.uniform(0.9, 1.0, DIM) * FLOAT32_MAX).astype(np.float32)
+    if kind == "tie":  # the shared direction, moved by about one float32 rounding
+        return (tie * (1.0 + rng.standard_normal(DIM) * 2.0**-24)).astype(np.float32)
+    return (rng.standard_normal(DIM) * 10.0 ** rng.uniform(-3, 3)).astype(np.float32)
+
+
+def exhaustive_hits(index, query, k):
+    """Every row scored by `_similarities`, then the first k by a stable
+    sort: ties by row, which is ascending id."""
+    sims = index._similarities(np.asarray(query, dtype=np.float64), np.arange(len(index)))
+    ids, paths, kinds, spans = index._columns
+    return [(ids[row], float.hex(float(sims[row])), RecordMetadata(path=paths[row], span=spans[row],
+                                                                   source_kind=kinds[row]))
+            for row in np.argsort(-sims, kind="stable")[:k].tolist()]
+
+
+def hit_triples(result):
+    return [(h.id, float.hex(h.similarity), h.metadata) for h in result.hits]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=40),
+       query_kind=st.sampled_from(QUERY_KINDS), k_draw=st.integers(min_value=0), seed=st.integers(0, 2**32 - 1))
+def test_two_pass_search_equals_scoring_every_row(kinds, query_kind, k_draw, seed, tmp_path_factory):
+    """Built and loaded, the bound pass keeps every row the exact scoring
+    of all rows returns, ties included, over exact duplicates, rows one
+    float32 ulp apart, zero rows, rows with subnormal entries and rows of
+    norm near the 2**-100 floor, rows whose float32 dot overflows or sums to
+    NaN, near-tie clusters larger than k, k from 1 to count + 1 and the zero
+    query."""
+    rng = np.random.default_rng(seed)
+    tie = rng.standard_normal(DIM)
+    rows = []
+    for kind in kinds:
+        rows.append(adversarial_row(kind, rows, tie, rng))
+    k = 1 + k_draw % (len(rows) + 1)
+    query = {"zero": np.zeros(DIM), "row": rows[rng.integers(len(rows))].astype(np.float64), "tie": tie,
+             "ones": np.ones(DIM), "tiny": rng.standard_normal(DIM) * 1e-160}.get(query_kind)
+    query = rng.standard_normal(DIM) if query is None else query
+    built = VectorIndex("h")
+    for i in rng.permutation(len(rows)):
+        built.insert(f"r{i:02d}", rows[i], RecordMetadata(path=f"p{i}", span=f"{i}", source_kind=kinds[i]))
+    path = tmp_path_factory.mktemp("two_pass") / "index.bin"
+    built.save(path)
+    loaded = VectorIndex.load(path)
+    want = exhaustive_hits(built, query, k)
+    assert len(want) == min(k, len(rows))
+    assert exhaustive_hits(loaded, query, k) == want
+    assert hit_triples(built.search(query, k)) == want
+    assert hit_triples(loaded.search(query, k)) == want
+
+
+def test_rows_without_a_bound_are_always_candidates(tmp_path):
+    """A row whose float32 product overflows in any summation order and a
+    row of norm below the floor have no bound, so they are candidates for
+    every k; here both outscore every ordinary row. A zero row gets [0, 0],
+    and a row whose float32 product is NaN (alternating signs, on kernels
+    that sum in several lanes) gets no bound; neither may lift the k-th
+    lower end over an ordinary row's exact score."""
+    rng = np.random.default_rng(27)
+    specials = {"huge": adversarial_row("huge", [], None, rng),
+                "signed": adversarial_row("signed", [], None, rng),
+                "subnormal": np.abs(adversarial_row("subnormal", [], None, rng)),
+                "zero": np.zeros(DIM)}
+    index = VectorIndex("h")
+    for name, row in specials.items():
+        index.insert(name, row, RecordMetadata(path=name))
+    for i in range(200):
+        index.insert(f"r{i:03d}", rng.standard_normal(DIM) + 0.5, RecordMetadata(path=f"r{i}"))
+    index.save(tmp_path / "index.bin")
+    loaded = VectorIndex.load(tmp_path / "index.bin")
+    query = np.ones(DIM)
+    for current in (index, loaded):
+        candidates = {current._columns[0][row] for row in current._candidates(query, 1)}
+        assert {"huge", "subnormal"} <= candidates and "zero" not in candidates and len(candidates) < 10
+        assert [h.id for h in current.search(query, 2).hits] == ["huge", "subnormal"]
+        for k in (1, 3, 5, 204, 205):
+            assert hit_triples(current.search(query, k)) == exhaustive_hits(current, query, k)
 
 @settings(max_examples=30, deadline=None)
 @given(
