@@ -7,29 +7,30 @@ integers and the final vector is L2-normalized, so embeddings are
 bit-reproducible across runs and platforms. An empty graph embeds to the
 zero vector.
 
-WL relabelling is label compression (Shervashidze et al., JMLR 2011,
-section 3): a node's next label is the digest of a packed binary key of its
-own label and its sorted neighbour labels, and a `WLLabels` interns each key
-as an int and hashes it only the first time it meets it. Each id belongs to
-one round, so it also keeps each id's structural bucket, hashed the first
-time a vector needs it and kept while the bands' structural dims and hash
-seed stay the same.
+Every feature is hashed one way, as in feature hashing (Weinberger et al.,
+ICML 2009): its 8-byte blake2b digest keyed with the bands' `hash_seed`,
+read big-endian, lands in bucket digest mod dims of its band. A node gives
+a structural feature per round (its kind label in round 0, its packed WL
+key after that), and a named node one more: `id|<name>`, or
+`lit|<label>|<name>` for a literal. WL relabelling is label compression
+(Shervashidze et al., JMLR 2011, section 3): a node's next label is the
+digest of a packed binary key of its own label and its sorted neighbour
+labels. A `WLLabels` interns every feature as an int and hashes it only the
+first time it meets it.
 
 `graphs_to_vectors` embeds a group of graphs at once. Relabelling is local,
 so it runs one WL pass over the group's disjoint union, packing and sorting
 the keys of all its nodes in a round at once, and splits the counts per
 graph at the end; `graph_to_vector` is a group of one. `devmux index` embeds
 its files in groups of about 1,000 nodes and passes one `WLLabels` to every
-group of a run, so each distinct WL key and bucket is hashed once per run; a
-call without one gets a fresh one. The vectors are the same whatever the
+group of a run, so each distinct feature is hashed once per run; a call
+without one gets a fresh one. The vectors are the same whatever the
 grouping and whether labels are shared.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-from array import array
 from collections.abc import Sequence
 from itertools import chain, filterfalse
 
@@ -41,58 +42,41 @@ _LITERAL_LABELS = ("string-literal", "number-literal")
 # Slot of a node's own entry in its WL key; an edge of kind k has slot 2k at
 # its source end and 2k + 1 at its destination end.
 _OWN_SLOT = 2 * len(EDGE_KINDS)
-# A `WLLabels` holding more entries (about 195 bytes each, key bytes
+# A `WLLabels` holding more entries (about 175 bytes each, key bytes
 # included) than this is cleared before the next group; a 150-file tree
-# interns about 7,300.
+# interns about 13,400.
 _MAX_WL_ENTRIES = 1 << 16
-_digest8 = functools.partial(hashlib.blake2b, digest_size=8)
-
-
-def _keyed(hash_seed: int):
-    """A blake2b hasher (8-byte digest) keyed with `hash_seed`."""
-    return hashlib.blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little", signed=False))
-
-
-def _bucket(key: str, dims: int, keyed) -> int:
-    """Bucket of `key` among `dims`, from a copy of `keyed`, a hasher made
-    by `_keyed`."""
-    digest = keyed.copy()
-    digest.update(key.encode("utf-8"))
-    return int.from_bytes(digest.digest(), "little") % dims
 
 
 class WLLabels:
-    """Weisfeiler-Lehman labels interned as ints, shared by the graphs of one run.
+    """The features of one run interned as ints, each with its keyed digest.
 
-    An id stands for a label, an 8-byte blake2b digest; `label(i)` is its 16
-    hex digits. A round-0 label is the digest of the node's kind label as
-    UTF-8. A node's next label is the digest of its key: one entry for the
-    node itself (slot `_OWN_SLOT`) and one for the far end of each of its
-    edges (slot 2k for an outgoing and 2k + 1 for an incoming edge of kind
-    `EDGE_KINDS[k]`), each entry the slot and that end's label digest as
-    two little-endian uint64, sorted by slot, then digest. The key encodes
-    the node's label and its neighbour multiset per slot injectively, so
-    its digest is computed only the first time the key is seen. Two ids
-    share a label only when two digests collide, and the vector reads
-    labels, not ids, so it does not depend on which graphs shared the map.
+    An id stands for a feature: a kind label, a packed WL key, `id|<name>`
+    or `lit|<label>|<name>`. Its digest is the 8-byte blake2b of the
+    feature's bytes (a string's UTF-8) keyed with `hash_seed` as 8
+    little-endian bytes, read big-endian. A round-0 label is the digest of
+    the node's kind label. A node's next label is the digest of its key: one
+    entry for the node itself (slot `_OWN_SLOT`) and one for the far end of
+    each of its edges (slot 2k for an outgoing and 2k + 1 for an incoming
+    edge of kind `EDGE_KINDS[k]`), each entry the slot and that end's label
+    digest as two little-endian uint64, sorted by slot, then digest. The key
+    encodes the node's label and its neighbour multiset per slot
+    injectively, so its digest is computed only the first time the key is
+    seen. Two ids share a digest only when two digests collide, and the
+    vector reads digests, not ids, so it does not depend on which graphs
+    shared the map. The `id|` and `lit|` prefixes keep a name apart from a
+    kind label.
 
-    Each id belongs to one round: a kind label to round 0, and a key to the
-    round after that of the digests in it (barring a digest collision across
-    rounds). An id's structural bucket, that of `wl|<round>|<label>`,
-    therefore depends only on the id and on the bands' structural dims and
-    hash seed. It is hashed once per id and kept in a 4-byte slot until
-    other dims or another seed are asked for.
+    Every digest depends on `hash_seed`, so `graphs_to_vectors` clears the
+    map before a group under another seed.
     """
 
     def __init__(self) -> None:
-        # kind label (str) or packed key (bytes) -> id
+        # feature (str) or packed key (bytes) -> id
         self._ids: dict[str | bytes, int] = {}
-        # id -> the 8-byte blake2b digest of its kind label or key, read big-endian
-        self._digests = array("Q")
-        # id -> its structural bucket, -1 until hashed
-        self._buckets = array("i")
-        # (structural dims, hash seed) that `_buckets` was hashed for
-        self._bucket_bands: tuple[int, int] | None = None
+        # id -> the keyed digest of its feature, 8 bytes each
+        self._digests = bytearray()
+        self.hash_seed: int = BandConfig.hash_seed
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -100,42 +84,24 @@ class WLLabels:
     def clear(self) -> None:
         self._ids.clear()
         del self._digests[:]
-        del self._buckets[:]
 
     def ids(self, keys: Sequence[str | bytes]) -> np.ndarray:
-        """The id of each of `keys`, kind labels or packed keys, interning
-        and hashing the keys not seen before."""
+        """The id of each of `keys`, features or packed keys, interning and
+        hashing the keys not seen before."""
         new = list(dict.fromkeys(filterfalse(self._ids.__contains__, keys)))
         if new:
-            start = len(self._digests)
-            encoded = (key.encode("utf-8") if isinstance(key, str) else key for key in new)
-            self._digests.extend(int.from_bytes(_digest8(key).digest(), "big") for key in encoded)
-            self._buckets.extend(array("i", [-1]) * len(new))
+            keyed = hashlib.blake2b(digest_size=8, key=self.hash_seed.to_bytes(8, "little"))
+            start = len(self._ids)
+            for key in new:
+                digest = keyed.copy()
+                digest.update(key.encode("utf-8") if isinstance(key, str) else key)
+                self._digests += digest.digest()
             self._ids.update(zip(new, range(start, start + len(new))))
         return np.fromiter(map(self._ids.__getitem__, keys), dtype=np.int64, count=len(keys))
 
     def digests(self, ids: np.ndarray) -> np.ndarray:
         """The uint64 digest of each of `ids`."""
-        return np.frombuffer(self._digests, dtype=np.uint64)[ids]
-
-    def label(self, i: int) -> str:
-        """The label of id `i`: its digest as 16 hex digits."""
-        return f"{self._digests[i]:016x}"
-
-    def structural_buckets(self, per_round: list[np.ndarray], bands: BandConfig) -> np.ndarray:
-        """The structural bucket under `bands` of every id in `per_round`,
-        which holds the ids of round r at index r, hashing only ids not
-        hashed before under the same dims and seed."""
-        dims = bands.structural_dims
-        if self._bucket_bands != (dims, bands.hash_seed):
-            self._bucket_bands = (dims, bands.hash_seed)
-            self._buckets = array("i", [-1]) * len(self._buckets)
-        keyed = _keyed(bands.hash_seed)
-        for r, ids in enumerate(per_round):
-            missing = ids[np.frombuffer(self._buckets, dtype=np.intc)[ids] < 0]
-            for i in dict.fromkeys(missing.tolist()):
-                self._buckets[i] = _bucket(f"wl|{r}|{self.label(i)}", dims, keyed)
-        return np.frombuffer(self._buckets, dtype=np.intc)[np.concatenate(per_round)]
+        return np.frombuffer(self._digests, dtype=">u8")[ids]
 
 
 def _wl_rounds(graph: CodeGraph, rounds: int, wl: WLLabels) -> list[np.ndarray]:
@@ -183,63 +149,50 @@ def _union(graphs: Sequence[CodeGraph]) -> CodeGraph:
     return CodeGraph(column("labels"), column("names"), shifted("src"), shifted("dst"), column("kinds"))
 
 
-def _counts(rows: np.ndarray, buckets: np.ndarray, m: int, dims: int) -> np.ndarray:
-    """The (m, dims) int64 counts of the pairs (rows[j], buckets[j])."""
-    return np.bincount(rows * dims + buckets, minlength=m * dims).reshape(m, dims)
-
-
 def graphs_to_vectors(
     graphs: Sequence[CodeGraph], bands: BandConfig | None = None, wl: WLLabels | None = None
 ) -> np.ndarray:
     """Embed code graphs as the rows of an (m, 768) float64 array: row i is
     the unit-norm vector of `graphs[i]`, or zero for an empty graph.
 
-    `wl` carries interned WL labels and their structural buckets from group
-    to group; pass one `WLLabels` to every call of a run to hash each
-    distinct key and bucket once. It is cleared before a group once
-    it holds more than `_MAX_WL_ENTRIES` entries. The rows are the same with
-    or without it, and whatever the grouping.
+    `wl` carries interned features and their digests from group to group;
+    pass one `WLLabels` to every call of a run to hash each distinct
+    feature once. It is cleared before a group under another hash seed, or
+    once it holds more than `_MAX_WL_ENTRIES` entries. The rows are the same
+    with or without it, and whatever the grouping.
     """
     bands = bands or BandConfig()
     if wl is None:
         wl = WLLabels()
-    elif len(wl) > _MAX_WL_ENTRIES:
+    if len(wl) > _MAX_WL_ENTRIES or wl.hash_seed != bands.hash_seed:
         wl.clear()
+        wl.hash_seed = bands.hash_seed
     m = len(graphs)
     union = _union(graphs)
     graph_of = np.repeat(np.arange(m), [len(g) for g in graphs])
     per_round = _wl_rounds(union, bands.wl_iterations, wl)
-    structural = _counts(
-        np.tile(graph_of, len(per_round)), wl.structural_buckets(per_round, bands), m, bands.structural_dims
-    )
+    names = np.array(union.names, dtype=object)
+    named = np.flatnonzero(np.not_equal(names, None))
+    names, labels = names[named], np.array(union.labels, dtype=object)[named]
+    literal = np.isin(labels, _LITERAL_LABELS)
+    features = np.where(literal, "lit|" + labels + "|" + names, "id|" + names)
 
-    keyed = _keyed(bands.hash_seed)
-    identifier_nodes: list[int] = []
-    identifier_buckets: list[int] = []
-    literal_nodes: list[int] = []
-    literal_buckets: list[int] = []
-    for node, (label, name) in enumerate(zip(union.labels, union.names)):
-        if name is None:
-            continue
-        if label in _LITERAL_LABELS:
-            literal_nodes.append(node)
-            literal_buckets.append(_bucket(f"lit|{label}|{name}", bands.literal_dims, keyed))
-        else:
-            identifier_nodes.append(node)
-            identifier_buckets.append(_bucket(f"id|{name}", bands.identifier_dims, keyed))
-    identifiers = _counts(
-        graph_of[identifier_nodes], np.array(identifier_buckets, dtype=np.intp), m, bands.identifier_dims
-    )
-    literals = _counts(graph_of[literal_nodes], np.array(literal_buckets, dtype=np.intp), m, bands.literal_dims)
+    # Band 0 is structural, 1 identifiers and 2 literals; a feature's column
+    # is its band's offset plus its bucket in the band.
+    band = np.concatenate((np.zeros(len(per_round) * len(union), dtype=np.intp), 1 + literal))
+    dims = (bands.structural_dims, bands.identifier_dims, bands.literal_dims)
+    digests = wl.digests(np.concatenate((*per_round, wl.ids(features.tolist()))))
+    buckets = (digests % np.array(dims, dtype=np.uint64)[band]).astype(np.intp)
+    columns = np.array([0, dims[0], dims[0] + dims[1]])[band] + buckets
+    rows = np.concatenate((np.tile(graph_of, len(per_round)), graph_of[named]))
+    width = sum(dims)
+    counts = np.bincount(rows * width + columns, minlength=m * width).reshape(m, width)
 
-    vectors = np.concatenate(
-        [
-            structural.astype(np.float64),
-            bands.identifier_weight * identifiers.astype(np.float64),
-            literals.astype(np.float64),
-        ],
-        axis=1,
-    )
+    # Structural and literal counts times 1/s and identifier counts times
+    # w/s, with s = max(1, w): the unit vector is that of the counts weighted
+    # by w, and the squares in the norm stay finite for any finite w.
+    scale = max(1.0, bands.identifier_weight)
+    vectors = counts * np.repeat([1.0 / scale, bands.identifier_weight / scale, 1.0 / scale], dims)
     norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1))[:, np.newaxis]
     return np.divide(vectors, norms, out=vectors, where=norms != 0)
 

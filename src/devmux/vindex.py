@@ -301,12 +301,16 @@ class VectorIndex:
         return np.flatnonzero(upper >= kth)
 
     def search(self, query: np.ndarray, k: int) -> QueryResult:
-        """Exact top-k by cosine over all records; ties by ascending id."""
+        """Exact top-k by cosine over all records; ties by ascending id. A
+        query with a NaN or infinite entry is rejected, as `insert` rejects
+        such a vector."""
         if k < 0:
             raise ValueError("k must be >= 0")
         query = np.asarray(query, dtype=np.float64)
         if query.shape != (self.dim,):
             raise ValueError(f"query must have shape ({self.dim},), got {query.shape}")
+        if not np.isfinite(query).all():
+            raise ValueError("query has an entry that is not finite")
         if k == 0 or not len(self):
             return QueryResult(())
         self._merge()

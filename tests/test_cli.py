@@ -1,10 +1,12 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,30 @@ class TestIndexAndQuery:
         assert weights == sorted(weights, reverse=True)
         assert all(e["source"] == "code_context" for e in payload["entries"])
 
+    @pytest.mark.parametrize("weight", [1e154, 1e300, sys.float_info.max])
+    def test_huge_identifier_weight_indexes_and_queries(self, weight, tmp_path, capsys):
+        """Identifier weights whose squares overflow still give nonzero
+        unit vectors, finite weights and no numpy warning."""
+        src = tmp_path / "src"
+        src.mkdir()
+        write_sources(src, 5)
+        config = tmp_path / "c.yaml"
+        config.write_text(f"embed:\n  identifier_weight: {weight!r}\n")
+        out = tmp_path / "index.bin"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            index_code = cli_main(["index", str(src), "--out", str(out), "--config", str(config)])
+            index_err = capsys.readouterr().err
+            query_code = cli_main(["query", "class C1 { void run1() { helper1(); } }", "--index", str(out),
+                                   "--config", str(config), "--source-root", str(src)])
+            captured = capsys.readouterr()
+        assert (index_code, index_err, query_code, captured.err) == (0, "", 0, "")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        index = VectorIndex.load(out)
+        assert all(np.linalg.norm(index.vector(rid)) > 0.5 for rid in index.ids())
+        weights = [entry["weight"] for entry in json.loads(captured.out)["entries"]]
+        assert weights and all(map(math.isfinite, weights))
+
     def test_query_missing_index_exit_three(self, capsys):
         code = cli_main(["query", "anything", "--index", "missing.bin"])
         capsys.readouterr()
@@ -268,10 +294,14 @@ class TestIndexAndQuery:
 
     def test_query_warns_on_an_index_hashed_without_the_wl_scheme(self, tmp_path, capsys):
         """The default bands' hash without the WL scheme tag, as indexes
-        labelled from signature strings hold it, names another embedding:
+        labelled from signature strings hold it, or under the packed-key
+        scheme, whose labels were unkeyed digests, names another embedding:
         `query` answers and warns. Today's hash gets no warning."""
         old_hash = hashlib.sha256(json.dumps(vars(BandConfig()), sort_keys=True).encode("utf-8")).hexdigest()[:16]
-        for band_config_hash, err in [(old_hash, "warning: index was built with a different embedding config\n"),
+        blob = json.dumps(["wl-packed-keys", vars(BandConfig())], sort_keys=True)
+        packed_keys_hash = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        warning = "warning: index was built with a different embedding config\n"
+        for band_config_hash, err in [(old_hash, warning), (packed_keys_hash, warning),
                                       (BandConfig().fingerprint(), "")]:
             index = VectorIndex(band_config_hash)
             index.insert("r0", np.ones(768), RecordMetadata(path="a.java"))

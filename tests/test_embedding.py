@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -13,7 +14,6 @@ from devmux.configfile import VECTOR_DIM
 from devmux.embedding import (
     BandConfig,
     WLLabels,
-    _bucket,
     _wl_rounds,
     cosine,
     graph_to_vector,
@@ -142,7 +142,8 @@ def test_cosine_dimension_mismatch():
 def small_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=12))
     labels = ["class-decl", "method-decl", "block", "call-expr", "identifier", "string-literal"]
-    names = st.one_of(st.none(), st.text("abc", min_size=1, max_size=3))
+    # Some names spell a kind label, which the `id|` prefix keeps apart.
+    names = st.one_of(st.none(), st.text("abc", min_size=1, max_size=3), st.sampled_from(labels))
     n_edges = draw(st.integers(min_value=0, max_value=2 * n))
     ends = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n_edges, max_size=n_edges)
     return CodeGraph(
@@ -162,13 +163,21 @@ def test_norm_invariant_on_random_graphs(graph):
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
 
-def reference_wl_label_counts(graph: CodeGraph, rounds: int) -> Counter:
+def keyed_digest(feature: str | bytes, hash_seed: int) -> int:
+    """The 8-byte blake2b of `feature` (a string as UTF-8) keyed with
+    `hash_seed` as 8 little-endian bytes, read big-endian."""
+    data = feature.encode("utf-8") if isinstance(feature, str) else feature
+    key = hash_seed.to_bytes(8, "little")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8, key=key).digest(), "big")
+
+
+def reference_wl_label_counts(graph: CodeGraph, rounds: int, hash_seed: int = BandConfig().hash_seed) -> Counter:
     """Counts of (round, label) pairs, hashing every node's key in every
     round: the relabelling `WLLabels` compresses. A round-0 label is the
-    digest of the kind label; a node's next one is the digest of its sorted
-    (slot, label digest) pairs, its own at slot 8 and one per edge end at
-    slot 2k (source) or 2k + 1 (destination), each as two little-endian
-    8-byte ints."""
+    keyed digest of the kind label; a node's next one is the keyed digest
+    of its sorted (slot, label) pairs, its own at slot 8 and one per edge
+    end at slot 2k (source) or 2k + 1 (destination), each as two
+    little-endian 8-byte ints."""
     own_slot = 2 * len(EDGE_KINDS)
     ends = [[] for _ in range(len(graph))]
     for edge in graph.edges:
@@ -176,7 +185,7 @@ def reference_wl_label_counts(graph: CodeGraph, rounds: int) -> Counter:
         ends[edge.src].append((2 * k, edge.dst))
         ends[edge.dst].append((2 * k + 1, edge.src))
 
-    labels = [hashlib.blake2b(node.label.encode("utf-8"), digest_size=8).hexdigest() for node in graph.nodes]
+    labels = [keyed_digest(node.label, hash_seed) for node in graph.nodes]
     counts: Counter = Counter()
     for r in range(rounds + 1):
         for label in labels:
@@ -185,63 +194,85 @@ def reference_wl_label_counts(graph: CodeGraph, rounds: int) -> Counter:
             break
         new_labels = []
         for v, node_ends in enumerate(ends):
-            pairs = sorted([(own_slot, int(labels[v], 16))] + [(slot, int(labels[u], 16)) for slot, u in node_ends])
-            key = b"".join(slot.to_bytes(8, "little") + digest.to_bytes(8, "little") for slot, digest in pairs)
-            new_labels.append(hashlib.blake2b(key, digest_size=8).hexdigest())
+            pairs = sorted([(own_slot, labels[v])] + [(slot, labels[u]) for slot, u in node_ends])
+            key = b"".join(slot.to_bytes(8, "little") + label.to_bytes(8, "little") for slot, label in pairs)
+            new_labels.append(keyed_digest(key, hash_seed))
         labels = new_labels
     return counts
 
 
 def counts_by_label(per_round: list[np.ndarray], wl: WLLabels) -> Counter:
-    return Counter((r, wl.label(i)) for r, ids in enumerate(per_round) for i in ids.tolist())
+    return Counter((r, label) for r, ids in enumerate(per_round) for label in wl.digests(ids).tolist())
+
+
+SEEDS = st.sampled_from([0x5EEDC0DE, 0, 2**64 - 1])
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(small_graphs(), min_size=1, max_size=5), st.integers(min_value=0, max_value=4))
-def test_wl_counts_match_per_node_reference(graphs, rounds):
+@given(st.lists(small_graphs(), min_size=1, max_size=5), st.integers(min_value=0, max_value=4), SEEDS)
+def test_wl_counts_match_per_node_reference(graphs, rounds, hash_seed):
     wl = WLLabels()
+    wl.hash_seed = hash_seed
     for graph in graphs:
-        assert counts_by_label(_wl_rounds(graph, rounds, wl), wl) == reference_wl_label_counts(graph, rounds)
+        assert counts_by_label(_wl_rounds(graph, rounds, wl), wl) == reference_wl_label_counts(graph, rounds, hash_seed)
 
 
 def reference_graph_to_vector(graph: CodeGraph, bands: BandConfig) -> np.ndarray:
-    """The vector with one `_bucket` per (round, label) of
-    `reference_wl_label_counts` and one per named node: the formula that
-    `WLLabels` memoises per id."""
-    keyed = hashlib.blake2b(digest_size=8, key=bands.hash_seed.to_bytes(8, "little"))
+    """The vector from one keyed digest per feature of every node, with no
+    interning: each (round, label) of `reference_wl_label_counts`, and
+    `id|<name>` or `lit|<label>|<name>` per named node, each in bucket
+    digest mod its band's dims. The structural and literal counts are
+    scaled by 1/s and the identifier counts by w/s, s = max(1, w)."""
+    seed = bands.hash_seed
     structural = np.zeros(bands.structural_dims, dtype=np.int64)
     identifiers = np.zeros(bands.identifier_dims, dtype=np.int64)
     literals = np.zeros(bands.literal_dims, dtype=np.int64)
-    for (r, label), count in reference_wl_label_counts(graph, bands.wl_iterations).items():
-        structural[_bucket(f"wl|{r}|{label}", bands.structural_dims, keyed)] += count
+    for (_, label), count in reference_wl_label_counts(graph, bands.wl_iterations, seed).items():
+        structural[label % bands.structural_dims] += count
     for node in graph.nodes:
         if node.name is None:
             continue
         if node.label in ("string-literal", "number-literal"):
-            literals[_bucket(f"lit|{node.label}|{node.name}", bands.literal_dims, keyed)] += 1
+            literals[keyed_digest(f"lit|{node.label}|{node.name}", seed) % bands.literal_dims] += 1
         else:
-            identifiers[_bucket(f"id|{node.name}", bands.identifier_dims, keyed)] += 1
+            identifiers[keyed_digest(f"id|{node.name}", seed) % bands.identifier_dims] += 1
+    scale = max(1.0, bands.identifier_weight)
     vector = np.concatenate(
         [
-            structural.astype(np.float64),
-            bands.identifier_weight * identifiers.astype(np.float64),
-            literals.astype(np.float64),
+            structural.astype(np.float64) * (1.0 / scale),
+            identifiers.astype(np.float64) * (bands.identifier_weight / scale),
+            literals.astype(np.float64) * (1.0 / scale),
         ]
     )
     norm = np.sqrt(np.add.reduce(vector * vector))
     return vector if norm == 0.0 else vector / norm
 
 
+# Identifiers, a parameter and a literal spelling kind labels.
+KIND_NAMES = 'class block { void param(int identifier) { block = param("block", identifier); } }'
+
+
+def test_names_spelling_kind_labels_match_reference():
+    graph = parse_to_graph(KIND_NAMES)
+    assert {"block", "param", "identifier"} <= set(graph.labels) & set(graph.names)
+    wl = WLLabels()
+    for bands in (BandConfig(), BandConfig(hash_seed=0), BandConfig(identifier_weight=2.0, wl_iterations=0)):
+        vector = graph_to_vector(graph, bands, wl)
+        assert vector.tobytes() == reference_graph_to_vector(graph, bands).tobytes()
+        assert vector[bands.structural_dims:-bands.literal_dims].any()
+
+
 @st.composite
 def band_configs(draw):
-    """Few distinct dims and seeds, so a run often returns to bands it had
-    left."""
+    """Few distinct dims, weights and seeds, so a run often returns to bands
+    it had left."""
     structural = draw(st.sampled_from([512, 100, 7]))
     return BandConfig(
         structural_dims=structural,
         identifier_dims=VECTOR_DIM - 64 - structural,
+        identifier_weight=draw(st.sampled_from([0.5, 0.0, 3.0, sys.float_info.max])),
         wl_iterations=draw(st.integers(min_value=0, max_value=4)),
-        hash_seed=draw(st.sampled_from([0x5EEDC0DE, 0, 2**64 - 1])),
+        hash_seed=draw(SEEDS),
     )
 
 
@@ -302,3 +333,22 @@ def test_labels_reset_past_cap_keep_vectors(monkeypatch):
         graph = parse_to_graph(source)
         assert graph_to_vector(graph, None, wl).tobytes() == graph_to_vector(graph).tobytes()
     assert len(clears) == len(sources) - 1
+
+
+def test_labels_reset_on_another_seed(monkeypatch):
+    graph = parse_to_graph(RENAME_A)
+    seeds = (BandConfig().hash_seed, BandConfig().hash_seed, 0, 0, 1)
+    fresh = [graph_to_vector(graph, BandConfig(hash_seed=seed)).tobytes() for seed in seeds]
+    clear = WLLabels.clear
+    clears = []
+
+    def counted_clear(self):
+        clears.append(len(self))
+        clear(self)
+
+    monkeypatch.setattr(WLLabels, "clear", counted_clear)
+    wl = WLLabels()
+    for seed, vector in zip(seeds, fresh):
+        assert graph_to_vector(graph, BandConfig(hash_seed=seed), wl).tobytes() == vector
+        assert wl.hash_seed == seed
+    assert len(clears) == 2 and all(clears)

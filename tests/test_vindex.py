@@ -79,6 +79,19 @@ def test_non_finite_vector_rejected_and_index_unchanged(entry, tmp_path):
     assert loaded.search(np.ones(DIM), 2).ids() == ["a", "b"]
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_query_rejected_built_and_loaded(entry, tmp_path):
+    index = build_index(np.random.default_rng(3), 5)
+    index.save(tmp_path / "index.bin")
+    query = np.array(index.vector("rec-0001"), dtype=np.float64)
+    query[1] = entry
+    for searched in (index, VectorIndex.load(tmp_path / "index.bin")):
+        for k in (0, 3, 10):
+            with pytest.raises(ValueError, match="not finite"):
+                searched.search(query, k)
+        assert searched.search(np.nan_to_num(query, posinf=0.0, neginf=0.0), 3).ids()[0] == "rec-0001"
+
+
 def test_dimension_mismatch_rejected():
     index = VectorIndex("h")
     with pytest.raises(ValueError, match="shape"):
