@@ -27,9 +27,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 DEFAULT_EXTENSIONS = (".java", ".mini")
-# About how many graph nodes `index` embeds in one call (about 8 files of the
-# benchmark tree): larger groups were no faster and raised the allocation peak.
-INDEX_GROUP_NODES = 1000
 
 
 def _dump_json(payload: dict) -> str:
@@ -44,7 +41,7 @@ def _fail(message: str, code: int) -> int:
 def cmd_index(args) -> int:
     from .codegraph import ParseError, parse_to_graph
     from .configfile import load_config
-    from .embedding import WLLabels, graphs_to_vectors
+    from .embedding import graphs_to_vectors
     from .vindex import RecordMetadata, VectorIndex
 
     config = load_config(args.config)
@@ -60,32 +57,26 @@ def cmd_index(args) -> int:
 
     index = VectorIndex(band_config_hash=config.bands.fingerprint())
     parse_failures: list[str] = []
-    wl = WLLabels()
-    # Parsed files wait as (id, graph, metadata) and are embedded together
-    # once the next file would take the group past INDEX_GROUP_NODES nodes.
-    group: list[tuple] = []
+    # (id, metadata) of each file that parsed, in the order its graph is embedded.
+    records: list[tuple[str, RecordMetadata]] = []
 
-    def embed_group() -> None:
-        vectors = graphs_to_vectors([graph for _, graph, _ in group], config.bands, wl)
-        for (rel, _, metadata), vector in zip(group, vectors):
-            index.insert(rel, vector, metadata)
-        group.clear()
+    def graphs():
+        for path in selected:
+            rel = path.relative_to(root).as_posix()
+            source = path.read_text(encoding="utf-8", errors="replace")
+            try:
+                graph = parse_to_graph(source)
+            except ParseError as err:
+                parse_failures.append(rel)
+                print(f"warning: skipping {rel}: {err}", file=sys.stderr)
+                continue
+            span = f"1-{source.count(chr(10)) + 1}"
+            records.append((rel, RecordMetadata(path=rel, span=span, source_kind="file")))
+            yield graph
 
-    for path in selected:
-        rel = path.relative_to(root).as_posix()
-        source = path.read_text(encoding="utf-8", errors="replace")
-        try:
-            graph = parse_to_graph(source)
-        except ParseError as err:
-            parse_failures.append(rel)
-            print(f"warning: skipping {rel}: {err}", file=sys.stderr)
-            continue
-        if group and sum(len(g) for _, g, _ in group) + len(graph) > INDEX_GROUP_NODES:
-            embed_group()
-        span = f"1-{source.count(chr(10)) + 1}"
-        group.append((rel, graph, RecordMetadata(path=rel, span=span, source_kind="file")))
-    if group:
-        embed_group()
+    vectors = graphs_to_vectors(graphs(), config.bands)
+    for (rel, metadata), vector in zip(records, vectors):
+        index.insert(rel, vector, metadata)
 
     if skipped_cap:
         names = ", ".join(p.relative_to(root).as_posix() for p in skipped_cap)

@@ -18,21 +18,21 @@ digest of a packed binary key of its own label and its sorted neighbour
 labels. A `WLLabels` interns every feature as an int and hashes it only the
 first time it meets it.
 
-`graphs_to_vectors` embeds a group of graphs at once. Relabelling is local,
-so it runs one WL pass over the group's disjoint union, packing and sorting
-the keys of all its nodes in a round at once, and splits the counts per
-graph at the end; `graph_to_vector` is a group of one. `devmux index` embeds
-its files in groups of about 1,000 nodes and passes one `WLLabels` to every
-group of a run, so each distinct feature is hashed once per run; a call
-without one gets a fresh one. The vectors are the same whatever the
-grouping and whether labels are shared.
+`graphs_to_vectors` embeds a whole run in one call: it reads its graphs in
+groups of about `_GROUP_NODES` nodes and keeps one `WLLabels` for the run,
+so each distinct feature is hashed once per run. Relabelling is local, so
+each group gets one WL pass over its disjoint union, packing and sorting
+the keys of all its nodes in a round at once, and the counts are split per
+graph at the end; `graph_to_vector` is a run of one graph. The vectors are
+the same whatever the grouping and whatever the map held before.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, filterfalse
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,10 +42,14 @@ _LITERAL_LABELS = ("string-literal", "number-literal")
 # Slot of a node's own entry in its WL key; an edge of kind k has slot 2k at
 # its source end and 2k + 1 at its destination end.
 _OWN_SLOT = 2 * len(EDGE_KINDS)
-# A `WLLabels` holding more entries (about 175 bytes each, key bytes
-# included) than this is cleared before the next group; a 150-file tree
-# interns about 13,400.
+# About how many graph nodes are embedded in one group (about 8 files of the
+# benchmark tree): larger groups were no faster and raised the allocation peak.
+_GROUP_NODES = 1000
+# A run starts a fresh `WLLabels` before the next group once its map holds
+# more entries (about 175 bytes each, key bytes included) than this; a
+# 150-file tree interns about 13,400.
 _MAX_WL_ENTRIES = 1 << 16
+_columns = attrgetter("labels", "names", "src", "dst", "kinds")
 
 
 class WLLabels:
@@ -66,34 +70,26 @@ class WLLabels:
     vector reads digests, not ids, so it does not depend on which graphs
     shared the map. The `id|` and `lit|` prefixes keep a name apart from a
     kind label.
-
-    Every digest depends on `hash_seed`, so `graphs_to_vectors` clears the
-    map before a group under another seed.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, hash_seed: int) -> None:
         # feature (str) or packed key (bytes) -> id
         self._ids: dict[str | bytes, int] = {}
         # id -> the keyed digest of its feature, 8 bytes each
         self._digests = bytearray()
-        self.hash_seed: int = BandConfig.hash_seed
+        self._keyed = hashlib.blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little"))
 
     def __len__(self) -> int:
         return len(self._ids)
-
-    def clear(self) -> None:
-        self._ids.clear()
-        del self._digests[:]
 
     def ids(self, keys: Sequence[str | bytes]) -> np.ndarray:
         """The id of each of `keys`, features or packed keys, interning and
         hashing the keys not seen before."""
         new = list(dict.fromkeys(filterfalse(self._ids.__contains__, keys)))
         if new:
-            keyed = hashlib.blake2b(digest_size=8, key=self.hash_seed.to_bytes(8, "little"))
             start = len(self._ids)
             for key in new:
-                digest = keyed.copy()
+                digest = self._keyed.copy()
                 digest.update(key.encode("utf-8") if isinstance(key, str) else key)
                 self._digests += digest.digest()
             self._ids.update(zip(new, range(start, start + len(new))))
@@ -104,16 +100,18 @@ class WLLabels:
         return np.frombuffer(self._digests, dtype=">u8")[ids]
 
 
-def _wl_rounds(graph: CodeGraph, rounds: int, wl: WLLabels) -> list[np.ndarray]:
+def _wl_rounds(
+    labels: list[str], src: np.ndarray, dst: np.ndarray, kinds: np.ndarray, rounds: int, wl: WLLabels
+) -> list[np.ndarray]:
     """The label ids, interned in `wl`, of every node in each of the rounds
-    0 to `rounds` of relabelling, keyed as `WLLabels` says. Identifier
-    names never enter, so the result is invariant under renaming.
+    0 to `rounds` of relabelling a graph given as columns: its nodes' kind
+    `labels` and its edges' int64 `src`, `dst` and `kinds`, keyed as
+    `WLLabels` says. Identifier names never enter, so the result is
+    invariant under renaming.
     """
-    n = len(graph)
+    n = len(labels)
     nodes = np.arange(n, dtype=np.int64)
-    src = np.array(graph.src, dtype=np.int64)
-    dst = np.array(graph.dst, dtype=np.int64)
-    kind_slot = 2 * np.array(graph.kinds, dtype=np.int64)
+    kind_slot = 2 * kinds
     # One key entry per node for itself and one per edge end: (slot, digest).
     owner = np.concatenate((nodes, src, dst))
     other = np.concatenate((nodes, dst, src))
@@ -122,64 +120,56 @@ def _wl_rounds(graph: CodeGraph, rounds: int, wl: WLLabels) -> list[np.ndarray]:
     # Byte offsets of each node's key once the 16-byte entries are sorted by owner.
     bounds = [0, *(16 * np.cumsum(np.bincount(owner, minlength=n))).tolist()]
 
-    labels = wl.ids(graph.labels)
-    per_round = [labels]
+    ids = wl.ids(labels)
+    per_round = [ids]
     for _ in range(rounds):
-        entries[:, 1] = wl.digests(labels[other])
+        entries[:, 1] = wl.digests(ids[other])
         keys = entries[np.lexsort((entries[:, 1], entries[:, 0], owner))].tobytes()
-        labels = wl.ids(list(map(keys.__getitem__, map(slice, bounds, bounds[1:]))))
-        per_round.append(labels)
+        ids = wl.ids(list(map(keys.__getitem__, map(slice, bounds, bounds[1:]))))
+        per_round.append(ids)
     return per_round
 
 
-def _union(graphs: Sequence[CodeGraph]) -> CodeGraph:
-    """The disjoint union of `graphs`: their nodes in order, with each
-    graph's edges shifted past the nodes of the graphs before it."""
-    if len(graphs) == 1:
-        return graphs[0]
-    shift = np.repeat(np.cumsum([0, *map(len, graphs)])[:-1], [len(g.src) for g in graphs])
-
-    def column(name: str) -> list:
-        return list(chain.from_iterable(getattr(g, name) for g in graphs))
-
-    def shifted(name: str) -> list[int]:
-        values = np.fromiter(chain.from_iterable(getattr(g, name) for g in graphs), np.int64, len(shift))
-        return (values + shift).tolist()
-
-    return CodeGraph(column("labels"), column("names"), shifted("src"), shifted("dst"), column("kinds"))
+def _groups(graphs: Iterable[CodeGraph]) -> Iterator[list[CodeGraph]]:
+    """`graphs` in order, in lists of at most `_GROUP_NODES` nodes or of one
+    larger graph: a list closes when the next graph would take it past."""
+    group: list[CodeGraph] = []
+    nodes = 0
+    for graph in graphs:
+        if group and nodes + len(graph) > _GROUP_NODES:
+            yield group
+            group, nodes = [], 0
+        group.append(graph)
+        nodes += len(graph)
+    if group:
+        yield group
 
 
-def graphs_to_vectors(
-    graphs: Sequence[CodeGraph], bands: BandConfig | None = None, wl: WLLabels | None = None
-) -> np.ndarray:
-    """Embed code graphs as the rows of an (m, 768) float64 array: row i is
-    the unit-norm vector of `graphs[i]`, or zero for an empty graph.
-
-    `wl` carries interned features and their digests from group to group;
-    pass one `WLLabels` to every call of a run to hash each distinct
-    feature once. It is cleared before a group under another hash seed, or
-    once it holds more than `_MAX_WL_ENTRIES` entries. The rows are the same
-    with or without it, and whatever the grouping.
-    """
-    bands = bands or BandConfig()
-    if wl is None:
-        wl = WLLabels()
-    if len(wl) > _MAX_WL_ENTRIES or wl.hash_seed != bands.hash_seed:
-        wl.clear()
-        wl.hash_seed = bands.hash_seed
-    m = len(graphs)
-    union = _union(graphs)
-    graph_of = np.repeat(np.arange(m), [len(g) for g in graphs])
-    per_round = _wl_rounds(union, bands.wl_iterations, wl)
-    names = np.array(union.names, dtype=object)
+def _group_vectors(group: list[CodeGraph], bands: BandConfig, wl: WLLabels) -> np.ndarray:
+    """The rows of `graphs_to_vectors` for `group`, from one WL pass over
+    its disjoint union: its nodes in order, with each graph's edges shifted
+    past the nodes of the graphs before it. A lone graph is its own union,
+    read as it is."""
+    m = len(group)
+    sizes = [len(g) for g in group]
+    if m == 1:
+        labels, names, src, dst, kinds = _columns(group[0])
+        shift = 0
+    else:
+        labels, names, src, dst, kinds = (list(chain.from_iterable(c)) for c in zip(*map(_columns, group)))
+        shift = np.repeat(np.cumsum([0, *sizes[:-1]]), [len(g.src) for g in group])
+    per_round = _wl_rounds(labels, np.array(src, dtype=np.int64) + shift, np.array(dst, dtype=np.int64) + shift,
+                           np.array(kinds, dtype=np.int64), bands.wl_iterations, wl)
+    names = np.array(names, dtype=object)
     named = np.flatnonzero(np.not_equal(names, None))
-    names, labels = names[named], np.array(union.labels, dtype=object)[named]
+    names, labels = names[named], np.array(labels, dtype=object)[named]
     literal = np.isin(labels, _LITERAL_LABELS)
     features = np.where(literal, "lit|" + labels + "|" + names, "id|" + names)
 
     # Band 0 is structural, 1 identifiers and 2 literals; a feature's column
     # is its band's offset plus its bucket in the band.
-    band = np.concatenate((np.zeros(len(per_round) * len(union), dtype=np.intp), 1 + literal))
+    graph_of = np.repeat(np.arange(m), sizes)
+    band = np.concatenate((np.zeros(len(per_round) * len(graph_of), dtype=np.intp), 1 + literal))
     dims = (bands.structural_dims, bands.identifier_dims, bands.literal_dims)
     digests = wl.digests(np.concatenate((*per_round, wl.ids(features.tolist()))))
     buckets = (digests % np.array(dims, dtype=np.uint64)[band]).astype(np.intp)
@@ -197,14 +187,31 @@ def graphs_to_vectors(
     return np.divide(vectors, norms, out=vectors, where=norms != 0)
 
 
-def graph_to_vector(
-    graph: CodeGraph, bands: BandConfig | None = None, wl: WLLabels | None = None
-) -> np.ndarray:
+def graphs_to_vectors(graphs: Iterable[CodeGraph], bands: BandConfig | None = None) -> np.ndarray:
+    """Embed code graphs as the rows of an (m, 768) float64 array: row i is
+    the unit-norm vector of the i-th of `graphs` (any iterable, read once
+    and at most one graph ahead of the group being embedded), or zero for
+    an empty graph.
+
+    The graphs are embedded in groups (see `_groups`) with one `WLLabels`
+    for the run, replaced by a fresh one before a group once it holds more
+    than `_MAX_WL_ENTRIES` entries. The rows do not depend on either.
+    """
+    bands = bands or BandConfig()
+    wl = WLLabels(bands.hash_seed)
+    rows = [np.zeros((0, bands.structural_dims + bands.identifier_dims + bands.literal_dims))]
+    for group in _groups(graphs):
+        if len(wl) > _MAX_WL_ENTRIES:
+            wl = WLLabels(bands.hash_seed)
+        rows.append(_group_vectors(group, bands, wl))
+    return np.concatenate(rows)
+
+
+def graph_to_vector(graph: CodeGraph, bands: BandConfig | None = None) -> np.ndarray:
     """Embed a code graph as a unit-norm 768-dim float64 vector (zero for an
-    empty graph): `graphs_to_vectors` of the group of one."""
-    # A copy owns its data, so a caller that keeps many vectors does not
-    # also keep a (1, 768) base array behind each.
-    return graphs_to_vectors([graph], bands, wl)[0].copy()
+    empty graph): `graphs_to_vectors` of a run of one."""
+    bands = bands or BandConfig()
+    return _group_vectors([graph], bands, WLLabels(bands.hash_seed))[0]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -2,22 +2,25 @@
 
 A built index and a loaded one hold their records in the same form: rows in
 ascending id order, with ids, paths, source kinds and spans as string
-columns in the file's layout, a sequence of little-endian float32 vectors
-(the on-disk width, so a save/load round trip is bit-identical) and each
-row's float64 norm, so a search does not recompute it. `insert` checks a
-record and holds it aside; the next read (`search`, `vector`, `ids` or
-`save`) merges the held records into the rows in one sort by id, moving the
-vectors rather than copying them, as a log-structured merge tree folds its
-buffer into a sorted run.
+columns in the file's layout, little-endian float32 vectors (the on-disk
+width, so a save/load round trip is bit-identical) and each row's float64
+norm, so a search does not recompute it. `insert` checks a record and holds
+it aside; the next read (`search`, `vector`, `ids` or `save`) merges the
+held records into the rows in one sort by id, moving the vectors rather
+than copying them, as a log-structured merge tree folds its buffer into a
+sorted run. The moved vectors are a list of row arrays, which `save` writes
+as they are; a search joins them into one matrix, the form a loaded index
+maps from its file, so it reads only that one form.
 
 Search is exact and runs in two passes, a cheap filter and an exact
 re-scoring of a short list (Jegou et al., "Searching in one billion
-vectors: re-rank with source coding", ICASSP 2011). The bound pass scales
-the query to unit norm, casts it to float32 and takes one float32
-matrix-vector product over the stored rows where they are (a built index
-joins one block of rows at a time), then divides by the stored norms. Each
-row's product s lies within `_bound_width(dim)` of its exact score (the
-proof is in that function's docstring), so a row gets the interval
+vectors: re-rank with source coding", ICASSP 2011). A nonzero query whose
+norm is below `_QUERY_FLOOR` or overflows is first divided by its largest
+absolute entry; any other query keeps its bits. The bound pass scales the
+query to unit norm, casts it to float32 and takes one float32
+matrix-vector product over the stored matrix, then divides by the stored
+norms. Each row's product s lies within `_bound_width(dim)` of its exact
+score (the proof is in that function's docstring), so a row gets the interval
 [s - width, s + width]; a zero row gets [0, 0], and a row whose norm is
 below `_NORM_FLOOR` or whose s is not finite gets (-inf, +inf). With L the
 k-th largest lower end, at least k rows score >= L exactly, so every row
@@ -29,8 +32,8 @@ finds the k-th score with `np.partition`, and stably sorts only the rows
 that reach it, so ties break by row, which is ascending record id (the
 flat exact search of FAISS `IndexFlatIP`). The float32 pass never decides
 a returned number: hits and similarity bits are those of scoring every
-row. A query whose norm is zero, below `_QUERY_FLOOR` or not finite, or
-k of at least the record count, makes every row a candidate.
+row. The zero query, or k of at least the record count, makes every row a
+candidate.
 
 The file (format version 4) starts with one JSON header line,
 `{"band_config_hash", "blocks", "count", "dim", "format_version": 4}`,
@@ -69,12 +72,12 @@ from .base import IndexFileError
 from .configfile import VECTOR_DIM
 
 FORMAT_VERSION = 4
-# Rows widened to float64 per norm pass and per matrix-vector product, and
-# joined per float32 product when a built index is bounded.
+# Rows widened to float64 per norm pass and per matrix-vector product.
 _BLOCK_ROWS = 128
-# Rows with a smaller (nonzero) norm, and queries with a norm outside
-# [_QUERY_FLOOR, inf), are candidates without a bound: below these floors
-# underflow, not rounding, may decide a float32 product or the query norm.
+# Rows with a smaller (nonzero) norm are candidates without a bound, and a
+# nonzero query with a norm outside [_QUERY_FLOOR, inf) is scaled by its
+# largest entry: below these floors underflow, not rounding, may decide a
+# float32 product or the query norm.
 _NORM_FLOOR = 2.0**-100
 _QUERY_FLOOR = 2.0**-500
 # A BLAS matrix-vector product may compute the last rows of a block that is
@@ -176,7 +179,8 @@ class VectorIndex:
         self.band_config_hash = band_config_hash
         self.dim = dim
         # The merged rows, in ascending id order: one column per _COLUMNS
-        # entry, a sequence of float32 vectors and their norms.
+        # entry, the float32 vectors and their norms. The vectors are a list
+        # of row arrays after a merge and one matrix once loaded or searched.
         self._columns = tuple(_text_column(name, []) for name in _COLUMNS)
         self._matrix: list[np.ndarray] | np.ndarray = []
         self._norms = np.empty(0, dtype="<f8")
@@ -238,16 +242,14 @@ class VectorIndex:
         stored.flags.writeable = False
         self._pending[record_id] = (metadata.path, metadata.source_kind, metadata.span, stored)
 
-    def _similarities(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Float64 cosine against `query` of each of `rows` (ascending row
-        numbers); 0 for a zero record or a zero query. Each row's dot
-        product comes from one matrix-vector product over its zero-padded
-        block of rows, and is divided by the row's stored norm (see
-        `_row_norms`) times the query's. A row scores the same bits in any
-        block, so each score is the one every row would get."""
-        self._merge()
+    def _similarities(self, query: np.ndarray, rows: np.ndarray, qnorm: float) -> np.ndarray:
+        """Float64 cosine against `query`, of norm `qnorm`, of each of `rows`
+        (ascending row numbers); 0 for a zero record or a zero query. Each
+        row's dot product comes from one matrix-vector product over its
+        zero-padded block of rows, and is divided by the row's stored norm
+        (see `_row_norms`) times the query's. A row scores the same bits in
+        any block, so each score is the one every row would get."""
         sims = np.zeros(len(rows))
-        qnorm = np.linalg.norm(query)
         if qnorm == 0.0:
             return sims
         dots = np.empty(len(rows))
@@ -255,7 +257,7 @@ class VectorIndex:
         for start in range(0, len(rows), _BLOCK_ROWS):
             chunk = rows[start:start + _BLOCK_ROWS]
             scored = block[: len(chunk) + (-len(chunk)) % _ROW_GROUP]
-            scored[: len(chunk)] = self._stack(chunk)
+            scored[: len(chunk)] = self._matrix[chunk]
             scored[len(chunk):] = 0.0
             dots[start:start + len(chunk)] = (scored @ query)[: len(chunk)]
         norms = self._norms[rows]
@@ -263,35 +265,18 @@ class VectorIndex:
         sims[nonzero] = dots[nonzero] / (norms[nonzero] * qnorm)
         return sims
 
-    def _stack(self, rows: slice | np.ndarray) -> np.ndarray:
-        """The float32 vectors of `rows` (a slice or ascending row numbers)
-        as one matrix; a run of consecutive rows is sliced, not gathered."""
-        if not isinstance(rows, slice) and len(rows) and rows[-1] - rows[0] == len(rows) - 1:
-            rows = slice(int(rows[0]), int(rows[-1]) + 1)
-        if isinstance(self._matrix, np.ndarray):
-            return self._matrix[rows]
-        picked = self._matrix[rows] if isinstance(rows, slice) else [self._matrix[row] for row in rows]
-        return np.frombuffer(b"".join(picked), dtype="<f4").reshape(len(picked), self.dim)
-
-    def _candidates(self, query: np.ndarray, k: int) -> np.ndarray:
+    def _candidates(self, query: np.ndarray, k: int, qnorm: float) -> np.ndarray:
         """Ascending row numbers of a superset of the rows whose exact score
         reaches the k-th largest, ties included (the bound pass, see the
-        module docstring); every row for k >= count or a query norm outside
-        [`_QUERY_FLOOR`, inf), zero included."""
+        module docstring), for a query of norm `qnorm`, zero or in
+        [`_QUERY_FLOOR`, inf); every row for k >= count or the zero query."""
         count = len(self._matrix)
-        qnorm = np.linalg.norm(query)
-        if k >= count or not _QUERY_FLOOR <= qnorm < np.inf:
+        if k >= count or qnorm == 0.0:
             return np.arange(count)
         unit = (query / qnorm).astype(np.float32)
         width = _bound_width(self.dim)
-        dots = np.empty(count, dtype=np.float32)
-        # A built index's rows are separate arrays, joined a block at a time.
-        step = _BLOCK_ROWS if isinstance(self._matrix, list) else count
         with np.errstate(all="ignore"):  # overflow and 0/0 give loose rows below
-            for start in range(0, count, step):
-                block = self._stack(slice(start, start + step))
-                np.matmul(block, unit, out=dots[start:start + len(block)])
-            sims = dots / self._norms
+            sims = (self._matrix @ unit) / self._norms
             lower, upper = sims - width, sims + width
         loose = ~np.isfinite(sims) | (self._norms < _NORM_FLOOR)
         lower[loose], upper[loose] = -np.inf, np.inf
@@ -314,8 +299,17 @@ class VectorIndex:
         if k == 0 or not len(self):
             return QueryResult(())
         self._merge()
-        rows = self._candidates(query, k)
-        sims = self._similarities(query, rows)
+        if isinstance(self._matrix, list):  # a built index's rows, joined at its first search
+            self._matrix = np.frombuffer(b"".join(self._matrix), dtype="<f4").reshape(-1, self.dim)
+        # A nonzero query whose norm underflows or overflows is scaled by its
+        # largest entry first; the norms of all others keep their bits.
+        with np.errstate(over="ignore", under="ignore"):
+            qnorm = np.linalg.norm(query)
+            if query.any() and not _QUERY_FLOOR <= qnorm < np.inf:
+                query = query / np.abs(query).max()
+                qnorm = np.linalg.norm(query)
+        rows = self._candidates(query, k, qnorm)
+        sims = self._similarities(query, rows, qnorm)
         k = min(k, len(sims))
         kth = -np.partition(-sims, k - 1)[k - 1]
         # Rows ascend by id, so a stable sort of the candidates breaks ties by id.

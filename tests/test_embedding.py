@@ -208,13 +208,20 @@ def counts_by_label(per_round: list[np.ndarray], wl: WLLabels) -> Counter:
 SEEDS = st.sampled_from([0x5EEDC0DE, 0, 2**64 - 1])
 
 
+def columns(graph: CodeGraph) -> tuple:
+    """`graph` as the columns `_wl_rounds` takes."""
+    return (graph.labels, *(np.array(c, dtype=np.int64) for c in (graph.src, graph.dst, graph.kinds)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_graphs(), min_size=1, max_size=5), st.integers(min_value=0, max_value=4), SEEDS)
 def test_wl_counts_match_per_node_reference(graphs, rounds, hash_seed):
-    wl = WLLabels()
-    wl.hash_seed = hash_seed
+    """One map across graphs, as a run keeps it, gives every graph the
+    reference's label counts."""
+    wl = WLLabels(hash_seed)
     for graph in graphs:
-        assert counts_by_label(_wl_rounds(graph, rounds, wl), wl) == reference_wl_label_counts(graph, rounds, hash_seed)
+        per_round = _wl_rounds(*columns(graph), rounds, wl)
+        assert counts_by_label(per_round, wl) == reference_wl_label_counts(graph, rounds, hash_seed)
 
 
 def reference_graph_to_vector(graph: CodeGraph, bands: BandConfig) -> np.ndarray:
@@ -255,9 +262,8 @@ KIND_NAMES = 'class block { void param(int identifier) { block = param("block", 
 def test_names_spelling_kind_labels_match_reference():
     graph = parse_to_graph(KIND_NAMES)
     assert {"block", "param", "identifier"} <= set(graph.labels) & set(graph.names)
-    wl = WLLabels()
     for bands in (BandConfig(), BandConfig(hash_seed=0), BandConfig(identifier_weight=2.0, wl_iterations=0)):
-        vector = graph_to_vector(graph, bands, wl)
+        vector = graph_to_vector(graph, bands)
         assert vector.tobytes() == reference_graph_to_vector(graph, bands).tobytes()
         assert vector[bands.structural_dims:-bands.literal_dims].any()
 
@@ -276,79 +282,75 @@ def band_configs(draw):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(small_graphs(), band_configs()), min_size=1, max_size=10), st.sampled_from([4, 24, 1 << 16]))
-def test_shared_labels_match_reference_vectors(calls, cap):
-    """One `WLLabels` across calls that change dims, seed and rounds, and
-    across clears at a small entry cap, gives the reference's bytes."""
-    wl = WLLabels()
-    with mock.patch.object(embedding, "_MAX_WL_ENTRIES", cap):
-        for graph, bands in calls:
-            assert graph_to_vector(graph, bands, wl).tobytes() == reference_graph_to_vector(graph, bands).tobytes()
-
-
 EMPTY_GRAPH = CodeGraph([], [], [], [], [])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    st.lists(st.tuples(st.lists(small_graphs() | st.just(EMPTY_GRAPH), max_size=6), band_configs()), max_size=6),
+    st.lists(small_graphs() | st.just(EMPTY_GRAPH), max_size=12),
+    band_configs(),
+    st.sampled_from([1, 7, 1000]),
     st.sampled_from([4, 24, 1 << 16]),
 )
-def test_grouped_vectors_match_reference_vectors(groups, cap):
-    """Every row of `graphs_to_vectors` over groups of graphs (empty groups,
-    empty graphs and graphs without edges among them), with one `WLLabels`
-    across groups and clears between them at a small entry cap, is the
-    reference vector of its graph, byte for byte."""
-    wl = WLLabels()
-    with mock.patch.object(embedding, "_MAX_WL_ENTRIES", cap):
-        for graphs, bands in groups:
-            vectors = graphs_to_vectors(graphs, bands, wl)
-            assert vectors.shape == (len(graphs), VECTOR_DIM) and vectors.dtype == np.float64
-            for graph, row in zip(graphs, vectors):
-                assert row.tobytes() == reference_graph_to_vector(graph, bands).tobytes()
+def test_grouped_vectors_match_reference_vectors(graphs, bands, group_nodes, cap):
+    """Every row of one `graphs_to_vectors` run over a one-shot generator
+    (empty graphs and graphs without edges among them), at any group size
+    and with fresh maps at a small entry cap, is the reference vector of its
+    graph, byte for byte."""
+    with mock.patch.object(embedding, "_GROUP_NODES", group_nodes), \
+            mock.patch.object(embedding, "_MAX_WL_ENTRIES", cap):
+        vectors = graphs_to_vectors((graph for graph in graphs), bands)
+    assert vectors.shape == (len(graphs), VECTOR_DIM) and vectors.dtype == np.float64
+    for graph, row in zip(graphs, vectors):
+        assert row.tobytes() == reference_graph_to_vector(graph, bands).tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(small_graphs(), min_size=1, max_size=8))
-def test_shared_labels_give_fresh_vectors(graphs):
-    wl = WLLabels()
-    for graph in graphs:
-        assert graph_to_vector(graph, None, wl).tobytes() == graph_to_vector(graph).tobytes()
+@pytest.mark.parametrize("group_nodes", [1, 40, 100])
+def test_input_is_read_one_graph_ahead_of_the_embedding(group_nodes, monkeypatch):
+    """A run pulls a graph from its input only to embed it or to find that
+    it closes the group before it: when a group is embedded, at most one
+    graph past it has been read, and no group but a lone graph passes
+    `_GROUP_NODES` nodes."""
+    monkeypatch.setattr(embedding, "_GROUP_NODES", group_nodes)
+    graphs = [parse_to_graph(source) for source in (RENAME_A, RESTRUCTURED, RENAME_B, KIND_NAMES)] * 3
+    alone = [graph_to_vector(graph).tobytes() for graph in graphs]
+    pulled, embedded, groups = [], [], []
+
+    def source():
+        for graph in graphs:
+            pulled.append(graph)
+            yield graph
+
+    group_vectors = embedding._group_vectors
+
+    def recording(group, bands, wl):
+        embedded.extend(group)
+        groups.append(len(group))
+        assert len(group) == 1 or sum(map(len, group)) <= group_nodes
+        assert len(pulled) <= len(embedded) + 1
+        return group_vectors(group, bands, wl)
+
+    monkeypatch.setattr(embedding, "_group_vectors", recording)
+    vectors = graphs_to_vectors(source())
+    assert embedded == graphs and len(groups) > 1
+    assert [row.tobytes() for row in vectors] == alone
 
 
 def test_labels_reset_past_cap_keep_vectors(monkeypatch):
+    """A run past `_MAX_WL_ENTRIES` starts a fresh map before each group,
+    and its rows stay those of each graph embedded alone."""
     monkeypatch.setattr(embedding, "_MAX_WL_ENTRIES", 8)
-    clear = WLLabels.clear
-    clears = []
+    monkeypatch.setattr(embedding, "_GROUP_NODES", 1)
+    maps = []
+    init = WLLabels.__init__
 
-    def counted_clear(self):
-        clears.append(len(self))
-        clear(self)
+    def counted_init(self, hash_seed):
+        maps.append(hash_seed)
+        init(self, hash_seed)
 
-    monkeypatch.setattr(WLLabels, "clear", counted_clear)
     sources = [RENAME_A, RESTRUCTURED, RENAME_B, "class A { void f() { g(1); } }", RENAME_A]
-    wl = WLLabels()
-    for source in sources:
-        graph = parse_to_graph(source)
-        assert graph_to_vector(graph, None, wl).tobytes() == graph_to_vector(graph).tobytes()
-    assert len(clears) == len(sources) - 1
-
-
-def test_labels_reset_on_another_seed(monkeypatch):
-    graph = parse_to_graph(RENAME_A)
-    seeds = (BandConfig().hash_seed, BandConfig().hash_seed, 0, 0, 1)
-    fresh = [graph_to_vector(graph, BandConfig(hash_seed=seed)).tobytes() for seed in seeds]
-    clear = WLLabels.clear
-    clears = []
-
-    def counted_clear(self):
-        clears.append(len(self))
-        clear(self)
-
-    monkeypatch.setattr(WLLabels, "clear", counted_clear)
-    wl = WLLabels()
-    for seed, vector in zip(seeds, fresh):
-        assert graph_to_vector(graph, BandConfig(hash_seed=seed), wl).tobytes() == vector
-        assert wl.hash_seed == seed
-    assert len(clears) == 2 and all(clears)
+    graphs = [parse_to_graph(source) for source in sources]
+    alone = [graph_to_vector(graph).tobytes() for graph in graphs]
+    monkeypatch.setattr(WLLabels, "__init__", counted_init)
+    assert [row.tobytes() for row in graphs_to_vectors(graphs)] == alone
+    assert maps == [BandConfig().hash_seed] * len(sources)

@@ -46,7 +46,7 @@ import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
-from devmux import cli
+from devmux import embedding
 from devmux.cli import cli_main
 from devmux.codegraph import ParseError, fallback_token_graph, parse_to_graph
 from devmux.configfile import load_config
@@ -428,12 +428,15 @@ def test_query_matches_golden(tmp_path):
     assert collect_query_hashes(tmp_path) == golden
 
 
-@pytest.mark.parametrize("budget", [1, 1 << 40], ids=["one_file_per_group", "one_group"])
-def test_index_tree_bytes_do_not_depend_on_the_group_size(budget, tmp_path, monkeypatch):
-    """`index` embeds its files in groups of about `INDEX_GROUP_NODES`
-    nodes; one file per group and the whole tree in one group write the
+@pytest.mark.parametrize("budget, cap", [(1, 1 << 16), (1 << 40, 1 << 16), (1000, 8)],
+                         ids=["one_file_per_group", "one_group", "fresh_map_past_8_entries"])
+def test_index_tree_bytes_do_not_depend_on_the_group_size(budget, cap, tmp_path, monkeypatch):
+    """`index` embeds its files in groups of about `embedding._GROUP_NODES`
+    nodes; one file per group, the whole tree in one group, and a fresh
+    feature map before every group past `_MAX_WL_ENTRIES = 8` write the
     golden tree's `index.bin` bytes."""
-    monkeypatch.setattr(cli, "INDEX_GROUP_NODES", budget)
+    monkeypatch.setattr(embedding, "_GROUP_NODES", budget)
+    monkeypatch.setattr(embedding, "_MAX_WL_ENTRIES", cap)
     for rel, text in index_tree().items():
         path = tmp_path / "tree" / rel
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -92,6 +92,61 @@ def test_non_finite_query_rejected_built_and_loaded(entry, tmp_path):
         assert searched.search(np.nan_to_num(query, posinf=0.0, neginf=0.0), 3).ids()[0] == "rec-0001"
 
 
+def built_and_loaded(index, tmp_path):
+    """`index` and a copy loaded from its file."""
+    index.save(tmp_path / "index.bin")
+    return index, VectorIndex.load(tmp_path / "index.bin")
+
+
+@pytest.mark.parametrize("query, scaled, ids", [
+    ([0.0, 0.0, 1e-170, 1e-170], [0.0, 0.0, 1.0, 1.0], ["r4", "r3"]),
+    ([0.0, 0.0, 0.0, 1e300], [0.0, 0.0, 0.0, 1.0], ["r3", "r4"]),
+], ids=["norm_underflows", "norm_overflows"])
+def test_query_whose_norm_underflows_or_overflows_ranks_by_cosine(query, scaled, ids, tmp_path):
+    """A nonzero query whose norm underflows to 0 or overflows is searched
+    as itself divided by its largest entry, with no warning (the test
+    configuration makes a RuntimeWarning an error)."""
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]
+    index = VectorIndex("h", dim=4)
+    for i, row in enumerate(rows):
+        index.insert(f"r{i}", np.array(row, dtype=np.float64), RecordMetadata(path=f"p{i}"))
+    for searched in built_and_loaded(index, tmp_path):
+        assert searched.search(query, 2).ids() == ids
+        assert searched.search(query, 2) == searched.search(scaled, 2)
+
+
+def test_power_of_two_scaled_queries_match_the_query_over_its_largest_entry(tmp_path):
+    """2**1000 q overflows the norm and 2**-1000 q falls below the floor;
+    both are searched as q / max|q|, which power-of-two scaling reaches
+    exactly, so hits and similarity bits are the same."""
+    rng = np.random.default_rng(12)
+    index = build_index(rng, 50)
+    query = rng.standard_normal(DIM)
+    scaled = query / np.abs(query).max()
+    for searched in built_and_loaded(index, tmp_path):
+        for k in (1, 5, 50):
+            want = hit_triples(searched.search(scaled, k))
+            assert hit_triples(searched.search(2.0**1000 * query, k)) == want
+            assert hit_triples(searched.search(2.0**-1000 * query, k)) == want
+
+
+def test_built_index_searched_inserted_and_searched_again_equals_loaded(tmp_path):
+    """A search joins a built index's rows into one matrix; inserts after it
+    merge in, and the next search equals a search of the saved and loaded
+    index, before the inserts and after."""
+    rng = np.random.default_rng(13)
+    index = build_index(rng, 40)
+    queries = [*unit_vectors(rng, 3), index.vector("rec-0007").astype(np.float64)]
+    for step in ("first", "second"):
+        hits = [hit_triples(index.search(query, k)) for query in queries for k in (1, 10, len(index))]
+        index.save(tmp_path / f"{step}.bin")
+        loaded = VectorIndex.load(tmp_path / f"{step}.bin")
+        assert hits == [hit_triples(loaded.search(query, k)) for query in queries for k in (1, 10, len(index))]
+        assert all(index.vector(i).tobytes() == loaded.vector(i).tobytes() for i in loaded.ids())
+        for i, vector in enumerate(unit_vectors(rng, 30)):
+            index.insert(f"{step}-{i:04d}", vector, RecordMetadata(path=f"a{i}.java"))
+
+
 def test_dimension_mismatch_rejected():
     index = VectorIndex("h")
     with pytest.raises(ValueError, match="shape"):
@@ -134,7 +189,7 @@ def test_similarities_non_increasing_and_tiebreak_by_id():
 
 @pytest.mark.parametrize("count", [1, 5, 127, 128, 129, 300])
 def test_similarity_norms_are_rowwise_linalg_norm(count, monkeypatch):
-    """The row norms `_similarities` divides by are bitwise
+    """The row norms a search divides by are bitwise
     `np.linalg.norm(matrix, axis=1)` in float64, a pairwise `add.reduce`
     along each row; a per-row `np.linalg.norm(row)` differs from it in the
     last bit for some rows."""
@@ -152,7 +207,7 @@ def test_similarity_norms_are_rowwise_linalg_norm(count, monkeypatch):
         return divided_by[-1]
 
     monkeypatch.setattr(np, "sqrt", recording_sqrt)
-    index._similarities(rng.standard_normal(DIM), np.arange(count))
+    index.search(rng.standard_normal(DIM), count)
     monkeypatch.undo()
     expected = np.linalg.norm(vectors.astype(np.float32).astype(np.float64), axis=1)
     assert np.concatenate(divided_by).tobytes() == expected.tobytes()
@@ -677,7 +732,7 @@ def test_duplicates_zero_vectors_and_large_k_match_oracle(distinct, copies, zero
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 # Row kinds of the two-pass property; each draw adds one row.
 ROW_KINDS = ("random", "duplicate", "ulp", "zero", "subnormal", "tiny", "huge", "signed", "tie")
-QUERY_KINDS = ("random", "zero", "row", "tie", "ones", "tiny")
+QUERY_KINDS = ("random", "zero", "row", "tie", "ones", "tiny", "huge")
 
 
 def adversarial_row(kind: str, rows: list[np.ndarray], tie: np.ndarray, rng) -> np.ndarray:
@@ -704,10 +759,26 @@ def adversarial_row(kind: str, rows: list[np.ndarray], tie: np.ndarray, rng) -> 
     return (rng.standard_normal(DIM) * 10.0 ** rng.uniform(-3, 3)).astype(np.float32)
 
 
+def scored_query(query):
+    """The query a search scores and its norm: a nonzero query whose norm
+    is below 2**-500 or overflows is divided by its largest absolute entry."""
+    query = np.asarray(query, dtype=np.float64)
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(query)
+    if query.any() and not 2.0**-500 <= norm < np.inf:
+        query = query / np.abs(query).max()
+        norm = np.linalg.norm(query)
+    return query, norm
+
+
 def exhaustive_hits(index, query, k):
-    """Every row scored by `_similarities`, then the first k by a stable
-    sort: ties by row, which is ascending id."""
-    sims = index._similarities(np.asarray(query, dtype=np.float64), np.arange(len(index)))
+    """Every row scored by `_similarities` against `scored_query(query)`,
+    then the first k by a stable sort: ties by row, which is ascending id.
+    A search first merges the inserts and joins a built index's rows into
+    the one matrix `_similarities` reads."""
+    index.search(query, 1)
+    query, norm = scored_query(query)
+    sims = index._similarities(query, np.arange(len(index)), norm)
     ids, paths, kinds, spans = index._columns
     return [(ids[row], float.hex(float(sims[row])), RecordMetadata(path=paths[row], span=spans[row],
                                                                    source_kind=kinds[row]))
@@ -735,7 +806,8 @@ def test_two_pass_search_equals_scoring_every_row(kinds, query_kind, k_draw, see
         rows.append(adversarial_row(kind, rows, tie, rng))
     k = 1 + k_draw % (len(rows) + 1)
     query = {"zero": np.zeros(DIM), "row": rows[rng.integers(len(rows))].astype(np.float64), "tie": tie,
-             "ones": np.ones(DIM), "tiny": rng.standard_normal(DIM) * 1e-160}.get(query_kind)
+             "ones": np.ones(DIM), "tiny": rng.standard_normal(DIM) * 1e-160,
+             "huge": rng.standard_normal(DIM) * 1e300}.get(query_kind)
     query = rng.standard_normal(DIM) if query is None else query
     built = VectorIndex("h")
     for i in rng.permutation(len(rows)):
@@ -771,9 +843,9 @@ def test_rows_without_a_bound_are_always_candidates(tmp_path):
     loaded = VectorIndex.load(tmp_path / "index.bin")
     query = np.ones(DIM)
     for current in (index, loaded):
-        candidates = {current._columns[0][row] for row in current._candidates(query, 1)}
-        assert {"huge", "subnormal"} <= candidates and "zero" not in candidates and len(candidates) < 10
         assert [h.id for h in current.search(query, 2).hits] == ["huge", "subnormal"]
+        candidates = {current._columns[0][row] for row in current._candidates(query, 1, np.linalg.norm(query))}
+        assert {"huge", "subnormal"} <= candidates and "zero" not in candidates and len(candidates) < 10
         for k in (1, 3, 5, 204, 205):
             assert hit_triples(current.search(query, k)) == exhaustive_hits(current, query, k)
 
