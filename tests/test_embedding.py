@@ -305,6 +305,31 @@ def test_grouped_vectors_match_reference_vectors(graphs, bands, group_nodes, cap
         assert row.tobytes() == reference_graph_to_vector(graph, bands).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(small_graphs(), min_size=1, max_size=6), band_configs()), min_size=1, max_size=5),
+       st.sampled_from([4, 24, 1 << 16]))
+def test_shared_labels_match_reference_vectors(runs, cap):
+    """Runs that change dims, seed and rounds, each sharing one map across
+    groups of one graph and starting fresh ones at a small entry cap, give
+    the reference's bytes."""
+    with mock.patch.object(embedding, "_GROUP_NODES", 1), mock.patch.object(embedding, "_MAX_WL_ENTRIES", cap):
+        for graphs, bands in runs:
+            vectors = graphs_to_vectors(graphs, bands)
+            for graph, row in zip(graphs, vectors):
+                assert row.tobytes() == reference_graph_to_vector(graph, bands).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_graphs(), min_size=1, max_size=8))
+def test_shared_labels_give_fresh_vectors(graphs):
+    """A row of a run whose map is shared across graphs, in one group or in
+    a group per graph, is the vector of its graph embedded alone."""
+    alone = [graph_to_vector(graph).tobytes() for graph in graphs]
+    assert [row.tobytes() for row in graphs_to_vectors(graphs)] == alone
+    with mock.patch.object(embedding, "_GROUP_NODES", 1):
+        assert [row.tobytes() for row in graphs_to_vectors(graphs)] == alone
+
+
 @pytest.mark.parametrize("group_nodes", [1, 40, 100])
 def test_input_is_read_one_graph_ahead_of_the_embedding(group_nodes, monkeypatch):
     """A run pulls a graph from its input only to embed it or to find that
