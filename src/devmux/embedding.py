@@ -215,13 +215,32 @@ def graph_to_vector(graph: CodeGraph, bands: BandConfig | None = None) -> np.nda
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; the zero vector compares as 0 against anything."""
+    """Cosine similarity; the zero vector compares as 0 against anything. A
+    nonzero vector whose norm is below `_COSINE_FLOOR` or overflows is first
+    divided by its largest absolute entry, as `vindex` scales a query; any
+    other keeps its bits."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
+    with np.errstate(over="ignore", under="ignore"):
+        norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+    a, norm_a = _in_range(a, norm_a)
+    b, norm_b = _in_range(b, norm_b)
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return float(np.dot(a, b) / (norm_a * norm_b))
+
+
+# Two norms at or above this (and finite) have a normal, finite product.
+_COSINE_FLOOR = 2.0**-500
+
+
+def _in_range(vector: np.ndarray, norm: float) -> tuple[np.ndarray, float]:
+    """`vector` and its norm `norm`, or, for a nonzero vector whose norm is
+    outside [`_COSINE_FLOOR`, inf), the vector over its largest absolute
+    entry and that one's norm."""
+    if _COSINE_FLOOR <= norm < np.inf or not vector.any():
+        return vector, norm
+    vector = vector / np.abs(vector).max()
+    return vector, np.linalg.norm(vector)

@@ -10,17 +10,25 @@ held records into the rows in one sort by id, moving the vectors rather
 than copying them, as a log-structured merge tree folds its buffer into a
 sorted run. The moved vectors are a list of row arrays, which `save` writes
 as they are; a search joins them into one matrix, the form a loaded index
-maps from its file, so it reads only that one form.
+maps from its file, so it reads only that one form. Each index also holds
+the same values by dimension (`_by_dimension`): a loaded index maps them
+from its file, and a search derives them from the joined matrix when there
+are none. A merge drops them.
 
 Search is exact and runs in two passes, a cheap filter and an exact
 re-scoring of a short list (Jegou et al., "Searching in one billion
 vectors: re-rank with source coding", ICASSP 2011). A nonzero query whose
 norm is below `_QUERY_FLOOR` or overflows is first divided by its largest
 absolute entry; any other query keeps its bits. The bound pass scales the
-query to unit norm, casts it to float32 and takes one float32
-matrix-vector product over the stored matrix, then divides by the stored
-norms. Each row's product s lies within `_bound_width(dim)` of its exact
-score (the proof is in that function's docstring), so a row gets the interval
+query to unit norm and casts it to float32, then reads the values by
+dimension of the query's nonzero dimensions only, term at a time as an
+inverted file does (Zobel and Moffat, "Inverted files for text search
+engines", ACM Computing Surveys 2006): it sums the dense dimensions'
+products with the query's entries by float32 matrix-vector products and
+the sparse dimensions' ones by row number with `np.bincount`, at most
+`_BLOCK_ROWS` dimensions at a time, and divides by the stored norms. Each
+row's sum s lies within `_bound_width(dim)` of its exact score (the proof
+is in that function's docstring), so a row gets the interval
 [s - width, s + width]; a zero row gets [0, 0], and a row whose norm is
 below `_NORM_FLOOR` or whose s is not finite gets (-inf, +inf). With L the
 k-th largest lower end, at least k rows score >= L exactly, so every row
@@ -35,26 +43,44 @@ a returned number: hits and similarity bits are those of scoring every
 row. The zero query, or k of at least the record count, makes every row a
 candidate.
 
-The file (format version 4) starts with one JSON header line,
-`{"band_config_hash", "blocks", "count", "dim", "format_version": 4}`,
+The file (format version 5) starts with one JSON header line,
+`{"band_config_hash", "blocks", "count", "dim", "format_version": 5}`,
 padded with spaces to a multiple of 64 bytes. `blocks` gives the
 `[offset, length]` of every block, in file order: for each string column
 (`id`, `path`, `source_kind`, `span`) its `count + 1` row offsets as
 little-endian uint64 (`<name>.offsets`) and its rows' UTF-8 bytes one after
 another (`<name>.data`), as in Apache Arrow's variable-size binary layout;
-then the `count * dim` float32 matrix (`vectors`) and the `count` float64
-row norms (`norms`). Every block starts at the first 64-byte boundary after
-the header or the block before it, and the file ends with the last block.
+then the `count x dim` float32 matrix (`vectors`); the same values by
+dimension, as the `dim + 1` offsets of each dimension's 4-byte words,
+little-endian uint64 counted in words (`vectors_by_dim.offsets`), and the
+words, one dimension after another (`vectors_by_dim.data`); and the
+`count` float64 row norms (`norms`). A dimension with at least half of its
+values nonzero is dense: its words are its `count` float32 values in row
+order, no more bytes than its nonzero values with their row numbers would
+take. Any other is sparse: its words are the uint32 numbers of the rows
+where it is nonzero, ascending, then those rows' float32 values, fewer than
+`count` words, so a dimension of `count` words is dense. Every block starts
+at the first 64-byte boundary after the header or the block before it, and
+the file ends with the last block. Version 4 had the same blocks without
+the two `vectors_by_dim` ones.
 
-Load maps the file read-only and views every block in place; it checks the
-layout, every column's offsets, that ids strictly ascend and that every norm
-is finite and >= 0, and decodes a string only when its row is read. An id's
-row is found by bisecting the id column. Vectors are read-only in both
-forms. `save` writes the blocks as they are to a new file beside the target
-and renames it over the target, so an index mapped from the old file keeps
-its bytes. `load` reads only the version `save` writes: an index file of any
-other version raises `IndexVersionError` (`query` exits 3) until
-`devmux index` rebuilds it.
+Load maps the file read-only and views every block in place. It checks the
+layout, every block's length, every column's offsets, that ids strictly
+ascend, that every norm is finite and >= 0, that the by-dimension offsets
+rise to the data's size in words and that every sparse dimension has an
+even number of words; it decodes a string only when its row is read. It
+reads no vector and no word of the by-dimension data: it trusts `norms` to
+be the rows' norms and that data to hold the values of `vectors`, as
+`save` writes them, and a search refuses a row number past the last row
+when it reads one. An id's row is found by bisecting the id column.
+Vectors are read-only in both forms. `save` writes the blocks as they are
+to a new file beside the target and renames it over the target, so an
+index mapped from the old file keeps its bytes; an index without values by
+dimension counts their nonzero values in its rows, then writes their words
+a few dimensions at a time, holding no second copy of the vectors. `load`
+reads only the version `save` writes: an index file of any other version
+raises `IndexVersionError` (`query` exits 3) until `devmux index` rebuilds
+it.
 """
 
 from __future__ import annotations
@@ -71,8 +97,10 @@ import numpy as np
 from .base import IndexFileError
 from .configfile import VECTOR_DIM
 
-FORMAT_VERSION = 4
-# Rows widened to float64 per norm pass and per matrix-vector product.
+FORMAT_VERSION = 5
+# Rows widened to float64 per norm pass and per matrix-vector product; also
+# the rows counted, and the dimensions gathered, at a time when the values
+# by dimension are made or summed.
 _BLOCK_ROWS = 128
 # Rows with a smaller (nonzero) norm are candidates without a bound, and a
 # nonzero query with a norm outside [_QUERY_FLOOR, inf) is scaled by its
@@ -88,7 +116,8 @@ _QUERY_FLOOR = 2.0**-500
 _ROW_GROUP = 8
 _COLUMNS = ("id", "path", "source_kind", "span")
 # The file's blocks in file order, each starting on a multiple of _ALIGN.
-_BLOCKS = (*(f"{name}.{part}" for name in _COLUMNS for part in ("offsets", "data")), "vectors", "norms")
+_BLOCKS = (*(f"{name}.{part}" for name in _COLUMNS for part in ("offsets", "data")),
+           "vectors", "vectors_by_dim.offsets", "vectors_by_dim.data", "norms")
 _ALIGN = 64
 # Column text is UTF-8; `surrogatepass` keeps a lone surrogate (a file name
 # that is not UTF-8, as `os.fsdecode` gives it) and its code point order.
@@ -181,8 +210,13 @@ class VectorIndex:
         # The merged rows, in ascending id order: one column per _COLUMNS
         # entry, the float32 vectors and their norms. The vectors are a list
         # of row arrays after a merge and one matrix once loaded or searched.
+        # `_by_dim` is the same values by dimension (see `_by_dimension`):
+        # the offsets of each dimension's words, and the words read as
+        # uint32 and as float32. It is mapped from the file or derived at a
+        # search, and None after a build or a merge.
         self._columns = tuple(_text_column(name, []) for name in _COLUMNS)
         self._matrix: list[np.ndarray] | np.ndarray = []
+        self._by_dim: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._norms = np.empty(0, dtype="<f8")
         # id -> (path, source_kind, span, vector) inserted since the last merge.
         self._pending: dict[str, tuple[str, str, str, np.ndarray]] = {}
@@ -221,6 +255,7 @@ class VectorIndex:
         self._columns = tuple(_text_column(name, [values[row] for row in order])
                               for name, values in zip(_COLUMNS, columns))
         self._matrix = [rows[row] for row in order]
+        self._by_dim = None
         self._norms = norms[order]
         self._pending = {}
 
@@ -269,14 +304,31 @@ class VectorIndex:
         """Ascending row numbers of a superset of the rows whose exact score
         reaches the k-th largest, ties included (the bound pass, see the
         module docstring), for a query of norm `qnorm`, zero or in
-        [`_QUERY_FLOOR`, inf); every row for k >= count or the zero query."""
-        count = len(self._matrix)
+        [`_QUERY_FLOOR`, inf); every row for k >= count or the zero query.
+        Of the values by dimension it reads the query's nonzero dimensions
+        only."""
+        count = len(self._norms)
         if k >= count or qnorm == 0.0:
             return np.arange(count)
         unit = (query / qnorm).astype(np.float32)
+        offsets, numbers, values = self._by_dim
+        dims = np.flatnonzero(unit)
+        dense = offsets[dims + 1] - offsets[dims] == count
+        dots = np.zeros(count)
         width = _bound_width(self.dim)
         with np.errstate(all="ignore"):  # overflow and 0/0 give loose rows below
-            sims = (self._matrix @ unit) / self._norms
+            for part in _parts(dims[dense]):
+                dots += unit[part] @ np.stack([values[offsets[d]:offsets[d + 1]] for d in part])
+            for part in _parts(dims[~dense]):
+                spans = [(offsets[d], (offsets[d] + offsets[d + 1]) // 2, offsets[d + 1], unit[d]) for d in part]
+                summed = np.bincount(np.concatenate([numbers[start:half] for start, half, _, _ in spans]),
+                                     np.concatenate([values[half:end] * p for _, half, end, p in spans]),
+                                     minlength=count)
+                if len(summed) > count:
+                    raise IndexCorruptError(f"{self._columns[0]._source}: block vectors_by_dim.data holds a row "
+                                            f"number >= the count {count}")
+                dots += summed
+            sims = dots / self._norms
             lower, upper = sims - width, sims + width
         loose = ~np.isfinite(sims) | (self._norms < _NORM_FLOOR)
         lower[loose], upper[loose] = -np.inf, np.inf
@@ -301,6 +353,10 @@ class VectorIndex:
         self._merge()
         if isinstance(self._matrix, list):  # a built index's rows, joined at its first search
             self._matrix = np.frombuffer(b"".join(self._matrix), dtype="<f4").reshape(-1, self.dim)
+        if self._by_dim is None:
+            offsets, words = _by_dimension(self._matrix, self.dim)
+            words = np.frombuffer(b"".join(words), dtype="<u4")
+            self._by_dim = (offsets, words, words.view("<f4"))
         # A nonzero query whose norm underflows or overflows is scaled by its
         # largest entry first; the norms of all others keep their bits.
         with np.errstate(over="ignore", under="ignore"):
@@ -333,9 +389,14 @@ class VectorIndex:
         for name, column in zip(_COLUMNS, self._columns):
             chunks[f"{name}.offsets"], chunks[f"{name}.data"] = [column._offsets], [column._data]
         lengths = {name: parts[0].nbytes for name, parts in chunks.items()}
-        # Rows are written one by one from where they are, so saving needs
-        # no second copy of the vectors.
+        # Rows are written one by one from where they are, and the values by
+        # dimension, if the index has none yet, a dimension at a time from
+        # the rows, so saving needs no second copy of the vectors.
         chunks["vectors"], lengths["vectors"] = self._matrix, count * self.dim * 4
+        offsets, words = ((self._by_dim[0], [self._by_dim[1]]) if self._by_dim is not None
+                          else _by_dimension(self._matrix, self.dim))
+        chunks["vectors_by_dim.offsets"], chunks["vectors_by_dim.data"] = [offsets], words
+        lengths["vectors_by_dim.offsets"], lengths["vectors_by_dim.data"] = offsets.nbytes, int(offsets[-1]) * 4
         header = {"format_version": FORMAT_VERSION, "dim": self.dim, "count": count,
                   "band_config_hash": self.band_config_hash}
         # The header's size moves the blocks, and their offsets its size.
@@ -393,7 +454,7 @@ class VectorIndex:
         index = cls(band_config_hash=band_hash, dim=_header_int(header, "dim", 1))
         count = _header_int(header, "count", 0)
         blocks = _check_layout(header.get("blocks"), fh.tell(), os.fstat(fh.fileno()).st_size)
-        sizes = {"vectors": count * index.dim * 4, "norms": count * 8,
+        sizes = {"vectors": count * index.dim * 4, "vectors_by_dim.offsets": (index.dim + 1) * 8, "norms": count * 8,
                  **{f"{name}.offsets": (count + 1) * 8 for name in _COLUMNS}}
         for name, size in sizes.items():
             if blocks[name][1] != size:
@@ -407,7 +468,7 @@ class VectorIndex:
         for name in _COLUMNS:
             offsets = view(f"{name}.offsets", "<u8", count + 1)
             start, size = blocks[f"{name}.data"]
-            if offsets[0] != 0 or offsets[-1] != size or np.any(offsets[1:] < offsets[:-1]):
+            if not _rising(offsets, size):
                 raise IndexCorruptError(f"offsets of column {name} must rise from 0 to its data size {size}")
             data = view(f"{name}.data", np.uint8, size)
             if np.any(data[offsets[offsets < size]] & 0xC0 == 0x80):
@@ -419,7 +480,17 @@ class VectorIndex:
         if not np.all(np.isfinite(norms) & (norms >= 0.0)):
             raise IndexCorruptError("norm block holds a value that is not finite and >= 0")
         index._columns = tuple(columns)
+        words, odd = divmod(blocks["vectors_by_dim.data"][1], 4)
+        offsets = view("vectors_by_dim.offsets", "<u8", index.dim + 1)
+        if odd or not _rising(offsets, words):
+            raise IndexCorruptError("block vectors_by_dim.offsets must rise from 0 to the data's size in words")
+        offsets = offsets.view("<i8")  # below 2**62, so int64 arithmetic on them stays exact
+        lengths = np.diff(offsets)
+        if np.any((lengths != count) & (lengths % 2 == 1)):
+            raise IndexCorruptError("a sparse dimension of block vectors_by_dim.data has an odd number of words")
         index._matrix = view("vectors", "<f4", count * index.dim).reshape(count, index.dim)
+        index._by_dim = (offsets, view("vectors_by_dim.data", "<u4", words),
+                         view("vectors_by_dim.data", "<f4", words))
         index._norms = norms
         return index
 
@@ -451,7 +522,19 @@ def _bound_width(dim: int) -> float:
     2**-13 of the first-order sum for every n, so the factor 1 + 2**-10
     bounds 1 + e. A float32 sum that overflows is not finite, and its row is
     unbounded. The proof takes each norm to be the row's, as `save` writes
-    it. For n >= 2**23 gamma(n, u) is not defined and the width is inf."""
+    it. For n >= 2**23 gamma(n, u) is not defined and the width is inf.
+
+    The bound pass leaves out the dimensions where p is 0, each an
+    exactly-zero term. It sums the terms of dense dimensions in float32
+    (matrix-vector products of at most `_BLOCK_ROWS` dimensions), rounds
+    those of sparse dimensions to float32 and sums them in float64
+    (`np.bincount`), and adds the partial sums in float64. So each term
+    enters the computed sum through at most n float32 roundings, or through
+    one float32 rounding and at most 2n float64 ones; as
+    u + gamma(2n, v)(1 + u) <= gamma(n, u) for every n >= 1, the second
+    step's bound holds for that sum, with the float64 additions of float32
+    partial sums inside e. A float64 sum of float32 terms, each at most the
+    float32 maximum as |p_i| <= 1, does not overflow."""
     if dim * 2.0**-24 >= 0.5:
         return math.inf
 
@@ -459,6 +542,50 @@ def _bound_width(dim: int) -> float:
         return n * unit / (1 - n * unit)
 
     return (gamma(dim, 2.0**-24) + 2.0**-24 + gamma(dim, 2.0**-53)) * (1 + 2.0**-10)
+
+
+def _by_dimension(rows, dim: int):
+    """The values of `rows` (a float32 matrix or a list of float32 row
+    arrays) by dimension, as the `dim + 1` offsets (int64) of each
+    dimension's 4-byte words and an iterator over those words. A dimension
+    with at least half of its values nonzero is dense: its words are its
+    `count` values in row order. Any other is sparse: its words are the
+    numbers of the rows where it is nonzero (uint32), in order, then those
+    values (float32), fewer than `count` words. The nonzero values are
+    counted `_BLOCK_ROWS` rows at a time and the words made `_BLOCK_ROWS`
+    dimensions at a time as they are read, so no second copy of the rows is
+    held."""
+    count = len(rows)
+    found = np.zeros(dim, dtype=np.int64)
+    for start in range(0, count, _BLOCK_ROWS):
+        found += np.count_nonzero(np.stack(rows[start:start + _BLOCK_ROWS]), axis=0)
+    lengths = np.where(2 * found >= count, count, 2 * found)
+    offsets = np.zeros(dim + 1, dtype="<i8")
+    np.cumsum(lengths, out=offsets[1:])
+
+    def words():
+        for start in range(0, dim if count else 0, _BLOCK_ROWS):
+            block = np.stack([row[start:start + _BLOCK_ROWS] for row in rows], axis=1)
+            for column, length in zip(block, lengths[start:start + _BLOCK_ROWS].tolist()):
+                if length == count:
+                    yield column
+                else:
+                    kept = np.flatnonzero(column)
+                    yield kept.astype("<u4")
+                    yield column[kept]
+
+    return offsets, words()
+
+
+def _parts(dims: np.ndarray):
+    """`dims` as lists of at most `_BLOCK_ROWS` numbers."""
+    dims = dims.tolist()
+    return (dims[start:start + _BLOCK_ROWS] for start in range(0, len(dims), _BLOCK_ROWS))
+
+
+def _rising(offsets: np.ndarray, end: int) -> bool:
+    """Whether `offsets` start at 0, never decrease and end at `end`."""
+    return offsets[0] == 0 and offsets[-1] == end and not np.any(offsets[1:] < offsets[:-1])
 
 
 def _aligned(offset: int) -> int:

@@ -270,14 +270,15 @@ class TestIndexAndQuery:
         capsys.readouterr()
         assert code == 3
 
-    @pytest.mark.parametrize("name", sorted(CORRUPTIONS) + ["v1_dim_4", "v2_dim_4", "v3_dim_4", "v4_dim_4"])
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS) + ["v1_dim_4", "v2_dim_4", "v3_dim_4", "v4_dim_4",
+                                                            "v5_dim_4"])
     def test_query_on_bad_index_exit_three(self, name, tmp_path, capsys):
         path = tmp_path / "index.bin"
         if name.endswith("_dim_4"):
             index = VectorIndex("h", dim=4)
             index.insert("a.java", np.ones(4), RecordMetadata(path="a.java"))
             index.save(path)
-            if name != "v4_dim_4":
+            if name != "v5_dim_4":
                 relabel_as_older(path, int(name[1]))
         else:
             write_corrupt_index(path, name)

@@ -133,6 +133,28 @@ def test_cosine_orthogonal_one_hots():
     assert cosine(a, b) == 0.0
 
 
+@pytest.mark.parametrize("entry", [1e300, 1e-170], ids=["norm_overflows", "norm_underflows"])
+def test_cosine_of_a_vector_whose_norm_overflows_or_underflows(entry):
+    """Every entry 1e300 overflows the norm and every entry 1e-170 underflows
+    it to 0; such a vector is compared as itself over its largest entry, so
+    `cosine(a, a)` is that of the all-ones vector, with no warning (the test
+    configuration makes a RuntimeWarning an error), and so is its cosine
+    against an ordinary vector, bit for bit."""
+    huge_or_tiny, ones = np.full(VECTOR_DIM, entry), np.ones(VECTOR_DIM)
+    other = np.random.default_rng(7).standard_normal(VECTOR_DIM)
+    assert cosine(huge_or_tiny, huge_or_tiny) == cosine(ones, ones) == pytest.approx(1.0, abs=1e-15)
+    assert cosine(huge_or_tiny, other) == cosine(other, huge_or_tiny) == cosine(ones, other)
+    assert cosine(np.full(VECTOR_DIM, 1e300), np.full(VECTOR_DIM, 1e-170)) == cosine(ones, ones)
+
+
+def test_cosine_keeps_the_bits_of_vectors_with_norms_in_range():
+    """Vectors whose norms are in range are not rescaled: the cosine is the
+    plain quotient, so `query`'s fusion weights keep their bits."""
+    rng = np.random.default_rng(8)
+    for a, b in zip(rng.standard_normal((20, VECTOR_DIM)), rng.standard_normal((20, VECTOR_DIM)) * 1e-100):
+        assert cosine(a, b) == float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 def test_cosine_dimension_mismatch():
     with pytest.raises(ValueError):
         cosine(np.ones(3), np.ones(4))

@@ -19,14 +19,15 @@ score is often tied, and the search results of the records of `index_v1.bin`
 with non-ASCII names: exit code, stdout, the stderr warnings with their line
 and column, and the `index.bin` bytes.
 
-`index_v1.bin`, `index_v2.bin` and `index_v3.bin` are index files in the
-version-1, version-2 and version-3 layouts. Only version 4 loads, so each
-must fail to load and make `query` exit 3 until the index is rebuilt. The
-version-3 file is the version-2 file plus one norm per record.
+`index_v1.bin` to `index_v4.bin` are index files in the version-1 to
+version-4 layouts. Only version 5 loads, so each must fail to load and make
+`query` exit 3 until the index is rebuilt. The version-3 file is the
+version-2 file plus one norm per record, and a version-5 file holds the
+version-4 file's blocks plus the vectors' values by dimension.
 
 After a deliberate, documented byte change, rewrite the goldens with
 `PYTHONPATH=src python tests/test_golden.py`; it prints one `wrote` line per
-golden file. The three index fixtures are not rewritten: `save` no longer
+golden file. The four index fixtures are not rewritten: `save` no longer
 writes their layouts.
 """
 
@@ -54,9 +55,9 @@ from devmux.embedding import graph_to_vector
 from devmux.base import Battery, Complexity, DeviceClass, NetworkState
 from devmux.routing import policy_fingerprint
 from devmux.simulate import PolicyKind, compare_policies, run_simulation, workload_from_config
-from devmux.vindex import IndexVersionError, RecordMetadata, VectorIndex
+from devmux.vindex import FORMAT_VERSION, IndexVersionError, RecordMetadata, VectorIndex
 from test_config import SAMPLE
-from test_vindex import exhaustive_hits, hit_triples, write_v3
+from test_vindex import block, exhaustive_hits, hit_triples, reference_by_dimension, write_v3, write_v4
 
 GOLDEN = Path(__file__).with_name("golden") / "sim_sha256.json"
 ROUTE_GOLDEN = GOLDEN.with_name("route_sha256.json")
@@ -64,6 +65,7 @@ QUERY_GOLDEN = GOLDEN.with_name("query_sha256.json")
 V1_FIXTURE = GOLDEN.with_name("index_v1.bin")
 V2_FIXTURE = GOLDEN.with_name("index_v2.bin")
 V3_FIXTURE = GOLDEN.with_name("index_v3.bin")
+V4_FIXTURE = GOLDEN.with_name("index_v4.bin")
 N_TASKS = 1_000
 SEEDS = range(42, 52)
 POLICIES = ("all_cloud", "all_edge", "threshold", "mdp")
@@ -238,7 +240,7 @@ def _run_cli(argv: list[str]) -> tuple[int, str, str]:
 
 
 def v1_fixture_index() -> VectorIndex:
-    """The records stored in the three index fixtures: eight-wide
+    """The records stored in the four index fixtures: eight-wide
     vectors, each of four directions under two or three ids, a zero vector,
     a scaled copy and varied metadata."""
     rng = np.random.default_rng(5150)
@@ -446,17 +448,18 @@ def test_index_tree_bytes_do_not_depend_on_the_group_size(budget, cap, tmp_path,
     assert (code, _sha256(tmp_path / "tree.bin")) == (golden["code"], golden["file"])
 
 
-@pytest.mark.parametrize("fixture, version", [(V1_FIXTURE, 1), (V2_FIXTURE, 2), (V3_FIXTURE, 3)],
-                         ids=["v1", "v2", "v3"])
+@pytest.mark.parametrize("fixture, version", [(V1_FIXTURE, 1), (V2_FIXTURE, 2), (V3_FIXTURE, 3), (V4_FIXTURE, 4)],
+                         ids=["v1", "v2", "v3", "v4"])
 def test_older_format_fixture_does_not_load_and_query_exits_three(fixture, version):
     """The index fixtures hold the records of `v1_fixture_index` in the
-    version-1, version-2 and version-3 layouts; none loads, and `query` on
-    any exits 3 with one line naming the version."""
+    version-1 to version-4 layouts; none loads, and `query` on any exits 3
+    with one line naming the version."""
     with pytest.raises(IndexVersionError, match=f"format version {version} unsupported"):
         VectorIndex.load(fixture)
     code, stdout, stderr = _run_cli(["query", "class A { }", "--index", str(fixture)])
     assert (code, stdout) == (3, "")
-    assert stderr == (f"cannot load index: {fixture}: format version {version} unsupported (expected 4); "
+    assert stderr == (f"cannot load index: {fixture}: format version {version} unsupported "
+                      f"(expected {FORMAT_VERSION}); "
                       "rebuild the index with `devmux index`\n")
 
 
@@ -475,6 +478,29 @@ def test_v3_file_is_the_v2_file_with_its_norms_appended(tmp_path):
     assert stored.tobytes() == np.linalg.norm(matrix.astype(np.float64), axis=1).tobytes()
     write_v3(index, tmp_path / "v3.bin", ids)
     assert (tmp_path / "v3.bin").read_bytes() == v3
+
+
+def test_v5_file_holds_the_v4_blocks_and_the_vectors_by_dimension(tmp_path):
+    """A version-5 save of the fixture records holds every block of the
+    version-4 fixture byte for byte, plus the `vectors_by_dim` blocks, the
+    values of `vectors` by dimension; the tests' version-4 writer turns it
+    into the fixture."""
+    v4, v5 = V4_FIXTURE, tmp_path / "v5.bin"
+    v1_fixture_index().save(v5)
+    header = json.loads(v5.read_bytes().split(b"\n", 1)[0])
+    assert (header["format_version"], header["count"], header["dim"]) == (5, 12, 8)
+
+    def contents(file, name):
+        start, length = block(file, name)
+        return file.read_bytes()[start:start + length]
+
+    v4_blocks = json.loads(v4.read_bytes().split(b"\n", 1)[0])["blocks"]
+    by_dim = reference_by_dimension(np.frombuffer(contents(v4, "vectors"), dtype="<f4").reshape(12, 8))
+    assert sorted(header["blocks"]) == sorted([*v4_blocks, *by_dim])
+    assert all(contents(v5, name) == contents(v4, name) for name in v4_blocks)
+    assert all(contents(v5, name) == data for name, data in by_dim.items())
+    write_v4(v5)
+    assert v5.read_bytes() == v4.read_bytes()
 
 
 if __name__ == "__main__":

@@ -329,11 +329,29 @@ def rewrite_columns(file, **changes):
     file.write_bytes(header_line + b"\n" + json.dumps(columns, sort_keys=True).encode() + b"\n" + blocks)
 
 
-def test_save_writes_version_four_layout(tmp_path):
+def reference_by_dimension(matrix):
+    """The `vectors_by_dim` blocks of a (count, dim) float32 matrix, found
+    one dimension at a time: the uint64 offsets of each dimension's 4-byte
+    words, and the words. A dimension with at least half of its entries
+    nonzero is dense, its words its entries; any other is sparse, its words
+    the uint32 numbers of its nonzero rows, then their float32 values."""
+    offsets, data = [0], b""
+    for column in matrix.T:
+        found = np.flatnonzero(column)
+        if 2 * len(found) < len(matrix):
+            data += found.astype("<u4").tobytes()
+            column = column[found]
+        data += column.astype("<f4").tobytes()
+        offsets.append(len(data) // 4)
+    return {"vectors_by_dim.offsets": np.array(offsets, dtype="<u8").tobytes(), "vectors_by_dim.data": data}
+
+
+def test_save_writes_version_five_layout(tmp_path):
     """Rows in ascending id order, each string column as uint64 offsets and
-    UTF-8 bytes, then the matrix and the norms; a header line padded with
-    spaces to a multiple of 64 bytes, and every block zero-padded to the
-    next 64-byte boundary."""
+    UTF-8 bytes, then the matrix, its values by dimension (the second
+    dimension is sparse, the others dense) and the norms; a header line
+    padded with spaces to a multiple of 64 bytes, and every block
+    zero-padded to the next 64-byte boundary."""
     index = VectorIndex("testhash", dim=4)
     records = {
         "b": ([1.0, 2.0, 3.0, 4.0], RecordMetadata(path="src/b.java", span="1-9")),
@@ -354,6 +372,7 @@ def test_save_writes_version_four_layout(tmp_path):
         parts[f"{name}.data"] = b"".join(texts)
     matrix = np.array([records[rid][0] for rid in order], dtype="<f4")
     parts["vectors"] = matrix.tobytes()
+    parts.update(reference_by_dimension(matrix))
     parts["norms"] = np.linalg.norm(matrix.astype(np.float64), axis=1).astype("<f8").tobytes()
     blocks, body = {}, b""
     for name, data in parts.items():
@@ -361,7 +380,7 @@ def test_save_writes_version_four_layout(tmp_path):
         blocks[name] = [header_size + len(body), len(data)]
         body += data
     header = json.dumps({"band_config_hash": "testhash", "blocks": blocks, "count": 3, "dim": 4,
-                         "format_version": 4}, sort_keys=True).encode()
+                         "format_version": 5}, sort_keys=True).encode()
     assert header_size % 64 == 0 and header_size - 64 <= len(header) < header_size
     assert blob == header.ljust(header_size - 1) + b"\n" + body
 
@@ -556,11 +575,39 @@ def write_v3(index, file, ids):
                      + json.dumps(columns, sort_keys=True).encode() + b"\n" + matrix.tobytes() + norms.tobytes())
 
 
+def write_v4(file):
+    """Rewrite a saved file in the version-4 layout: the same header and
+    blocks without the `vectors_by_dim` ones, each block at the first
+    64-byte boundary after the header or the block before it."""
+    blob = file.read_bytes()
+    header = json.loads(blob.split(b"\n", 1)[0])
+    blocks = {name: entry for name, entry in header.pop("blocks").items() if not name.startswith("vectors_by_dim")}
+    parts = [(name, blob[start:start + length]) for name, (start, length) in sorted(blocks.items(),
+                                                                                    key=lambda b: b[1][0])]
+    size = 0
+    while True:  # the header's size moves the blocks, and their offsets its size
+        layout, end = {}, size
+        for name, data in parts:
+            end += -end % 64
+            layout[name], end = [end, len(data)], end + len(data)
+        line = json.dumps({**header, "blocks": layout, "format_version": 4}, sort_keys=True).encode()
+        if len(line) < size:
+            break
+        size = len(line) + 1 + -(len(line) + 1) % 64
+    out = bytearray(line.ljust(size - 1) + b"\n")
+    for name, data in parts:
+        out += bytes(layout[name][0] - len(out)) + data
+    file.write_bytes(bytes(out))
+
+
 def relabel_as_older(file, version):
-    """Rewrite a saved file in the layout of format `version`. A version-2
-    file is a version-3 one without the norm block. A version-1 body
+    """Rewrite a saved file in the layout of format `version`. A version-4
+    file is a version-5 one without the by-dimension blocks, and a version-2
+    file a version-3 one without the norm block. A version-1 body
     (per-record lines) is not rebuilt: `load` refuses an older file at its
     header and reads no further."""
+    if version == 4:
+        return write_v4(file)
     index = VectorIndex.load(file)
     write_v3(index, file, index.ids())
     if version == 2:
@@ -599,8 +646,18 @@ _V3_DAMAGE = {
     "count_above_records": lambda p: rewrite_header(p, count=4),
 }
 
+
+def _change_block(name, change):
+    """Set the [offset, length] of block `name` to `change` of it."""
+    return lambda p: rewrite_block(p, name, change(block(p, name)))
+
+
 # name -> (damage applied to a saved three-record file, expected error). The
 # file's ids are rec-0000 to rec-0002 and its paths src/f0.java to src/f2.java.
+# Its blocks end with the matrix, its values by dimension (every entry is
+# nonzero, so every dimension is dense: three words each) and the norms. The
+# `v4_` cases damage what version 5 keeps of the block layout of version 4;
+# the `v5_` cases damage the blocks that version 5 adds.
 CORRUPTIONS = {
     "v4_negative_count": (_header_only_negative_count, IndexCorruptError),
     "v4_boolean_dim": (lambda p: rewrite_header(p, dim=True), IndexCorruptError),
@@ -609,7 +666,7 @@ CORRUPTIONS = {
     "v4_count_above_records": (lambda p: rewrite_header(p, count=4), IndexCorruptError),
     "v4_header_only": (lambda p: p.write_bytes(p.read_bytes().split(b"\n")[0] + b"\n"), IndexTruncatedError),
     "v4_truncated_norms": (_cut_tail(5), IndexTruncatedError),
-    "v4_truncated_matrix": (_cut_tail(3 * 8 + 5), IndexTruncatedError),
+    "v4_truncated_matrix": (_cut_tail(3 * 8 + 3 * DIM * 4 + 5), IndexTruncatedError),
     "v4_trailing_bytes": (_append_bytes, IndexCorruptError),
     "v4_nan_norm": (_set_norm(np.nan), IndexCorruptError),
     "v4_infinite_norm": (_set_norm(np.inf), IndexCorruptError),
@@ -631,6 +688,17 @@ CORRUPTIONS = {
     "v4_row_not_utf8": (_replace_bytes(b"src/f1.java", b"src/\xff1.java"), IndexCorruptError),
     "v4_unsorted_ids": (_replace_bytes(b"rec-0000rec-0001", b"rec-0001rec-0000"), IndexCorruptError),
     "v4_repeated_id": (_replace_bytes(b"rec-0001rec-0002", b"rec-0001rec-0001"), IndexCorruptError),
+    "v5_missing_vectors_by_dim": (lambda p: rewrite_block(p, "vectors_by_dim.data", None), IndexCorruptError),
+    "v5_truncated_vectors_by_dim": (_cut_tail(3 * 8 + 5), IndexTruncatedError),
+    "v5_short_vectors_by_dim": (_change_block("vectors_by_dim.data", lambda b: [b[0], b[1] - 4]),
+                                IndexCorruptError),
+    "v5_misaligned_vectors_by_dim": (_change_block("vectors_by_dim.data", lambda b: [b[0] + 8, b[1]]),
+                                     IndexCorruptError),
+    "v5_vectors_by_dim_offset_past_data": (_set_offset("vectors_by_dim", 1, 3 * DIM + 1), IndexCorruptError),
+    "v5_vectors_by_dim_offsets_short_of_data": (_set_offset("vectors_by_dim", DIM, 3 * DIM - 1),
+                                                IndexCorruptError),
+    # Dimension 0 holds one word, not three: sparse, so row numbers and values in pairs.
+    "v5_vectors_by_dim_odd_sparse_dimension": (_set_offset("vectors_by_dim", 1, 1), IndexCorruptError),
     **{f"v3_{name}": (_older(3, damage), IndexVersionError) for name, damage in _V3_DAMAGE.items()},
     "v1_negative_count": (_older(1, _header_only_negative_count), IndexVersionError),
     "v2_negative_count": (_older(2, _header_only_negative_count), IndexVersionError),
@@ -731,8 +799,11 @@ def test_duplicates_zero_vectors_and_large_k_match_oracle(distinct, copies, zero
 
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 # Row kinds of the two-pass property; each draw adds one row.
-ROW_KINDS = ("random", "duplicate", "ulp", "zero", "subnormal", "tiny", "huge", "signed", "tie")
-QUERY_KINDS = ("random", "zero", "row", "tie", "ones", "tiny", "huge")
+ROW_KINDS = ("random", "duplicate", "ulp", "zero", "subnormal", "tiny", "huge", "signed", "tie", "sparse")
+QUERY_KINDS = ("random", "zero", "row", "tie", "ones", "tiny", "huge", "sparse")
+# Nonzero entries of a sparse query: below, at and past one and two bound-pass
+# blocks of 128 dimensions (`index` queries hold a median of 65, at most 120).
+SPARSE_QUERY_SIZES = (1, 65, 120, 127, 128, 129, 256, 257, 300)
 
 
 def adversarial_row(kind: str, rows: list[np.ndarray], tie: np.ndarray, rng) -> np.ndarray:
@@ -756,7 +827,16 @@ def adversarial_row(kind: str, rows: list[np.ndarray], tie: np.ndarray, rng) -> 
         return (np.where(np.arange(DIM) % 2, -1.0, 1.0) * rng.uniform(0.9, 1.0, DIM) * FLOAT32_MAX).astype(np.float32)
     if kind == "tie":  # the shared direction, moved by about one float32 rounding
         return (tie * (1.0 + rng.standard_normal(DIM) * 2.0**-24)).astype(np.float32)
+    if kind == "sparse":  # 73 nonzero entries, as `index` rows hold a median of
+        return sparse(rng, 73).astype(np.float32)
     return (rng.standard_normal(DIM) * 10.0 ** rng.uniform(-3, 3)).astype(np.float32)
+
+
+def sparse(rng, size):
+    """A vector with `size` nonzero entries in random dimensions."""
+    vector = np.zeros(DIM)
+    vector[rng.choice(DIM, size, replace=False)] = rng.standard_normal(size)
+    return vector
 
 
 def scored_query(query):
@@ -795,10 +875,14 @@ def hit_triples(result):
 def test_two_pass_search_equals_scoring_every_row(kinds, query_kind, k_draw, seed, tmp_path_factory):
     """Built and loaded, the bound pass keeps every row the exact scoring
     of all rows returns, ties included, over exact duplicates, rows one
-    float32 ulp apart, zero rows, rows with subnormal entries and rows of
-    norm near the 2**-100 floor, rows whose float32 dot overflows or sums to
-    NaN, near-tie clusters larger than k, k from 1 to count + 1 and the zero
-    query."""
+    float32 ulp apart, zero rows, sparse rows, rows with subnormal entries
+    and rows of norm near the 2**-100 floor, rows whose float32 dot
+    overflows or sums to NaN, near-tie clusters larger than k, k from 1 to
+    count + 1, the zero query and sparse queries whose nonzero dimensions
+    fill less than one, one or more of the bound pass's blocks. Then both
+    take copies of every other row: the merge drops the values by
+    dimension, and the next search, which derives them again, still equals
+    scoring every row."""
     rng = np.random.default_rng(seed)
     tie = rng.standard_normal(DIM)
     rows = []
@@ -807,7 +891,8 @@ def test_two_pass_search_equals_scoring_every_row(kinds, query_kind, k_draw, see
     k = 1 + k_draw % (len(rows) + 1)
     query = {"zero": np.zeros(DIM), "row": rows[rng.integers(len(rows))].astype(np.float64), "tie": tie,
              "ones": np.ones(DIM), "tiny": rng.standard_normal(DIM) * 1e-160,
-             "huge": rng.standard_normal(DIM) * 1e300}.get(query_kind)
+             "huge": rng.standard_normal(DIM) * 1e300,
+             "sparse": sparse(rng, rng.choice(SPARSE_QUERY_SIZES))}.get(query_kind)
     query = rng.standard_normal(DIM) if query is None else query
     built = VectorIndex("h")
     for i in rng.permutation(len(rows)):
@@ -820,6 +905,76 @@ def test_two_pass_search_equals_scoring_every_row(kinds, query_kind, k_draw, see
     assert exhaustive_hits(loaded, query, k) == want
     assert hit_triples(built.search(query, k)) == want
     assert hit_triples(loaded.search(query, k)) == want
+    for index in (built, loaded):
+        for i in range(0, len(rows), 2):
+            index.insert(f"s{i:02d}", rows[i], RecordMetadata(path=f"s{i}"))
+    got = [hit_triples(index.search(query, k)) for index in (built, loaded)]
+    want = exhaustive_hits(built, query, k)
+    assert got == [want, want] and exhaustive_hits(loaded, query, k) == want
+
+
+@pytest.mark.parametrize("dim", [300, DIM])
+def test_by_dimension_blocks_hold_the_values_however_the_rows_are_held(dim, tmp_path):
+    """The `vectors_by_dim` blocks hold the values of `vectors` dimension by
+    dimension (`reference_by_dimension`) whether `save` reads them a few
+    dimensions at a time from a built index's row arrays or from a loaded
+    index's rows after inserts, or writes those a search derived or the
+    loaded file holds: every form saves the same bytes. The dimensions have
+    from none to all of their entries nonzero, exactly and just under half
+    of them included."""
+    rng = np.random.default_rng(dim)
+    vectors = (rng.standard_normal((346, dim)) * (rng.random((346, dim)) < rng.random(dim))).astype("<f4")
+    vectors[:, :5] = 0.0
+    vectors[:, 1] = 1.0
+    # Half of the first 300 rows (dense), half of all 346 rows (dense), one short of half of 300 (sparse).
+    for d, nonzero in ((2, 150), (3, 173), (4, 149)):
+        vectors[10:10 + nonzero, d] = rng.standard_normal(nonzero)
+    vectors[7], vectors[9] = 0.0, vectors[8]
+
+    def build(rows, stem):
+        index = VectorIndex("h", dim=dim)
+        for i in rng.permutation(len(rows)):
+            index.insert(f"{stem}{i:03d}", rows[i], RecordMetadata(path=f"p{i}"))
+        return index
+
+    def saved(index, name):
+        index.save(tmp_path / name)
+        blob = (tmp_path / name).read_bytes()
+        start, length = block(tmp_path / name, "vectors")
+        want = reference_by_dimension(np.frombuffer(blob, dtype="<f4", count=length // 4, offset=start)
+                                      .reshape(-1, dim))
+        assert all(blob[start:start + length] == want[name]
+                   for name, (start, length) in ((n, block(tmp_path / name, n)) for n in want))
+        return blob
+
+    built, searched = build(vectors[:300], "r"), build(vectors[:300], "r")
+    searched.search(rng.standard_normal(dim), 5)
+    assert saved(built, "built.bin") == saved(searched, "searched.bin")
+    loaded = VectorIndex.load(tmp_path / "built.bin")
+    assert saved(loaded, "loaded.bin") == (tmp_path / "built.bin").read_bytes()
+    for index in (built, loaded):
+        for i, vector in enumerate(vectors[300:]):
+            index.insert(f"n{i:03d}", vector, RecordMetadata(path=f"n{i}"))
+    assert saved(loaded, "merged.bin") == saved(built, "built_merged.bin")
+
+
+def test_row_number_beyond_the_count_raises_when_the_bound_pass_reads_it(tmp_path):
+    """`load` trusts the by-dimension data to hold the matrix's values and
+    reads no row number: one past the last record is found, and refused,
+    when a search's bound pass reads it (k below the count)."""
+    index = VectorIndex("h")
+    for i in range(3):  # one nonzero entry each, in dimensions 0 to 2: all sparse
+        index.insert(f"rec-{i}", np.eye(DIM)[i], RecordMetadata(path=f"p{i}"))
+    path = tmp_path / "index.bin"
+    index.save(path)
+    start = block(path, "vectors_by_dim.data")[0]  # dimension 0: row number 0, then its value
+    blob = bytearray(path.read_bytes())
+    blob[start:start + 4] = np.array([3], dtype="<u4").tobytes()
+    path.write_bytes(bytes(blob))
+    loaded = VectorIndex.load(path)
+    assert sorted(loaded.search(np.eye(DIM)[0], 3).ids()) == ["rec-0", "rec-1", "rec-2"]  # every row, no bound pass
+    with pytest.raises(IndexCorruptError, match=f"^{path}: block vectors_by_dim.data holds a row number >= the count"):
+        loaded.search(np.eye(DIM)[0], 1)
 
 
 def test_rows_without_a_bound_are_always_candidates(tmp_path):
