@@ -41,7 +41,7 @@ _EXPORTS = {
         "ComparisonReport", "MetricsReport", "SimTrace", "compare_policies", "metrics_from_events",
         "run_simulation",
     ),
-    "vindex": ("QueryResult", "RecordMetadata", "VectorIndex"),
+    "vindex": ("QueryResult", "VectorIndex"),
     "workload": ("Workload", "generate_workload"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}

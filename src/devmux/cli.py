@@ -42,7 +42,7 @@ def cmd_index(args) -> int:
     from .codegraph import ParseError, parse_to_graph
     from .configfile import load_config
     from .embedding import graphs_to_vectors
-    from .vindex import RecordMetadata, VectorIndex
+    from .vindex import VectorIndex
 
     config = load_config(args.config)
     max_files = args.max_files if args.max_files is not None else config.max_files
@@ -57,8 +57,8 @@ def cmd_index(args) -> int:
 
     index = VectorIndex(band_config_hash=config.bands.fingerprint())
     parse_failures: list[str] = []
-    # (id, metadata) of each file that parsed, in the order its graph is embedded.
-    records: list[tuple[str, RecordMetadata]] = []
+    # The id of each file that parsed, in the order its graph is embedded.
+    ids: list[str] = []
 
     def graphs():
         for path in selected:
@@ -70,13 +70,12 @@ def cmd_index(args) -> int:
                 parse_failures.append(rel)
                 print(f"warning: skipping {rel}: {err}", file=sys.stderr)
                 continue
-            span = f"1-{source.count(chr(10)) + 1}"
-            records.append((rel, RecordMetadata(path=rel, span=span, source_kind="file")))
+            ids.append(rel)
             yield graph
 
     vectors = graphs_to_vectors(graphs(), config.bands)
-    for (rel, metadata), vector in zip(records, vectors):
-        index.insert(rel, vector, metadata)
+    for rel, vector in zip(ids, vectors):
+        index.insert(rel, vector)
 
     if skipped_cap:
         names = ", ".join(p.relative_to(root).as_posix() for p in skipped_cap)
@@ -101,19 +100,20 @@ def cmd_index(args) -> int:
     return EXIT_DEGRADED if skipped_cap or parse_failures else EXIT_OK
 
 
-def _query_text_for(root_hint: Path, metadata, limit: int = 400) -> str:
-    """`<path>: <head of the file>` for a hit, or the bare path when the file
-    cannot be read or is not below `root_hint`: an absolute path or one with
-    a `..` part, which only a crafted index holds, is never opened."""
-    relative = Path(metadata.path)
+def _query_text_for(root_hint: Path, record_id: str, limit: int = 400) -> str:
+    """`<id>: <head of the file>` for a hit, whose id is its file's path
+    below `root_hint`, or the bare id when the file cannot be read or is not
+    below `root_hint`: an absolute id or one with a `..` part, which only a
+    crafted index holds, is never opened. Only the first `limit` characters
+    are read."""
+    relative = Path(record_id)
     if relative.anchor or ".." in relative.parts:
-        return metadata.path
-    path = root_hint / relative
+        return record_id
     try:
-        head = path.read_text(encoding="utf-8", errors="replace")[:limit]
-        return f"{metadata.path}: {head}"
+        with open(root_hint / relative, encoding="utf-8", errors="replace") as fh:
+            return f"{record_id}: {fh.read(limit)}"
     except OSError:
-        return metadata.path
+        return record_id
 
 
 def cmd_query(args) -> int:
@@ -146,7 +146,7 @@ def cmd_query(args) -> int:
     root_hint = Path(args.source_root) if args.source_root else Path(".")
     items = []
     for hit in result.hits:
-        text = _query_text_for(root_hint, hit.metadata)
+        text = _query_text_for(root_hint, hit.id)
         items.append(
             ContextItem(
                 source=ContextSource.CODE_CONTEXT,
@@ -184,7 +184,6 @@ def cmd_describe_layout(args) -> int:
             {"kind": f.kind.value, "widgets": list(f.widgets), "message": f.message}
             for f in report.findings
         ],
-        "elapsed_ms": report.elapsed_ms,
     }
     print(_dump_json(payload), end="")
     return EXIT_DEGRADED if report.findings else EXIT_OK

@@ -1,14 +1,15 @@
 """Exact top-k cosine retrieval over stored embedding vectors.
 
-A built index and a loaded one hold their records in the same form: rows in
-ascending id order, with ids, paths, source kinds and spans as string
-columns in the file's layout, little-endian float32 vectors (the on-disk
-width, so a save/load round trip is bit-identical) and each row's float64
-norm, so a search does not recompute it. `insert` checks a record and holds
-it aside; the next read (`search`, `vector`, `ids` or `save`) merges the
-held records into the rows in one sort by id, moving the vectors rather
-than copying them, as a log-structured merge tree folds its buffer into a
-sorted run. The moved vectors are a list of row arrays, which `save` writes
+A record is an id and a vector; `index` stores each file under its path
+below the source root. A built index and a loaded one hold their records in
+the same form: rows in ascending id order, with the ids as a string column
+in the file's layout, little-endian float32 vectors (the on-disk width, so a
+save/load round trip is bit-identical) and each row's float64 norm, so a
+search does not recompute it. `insert` checks a record and holds it
+aside; the next read (`search`, `vector`, `ids` or `save`) merges the held
+records into the rows in one sort by id, moving the vectors rather than
+copying them, as a log-structured merge tree folds its buffer into a sorted
+run. The moved vectors are a list of row arrays, which `save` writes
 as they are; a search joins them into one matrix, the form a loaded index
 maps from its file, so it reads only that one form. Each index also holds
 the same values by dimension (`_by_dimension`): a loaded index maps them
@@ -43,36 +44,36 @@ a returned number: hits and similarity bits are those of scoring every
 row. The zero query, or k of at least the record count, makes every row a
 candidate.
 
-The file (format version 5) starts with one JSON header line,
-`{"band_config_hash", "blocks", "count", "dim", "format_version": 5}`,
+The file (format version 6) starts with one JSON header line,
+`{"band_config_hash", "blocks", "count", "dim", "format_version": 6}`,
 padded with spaces to a multiple of 64 bytes. `blocks` gives the
-`[offset, length]` of every block, in file order: for each string column
-(`id`, `path`, `source_kind`, `span`) its `count + 1` row offsets as
-little-endian uint64 (`<name>.offsets`) and its rows' UTF-8 bytes one after
-another (`<name>.data`), as in Apache Arrow's variable-size binary layout;
-then the `count x dim` float32 matrix (`vectors`); the same values by
-dimension, as the `dim + 1` offsets of each dimension's 4-byte words,
+`[offset, length]` of every block, in file order: the ids' `count + 1` row
+offsets as little-endian uint64 (`id.offsets`) and their UTF-8 bytes one
+after another (`id.data`), as in Apache Arrow's variable-size binary
+layout; then the `count x dim` float32 matrix (`vectors`); the same values
+by dimension, as the `dim + 1` offsets of each dimension's 4-byte words,
 little-endian uint64 counted in words (`vectors_by_dim.offsets`), and the
-words, one dimension after another (`vectors_by_dim.data`); and the
-`count` float64 row norms (`norms`). A dimension with at least half of its
+words, one dimension after another (`vectors_by_dim.data`); and the `count`
+float64 row norms (`norms`). A dimension with at least half of its
 values nonzero is dense: its words are its `count` float32 values in row
 order, no more bytes than its nonzero values with their row numbers would
 take. Any other is sparse: its words are the uint32 numbers of the rows
 where it is nonzero, ascending, then those rows' float32 values, fewer than
 `count` words, so a dimension of `count` words is dense. Every block starts
 at the first 64-byte boundary after the header or the block before it, and
-the file ends with the last block. Version 4 had the same blocks without
-the two `vectors_by_dim` ones.
+the file ends with the last block. Version 5 also held each record's path,
+source kind and span as string columns, and version 4 had version 5's
+blocks without the two `vectors_by_dim` ones.
 
 Load maps the file read-only and views every block in place. It checks the
-layout, every block's length, every column's offsets, that ids strictly
-ascend, that every norm is finite and >= 0, that the by-dimension offsets
-rise to the data's size in words and that every sparse dimension has an
-even number of words; it decodes a string only when its row is read. It
+layout, every block's length, the id offsets, that ids strictly ascend,
+that every norm is finite and >= 0, that the by-dimension offsets rise to
+the data's size in words and that every sparse dimension has an even
+number of words; it decodes an id only when its row is read. It
 reads no vector and no word of the by-dimension data: it trusts `norms` to
 be the rows' norms and that data to hold the values of `vectors`, as
 `save` writes them, and a search refuses a row number past the last row
-when it reads one. An id's row is found by bisecting the id column.
+when it reads one. An id's row is found by bisecting the ids.
 Vectors are read-only in both forms. `save` writes the blocks as they are
 to a new file beside the target and renames it over the target, so an
 index mapped from the old file keeps its bytes; an index without values by
@@ -97,7 +98,7 @@ import numpy as np
 from .base import IndexFileError
 from .configfile import VECTOR_DIM
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 # Rows widened to float64 per norm pass and per matrix-vector product; also
 # the rows counted, and the dimensions gathered, at a time when the values
 # by dimension are made or summed.
@@ -114,12 +115,10 @@ _QUERY_FLOOR = 2.0**-500
 # this many rows, so every row is scored the same way wherever it sits and
 # identical vectors tie exactly.
 _ROW_GROUP = 8
-_COLUMNS = ("id", "path", "source_kind", "span")
 # The file's blocks in file order, each starting on a multiple of _ALIGN.
-_BLOCKS = (*(f"{name}.{part}" for name in _COLUMNS for part in ("offsets", "data")),
-           "vectors", "vectors_by_dim.offsets", "vectors_by_dim.data", "norms")
+_BLOCKS = ("id.offsets", "id.data", "vectors", "vectors_by_dim.offsets", "vectors_by_dim.data", "norms")
 _ALIGN = 64
-# Column text is UTF-8; `surrogatepass` keeps a lone surrogate (a file name
+# Ids are UTF-8; `surrogatepass` keeps a lone surrogate (a file name
 # that is not UTF-8, as `os.fsdecode` gives it) and its code point order.
 _TEXT = ("utf-8", "surrogatepass")
 # _PREFIX[r] keeps the first r bytes of a big-endian 8-byte word.
@@ -140,6 +139,10 @@ class IndexCorruptError(IndexFileError):
 
 @dataclass(frozen=True)
 class RecordMetadata:
+    """The third argument `insert` still accepts from callers written for
+    format 5; only a `path` equal to the record's id is allowed, and nothing
+    of it is stored. A benchmark change deletes it with that argument."""
+
     path: str
     span: str = ""
     source_kind: str = "file"
@@ -149,7 +152,6 @@ class RecordMetadata:
 class Hit:
     id: str
     similarity: float
-    metadata: RecordMetadata
 
 
 @dataclass(frozen=True)
@@ -175,12 +177,12 @@ def _row_norms(matrix) -> np.ndarray:
 
 
 class _TextColumn:
-    """A string column in the file's layout: row `i` is the UTF-8 bytes
+    """The ids in the file's layout: row `i` is the UTF-8 bytes
     `data[offsets[i]:offsets[i + 1]]`, decoded when it is read. Rows are
     read by non-negative number only."""
 
-    def __init__(self, name: str, offsets: np.ndarray, data: memoryview, source: str):
-        self._name, self._offsets, self._data, self._source = name, offsets, data, source
+    def __init__(self, offsets: np.ndarray, data: memoryview, source: str):
+        self._offsets, self._data, self._source = offsets, data, source
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -189,44 +191,43 @@ class _TextColumn:
         try:
             return str(self._data[self._offsets[row]:self._offsets[row + 1]], *_TEXT)
         except UnicodeDecodeError as err:
-            raise IndexCorruptError(
-                f"{self._source}: row {row} of column {self._name} is not UTF-8 ({err.reason})") from None
+            raise IndexCorruptError(f"{self._source}: row {row} of column id is not UTF-8 ({err.reason})") from None
 
 
-def _text_column(name: str, values: list[str]) -> _TextColumn:
-    """`values` encoded as a column of the file."""
+def _text_column(values: list[str]) -> _TextColumn:
+    """`values` encoded in the file's layout."""
     encoded = [value.encode(*_TEXT) for value in values]
     offsets = np.zeros(len(encoded) + 1, dtype="<u8")
     np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)), out=offsets[1:])
-    return _TextColumn(name, offsets, memoryview(b"".join(encoded)), "memory")
+    return _TextColumn(offsets, memoryview(b"".join(encoded)), "memory")
 
 
 class VectorIndex:
-    """In-memory store of (id, vector, metadata) with exhaustive search."""
+    """In-memory store of (id, vector) records with exhaustive search."""
 
     def __init__(self, band_config_hash: str, dim: int = VECTOR_DIM):
         self.band_config_hash = band_config_hash
         self.dim = dim
-        # The merged rows, in ascending id order: one column per _COLUMNS
-        # entry, the float32 vectors and their norms. The vectors are a list
-        # of row arrays after a merge and one matrix once loaded or searched.
+        # The merged rows, in ascending id order: the ids, the float32
+        # vectors and their norms. The vectors are a list of row arrays
+        # after a merge and one matrix once loaded or searched.
         # `_by_dim` is the same values by dimension (see `_by_dimension`):
         # the offsets of each dimension's words, and the words read as
         # uint32 and as float32. It is mapped from the file or derived at a
         # search, and None after a build or a merge.
-        self._columns = tuple(_text_column(name, []) for name in _COLUMNS)
+        self._ids = _text_column([])
         self._matrix: list[np.ndarray] | np.ndarray = []
         self._by_dim: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._norms = np.empty(0, dtype="<f8")
-        # id -> (path, source_kind, span, vector) inserted since the last merge.
-        self._pending: dict[str, tuple[str, str, str, np.ndarray]] = {}
+        # id -> vector inserted since the last merge.
+        self._pending: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
-        return len(self._columns[0]) + len(self._pending)
+        return len(self._ids) + len(self._pending)
 
     def ids(self) -> tuple[str, ...]:
         self._merge()
-        return tuple(self._columns[0])
+        return tuple(self._ids)
 
     def vector(self, record_id: str) -> np.ndarray:
         self._merge()
@@ -237,7 +238,7 @@ class VectorIndex:
 
     def _row(self, record_id: str) -> int | None:
         """The merged row that holds `record_id`, found by bisecting the ids."""
-        ids = self._columns[0]
+        ids = self._ids
         row = bisect.bisect_left(ids, record_id)
         return row if row < len(ids) and ids[row] == record_id else None
 
@@ -247,24 +248,26 @@ class VectorIndex:
         row arrays and a merge holds no second copy of them."""
         if not self._pending:
             return
-        pending = [(record_id, *record) for record_id, record in self._pending.items()]
-        columns = [[*column, *(record[c] for record in pending)] for c, column in enumerate(self._columns)]
-        rows = [*self._matrix, *(record[-1] for record in pending)]
+        ids = [*self._ids, *self._pending]
+        rows = [*self._matrix, *self._pending.values()]
         norms = np.concatenate([self._norms, _row_norms(rows[len(self._matrix):])])
-        order = sorted(range(len(rows)), key=columns[0].__getitem__)
-        self._columns = tuple(_text_column(name, [values[row] for row in order])
-                              for name, values in zip(_COLUMNS, columns))
+        order = sorted(range(len(rows)), key=ids.__getitem__)
+        self._ids = _text_column([ids[row] for row in order])
         self._matrix = [rows[row] for row in order]
         self._by_dim = None
         self._norms = norms[order]
         self._pending = {}
 
-    def insert(self, record_id: str, vector: np.ndarray, metadata: RecordMetadata) -> None:
+    def insert(self, record_id: str, vector: np.ndarray, metadata: RecordMetadata | None = None) -> None:
         """Store one record; it joins the merged rows at the next read.
         Vectors are quantized to float32, the stored width, and read-only.
         Duplicate ids, dimension mismatches and vectors with an entry that
         is not finite in float32 (NaN, infinite, or beyond its range) are
-        rejected, since `load` refuses the norm such a row gets."""
+        rejected, since `load` refuses the norm such a row gets. `metadata`
+        is accepted only with a path equal to the id and is not stored; a
+        benchmark change deletes the argument."""
+        if metadata is not None and metadata.path != record_id:
+            raise ValueError(f"metadata path {metadata.path!r} is not the record id {record_id!r}")
         if record_id in self._pending or self._row(record_id) is not None:
             raise ValueError(f"duplicate record id {record_id!r}")
         vector = np.asarray(vector)
@@ -275,7 +278,7 @@ class VectorIndex:
         if not np.isfinite(stored).all():
             raise ValueError(f"vector for {record_id!r} has an entry that is not finite in float32")
         stored.flags.writeable = False
-        self._pending[record_id] = (metadata.path, metadata.source_kind, metadata.span, stored)
+        self._pending[record_id] = stored
 
     def _similarities(self, query: np.ndarray, rows: np.ndarray, qnorm: float) -> np.ndarray:
         """Float64 cosine against `query`, of norm `qnorm`, of each of `rows`
@@ -325,7 +328,7 @@ class VectorIndex:
                                      np.concatenate([values[half:end] * p for _, half, end, p in spans]),
                                      minlength=count)
                 if len(summed) > count:
-                    raise IndexCorruptError(f"{self._columns[0]._source}: block vectors_by_dim.data holds a row "
+                    raise IndexCorruptError(f"{self._ids._source}: block vectors_by_dim.data holds a row "
                                             f"number >= the count {count}")
                 dots += summed
             sims = dots / self._norms
@@ -371,11 +374,8 @@ class VectorIndex:
         # Rows ascend by id, so a stable sort of the candidates breaks ties by id.
         reaching = np.flatnonzero(sims >= kth)
         order = reaching[np.argsort(-sims[reaching], kind="stable")][:k]
-        ids, paths, kinds, spans = self._columns
-        return QueryResult(tuple(
-            Hit(ids[row], sim, RecordMetadata(path=paths[row], span=spans[row], source_kind=kinds[row]))
-            for row, sim in zip(rows[order].tolist(), sims[order].tolist())
-        ))
+        return QueryResult(tuple(Hit(self._ids[row], sim)
+                                 for row, sim in zip(rows[order].tolist(), sims[order].tolist())))
 
     def save(self, path) -> None:
         """Write the merged rows' blocks as they are to a new file beside
@@ -385,9 +385,8 @@ class VectorIndex:
         was."""
         self._merge()
         count = len(self)
-        chunks: dict[str, list] = {"norms": [self._norms]}
-        for name, column in zip(_COLUMNS, self._columns):
-            chunks[f"{name}.offsets"], chunks[f"{name}.data"] = [column._offsets], [column._data]
+        chunks: dict[str, list] = {"id.offsets": [self._ids._offsets], "id.data": [self._ids._data],
+                                   "norms": [self._norms]}
         lengths = {name: parts[0].nbytes for name, parts in chunks.items()}
         # Rows are written one by one from where they are, and the values by
         # dimension, if the index has none yet, a dimension at a time from
@@ -454,8 +453,8 @@ class VectorIndex:
         index = cls(band_config_hash=band_hash, dim=_header_int(header, "dim", 1))
         count = _header_int(header, "count", 0)
         blocks = _check_layout(header.get("blocks"), fh.tell(), os.fstat(fh.fileno()).st_size)
-        sizes = {"vectors": count * index.dim * 4, "vectors_by_dim.offsets": (index.dim + 1) * 8, "norms": count * 8,
-                 **{f"{name}.offsets": (count + 1) * 8 for name in _COLUMNS}}
+        sizes = {"id.offsets": (count + 1) * 8, "vectors": count * index.dim * 4,
+                 "vectors_by_dim.offsets": (index.dim + 1) * 8, "norms": count * 8}
         for name, size in sizes.items():
             if blocks[name][1] != size:
                 raise IndexCorruptError(f"block {name} holds {blocks[name][1]} bytes, expected {size}")
@@ -464,22 +463,19 @@ class VectorIndex:
         def view(name, dtype, items):
             return np.frombuffer(mapped, dtype=dtype, count=items, offset=blocks[name][0])
 
-        columns = []
-        for name in _COLUMNS:
-            offsets = view(f"{name}.offsets", "<u8", count + 1)
-            start, size = blocks[f"{name}.data"]
-            if not _rising(offsets, size):
-                raise IndexCorruptError(f"offsets of column {name} must rise from 0 to its data size {size}")
-            data = view(f"{name}.data", np.uint8, size)
-            if np.any(data[offsets[offsets < size]] & 0xC0 == 0x80):
-                raise IndexCorruptError(f"an offset of column {name} falls inside a UTF-8 character")
-            if name == "id" and not _strictly_ascending(data, offsets):
-                raise IndexCorruptError("column id must hold strictly ascending ids")
-            columns.append(_TextColumn(name, offsets, memoryview(mapped)[start:start + size], source))
+        offsets = view("id.offsets", "<u8", count + 1)
+        start, size = blocks["id.data"]
+        if not _rising(offsets, size):
+            raise IndexCorruptError(f"offsets of column id must rise from 0 to its data size {size}")
+        data = view("id.data", np.uint8, size)
+        if np.any(data[offsets[offsets < size]] & 0xC0 == 0x80):
+            raise IndexCorruptError("an offset of column id falls inside a UTF-8 character")
+        if not _strictly_ascending(data, offsets):
+            raise IndexCorruptError("column id must hold strictly ascending ids")
+        index._ids = _TextColumn(offsets, memoryview(mapped)[start:start + size], source)
         norms = view("norms", "<f8", count)
         if not np.all(np.isfinite(norms) & (norms >= 0.0)):
             raise IndexCorruptError("norm block holds a value that is not finite and >= 0")
-        index._columns = tuple(columns)
         words, odd = divmod(blocks["vectors_by_dim.data"][1], 4)
         offsets = view("vectors_by_dim.offsets", "<u8", index.dim + 1)
         if odd or not _rising(offsets, words):
@@ -573,6 +569,8 @@ def _by_dimension(rows, dim: int):
                     kept = np.flatnonzero(column)
                     yield kept.astype("<u4")
                     yield column[kept]
+            # A save writes each word as it comes, so it holds one block at a time.
+            del block, column
 
     return offsets, words()
 

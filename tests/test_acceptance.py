@@ -34,7 +34,7 @@ from devmux.routing import (
 )
 from devmux.configfile import RouterConfig
 from devmux.simulate import PolicyKind, SimConfig, run_simulation, solve_policy
-from devmux.vindex import RecordMetadata, VectorIndex
+from devmux.vindex import VectorIndex
 from devmux.workload import generate_workload
 
 ACCEPTANCE_SEEDS = tuple(range(42, 52))  # the documented seed protocol
@@ -133,8 +133,10 @@ def test_criterion_3_cloud_call_reduction(seed_sweep):
     check(
         3,
         f"mdp policy at most halves all-cloud's call volume on {len(passing)}/10 seeds "
-        f"(seed 42 fraction {fraction_42:.3f}, sweep {elapsed:.1f}s)",
-        len(passing) >= 8 and 42 in passing and elapsed < 10.0,
+        f"(seed 42 fraction {fraction_42:.3f}, sweep {elapsed:.2f}s)",
+        # The 10 s budget, and a tighter 1 s gate: the sweep measured under
+        # 0.05 s on a 2-vCPU VM whose speed drifts up to 2x.
+        len(passing) >= 8 and 42 in passing and elapsed < 10.0 and elapsed <= 1.0,
     )
 
 
@@ -180,7 +182,7 @@ def test_criterion_6_retrieval_exactness(tmp_path):
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     index = VectorIndex(band_config_hash="acceptance")
     for i, v in enumerate(vectors):
-        index.insert(f"rec-{i:04d}", v, RecordMetadata(path=f"f{i}.java"))
+        index.insert(f"rec-{i:04d}", v)
 
     queries = rng.standard_normal((100, 768))
     exact_matches = 0
@@ -282,7 +284,9 @@ def test_criterion_8_layout_performance():
     check(
         8,
         f"500-widget / 2000-edge validity check (parse included) median {median_ms:.1f} ms",
-        median_ms <= 200.0,
+        # The 200 ms budget, and a tighter 40 ms gate: medians of 7.3-7.7 ms
+        # measured on a 2-vCPU VM whose speed drifts up to 2x.
+        median_ms <= 200.0 and median_ms <= 40.0,
     )
 
 

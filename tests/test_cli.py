@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from devmux.cli import build_parser, cli_main
+from devmux.cli import _query_text_for, build_parser, cli_main
 from devmux.configfile import MAX_RANGE_END, BandConfig, load_config
 from devmux.routing import Complexity
-from devmux.vindex import RecordMetadata, VectorIndex
+from devmux.vindex import VectorIndex
 from test_vindex import CORRUPTIONS, relabel_as_older, write_corrupt_index
 
 GOOD_LAYOUT = """
@@ -162,6 +162,20 @@ class TestDescribeLayout:
         assert code == 1
         assert payload["findings"][0]["kind"] == "missing_click_handler"
 
+    def test_two_runs_print_the_same_bytes(self, tmp_path, capsys):
+        """The report holds no wall-clock time: the same layout, with a
+        statement and a finding, prints the same bytes every run."""
+        path = tmp_path / "layout.xml"
+        path.write_text(GOOD_LAYOUT.replace(' onClick="onBuy"', ""))
+        runs = []
+        for _ in range(2):
+            code = cli_main(["describe-layout", str(path)])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        payload = json.loads(runs[0][1])
+        assert (runs[0][0], sorted(payload)) == (1, ["findings", "statements"])
+        assert payload["statements"] and payload["findings"]
+
     def test_parse_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "layout.xml"
         path.write_text("<Layout><oops</Layout>")
@@ -271,14 +285,14 @@ class TestIndexAndQuery:
         assert code == 3
 
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS) + ["v1_dim_4", "v2_dim_4", "v3_dim_4", "v4_dim_4",
-                                                            "v5_dim_4"])
+                                                            "v5_dim_4", "v6_dim_4"])
     def test_query_on_bad_index_exit_three(self, name, tmp_path, capsys):
         path = tmp_path / "index.bin"
         if name.endswith("_dim_4"):
             index = VectorIndex("h", dim=4)
-            index.insert("a.java", np.ones(4), RecordMetadata(path="a.java"))
+            index.insert("a.java", np.ones(4))
             index.save(path)
-            if name != "v5_dim_4":
+            if name != "v6_dim_4":
                 relabel_as_older(path, int(name[1]))
         else:
             write_corrupt_index(path, name)
@@ -305,7 +319,7 @@ class TestIndexAndQuery:
         for band_config_hash, err in [(old_hash, warning), (packed_keys_hash, warning),
                                       (BandConfig().fingerprint(), "")]:
             index = VectorIndex(band_config_hash)
-            index.insert("r0", np.ones(768), RecordMetadata(path="a.java"))
+            index.insert("a.java", np.ones(768))
             index.save(tmp_path / "index.bin")
             assert VectorIndex.load(tmp_path / "index.bin").band_config_hash == band_config_hash
             code = cli_main(["query", "class A { }", "--index", str(tmp_path / "index.bin")])
@@ -314,9 +328,9 @@ class TestIndexAndQuery:
             assert [e["text"] for e in json.loads(captured.out)["entries"]] == ["a.java"]
 
     def test_query_never_reads_a_path_outside_the_source_root(self, tmp_path, capsys):
-        """A crafted index whose paths are absolute or climb out with `..`
-        gets the bare path in the bundle; an indexed path below the root
-        still gets the file's text."""
+        """A crafted index whose ids are absolute paths or climb out with
+        `..` gets the bare id in the bundle; an id below the root still gets
+        the file's text."""
         root = tmp_path / "root"
         root.mkdir()
         (root / "inside.java").write_text("inside text")
@@ -324,8 +338,8 @@ class TestIndexAndQuery:
         secret.write_text("secret text")
         paths = ["inside.java", str(secret), "../secret.txt", "sub/../../secret.txt"]
         index = VectorIndex(load_config(None).bands.fingerprint())
-        for i, path in enumerate(paths):
-            index.insert(f"r{i}", np.ones(768), RecordMetadata(path=path))
+        for path in paths:
+            index.insert(path, np.ones(768))
         index.save(tmp_path / "index.bin")
         code = cli_main(["query", "class A { }", "--index", str(tmp_path / "index.bin"),
                          "--source-root", str(root)])
@@ -333,6 +347,21 @@ class TestIndexAndQuery:
         assert (code, captured.err) == (0, "")
         texts = sorted(e["text"] for e in json.loads(captured.out)["entries"])
         assert texts == sorted(["inside.java: inside text", *paths[1:]])
+
+    @pytest.mark.parametrize("fill", range(155, 160))
+    def test_query_text_reads_the_head_as_the_whole_file_sliced(self, fill, tmp_path):
+        """A hit's text reads only the first 400 characters of its file,
+        and they are those of the whole file decoded and sliced, over
+        `\\r\\n` line ends, an invalid byte and 2-, 3- and 4-byte
+        characters. As `fill` grows, the 400th character is the one after a
+        line end, a translated `\\r\\n`, a 2-byte, a 4-byte and a 3-byte
+        character followed by a 4-byte one."""
+        raw = ("line\u00e9\r\n" * 40).encode() + b"\xff" + ("\u20ac" * fill + "\U0001d11e\u00e9\r\n").encode()
+        (tmp_path / "long.java").write_bytes(raw + "tail \u00e9\r\n".encode() * 1000)
+        whole = (tmp_path / "long.java").read_text(encoding="utf-8", errors="replace")
+        text = _query_text_for(tmp_path, "long.java")
+        assert text == f"long.java: {whole[:400]}"
+        assert "\ufffd" in text and "\r" not in text and len(whole) > 4000
 
     def test_index_out_a_directory_exit_three_and_leaves_no_file(self, tmp_path, capsys):
         src = tmp_path / "src"

@@ -14,20 +14,22 @@ stdout over every state and the `policy_fingerprint`. The query golden
 pins `index` and `query` stdout and exit codes and the `index.bin` bytes
 over a seeded corpus that stores every unit under three ids, so the k-th
 score is often tied, and the search results of the records of `index_v1.bin`
-(its `v1_fixture` entry, searched in memory). Its `index_tree` entry pins
-`index` over a seeded tree with one broken file per parse error and a unit
-with non-ASCII names: exit code, stdout, the stderr warnings with their line
-and column, and the `index.bin` bytes.
+(its `v1_fixture` entry, searched in memory: ids and similarity bits). Its
+`index_tree` entry pins `index` over a seeded tree with one broken file per
+parse error and a unit with non-ASCII names: exit code, stdout, the stderr
+warnings with their line and column, and the `index.bin` bytes.
 
-`index_v1.bin` to `index_v4.bin` are index files in the version-1 to
-version-4 layouts. Only version 5 loads, so each must fail to load and make
+`index_v1.bin` to `index_v5.bin` are index files in the version-1 to
+version-5 layouts. Only version 6 loads, so each must fail to load and make
 `query` exit 3 until the index is rebuilt. The version-3 file is the
-version-2 file plus one norm per record, and a version-5 file holds the
-version-4 file's blocks plus the vectors' values by dimension.
+version-2 file plus one norm per record, the version-5 file holds the
+version-4 file's blocks plus the vectors' values by dimension, and a
+version-6 file holds the version-5 file's blocks but the path, source kind
+and span columns.
 
 After a deliberate, documented byte change, rewrite the goldens with
 `PYTHONPATH=src python tests/test_golden.py`; it prints one `wrote` line per
-golden file. The four index fixtures are not rewritten: `save` no longer
+golden file. The five index fixtures are not rewritten: `save` no longer
 writes their layouts.
 """
 
@@ -55,9 +57,9 @@ from devmux.embedding import graph_to_vector
 from devmux.base import Battery, Complexity, DeviceClass, NetworkState
 from devmux.routing import policy_fingerprint
 from devmux.simulate import PolicyKind, compare_policies, run_simulation, workload_from_config
-from devmux.vindex import FORMAT_VERSION, IndexVersionError, RecordMetadata, VectorIndex
+from devmux.vindex import FORMAT_VERSION, IndexVersionError, VectorIndex
 from test_config import SAMPLE
-from test_vindex import block, exhaustive_hits, hit_triples, reference_by_dimension, write_v3, write_v4
+from test_vindex import block, exhaustive_hits, hit_pairs, reference_by_dimension, write_v3, write_v4, write_v5
 
 GOLDEN = Path(__file__).with_name("golden") / "sim_sha256.json"
 ROUTE_GOLDEN = GOLDEN.with_name("route_sha256.json")
@@ -66,6 +68,7 @@ V1_FIXTURE = GOLDEN.with_name("index_v1.bin")
 V2_FIXTURE = GOLDEN.with_name("index_v2.bin")
 V3_FIXTURE = GOLDEN.with_name("index_v3.bin")
 V4_FIXTURE = GOLDEN.with_name("index_v4.bin")
+V5_FIXTURE = GOLDEN.with_name("index_v5.bin")
 N_TASKS = 1_000
 SEEDS = range(42, 52)
 POLICIES = ("all_cloud", "all_edge", "threshold", "mdp")
@@ -239,20 +242,31 @@ def _run_cli(argv: list[str]) -> tuple[int, str, str]:
     return code, buffer.getvalue(), errors.getvalue()
 
 
-def v1_fixture_index() -> VectorIndex:
-    """The records stored in the four index fixtures: eight-wide
-    vectors, each of four directions under two or three ids, a zero vector,
-    a scaled copy and varied metadata."""
+def v1_fixture_rows() -> list[tuple[str, np.ndarray]]:
+    """The records stored in the five index fixtures, in insertion order:
+    eight-wide vectors, each of four directions under two or three ids, a
+    zero vector and a scaled copy."""
     rng = np.random.default_rng(5150)
     directions = rng.standard_normal((4, 8)).astype("<f4")
-    index = VectorIndex(band_config_hash="fixturehash", dim=8)
     rows = [(f"d{d}-{c}", directions[d]) for d in range(4) for c in "xyz"[: 2 + d % 2]]
-    rows += [("zero", np.zeros(8, dtype="<f4")), ("scaled", 2.0 * directions[1])]
-    for n, (record_id, vector) in enumerate(rows):
-        meta = RecordMetadata(path=f"src/{record_id}/\u00e9t\u00e9.java", span="" if n % 3 else f"{n}-{n + 9}",
-                              source_kind=("file", "doc", "snippet")[n % 3])
-        index.insert(record_id, vector, meta)
+    return rows + [("zero", np.zeros(8, dtype="<f4")), ("scaled", 2.0 * directions[1])]
+
+
+def v1_fixture_index() -> VectorIndex:
+    index = VectorIndex(band_config_hash="fixturehash", dim=8)
+    for record_id, vector in v1_fixture_rows():
+        index.insert(record_id, vector)
     return index
+
+
+def v1_fixture_columns(ids: list[str]) -> dict[str, list[str]]:
+    """The string columns the fixtures of versions 3 to 5 hold for the
+    records `ids`, in that order: each record's path, span and source kind
+    vary with its insertion number n."""
+    number = {record_id: n for n, (record_id, _) in enumerate(v1_fixture_rows())}
+    return {"id": ids, "path": [f"src/{i}/\u00e9t\u00e9.java" for i in ids],
+            "source_kind": [("file", "doc", "snippet")[number[i] % 3] for i in ids],
+            "span": ["" if number[i] % 3 else f"{number[i]}-{number[i] + 9}" for i in ids]}
 
 
 def v1_fixture_queries() -> dict[str, tuple[np.ndarray, int]]:
@@ -264,9 +278,8 @@ def v1_fixture_queries() -> dict[str, tuple[np.ndarray, int]]:
 
 
 def search_rows(index: VectorIndex, query: np.ndarray, k: int) -> list[list[str]]:
-    """A search result as JSON-able rows: id, exact similarity, metadata."""
-    return [[h.id, float.hex(h.similarity), h.metadata.path, h.metadata.span, h.metadata.source_kind]
-            for h in index.search(query, k).hits]
+    """A search result as JSON-able rows: id and exact similarity."""
+    return [[h.id, float.hex(h.similarity)] for h in index.search(query, k).hits]
 
 
 def collect_query_hashes(directory: Path) -> dict:
@@ -370,7 +383,7 @@ def test_route_matches_golden_on_every_blas_kernel(kernel, tmp_path):
 
 
 def search_mismatches(directory: Path) -> list[str]:
-    """The searches whose hits (id, similarity bits, metadata) differ from
+    """The searches whose hits (id and similarity bits) differ from
     scoring every row with `VectorIndex._similarities`: over a seeded random
     index with copies, near ties and zero rows, and over the query golden's
     corpus as `index` writes it, each loaded and built; the corpus is
@@ -382,7 +395,7 @@ def search_mismatches(directory: Path) -> list[str]:
                               vectors[:40] * (1.0 + rng.standard_normal((40, 768)) * 2.0**-24)])
     random_index = VectorIndex("h")
     for i in rng.permutation(len(vectors)):
-        random_index.insert(f"r{i:03d}", vectors[i], RecordMetadata(path=f"p{i}"))
+        random_index.insert(f"r{i:03d}", vectors[i])
     random_queries = [*rng.standard_normal((8, 768)), *vectors[rng.integers(0, 300, 8)], np.zeros(768)]
     for unit_no, text in enumerate(query_corpus()):
         for copy in COPIES:
@@ -398,11 +411,11 @@ def search_mismatches(directory: Path) -> list[str]:
     for name, index, queries in (("random", random_index, random_queries), ("corpus", corpus, corpus_queries)):
         built = VectorIndex("h")
         for record_id in index.ids():
-            built.insert(record_id, index.vector(record_id), RecordMetadata(path=""))
+            built.insert(record_id, index.vector(record_id))
         for form, searched in (("", index), ("built ", built)):
             for q, query in enumerate(queries):
                 for k in (1, 3, 10, 50, len(index)):
-                    if hit_triples(searched.search(query, k)) != exhaustive_hits(searched, query, k):
+                    if hit_pairs(searched.search(query, k)) != exhaustive_hits(searched, query, k):
                         mismatches.append(f"{form}{name} query {q} k {k}")
     return mismatches
 
@@ -448,11 +461,11 @@ def test_index_tree_bytes_do_not_depend_on_the_group_size(budget, cap, tmp_path,
     assert (code, _sha256(tmp_path / "tree.bin")) == (golden["code"], golden["file"])
 
 
-@pytest.mark.parametrize("fixture, version", [(V1_FIXTURE, 1), (V2_FIXTURE, 2), (V3_FIXTURE, 3), (V4_FIXTURE, 4)],
-                         ids=["v1", "v2", "v3", "v4"])
+@pytest.mark.parametrize("fixture, version", [(V1_FIXTURE, 1), (V2_FIXTURE, 2), (V3_FIXTURE, 3), (V4_FIXTURE, 4),
+                                              (V5_FIXTURE, 5)], ids=["v1", "v2", "v3", "v4", "v5"])
 def test_older_format_fixture_does_not_load_and_query_exits_three(fixture, version):
     """The index fixtures hold the records of `v1_fixture_index` in the
-    version-1 to version-4 layouts; none loads, and `query` on any exits 3
+    version-1 to version-5 layouts; none loads, and `query` on any exits 3
     with one line naming the version."""
     with pytest.raises(IndexVersionError, match=f"format version {version} unsupported"):
         VectorIndex.load(fixture)
@@ -476,24 +489,25 @@ def test_v3_file_is_the_v2_file_with_its_norms_appended(tmp_path):
     stored = np.frombuffer(v3[len(v2):], dtype="<f8")
     matrix = np.stack([index.vector(i) for i in ids])
     assert stored.tobytes() == np.linalg.norm(matrix.astype(np.float64), axis=1).tobytes()
-    write_v3(index, tmp_path / "v3.bin", ids)
+    write_v3(index, tmp_path / "v3.bin", v1_fixture_columns(ids))
     assert (tmp_path / "v3.bin").read_bytes() == v3
 
 
+def contents(file, name):
+    """The bytes of block `name` of an index file."""
+    start, length = block(file, name)
+    return file.read_bytes()[start:start + length]
+
+
 def test_v5_file_holds_the_v4_blocks_and_the_vectors_by_dimension(tmp_path):
-    """A version-5 save of the fixture records holds every block of the
-    version-4 fixture byte for byte, plus the `vectors_by_dim` blocks, the
-    values of `vectors` by dimension; the tests' version-4 writer turns it
-    into the fixture."""
+    """The version-5 fixture holds every block of the version-4 fixture
+    byte for byte, plus the `vectors_by_dim` blocks, the values of `vectors`
+    by dimension; the tests' version-4 writer turns it into the version-4
+    fixture."""
     v4, v5 = V4_FIXTURE, tmp_path / "v5.bin"
-    v1_fixture_index().save(v5)
+    v5.write_bytes(V5_FIXTURE.read_bytes())
     header = json.loads(v5.read_bytes().split(b"\n", 1)[0])
     assert (header["format_version"], header["count"], header["dim"]) == (5, 12, 8)
-
-    def contents(file, name):
-        start, length = block(file, name)
-        return file.read_bytes()[start:start + length]
-
     v4_blocks = json.loads(v4.read_bytes().split(b"\n", 1)[0])["blocks"]
     by_dim = reference_by_dimension(np.frombuffer(contents(v4, "vectors"), dtype="<f4").reshape(12, 8))
     assert sorted(header["blocks"]) == sorted([*v4_blocks, *by_dim])
@@ -501,6 +515,24 @@ def test_v5_file_holds_the_v4_blocks_and_the_vectors_by_dimension(tmp_path):
     assert all(contents(v5, name) == data for name, data in by_dim.items())
     write_v4(v5)
     assert v5.read_bytes() == v4.read_bytes()
+
+
+def test_v6_file_holds_the_v5_blocks_but_the_path_kind_and_span_columns(tmp_path):
+    """A version-6 save of the fixture records holds every block of the
+    version-5 fixture byte for byte, except the `path`, `source_kind` and
+    `span` columns; the tests' version-5 writer, given the fixture's
+    columns, turns it into the version-5 fixture."""
+    v5, v6 = V5_FIXTURE, tmp_path / "v6.bin"
+    index = v1_fixture_index()
+    index.save(v6)
+    header = json.loads(v6.read_bytes().split(b"\n", 1)[0])
+    assert (header["format_version"], header["count"], header["dim"]) == (6, 12, 8)
+    v5_blocks = json.loads(v5.read_bytes().split(b"\n", 1)[0])["blocks"]
+    dropped = [f"{name}.{part}" for name in ("path", "source_kind", "span") for part in ("offsets", "data")]
+    assert sorted(header["blocks"]) == sorted(set(v5_blocks) - set(dropped))
+    assert all(contents(v6, name) == contents(v5, name) for name in header["blocks"])
+    write_v5(v6, v1_fixture_columns(list(index.ids())))
+    assert v6.read_bytes() == v5.read_bytes()
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ def unit_vectors(rng, count):
 def build_index(rng, count):
     index = VectorIndex(band_config_hash="testhash")
     for i, v in enumerate(unit_vectors(rng, count)):
-        index.insert(f"rec-{i:04d}", v, RecordMetadata(path=f"src/f{i}.java", span="1-10"))
+        index.insert(f"rec-{i:04d}", v)
     return index
 
 
@@ -46,15 +46,15 @@ def brute_force_ids(index, query, k):
 
 def test_insert_and_count():
     index = VectorIndex("h")
-    index.insert("a", np.ones(DIM), RecordMetadata(path="a.java"))
+    index.insert("a", np.ones(DIM))
     assert len(index) == 1
 
 
 def test_duplicate_id_rejected_and_index_unchanged():
     index = VectorIndex("h")
-    index.insert("a", np.ones(DIM), RecordMetadata(path="a.java"))
+    index.insert("a", np.ones(DIM))
     with pytest.raises(ValueError, match="duplicate"):
-        index.insert("a", np.zeros(DIM), RecordMetadata(path="b.java"))
+        index.insert("a", np.zeros(DIM))
     assert len(index) == 1
     assert index.ids() == ("a",)
 
@@ -62,15 +62,15 @@ def test_duplicate_id_rejected_and_index_unchanged():
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "beyond_float32"])
 def test_non_finite_vector_rejected_and_index_unchanged(entry, tmp_path):
     index = VectorIndex("h")
-    index.insert("a", np.ones(DIM), RecordMetadata(path="a.java"))
+    index.insert("a", np.ones(DIM))
     vector = np.ones(DIM)
     vector[DIM // 2] = entry
     with pytest.raises(ValueError, match="not finite"):
-        index.insert("b", vector, RecordMetadata(path="b.java"))
+        index.insert("b", vector)
     with pytest.raises(ValueError, match="not finite"):
-        index.insert("c", np.full(DIM, entry), RecordMetadata(path="c.java"))
+        index.insert("c", np.full(DIM, entry))
     assert index.ids() == ("a",)
-    index.insert("b", np.zeros(DIM), RecordMetadata(path="b.java"))
+    index.insert("b", np.zeros(DIM))
     path = tmp_path / "index.bin"
     index.save(path)
     loaded = VectorIndex.load(path)
@@ -109,7 +109,7 @@ def test_query_whose_norm_underflows_or_overflows_ranks_by_cosine(query, scaled,
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]
     index = VectorIndex("h", dim=4)
     for i, row in enumerate(rows):
-        index.insert(f"r{i}", np.array(row, dtype=np.float64), RecordMetadata(path=f"p{i}"))
+        index.insert(f"r{i}", np.array(row, dtype=np.float64))
     for searched in built_and_loaded(index, tmp_path):
         assert searched.search(query, 2).ids() == ids
         assert searched.search(query, 2) == searched.search(scaled, 2)
@@ -125,9 +125,9 @@ def test_power_of_two_scaled_queries_match_the_query_over_its_largest_entry(tmp_
     scaled = query / np.abs(query).max()
     for searched in built_and_loaded(index, tmp_path):
         for k in (1, 5, 50):
-            want = hit_triples(searched.search(scaled, k))
-            assert hit_triples(searched.search(2.0**1000 * query, k)) == want
-            assert hit_triples(searched.search(2.0**-1000 * query, k)) == want
+            want = hit_pairs(searched.search(scaled, k))
+            assert hit_pairs(searched.search(2.0**1000 * query, k)) == want
+            assert hit_pairs(searched.search(2.0**-1000 * query, k)) == want
 
 
 def test_built_index_searched_inserted_and_searched_again_equals_loaded(tmp_path):
@@ -138,19 +138,36 @@ def test_built_index_searched_inserted_and_searched_again_equals_loaded(tmp_path
     index = build_index(rng, 40)
     queries = [*unit_vectors(rng, 3), index.vector("rec-0007").astype(np.float64)]
     for step in ("first", "second"):
-        hits = [hit_triples(index.search(query, k)) for query in queries for k in (1, 10, len(index))]
+        hits = [hit_pairs(index.search(query, k)) for query in queries for k in (1, 10, len(index))]
         index.save(tmp_path / f"{step}.bin")
         loaded = VectorIndex.load(tmp_path / f"{step}.bin")
-        assert hits == [hit_triples(loaded.search(query, k)) for query in queries for k in (1, 10, len(index))]
+        assert hits == [hit_pairs(loaded.search(query, k)) for query in queries for k in (1, 10, len(index))]
         assert all(index.vector(i).tobytes() == loaded.vector(i).tobytes() for i in loaded.ids())
         for i, vector in enumerate(unit_vectors(rng, 30)):
-            index.insert(f"{step}-{i:04d}", vector, RecordMetadata(path=f"a{i}.java"))
+            index.insert(f"{step}-{i:04d}", vector)
+
+
+def test_insert_takes_metadata_only_with_the_id_as_its_path(tmp_path):
+    """`insert` still takes a `RecordMetadata` whose path is the record's
+    id, as the benchmark builds its index, and stores nothing of it: the
+    file is the one the same record gives without it. Any other path is
+    refused, and the index stays as it was."""
+    with_metadata, without = VectorIndex("h", dim=4), VectorIndex("h", dim=4)
+    with_metadata.insert("src/a.java", np.ones(4), RecordMetadata(path="src/a.java", span="1-3", source_kind="file"))
+    without.insert("src/a.java", np.ones(4))
+    for path in ("src/a.java", "b.java", "", "./src/b.java"):
+        with pytest.raises(ValueError, match="is not the record id"):
+            with_metadata.insert("src/b.java", np.ones(4), RecordMetadata(path=path))
+    assert with_metadata.ids() == ("src/a.java",)
+    with_metadata.save(tmp_path / "with.bin")
+    without.save(tmp_path / "without.bin")
+    assert (tmp_path / "with.bin").read_bytes() == (tmp_path / "without.bin").read_bytes()
 
 
 def test_dimension_mismatch_rejected():
     index = VectorIndex("h")
     with pytest.raises(ValueError, match="shape"):
-        index.insert("a", np.ones(4), RecordMetadata(path="a.java"))
+        index.insert("a", np.ones(4))
 
 
 def test_insert_500_records():
@@ -180,7 +197,7 @@ def test_similarities_non_increasing_and_tiebreak_by_id():
     v = np.zeros(DIM)
     v[0] = 1.0
     for record_id in ("zz", "aa", "mm"):
-        index.insert(record_id, v, RecordMetadata(path=record_id))
+        index.insert(record_id, v)
     result = index.search(v, 3)
     assert result.ids() == ["aa", "mm", "zz"]
     sims = [h.similarity for h in result.hits]
@@ -199,7 +216,7 @@ def test_similarity_norms_are_rowwise_linalg_norm(count, monkeypatch):
     vectors[2::7] = 0.0
     index = VectorIndex("h")
     for i, vector in enumerate(vectors):
-        index.insert(f"r{i}", vector, RecordMetadata(path="p"))
+        index.insert(f"r{i}", vector)
     sqrt, divided_by = np.sqrt, []
 
     def recording_sqrt(x):
@@ -346,31 +363,25 @@ def reference_by_dimension(matrix):
     return {"vectors_by_dim.offsets": np.array(offsets, dtype="<u8").tobytes(), "vectors_by_dim.data": data}
 
 
-def test_save_writes_version_five_layout(tmp_path):
-    """Rows in ascending id order, each string column as uint64 offsets and
-    UTF-8 bytes, then the matrix, its values by dimension (the second
+def test_save_writes_version_six_layout(tmp_path):
+    """Rows in ascending id order: the ids as uint64 offsets and UTF-8
+    bytes, then the matrix, its values by dimension (the second
     dimension is sparse, the others dense) and the norms; a header line
     padded with spaces to a multiple of 64 bytes, and every block
     zero-padded to the next 64-byte boundary."""
     index = VectorIndex("testhash", dim=4)
-    records = {
-        "b": ([1.0, 2.0, 3.0, 4.0], RecordMetadata(path="src/b.java", span="1-9")),
-        "a/x": ([0.5, 0.0, -1.0, 2.0], RecordMetadata(path="src/\u00e9t\u00e9.java", span="", source_kind="doc")),
-        "a-x": ([0.0, 0.0, 0.0, 0.0], RecordMetadata(path="a-x", span="3-4", source_kind="snippet")),
-    }
-    for record_id, (vector, metadata) in records.items():
-        index.insert(record_id, np.array(vector), metadata)
+    records = {"b": [1.0, 2.0, 3.0, 4.0], "a/x\u00e9": [0.5, 0.0, -1.0, 2.0], "a-x": [0.0, 0.0, 0.0, 0.0]}
+    for record_id, vector in records.items():
+        index.insert(record_id, np.array(vector))
     path = tmp_path / "index.bin"
     index.save(path)
     blob = path.read_bytes()
     header_size = blob.index(b"\n") + 1
-    order = ["a-x", "a/x", "b"]
-    parts = {}
-    for name, field in (("id", None), ("path", "path"), ("source_kind", "source_kind"), ("span", "span")):
-        texts = [(rid if field is None else getattr(records[rid][1], field)).encode() for rid in order]
-        parts[f"{name}.offsets"] = np.cumsum([0] + [len(t) for t in texts]).astype("<u8").tobytes()
-        parts[f"{name}.data"] = b"".join(texts)
-    matrix = np.array([records[rid][0] for rid in order], dtype="<f4")
+    order = ["a-x", "a/x\u00e9", "b"]
+    texts = [rid.encode() for rid in order]
+    parts = {"id.offsets": np.cumsum([0] + [len(t) for t in texts]).astype("<u8").tobytes(),
+             "id.data": b"".join(texts)}
+    matrix = np.array([records[rid] for rid in order], dtype="<f4")
     parts["vectors"] = matrix.tobytes()
     parts.update(reference_by_dimension(matrix))
     parts["norms"] = np.linalg.norm(matrix.astype(np.float64), axis=1).astype("<f8").tobytes()
@@ -380,7 +391,7 @@ def test_save_writes_version_five_layout(tmp_path):
         blocks[name] = [header_size + len(body), len(data)]
         body += data
     header = json.dumps({"band_config_hash": "testhash", "blocks": blocks, "count": 3, "dim": 4,
-                         "format_version": 5}, sort_keys=True).encode()
+                         "format_version": 6}, sort_keys=True).encode()
     assert header_size % 64 == 0 and header_size - 64 <= len(header) < header_size
     assert blob == header.ljust(header_size - 1) + b"\n" + body
 
@@ -434,7 +445,7 @@ def test_loaded_vectors_are_read_only_views(tmp_path):
     vectors = unit_vectors(np.random.default_rng(17), 4)
     index = VectorIndex("h")
     for i, v in enumerate(vectors):
-        index.insert(f"rec-{i:04d}", v, RecordMetadata(path=f"src/f{i}.java"))
+        index.insert(f"rec-{i:04d}", v)
     path = tmp_path / "index.bin"
     index.save(path)
     loaded = VectorIndex.load(path)
@@ -472,7 +483,7 @@ def test_stored_norms_and_search_match_in_memory(distinct, copies, zeros, k, ste
     vectors = np.concatenate([vectors, vectors[rng.integers(0, distinct, copies)], np.zeros((zeros, DIM))])
     index = VectorIndex("h")
     for i in rng.permutation(len(vectors)):
-        index.insert(f"{stems[i % len(stems)]}{i}", vectors[i], RecordMetadata(path=f"p{i}/\u00e9", span=f"{i}"))
+        index.insert(f"{stems[i % len(stems)]}{i}", vectors[i])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "index.bin"
         index.save(path)
@@ -483,8 +494,7 @@ def test_stored_norms_and_search_match_in_memory(distinct, copies, zeros, k, ste
     matrix = np.stack([index.vector(i) for i in loaded.ids()])
     assert stored.tobytes() == np.linalg.norm(matrix.astype(np.float64), axis=1).tobytes()
     for query in (rng.standard_normal(DIM), vectors[rng.integers(0, distinct)]):
-        want = [(h.id, float.hex(h.similarity), h.metadata) for h in index.search(query, k).hits]
-        assert [(h.id, float.hex(h.similarity), h.metadata) for h in loaded.search(query, k).hits] == want
+        assert hit_pairs(loaded.search(query, k)) == hit_pairs(index.search(query, k))
 
 
 def test_load_insert_save_load(tmp_path):
@@ -495,11 +505,11 @@ def test_load_insert_save_load(tmp_path):
     built.save(tmp_path / "index.bin")
     loaded = VectorIndex.load(tmp_path / "index.bin")
     with pytest.raises(ValueError, match="duplicate"):
-        loaded.insert("rec-0007", np.ones(DIM), RecordMetadata(path="x"))
+        loaded.insert("rec-0007", np.ones(DIM))
     assert loaded.ids() == built.ids() and len(loaded) == 20
     new = unit_vectors(rng, 1)[0]
     for index in (loaded, built):
-        index.insert("rec-0010a", new, RecordMetadata(path="new.java", span="1-2", source_kind="doc"))
+        index.insert("rec-0010a", new)
     loaded.save(tmp_path / "loaded.bin")
     built.save(tmp_path / "built.bin")
     assert (tmp_path / "loaded.bin").read_bytes() == (tmp_path / "built.bin").read_bytes()
@@ -516,7 +526,7 @@ def test_lone_surrogate_ids_round_trip(tmp_path):
     code point order and read back."""
     index = VectorIndex("h", dim=2)
     for i, record_id in enumerate(["\ue000", "a\udcff", "\ud7ff", "a"]):
-        index.insert(record_id, np.array([1.0, i]), RecordMetadata(path=f"src/{record_id}"))
+        index.insert(record_id, np.array([1.0, i]))
     index.save(tmp_path / "index.bin")
     loaded = VectorIndex.load(tmp_path / "index.bin")
     assert loaded.ids() == ("a", "a\udcff", "\ud7ff", "\ue000")
@@ -560,37 +570,47 @@ def _append_bytes(file):
     file.write_bytes(file.read_bytes() + b"\0")
 
 
-def write_v3(index, file, ids):
-    """Write the records `ids` of `index`, in that order, in the version-3
-    layout: a JSON header line, one JSON line of the column arrays, the
-    float32 matrix and the float64 row norms."""
+def older_columns(ids):
+    """The string columns of formats 3 to 5 for the records `ids`: each
+    path is its id, as `index` wrote it, with source kind `file` and an
+    empty span."""
     ids = list(ids)
-    metadata = {h.id: h.metadata for h in index.search(np.ones(index.dim), len(ids)).hits}
+    return {"id": ids, "path": ids, "source_kind": ["file"] * len(ids), "span": [""] * len(ids)}
+
+
+def write_v3(index, file, columns):
+    """Write the records of `index` named by `columns["id"]`, in that order,
+    in the version-3 layout: a JSON header line, one JSON line of the
+    column arrays (`older_columns`), the float32 matrix and the float64 row
+    norms."""
+    ids = columns["id"]
     header = {"band_config_hash": index.band_config_hash, "count": len(ids), "dim": index.dim, "format_version": 3}
-    columns = {"id": ids, "path": [metadata[i].path for i in ids],
-               "source_kind": [metadata[i].source_kind for i in ids], "span": [metadata[i].span for i in ids]}
     matrix = np.array([index.vector(i) for i in ids], dtype="<f4").reshape(len(ids), index.dim)
     norms = np.linalg.norm(matrix.astype(np.float64), axis=1).astype("<f8")
     file.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
                      + json.dumps(columns, sort_keys=True).encode() + b"\n" + matrix.tobytes() + norms.tobytes())
 
 
-def write_v4(file):
-    """Rewrite a saved file in the version-4 layout: the same header and
-    blocks without the `vectors_by_dim` ones, each block at the first
-    64-byte boundary after the header or the block before it."""
+def read_blocks(file):
+    """The header of a saved file without its `blocks`, and its (block
+    name, bytes) pairs in file order."""
     blob = file.read_bytes()
     header = json.loads(blob.split(b"\n", 1)[0])
-    blocks = {name: entry for name, entry in header.pop("blocks").items() if not name.startswith("vectors_by_dim")}
-    parts = [(name, blob[start:start + length]) for name, (start, length) in sorted(blocks.items(),
-                                                                                    key=lambda b: b[1][0])]
+    blocks = sorted(header.pop("blocks").items(), key=lambda b: b[1][0])
+    return header, [(name, blob[start:start + length]) for name, (start, length) in blocks]
+
+
+def write_blocks(file, header, parts):
+    """Write `header` with a `blocks` table, then `parts`, (block name,
+    bytes) pairs, each at the first 64-byte boundary after the header or the
+    block before it."""
     size = 0
     while True:  # the header's size moves the blocks, and their offsets its size
         layout, end = {}, size
         for name, data in parts:
             end += -end % 64
             layout[name], end = [end, len(data)], end + len(data)
-        line = json.dumps({**header, "blocks": layout, "format_version": 4}, sort_keys=True).encode()
+        line = json.dumps({**header, "blocks": layout}, sort_keys=True).encode()
         if len(line) < size:
             break
         size = len(line) + 1 + -(len(line) + 1) % 64
@@ -600,16 +620,42 @@ def write_v4(file):
     file.write_bytes(bytes(out))
 
 
+def write_v5(file, columns):
+    """Rewrite a saved file in the version-5 layout: its blocks, with the
+    `path`, `source_kind` and `span` columns of `columns` after the ids,
+    each as uint64 offsets and UTF-8 bytes."""
+    header, parts = read_blocks(file)
+    added = []
+    for name in ("path", "source_kind", "span"):
+        texts = [value.encode() for value in columns[name]]
+        added += [(f"{name}.offsets", np.cumsum([0] + [len(t) for t in texts]).astype("<u8").tobytes()),
+                  (f"{name}.data", b"".join(texts))]
+    write_blocks(file, {**header, "format_version": 5}, [*parts[:2], *added, *parts[2:]])
+
+
+def write_v4(file):
+    """Rewrite a version-5 file in the version-4 layout: the same header and
+    blocks without the `vectors_by_dim` ones."""
+    header, parts = read_blocks(file)
+    write_blocks(file, {**header, "format_version": 4},
+                 [(name, data) for name, data in parts if not name.startswith("vectors_by_dim")])
+
+
 def relabel_as_older(file, version):
-    """Rewrite a saved file in the layout of format `version`. A version-4
-    file is a version-5 one without the by-dimension blocks, and a version-2
-    file a version-3 one without the norm block. A version-1 body
+    """Rewrite a saved file in the layout of format `version`. A version-5
+    file is a version-6 one with the `older_columns` after the ids, a
+    version-4 file a version-5 one without the by-dimension blocks, and a
+    version-2 file a version-3 one without the norm block. A version-1 body
     (per-record lines) is not rebuilt: `load` refuses an older file at its
     header and reads no further."""
-    if version == 4:
-        return write_v4(file)
     index = VectorIndex.load(file)
-    write_v3(index, file, index.ids())
+    columns = older_columns(index.ids())
+    if version >= 4:
+        write_v5(file, columns)
+        if version == 4:
+            write_v4(file)
+        return
+    write_v3(index, file, columns)
     if version == 2:
         norm_bytes = 8 * json.loads(file.read_bytes().split(b"\n", 1)[0])["count"]
         file.write_bytes(file.read_bytes()[: -norm_bytes or None])
@@ -653,11 +699,11 @@ def _change_block(name, change):
 
 
 # name -> (damage applied to a saved three-record file, expected error). The
-# file's ids are rec-0000 to rec-0002 and its paths src/f0.java to src/f2.java.
-# Its blocks end with the matrix, its values by dimension (every entry is
-# nonzero, so every dimension is dense: three words each) and the norms. The
-# `v4_` cases damage what version 5 keeps of the block layout of version 4;
-# the `v5_` cases damage the blocks that version 5 adds.
+# file's ids are rec-0000 to rec-0002. Its blocks end with the matrix, its
+# values by dimension (every entry is nonzero, so every dimension is dense:
+# three words each) and the norms. The `v4_` cases damage what version 6
+# keeps of the block layout of version 4; the `v5_` cases damage the blocks
+# that version 5 added.
 CORRUPTIONS = {
     "v4_negative_count": (_header_only_negative_count, IndexCorruptError),
     "v4_boolean_dim": (lambda p: rewrite_header(p, dim=True), IndexCorruptError),
@@ -672,20 +718,21 @@ CORRUPTIONS = {
     "v4_infinite_norm": (_set_norm(np.inf), IndexCorruptError),
     "v4_minus_infinite_norm": (_set_norm(-np.inf), IndexCorruptError),
     "v4_negative_norm": (_set_norm(-1.0), IndexCorruptError),
-    "v4_missing_block": (lambda p: rewrite_block(p, "span.data", None), IndexCorruptError),
+    "v4_missing_block": (lambda p: rewrite_block(p, "id.data", None), IndexCorruptError),
     "v4_block_not_a_pair": (lambda p: rewrite_block(p, "norms", block(p, "norms")[:1]), IndexCorruptError),
-    "v4_misaligned_block": (lambda p: rewrite_block(p, "path.offsets", [block(p, "path.offsets")[0] + 8, 32]),
+    "v4_misaligned_block": (lambda p: rewrite_block(p, "id.offsets", [block(p, "id.offsets")[0] + 8, 32]),
                             IndexCorruptError),
-    # The kind and span offsets hold the same numbers, so only the layout check sees the overlap.
-    "v4_overlapping_block": (lambda p: rewrite_block(p, "span.offsets", block(p, "source_kind.offsets")),
-                             IndexCorruptError),
+    # The norms moved back over the last 24 bytes of the by-dimension data:
+    # the layout check refuses the overlap before a value is read.
+    "v4_overlapping_block": (_change_block("norms", lambda b: [b[0] - 24, 24]), IndexCorruptError),
     "v4_block_beyond_file": (lambda p: rewrite_block(p, "norms", [block(p, "norms")[0], 32]), IndexTruncatedError),
-    "v4_first_offset_not_zero": (_set_offset("span", 0, 1), IndexCorruptError),
-    "v4_offset_out_of_range": (_set_offset("path", 1, 2**63), IndexCorruptError),
-    "v4_decreasing_offset": (_set_offset("path", 2, 1), IndexCorruptError),
+    "v4_first_offset_not_zero": (_set_offset("id", 0, 1), IndexCorruptError),
+    "v4_offset_out_of_range": (_set_offset("id", 1, 2**63), IndexCorruptError),
+    "v4_decreasing_offset": (_set_offset("id", 2, 1), IndexCorruptError),
     "v4_last_offset_not_data_size": (_set_offset("id", 3, 23), IndexCorruptError),
-    "v4_offset_splits_character": (_replace_bytes(b"javasrc/f1", b"jav\xc3\xa9rc/f1"), IndexCorruptError),
-    "v4_row_not_utf8": (_replace_bytes(b"src/f1.java", b"src/\xff1.java"), IndexCorruptError),
+    "v4_offset_splits_character": (_replace_bytes(b"0rec-0001", b"\xc3\xa9ec-0001"), IndexCorruptError),
+    # Still after rec-0001, so the ids ascend.
+    "v4_row_not_utf8": (_replace_bytes(b"rec-0002", b"rec-000\xff"), IndexCorruptError),
     "v4_unsorted_ids": (_replace_bytes(b"rec-0000rec-0001", b"rec-0001rec-0000"), IndexCorruptError),
     "v4_repeated_id": (_replace_bytes(b"rec-0001rec-0002", b"rec-0001rec-0001"), IndexCorruptError),
     "v5_missing_vectors_by_dim": (lambda p: rewrite_block(p, "vectors_by_dim.data", None), IndexCorruptError),
@@ -731,15 +778,15 @@ def test_rows_are_decoded_only_when_read(tmp_path):
     write_corrupt_index(path, "v4_row_not_utf8")
     index = VectorIndex.load(path)
     assert index.vector("rec-0001").tobytes() == build_index(np.random.default_rng(11), 3).vector("rec-0001").tobytes()
-    with pytest.raises(IndexCorruptError, match=f"^{path}: row 1 of column path is not UTF-8"):
+    with pytest.raises(IndexCorruptError, match=f"^{path}: row 2 of column id is not UTF-8"):
         index.search(np.ones(DIM), 3)
 
 
 def test_vector_lookup_and_unknown_id(tmp_path):
     """Built and loaded alike, by bisecting the ascending ids."""
     index = VectorIndex("h", dim=4)
-    index.insert("m", np.arange(4.0), RecordMetadata(path="m"))
-    index.insert("c", np.ones(4), RecordMetadata(path="c"))
+    index.insert("m", np.arange(4.0))
+    index.insert("c", np.ones(4))
     index.save(tmp_path / "index.bin")
     for lookup in (index, VectorIndex.load(tmp_path / "index.bin")):
         assert lookup.vector("m").tolist() == [0.0, 1.0, 2.0, 3.0]
@@ -756,7 +803,7 @@ def test_duplicates_across_block_boundaries_tie_exactly():
     vectors = unit_vectors(rng, 150)
     index = VectorIndex("h")
     for row in rng.permutation(600):
-        index.insert(f"u{row % 150:03d}-{row // 150}", vectors[row % 150], RecordMetadata(path=""))
+        index.insert(f"u{row % 150:03d}-{row // 150}", vectors[row % 150])
     for query in rng.standard_normal((5, DIM)):
         hits = index.search(query, 45).hits
         assert [h.id for h in hits] == brute_force_ids(index, query, 45)
@@ -785,7 +832,7 @@ def test_duplicates_zero_vectors_and_large_k_match_oracle(distinct, copies, zero
     rows += [(f"zero{z}", np.zeros(DIM)) for z in range(zeros)]
     index = VectorIndex("h")
     for i in rng.permutation(len(rows)):
-        index.insert(rows[i][0], rows[i][1], RecordMetadata(path=rows[i][0]))
+        index.insert(rows[i][0], rows[i][1])
     query = np.zeros(DIM) if zero_query else rng.standard_normal(DIM)
     result = index.search(query, k)
     assert result.ids() == brute_force_ids(index, query, k)
@@ -859,14 +906,11 @@ def exhaustive_hits(index, query, k):
     index.search(query, 1)
     query, norm = scored_query(query)
     sims = index._similarities(query, np.arange(len(index)), norm)
-    ids, paths, kinds, spans = index._columns
-    return [(ids[row], float.hex(float(sims[row])), RecordMetadata(path=paths[row], span=spans[row],
-                                                                   source_kind=kinds[row]))
-            for row in np.argsort(-sims, kind="stable")[:k].tolist()]
+    return [(index._ids[row], float.hex(float(sims[row]))) for row in np.argsort(-sims, kind="stable")[:k].tolist()]
 
 
-def hit_triples(result):
-    return [(h.id, float.hex(h.similarity), h.metadata) for h in result.hits]
+def hit_pairs(result):
+    return [(h.id, float.hex(h.similarity)) for h in result.hits]
 
 
 @settings(max_examples=80, deadline=None)
@@ -896,19 +940,19 @@ def test_two_pass_search_equals_scoring_every_row(kinds, query_kind, k_draw, see
     query = rng.standard_normal(DIM) if query is None else query
     built = VectorIndex("h")
     for i in rng.permutation(len(rows)):
-        built.insert(f"r{i:02d}", rows[i], RecordMetadata(path=f"p{i}", span=f"{i}", source_kind=kinds[i]))
+        built.insert(f"r{i:02d}", rows[i])
     path = tmp_path_factory.mktemp("two_pass") / "index.bin"
     built.save(path)
     loaded = VectorIndex.load(path)
     want = exhaustive_hits(built, query, k)
     assert len(want) == min(k, len(rows))
     assert exhaustive_hits(loaded, query, k) == want
-    assert hit_triples(built.search(query, k)) == want
-    assert hit_triples(loaded.search(query, k)) == want
+    assert hit_pairs(built.search(query, k)) == want
+    assert hit_pairs(loaded.search(query, k)) == want
     for index in (built, loaded):
         for i in range(0, len(rows), 2):
-            index.insert(f"s{i:02d}", rows[i], RecordMetadata(path=f"s{i}"))
-    got = [hit_triples(index.search(query, k)) for index in (built, loaded)]
+            index.insert(f"s{i:02d}", rows[i])
+    got = [hit_pairs(index.search(query, k)) for index in (built, loaded)]
     want = exhaustive_hits(built, query, k)
     assert got == [want, want] and exhaustive_hits(loaded, query, k) == want
 
@@ -934,7 +978,7 @@ def test_by_dimension_blocks_hold_the_values_however_the_rows_are_held(dim, tmp_
     def build(rows, stem):
         index = VectorIndex("h", dim=dim)
         for i in rng.permutation(len(rows)):
-            index.insert(f"{stem}{i:03d}", rows[i], RecordMetadata(path=f"p{i}"))
+            index.insert(f"{stem}{i:03d}", rows[i])
         return index
 
     def saved(index, name):
@@ -954,7 +998,7 @@ def test_by_dimension_blocks_hold_the_values_however_the_rows_are_held(dim, tmp_
     assert saved(loaded, "loaded.bin") == (tmp_path / "built.bin").read_bytes()
     for index in (built, loaded):
         for i, vector in enumerate(vectors[300:]):
-            index.insert(f"n{i:03d}", vector, RecordMetadata(path=f"n{i}"))
+            index.insert(f"n{i:03d}", vector)
     assert saved(loaded, "merged.bin") == saved(built, "built_merged.bin")
 
 
@@ -964,7 +1008,7 @@ def test_row_number_beyond_the_count_raises_when_the_bound_pass_reads_it(tmp_pat
     when a search's bound pass reads it (k below the count)."""
     index = VectorIndex("h")
     for i in range(3):  # one nonzero entry each, in dimensions 0 to 2: all sparse
-        index.insert(f"rec-{i}", np.eye(DIM)[i], RecordMetadata(path=f"p{i}"))
+        index.insert(f"rec-{i}", np.eye(DIM)[i])
     path = tmp_path / "index.bin"
     index.save(path)
     start = block(path, "vectors_by_dim.data")[0]  # dimension 0: row number 0, then its value
@@ -991,18 +1035,18 @@ def test_rows_without_a_bound_are_always_candidates(tmp_path):
                 "zero": np.zeros(DIM)}
     index = VectorIndex("h")
     for name, row in specials.items():
-        index.insert(name, row, RecordMetadata(path=name))
+        index.insert(name, row)
     for i in range(200):
-        index.insert(f"r{i:03d}", rng.standard_normal(DIM) + 0.5, RecordMetadata(path=f"r{i}"))
+        index.insert(f"r{i:03d}", rng.standard_normal(DIM) + 0.5)
     index.save(tmp_path / "index.bin")
     loaded = VectorIndex.load(tmp_path / "index.bin")
     query = np.ones(DIM)
     for current in (index, loaded):
         assert [h.id for h in current.search(query, 2).hits] == ["huge", "subnormal"]
-        candidates = {current._columns[0][row] for row in current._candidates(query, 1, np.linalg.norm(query))}
+        candidates = {current._ids[row] for row in current._candidates(query, 1, np.linalg.norm(query))}
         assert {"huge", "subnormal"} <= candidates and "zero" not in candidates and len(candidates) < 10
         for k in (1, 3, 5, 204, 205):
-            assert hit_triples(current.search(query, k)) == exhaustive_hits(current, query, k)
+            assert hit_pairs(current.search(query, k)) == exhaustive_hits(current, query, k)
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -1020,8 +1064,8 @@ def test_insert_after_load_matches_oracle(before, after, k, seed):
         index.save(path)
         loaded = VectorIndex.load(path)
     for i, v in enumerate(unit_vectors(rng, after)):
-        loaded.insert(f"new-{i:04d}", v, RecordMetadata(path=f"n{i}"))
-        index.insert(f"new-{i:04d}", v, RecordMetadata(path=f"n{i}"))
+        loaded.insert(f"new-{i:04d}", v)
+        index.insert(f"new-{i:04d}", v)
     assert len(loaded) == before + after
     assert all(loaded.vector(i).tobytes() == index.vector(i).tobytes() for i in index.ids())
     query = rng.standard_normal(DIM)
@@ -1031,11 +1075,7 @@ def test_insert_after_load_matches_oracle(before, after, k, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    records=st.lists(
-        st.tuples(st.text(max_size=12), st.text(max_size=12), st.text(max_size=6), st.text(max_size=6)),
-        max_size=20,
-        unique_by=lambda r: r[0],
-    ),
+    records=st.lists(st.text(max_size=12), max_size=20, unique=True),
     band_hash=st.text(max_size=16),
     dim=st.integers(min_value=1, max_value=12),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -1043,8 +1083,8 @@ def test_insert_after_load_matches_oracle(before, after, k, seed):
 def test_save_load_save_is_byte_identical(records, band_hash, dim, seed):
     rng = np.random.default_rng(seed)
     index = VectorIndex(band_hash, dim=dim)
-    for record_id, path, span, kind in records:
-        index.insert(record_id, rng.standard_normal(dim), RecordMetadata(path=path, span=span, source_kind=kind))
+    for record_id in records:
+        index.insert(record_id, rng.standard_normal(dim))
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.bin", Path(tmp) / "b.bin"
         index.save(first)
@@ -1058,15 +1098,11 @@ def test_save_load_save_is_byte_identical(records, band_hash, dim, seed):
 
 
 def build_at_once(records, dim):
-    """One build of `records`, (id, vector, metadata) triples."""
+    """One build of `records`, (id, vector) pairs."""
     index = VectorIndex("h", dim=dim)
-    for record_id, vector, metadata in records:
-        index.insert(record_id, vector, metadata)
+    for record_id, vector in records:
+        index.insert(record_id, vector)
     return index
-
-
-def hit_rows(result):
-    return [(h.id, float.hex(h.similarity), h.metadata) for h in result.hits]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1090,25 +1126,24 @@ def test_inserts_reads_and_reloads_in_any_order_match_one_build(steps, stems, se
         for step in [*steps, "search", "vector", "ids"]:
             if isinstance(step, int):
                 for n in rng.permutation(step) + len(records):
-                    record = (f"{stems[n % len(stems)]}{n}", rng.integers(-2, 3, dim).astype(float),
-                              RecordMetadata(path=f"p{n}", span=f"{n}-{n}", source_kind=str(n % 3)))
+                    record = (f"{stems[n % len(stems)]}{n}", rng.integers(-2, 3, dim).astype(float))
                     index.insert(*record)
                     records.append(record)
                 with pytest.raises(ValueError, match="duplicate"):
-                    index.insert(records[0][0], np.zeros(dim), RecordMetadata(path="x"))
+                    index.insert(records[0][0], np.zeros(dim))
                 continue
             built = build_at_once(records, dim)
             if step == "search":
                 query = rng.integers(-2, 3, dim).astype(float)
                 result = index.search(query, len(records))
-                assert hit_rows(result) == hit_rows(built.search(query, len(records)))
+                assert hit_pairs(result) == hit_pairs(built.search(query, len(records)))
                 assert result.ids() == brute_force_ids(built, query, len(records))
             elif step == "vector":
-                assert all(index.vector(i).tobytes() == built.vector(i).tobytes() for i, _, _ in records)
+                assert all(index.vector(i).tobytes() == built.vector(i).tobytes() for i, _ in records)
                 with pytest.raises(KeyError):
                     index.vector("missing")
             elif step == "ids":
-                assert index.ids() == built.ids() == tuple(sorted(i for i, _, _ in records))
+                assert index.ids() == built.ids() == tuple(sorted(i for i, _ in records))
             else:
                 index.save(Path(tmp) / "index.bin")
                 index = VectorIndex.load(Path(tmp) / "index.bin")
