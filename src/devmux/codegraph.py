@@ -17,6 +17,7 @@ Tokens are plain `(kind, text, line, col)` tuples.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from typing import NamedTuple
 
@@ -99,6 +100,8 @@ class CodeGraph:
 
 KEYWORDS = {"class", "extends", "return"}
 _PUNCT = set("{}();,=.")
+_WORD = re.compile(r"\w*").match
+_BLANKS = re.compile(r"[ \t\r]*").match
 
 # (kind, text, line, col); kind is ident | number | string | punct | keyword
 Token = tuple[str, str, int, int]
@@ -117,13 +120,14 @@ def tokenize(source: str, strict: bool = True) -> list[Token]:
             i, line, col = i + 1, line + 1, 1
             continue
         if ch in " \t\r":
-            i, col = i + 1, col + 1
+            end = _BLANKS(source, i).end()
+            i, col = end, col + end - i
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
+        if ch == "/" and source.startswith("//", i):
+            end = source.find("\n", i)
+            i = n if end < 0 else end
             continue
-        if source.startswith("/*", i):
+        if ch == "/" and source.startswith("/*", i):
             end = source.find("*/", i + 2)
             if end < 0:
                 if strict:
@@ -136,8 +140,10 @@ def tokenize(source: str, strict: bool = True) -> list[Token]:
             continue
         if ch.isalpha() or ch == "_":
             start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
+            # In a str pattern `\w` is a character whose `isalnum()` is true
+            # or "_", so one match ends the identifier where a loop over
+            # `isalnum() or "_"` would.
+            i = _WORD(source, i).end()
             text = source[start:i]
             kind = "keyword" if text in KEYWORDS else "ident"
             tokens.append((kind, text, line, col))

@@ -357,9 +357,17 @@ class VectorIndex:
         if isinstance(self._matrix, list):  # a built index's rows, joined at its first search
             self._matrix = np.frombuffer(b"".join(self._matrix), dtype="<f4").reshape(-1, self.dim)
         if self._by_dim is None:
+            # Each word array is copied in and dropped as it comes, so one
+            # stacked block of dimensions is held at a time.
             offsets, words = _by_dimension(self._matrix, self.dim)
-            words = np.frombuffer(b"".join(words), dtype="<u4")
-            self._by_dim = (offsets, words, words.view("<f4"))
+            data = np.empty(int(offsets[-1]), dtype="<u4")
+            end = 0
+            for word in words:
+                data[end:end + len(word)] = word.view("<u4")
+                end += len(word)
+                del word
+            data.flags.writeable = False
+            self._by_dim = (offsets, data, data.view("<f4"))
         # A nonzero query whose norm underflows or overflows is scaled by its
         # largest entry first; the norms of all others keep their bits.
         with np.errstate(over="ignore", under="ignore"):

@@ -244,8 +244,9 @@ def lex(lexer, source: str, strict: bool, record=tuple):
 
 # Characters every branch of the lexer turns on, non-ASCII letters and
 # digits (`\u00b2` and `\u0663` are digits to `str.isdigit` but not to an
-# ASCII class; `\u216b` is alphanumeric but not alphabetic) and newlines.
-LEXER_ALPHABET = list(' "\\/*{}();,=._@\n\n\t\u00e9\u00b2\u0663\u216b') + list(string.digits + string.ascii_lowercase)
+# ASCII class; `\u216b` is alphanumeric but not alphabetic), newlines and
+# the blanks, carriage return included.
+LEXER_ALPHABET = list(' "\\/*{}();,=._@\n\n\t\r\u00e9\u00b2\u0663\u216b') + list(string.digits + string.ascii_lowercase)
 
 
 @settings(max_examples=300, deadline=None)

@@ -160,20 +160,43 @@ def test_cosine_dimension_mismatch():
         cosine(np.ones(3), np.ones(4))
 
 
+KIND_LABELS = ["class-decl", "method-decl", "block", "call-expr", "identifier", "string-literal"]
+# Some names spell a kind label, which the `id|` prefix keeps apart.
+NAMES = st.one_of(st.none(), st.text("abc", min_size=1, max_size=3), st.sampled_from(KIND_LABELS))
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=12))
-    labels = ["class-decl", "method-decl", "block", "call-expr", "identifier", "string-literal"]
-    # Some names spell a kind label, which the `id|` prefix keeps apart.
-    names = st.one_of(st.none(), st.text("abc", min_size=1, max_size=3), st.sampled_from(labels))
     n_edges = draw(st.integers(min_value=0, max_value=2 * n))
     ends = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n_edges, max_size=n_edges)
     return CodeGraph(
-        draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)),
-        draw(st.lists(names, min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from(KIND_LABELS), min_size=n, max_size=n)),
+        draw(st.lists(NAMES, min_size=n, max_size=n)),
         draw(ends),
         draw(ends),
         draw(st.lists(st.integers(min_value=0, max_value=len(EDGE_KINDS) - 1), min_size=n_edges, max_size=n_edges)),
+    )
+
+
+@st.composite
+def hub_graphs(draw):
+    """A graph whose node 0 has 20-60 edges of one kind, in either
+    direction, to nodes of one or two labels, self-loops and repeated edges
+    among them: its key holds long runs of one slot with tied digests."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    hub_label = draw(st.sampled_from(KIND_LABELS))
+    far_labels = draw(st.lists(st.sampled_from(KIND_LABELS), min_size=1, max_size=2))
+    labels = [hub_label, *draw(st.lists(st.sampled_from(far_labels), min_size=n - 1, max_size=n - 1))]
+    n_edges = draw(st.integers(min_value=20, max_value=60))
+    far = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n_edges, max_size=n_edges))
+    outgoing = draw(st.lists(st.booleans(), min_size=n_edges, max_size=n_edges))
+    return CodeGraph(
+        labels,
+        draw(st.lists(NAMES, min_size=n, max_size=n)),
+        [0 if out else end for out, end in zip(outgoing, far)],
+        [end if out else 0 for out, end in zip(outgoing, far)],
+        [draw(st.integers(min_value=0, max_value=len(EDGE_KINDS) - 1))] * n_edges,
     )
 
 
@@ -236,7 +259,7 @@ def columns(graph: CodeGraph) -> tuple:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(small_graphs(), min_size=1, max_size=5), st.integers(min_value=0, max_value=4), SEEDS)
+@given(st.lists(small_graphs() | hub_graphs(), min_size=1, max_size=5), st.integers(min_value=0, max_value=4), SEEDS)
 def test_wl_counts_match_per_node_reference(graphs, rounds, hash_seed):
     """One map across graphs, as a run keeps it, gives every graph the
     reference's label counts."""
@@ -309,16 +332,16 @@ EMPTY_GRAPH = CodeGraph([], [], [], [], [])
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.lists(small_graphs() | st.just(EMPTY_GRAPH), max_size=12),
+    st.lists(small_graphs() | hub_graphs() | st.just(EMPTY_GRAPH), max_size=12),
     band_configs(),
     st.sampled_from([1, 7, 1000]),
     st.sampled_from([4, 24, 1 << 16]),
 )
 def test_grouped_vectors_match_reference_vectors(graphs, bands, group_nodes, cap):
     """Every row of one `graphs_to_vectors` run over a one-shot generator
-    (empty graphs and graphs without edges among them), at any group size
-    and with fresh maps at a small entry cap, is the reference vector of its
-    graph, byte for byte."""
+    (empty graphs, graphs without edges and hubs among them), at any group
+    size and with fresh maps at a small entry cap, is the reference vector
+    of its graph, byte for byte."""
     with mock.patch.object(embedding, "_GROUP_NODES", group_nodes), \
             mock.patch.object(embedding, "_MAX_WL_ENTRIES", cap):
         vectors = graphs_to_vectors((graph for graph in graphs), bands)

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1000,6 +1001,25 @@ def test_by_dimension_blocks_hold_the_values_however_the_rows_are_held(dim, tmp_
         for i, vector in enumerate(vectors[300:]):
             index.insert(f"n{i:03d}", vector)
     assert saved(loaded, "merged.bin") == saved(built, "built_merged.bin")
+
+
+def test_first_search_of_a_built_index_holds_one_block_of_dimensions_at_a_time():
+    """The first search on a built index derives its values by dimension
+    one stacked (128 x count) block at a time: its traced peak passes what
+    it keeps by less than two such blocks, where holding every block of
+    dense dimensions at once passes it by about six."""
+    count = 2048
+    index = build_index(np.random.default_rng(23), count)
+    index.ids()  # merged before tracing, so the search's own allocations are measured
+    tracemalloc.start()
+    try:
+        index.search(unit_vectors(np.random.default_rng(24), 1)[0], 5)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 128 * count * 4
+    assert kept >= 2 * count * DIM * 4  # the joined rows and every dense dimension's words
+    assert peak - kept < 2 * block
 
 
 def test_row_number_beyond_the_count_raises_when_the_bound_pass_reads_it(tmp_path):
