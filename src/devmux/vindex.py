@@ -9,12 +9,10 @@ search does not recompute it. `insert` checks a record and holds it
 aside; the next read (`search`, `vector`, `ids` or `save`) merges the held
 records into the rows in one sort by id, moving the vectors rather than
 copying them, as a log-structured merge tree folds its buffer into a sorted
-run. The moved vectors are a list of row arrays, which `save` writes
-as they are; a search joins them into one matrix, the form a loaded index
-maps from its file, so it reads only that one form. Each index also holds
-the same values by dimension (`_by_dimension`): a loaded index maps them
-from its file, and a search derives them from the joined matrix when there
-are none. A merge drops them.
+run. Every index also holds the same values by dimension
+(`_by_dimension`). The vectors and those values are read where they are
+held: after a merge, the moved row arrays and the values the merge derived
+from them; after a load, the matrix and the values mapped from the file.
 
 Search is exact and runs in two passes, a cheap filter and an exact
 re-scoring of a short list (Jegou et al., "Searching in one billion
@@ -74,11 +72,9 @@ reads no vector and no word of the by-dimension data: it trusts `norms` to
 be the rows' norms and that data to hold the values of `vectors`, as
 `save` writes them, and a search refuses a row number past the last row
 when it reads one. An id's row is found by bisecting the ids.
-Vectors are read-only in both forms. `save` writes the blocks as they are
-to a new file beside the target and renames it over the target, so an
-index mapped from the old file keeps its bytes; an index without values by
-dimension counts their nonzero values in its rows, then writes their words
-a few dimensions at a time, holding no second copy of the vectors. `load`
+Vectors are read-only however they are held. `save` writes the blocks as
+they are to a new file beside the target and renames it over the target,
+so an index mapped from the old file keeps its bytes. `load`
 reads only the version `save` writes: an index file of any other version
 raises `IndexVersionError` (`query` exits 3) until `devmux index` rebuilds
 it.
@@ -209,15 +205,12 @@ class VectorIndex:
         self.band_config_hash = band_config_hash
         self.dim = dim
         # The merged rows, in ascending id order: the ids, the float32
-        # vectors and their norms. The vectors are a list of row arrays
-        # after a merge and one matrix once loaded or searched.
-        # `_by_dim` is the same values by dimension (see `_by_dimension`):
-        # the offsets of each dimension's words, and the words read as
-        # uint32 and as float32. It is mapped from the file or derived at a
-        # search, and None after a build or a merge.
+        # vectors (row arrays after a merge, the mapped matrix after a
+        # load; either is read a row at a time), the same values by
+        # dimension (see `_by_dimension`) and the vectors' norms.
         self._ids = _text_column([])
-        self._matrix: list[np.ndarray] | np.ndarray = []
-        self._by_dim: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._vectors: list[np.ndarray] | np.ndarray = []
+        self._by_dim = _by_dimension(self._vectors, dim)
         self._norms = np.empty(0, dtype="<f8")
         # id -> vector inserted since the last merge.
         self._pending: dict[str, np.ndarray] = {}
@@ -234,7 +227,7 @@ class VectorIndex:
         row = self._row(record_id)
         if row is None:
             raise KeyError(record_id)
-        return self._matrix[row]
+        return self._vectors[row]
 
     def _row(self, record_id: str) -> int | None:
         """The merged row that holds `record_id`, found by bisecting the ids."""
@@ -243,18 +236,19 @@ class VectorIndex:
         return row if row < len(ids) and ids[row] == record_id else None
 
     def _merge(self) -> None:
-        """Fold the pending inserts into the merged rows in one sort by id.
-        Vectors are moved, never copied, so the matrix becomes a list of
-        row arrays and a merge holds no second copy of them."""
+        """Fold the pending inserts into the merged rows in one sort by id
+        and derive their values by dimension. Vectors are moved, never
+        copied, so the vectors become a list of row arrays and a merge holds
+        no second copy of them."""
         if not self._pending:
             return
         ids = [*self._ids, *self._pending]
-        rows = [*self._matrix, *self._pending.values()]
-        norms = np.concatenate([self._norms, _row_norms(rows[len(self._matrix):])])
+        rows = [*self._vectors, *self._pending.values()]
+        norms = np.concatenate([self._norms, _row_norms(rows[len(self._vectors):])])
         order = sorted(range(len(rows)), key=ids.__getitem__)
         self._ids = _text_column([ids[row] for row in order])
-        self._matrix = [rows[row] for row in order]
-        self._by_dim = None
+        self._vectors = [rows[row] for row in order]
+        self._by_dim = _by_dimension(self._vectors, self.dim)
         self._norms = norms[order]
         self._pending = {}
 
@@ -284,9 +278,10 @@ class VectorIndex:
         """Float64 cosine against `query`, of norm `qnorm`, of each of `rows`
         (ascending row numbers); 0 for a zero record or a zero query. Each
         row's dot product comes from one matrix-vector product over its
-        zero-padded block of rows, and is divided by the row's stored norm
-        (see `_row_norms`) times the query's. A row scores the same bits in
-        any block, so each score is the one every row would get."""
+        zero-padded block of rows, taken by number from the vectors as they
+        are held, and is divided by the row's stored norm (see `_row_norms`)
+        times the query's. A row scores the same bits in any block, so each
+        score is the one every row would get."""
         sims = np.zeros(len(rows))
         if qnorm == 0.0:
             return sims
@@ -295,7 +290,7 @@ class VectorIndex:
         for start in range(0, len(rows), _BLOCK_ROWS):
             chunk = rows[start:start + _BLOCK_ROWS]
             scored = block[: len(chunk) + (-len(chunk)) % _ROW_GROUP]
-            scored[: len(chunk)] = self._matrix[chunk]
+            np.concatenate([self._vectors[row] for row in chunk.tolist()], out=scored[: len(chunk)].reshape(-1))
             scored[len(chunk):] = 0.0
             dots[start:start + len(chunk)] = (scored @ query)[: len(chunk)]
         norms = self._norms[rows]
@@ -354,20 +349,6 @@ class VectorIndex:
         if k == 0 or not len(self):
             return QueryResult(())
         self._merge()
-        if isinstance(self._matrix, list):  # a built index's rows, joined at its first search
-            self._matrix = np.frombuffer(b"".join(self._matrix), dtype="<f4").reshape(-1, self.dim)
-        if self._by_dim is None:
-            # Each word array is copied in and dropped as it comes, so one
-            # stacked block of dimensions is held at a time.
-            offsets, words = _by_dimension(self._matrix, self.dim)
-            data = np.empty(int(offsets[-1]), dtype="<u4")
-            end = 0
-            for word in words:
-                data[end:end + len(word)] = word.view("<u4")
-                end += len(word)
-                del word
-            data.flags.writeable = False
-            self._by_dim = (offsets, data, data.view("<f4"))
         # A nonzero query whose norm underflows or overflows is scaled by its
         # largest entry first; the norms of all others keep their bits.
         with np.errstate(over="ignore", under="ignore"):
@@ -393,17 +374,14 @@ class VectorIndex:
         was."""
         self._merge()
         count = len(self)
+        offsets, words, _ = self._by_dim
         chunks: dict[str, list] = {"id.offsets": [self._ids._offsets], "id.data": [self._ids._data],
+                                   "vectors_by_dim.offsets": [offsets], "vectors_by_dim.data": [words],
                                    "norms": [self._norms]}
         lengths = {name: parts[0].nbytes for name, parts in chunks.items()}
-        # Rows are written one by one from where they are, and the values by
-        # dimension, if the index has none yet, a dimension at a time from
-        # the rows, so saving needs no second copy of the vectors.
-        chunks["vectors"], lengths["vectors"] = self._matrix, count * self.dim * 4
-        offsets, words = ((self._by_dim[0], [self._by_dim[1]]) if self._by_dim is not None
-                          else _by_dimension(self._matrix, self.dim))
-        chunks["vectors_by_dim.offsets"], chunks["vectors_by_dim.data"] = [offsets], words
-        lengths["vectors_by_dim.offsets"], lengths["vectors_by_dim.data"] = offsets.nbytes, int(offsets[-1]) * 4
+        # Rows are written one by one from where they are held, so saving
+        # needs no second copy of the vectors.
+        chunks["vectors"], lengths["vectors"] = self._vectors, count * self.dim * 4
         header = {"format_version": FORMAT_VERSION, "dim": self.dim, "count": count,
                   "band_config_hash": self.band_config_hash}
         # The header's size moves the blocks, and their offsets its size.
@@ -458,14 +436,16 @@ class VectorIndex:
         band_hash = header.get("band_config_hash")
         if not isinstance(band_hash, str):
             raise IndexCorruptError("malformed header: band_config_hash must be a string")
-        index = cls(band_config_hash=band_hash, dim=_header_int(header, "dim", 1))
+        dim = _header_int(header, "dim", 1)
         count = _header_int(header, "count", 0)
         blocks = _check_layout(header.get("blocks"), fh.tell(), os.fstat(fh.fileno()).st_size)
-        sizes = {"id.offsets": (count + 1) * 8, "vectors": count * index.dim * 4,
-                 "vectors_by_dim.offsets": (index.dim + 1) * 8, "norms": count * 8}
+        sizes = {"id.offsets": (count + 1) * 8, "vectors": count * dim * 4,
+                 "vectors_by_dim.offsets": (dim + 1) * 8, "norms": count * 8}
         for name, size in sizes.items():
             if blocks[name][1] != size:
                 raise IndexCorruptError(f"block {name} holds {blocks[name][1]} bytes, expected {size}")
+        # Made once the blocks bound `dim` by the file's size.
+        index = cls(band_config_hash=band_hash, dim=dim)
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
         def view(name, dtype, items):
@@ -492,7 +472,7 @@ class VectorIndex:
         lengths = np.diff(offsets)
         if np.any((lengths != count) & (lengths % 2 == 1)):
             raise IndexCorruptError("a sparse dimension of block vectors_by_dim.data has an odd number of words")
-        index._matrix = view("vectors", "<f4", count * index.dim).reshape(count, index.dim)
+        index._vectors = view("vectors", "<f4", count * index.dim).reshape(count, index.dim)
         index._by_dim = (offsets, view("vectors_by_dim.data", "<u4", words),
                          view("vectors_by_dim.data", "<f4", words))
         index._norms = norms
@@ -548,17 +528,16 @@ def _bound_width(dim: int) -> float:
     return (gamma(dim, 2.0**-24) + 2.0**-24 + gamma(dim, 2.0**-53)) * (1 + 2.0**-10)
 
 
-def _by_dimension(rows, dim: int):
-    """The values of `rows` (a float32 matrix or a list of float32 row
-    arrays) by dimension, as the `dim + 1` offsets (int64) of each
-    dimension's 4-byte words and an iterator over those words. A dimension
+def _by_dimension(rows: list[np.ndarray], dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values of `rows` (float32 row arrays) by dimension: the
+    `dim + 1` offsets (int64) of each dimension's 4-byte words, and the
+    words, one read-only array viewed as uint32 and as float32. A dimension
     with at least half of its values nonzero is dense: its words are its
     `count` values in row order. Any other is sparse: its words are the
-    numbers of the rows where it is nonzero (uint32), in order, then those
-    values (float32), fewer than `count` words. The nonzero values are
-    counted `_BLOCK_ROWS` rows at a time and the words made `_BLOCK_ROWS`
-    dimensions at a time as they are read, so no second copy of the rows is
-    held."""
+    numbers of the rows where it is nonzero, in order, then those values,
+    fewer than `count` words. The nonzero values are counted `_BLOCK_ROWS`
+    rows at a time, and the words filled in `_BLOCK_ROWS` dimensions at a
+    time from one stacked block, so one block is held beside the rows."""
     count = len(rows)
     found = np.zeros(dim, dtype=np.int64)
     for start in range(0, count, _BLOCK_ROWS):
@@ -566,21 +545,21 @@ def _by_dimension(rows, dim: int):
     lengths = np.where(2 * found >= count, count, 2 * found)
     offsets = np.zeros(dim + 1, dtype="<i8")
     np.cumsum(lengths, out=offsets[1:])
-
-    def words():
-        for start in range(0, dim if count else 0, _BLOCK_ROWS):
-            block = np.stack([row[start:start + _BLOCK_ROWS] for row in rows], axis=1)
-            for column, length in zip(block, lengths[start:start + _BLOCK_ROWS].tolist()):
-                if length == count:
-                    yield column
-                else:
-                    kept = np.flatnonzero(column)
-                    yield kept.astype("<u4")
-                    yield column[kept]
-            # A save writes each word as it comes, so it holds one block at a time.
-            del block, column
-
-    return offsets, words()
+    numbers = np.empty(int(offsets[-1]), dtype="<u4")
+    values = numbers.view("<f4")
+    for start in range(0, dim if count else 0, _BLOCK_ROWS):
+        block = np.stack([row[start:start + _BLOCK_ROWS] for row in rows], axis=1)
+        for d, column in enumerate(block, start):
+            begin, end = offsets[d], offsets[d + 1]
+            if end - begin == count:
+                values[begin:end] = column
+            else:
+                kept = np.flatnonzero(column)
+                numbers[begin:begin + len(kept)] = kept
+                values[begin + len(kept):end] = column[kept]
+        del block, column  # one block is held at a time
+    numbers.flags.writeable = values.flags.writeable = False
+    return offsets, numbers, values
 
 
 def _parts(dims: np.ndarray):

@@ -204,3 +204,53 @@ def test_benchmark_tracer_patches_and_restores_every_target():
     after = _devmux_attributes()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_benchmark_tracer_records_every_target_with_its_counters(tmp_path, monkeypatch, capsys):
+    """Under the benchmark's tracer, the commands its workloads run reach
+    every `TARGETS` function, and each span gets its counters: a counter
+    that reads a result's shape (`len(r.nodes)`, `r[0].edges`, `len(a[0])`)
+    and no longer fits it records `{"error": 1}` and fails the command. The
+    one error is the query text's own parse failure, which sends `query` to
+    the token fallback. `routing.value_iteration` is left out: the router
+    is solved by `policy_iteration`, and no command calls it."""
+    from devmux.cli import cli_main
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tree").mkdir()
+    (tmp_path / "tree" / "a.java").write_text("class A { void run() { helper(); } void helper() { } }")
+    (tmp_path / "tree" / "b.java").write_text("class B { int x = 1; void go() { run(); } }")
+    (tmp_path / "layout.xml").write_text('<Layout><TextView id="B"/><Button id="A" layout_below="B" onClick="go"/>'
+                                         '</Layout>')
+    (tmp_path / "c.yaml").write_text("simulate:\n  n_tasks: 50\n")
+    commands = [
+        ["index", "tree", "--out", "index.bin"],
+        ["query", "void run() { helper(); }", "--top-k", "2", "--index", "index.bin", "--source-root", "tree"],
+        ["query", "helper run @", "--top-k", "1", "--index", "index.bin", "--source-root", "tree"],
+        ["describe-layout", "layout.xml"],
+        ["simulate", "--config", "c.yaml", "--out", "r.json", "--events", "e.jsonl"],
+        ["compare", "--config", "c.yaml", "--seed", "1", "--out", "c.json"],
+    ]
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    codes = []
+    for op, argv in enumerate(commands):
+        tracer.install()
+        tracer.op = op
+        try:
+            codes.append(cli_main(argv))
+        finally:
+            tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0] * len(commands)
+    errors = [(name, op) for name, _, _, _, op, counters in tracer.spans if counters == {"error": 1}]
+    assert errors == [("codegraph.parse", 2)]
+    unreached = set()
+    for _, _, name, counters in tracer_module.TARGETS:
+        spans = [span for span in tracer.spans if span[0] == name and span[5] != {"error": 1}]
+        if not spans:
+            unreached.add(name)
+        elif counters is not None:
+            assert all(isinstance(span[5], dict) and span[5] for span in spans), name
+            assert all(type(value) is int for span in spans for value in span[5].values()), name
+    assert unreached <= {"routing.value_iteration"}

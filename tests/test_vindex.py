@@ -711,6 +711,8 @@ CORRUPTIONS = {
     "v4_missing_dim": (lambda p: rewrite_header(p, dim=None), IndexCorruptError),
     "v4_hash_not_text": (lambda p: rewrite_header(p, band_config_hash=7), IndexCorruptError),
     "v4_count_above_records": (lambda p: rewrite_header(p, count=4), IndexCorruptError),
+    # Refused by the block lengths before anything of that size is made.
+    "v4_dim_above_blocks": (lambda p: rewrite_header(p, dim=2**60), IndexCorruptError),
     "v4_header_only": (lambda p: p.write_bytes(p.read_bytes().split(b"\n")[0] + b"\n"), IndexTruncatedError),
     "v4_truncated_norms": (_cut_tail(5), IndexTruncatedError),
     "v4_truncated_matrix": (_cut_tail(3 * 8 + 3 * DIM * 4 + 5), IndexTruncatedError),
@@ -961,12 +963,11 @@ def test_two_pass_search_equals_scoring_every_row(kinds, query_kind, k_draw, see
 @pytest.mark.parametrize("dim", [300, DIM])
 def test_by_dimension_blocks_hold_the_values_however_the_rows_are_held(dim, tmp_path):
     """The `vectors_by_dim` blocks hold the values of `vectors` dimension by
-    dimension (`reference_by_dimension`) whether `save` reads them a few
-    dimensions at a time from a built index's row arrays or from a loaded
-    index's rows after inserts, or writes those a search derived or the
-    loaded file holds: every form saves the same bytes. The dimensions have
-    from none to all of their entries nonzero, exactly and just under half
-    of them included."""
+    dimension (`reference_by_dimension`) whether a merge derived them from a
+    built index's row arrays, before or after a search, or from a loaded
+    index's rows and inserts, or a load mapped them from the file: every
+    index saves the same bytes. The dimensions have from none to all of
+    their entries nonzero, exactly and just under half of them included."""
     rng = np.random.default_rng(dim)
     vectors = (rng.standard_normal((346, dim)) * (rng.random((346, dim)) < rng.random(dim))).astype("<f4")
     vectors[:, :5] = 0.0
@@ -1003,23 +1004,37 @@ def test_by_dimension_blocks_hold_the_values_however_the_rows_are_held(dim, tmp_
     assert saved(loaded, "merged.bin") == saved(built, "built_merged.bin")
 
 
-def test_first_search_of_a_built_index_holds_one_block_of_dimensions_at_a_time():
-    """The first search on a built index derives its values by dimension
-    one stacked (128 x count) block at a time: its traced peak passes what
-    it keeps by less than two such blocks, where holding every block of
-    dense dimensions at once passes it by about six."""
+def test_merge_derives_the_values_by_dimension_one_block_of_dimensions_at_a_time():
+    """The merge derives the values by dimension one stacked (128 x count)
+    block at a time into the words it keeps: its traced peak passes what it
+    keeps, every dense dimension's words included, by less than two such
+    blocks."""
+    count = 2048
+    index = build_index(np.random.default_rng(23), count)
+    tracemalloc.start()
+    try:
+        index.ids()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 128 * count * 4
+    assert kept >= count * DIM * 4  # every dimension is dense: its words are its count values
+    assert peak - kept < 2 * block
+
+
+def test_first_search_of_a_built_index_holds_no_second_copy_of_its_rows():
+    """A built index is searched where its merged rows are held: the first
+    search's traced peak stays below one copy of the rows."""
     count = 2048
     index = build_index(np.random.default_rng(23), count)
     index.ids()  # merged before tracing, so the search's own allocations are measured
     tracemalloc.start()
     try:
         index.search(unit_vectors(np.random.default_rng(24), 1)[0], 5)
-        kept, peak = tracemalloc.get_traced_memory()
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    block = 128 * count * 4
-    assert kept >= 2 * count * DIM * 4  # the joined rows and every dense dimension's words
-    assert peak - kept < 2 * block
+    assert peak < count * DIM * 4
 
 
 def test_row_number_beyond_the_count_raises_when_the_bound_pass_reads_it(tmp_path):
