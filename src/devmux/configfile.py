@@ -47,7 +47,7 @@ MAX_RANGE_END = (2**63 - 1) // MAX_TASKS
 MAX_WL_ITERATIONS = 10
 # Names how `embedding` turns a band config into vector bytes; a change of scheme
 # changes `BandConfig.fingerprint()`, so `query` warns on an index built by another.
-WL_SCHEME = "keyed-feature-digests"
+WL_SCHEME = "splitmix64-slot-sums"
 DEFAULT_P_DRAIN = 0.05
 DEFAULT_GOOD_RTT_MS = 2400.0  # median round trip observed for cloud-hosted assistants
 DEFAULT_DEGRADED_RTT_FACTOR = 3.0

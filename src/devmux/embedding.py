@@ -7,33 +7,32 @@ integers and the final vector is L2-normalized, so embeddings are
 bit-reproducible across runs and platforms. An empty graph embeds to the
 zero vector.
 
-Every feature is hashed one way, as in feature hashing (Weinberger et al.,
-ICML 2009): its 8-byte blake2b digest keyed with the bands' `hash_seed`,
-read big-endian, lands in bucket digest mod dims of its band. A node gives
-a structural feature per round (its kind label in round 0, its packed WL
-key after that), and a named node one more: `id|<name>`, or
-`lit|<label>|<name>` for a literal. WL relabelling is label compression
-(Shervashidze et al., JMLR 2011, section 3): a node's next label is the
-digest of a packed binary key of its own label and its sorted neighbour
-labels. A `WLLabels` interns every feature as an int and hashes it only the
-first time it meets it.
+Every feature is a uint64 digest that lands in bucket digest mod dims of its
+band, as in feature hashing (Weinberger et al., ICML 2009). A node gives a
+structural feature per round, its label, and a named node one more:
+`id|<name>`, or `lit|<label>|<name>` for a literal. These strings and the
+kind labels, which are the round-0 labels, are digested by `FeatureDigests`.
+WL relabelling is label compression (Shervashidze et al., JMLR 2011, section
+3) by a multiset hash (Clarke et al., ASIACRYPT 2003): a node's next label is
+`_mix` of the sum mod 2**64 of `_mix(label[far] + _SLOT_KEYS[slot])` over its
+entries, one for itself (far end the node, slot `_OWN_SLOT`) and one for the
+far end of each of its edges. It stands for the node's label and its
+neighbour multiset per slot, whatever the order of the nodes and edges.
 
 `graphs_to_vectors` embeds a whole run in one call: it reads its graphs in
-groups of about `_GROUP_NODES` nodes and keeps one `WLLabels` for the run,
-so each distinct feature is hashed once per run. Relabelling is local, so
-each group gets one WL pass over its disjoint union, packing the keys of
-all its nodes in a round at once, and the counts are split per graph at
-the end; `graph_to_vector` is a run of one graph. The group's key entries
-are ordered by owner and slot once, before the rounds, so a round sorts by
-digest only the runs of entries that share an owner and a slot. The vectors
-are the same whatever the grouping and whatever the map held before.
+groups of about `_GROUP_NODES` nodes and keeps one `FeatureDigests` for the
+run, so each distinct string feature is hashed once per run. Relabelling is
+local, so each group gets one WL pass over its disjoint union, each round a
+few numpy calls over all the group's entries, and the counts are split per
+graph at the end; `graph_to_vector` is a run of one graph. The vectors are
+the same whatever the grouping and whatever the map held before.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, filterfalse
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -41,108 +40,76 @@ import numpy as np
 from .codegraph import EDGE_KINDS, CodeGraph
 from .configfile import BandConfig
 _LITERAL_LABELS = ("string-literal", "number-literal")
-# Slot of a node's own entry in its WL key; an edge of kind k has slot 2k at
-# its source end and 2k + 1 at its destination end.
+# Slot of a node's own entry; an edge of kind k has slot 2k at its source end
+# and 2k + 1 at its destination end.
 _OWN_SLOT = 2 * len(EDGE_KINDS)
 # About how many graph nodes are embedded in one group (about 8 files of the
 # benchmark tree): larger groups were no faster and raised the allocation peak.
 _GROUP_NODES = 1000
-# A run starts a fresh `WLLabels` before the next group once its map holds
-# more entries (about 175 bytes each, key bytes included) than this; a
-# 150-file tree interns about 13,400.
+# A run starts a fresh `FeatureDigests` before the next group once its map
+# holds more strings than this; the 150-file benchmark tree holds 6,059.
 _MAX_WL_ENTRIES = 1 << 16
 _columns = attrgetter("labels", "names", "src", "dst", "kinds")
 
 
-class WLLabels:
-    """The features of one run interned as ints, each with its keyed digest.
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser (Steele et al., OOPSLA 2014) of each of the
+    uint64 `z`: a bijection of the 64-bit words."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
-    An id stands for a feature: a kind label, a packed WL key, `id|<name>`
-    or `lit|<label>|<name>`. Its digest is the 8-byte blake2b of the
-    feature's bytes (a string's UTF-8) keyed with `hash_seed` as 8
-    little-endian bytes, read big-endian. A round-0 label is the digest of
-    the node's kind label. A node's next label is the digest of its key: one
-    entry for the node itself (slot `_OWN_SLOT`) and one for the far end of
-    each of its edges (slot 2k for an outgoing and 2k + 1 for an incoming
-    edge of kind `EDGE_KINDS[k]`), each entry the slot and that end's label
-    digest as two little-endian uint64, sorted by slot, then digest. The key
-    encodes the node's label and its neighbour multiset per slot
-    injectively, so its digest is computed only the first time the key is
-    seen. Two ids share a digest only when two digests collide, and the
-    vector reads digests, not ids, so it does not depend on which graphs
-    shared the map. The `id|` and `lit|` prefixes keep a name apart from a
-    kind label.
-    """
+
+# The key added to a far end's label per slot: splitmix64's first outputs
+# from seed 0, made odd.
+_SLOT_KEYS = _mix(np.arange(1, _OWN_SLOT + 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)
+
+
+class FeatureDigests:
+    """The digests of the string features of one run: the 8-byte blake2b of
+    a feature's UTF-8 keyed with `hash_seed` as 8 little-endian bytes, read
+    big-endian. The `id|` and `lit|` prefixes keep a name apart from a kind
+    label."""
 
     def __init__(self, hash_seed: int) -> None:
-        # feature (str) or packed key (bytes) -> id
-        self._ids: dict[str | bytes, int] = {}
-        # id -> the keyed digest of its feature, 8 bytes each
-        self._digests = bytearray()
+        self._digests: dict[str, bytes] = {}
         self._keyed = hashlib.blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little"))
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._digests)
 
-    def ids(self, keys: Sequence[str | bytes]) -> np.ndarray:
-        """The id of each of `keys`, features or packed keys, interning and
-        hashing the keys not seen before."""
-        new = list(dict.fromkeys(filterfalse(self._ids.__contains__, keys)))
-        if new:
-            start = len(self._ids)
-            for key in new:
-                digest = self._keyed.copy()
-                digest.update(key.encode("utf-8") if isinstance(key, str) else key)
-                self._digests += digest.digest()
-            self._ids.update(zip(new, range(start, start + len(new))))
-        return np.fromiter(map(self._ids.__getitem__, keys), dtype=np.int64, count=len(keys))
-
-    def digests(self, ids: np.ndarray) -> np.ndarray:
-        """The uint64 digest of each of `ids`."""
-        return np.frombuffer(self._digests, dtype=">u8")[ids]
+    def digests(self, features: Sequence[str]) -> np.ndarray:
+        """The uint64 digest of each of `features`, hashing those not seen
+        before."""
+        for feature in set(features).difference(self._digests):
+            digest = self._keyed.copy()
+            digest.update(feature.encode("utf-8"))
+            self._digests[feature] = digest.digest()
+        return np.frombuffer(b"".join(map(self._digests.__getitem__, features)), dtype=">u8").astype(np.uint64)
 
 
 def _wl_rounds(
-    labels: list[str], src: np.ndarray, dst: np.ndarray, kinds: np.ndarray, rounds: int, wl: WLLabels
+    labels: np.ndarray, src: np.ndarray, dst: np.ndarray, kinds: np.ndarray, rounds: int
 ) -> list[np.ndarray]:
-    """The label ids, interned in `wl`, of every node in each of the rounds
-    0 to `rounds` of relabelling a graph given as columns: its nodes' kind
-    `labels` and its edges' int64 `src`, `dst` and `kinds`, keyed as
-    `WLLabels` says. Identifier names never enter, so the result is
-    invariant under renaming.
-
-    The key entries are ordered by owner and slot once. A round then sorts
-    by digest only the runs of two or more entries that share an owner and
-    a slot (about a fifth of a code graph's entries), in one sort over
-    those entries alone, which gives each key the bytes of a full sort.
+    """The uint64 labels of every node in each of the rounds 0 to `rounds`
+    of relabelling a graph given as columns: its nodes' round-0 `labels`
+    and its edges' int64 `src`, `dst` and `kinds`. Identifier names never
+    enter, so the result is invariant under renaming. The entries are
+    ordered by owner once, so a round is one `np.add.reduceat` over them;
+    every node owns an entry, so no node's run is empty.
     """
     n = len(labels)
     nodes = np.arange(n, dtype=np.int64)
-    kind_slot = 2 * kinds
-    # One key entry per node for itself and one per edge end: (slot, digest).
     owner = np.concatenate((nodes, src, dst))
-    slot = np.concatenate((np.full(n, _OWN_SLOT, dtype=np.int64), kind_slot, kind_slot + 1))
-    order = np.lexsort((slot, owner))
-    owner, slot, other = owner[order], slot[order], np.concatenate((nodes, dst, src))[order]
-    entries = np.empty((len(owner), 2), dtype="<u8")
-    entries[:, 0] = slot
-    # The entries of the shared runs, and which run each is in.
-    tied = (owner[1:] == owner[:-1]) & (slot[1:] == slot[:-1])
-    shared = np.flatnonzero(np.concatenate(([False], tied)) | np.concatenate((tied, [False])))
-    run = np.cumsum(np.concatenate(([True], ~tied)))[shared]
-    # Byte offsets of each node's key in the 16-byte entries.
-    bounds = [0, *(16 * np.cumsum(np.bincount(owner, minlength=n))).tolist()]
-
-    ids = wl.ids(labels)
-    per_round = [ids]
+    order = np.argsort(owner, kind="stable")
+    far = np.concatenate((nodes, dst, src))[order]
+    slot_keys = _SLOT_KEYS[np.concatenate((np.full(n, _OWN_SLOT, dtype=np.int64), 2 * kinds, 2 * kinds + 1))][order]
+    entries = np.bincount(owner, minlength=n)
+    starts = np.cumsum(entries) - entries
+    per_round = [labels]
     for _ in range(rounds):
-        digests = wl.digests(ids[other])
-        in_runs = digests[shared]
-        digests[shared] = in_runs[np.lexsort((in_runs, run))]
-        entries[:, 1] = digests
-        keys = entries.tobytes()
-        ids = wl.ids(list(map(keys.__getitem__, map(slice, bounds, bounds[1:]))))
-        per_round.append(ids)
+        labels = _mix(np.add.reduceat(_mix(labels[far] + slot_keys), starts))
+        per_round.append(labels)
     return per_round
 
 
@@ -161,21 +128,17 @@ def _groups(graphs: Iterable[CodeGraph]) -> Iterator[list[CodeGraph]]:
         yield group
 
 
-def _group_vectors(group: list[CodeGraph], bands: BandConfig, wl: WLLabels) -> np.ndarray:
+def _group_vectors(group: list[CodeGraph], bands: BandConfig, digests: FeatureDigests) -> np.ndarray:
     """The rows of `graphs_to_vectors` for `group`, from one WL pass over
     its disjoint union: its nodes in order, with each graph's edges shifted
-    past the nodes of the graphs before it. A lone graph is its own union,
-    read as it is."""
+    past the nodes of the graphs before it."""
     m = len(group)
     sizes = [len(g) for g in group]
-    if m == 1:
-        labels, names, src, dst, kinds = _columns(group[0])
-        shift = 0
-    else:
-        labels, names, src, dst, kinds = (list(chain.from_iterable(c)) for c in zip(*map(_columns, group)))
-        shift = np.repeat(np.cumsum([0, *sizes[:-1]]), [len(g.src) for g in group])
-    per_round = _wl_rounds(labels, np.array(src, dtype=np.int64) + shift, np.array(dst, dtype=np.int64) + shift,
-                           np.array(kinds, dtype=np.int64), bands.wl_iterations, wl)
+    labels, names, src, dst, kinds = (list(chain.from_iterable(c)) for c in zip(*map(_columns, group)))
+    shift = np.repeat(np.cumsum([0, *sizes[:-1]]), [len(g.src) for g in group])
+    per_round = _wl_rounds(digests.digests(labels), np.array(src, dtype=np.int64) + shift,
+                           np.array(dst, dtype=np.int64) + shift, np.array(kinds, dtype=np.int64),
+                           bands.wl_iterations)
     names = np.array(names, dtype=object)
     named = np.flatnonzero(np.not_equal(names, None))
     names, labels = names[named], np.array(labels, dtype=object)[named]
@@ -187,8 +150,8 @@ def _group_vectors(group: list[CodeGraph], bands: BandConfig, wl: WLLabels) -> n
     graph_of = np.repeat(np.arange(m), sizes)
     band = np.concatenate((np.zeros(len(per_round) * len(graph_of), dtype=np.intp), 1 + literal))
     dims = (bands.structural_dims, bands.identifier_dims, bands.literal_dims)
-    digests = wl.digests(np.concatenate((*per_round, wl.ids(features.tolist()))))
-    buckets = (digests % np.array(dims, dtype=np.uint64)[band]).astype(np.intp)
+    values = np.concatenate((*per_round, digests.digests(features.tolist())))
+    buckets = (values % np.array(dims, dtype=np.uint64)[band]).astype(np.intp)
     columns = np.array([0, dims[0], dims[0] + dims[1]])[band] + buckets
     rows = np.concatenate((np.tile(graph_of, len(per_round)), graph_of[named]))
     width = sum(dims)
@@ -209,17 +172,18 @@ def graphs_to_vectors(graphs: Iterable[CodeGraph], bands: BandConfig | None = No
     and at most one graph ahead of the group being embedded), or zero for
     an empty graph.
 
-    The graphs are embedded in groups (see `_groups`) with one `WLLabels`
-    for the run, replaced by a fresh one before a group once it holds more
-    than `_MAX_WL_ENTRIES` entries. The rows do not depend on either.
+    The graphs are embedded in groups (see `_groups`) with one
+    `FeatureDigests` for the run, replaced by a fresh one before a group once
+    it holds more than `_MAX_WL_ENTRIES` entries. The rows do not depend on
+    either.
     """
     bands = bands or BandConfig()
-    wl = WLLabels(bands.hash_seed)
+    digests = FeatureDigests(bands.hash_seed)
     rows = [np.zeros((0, bands.structural_dims + bands.identifier_dims + bands.literal_dims))]
     for group in _groups(graphs):
-        if len(wl) > _MAX_WL_ENTRIES:
-            wl = WLLabels(bands.hash_seed)
-        rows.append(_group_vectors(group, bands, wl))
+        if len(digests) > _MAX_WL_ENTRIES:
+            digests = FeatureDigests(bands.hash_seed)
+        rows.append(_group_vectors(group, bands, digests))
     return np.concatenate(rows)
 
 
@@ -227,7 +191,7 @@ def graph_to_vector(graph: CodeGraph, bands: BandConfig | None = None) -> np.nda
     """Embed a code graph as a unit-norm 768-dim float64 vector (zero for an
     empty graph): `graphs_to_vectors` of a run of one."""
     bands = bands or BandConfig()
-    return _group_vectors([graph], bands, WLLabels(bands.hash_seed))[0]
+    return _group_vectors([graph], bands, FeatureDigests(bands.hash_seed))[0]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -310,13 +310,14 @@ class TestIndexAndQuery:
     def test_query_warns_on_an_index_hashed_without_the_wl_scheme(self, tmp_path, capsys):
         """The default bands' hash without the WL scheme tag, as indexes
         labelled from signature strings hold it, or under the packed-key
-        scheme, whose labels were unkeyed digests, names another embedding:
-        `query` answers and warns. Today's hash gets no warning."""
+        schemes, whose labels were unkeyed or keyed digests of packed keys,
+        names another embedding: `query` answers and warns. Today's hash
+        gets no warning."""
         old_hash = hashlib.sha256(json.dumps(vars(BandConfig()), sort_keys=True).encode("utf-8")).hexdigest()[:16]
-        blob = json.dumps(["wl-packed-keys", vars(BandConfig())], sort_keys=True)
-        packed_keys_hash = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        scheme_hashes = [hashlib.sha256(json.dumps([scheme, vars(BandConfig())], sort_keys=True).encode("utf-8"))
+                         .hexdigest()[:16] for scheme in ("wl-packed-keys", "keyed-feature-digests")]
         warning = "warning: index was built with a different embedding config\n"
-        for band_config_hash, err in [(old_hash, warning), (packed_keys_hash, warning),
+        for band_config_hash, err in [(old_hash, warning), *((h, warning) for h in scheme_hashes),
                                       (BandConfig().fingerprint(), "")]:
             index = VectorIndex(band_config_hash)
             index.insert("a.java", np.ones(768))

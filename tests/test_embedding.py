@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import sys
 from collections import Counter
@@ -9,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devmux import embedding
-from devmux.codegraph import EDGE_KINDS, CodeGraph, EdgeKind, parse_to_graph
-from devmux.configfile import VECTOR_DIM
+from devmux.codegraph import EDGE_KINDS, CodeGraph, EdgeKind, ParseError, parse_to_graph
+from devmux.configfile import MAX_WL_ITERATIONS, VECTOR_DIM
 from devmux.embedding import (
     BandConfig,
-    WLLabels,
+    FeatureDigests,
     _wl_rounds,
     cosine,
     graph_to_vector,
     graphs_to_vectors,
 )
+from test_golden import index_tree
 
 RENAME_A = """
 class Account extends Base {
@@ -208,28 +210,54 @@ def test_norm_invariant_on_random_graphs(graph):
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
 
-def keyed_digest(feature: str | bytes, hash_seed: int) -> int:
-    """The 8-byte blake2b of `feature` (a string as UTF-8) keyed with
-    `hash_seed` as 8 little-endian bytes, read big-endian."""
-    data = feature.encode("utf-8") if isinstance(feature, str) else feature
+def keyed_digest(feature: str, hash_seed: int) -> int:
+    """The 8-byte blake2b of `feature`'s UTF-8 keyed with `hash_seed` as 8
+    little-endian bytes, read big-endian."""
     key = hash_seed.to_bytes(8, "little")
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8, key=key).digest(), "big")
+    return int.from_bytes(hashlib.blake2b(feature.encode("utf-8"), digest_size=8, key=key).digest(), "big")
 
 
-def reference_wl_label_counts(graph: CodeGraph, rounds: int, hash_seed: int = BandConfig().hash_seed) -> Counter:
-    """Counts of (round, label) pairs, hashing every node's key in every
-    round: the relabelling `WLLabels` compresses. A round-0 label is the
-    keyed digest of the kind label; a node's next one is the keyed digest
-    of its sorted (slot, label) pairs, its own at slot 8 and one per edge
-    end at slot 2k (source) or 2k + 1 (destination), each as two
-    little-endian 8-byte ints."""
-    own_slot = 2 * len(EDGE_KINDS)
+MASK = 2**64 - 1
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def mix(z: int) -> int:
+    """splitmix64's finaliser of the 64-bit `z`."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+# The slot keys: splitmix64's first outputs from seed 0 (its state steps by
+# the golden gamma), made odd; the last is a node's own slot.
+SLOT_KEYS = [mix(((i + 1) * GOLDEN_GAMMA) & MASK) | 1 for i in range(2 * len(EDGE_KINDS) + 1)]
+
+
+def test_mix_gives_splitmix64_outputs():
+    """`mix` of the first states gives splitmix64's published seed-0 outputs."""
+    firsts = [mix((i * GOLDEN_GAMMA) & MASK) for i in (1, 2, 3)]
+    assert firsts == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def node_ends(graph: CodeGraph) -> list[list[tuple[int, int]]]:
+    """Per node, the (slot, far node) of each of its edge ends: slot 2k at
+    the source of an edge of kind k and 2k + 1 at its destination."""
     ends = [[] for _ in range(len(graph))]
     for edge in graph.edges:
         k = EDGE_KINDS.index(edge.kind)
         ends[edge.src].append((2 * k, edge.dst))
         ends[edge.dst].append((2 * k + 1, edge.src))
+    return ends
 
+
+def reference_wl_label_counts(graph: CodeGraph, rounds: int, hash_seed: int = BandConfig().hash_seed) -> Counter:
+    """Counts of (round, label) pairs, relabelling node by node in Python
+    ints. A round-0 label is the keyed digest of the kind label; a node's
+    next one is mix of the sum mod 2**64 of mix(label + slot key) over its
+    own label (the last slot) and the label of the far end of each of its
+    edge ends, each at its slot."""
+    own_slot = 2 * len(EDGE_KINDS)
+    ends = node_ends(graph)
     labels = [keyed_digest(node.label, hash_seed) for node in graph.nodes]
     counts: Counter = Counter()
     for r in range(rounds + 1):
@@ -238,24 +266,25 @@ def reference_wl_label_counts(graph: CodeGraph, rounds: int, hash_seed: int = Ba
         if r == rounds:
             break
         new_labels = []
-        for v, node_ends in enumerate(ends):
-            pairs = sorted([(own_slot, labels[v])] + [(slot, labels[u]) for slot, u in node_ends])
-            key = b"".join(slot.to_bytes(8, "little") + label.to_bytes(8, "little") for slot, label in pairs)
-            new_labels.append(keyed_digest(key, hash_seed))
+        for v, edge_ends in enumerate(ends):
+            total = mix((labels[v] + SLOT_KEYS[own_slot]) & MASK)
+            for slot, u in edge_ends:
+                total += mix((labels[u] + SLOT_KEYS[slot]) & MASK)
+            new_labels.append(mix(total & MASK))
         labels = new_labels
     return counts
 
 
-def counts_by_label(per_round: list[np.ndarray], wl: WLLabels) -> Counter:
-    return Counter((r, label) for r, ids in enumerate(per_round) for label in wl.digests(ids).tolist())
+def counts_by_label(per_round: list[np.ndarray]) -> Counter:
+    return Counter((r, label) for r, labels in enumerate(per_round) for label in labels.tolist())
 
 
 SEEDS = st.sampled_from([0x5EEDC0DE, 0, 2**64 - 1])
 
 
-def columns(graph: CodeGraph) -> tuple:
-    """`graph` as the columns `_wl_rounds` takes."""
-    return (graph.labels, *(np.array(c, dtype=np.int64) for c in (graph.src, graph.dst, graph.kinds)))
+def edge_columns(graph: CodeGraph) -> tuple:
+    """`graph`'s edges as the int64 columns `_wl_rounds` takes."""
+    return tuple(np.array(c, dtype=np.int64) for c in (graph.src, graph.dst, graph.kinds))
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,17 +292,42 @@ def columns(graph: CodeGraph) -> tuple:
 def test_wl_counts_match_per_node_reference(graphs, rounds, hash_seed):
     """One map across graphs, as a run keeps it, gives every graph the
     reference's label counts."""
-    wl = WLLabels(hash_seed)
+    digests = FeatureDigests(hash_seed)
     for graph in graphs:
-        per_round = _wl_rounds(*columns(graph), rounds, wl)
-        assert counts_by_label(per_round, wl) == reference_wl_label_counts(graph, rounds, hash_seed)
+        per_round = _wl_rounds(digests.digests(graph.labels), *edge_columns(graph), rounds)
+        assert counts_by_label(per_round) == reference_wl_label_counts(graph, rounds, hash_seed)
+
+
+def test_wl_labels_are_as_distinct_as_exact_keys():
+    """Over the parsed files of the golden index tree, in every round up to
+    the most a config admits, nodes share a new label if and only if they
+    share the exact key: their label and their sorted (slot, far label)
+    pairs. The sums merge no keys that differ."""
+    graphs = []
+    for text in index_tree().values():
+        with contextlib.suppress(ParseError):
+            graphs.append(parse_to_graph(text))
+    digests = FeatureDigests(BandConfig().hash_seed)
+    per_graph = [_wl_rounds(digests.digests(g.labels), *edge_columns(g), MAX_WL_ITERATIONS) for g in graphs]
+    ends = [node_ends(graph) for graph in graphs]
+    distinct = []
+    for r in range(1, MAX_WL_ITERATIONS + 1):
+        key_of, label_of = {}, {}
+        for per_round, graph_ends in zip(per_graph, ends):
+            previous, labels = per_round[r - 1].tolist(), per_round[r].tolist()
+            for v, edge_ends in enumerate(graph_ends):
+                key = (previous[v], tuple(sorted((slot, previous[u]) for slot, u in edge_ends)))
+                assert key_of.setdefault(labels[v], key) == key
+                assert label_of.setdefault(key, labels[v]) == labels[v]
+        distinct.append(len(key_of))
+    # Some nodes share keys and labels, so the check has pairs to compare.
+    assert 1 < distinct[0] < sum(map(len, graphs))
 
 
 def reference_graph_to_vector(graph: CodeGraph, bands: BandConfig) -> np.ndarray:
-    """The vector from one keyed digest per feature of every node, with no
-    interning: each (round, label) of `reference_wl_label_counts`, and
-    `id|<name>` or `lit|<label>|<name>` per named node, each in bucket
-    digest mod its band's dims. The structural and literal counts are
+    """The vector from each (round, label) of `reference_wl_label_counts`
+    and the keyed digest of `id|<name>` or `lit|<label>|<name>` per named
+    node, each in bucket digest mod its band's dims. The structural and literal counts are
     scaled by 1/s and the identifier counts by w/s, s = max(1, w)."""
     seed = bands.hash_seed
     structural = np.zeros(bands.structural_dims, dtype=np.int64)
@@ -375,6 +429,24 @@ def test_shared_labels_give_fresh_vectors(graphs):
         assert [row.tobytes() for row in graphs_to_vectors(graphs)] == alone
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_graphs() | hub_graphs(), band_configs(), st.data())
+def test_vector_does_not_depend_on_node_or_edge_order(graph, bands, data):
+    """Renumbering a graph's nodes and reordering its edges leaves its
+    vector's bytes unchanged."""
+    order = data.draw(st.permutations(range(len(graph))))  # node order[i] becomes node i
+    new = {old: i for i, old in enumerate(order)}
+    edges = data.draw(st.permutations(list(zip(graph.src, graph.dst, graph.kinds))))
+    renumbered = CodeGraph(
+        [graph.labels[old] for old in order],
+        [graph.names[old] for old in order],
+        [new[src] for src, _, _ in edges],
+        [new[dst] for _, dst, _ in edges],
+        [kind for _, _, kind in edges],
+    )
+    assert graph_to_vector(renumbered, bands).tobytes() == graph_to_vector(graph, bands).tobytes()
+
+
 @pytest.mark.parametrize("group_nodes", [1, 40, 100])
 def test_input_is_read_one_graph_ahead_of_the_embedding(group_nodes, monkeypatch):
     """A run pulls a graph from its input only to embed it or to find that
@@ -393,12 +465,12 @@ def test_input_is_read_one_graph_ahead_of_the_embedding(group_nodes, monkeypatch
 
     group_vectors = embedding._group_vectors
 
-    def recording(group, bands, wl):
+    def recording(group, bands, digests):
         embedded.extend(group)
         groups.append(len(group))
         assert len(group) == 1 or sum(map(len, group)) <= group_nodes
         assert len(pulled) <= len(embedded) + 1
-        return group_vectors(group, bands, wl)
+        return group_vectors(group, bands, digests)
 
     monkeypatch.setattr(embedding, "_group_vectors", recording)
     vectors = graphs_to_vectors(source())
@@ -412,7 +484,7 @@ def test_labels_reset_past_cap_keep_vectors(monkeypatch):
     monkeypatch.setattr(embedding, "_MAX_WL_ENTRIES", 8)
     monkeypatch.setattr(embedding, "_GROUP_NODES", 1)
     maps = []
-    init = WLLabels.__init__
+    init = FeatureDigests.__init__
 
     def counted_init(self, hash_seed):
         maps.append(hash_seed)
@@ -421,6 +493,6 @@ def test_labels_reset_past_cap_keep_vectors(monkeypatch):
     sources = [RENAME_A, RESTRUCTURED, RENAME_B, "class A { void f() { g(1); } }", RENAME_A]
     graphs = [parse_to_graph(source) for source in sources]
     alone = [graph_to_vector(graph).tobytes() for graph in graphs]
-    monkeypatch.setattr(WLLabels, "__init__", counted_init)
+    monkeypatch.setattr(FeatureDigests, "__init__", counted_init)
     assert [row.tobytes() for row in graphs_to_vectors(graphs)] == alone
     assert maps == [BandConfig().hash_seed] * len(sources)
