@@ -12,13 +12,21 @@ A `CodeGraph` is stored as columns, not as one object per node and edge:
 node `i` is `labels[i]` with `names[i]`, and edge `e` runs from `src[e]` to
 `dst[e]` with kind `EDGE_KINDS[kinds[e]]`. Its `nodes` and `edges`
 properties build lists of `Node`/`Edge` records for callers that want them.
-Tokens are plain `(kind, text, line, col)` tuples.
+
+`tokenize` reads a source with one compiled pattern's `findall` into its
+lexemes, plain strings whose kind follows from the first character (a
+string literal keeps its quotes), and the parser reads them by index. No
+position is kept per lexeme: a `ParseError` is raised at a lexeme's index,
+and its line and column are worked out from one more pass of the pattern
+over the failing source.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from enum import Enum
+from itertools import chain, islice
 from typing import NamedTuple
 
 
@@ -99,95 +107,104 @@ class CodeGraph:
 
 
 KEYWORDS = {"class", "extends", "return"}
-_PUNCT = set("{}();,=.")
-_WORD = re.compile(r"\w*").match
-_BLANKS = re.compile(r"[ \t\r]*").match
+_PUNCT = "{}();,=."
 
-# (kind, text, line, col); kind is ident | number | string | punct | keyword
-Token = tuple[str, str, int, int]
+# A closed string literal, quotes included: no newline, and a backslash
+# escapes the next character. The unrolled form (a run of plain characters,
+# then escape-and-run pairs that each start with a backslash) gives an
+# unterminated literal back in one linear pass, where a nested
+# `(?:[^"\\\n]+|\\.)*` would try every split of the run.
+_STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
+_is_closed_string = re.compile(_STRING).fullmatch
 
 
-def tokenize(source: str, strict: bool = True) -> list[Token]:
-    """Lex mini-language source into `(kind, text, line, col)` tuples. With
-    strict=False, unknown bytes are skipped (used for plain-text token
-    fallback)."""
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            end = _BLANKS(source, i).end()
-            i, col = end, col + end - i
-            continue
-        if ch == "/" and source.startswith("//", i):
-            end = source.find("\n", i)
-            i = n if end < 0 else end
-            continue
-        if ch == "/" and source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                if strict:
-                    raise ParseError("unterminated block comment", line, col)
-                break
-            skipped = source[i : end + 2]
-            line += skipped.count("\n")
-            col = len(skipped) - skipped.rfind("\n") if "\n" in skipped else col + len(skipped)
-            i = end + 2
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            # In a str pattern `\w` is a character whose `isalnum()` is true
-            # or "_", so one match ends the identifier where a loop over
-            # `isalnum() or "_"` would.
-            i = _WORD(source, i).end()
-            text = source[start:i]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append((kind, text, line, col))
-            col += i - start
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n - 1 and source[i] == "." and source[i + 1].isdigit():
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            tokens.append(("number", source[start:i], line, col))
-            col += i - start
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            while i < n and source[i] != '"':
-                if source[i] == "\\" and i + 1 < n:
-                    i += 1
-                if source[i] == "\n":
-                    if strict:
-                        raise ParseError("unterminated string literal", line, col)
-                    break
-                i += 1
-            if i >= n or source[i] != '"':
-                if strict:
-                    raise ParseError("unterminated string literal", line, col)
-                tokens.append(("string", source[start + 1 :], line, col))
-                break
-            tokens.append(("string", source[start + 1 : i], line, col))
-            i += 1
-            col += i - start
-            continue
-        if ch in _PUNCT:
-            tokens.append(("punct", ch, line, col))
-            i, col = i + 1, col + 1
-            continue
-        if strict:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        i, col = i + 1, col + 1
-    return tokens
+def _pattern_text(alpha: str, digits: str, strict: bool) -> str:
+    """The lexer's pattern, whose `findall` yields the lexemes: an
+    identifier or keyword (a start character of `alpha` or `_`, then word
+    characters), a punctuation mark, a number of `digits` with an optional
+    fraction, or a string literal. Group 1 is empty at the end of the input.
+
+    What follows the skipped text always matches: a lexeme, the rest of
+    the source, or nothing at its end. So no match backtracks into the text
+    it skipped, an unterminated comment or string is read by the one match
+    that takes it to the end, and lexing takes linear time (Cox, "Regular
+    Expression Matching Can Be Simple And Fast", 2007).
+    """
+    lexeme = rf"[{alpha}_]\w*|[{_PUNCT}]|[{digits}]+(?:\.[{digits}]+)?|{_STRING}"
+    if strict:
+        # Blanks and closed comments are skipped. Where no lexeme starts
+        # (an unknown character, a lone "/", an unterminated comment or
+        # string), one match takes the rest of the source, so only the last
+        # lexeme can be an error.
+        blanks = r"[ \t\r\n]*"
+        return rf"{blanks}(?:(?://[^\n]*|/\*(?s:.*?)\*/){blanks})*({lexeme}|(?s:.+))?"
+    # Everything that starts no lexeme is skipped, an unterminated comment to
+    # the end of the input; an unterminated string is a lexeme to the end.
+    other = rf'[^{alpha}_{digits}"{_PUNCT}/]*'
+    return rf'{other}(?:(?://[^\n]*|/\*(?s:.*?\*/|.*)|/){other})*({lexeme}|"(?s:.*))?'
+
+
+_ALPHA, _DIGITS = "A-Za-z", "0-9"
+_ASCII_PATTERNS = {strict: re.compile(_pattern_text(_ALPHA, _DIGITS, strict)) for strict in (False, True)}
+
+
+def _pattern(source: str, strict: bool) -> re.Pattern[str]:
+    """The lexer's pattern for `source`. Identifier starts are the
+    characters whose `str.isalpha()` is true and digits those whose
+    `str.isdigit()` is; ASCII ones are fixed classes, and the non-ASCII ones
+    `source` holds are classified here and added. `re` caches the pattern of
+    each pair of classes."""
+    if source.isascii():
+        return _ASCII_PATTERNS[strict]
+    extra = sorted(ch for ch in set(source) if not ch.isascii())
+    alpha = _ALPHA + "".join(ch for ch in extra if ch.isalpha())
+    digits = _DIGITS + "".join(ch for ch in extra if ch.isdigit())
+    return re.compile(_pattern_text(alpha, digits, strict))
+
+
+def _parse_error(source: str, message: str, index: int) -> ParseError:
+    """A `ParseError` with `message` at lexeme `index` of `source` (strict),
+    or, for the index just past the last lexeme, just past that lexeme. Its
+    line and column come from one pass of the lexer's pattern."""
+    matches = islice(_pattern(source, True).finditer(source), index + 1)
+    before, match = deque(chain([None], matches), maxlen=2)
+    offset = match.start(1) if match.group(1) else before.end(1)
+    return ParseError(message, source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset))
+
+
+def _unlexed(rest: str) -> str | None:
+    """The error at `rest`, the last strict lexeme, or None if it is a
+    lexeme. Where no lexeme starts, the strict pattern takes the rest of the
+    source."""
+    first = rest[0]
+    if first == '"':
+        return None if _is_closed_string(rest) else "unterminated string literal"
+    if rest.startswith("/*"):
+        return "unterminated block comment"
+    if first.isalpha() or first == "_" or first.isdigit() or first in _PUNCT:
+        return None
+    return f"unexpected character {first!r}"
+
+
+def tokenize(source: str, strict: bool = True) -> list[str]:
+    """Lex mini-language source into its lexemes: identifiers and keywords,
+    punctuation marks, numbers, and string literals with their quotes. A
+    lexeme's kind follows from its first character: `"`, a digit, a
+    punctuation mark, or else an identifier or keyword. With strict=False,
+    unknown characters are skipped, and an unterminated comment or string
+    ends the input, the string as a lexeme without its closing quote (used
+    for plain-text token fallback)."""
+    lexemes = _pattern(source, strict).findall(source)
+    # An empty match ends the input, after a second one where the source
+    # ends in skipped text.
+    del lexemes[-1]
+    if lexemes and not lexemes[-1]:
+        del lexemes[-1]
+    if strict and lexemes:
+        message = _unlexed(lexemes[-1])
+        if message is not None:
+            raise _parse_error(source, message, len(lexemes) - 1)
+    return lexemes
 
 
 class _GraphBuilder:
@@ -223,19 +240,33 @@ class _GraphBuilder:
         return CodeGraph(self.labels, self.names, self.src, self.dst, self.kinds)
 
 
-# Kind of the token that closes a parser's token list; no lexed token has it.
-_END = "end"
+# The lexeme that closes a parser's lexeme list; no lexeme is empty.
+_END = ""
+
+
+class _ErrorAtLexeme(Exception):
+    """`(message, index)`: a parse error at the parser's lexeme `index`,
+    which `parse_to_graph` turns into a `ParseError` at a line and column."""
+
+
+def _is_ident(lexeme: str) -> bool:
+    first = lexeme[:1]
+    return (first.isalpha() or first == "_") and lexeme not in KEYWORDS
+
+
+def _text(lexeme: str) -> str:
+    """A lexeme as error messages quote it: a string literal without its
+    quotes."""
+    return lexeme[1:-1] if lexeme[:1] == '"' else lexeme
 
 
 class _MiniParser:
-    """A recursive-descent parser over a token list closed by an `_END`
-    token, so every rule reads `tokens[pos]` with no bounds check. The
-    sentinel sits just past the last real token, where a rule that runs
-    into it reports "unexpected end of input"."""
+    """A recursive-descent parser over a lexeme list closed by `_END`, so
+    every rule reads `tokens[pos]` with no bounds check. A rule that runs
+    into the sentinel reports "unexpected end of input"."""
 
-    def __init__(self, tokens: list[Token]):
-        _, text, line, col = tokens[-1]
-        self.tokens = [*tokens, (_END, "", line, col + len(text))]
+    def __init__(self, lexemes: list[str]):
+        self.tokens = [*lexemes, _END]
         self.pos = 0
         self.g = _GraphBuilder()
         # (class_name, class_node, superclass_name or None)
@@ -246,28 +277,29 @@ class _MiniParser:
         self.calls: list[tuple[str, int | None, bool]] = []
         self.current_method: int | None = None
 
-    @staticmethod
-    def error(tok: Token, message: str) -> ParseError:
-        """`message` at `tok`, or "unexpected end of input" at the sentinel."""
-        if tok[0] == _END:
+    def error(self, message: str) -> _ErrorAtLexeme:
+        """`message` at `pos`, or "unexpected end of input" at the sentinel."""
+        if self.tokens[self.pos] == _END:
             message = "unexpected end of input"
-        return ParseError(message, tok[2], tok[3])
+        return _ErrorAtLexeme(message, self.pos)
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
+    def expect(self, text: str) -> None:
         tok = self.tokens[self.pos]
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text if text is not None else kind
-            raise self.error(tok, f"expected {want!r}, found {tok[1]!r}")
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {_text(tok)!r}")
+        self.pos += 1
+
+    def ident(self) -> str:
+        """The identifier at `pos`, consumed."""
+        tok = self.tokens[self.pos]
+        if not _is_ident(tok):
+            raise self.error(f"expected 'ident', found {_text(tok)!r}")
         self.pos += 1
         return tok
 
-    def at(self, kind: str, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok[1] == text and tok[0] == kind
-
     def parse_unit(self) -> CodeGraph:
-        while self.tokens[self.pos][0] != _END:
-            if self.at("keyword", "class"):
+        while self.tokens[self.pos] != _END:
+            if self.tokens[self.pos] == "class":
                 self.parse_class()
             else:
                 self.parse_method_or_field()
@@ -275,47 +307,46 @@ class _MiniParser:
         return self.g.finish()
 
     def parse_class(self) -> None:
-        self.expect("keyword", "class")
-        name = self.expect("ident")[1]
+        self.pos += 1  # "class"
+        name = self.ident()
         superclass = None
-        if self.at("keyword", "extends"):
+        if self.tokens[self.pos] == "extends":
             self.pos += 1
-            superclass = self.expect("ident")[1]
+            superclass = self.ident()
         node = self.g.node("class-decl", name)
         self.classes.append((name, node, superclass))
-        self.expect("punct", "{")
+        self.expect("{")
         members: list[int] = []
-        while not self.at("punct", "}"):
+        while self.tokens[self.pos] != "}":
             members.append(self.parse_method_or_field())
-        self.expect("punct", "}")
+        self.pos += 1
         self.g.attach_children(node, members)
 
     def parse_method_or_field(self) -> int:
-        self.expect("ident")  # declared type; not represented structurally
-        name = self.expect("ident")[1]
-        if self.at("punct", "("):
+        self.ident()  # declared type; not represented structurally
+        name = self.ident()
+        if self.tokens[self.pos] == "(":
             return self.parse_method_rest(name)
         node = self.g.node("field-decl", name)
         children: list[int] = []
-        if self.at("punct", "="):
+        if self.tokens[self.pos] == "=":
             self.pos += 1
             children.append(self.parse_expr())
-        self.expect("punct", ";")
+        self.expect(";")
         self.g.attach_children(node, children)
         return node
 
     def parse_method_rest(self, name: str) -> int:
         node = self.g.node("method-decl", name)
         self.methods.append((name, node))
-        self.expect("punct", "(")
+        self.pos += 1  # "("
         children: list[int] = []
-        while not self.at("punct", ")"):
-            self.expect("ident")  # parameter type
-            pname = self.expect("ident")[1]
-            children.append(self.g.node("param", pname))
-            if self.at("punct", ","):
+        while self.tokens[self.pos] != ")":
+            self.ident()  # parameter type
+            children.append(self.g.node("param", self.ident()))
+            if self.tokens[self.pos] == ",":
                 self.pos += 1
-        self.expect("punct", ")")
+        self.pos += 1
         outer = self.current_method
         self.current_method = node
         children.append(self.parse_block())
@@ -323,18 +354,12 @@ class _MiniParser:
         self.g.attach_children(node, children)
         return node
 
-    # The rules below run once per statement or expression, so they read the
-    # token list by index rather than through `at` and `expect`.
-
     def parse_block(self) -> int:
-        self.expect("punct", "{")
+        self.expect("{")
         node = self.g.node("block")
         children: list[int] = []
         tokens = self.tokens
-        while True:
-            tok = tokens[self.pos]
-            if tok[1] == "}" and tok[0] == "punct":
-                break
+        while tokens[self.pos] != "}":
             children.append(self.parse_stmt())
         self.pos += 1
         self.g.attach_children(node, children)
@@ -343,39 +368,36 @@ class _MiniParser:
     def parse_stmt(self) -> int:
         tokens = self.tokens
         pos = self.pos
-        kind, text = tokens[pos][:2]
-        if kind == "punct" and text == "{":
+        tok = tokens[pos]
+        if tok == "{":
             return self.parse_block()
-        if kind == "keyword" and text == "return":
+        if tok == "return":
             self.pos = pos + 1
             node = self.g.node("return")
             children: list[int] = []
-            tok = tokens[pos + 1]
-            if not (tok[1] == ";" and tok[0] == "punct"):
+            if tokens[pos + 1] != ";":
                 children.append(self.parse_expr())
-            self.expect("punct", ";")
+            self.expect(";")
             self.g.attach_children(node, children)
             return node
         # Two adjacent identifiers open a local declaration: "Foo bar = ...;"
-        if kind == "ident" and tokens[pos + 1][0] == "ident":
+        if _is_ident(tok) and _is_ident(tokens[pos + 1]):
             self.pos = pos + 2
-            node = self.g.node("var-decl", tokens[pos + 1][1])
+            node = self.g.node("var-decl", tokens[pos + 1])
             children = []
-            tok = tokens[pos + 2]
-            if tok[1] == "=" and tok[0] == "punct":
+            if tokens[pos + 2] == "=":
                 self.pos = pos + 3
                 children.append(self.parse_expr())
-            self.expect("punct", ";")
+            self.expect(";")
             self.g.attach_children(node, children)
             return node
         node = self.parse_expr()
-        self.expect("punct", ";")
+        self.expect(";")
         return node
 
     def parse_expr(self) -> int:
         left = self.parse_primary()
-        tok = self.tokens[self.pos]
-        if tok[1] == "=" and tok[0] == "punct":
+        if self.tokens[self.pos] == "=":
             self.pos += 1
             right = self.parse_expr()
             node = self.g.node("assign")
@@ -385,35 +407,29 @@ class _MiniParser:
 
     def parse_primary(self) -> int:
         tokens = self.tokens
-        tok = tokens[self.pos]
-        kind, name = tok[:2]
-        if kind == "string":
+        name = tokens[self.pos]
+        first = name[:1]
+        if first == '"':
             self.pos += 1
-            return self.g.node("string-literal", name)
-        if kind == "number":
+            return self.g.node("string-literal", name[1:-1])
+        if first.isdigit():
             self.pos += 1
             return self.g.node("number-literal", name)
-        if kind != "ident":
-            raise self.error(tok, f"expected expression, found {name!r}")
+        if not _is_ident(name):
+            raise self.error(f"expected expression, found {_text(name)!r}")
         self.pos += 1
         dotted = False
-        tok = tokens[self.pos]
-        while tok[1] == "." and tok[0] == "punct":
+        while tokens[self.pos] == ".":
             self.pos += 1
-            name += "." + self.expect("ident")[1]
+            name += "." + self.ident()
             dotted = True
-            tok = tokens[self.pos]
-        if tok[1] == "(" and tok[0] == "punct":
+        if tokens[self.pos] == "(":
             self.pos += 1
             node = self.g.node("call-expr", name)
             args: list[int] = []
-            while True:
-                tok = tokens[self.pos]
-                if tok[1] == ")" and tok[0] == "punct":
-                    break
+            while tokens[self.pos] != ")":
                 args.append(self.parse_expr())
-                tok = tokens[self.pos]
-                if tok[1] == "," and tok[0] == "punct":
+                if tokens[self.pos] == ",":
                     self.pos += 1
             self.pos += 1
             self.g.attach_children(node, args)
@@ -466,10 +482,10 @@ class _MiniParser:
 def parse_to_graph(source: str) -> CodeGraph:
     """Parse mini-language source; raises ParseError with the offending
     line/column."""
-    tokens = tokenize(source, strict=True)
-    if not tokens:
-        return _GraphBuilder().finish()
-    return _MiniParser(tokens).parse_unit()
+    try:
+        return _MiniParser(tokenize(source, strict=True)).parse_unit()
+    except _ErrorAtLexeme as err:
+        raise _parse_error(source, *err.args) from None
 
 
 def fallback_token_graph(text: str) -> CodeGraph:
@@ -479,11 +495,13 @@ def fallback_token_graph(text: str) -> CodeGraph:
     embedding so retrieval still works on name overlap.
     """
     g = _GraphBuilder()
-    for kind, word, _, _ in tokenize(text, strict=False):
-        if kind in ("ident", "keyword"):
-            g.node("identifier", word)
-        elif kind == "string":
-            g.node("string-literal", word)
-        elif kind == "number":
-            g.node("number-literal", word)
+    for lexeme in tokenize(text, strict=False):
+        first = lexeme[0]
+        if first == '"':
+            # Only the last lexeme can be a string left unterminated.
+            g.node("string-literal", lexeme[1:-1] if _is_closed_string(lexeme) else lexeme[1:])
+        elif first.isdigit():
+            g.node("number-literal", lexeme)
+        elif first not in _PUNCT:
+            g.node("identifier", lexeme)
     return g.finish()

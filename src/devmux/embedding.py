@@ -40,6 +40,9 @@ import numpy as np
 from .codegraph import EDGE_KINDS, CodeGraph
 from .configfile import BandConfig
 _LITERAL_LABELS = ("string-literal", "number-literal")
+# The prefix a named node's name is digested after: `id|` for an identifier
+# (band 1), then `lit|<label>|` for each literal label (band 2).
+_NAME_PREFIXES = ("id|", *(f"lit|{label}|" for label in _LITERAL_LABELS))
 # Slot of a node's own entry; an edge of kind k has slot 2k at its source end
 # and 2k + 1 at its destination end.
 _OWN_SLOT = 2 * len(EDGE_KINDS)
@@ -68,24 +71,31 @@ _SLOT_KEYS = _mix(np.arange(1, _OWN_SLOT + 2, dtype=np.uint64) * np.uint64(0x9E3
 class FeatureDigests:
     """The digests of the string features of one run: the 8-byte blake2b of
     a feature's UTF-8 keyed with `hash_seed` as 8 little-endian bytes, read
-    big-endian. The `id|` and `lit|` prefixes keep a name apart from a kind
-    label."""
+    big-endian. A feature is a kind label, or a name after one of
+    `_NAME_PREFIXES`, which keep it apart from a kind label. Each prefix has
+    a keyed state that has read it, and its own map from name to digest, so
+    no feature string is built."""
 
     def __init__(self, hash_seed: int) -> None:
-        self._digests: dict[str, bytes] = {}
-        self._keyed = hashlib.blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little"))
+        keyed = hashlib.blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little"))
+        self._states = {}
+        for prefix in ("", *_NAME_PREFIXES):
+            self._states[prefix] = state = keyed.copy()
+            state.update(prefix.encode("utf-8"))
+        self._digests: dict[str, dict[str, bytes]] = {prefix: {} for prefix in self._states}
 
     def __len__(self) -> int:
-        return len(self._digests)
+        return sum(map(len, self._digests.values()))
 
-    def digests(self, features: Sequence[str]) -> np.ndarray:
-        """The uint64 digest of each of `features`, hashing those not seen
-        before."""
-        for feature in set(features).difference(self._digests):
-            digest = self._keyed.copy()
-            digest.update(feature.encode("utf-8"))
-            self._digests[feature] = digest.digest()
-        return np.frombuffer(b"".join(map(self._digests.__getitem__, features)), dtype=">u8").astype(np.uint64)
+    def digests(self, strings: Sequence[str], prefix: str = "") -> np.ndarray:
+        """The uint64 digest of the feature `prefix` + s for each s of
+        `strings`, hashing those not seen before."""
+        known, state = self._digests[prefix], self._states[prefix]
+        for string in set(strings).difference(known):
+            digest = state.copy()
+            digest.update(string.encode("utf-8"))
+            known[string] = digest.digest()
+        return np.frombuffer(b"".join(map(known.__getitem__, strings)), dtype=">u8").astype(np.uint64)
 
 
 def _wl_rounds(
@@ -139,21 +149,23 @@ def _group_vectors(group: list[CodeGraph], bands: BandConfig, digests: FeatureDi
     per_round = _wl_rounds(digests.digests(labels), np.array(src, dtype=np.int64) + shift,
                            np.array(dst, dtype=np.int64) + shift, np.array(kinds, dtype=np.int64),
                            bands.wl_iterations)
-    names = np.array(names, dtype=object)
-    named = np.flatnonzero(np.not_equal(names, None))
-    names, labels = names[named], np.array(labels, dtype=object)[named]
-    literal = np.isin(labels, _LITERAL_LABELS)
-    features = np.where(literal, "lit|" + labels + "|" + names, "id|" + names)
+    names, labels = np.array(names, dtype=object), np.array(labels, dtype=object)
+    named = np.not_equal(names, None)
+    literals = [named & np.equal(labels, label) for label in _LITERAL_LABELS]
+    # The named nodes of each of `_NAME_PREFIXES`: identifiers, then each
+    # literal label's.
+    by_prefix = [np.flatnonzero(mask) for mask in (named & ~np.logical_or.reduce(literals), *literals)]
 
     # Band 0 is structural, 1 identifiers and 2 literals; a feature's column
     # is its band's offset plus its bucket in the band.
     graph_of = np.repeat(np.arange(m), sizes)
-    band = np.concatenate((np.zeros(len(per_round) * len(graph_of), dtype=np.intp), 1 + literal))
+    band = np.repeat([0, 1, *[2] * len(literals)], [len(per_round) * len(graph_of), *map(len, by_prefix)])
     dims = (bands.structural_dims, bands.identifier_dims, bands.literal_dims)
-    values = np.concatenate((*per_round, digests.digests(features.tolist())))
+    name_values = (digests.digests(names[nodes].tolist(), prefix) for nodes, prefix in zip(by_prefix, _NAME_PREFIXES))
+    values = np.concatenate((*per_round, *name_values))
     buckets = (values % np.array(dims, dtype=np.uint64)[band]).astype(np.intp)
     columns = np.array([0, dims[0], dims[0] + dims[1]])[band] + buckets
-    rows = np.concatenate((np.tile(graph_of, len(per_round)), graph_of[named]))
+    rows = np.concatenate((np.tile(graph_of, len(per_round)), graph_of[np.concatenate(by_prefix)]))
     width = sum(dims)
     counts = np.bincount(rows * width + columns, minlength=m * width).reshape(m, width)
 

@@ -1,5 +1,10 @@
+import json
+import os
 import string
+import subprocess
+import sys
 from dataclasses import astuple, dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +21,9 @@ from devmux.codegraph import (
     parse_to_graph,
     tokenize,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def edges_of_kind(graph: CodeGraph, kind: EdgeKind):
@@ -234,10 +242,38 @@ def reference_tokenize(source: str, strict: bool = True) -> list[RefToken]:
     return tokens
 
 
-def lex(lexer, source: str, strict: bool, record=tuple):
-    """`(kind, text, line, col)` of every token, or the `ParseError` message."""
+def lexeme_kind(lexeme: str) -> str:
+    """A lexeme's kind, from its first character."""
+    first = lexeme[0]
+    if first == '"':
+        return "string"
+    if first.isdigit():
+        return "number"
+    if first in "{}();,=.":
+        return "punct"
+    return "keyword" if lexeme in KEYWORDS else "ident"
+
+
+def reference_lexemes(source: str, strict: bool) -> list[tuple[str, str]]:
+    """`(kind, lexeme)` of each token of `reference_tokenize`: the lexeme is
+    the source from the token's line and column on, as long as its text and,
+    for a string, its quotes. An unterminated string runs to the end of the
+    input, so its lexeme has no closing quote."""
+    starts = [0, *(i + 1 for i, ch in enumerate(source) if ch == "\n")]
+    out = []
+    for tok in reference_tokenize(source, strict):
+        at = starts[tok.line - 1] + tok.col - 1
+        quoted = tok.kind == "string"
+        lexeme = source[at : at + len(tok.text) + 2 * quoted]
+        assert lexeme[quoted : quoted + len(tok.text)] == tok.text
+        out.append((tok.kind, lexeme))
+    return out
+
+
+def lex(lexer, source: str, strict: bool):
+    """What `lexer` returns, or the `ParseError` message."""
     try:
-        return [record(tok) for tok in lexer(source, strict)]
+        return lexer(source, strict)
     except ParseError as err:
         return str(err)
 
@@ -252,7 +288,62 @@ LEXER_ALPHABET = list(' "\\/*{}();,=._@\n\n\t\r\u00e9\u00b2\u0663\u216b') + list
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(), st.text(st.sampled_from(LEXER_ALPHABET))), st.booleans())
 def test_tokenize_matches_reference(source, strict):
-    assert lex(tokenize, source, strict) == lex(reference_tokenize, source, strict, astuple)
+    lexemes = lex(tokenize, source, strict)
+    if isinstance(lexemes, list):
+        lexemes = [(lexeme_kind(lexeme), lexeme) for lexeme in lexemes]
+    assert lexemes == lex(reference_lexemes, source, strict)
+
+
+# About 1 MB each: unterminated comments, strings cut by a newline, a run of
+# blanks after the last lexeme, a string of escaped quotes that ends in a
+# lone backslash, and one string that runs to the end of the input.
+LONG_INPUTS = {
+    "comments": "/* " * 350_000,
+    "strings": '"x\n' * 350_000,
+    "blanks": "x" + " \t\r\n" * 250_000,
+    "escapes": '"\\' * 500_000,
+    "open string": '"' + "x" * 1_000_000,
+}
+
+
+# Lexes the JSON `[source, strict]` on stdin and prints the seconds taken
+# and the lexemes or the `ParseError` message.
+LEX_SCRIPT = r"""
+import json, sys, time
+from devmux.codegraph import ParseError, tokenize
+source, strict = json.load(sys.stdin)
+start = time.perf_counter()
+try:
+    result = tokenize(source, strict)
+except ParseError as err:
+    result = str(err)
+print(json.dumps([time.perf_counter() - start, result]))
+"""
+
+
+@pytest.mark.parametrize("name", LONG_INPUTS)
+@pytest.mark.parametrize("strict", [True, False])
+def test_lexing_takes_linear_time(name, strict):
+    """Every input lexes within a fixed bound, far below the time a pattern
+    that rescans the rest of the input at each position would take; a
+    subprocess turns a lexer that never ends into a failure. An
+    unterminated comment or string is one match to the end of the input:
+    an error at its start, or the end of the lenient lexemes."""
+    source = LONG_INPUTS[name]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", LEX_SCRIPT], input=json.dumps([source, strict]),
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    seconds, lexemes = json.loads(proc.stdout)
+    assert seconds < 5.0
+    expected = {
+        "comments": ("unterminated block comment at line 1, column 1", []),
+        "strings": ("unterminated string literal at line 1, column 1", [source]),
+        "blanks": (["x"], ["x"]),
+        "escapes": ("unterminated string literal at line 1, column 1", [source]),
+        "open string": ("unterminated string literal at line 1, column 1", [source]),
+    }
+    assert lexemes == expected[name][not strict]
 
 
 class RefGraphBuilder:
@@ -308,8 +399,9 @@ class RefParser:
     def advance(self) -> tuple:
         tok = self.peek()
         if tok is None:
-            _, text, line, col = self.tokens[-1]
-            raise ParseError("unexpected end of input", line, col + len(text))
+            # Just past the last token, a string's closing quote included.
+            kind, text, line, col = self.tokens[-1]
+            raise ParseError("unexpected end of input", line, col + len(text) + 2 * (kind == "string"))
         self.pos += 1
         return tok
 
@@ -500,9 +592,10 @@ class RefParser:
 
 
 def reference_parse(source: str) -> CodeGraph:
-    """`parse_to_graph` as it was when the parser read tokens through
-    `peek`/`at` calls: the oracle for the index-reading parser."""
-    tokens = tokenize(source, strict=True)
+    """`parse_to_graph` as it was when the parser read `(kind, text, line,
+    col)` tokens through `peek`/`at` calls, fed by `reference_tokenize`: the
+    oracle for the lexer and the parser that reads lexemes by index."""
+    tokens = [astuple(tok) for tok in reference_tokenize(source, strict=True)]
     if not tokens:
         return RefGraphBuilder().finish()
     return RefParser(tokens).parse_unit()
@@ -574,27 +667,38 @@ UNITS = st.lists(CLASSES | MEMBERS, max_size=4).map(lambda parts: [tok for part 
 @st.composite
 def mini_sources(draw):
     """A generated mini unit, whole or broken: cut after a random token,
-    without one random token, or with a stray `Ⅻ`, an unterminated string or
-    an unterminated comment inserted at a random place."""
+    without one random token, or with a stray `Ⅻ`, `²` or `é`, an
+    unterminated string or an unterminated comment inserted at a random
+    place."""
     tokens = draw(UNITS)
     cut = draw(st.sampled_from([None, "end", "token"]))
     if cut is not None and tokens:
         at = draw(st.integers(0, len(tokens) - 1))
         tokens = tokens[:at] if cut == "end" else tokens[:at] + tokens[at + 1 :]
     source = "".join(tok + draw(st.sampled_from([" ", "\n", "", "  // c\n", " /* c */ "])) for tok in tokens)
-    insert = draw(st.sampled_from([None, "Ⅻ", '"open', "/* open"]))
+    insert = draw(st.sampled_from([None, "Ⅻ", "\u00b2", "\u00e9", '"open', "/* open"]))
     if insert is not None:
         at = draw(st.integers(0, len(source)))
         source = source[:at] + insert + source[at:]
     return source
 
 
-@settings(max_examples=300, deadline=None)
-@given(mini_sources())
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(mini_sources(), st.text(st.sampled_from(LEXER_ALPHABET))))
 # String literals where the parser looks for the punctuation they spell.
 @example('void f() { { return ";"; "}"; } g(a "," b ")"); }')
 @example('void f() { x "=" y; }')
 @example('void f() { Foo bar "=" y; }')
 @example('void f() { a "." b; }')
+# The end of the input just past a trailing string's closing quote.
+@example('int x = "ab"')
 def test_parse_matches_reference(source):
     assert parse_result(parse_to_graph, source) == parse_result(reference_parse, source)
+
+
+@pytest.mark.parametrize(
+    "source, col",
+    [("int x = 12", 11), ('int x = "ab"', 13), ('int x = ""', 11), ("int x = \u00e9\u00b2", 11)],
+)
+def test_end_of_input_is_just_past_the_last_lexeme(source, col):
+    assert parse_result(parse_to_graph, source) == f"unexpected end of input at line 1, column {col}"
