@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +39,27 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _source_files(root: Path, extensions: tuple[str, ...]) -> list[str]:
+    """The paths below `root`, relative and with `/` separators, of the
+    files whose suffix is one of `extensions`, sorted by path parts (so
+    `a/x.mini` comes before `a-b/z.mini`). A link to a file counts; a link
+    to a directory is not followed, and a broken link is skipped. A suffix
+    is as `Path.suffix` reads it: from the last dot of a name that neither
+    starts nor ends with it."""
+    found = []
+    parts_of = {str(root): ()}
+    for dirpath, dirnames, filenames in os.walk(root):
+        parts = parts_of.pop(dirpath)
+        for name in dirnames:
+            parts_of[os.path.join(dirpath, name)] = (*parts, name)
+        for name in filenames:
+            dot = name.rfind(".")
+            path = os.path.join(dirpath, name)
+            if 0 < dot < len(name) - 1 and name[dot:] in extensions and os.path.isfile(path):
+                found.append((*parts, name))
+    return ["/".join(parts) for parts in sorted(found)]
+
+
 def cmd_index(args) -> int:
     from .codegraph import ParseError, parse_to_graph
     from .configfile import load_config
@@ -51,7 +73,7 @@ def cmd_index(args) -> int:
         return _fail(f"not a directory: {root}", EXIT_IO)
 
     extensions = tuple(args.ext) if args.ext else DEFAULT_EXTENSIONS
-    paths = sorted(p for p in root.rglob("*") if p.is_file() and p.suffix in extensions)
+    paths = _source_files(root, extensions)
     selected = paths[:max_files]
     skipped_cap = paths[max_files:]
 
@@ -61,9 +83,8 @@ def cmd_index(args) -> int:
     ids: list[str] = []
 
     def graphs():
-        for path in selected:
-            rel = path.relative_to(root).as_posix()
-            source = path.read_text(encoding="utf-8", errors="replace")
+        for rel in selected:
+            source = (root / rel).read_text(encoding="utf-8", errors="replace")
             try:
                 graph = parse_to_graph(source)
             except ParseError as err:
@@ -78,7 +99,7 @@ def cmd_index(args) -> int:
         index.insert(rel, vector)
 
     if skipped_cap:
-        names = ", ".join(p.relative_to(root).as_posix() for p in skipped_cap)
+        names = ", ".join(skipped_cap)
         print(
             f"warning: file cap {max_files} reached; skipped {len(skipped_cap)} files: {names}",
             file=sys.stderr,

@@ -9,9 +9,12 @@ inheritance edges. Callees and superclasses that do not resolve locally
 get placeholder nodes labeled "external-call" / "external-class".
 
 A `CodeGraph` is stored as columns, not as one object per node and edge:
-node `i` is `labels[i]` with `names[i]`, and edge `e` runs from `src[e]` to
-`dst[e]` with kind `EDGE_KINDS[kinds[e]]`. Its `nodes` and `edges`
-properties build lists of `Node`/`Edge` records for callers that want them.
+per node a label, a name and a name kind; the parser's child lists, each
+beside its parent, which stand for the child and next-sibling edges; and
+the other edges as source, target and kind columns. Its `src`, `dst` and
+`kinds` properties give all the edges as columns, and its `nodes` and
+`edges` properties build lists of `Node`/`Edge` records for callers that
+want them.
 
 `tokenize` reads a source with one compiled pattern's `findall` into its
 lexemes, plain strings whose kind follows from the first character (a
@@ -50,6 +53,17 @@ _CHILD, _NEXT_SIBLING, _INVOKES, _INHERITS = map(
     EDGE_KINDS.index, (EdgeKind.CHILD, EdgeKind.NEXT_SIBLING, EdgeKind.INVOKES, EdgeKind.INHERITS)
 )
 
+# What a node's name is, as `CodeGraph.name_kinds` holds it: an identifier,
+# the text of a literal of each of `LITERAL_LABELS` in turn, or no name.
+LITERAL_LABELS = ("string-literal", "number-literal")
+IDENTIFIER_NAME, STRING_NAME, NUMBER_NAME, NO_NAME = range(4)
+_LITERAL_NAME_KINDS = dict(zip(LITERAL_LABELS, (STRING_NAME, NUMBER_NAME)))
+
+
+def _name_kind(label: str, name: str | None) -> int:
+    """The name kind of a node with `label` and `name`."""
+    return NO_NAME if name is None else _LITERAL_NAME_KINDS.get(label, IDENTIFIER_NAME)
+
 
 class Node(NamedTuple):
     id: int
@@ -64,10 +78,20 @@ class Edge(NamedTuple):
 
 
 class CodeGraph:
-    """A code graph as five columns: `labels` and `names` per node, and
-    `src`, `dst` and `kinds` (indexes into `EDGE_KINDS`) per edge."""
+    """A code graph as columns: `labels`, `names` and `name_kinds` per node;
+    `parents` and `child_lists`, the children of a parsed node in order, one
+    list per parent; and `explicit_src`, `explicit_dst` and `explicit_kinds`
+    (indexes into `EDGE_KINDS`) per other edge.
 
-    __slots__ = ("labels", "names", "src", "dst", "kinds")
+    The constructor takes a graph's edges as the columns `src`, `dst` and
+    `kinds`, which it keeps as its explicit edges, and works out each node's
+    name kind from its label and name. The `src`, `dst` and `kinds`
+    properties give every edge: a child edge to each child of each child
+    list, then a next-sibling edge between each adjacent pair, list by list,
+    then the explicit edges."""
+
+    __slots__ = ("labels", "names", "name_kinds", "parents", "child_lists",
+                 "explicit_src", "explicit_dst", "explicit_kinds")
 
     def __init__(
         self,
@@ -79,12 +103,52 @@ class CodeGraph:
     ) -> None:
         self.labels = labels
         self.names = names
-        self.src = src
-        self.dst = dst
-        self.kinds = kinds
+        self.name_kinds = list(map(_name_kind, labels, names))
+        self.parents: list[int] = []
+        self.child_lists: list[list[int]] = []
+        self.explicit_src = src
+        self.explicit_dst = dst
+        self.explicit_kinds = kinds
+
+    @classmethod
+    def _parsed(cls, labels: list[str], names: list[str | None], name_kinds: list[int], parents: list[int],
+                child_lists: list[list[int]], src: list[int], dst: list[int], kinds: list[int]) -> CodeGraph:
+        """A graph with child lists, whose name kinds the parser recorded."""
+        graph = cls.__new__(cls)
+        graph.labels, graph.names, graph.name_kinds = labels, names, name_kinds
+        graph.parents, graph.child_lists = parents, child_lists
+        graph.explicit_src, graph.explicit_dst, graph.explicit_kinds = src, dst, kinds
+        return graph
+
+    def _edge_columns(self) -> tuple[list[int], list[int], list[int]]:
+        """`src`, `dst` and `kinds` of every edge, in the class docstring's order."""
+        src: list[int] = []
+        dst: list[int] = []
+        kinds: list[int] = []
+        for parent, children in zip(self.parents, self.child_lists):
+            n = len(children)
+            src += [parent] * n
+            src += children[:-1]
+            dst += children
+            dst += children[1:]
+            kinds += [_CHILD] * n
+            kinds += [_NEXT_SIBLING] * (n - 1)
+        return src + self.explicit_src, dst + self.explicit_dst, kinds + self.explicit_kinds
+
+    @property
+    def src(self) -> list[int]:
+        return self._edge_columns()[0]
+
+    @property
+    def dst(self) -> list[int]:
+        return self._edge_columns()[1]
+
+    @property
+    def kinds(self) -> list[int]:
+        return self._edge_columns()[2]
 
     def _columns(self) -> tuple[list, ...]:
-        return (self.labels, self.names, self.src, self.dst, self.kinds)
+        return (self.labels, self.names, *self._edge_columns())
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -103,7 +167,8 @@ class CodeGraph:
 
     @property
     def edges(self) -> list[Edge]:
-        return list(map(Edge, self.src, self.dst, map(EDGE_KINDS.__getitem__, self.kinds)))
+        src, dst, kinds = self._edge_columns()
+        return list(map(Edge, src, dst, map(EDGE_KINDS.__getitem__, kinds)))
 
 
 KEYWORDS = {"class", "extends", "return"}
@@ -211,13 +276,17 @@ class _GraphBuilder:
     def __init__(self):
         self.labels: list[str] = []
         self.names: list[str | None] = []
+        self.name_kinds: list[int] = []
+        self.parents: list[int] = []
+        self.child_lists: list[list[int]] = []
         self.src: list[int] = []
         self.dst: list[int] = []
         self.kinds: list[int] = []
 
-    def node(self, label: str, name: str | None = None) -> int:
+    def node(self, label: str, name: str | None = None, name_kind: int = NO_NAME) -> int:
         self.labels.append(label)
         self.names.append(name)
+        self.name_kinds.append(name_kind)
         return len(self.labels) - 1
 
     def edge(self, src: int, dst: int, kind: int) -> None:
@@ -226,18 +295,15 @@ class _GraphBuilder:
         self.kinds.append(kind)
 
     def attach_children(self, parent: int, children: list[int]) -> None:
-        """A child edge to each of `children`, then a next-sibling edge
-        between each adjacent pair."""
-        n = len(children)
-        self.src += [parent] * n
-        self.src += children[:-1]
-        self.dst += children
-        self.dst += children[1:]
-        self.kinds += [_CHILD] * n
-        self.kinds += [_NEXT_SIBLING] * (n - 1)
+        """`children`, in order, as the child list of `parent`: a child edge
+        to each, and a next-sibling edge between each adjacent pair. A
+        parent gets at most one child list."""
+        self.parents.append(parent)
+        self.child_lists.append(children)
 
     def finish(self) -> CodeGraph:
-        return CodeGraph(self.labels, self.names, self.src, self.dst, self.kinds)
+        return CodeGraph._parsed(self.labels, self.names, self.name_kinds, self.parents, self.child_lists,
+                                 self.src, self.dst, self.kinds)
 
 
 # The lexeme that closes a parser's lexeme list; no lexeme is empty.
@@ -313,7 +379,7 @@ class _MiniParser:
         if self.tokens[self.pos] == "extends":
             self.pos += 1
             superclass = self.ident()
-        node = self.g.node("class-decl", name)
+        node = self.g.node("class-decl", name, IDENTIFIER_NAME)
         self.classes.append((name, node, superclass))
         self.expect("{")
         members: list[int] = []
@@ -327,7 +393,7 @@ class _MiniParser:
         name = self.ident()
         if self.tokens[self.pos] == "(":
             return self.parse_method_rest(name)
-        node = self.g.node("field-decl", name)
+        node = self.g.node("field-decl", name, IDENTIFIER_NAME)
         children: list[int] = []
         if self.tokens[self.pos] == "=":
             self.pos += 1
@@ -337,13 +403,13 @@ class _MiniParser:
         return node
 
     def parse_method_rest(self, name: str) -> int:
-        node = self.g.node("method-decl", name)
+        node = self.g.node("method-decl", name, IDENTIFIER_NAME)
         self.methods.append((name, node))
         self.pos += 1  # "("
         children: list[int] = []
         while self.tokens[self.pos] != ")":
             self.ident()  # parameter type
-            children.append(self.g.node("param", self.ident()))
+            children.append(self.g.node("param", self.ident(), IDENTIFIER_NAME))
             if self.tokens[self.pos] == ",":
                 self.pos += 1
         self.pos += 1
@@ -383,7 +449,7 @@ class _MiniParser:
         # Two adjacent identifiers open a local declaration: "Foo bar = ...;"
         if _is_ident(tok) and _is_ident(tokens[pos + 1]):
             self.pos = pos + 2
-            node = self.g.node("var-decl", tokens[pos + 1])
+            node = self.g.node("var-decl", tokens[pos + 1], IDENTIFIER_NAME)
             children = []
             if tokens[pos + 2] == "=":
                 self.pos = pos + 3
@@ -411,10 +477,10 @@ class _MiniParser:
         first = name[:1]
         if first == '"':
             self.pos += 1
-            return self.g.node("string-literal", name[1:-1])
+            return self.g.node("string-literal", name[1:-1], STRING_NAME)
         if first.isdigit():
             self.pos += 1
-            return self.g.node("number-literal", name)
+            return self.g.node("number-literal", name, NUMBER_NAME)
         if not _is_ident(name):
             raise self.error(f"expected expression, found {_text(name)!r}")
         self.pos += 1
@@ -425,7 +491,7 @@ class _MiniParser:
             dotted = True
         if tokens[self.pos] == "(":
             self.pos += 1
-            node = self.g.node("call-expr", name)
+            node = self.g.node("call-expr", name, IDENTIFIER_NAME)
             args: list[int] = []
             while tokens[self.pos] != ")":
                 args.append(self.parse_expr())
@@ -435,7 +501,7 @@ class _MiniParser:
             self.g.attach_children(node, args)
             self.calls.append((name, self.current_method, dotted))
             return node
-        return self.g.node("identifier", name)
+        return self.g.node("identifier", name, IDENTIFIER_NAME)
 
     def resolve(self) -> None:
         """Second pass: invokes and inherits edges, with external placeholders.
@@ -455,7 +521,7 @@ class _MiniParser:
         def external_node(label: str, name: str) -> int:
             key = (label, name)
             if key not in external:
-                external[key] = self.g.node(label, name)
+                external[key] = self.g.node(label, name, IDENTIFIER_NAME)
             return external[key]
 
         seen_invokes: set[tuple[int, int]] = set()
@@ -499,9 +565,9 @@ def fallback_token_graph(text: str) -> CodeGraph:
         first = lexeme[0]
         if first == '"':
             # Only the last lexeme can be a string left unterminated.
-            g.node("string-literal", lexeme[1:-1] if _is_closed_string(lexeme) else lexeme[1:])
+            g.node("string-literal", lexeme[1:-1] if _is_closed_string(lexeme) else lexeme[1:], STRING_NAME)
         elif first.isdigit():
-            g.node("number-literal", lexeme)
+            g.node("number-literal", lexeme, NUMBER_NAME)
         elif first not in _PUNCT:
-            g.node("identifier", lexeme)
+            g.node("identifier", lexeme, IDENTIFIER_NAME)
     return g.finish()

@@ -10,8 +10,9 @@ zero vector.
 Every feature is a uint64 digest that lands in bucket digest mod dims of its
 band, as in feature hashing (Weinberger et al., ICML 2009). A node gives a
 structural feature per round, its label, and a named node one more:
-`id|<name>`, or `lit|<label>|<name>` for a literal. These strings and the
-kind labels, which are the round-0 labels, are digested by `FeatureDigests`.
+`id|<name>`, or `lit|<label>|<name>` for a literal, as the node's name kind
+in `CodeGraph.name_kinds` says. These strings and the kind labels, which are
+the round-0 labels, are digested by `FeatureDigests`.
 WL relabelling is label compression (Shervashidze et al., JMLR 2011, section
 3) by a multiset hash (Clarke et al., ASIACRYPT 2003): a node's next label is
 `_mix` of the sum mod 2**64 of `_mix(label[far] + _SLOT_KEYS[slot])` over its
@@ -24,8 +25,11 @@ groups of about `_GROUP_NODES` nodes and keeps one `FeatureDigests` for the
 run, so each distinct string feature is hashed once per run. Relabelling is
 local, so each group gets one WL pass over its disjoint union, each round a
 few numpy calls over all the group's entries, and the counts are split per
-graph at the end; `graph_to_vector` is a run of one graph. The vectors are
-the same whatever the grouping and whatever the map held before.
+graph at the end; `graph_to_vector` is a run of one graph. A group's child
+and next-sibling edges are made from its graphs' child lists in a few numpy
+calls, beside their explicit edges; since relabelling sums over a multiset,
+the order they come in moves no label. The vectors are the same whatever
+the grouping and whatever the map held before.
 """
 
 from __future__ import annotations
@@ -33,16 +37,17 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
-from .codegraph import EDGE_KINDS, CodeGraph
+from .codegraph import EDGE_KINDS, LITERAL_LABELS, CodeGraph, EdgeKind
 from .configfile import BandConfig
-_LITERAL_LABELS = ("string-literal", "number-literal")
-# The prefix a named node's name is digested after: `id|` for an identifier
-# (band 1), then `lit|<label>|` for each literal label (band 2).
-_NAME_PREFIXES = ("id|", *(f"lit|{label}|" for label in _LITERAL_LABELS))
+
+# The prefix a named node's name is digested after, by its name kind: `id|`
+# for an identifier (band 1), then `lit|<label>|` for each literal label
+# (band 2).
+_NAME_PREFIXES = ("id|", *(f"lit|{label}|" for label in LITERAL_LABELS))
+_CHILD, _NEXT_SIBLING = EDGE_KINDS.index(EdgeKind.CHILD), EDGE_KINDS.index(EdgeKind.NEXT_SIBLING)
 # Slot of a node's own entry; an edge of kind k has slot 2k at its source end
 # and 2k + 1 at its destination end.
 _OWN_SLOT = 2 * len(EDGE_KINDS)
@@ -52,7 +57,6 @@ _GROUP_NODES = 1000
 # A run starts a fresh `FeatureDigests` before the next group once its map
 # holds more strings than this; the 150-file benchmark tree holds 6,059.
 _MAX_WL_ENTRIES = 1 << 16
-_columns = attrgetter("labels", "names", "src", "dst", "kinds")
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -104,21 +108,20 @@ def _wl_rounds(
     """The uint64 labels of every node in each of the rounds 0 to `rounds`
     of relabelling a graph given as columns: its nodes' round-0 `labels`
     and its edges' int64 `src`, `dst` and `kinds`. Identifier names never
-    enter, so the result is invariant under renaming. The entries are
-    ordered by owner once, so a round is one `np.add.reduceat` over them;
-    every node owns an entry, so no node's run is empty.
+    enter, so the result is invariant under renaming. A round adds each
+    entry's term into its owner's sum with one `np.add.at`: a sum mod 2**64
+    is the same in any order, so the entries need no sort.
     """
     n = len(labels)
     nodes = np.arange(n, dtype=np.int64)
     owner = np.concatenate((nodes, src, dst))
-    order = np.argsort(owner, kind="stable")
-    far = np.concatenate((nodes, dst, src))[order]
-    slot_keys = _SLOT_KEYS[np.concatenate((np.full(n, _OWN_SLOT, dtype=np.int64), 2 * kinds, 2 * kinds + 1))][order]
-    entries = np.bincount(owner, minlength=n)
-    starts = np.cumsum(entries) - entries
+    far = np.concatenate((nodes, dst, src))
+    slot_keys = _SLOT_KEYS[np.concatenate((np.full(n, _OWN_SLOT, dtype=np.int64), 2 * kinds, 2 * kinds + 1))]
     per_round = [labels]
     for _ in range(rounds):
-        labels = _mix(np.add.reduceat(_mix(labels[far] + slot_keys), starts))
+        sums = np.zeros(n, dtype=np.uint64)
+        np.add.at(sums, owner, _mix(labels[far] + slot_keys))
+        labels = _mix(sums)
         per_round.append(labels)
     return per_round
 
@@ -138,30 +141,54 @@ def _groups(graphs: Iterable[CodeGraph]) -> Iterator[list[CodeGraph]]:
         yield group
 
 
+def _joined(columns: Iterable[list[int]]) -> np.ndarray:
+    """`columns` one after another, as one int64 array."""
+    return np.fromiter(chain.from_iterable(columns), dtype=np.int64)
+
+
+def _group_edges(group: list[CodeGraph], offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The int64 `src`, `dst` and `kinds` of every edge of `group`'s graphs,
+    each graph's shifted by its entry of `offsets`: the child edges of all
+    child lists, then the next-sibling edges, then the explicit edges."""
+    lists = list(chain.from_iterable(g.child_lists for g in group))
+    lengths = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    list_shifts = np.repeat(offsets, [len(g.child_lists) for g in group])
+    parents = np.repeat(_joined(g.parents for g in group) + list_shifts, lengths)
+    children = _joined(lists) + np.repeat(list_shifts, lengths)
+    # A child and the next one are siblings where they have one parent: the
+    # parser gives a parent one child list.
+    siblings = parents[1:] == parents[:-1]
+    explicit_shifts = np.repeat(offsets, [len(g.explicit_src) for g in group])
+    return (
+        np.concatenate((parents, children[:-1][siblings], _joined(g.explicit_src for g in group) + explicit_shifts)),
+        np.concatenate((children, children[1:][siblings], _joined(g.explicit_dst for g in group) + explicit_shifts)),
+        np.concatenate((np.full(len(children), _CHILD), np.full(np.count_nonzero(siblings), _NEXT_SIBLING),
+                        _joined(g.explicit_kinds for g in group))),
+    )
+
+
 def _group_vectors(group: list[CodeGraph], bands: BandConfig, digests: FeatureDigests) -> np.ndarray:
     """The rows of `graphs_to_vectors` for `group`, from one WL pass over
     its disjoint union: its nodes in order, with each graph's edges shifted
     past the nodes of the graphs before it."""
     m = len(group)
     sizes = [len(g) for g in group]
-    labels, names, src, dst, kinds = (list(chain.from_iterable(c)) for c in zip(*map(_columns, group)))
-    shift = np.repeat(np.cumsum([0, *sizes[:-1]]), [len(g.src) for g in group])
-    per_round = _wl_rounds(digests.digests(labels), np.array(src, dtype=np.int64) + shift,
-                           np.array(dst, dtype=np.int64) + shift, np.array(kinds, dtype=np.int64),
+    labels = list(chain.from_iterable(g.labels for g in group))
+    names = list(chain.from_iterable(g.names for g in group))
+    per_round = _wl_rounds(digests.digests(labels), *_group_edges(group, np.cumsum([0, *sizes[:-1]])),
                            bands.wl_iterations)
-    names, labels = np.array(names, dtype=object), np.array(labels, dtype=object)
-    named = np.not_equal(names, None)
-    literals = [named & np.equal(labels, label) for label in _LITERAL_LABELS]
-    # The named nodes of each of `_NAME_PREFIXES`: identifiers, then each
-    # literal label's.
-    by_prefix = [np.flatnonzero(mask) for mask in (named & ~np.logical_or.reduce(literals), *literals)]
+    # The named nodes of each of `_NAME_PREFIXES`, whose index is their name
+    # kind: identifiers, then each literal label's.
+    name_kinds = _joined(g.name_kinds for g in group)
+    by_prefix = [np.flatnonzero(name_kinds == kind) for kind in range(len(_NAME_PREFIXES))]
 
     # Band 0 is structural, 1 identifiers and 2 literals; a feature's column
     # is its band's offset plus its bucket in the band.
     graph_of = np.repeat(np.arange(m), sizes)
-    band = np.repeat([0, 1, *[2] * len(literals)], [len(per_round) * len(graph_of), *map(len, by_prefix)])
+    band = np.repeat([0, 1, *[2] * len(LITERAL_LABELS)], [len(per_round) * len(graph_of), *map(len, by_prefix)])
     dims = (bands.structural_dims, bands.identifier_dims, bands.literal_dims)
-    name_values = (digests.digests(names[nodes].tolist(), prefix) for nodes, prefix in zip(by_prefix, _NAME_PREFIXES))
+    name_values = (digests.digests(list(map(names.__getitem__, nodes.tolist())), prefix)
+                   for nodes, prefix in zip(by_prefix, _NAME_PREFIXES))
     values = np.concatenate((*per_round, *name_values))
     buckets = (values % np.array(dims, dtype=np.uint64)[band]).astype(np.intp)
     columns = np.array([0, dims[0], dims[0] + dims[1]])[band] + buckets

@@ -10,7 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devmux import embedding
-from devmux.codegraph import EDGE_KINDS, CodeGraph, EdgeKind, ParseError, parse_to_graph
+from devmux.codegraph import (
+    EDGE_KINDS,
+    IDENTIFIER_NAME,
+    NO_NAME,
+    NUMBER_NAME,
+    STRING_NAME,
+    CodeGraph,
+    EdgeKind,
+    ParseError,
+    fallback_token_graph,
+    parse_to_graph,
+)
 from devmux.configfile import MAX_WL_ITERATIONS, VECTOR_DIM
 from devmux.embedding import (
     BandConfig,
@@ -20,6 +31,7 @@ from devmux.embedding import (
     graph_to_vector,
     graphs_to_vectors,
 )
+from test_codegraph import LEXER_ALPHABET, UNITS
 from test_golden import index_tree
 
 RENAME_A = """
@@ -427,6 +439,56 @@ def test_shared_labels_give_fresh_vectors(graphs):
     assert [row.tobytes() for row in graphs_to_vectors(graphs)] == alone
     with mock.patch.object(embedding, "_GROUP_NODES", 1):
         assert [row.tobytes() for row in graphs_to_vectors(graphs)] == alone
+
+
+def hand_built(graph: CodeGraph) -> CodeGraph:
+    """`graph` made through the public constructor, which keeps every edge,
+    its child and next-sibling edges too, as an explicit column."""
+    return CodeGraph(graph.labels, graph.names, graph.src, graph.dst, graph.kinds)
+
+
+PARSED = UNITS.map(lambda tokens: parse_to_graph(" ".join(tokens)))
+FALLBACK = st.text(st.sampled_from(LEXER_ALPHABET), max_size=40).map(fallback_token_graph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(PARSED | FALLBACK, st.booleans()) | small_graphs().map(lambda g: (g, False)), max_size=8),
+       band_configs())
+def test_mixed_groups_match_graphs_alone(drawn, bands):
+    """A group that mixes graphs with child lists (parsed ones) and graphs
+    that hold those edges as explicit columns (their hand-built twins, and
+    random graphs) gives each graph the row it gets alone, which is the
+    reference vector; a parsed graph and its twin are equal, record the
+    same name kinds and embed to the same bytes."""
+    graphs = [hand_built(graph) if twin else graph for graph, twin in drawn]
+    rows = graphs_to_vectors(graphs, bands)
+    for graph, row in zip(graphs, rows):
+        assert row.tobytes() == graph_to_vector(graph, bands).tobytes()
+        assert row.tobytes() == reference_graph_to_vector(graph, bands).tobytes()
+    for graph, _ in drawn:
+        twin = hand_built(graph)
+        assert twin == graph and twin.name_kinds == graph.name_kinds and not twin.child_lists
+        assert graph_to_vector(twin, bands).tobytes() == graph_to_vector(graph, bands).tobytes()
+
+
+def test_constructor_name_kinds_give_the_reference_features():
+    """A graph made through the public constructor gets each node's name
+    kind from its label and name: a named literal's name is a literal
+    feature and any other name an identifier one, while an unnamed literal
+    gives neither."""
+    graph = CodeGraph(
+        ["string-literal", "string-literal", "number-literal", "number-literal", "identifier", "block", "class-decl"],
+        ["block", None, "42", None, "string-literal", "x", "Foo"],
+        [6, 6, 0],
+        [0, 4, 4],
+        [EDGE_KINDS.index(EdgeKind.CHILD), EDGE_KINDS.index(EdgeKind.CHILD), EDGE_KINDS.index(EdgeKind.NEXT_SIBLING)],
+    )
+    assert graph.name_kinds == [STRING_NAME, NO_NAME, NUMBER_NAME, NO_NAME, IDENTIFIER_NAME, IDENTIFIER_NAME,
+                                IDENTIFIER_NAME]
+    for bands in (BandConfig(), BandConfig(hash_seed=0), BandConfig(identifier_weight=2.0, wl_iterations=0)):
+        vector = graph_to_vector(graph, bands)
+        assert vector.tobytes() == reference_graph_to_vector(graph, bands).tobytes()
+        assert vector[bands.structural_dims:-bands.literal_dims].any() and vector[-bands.literal_dims:].any()
 
 
 @settings(max_examples=60, deadline=None)
